@@ -1339,7 +1339,9 @@ let serve_store (module S : Store.Store_intf.S) ~require ~spec ~cfg ~capture_pat
     else
       match (res.trace, res.witness) with
       | Some exec, Some wit ->
+        let t0 = Unix.gettimeofday () in
         let report = Sim.Checks.validate ~spec_of:(fun _ -> spec) exec wit in
+        let check_s = Unix.gettimeofday () -. t0 in
         let required =
           [ ("well-formed", report.Sim.Checks.well_formed);
             ("complies", report.Sim.Checks.complies);
@@ -1368,8 +1370,11 @@ let serve_store (module S : Store.Store_intf.S) ~require ~spec ~cfg ~capture_pat
         else if failed <> [] then
           `Error (false, "live check failed\n  " ^ String.concat "\n  " failed)
         else begin
-          Format.printf "checkers: %s clean on the captured live trace@."
-            (String.concat ", " (List.map fst required));
+          Format.printf
+            "checkers: %s clean on the captured live trace (%d do events audited in \
+             %.3fs)@."
+            (String.concat ", " (List.map fst required))
+            (Spec.Abstract.length wit) check_s;
           `Ok ()
         end
       | _ -> `Error (false, "live check: run produced no captured trace")

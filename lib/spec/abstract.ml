@@ -120,19 +120,21 @@ let equal_equivalent a b =
   in
   replicas_equal 0
 
-(* Restriction of H to the indices in [idx] (ascending), with vis projected. *)
+(* Restriction of H to the indices in [idx] (ascending), with vis projected.
+   Vis respects H order, so a member's row can only hold earlier members:
+   testing those bits of its full row costs O(m²) for m members, however
+   long [t] is, where walking every set bit of the full rows would grow
+   with the whole execution. *)
 let restrict t idx =
   let m = Array.length idx in
-  let pos = Hashtbl.create m in
-  Array.iteri (fun new_i old_i -> Hashtbl.replace pos old_i new_i) idx;
   let h = Array.map (fun old_i -> t.h.(old_i)) idx in
   let rows =
     Array.init m (fun new_j ->
         let row = Bitset.create m in
-        Bitset.iter t.rows.(idx.(new_j)) (fun old_i ->
-            match Hashtbl.find_opt pos old_i with
-            | Some new_i -> Bitset.set row new_i
-            | None -> ());
+        let full = t.rows.(idx.(new_j)) in
+        for new_i = 0 to new_j - 1 do
+          if Bitset.get full idx.(new_i) then Bitset.set row new_i
+        done;
         row)
   in
   { n = t.n; h; rows }
@@ -167,9 +169,17 @@ let transitive_closure t =
   let len = Array.length t.h in
   let rows = Array.map Bitset.copy t.rows in
   (* Events are topologically ordered by H (vis respects H order), so one
-     ascending pass computes the closure. *)
+     ascending pass computes the closure: every row below [j] is closed
+     when [j] is reached. Scanning [j]'s predecessors newest first, a
+     predecessor already inside a closed row unioned earlier adds nothing,
+     so only the frontier is unioned. *)
   for j = 0 to len - 1 do
-    Bitset.iter t.rows.(j) (fun i -> Bitset.union_into ~dst:rows.(j) rows.(i))
+    let reached = Bitset.create len in
+    for i = j - 1 downto 0 do
+      if Bitset.get t.rows.(j) i && not (Bitset.get reached i) then
+        Bitset.union_into ~dst:reached rows.(i)
+    done;
+    Bitset.union_into ~dst:rows.(j) reached
   done;
   { t with rows }
 

@@ -51,18 +51,27 @@ val equal_equivalent : t -> t -> bool
 
 val restrict_object : t -> int -> t * int array
 (** [restrict_object a o] is [A|o] together with the map from new indices
-    to original indices. *)
+    to original indices. Cost: O(N) to find the [m] events on [o], then
+    O(m²) bit tests. *)
 
 val context : t -> int -> t * int
 (** [context a e] is the operation context [ctxt(A, e)] of Definition 7 —
     an abstract execution over the events of [V_e] — together with the
-    index of [e] inside it ([e] is always its last event). *)
+    index of [e] inside it ([e] is always its last event).
+
+    Cost: O(e) to collect the [m] members, then O(m²) bit tests to project
+    vis onto them, independent of how many events [a] holds beyond [e]. *)
 
 val is_transitive : t -> bool
 (** Causal consistency of the visibility relation (Definition 12). *)
 
 val transitive_closure : t -> t
-(** Same [H], vis replaced by its transitive closure. *)
+(** Same [H], vis replaced by its transitive closure.
+
+    Cost: one ascending pass over [H]. Each of the [N] rows scans its
+    predecessors newest first (O(N) bit tests) and unions only its
+    frontier — the predecessors no closed row unioned earlier already
+    reaches — at O(N/63) words per union. *)
 
 val add_vis : t -> (int * int) list -> t
 (** A copy with additional visibility edges (re-validated). *)

@@ -1,3 +1,4 @@
+open Haec_util
 open Haec_model
 
 type t = {
@@ -29,36 +30,50 @@ let rw_register =
       in
       last_write (target - 1))
 
+(* Vis respects H order, so an event visible to a later one is exactly an
+   event in the union of the later ones' rows: each read below unions the
+   rows of the events that can hide a value, then keeps the events outside
+   that union, in O(m) row unions rather than O(m²) vis tests. *)
+
 let mvr =
   on_read "mvr" (fun ctx target ->
+      let dominated = Bitset.create (Abstract.length ctx) in
+      for e = 0 to target - 1 do
+        match (Abstract.event ctx e).Event.op with
+        | Op.Write _ -> Bitset.union_into ~dst:dominated (Abstract.vis_row ctx e)
+        | Op.Read | Op.Add _ | Op.Remove _ -> ()
+      done;
       let values = ref [] in
-      for e1 = 0 to target - 1 do
-        match (Abstract.event ctx e1).Event.op with
-        | Op.Write v ->
-          let dominated = ref false in
-          for e2 = e1 + 1 to target - 1 do
-            match (Abstract.event ctx e2).Event.op with
-            | Op.Write _ -> if Abstract.vis ctx e1 e2 then dominated := true
-            | Op.Read | Op.Add _ | Op.Remove _ -> ()
-          done;
-          if not !dominated then values := v :: !values
+      for e = 0 to target - 1 do
+        match (Abstract.event ctx e).Event.op with
+        | Op.Write v -> if not (Bitset.get dominated e) then values := v :: !values
         | Op.Read | Op.Add _ | Op.Remove _ -> ()
       done;
       Op.vals !values)
 
 let orset =
   on_read "orset" (fun ctx target ->
+      (* per removed value, the adds visible to one of its removes *)
+      let removed = Hashtbl.create 8 in
+      for e = 0 to target - 1 do
+        match (Abstract.event ctx e).Event.op with
+        | Op.Remove v -> (
+          let row = Abstract.vis_row ctx e in
+          match Hashtbl.find_opt removed v with
+          | Some acc -> Bitset.union_into ~dst:acc row
+          | None -> Hashtbl.replace removed v row)
+        | Op.Read | Op.Write _ | Op.Add _ -> ()
+      done;
       let values = ref [] in
-      for e1 = 0 to target - 1 do
-        match (Abstract.event ctx e1).Event.op with
+      for e = 0 to target - 1 do
+        match (Abstract.event ctx e).Event.op with
         | Op.Add v ->
-          let removed = ref false in
-          for e2 = e1 + 1 to target - 1 do
-            match (Abstract.event ctx e2).Event.op with
-            | Op.Remove v' -> if Value.equal v v' && Abstract.vis ctx e1 e2 then removed := true
-            | Op.Read | Op.Write _ | Op.Add _ -> ()
-          done;
-          if not !removed then values := v :: !values
+          let hidden =
+            match Hashtbl.find_opt removed v with
+            | Some acc -> Bitset.get acc e
+            | None -> false
+          in
+          if not hidden then values := v :: !values
         | Op.Read | Op.Write _ | Op.Remove _ -> ()
       done;
       Op.vals !values)

@@ -6,8 +6,9 @@ open Haec
 module A = Abstract
 module Op = Model.Op
 
-(* random valid abstract execution from a seed *)
-let random_ae seed =
+(* random valid abstract execution from a seed: register writes and reads,
+   or with [~set:true] adds, removes and reads over a small value pool *)
+let random_ae ?(set = false) seed =
   let rng = Rng.create seed in
   let n = 2 + Rng.int rng 3 in
   let len = 3 + Rng.int rng 8 in
@@ -16,7 +17,12 @@ let random_ae seed =
     Array.init len (fun _ ->
         let replica = Rng.int rng n in
         let obj = Rng.int rng 3 in
-        if Rng.bool rng then begin
+        if set then
+          match Rng.int rng 3 with
+          | 0 -> add_ replica obj (Rng.int rng 3)
+          | 1 -> rm_ replica obj (Rng.int rng 3)
+          | _ -> rd_ replica obj []
+        else if Rng.bool rng then begin
           incr counter;
           w_ replica obj !counter
         end
@@ -28,7 +34,126 @@ let random_ae seed =
       if Rng.chance rng 0.3 then vis := (i, j) :: !vis
     done
   done;
-  Specf.with_correct_responses ~spec_of:mvr_spec (A.create ~n h ~vis:!vis)
+  let spec_of = if set then orset_spec else mvr_spec in
+  Specf.with_correct_responses ~spec_of (A.create ~n h ~vis:!vis)
+
+(* ---------- references for the checker's core ---------- *)
+
+(* Definition 7 read off [vis_pairs]: ctxt(a, e) holds the same-object
+   events visible to [e], then [e], with vis restricted to them. [context]
+   must give exactly these events and pairs. *)
+let context_matches_definition a e =
+  let ctx, target = A.context a e in
+  let o = (A.event a e).Model.Event.obj in
+  let members =
+    List.filter (fun i -> (A.event a i).Model.Event.obj = o) (A.vis_preds a e) @ [ e ]
+  in
+  let pos = List.mapi (fun p i -> (i, p)) members in
+  let expected =
+    List.filter_map
+      (fun (i, j) ->
+        match (List.assoc_opt i pos, List.assoc_opt j pos) with
+        | Some p, Some q -> Some (p, q)
+        | _ -> None)
+      (A.vis_pairs a)
+  in
+  target = List.length members - 1
+  && A.length ctx = List.length members
+  && List.for_all (fun (i, p) -> A.event ctx p = A.event a i) pos
+  && List.sort compare (A.vis_pairs ctx) = List.sort compare expected
+
+(* the closure as a naive fixpoint: add (i, k) for every (i, j), (j, k)
+   until nothing changes *)
+let naive_closure_pairs a =
+  let len = A.length a in
+  let m = Array.make_matrix len len false in
+  List.iter (fun (i, j) -> m.(i).(j) <- true) (A.vis_pairs a);
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for i = 0 to len - 1 do
+      for j = 0 to len - 1 do
+        if m.(i).(j) then
+          for k = 0 to len - 1 do
+            if m.(j).(k) && not m.(i).(k) then begin
+              m.(i).(k) <- true;
+              changed := true
+            end
+          done
+      done
+    done
+  done;
+  let acc = ref [] in
+  for j = len - 1 downto 0 do
+    for i = len - 1 downto 0 do
+      if m.(i).(j) then acc := (i, j) :: !acc
+    done
+  done;
+  List.sort compare !acc
+
+let closure_matches_naive a =
+  List.sort compare (A.vis_pairs (A.transitive_closure a)) = naive_closure_pairs a
+
+(* Figure 1b and 1c read as written: one vis test per pair of events *)
+let reference_mvr ctx target =
+  let values = ref [] in
+  for e1 = 0 to target - 1 do
+    match (A.event ctx e1).Model.Event.op with
+    | Op.Write v ->
+      let dominated = ref false in
+      for e2 = e1 + 1 to target - 1 do
+        match (A.event ctx e2).Model.Event.op with
+        | Op.Write _ -> if A.vis ctx e1 e2 then dominated := true
+        | Op.Read | Op.Add _ | Op.Remove _ -> ()
+      done;
+      if not !dominated then values := v :: !values
+    | Op.Read | Op.Add _ | Op.Remove _ -> ()
+  done;
+  Op.vals !values
+
+let reference_orset ctx target =
+  let values = ref [] in
+  for e1 = 0 to target - 1 do
+    match (A.event ctx e1).Model.Event.op with
+    | Op.Add v ->
+      let removed = ref false in
+      for e2 = e1 + 1 to target - 1 do
+        match (A.event ctx e2).Model.Event.op with
+        | Op.Remove v' ->
+          if Model.Value.equal v v' && A.vis ctx e1 e2 then removed := true
+        | Op.Read | Op.Write _ | Op.Add _ -> ()
+      done;
+      if not !removed then values := v :: !values
+    | Op.Read | Op.Write _ | Op.Remove _ -> ()
+  done;
+  Op.vals !values
+
+(* every read of [a] gets the reference's response from [spec] *)
+let reads_match_reference (spec : Specf.t) reference a =
+  let ok = ref true in
+  for e = 0 to A.length a - 1 do
+    if (A.event a e).Model.Event.op = Op.Read then begin
+      let ctx, target = A.context a e in
+      if not (Op.equal_response (spec.apply ~ctx ~target) (reference ctx target)) then
+        ok := false
+    end
+  done;
+  !ok
+
+(* one audit of [a] and of its closure against every reference *)
+let core_matches_references (spec, reference) a =
+  let closed = A.transitive_closure a in
+  let contexts_ok x =
+    let ok = ref true in
+    for e = 0 to A.length x - 1 do
+      if not (context_matches_definition x e) then ok := false
+    done;
+    !ok
+  in
+  closure_matches_naive a
+  && contexts_ok a && contexts_ok closed
+  && reads_match_reference spec reference a
+  && reads_match_reference spec reference closed
 
 let seed_gen = QCheck2.Gen.int_range 0 50_000
 
@@ -69,14 +194,40 @@ let prop_context_shape =
       let a = random_ae seed in
       let ok = ref true in
       for e = 0 to A.length a - 1 do
-        let ctx, target = A.context a e in
-        let de = A.event a e in
-        if target <> A.length ctx - 1 then ok := false;
-        for i = 0 to A.length ctx - 1 do
-          if (A.event ctx i).Model.Event.obj <> de.Model.Event.obj then ok := false
-        done
+        if not (context_matches_definition a e) then ok := false
       done;
       !ok)
+
+let prop_core_matches_references =
+  q ~count:150 "closure, contexts and mvr/orset reads match their references" seed_gen
+    (fun seed ->
+      core_matches_references (Specf.mvr, reference_mvr) (random_ae seed)
+      && core_matches_references (Specf.orset, reference_orset) (random_ae ~set:true seed))
+
+let test_core_matches_references_on_witnesses () =
+  (* causal runs: witnesses whose closures differ from them (reads carry
+     no dots), with contexts far larger than the random executions' *)
+  let witness (module S : Store.Store_intf.S) mix seed =
+    let module R = Sim.Runner.Make (S) in
+    let rng = Rng.create seed in
+    let sim = R.create ~seed ~n:3 ~policy:(Sim.Net_policy.lossy ()) () in
+    let steps = Sim.Workload.generate ~rng ~n:3 ~objects:2 ~ops:80 mix in
+    Sim.Workload.run
+      (fun ~replica ~obj op -> R.op sim ~replica ~obj op)
+      ~advance:(R.advance_to sim) steps;
+    R.run_until_quiescent sim;
+    R.witness_abstract sim
+  in
+  for seed = 1 to 3 do
+    let check name store mix spec =
+      if not (core_matches_references spec (witness store mix seed)) then
+        Alcotest.failf "seed %d: %s witness differs from the references" seed name
+    in
+    check "causal mvr" (module Store.Causal_mvr_store) Sim.Workload.register_mix
+      (Specf.mvr, reference_mvr);
+    check "causal orset" (module Store.Causal_orset_store) Sim.Workload.orset_mix
+      (Specf.orset, reference_orset)
+  done
 
 let prop_correctness_stable_under_closure_of_correct_runs =
   (* with_correct_responses after closure yields a correct causal AE *)
@@ -180,4 +331,7 @@ let suite =
       soak ("mvr 400 ops, 6 replicas, lossy", soak_mvr);
       soak ("causal 400 ops, partition", soak_causal);
       soak ("theorem12 n=12 k=256", soak_theorem12_large);
+      prop_core_matches_references;
+      tc "checker core matches references on causal witnesses"
+        test_core_matches_references_on_witnesses;
     ] )

@@ -140,6 +140,21 @@ let test_frame_crc_vector () =
   Alcotest.(check int) "crc32(123456789)" 0xCBF43926 (Wire.Frame.crc32 "123456789");
   Alcotest.(check int) "crc32 of empty" 0 (Wire.Frame.crc32 "")
 
+let test_frame_crc_two_domains () =
+  (* replica domains checksum concurrently; released together, neither
+     may fail or see a different table *)
+  let go = Atomic.make false in
+  let crc () =
+    while not (Atomic.get go) do
+      Domain.cpu_relax ()
+    done;
+    Wire.Frame.crc32 "123456789"
+  in
+  let d1 = Domain.spawn crc and d2 = Domain.spawn crc in
+  Atomic.set go true;
+  Alcotest.(check int) "first domain" 0xCBF43926 (Domain.join d1);
+  Alcotest.(check int) "second domain" 0xCBF43926 (Domain.join d2)
+
 let test_frame_roundtrip () =
   List.iter
     (fun s -> Alcotest.(check string) "unseal . seal" s (Wire.Frame.unseal (Wire.Frame.seal s)))
@@ -203,4 +218,5 @@ let suite =
       prop_int_list_roundtrip;
       prop_string_roundtrip;
       prop_no_decoder_crash;
+      tc "frame crc from two domains at once" test_frame_crc_two_domains;
     ] )
