@@ -11,7 +11,17 @@
 
     The checker treats every object as an MVR, matching the paper's setting;
     it identifies the write events behind a read's returned values using the
-    paper's convention that every write writes a distinct value. *)
+    paper's convention that every write writes a distinct value.
+
+    {b Cost.} For an execution of [N] events with [W] updates on [k]
+    objects, {!check} first builds U[o] (each object's update events, one
+    [N]-bit row per object) and a [(object, value)] index of the writes —
+    O(N + kN/63), and nothing at all when no read returns two or more
+    values. Each returned pair then filters the [W] candidates once per
+    side: O(W) bit tests, plus for each candidate passing conditions 2–3
+    one O(N/63)-word subset test for condition 4, against a masked row
+    [vis_row(wi) ∩ U[obj(wi')]] built once per [(wi, object)] per call.
+    {!witnesses_for} builds the same indexes for its single pair. *)
 
 open Haec_spec
 

@@ -13,8 +13,9 @@
     replica and the restarted domain resumes with exactly the state it
     had durably logged — losses beyond that are permanent until
     anti-entropy repair heals them. Auto-checkpointing is off on the live
-    path (each checkpoint re-encodes the full history — quadratic in a
-    long run); live runs recover by replaying the WAL from genesis. *)
+    path, so the hot path never encodes a WAL entry (a checkpoint would
+    append the entries logged since the last one as an encoded chunk);
+    live runs recover by replaying the WAL from genesis. *)
 
 open Haec_vclock
 module Store_intf := Haec_store.Store_intf

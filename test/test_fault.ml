@@ -272,6 +272,126 @@ let test_durable_invisible_reads_not_logged () =
   let st, _, _ = D.do_op st ~obj:0 Op.Read in
   Alcotest.(check int) "read left no log entry" before (D.wal_length st)
 
+(* The checkpoint cadence is invisible: a snapshot folded every entry,
+   every 32 entries, or once at the end serializes to the bytes of the
+   whole log encoded as one list, and a crash at any point — mid-chunk
+   included — recovers the same reads. *)
+module D_every =
+  Store.Durable.Make_tuned
+    (struct
+      let auto_checkpoint_every = Some 1
+    end)
+    (Store.Mvr_store)
+
+module D_never =
+  Store.Durable.Make_tuned
+    (struct
+      let auto_checkpoint_every = None
+    end)
+    (Store.Mvr_store)
+
+(* writes at replica 0, interleaved with sends and deliveries of replica
+   1's payloads *)
+let cadence_inputs =
+  let remote = ref (Store.Mvr_store.init ~n:2 ~me:1) in
+  let remote_payload i =
+    let st, _, _ = Store.Mvr_store.do_op !remote ~obj:(i mod 3) (Op.Write (vi (1000 + i))) in
+    let st, payload = Store.Mvr_store.send st in
+    remote := st;
+    payload
+  in
+  List.concat
+    (List.init 90 (fun i ->
+         (`Write (i mod 3, i) :: (if i mod 3 = 2 then [ `Send ] else []))
+         @ if i mod 4 = 1 then [ `Deliver (remote_payload i) ] else []))
+
+(* the snapshot size of each prefix of the inputs, as [Wire.Encoder.list]
+   over every entry in [Durable]'s log-entry format: each input logs one
+   entry (reads are invisible, and every send has something pending) *)
+let whole_log_bytes =
+  let encode_entry enc = function
+    | `Write (obj, v) ->
+      Wire.Encoder.uint enc 0;
+      Wire.Encoder.uint enc obj;
+      Op.encode enc (Op.Write (vi v))
+    | `Deliver payload ->
+      Wire.Encoder.uint enc 1;
+      Wire.Encoder.uint enc 1;
+      Wire.Encoder.string enc payload
+    | `Send -> Wire.Encoder.uint enc 2
+  in
+  List.init
+    (List.length cadence_inputs + 1)
+    (fun k ->
+      let prefix = List.filteri (fun i _ -> i < k) cadence_inputs in
+      String.length (Wire.encode (fun enc -> Wire.Encoder.list enc encode_entry prefix)))
+
+module Cadence (D : Store.Store_intf.DURABLE) = struct
+  let step st = function
+    | `Write (obj, v) ->
+      let st, _, _ = D.do_op st ~obj (Op.Write (vi v)) in
+      st
+    | `Send -> fst (D.send st)
+    | `Deliver payload -> D.receive st ~sender:1 payload
+
+  (* the state after every prefix of the inputs, shortest first; all are
+     built before any is recovered, so a recovery also checks that an
+     older state never sees chunks appended after it *)
+  let prefixes =
+    List.rev
+      (List.fold_left
+         (fun acc input -> step (List.hd acc) input :: acc)
+         [ D.init ~n:2 ~me:0 ]
+         cadence_inputs)
+
+  let reads st =
+    List.init 3 (fun obj ->
+        let _, r, _ = D.do_op st ~obj Op.Read in
+        r)
+
+  (* per prefix: reads after a crash, and the bytes of its checkpoint *)
+  let crash_reads = List.map (fun st -> reads (D.recover st)) prefixes
+
+  let checkpoint_bytes = List.map (fun st -> D.snapshot_bytes (D.checkpoint st)) prefixes
+
+  let checkpoint_idempotent =
+    List.for_all
+      (fun st ->
+        let ck = D.checkpoint st in
+        let ck2 = D.checkpoint ck in
+        D.wal_length ck2 = 0
+        && D.snapshot_bytes ck2 = D.snapshot_bytes ck
+        && reads (D.recover ck2) = reads (D.recover ck))
+      prefixes
+end
+
+module C_every = Cadence (D_every)
+module C_32 = Cadence (D)
+module C_never = Cadence (D_never)
+
+let test_durable_checkpoint_cadence_invisible () =
+  let live = List.map C_every.reads C_every.prefixes in
+  let reads = Alcotest.(list (list check_response)) in
+  Alcotest.check reads "every entry: crash recovers the live reads" live C_every.crash_reads;
+  Alcotest.check reads "every 32: crash recovers the live reads" live C_32.crash_reads;
+  Alcotest.check reads "never: crash recovers the live reads" live C_never.crash_reads;
+  let bytes = Alcotest.(list int) in
+  Alcotest.check bytes "every entry: whole-log snapshot bytes" whole_log_bytes
+    C_every.checkpoint_bytes;
+  Alcotest.check bytes "every 32: whole-log snapshot bytes" whole_log_bytes
+    C_32.checkpoint_bytes;
+  Alcotest.check bytes "never: whole-log snapshot bytes" whole_log_bytes
+    C_never.checkpoint_bytes;
+  (* with a checkpoint after every entry, the snapshot needs no explicit one *)
+  Alcotest.check bytes "every entry is always checkpointed" whole_log_bytes
+    (List.map D_every.snapshot_bytes C_every.prefixes);
+  (* several 32-entry chunks, and a count past one varint byte *)
+  Alcotest.(check bool) "the log outgrows a one-byte count" true
+    (List.length cadence_inputs > 128);
+  Alcotest.(check bool) "every entry: checkpoint idempotent" true C_every.checkpoint_idempotent;
+  Alcotest.(check bool) "every 32: checkpoint idempotent" true C_32.checkpoint_idempotent;
+  Alcotest.(check bool) "never: checkpoint idempotent" true C_never.checkpoint_idempotent
+
 (* ---------- runner crash semantics ---------- *)
 
 module R = Sim.Runner.Make (Store.Mvr_store)
@@ -475,4 +595,5 @@ let suite =
         (seeds 41 50);
       tc "chaos deterministic in the seed" test_chaos_is_deterministic;
       tc "chaos actually injects faults" test_chaos_exercises_faults;
+      tc "durable checkpoint cadence is invisible" test_durable_checkpoint_cadence_invisible;
     ] )
