@@ -309,12 +309,9 @@ let soak_json ~quick =
       [ scale 1024; scale 2048 ]
   in
   let soaks =
-    List.concat_map
+    List.map
       (fun (n, ops, seed) ->
-        [
-          soak_entry (E20.soak_indexed ~n ~objects:(2 * n) ~ops:(scale ops) ~seed ());
-          soak_entry (E20.soak_indexed ~coalesce:true ~n ~objects:(2 * n) ~ops:(scale ops) ~seed ());
-        ])
+        soak_entry (E20.soak_indexed ~n ~objects:(2 * n) ~ops:(scale ops) ~seed ()))
       [ (4, 2000, 2001); (8, 4000, 2002) ]
     @ [ soak_entry (E20.soak_naive ~n:4 ~objects:8 ~ops:(scale 2000) ~seed:2001 ()) ]
   in
@@ -322,10 +319,10 @@ let soak_json ~quick =
 
 (* ---------- anti-entropy recovery macro (E21 harness) ---------- *)
 
-(* Chaos under `Anti_entropy with adversarial plans: the oracle never
-   retransmits, so the digest/repair wire cost and the post-heal repair
-   latency are properties of the protocol alone — worth tracking across
-   commits next to the soak rows. *)
+(* Chaos with adversarial plans: nothing retransmits a loss, so the
+   digest/repair wire cost and the post-heal repair latency are properties
+   of the anti-entropy protocol alone — worth tracking across commits next
+   to the soak rows. *)
 let gossip_json ~quick =
   let module Json = Haec.Obs.Json in
   let seeds n = List.init (if quick then 4 else 12) (fun i -> i + n) in
@@ -339,8 +336,7 @@ let gossip_json ~quick =
     let module C = Haec.Sim.Chaos.Make (S) in
     let outcomes =
       Haec.Wire.Version.scoped version (fun () ->
-          C.run_seeds ~spec_of:(fun _ -> spec) ~mix ~require ~recovery:`Anti_entropy
-            ~adversarial:true ~seeds:(seeds first_seed) ())
+          C.run_seeds ~spec_of:(fun _ -> spec) ~mix ~require ~adversarial:true ~seeds:(seeds first_seed) ())
     in
     let runs = List.length outcomes in
     let conv = ref 0 and lost = ref 0 and rounds = ref 0 in

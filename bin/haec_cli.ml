@@ -214,19 +214,16 @@ let simulate_store (type a) (module S : Store.Store_intf.S with type state = a) 
       p95 p99
       (Metrics.Histogram.max_value lag)
   end;
-  (* a run under a net that drops, retransmits or duplicates should show its
-     fault counters, not silently discard them *)
+  (* a run under a net that drops or duplicates should show its fault
+     counters, not silently discard them *)
   let st = R.stats sim in
   if
     faulty_net || st.Sim.Runner.crashes > 0 || st.Sim.Runner.dropped > 0
-    || st.Sim.Runner.retransmitted > 0
     || st.Sim.Runner.corrupt_rejected > 0
   then
-    Format.printf
-      "runner stats: crashes=%d recoveries=%d dropped=%d retransmitted=%d \
-       corrupt_rejected=%d@."
+    Format.printf "runner stats: crashes=%d recoveries=%d dropped=%d corrupt_rejected=%d@."
       st.Sim.Runner.crashes st.Sim.Runner.recoveries st.Sim.Runner.dropped
-      st.Sim.Runner.retransmitted st.Sim.Runner.corrupt_rejected;
+      st.Sim.Runner.corrupt_rejected;
   let report = Sim.Checks.validate ~quiescent_at exec (R.witness_abstract sim) in
   Format.printf "checks: %a@." Sim.Checks.pp_report report;
   let session = Consistency.Session.check (R.witness_abstract sim) in
@@ -318,24 +315,22 @@ let simulate_cmd =
 
 (* ---------- chaos ---------- *)
 
-let chaos_store (module S : Store.Store_intf.S) ~store_flag ~require ~recovery
-    ~adversarial ~churn ~shrink ~spec ~mix ~seed ~runs ~n ~objects ~ops ~policy
+let chaos_store (module S : Store.Store_intf.S) ~store_flag ~require ~adversarial ~churn ~shrink ~spec ~mix ~seed ~runs ~n ~objects ~ops ~policy
     ~dump_dir ~metrics =
   let module C = Sim.Chaos.Make (S) in
-  Format.printf "chaos: store=%s replicas=%d objects=%d ops=%d runs=%d recovery=%s%s%s@."
+  Format.printf "chaos: store=%s replicas=%d objects=%d ops=%d runs=%d%s%s@."
     S.name n objects ops runs
-    (match recovery with `Oracle -> "oracle" | `Anti_entropy -> "anti-entropy")
     (if adversarial then " adversarial" else "")
     (if churn then " churn" else "");
-  Format.printf "%6s  %9s  %7s  %7s  %7s  %7s  %s@." "seed" "converged" "crashes"
-    "dropped" "retrans" "corrupt" "checks failed";
+  Format.printf "%6s  %9s  %7s  %7s  %7s  %s@." "seed" "converged" "crashes"
+    "dropped" "corrupt" "checks failed";
   let failed = ref 0 in
   let snaps = ref [] in
   (* all runs fan out over domains first; reporting stays sequential and
      in seed order, so the output is bit-identical at any -j *)
   let outcomes =
     C.run_seeds ~n ~objects ~ops ~spec_of:(fun _ -> spec) ~mix ~policy ~require
-      ~recovery ~adversarial ~churn
+      ~adversarial ~churn
       ~seeds:(List.init runs (fun i -> seed + i))
       ()
   in
@@ -357,10 +352,9 @@ let chaos_store (module S : Store.Store_intf.S) ~store_flag ~require ~recovery
       in
       snaps := snap :: !snaps
     | None -> ());
-    Format.printf "%6d  %9s  %7d  %7d  %7d  %7d  %s@." seed
+    Format.printf "%6d  %9s  %7d  %7d  %7d  %s@." seed
       (if Sim.Chaos.converged o then "yes" else "NO")
-      s.Sim.Runner.crashes s.Sim.Runner.dropped s.Sim.Runner.retransmitted
-      s.Sim.Runner.corrupt_rejected
+      s.Sim.Runner.crashes s.Sim.Runner.dropped s.Sim.Runner.corrupt_rejected
       (String.concat ", " (List.map fst fails));
     if not (Sim.Chaos.converged o) then begin
       incr failed;
@@ -381,8 +375,8 @@ let chaos_store (module S : Store.Store_intf.S) ~store_flag ~require ~recovery
           Sim.Chaos.derive ~n ~objects ~ops ~mix ~adversarial ~churn ~seed ()
         in
         let run ~plan ~steps =
-          C.run_plan ~objects ~spec_of:(fun _ -> spec) ~policy ~require ~recovery ~n
-            ~plan ~steps ~seed ()
+          C.run_plan ~objects ~spec_of:(fun _ -> spec) ~policy ~require ~n ~plan
+            ~steps ~seed ()
         in
         match Sim.Shrink.minimize ~run ~plan ~steps () with
         | None ->
@@ -409,14 +403,13 @@ let chaos_store (module S : Store.Store_intf.S) ~store_flag ~require ~recovery
             Format.fprintf ppf
               "# minimal failing repro for store=%s seed=%d@.\
                # replay: haec_cli chaos --store %s --seed %d --runs 1 --replicas %d \
-               --objects %d --ops %d --require %s --recovery %s%s%s --shrink@.%a@."
+               --objects %d --ops %d --require %s%s%s --shrink@.%a@."
               S.name seed store_flag seed n objects ops
               (match require with
               | `Converge -> "converge"
               | `Correct -> "correct"
               | `Causal -> "causal"
               | `Occ -> "occ")
-              (match recovery with `Oracle -> "oracle" | `Anti_entropy -> "anti-entropy")
               (if adversarial then " --adversarial" else "")
               (if churn then " --churn" else "")
               Sim.Shrink.pp_repro r;
@@ -483,16 +476,6 @@ let chaos_cmd =
              Default: the bar the store's class guarantees. occ is known-failing \
              (Theorem 6) — useful with --shrink.")
   in
-  let recovery_arg =
-    Arg.(
-      value
-      & opt (enum [ ("oracle", `Oracle); ("anti-entropy", `Anti_entropy) ]) `Oracle
-      & info [ "recovery" ]
-          ~doc:
-            "Loss recovery: 'oracle' (the runner retransmits, omniscient baseline) or \
-             'anti-entropy' (every loss is permanent; the store's digest/repair \
-             protocol closes gaps over the wire)")
-  in
   let adversarial_arg =
     Arg.(
       value & flag
@@ -509,8 +492,7 @@ let chaos_cmd =
           ~doc:
             "Add dynamic membership to each plan: 1-2 reserve replicas join mid-run \
              (booting empty, bootstrapped over anti-entropy, refusing reads until \
-             caught up) and up to two members leave (gracefully or by vanishing). \
-             Requires --recovery anti-entropy.")
+             caught up) and up to two members leave (gracefully or by vanishing).")
   in
   let shrink_arg =
     Arg.(
@@ -521,19 +503,13 @@ let chaos_cmd =
              repro; with --dump-dir also writes the minimized trace and repro file")
   in
   let run jobs tuning store net n objects ops seed runs dump_dir metrics require
-      recovery adversarial churn shrink =
+      adversarial churn shrink =
     set_jobs jobs;
     match apply_tuning tuning with
     | Error msg -> `Error (false, msg)
     | Ok () ->
     let policy = policy_of net in
     let dump_dir = match dump_dir with Some "" -> None | d -> d in
-    if churn && recovery <> `Anti_entropy then
-      `Error
-        ( false,
-          "--churn needs --recovery anti-entropy: a joiner bootstraps over the \
-           digest/repair protocol, and a crash-leaver's losses are permanent" )
-    else
     let store_flag =
       match store with
       | Mvr -> "mvr" | Causal -> "causal" | Cops -> "cops" | State -> "state"
@@ -542,7 +518,7 @@ let chaos_cmd =
     in
     let go (module S : Store.Store_intf.S) ~require:default_require ~spec mix =
       let require = Option.value require ~default:default_require in
-      chaos_store (module S) ~store_flag ~require ~recovery ~adversarial ~churn ~shrink
+      chaos_store (module S) ~store_flag ~require ~adversarial ~churn ~shrink
         ~spec ~mix ~seed ~runs ~n ~objects ~ops ~policy ~dump_dir ~metrics
     in
     (* each store is held to the checks its class guarantees under faulty
@@ -574,8 +550,8 @@ let chaos_cmd =
     Term.(
       ret
         (const run $ jobs_arg $ tuning_term $ store $ net $ n $ objects $ ops $ seed
-        $ runs $ dump_dir $ metrics $ require_arg $ recovery_arg $ adversarial_arg
-        $ churn_arg $ shrink_arg))
+        $ runs $ dump_dir $ metrics $ require_arg $ adversarial_arg $ churn_arg
+        $ shrink_arg))
 
 (* ---------- theorem demos ---------- *)
 
@@ -985,19 +961,18 @@ let json_check_cmd =
 
 (* ---------- trace: span-level visibility-lag attribution ---------- *)
 
-let trace_store (module S : Store.Store_intf.S) ~require ~recovery ~adversarial ~churn
+let trace_store (module S : Store.Store_intf.S) ~require ~adversarial ~churn
     ~spec ~mix ~seed ~n ~objects ~ops ~policy ~why ~export ~out ~time_scale ~slowest =
   let module C = Sim.Chaos.Make (S) in
   let o =
-    C.run ~n ~objects ~ops ~spec_of:(fun _ -> spec) ~mix ~policy ~require ~recovery
-      ~adversarial ~churn ~seed ()
+    C.run ~n ~objects ~ops ~spec_of:(fun _ -> spec) ~mix ~policy ~require ~adversarial
+      ~churn ~seed ()
   in
   let spans = o.Sim.Chaos.spans in
   let exec = o.Sim.Chaos.exec in
   let tracks = Model.Execution.n_replicas exec in
-  Format.printf "trace: store=%s seed=%d replicas=%d objects=%d ops=%d recovery=%s%s%s@."
+  Format.printf "trace: store=%s seed=%d replicas=%d objects=%d ops=%d%s%s@."
     S.name seed n objects o.Sim.Chaos.ops
-    (match recovery with `Oracle -> "oracle" | `Anti_entropy -> "anti-entropy")
     (if adversarial then " adversarial" else "")
     (if churn then " churn" else "");
   let count p = List.length (List.filter p spans) in
@@ -1124,19 +1099,11 @@ let trace_cmd =
   let objects = Arg.(value & opt int 2 & info [ "objects" ] ~doc:"Number of objects") in
   let ops = Arg.(value & opt int 40 & info [ "ops" ] ~doc:"Client operations") in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Seed (one run)") in
-  let recovery_arg =
-    Arg.(
-      value
-      & opt (enum [ ("oracle", `Oracle); ("anti-entropy", `Anti_entropy) ]) `Oracle
-      & info [ "recovery" ] ~doc:"Loss recovery: oracle|anti-entropy")
-  in
   let adversarial_arg =
     Arg.(value & flag & info [ "adversarial" ] ~doc:"Adversarial network faults")
   in
   let churn_arg =
-    Arg.(
-      value & flag
-      & info [ "churn" ] ~doc:"Dynamic membership (requires --recovery anti-entropy)")
+    Arg.(value & flag & info [ "churn" ] ~doc:"Dynamic membership (joins and leaves)")
   in
   let why =
     Arg.(
@@ -1172,37 +1139,34 @@ let trace_cmd =
   let slowest =
     Arg.(value & opt int 5 & info [ "slowest" ] ~doc:"Slowest observations to list")
   in
-  let run jobs tuning store net n objects ops seed recovery adversarial churn why
-      export out time_scale slowest =
+  let run jobs tuning store net n objects ops seed adversarial churn why export out
+      time_scale slowest =
     set_jobs jobs;
     match apply_tuning tuning with
     | Error msg -> `Error (false, msg)
     | Ok () ->
     let policy = policy_of net in
-    if churn && recovery <> `Anti_entropy then
-      `Error (false, "--churn needs --recovery anti-entropy")
-    else
-      let go (module S : Store.Store_intf.S) ~require ~spec mix =
-        trace_store (module S) ~require ~recovery ~adversarial ~churn ~spec ~mix ~seed
-          ~n ~objects ~ops ~policy ~why ~export ~out ~time_scale ~slowest
-      in
-      match store with
-      | Mvr -> go (module Store.Mvr_store) ~require:`Correct ~spec:Spec.Spec.mvr
-                 Sim.Workload.register_mix
-      | Causal -> go (module Store.Causal_mvr_store) ~require:`Causal ~spec:Spec.Spec.mvr
-                    Sim.Workload.register_mix
-      | Cops -> go (module Store.Cops_store) ~require:`Causal ~spec:Spec.Spec.mvr
+    let go (module S : Store.Store_intf.S) ~require ~spec mix =
+      trace_store (module S) ~require ~adversarial ~churn ~spec ~mix ~seed ~n ~objects
+        ~ops ~policy ~why ~export ~out ~time_scale ~slowest
+    in
+    match store with
+    | Mvr -> go (module Store.Mvr_store) ~require:`Correct ~spec:Spec.Spec.mvr
+               Sim.Workload.register_mix
+    | Causal -> go (module Store.Causal_mvr_store) ~require:`Causal ~spec:Spec.Spec.mvr
                   Sim.Workload.register_mix
-      | State -> go (module Store.State_mvr_store) ~require:`Correct ~spec:Spec.Spec.mvr
-                   Sim.Workload.register_mix
-      | Orset -> go (module Store.Orset_store) ~require:`Correct ~spec:Spec.Spec.orset
-                   Sim.Workload.orset_mix
-      | Lww -> go (module Store.Lww_store) ~require:`Converge ~spec:Spec.Spec.rw_register
+    | Cops -> go (module Store.Cops_store) ~require:`Causal ~spec:Spec.Spec.mvr
+                Sim.Workload.register_mix
+    | State -> go (module Store.State_mvr_store) ~require:`Correct ~spec:Spec.Spec.mvr
                  Sim.Workload.register_mix
-      | Gossip -> go (module Store.Gossip_relay_store) ~require:`Correct
-                    ~spec:Spec.Spec.mvr Sim.Workload.register_mix
-      | Counter | Delayed | Gsp ->
-        `Error (false, "trace supports: mvr|causal|cops|state|orset|lww|gossip")
+    | Orset -> go (module Store.Orset_store) ~require:`Correct ~spec:Spec.Spec.orset
+                 Sim.Workload.orset_mix
+    | Lww -> go (module Store.Lww_store) ~require:`Converge ~spec:Spec.Spec.rw_register
+               Sim.Workload.register_mix
+    | Gossip -> go (module Store.Gossip_relay_store) ~require:`Correct
+                  ~spec:Spec.Spec.mvr Sim.Workload.register_mix
+    | Counter | Delayed | Gsp ->
+      `Error (false, "trace supports: mvr|causal|cops|state|orset|lww|gossip")
   in
   Cmd.v
     (Cmd.info "trace"
@@ -1212,8 +1176,7 @@ let trace_cmd =
     Term.(
       ret
         (const run $ jobs_arg $ tuning_term $ store $ net $ n $ objects $ ops $ seed
-        $ recovery_arg $ adversarial_arg $ churn_arg $ why $ export $ out $ time_scale
-        $ slowest))
+        $ adversarial_arg $ churn_arg $ why $ export $ out $ time_scale $ slowest))
 
 (* ---------- serve: live cluster on OCaml 5 domains ---------- *)
 

@@ -96,10 +96,10 @@ let stress_naive ~k =
 module Soak (S : Store.Store_intf.S) = struct
   module R = Sim.Runner.Make (S)
 
-  let run ?(coalesce = false) ~label ~reset ~stats ~n ~objects ~ops ~seed () =
+  let run ~label ~reset ~stats ~n ~objects ~ops ~seed () =
     let rng = Util.Rng.create seed in
     let sim =
-      R.create ~seed ~record_witness:false ~coalesce
+      R.create ~seed ~record_witness:false
         ~policy:(Sim.Net_policy.random_delay ()) ~n ()
     in
     let steps =
@@ -116,7 +116,7 @@ module Soak (S : Store.Store_intf.S) = struct
     let st : Store.Store_intf.delivery_stats = stats () in
     let msgs = R.messages_sent sim in
     {
-      label = (if coalesce then label ^ "+coalesce" else label);
+      label;
       n;
       ops;
       messages = List.length msgs;
@@ -134,13 +134,13 @@ end
 module Soak_indexed = Soak (Store.Causal_mvr_store)
 module Soak_naive = Soak (Store.Causal_naive_store)
 
-let soak_indexed ?coalesce ~n ~objects ~ops ~seed () =
-  Soak_indexed.run ?coalesce ~label:Store.Causal_mvr_store.name
+let soak_indexed ~n ~objects ~ops ~seed () =
+  Soak_indexed.run ~label:Store.Causal_mvr_store.name
     ~reset:Store.Causal_mvr_store.reset_delivery_stats
     ~stats:Store.Causal_mvr_store.delivery_stats ~n ~objects ~ops ~seed ()
 
-let soak_naive ?coalesce ~n ~objects ~ops ~seed () =
-  Soak_naive.run ?coalesce ~label:Store.Causal_naive_store.name
+let soak_naive ~n ~objects ~ops ~seed () =
+  Soak_naive.run ~label:Store.Causal_naive_store.name
     ~reset:Store.Causal_naive_store.reset_delivery_stats
     ~stats:Store.Causal_naive_store.delivery_stats ~n ~objects ~ops ~seed ()
 

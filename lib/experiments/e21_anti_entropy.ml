@@ -1,9 +1,9 @@
 (** E21 — anti-entropy repair: latency and wire cost of protocol-level
-    recovery. E18 shows convergence under faults with an omniscient runner
-    that retransmits every loss; here the oracle is switched off — every
-    drop, dead link, and crash-swallowed delivery is permanent — and the
-    store must close its own gaps with the {!Store.Anti_entropy} digest /
-    repair protocol, under adversarial plans (duplication, bounded
+    recovery. E18 shows convergence under baseline faults; here the plans
+    are adversarial. Nothing retransmits a loss — every drop, dead link,
+    and crash-swallowed delivery is permanent — so the store must close
+    its own gaps with the {!Store.Anti_entropy} digest / repair protocol,
+    under adversarial plans (duplication, bounded
     reordering, permanently dead links that keep the network connected —
     the paper's Section 2 sufficiently-connected setting). Two questions:
     how long past the last heal does repair take (quiescence minus
@@ -34,8 +34,7 @@ let chaos_row label (module S : Store.Store_intf.S) require spec mix =
   let lat_sum = ref 0.0 and lat_max = ref 0.0 in
   let max_bits = ref 0 and floor_bits = ref 0.0 in
   let outcomes =
-    C.run_seeds ~spec_of:(fun _ -> spec) ~mix ~require ~recovery:`Anti_entropy
-      ~adversarial:true ~seeds ()
+    C.run_seeds ~spec_of:(fun _ -> spec) ~mix ~require ~adversarial:true ~seeds ()
   in
   List.iter
     (fun o ->
@@ -93,7 +92,7 @@ let run ppf =
       ]
     rows;
   Tables.note ppf
-    "12 adversarial fault schedules per store, oracle retransmission OFF:";
+    "12 adversarial fault schedules per store, repaired by the store alone:";
   Tables.note ppf
     "every dropped, duplicated, dead-linked or crash-swallowed delivery is";
   Tables.note ppf
@@ -113,4 +112,4 @@ let run ppf =
   Tables.note ppf
     "metadata spends the overhead budget, it cannot dodge the lower bound.";
   Tables.note ppf
-    "Reproduce: haec_cli chaos --recovery anti-entropy --adversarial --seed S"
+    "Reproduce: haec_cli chaos --adversarial --seed S"

@@ -88,8 +88,8 @@ let summarize outcomes =
 let churn_row label (module S : Store.Store_intf.S) require spec mix =
   let module C = Sim.Chaos.Make (S) in
   let outcomes =
-    C.run_seeds ~spec_of:(fun _ -> spec) ~mix ~require ~recovery:`Anti_entropy
-      ~adversarial:true ~churn:true ~seeds ()
+    C.run_seeds ~spec_of:(fun _ -> spec) ~mix ~require ~adversarial:true ~churn:true
+      ~seeds ()
   in
   label :: summarize outcomes
 
@@ -110,7 +110,7 @@ let scenario_row label ~joins ~leaves =
   let outcome =
     C.run_plan
       ~spec_of:(fun _ -> Spec.Spec.mvr)
-      ~require:`Causal ~recovery:`Anti_entropy ~n:initial ~plan ~steps ~seed ()
+      ~require:`Causal ~n:initial ~plan ~steps ~seed ()
   in
   label :: summarize [ outcome ]
 
@@ -194,4 +194,4 @@ let run ppf =
   Tables.note ppf
     "same messages the bound prices, so the ratio stays >= 1.";
   Tables.note ppf
-    "Reproduce: haec_cli chaos --churn --adversarial --recovery anti-entropy"
+    "Reproduce: haec_cli chaos --churn --adversarial"

@@ -35,8 +35,7 @@ type acc = {
 let chaos_row label (module S : Store.Store_intf.S) require spec mix ~churn =
   let module C = Sim.Chaos.Make (S) in
   let outcomes =
-    C.run_seeds ~spec_of:(fun _ -> spec) ~mix ~require ~recovery:`Anti_entropy
-      ~adversarial:true ~churn ~seeds ()
+    C.run_seeds ~spec_of:(fun _ -> spec) ~mix ~require ~adversarial:true ~churn ~seeds ()
   in
   let a =
     {
@@ -147,4 +146,4 @@ let run ppf =
   Tables.note ppf
     "surfaces the bootstrap window as lag the static model never charges for.";
   Tables.note ppf
-    "Reproduce: haec_cli trace --store S --recovery anti-entropy --adversarial --seed N"
+    "Reproduce: haec_cli trace --store S --adversarial --seed N"

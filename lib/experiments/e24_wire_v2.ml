@@ -98,8 +98,8 @@ let ae_probe version (module S : Store.Store_intf.S) require spec mix =
   let module C = Sim.Chaos.Make (S) in
   Wire.Version.scoped version (fun () ->
       let outcomes =
-        C.run_seeds ~ops:ae_ops ~spec_of:(fun _ -> spec) ~mix ~require
-          ~recovery:`Anti_entropy ~adversarial:true ~seeds ()
+        C.run_seeds ~ops:ae_ops ~spec_of:(fun _ -> spec) ~mix ~require ~adversarial:true
+          ~seeds ()
       in
       List.fold_left
         (fun a o ->
@@ -199,4 +199,4 @@ let run ppf =
   Tables.note ppf
     "schedules with convergence intact. Reproduce: haec_cli chaos --wire v1";
   Tables.note ppf
-    "--recovery anti-entropy --adversarial (then --wire v2, same seeds)."
+    "--adversarial (then --wire v2, same seeds)."

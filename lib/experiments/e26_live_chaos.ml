@@ -1,9 +1,9 @@
 (** E26 — live chaos: availability and bytes-to-heal under injected
     faults. E18 established that the simulated stores converge once a
-    fault schedule heals; this experiment asks the same question of the
-    live runtime, where faults interpose on real sealed frames between
-    real domains and a crashed replica restarts from its write-ahead log
-    rather than from an oracle. Three fault shapes — 1% uniform frame
+    fault schedule heals, with anti-entropy as the only repair path; this
+    experiment asks the same question of the live runtime, where faults
+    interpose on real sealed frames between real domains and a crashed
+    replica restarts from its write-ahead log. Three fault shapes — 1% uniform frame
     loss, one mid-run crash-restart, and a healed 2|2 partition — run
     against each causal store class on 4 domains with the durable stack.
     Every run must heal (full-set settlement after the last fault), the

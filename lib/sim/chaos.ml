@@ -19,7 +19,6 @@ type outcome = {
   plan : Fault_plan.t;
   steps : Workload.step list;
   require : level;
-  recovery : Runner.recovery;
   stats : Runner.stats;
   metrics : Haec_obs.Metrics.Registry.t;
   spans : Haec_obs.Span.t list;
@@ -54,13 +53,13 @@ let pp_outcome ppf o =
   let s = o.stats in
   Format.fprintf ppf
     "@[<v>seed %d: %s@,%a\
-     crashes=%d recoveries=%d dropped=%d retransmitted=%d corrupt_rejected=%d \
+     crashes=%d recoveries=%d dropped=%d corrupt_rejected=%d \
      lost_permanent=%d gossip_rounds=%d joins=%d leaves=%d@,\
      %d ops (%d skipped: nobody serving; %d refused at a churned home), %d events@]"
     o.seed
     (if converged o then "converged" else "FAILED")
     Fault_plan.pp o.plan s.Runner.crashes s.Runner.recoveries s.Runner.dropped
-    s.Runner.retransmitted s.Runner.corrupt_rejected s.Runner.lost_permanent
+    s.Runner.corrupt_rejected s.Runner.lost_permanent
     s.Runner.gossip_rounds s.Runner.joins s.Runner.leaves o.ops o.skipped o.refused
     (Execution.length o.exec);
   match o.result with
@@ -88,27 +87,28 @@ let derive ?(n = 3) ?(objects = 2) ?(ops = 40) ?(mix = Workload.register_mix)
   let steps = Workload.generate ~rng ~n ~objects ~ops mix in
   (plan, steps)
 
-(* One recovery stack: a durable store driven through a runner, with the
-   gossip hooks (or their absence) baked in. Instantiated twice per store —
-   the omniscient [`Oracle] baseline and the protocol-level
-   [`Anti_entropy] stack. *)
-module Drive (DS : sig
-  include Haec_store.Store_intf.DURABLE
+module Make (S : Haec_store.Store_intf.S) = struct
+  module AE = Haec_store.Anti_entropy.Make (S)
+  module DA = Haec_store.Durable.Make (AE)
+  module R = Runner.Make (DA)
 
-  val recovery : Runner.recovery
+  (* The gossip driver: the tick mutates only unlogged control state, so it
+     goes under the durable image without a WAL entry; [settled] reads
+     through both transformers *)
+  let tick = DA.map_inner AE.tick
 
-  val gossip : ((state -> state) * (state array -> bool)) option
+  let settled states = AE.settled (Array.map DA.inner states)
 
-  val hooks : state Runner.membership_hooks option
-
-  val classify : (string -> string) option
-
-  val reset_stats : unit -> unit
-
-  val gossip_stats : unit -> Haec_store.Store_intf.gossip_stats option
-end) =
-struct
-  module R = Runner.Make (DS)
+  (* membership announcements are control state too: [map_inner], no WAL
+     entry — a recovering replica re-announces through normal gossip *)
+  let hooks =
+    {
+      Runner.progress = (fun st -> AE.have (DA.inner st));
+      on_join = (fun ~epoch st -> DA.map_inner (AE.announce_join ~epoch) st);
+      on_leave =
+        (fun ~epoch ~graceful st ->
+          if graceful then DA.map_inner (AE.announce_leave ~epoch) st else st);
+    }
 
   (* First replica at or after [r] that can serve, if any — a client whose
      home replica is down or churned away fails over to another one
@@ -122,9 +122,12 @@ struct
     in
     go 0
 
+  (* [?recovery] has a single value and selects nothing: anti-entropy is
+     the only loss semantics. It stays so that callers written against the
+     two-mode harness keep compiling unchanged. *)
   let run_plan ?(objects = 2) ?(spec_of = fun (_ : int) -> Spec.mvr) ?policy
-      ?(max_events = 200_000) ?(require = `Correct) ?(gossip_interval = 2.0) ~n ~plan
-      ~steps ~seed () =
+      ?(max_events = 200_000) ?(require = `Correct) ?recovery:(_ : [ `Anti_entropy ] option)
+      ?(gossip_interval = 2.0) ~n ~plan ~steps ~seed () =
     let policy =
       match policy with Some p -> p | None -> Net_policy.random_delay ()
     in
@@ -139,25 +142,13 @@ struct
           invalid_arg
             (Printf.sprintf "Chaos.run_plan: plan churn has initial=%d but n=%d"
                c.Fault_plan.initial n);
-        (match DS.recovery with
-        | `Anti_entropy -> ()
-        | `Oracle ->
-          (* a joiner bootstraps over digest/repair, and a crash-leaver's
-             lost deliveries are lost for good — both are outside the
-             omniscient-retransmission contract *)
-          invalid_arg "Chaos.run_plan: churn requires `Anti_entropy recovery");
         (c.Fault_plan.capacity, c.Fault_plan.initial)
     in
-    DS.reset_stats ();
-    let gossip =
-      match DS.gossip with
-      | None -> None
-      | Some (tick, settled) -> Some (gossip_interval, tick, settled)
-    in
+    AE.reset_gossip_stats ();
     let sim =
-      R.create ~seed ~n:capacity ~initial ?hooks:DS.hooks ?classify:DS.classify ~policy
-        ~faults:plan ~recovery:DS.recovery ?gossip
-        ~recover_state:(fun ~replica:_ st -> DS.recover st)
+      R.create ~seed ~n:capacity ~initial ~hooks ~classify:Haec_store.Anti_entropy.classify
+        ~policy ~faults:plan ~gossip:(gossip_interval, tick, settled)
+        ~recover_state:(fun ~replica:_ st -> DA.recover st)
         ()
     in
     let skipped = ref 0 in
@@ -200,12 +191,12 @@ struct
     (* past the workload: let the remaining faults strike and heal *)
     fire_up_to horizon;
     R.advance_to sim horizon;
-    let finish () =
+    (* drive to quiescence, then the convergence audit reads every object at
+       every serving member — bootstrapping joiners refuse reads and
+       departed ids have no one to ask, so neither takes part. Returns how
+       many audit reads trail the quiescent prefix. *)
+    let quiesce () =
       R.run_until_quiescent ~max_events sim;
-      let quiescent_at = List.length (Execution.do_events (R.execution sim)) in
-      (* the convergence audit reads every object at every serving member —
-         bootstrapping joiners refuse reads and departed ids have no one to
-         ask, so neither takes part *)
       let readers =
         List.filter
           (fun r -> R.is_serving sim ~replica:r)
@@ -214,22 +205,11 @@ struct
       for obj = 0 to objects - 1 do
         List.iter (fun replica -> ignore (R.op sim ~replica ~obj Op.Read)) readers
       done;
-      let exec = R.execution sim in
-      let witness = R.witness_abstract sim in
-      let report = Checks.validate ~spec_of ~quiescent_at exec witness in
-      (* fold post-quiescence read agreement (Lemma 3) into the eventual
-         check, as the experiment harness does *)
-      match
-        ( report.Checks.eventual,
-          Haec_consistency.Eventual.check_reads_agree exec
-            ~suffix:(List.length readers * objects) )
-      with
-      | Ok (), (Error _ as e) -> { report with Checks.eventual = e }
-      | _ -> report
+      List.length readers * objects
     in
-    let result =
-      match finish () with
-      | report -> Ok report
+    let quiesced =
+      match quiesce () with
+      | suffix -> Ok suffix
       | exception Runner.Divergence { in_flight; pending; budget } ->
         Error
           (Printf.sprintf
@@ -239,38 +219,50 @@ struct
         (* must never happen: corruption is rejected inside the runner *)
         Error (Printf.sprintf "corruption escaped the frame check: %s" m)
     in
+    let exec = R.execution sim in
+    let result =
+      Result.map
+        (fun suffix ->
+          let quiescent_at = List.length (Execution.do_events exec) - suffix in
+          let report = Checks.validate ~spec_of ~quiescent_at exec (R.witness_abstract sim) in
+          (* fold post-quiescence read agreement (Lemma 3) into the eventual
+             check, as the experiment harness does *)
+          match
+            (report.Checks.eventual, Haec_consistency.Eventual.check_reads_agree exec ~suffix)
+          with
+          | Ok (), (Error _ as e) -> { report with Checks.eventual = e }
+          | _ -> report)
+        quiesced
+    in
     let metrics = R.metrics sim in
-    (match DS.gossip_stats () with
-    | None -> ()
-    | Some gs ->
-      (* digest/repair traffic of the anti-entropy protocol, alongside the
-         runner's wire telemetry so E21 can hold repair bytes against the
-         Theorem 12 floor *)
-      let c name v = Obs.Counter.add (Obs.Registry.counter metrics name) v in
-      c "gossip.digests" gs.Haec_store.Store_intf.digests;
-      c "gossip.digest_bytes" gs.Haec_store.Store_intf.digest_bytes;
-      c "gossip.repairs" gs.Haec_store.Store_intf.repairs;
-      c "gossip.repair_bytes" gs.Haec_store.Store_intf.repair_bytes;
-      c "gossip.requests" gs.Haec_store.Store_intf.requests;
-      c "gossip.request_bytes" gs.Haec_store.Store_intf.request_bytes;
-      c "gossip.updates" gs.Haec_store.Store_intf.updates;
-      c "gossip.update_bytes" gs.Haec_store.Store_intf.update_bytes;
-      c "gossip.dup_payloads" gs.Haec_store.Store_intf.dup_payloads;
-      c "gossip.repair_applied" gs.Haec_store.Store_intf.repair_applied;
-      c "gossip.memberships" gs.Haec_store.Store_intf.memberships;
-      c "gossip.membership_bytes" gs.Haec_store.Store_intf.membership_bytes;
-      c "gossip.digest_deltas" gs.Haec_store.Store_intf.digest_deltas;
-      c "gossip.digests_elided" gs.Haec_store.Store_intf.digests_elided);
+    (* digest/repair traffic of the anti-entropy protocol, alongside the
+       runner's wire telemetry so E21 can hold repair bytes against the
+       Theorem 12 floor *)
+    let gs = AE.gossip_stats () in
+    let c name v = Obs.Counter.add (Obs.Registry.counter metrics name) v in
+    c "gossip.digests" gs.Haec_store.Store_intf.digests;
+    c "gossip.digest_bytes" gs.Haec_store.Store_intf.digest_bytes;
+    c "gossip.repairs" gs.Haec_store.Store_intf.repairs;
+    c "gossip.repair_bytes" gs.Haec_store.Store_intf.repair_bytes;
+    c "gossip.requests" gs.Haec_store.Store_intf.requests;
+    c "gossip.request_bytes" gs.Haec_store.Store_intf.request_bytes;
+    c "gossip.updates" gs.Haec_store.Store_intf.updates;
+    c "gossip.update_bytes" gs.Haec_store.Store_intf.update_bytes;
+    c "gossip.dup_payloads" gs.Haec_store.Store_intf.dup_payloads;
+    c "gossip.repair_applied" gs.Haec_store.Store_intf.repair_applied;
+    c "gossip.memberships" gs.Haec_store.Store_intf.memberships;
+    c "gossip.membership_bytes" gs.Haec_store.Store_intf.membership_bytes;
+    c "gossip.digest_deltas" gs.Haec_store.Store_intf.digest_deltas;
+    c "gossip.digests_elided" gs.Haec_store.Store_intf.digests_elided;
     {
       seed;
       plan;
       steps;
       require;
-      recovery = DS.recovery;
       stats = R.stats sim;
       metrics;
       spans = R.spans sim;
-      exec = R.execution sim;
+      exec;
       ops = !executed;
       skipped = !skipped;
       refused = !refused;
@@ -278,70 +270,6 @@ struct
       quiesced_at = R.now sim;
       result;
     }
-end
-
-module Make (S : Haec_store.Store_intf.S) = struct
-  module D = Haec_store.Durable.Make (S)
-  module AE = Haec_store.Anti_entropy.Make (S)
-  module DA = Haec_store.Durable.Make (AE)
-
-  module Oracle_drive = Drive (struct
-    include D
-
-    let recovery = `Oracle
-
-    let gossip = None
-
-    let hooks = None
-
-    let classify = None
-
-    let reset_stats () = ()
-
-    let gossip_stats () = None
-  end)
-
-  module Ae_drive = Drive (struct
-    include DA
-
-    let recovery = `Anti_entropy
-
-    (* the tick mutates only unlogged control state, so it goes under the
-       durable image without a WAL entry; [settled] reads through both
-       transformers *)
-    let gossip =
-      Some
-        ( DA.map_inner AE.tick,
-          fun states -> AE.settled (Array.map DA.inner states) )
-
-    (* membership announcements are control state too: [map_inner], no WAL
-       entry — a recovering replica re-announces through normal gossip *)
-    let hooks =
-      Some
-        {
-          Runner.progress = (fun st -> AE.have (DA.inner st));
-          on_join = (fun ~epoch st -> DA.map_inner (AE.announce_join ~epoch) st);
-          on_leave =
-            (fun ~epoch ~graceful st ->
-              if graceful then DA.map_inner (AE.announce_leave ~epoch) st else st);
-        }
-
-    let classify = Some Haec_store.Anti_entropy.classify
-
-    let reset_stats () = AE.reset_gossip_stats ()
-
-    let gossip_stats () = Some (AE.gossip_stats ())
-  end)
-
-  let run_plan ?objects ?spec_of ?policy ?max_events ?require
-      ?(recovery = `Oracle) ?gossip_interval ~n ~plan ~steps ~seed () =
-    match recovery with
-    | `Oracle ->
-      Oracle_drive.run_plan ?objects ?spec_of ?policy ?max_events ?require
-        ?gossip_interval ~n ~plan ~steps ~seed ()
-    | `Anti_entropy ->
-      Ae_drive.run_plan ?objects ?spec_of ?policy ?max_events ?require
-        ?gossip_interval ~n ~plan ~steps ~seed ()
 
   let run ?(n = 3) ?(objects = 2) ?(ops = 40) ?spec_of ?(mix = Workload.register_mix)
       ?policy ?max_events ?require ?recovery ?adversarial ?churn ?gossip_interval

@@ -1,6 +1,7 @@
 (** Chaos harness: seeded random fault schedules against a store.
 
-    One chaos run wraps the store in {!Haec_store.Durable.Make}, draws a
+    One chaos run wraps the store in {!Haec_store.Anti_entropy.Make} and
+    {!Haec_store.Durable.Make}, draws a
     random {!Fault_plan.t} from the seed, and interleaves it with a random
     client workload: replicas crash mid-run (losing volatile state, in-flight
     deliveries, and their clients, who fail over to a live replica), links
@@ -11,14 +12,12 @@
     convergence survived the faults, corruption never got past the frame
     checksum, and recovery replayed every durable update.
 
-    Two recovery stacks are built per store. Under the default [`Oracle]
-    the runner itself retransmits every loss — the frozen omniscient
-    baseline. Under [`Anti_entropy] the store is additionally wrapped in
-    {!Haec_store.Anti_entropy.Make} and must close its own gaps over the
-    wire: the runner retransmits nothing, and quiescence means the
-    protocol's digest exchange converged. Combined with
-    [~adversarial:true] plans (duplication, reordering, dead links), this
-    is the paper's sufficiently-connected-network setting made executable.
+    The stack is [Durable(Anti_entropy(S))]: the store closes its own gaps
+    over the wire. The runner retransmits nothing — every loss is
+    permanent — and quiescence means the protocol's digest exchange
+    converged. Combined with [~adversarial:true] plans (duplication,
+    reordering, dead links), this is the paper's
+    sufficiently-connected-network setting made executable.
 
     Everything is deterministic in the seed, so a failing outcome is
     reproducible bit-for-bit from its seed alone (the CLI also dumps the
@@ -46,17 +45,16 @@ type outcome = {
   plan : Fault_plan.t;
   steps : Workload.step list;  (** the client workload the run replayed *)
   require : level;
-  recovery : Runner.recovery;
   stats : Runner.stats;
   metrics : Haec_obs.Metrics.Registry.t;
-      (** the runner's wire/visibility telemetry (see {!Runner.Make.metrics});
-          under [`Anti_entropy] also the [gossip.*] digest/repair traffic
-          counters (items and encoded bytes, plus [gossip.dup_payloads] and
+      (** the runner's wire/visibility telemetry (see {!Runner.Make.metrics})
+          and the [gossip.*] digest/repair traffic counters (items and
+          encoded bytes, plus [gossip.dup_payloads] and
           [gossip.repair_applied]) *)
   spans : Haec_obs.Span.t list;
       (** the run's lifecycle span stream (see {!Runner.Make.spans});
-          under [`Anti_entropy] transmit spans carry protocol item kinds
-          via {!Haec_store.Anti_entropy.classify} *)
+          transmit spans carry protocol item kinds via
+          {!Haec_store.Anti_entropy.classify} *)
   exec : Execution.t;
   ops : int;  (** client operations executed (after failover) *)
   skipped : int;  (** operations dropped because nobody could serve them *)
@@ -110,7 +108,7 @@ module Make (S : Haec_store.Store_intf.S) : sig
     ?policy:Net_policy.t ->
     ?max_events:int ->
     ?require:level ->
-    ?recovery:Runner.recovery ->
+    ?recovery:[ `Anti_entropy ] ->
     ?gossip_interval:float ->
     n:int ->
     plan:Fault_plan.t ->
@@ -120,13 +118,12 @@ module Make (S : Haec_store.Store_intf.S) : sig
     outcome
   (** Replay explicit inputs — the entry point the shrinker minimizes
       through. [seed] seeds only the network schedule (delivery delays,
-      corruption choices), not the inputs. [gossip_interval] (default 2.0,
-      [`Anti_entropy] only) is the simulated time between digest rounds.
-      A plan with churn keeps [n] as the {e initial} member count — the
-      run's id space grows to the plan's capacity — and requires
-      [`Anti_entropy] recovery (raises [Invalid_argument] under
-      [`Oracle]: bootstrap and crash-leave are outside the omniscient
-      retransmission contract). *)
+      corruption choices), not the inputs. [gossip_interval] (default 2.0)
+      is the simulated time between digest rounds. A plan with churn keeps
+      [n] as the {e initial} member count — the run's id space grows to
+      the plan's capacity. [recovery] has one value and selects nothing:
+      it is accepted so that callers naming the anti-entropy stack
+      explicitly keep compiling. *)
 
   val run :
     ?n:int ->
@@ -137,7 +134,7 @@ module Make (S : Haec_store.Store_intf.S) : sig
     ?policy:Net_policy.t ->
     ?max_events:int ->
     ?require:level ->
-    ?recovery:Runner.recovery ->
+    ?recovery:[ `Anti_entropy ] ->
     ?adversarial:bool ->
     ?churn:bool ->
     ?gossip_interval:float ->
@@ -146,8 +143,7 @@ module Make (S : Haec_store.Store_intf.S) : sig
     outcome
   (** One seeded chaos run: {!derive} then {!run_plan} (defaults: 3
       replicas, 2 objects, 40 ops, MVR spec, register mix, random-delay
-      policy, [`Correct] bar, [`Oracle] recovery, baseline faults).
-      [~churn:true] requires [~recovery:`Anti_entropy]. *)
+      policy, [`Correct] bar, baseline faults). *)
 
   val run_seeds :
     ?n:int ->
@@ -158,7 +154,7 @@ module Make (S : Haec_store.Store_intf.S) : sig
     ?policy:Net_policy.t ->
     ?max_events:int ->
     ?require:level ->
-    ?recovery:Runner.recovery ->
+    ?recovery:[ `Anti_entropy ] ->
     ?adversarial:bool ->
     ?churn:bool ->
     ?gossip_interval:float ->

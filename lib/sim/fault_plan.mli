@@ -1,20 +1,20 @@
 (** Timed fault schedules for the simulator.
 
     A plan describes, against one run's virtual clock, which faults strike
-    and when every one of them has healed:
+    and when every one of them has healed. The runner retransmits nothing:
+    every delivery a fault swallows is lost for good, and only the store's
+    own repair protocol (anti-entropy) brings its content back.
 
     - {b crash windows}: replica [r] crashes at [at], losing its volatile
       state and every in-flight delivery addressed to it, and recovers from
       durable state at [recover_at];
     - {b link faults}: messages from [src] to [dst] whose delivery would
-      fall inside the window are dropped by the network and — under the
-      runner's [`Oracle] recovery mode — retransmitted after the window
-      closes ("drops that heal");
+      fall inside the window are dropped by the network; the link carries
+      traffic again once the window closes ("drops that heal");
     - {b corruption}: while active, each delivery is corrupted at the byte
       level with probability [p]; the checksummed transport envelope
       ({!Haec_wire.Wire.Frame}) must reject every such delivery as
-      [Malformed], after which it is retransmitted clean (again [`Oracle]
-      only);
+      [Malformed], which loses it;
     - {b duplication}: while active, each delivery is additionally
       delivered [copies] extra times with probability [dup_p] — exactly-once
       transport is a fiction, so stores must deduplicate;
@@ -22,17 +22,15 @@
       extra latency in [0, jitter), so messages overtake each other within a
       bounded window;
     - {b dead links}: messages from [src] to [dst] at or after [from_] are
-      lost permanently and {e never} retransmitted by the runner, whatever
-      the recovery mode. Only a wire protocol (anti-entropy repair routed
-      through live links) can converge such a run, so validation insists the
-      undirected graph of replica pairs with both directions alive stays
-      connected — the paper's sufficiently-connected-network assumption
-      (Section 2).
+      lost, and the link never heals. Only a wire protocol (anti-entropy
+      repair routed through live links) can converge such a run, so
+      validation insists the undirected graph of replica pairs with both
+      directions alive stays connected — the paper's
+      sufficiently-connected-network assumption (Section 2).
 
     All healing faults heal strictly before [horizon], so a run driven past
     the horizon and then to quiescence must converge — that is the chaos
-    harness's acceptance bar. Dead links never heal; convergence then
-    relies on the store's own repair protocol.
+    harness's acceptance bar, met by the store's own repair protocol.
 
     A plan may additionally carry a {b churn} schedule: the replica set
     itself changes. Ids [0 .. initial-1] are members from time zero, ids

@@ -11,7 +11,6 @@ type stats = {
   crashes : int;
   recoveries : int;
   dropped : int;
-  retransmitted : int;
   corrupt_rejected : int;
   corrupt_collisions : int;
   lost_permanent : int;
@@ -19,8 +18,6 @@ type stats = {
   joins : int;
   leaves : int;
 }
-
-type recovery = [ `Oracle | `Anti_entropy ]
 
 (* How the runner talks membership to the store protocol: [progress] is an
    observation-only read of how far a state has caught up (the anti-entropy
@@ -35,13 +32,6 @@ type 'state membership_hooks = {
 
 module Make (S : Haec_store.Store_intf.S) = struct
   type delivery = { dst : int; msg : Message.t }
-
-  (* The scheduled-event queue carries deliveries and, when gossip
-     coalescing is on, deferred transmissions: a replica that becomes
-     dirty schedules one [Transmit] instead of flushing immediately, so
-     every update it performs inside the coalescing window rides the same
-     frame. *)
-  type qevent = Deliver of delivery | Transmit of int
 
   (* The gossip driver of a protocol-level recovery store: every
      [interval] of simulated time the runner ticks each live replica
@@ -59,7 +49,6 @@ module Make (S : Haec_store.Store_intf.S) = struct
     rng : Rng.t;
     policy : Net_policy.t option;
     faults : Fault_plan.t option;
-    recovery : recovery;
     gossip : gossip option;
     mutable membership : Membership.t;
     hooks : S.state membership_hooks option;
@@ -69,23 +58,16 @@ module Make (S : Haec_store.Store_intf.S) = struct
     recover_state : replica:int -> S.state -> S.state;
     auto_send : bool;
     record_witness : bool;
-    coalesce : bool;
-    coalesce_window : float;
-    dirty : bool array;  (** replicas owing a deferred (coalesced) flush *)
     states : S.state array;
     down : bool array;
-    mutable lost_rev : delivery list;
-        (** deliveries the network lost (crashed destination, faulted link);
-            owed a retransmission once the destination is back *)
     mutable events_rev : Event.t list;
     send_seq : int array;
-    queue : qevent Pqueue.t;
+    queue : delivery Pqueue.t;
     mutable now_ : float;
     (* fault statistics *)
     mutable s_crashes : int;
     mutable s_recoveries : int;
     mutable s_dropped : int;
-    mutable s_retransmitted : int;
     mutable s_corrupt_rejected : int;
     mutable s_corrupt_collisions : int;
     mutable s_lost_permanent : int;
@@ -141,11 +123,9 @@ module Make (S : Haec_store.Store_intf.S) = struct
   }
 
   let create ?(seed = 42) ?(record_witness = true) ?(record_spans = true)
-      ?(auto_send = true) ?(coalesce = false) ?(coalesce_window = 2.0) ?policy ?faults
-      ?(recovery = `Oracle) ?gossip ?initial ?hooks ?classify
+      ?(auto_send = true) ?policy ?faults ?gossip ?initial ?hooks ?classify
       ?(recover_state = fun ~replica:_ st -> st) ~n () =
     if n <= 0 then invalid_arg "Runner.create: n must be positive";
-    if coalesce_window < 0.0 then invalid_arg "Runner.create: negative coalesce window";
     let initial = match initial with None -> n | Some i -> i in
     if initial <= 0 || initial > n then
       invalid_arg "Runner.create: initial members must be in [1, n]";
@@ -157,16 +137,11 @@ module Make (S : Haec_store.Store_intf.S) = struct
         let interval, tick, settled = g in
         Some { interval; tick; settled }
     in
-    (match (recovery, gossip) with
-    | `Anti_entropy, None ->
-      invalid_arg "Runner.create: `Anti_entropy recovery needs a gossip driver"
-    | (`Oracle | `Anti_entropy), _ -> ());
     {
       n;
       rng = Rng.create seed;
       policy;
       faults;
-      recovery;
       gossip;
       membership = Membership.create ~capacity:n ~initial;
       hooks;
@@ -175,12 +150,8 @@ module Make (S : Haec_store.Store_intf.S) = struct
       recover_state;
       auto_send;
       record_witness;
-      coalesce;
-      coalesce_window;
-      dirty = Array.make n false;
       states = Array.init n (fun me -> S.init ~n ~me);
       down = Array.make n false;
-      lost_rev = [];
       events_rev = [];
       send_seq = Array.make n 0;
       queue = Pqueue.create ();
@@ -188,7 +159,6 @@ module Make (S : Haec_store.Store_intf.S) = struct
       s_crashes = 0;
       s_recoveries = 0;
       s_dropped = 0;
-      s_retransmitted = 0;
       s_corrupt_rejected = 0;
       s_corrupt_collisions = 0;
       s_lost_permanent = 0;
@@ -237,7 +207,6 @@ module Make (S : Haec_store.Store_intf.S) = struct
       crashes = t.s_crashes;
       recoveries = t.s_recoveries;
       dropped = t.s_dropped;
-      retransmitted = t.s_retransmitted;
       corrupt_rejected = t.s_corrupt_rejected;
       corrupt_collisions = t.s_corrupt_collisions;
       lost_permanent = t.s_lost_permanent;
@@ -271,7 +240,6 @@ module Make (S : Haec_store.Store_intf.S) = struct
     Obs.Registry.register reg "wire.fanout" (Obs.Registry.Histogram t.fanout_hist);
     c "wire.deliveries" t.s_deliveries;
     c "wire.duplicates" t.s_duplicates;
-    c "wire.retransmissions" t.s_retransmitted;
     c "wire.dropped" t.s_dropped;
     c "wire.corrupt_rejected" t.s_corrupt_rejected;
     c "wire.lost_permanent" t.s_lost_permanent;
@@ -291,20 +259,9 @@ module Make (S : Haec_store.Store_intf.S) = struct
 
   let record t e = t.events_rev <- e :: t.events_rev
 
-  let retransmit_delay t ~src ~dst =
-    match t.policy with
-    | Some p -> max 0.01 (p.Net_policy.delay t.rng ~now:t.now_ ~src ~dst)
-    | None -> 1.0
-
-  let requeue t d =
-    t.s_retransmitted <- t.s_retransmitted + 1;
-    let at = t.now_ +. retransmit_delay t ~src:d.msg.Message.sender ~dst:d.dst in
-    Pqueue.add t.queue ~priority:at (Deliver d)
-
-  let oracle t = match t.recovery with `Oracle -> true | `Anti_entropy -> false
-
-  (* a delivery the network will never perform and the runner will never
-     retransmit: the store protocol alone must make up for it *)
+  (* a delivery the network will never perform (dead or faulted link,
+     crashed or crash-departed destination, corrupted frame): nothing
+     retransmits it, the store protocol alone must make up for it *)
   let lose_permanently t { dst; msg } =
     t.s_dropped <- t.s_dropped + 1;
     t.s_lost_permanent <- t.s_lost_permanent + 1;
@@ -370,27 +327,18 @@ module Make (S : Haec_store.Store_intf.S) = struct
               end
               else at
             in
-            let link_heal =
+            let link_faulted =
               match t.faults with
-              | Some f -> Fault_plan.link_dropped f ~src ~dst ~at
-              | None -> None
+              | Some f -> Fault_plan.link_dropped f ~src ~dst ~at <> None
+              | None -> false
             in
-            match link_heal with
-            | Some heal when oracle t ->
-              (* the link eats the packet; the retransmission protocol gets
-                 it through once the fault heals *)
-              t.s_dropped <- t.s_dropped + 1;
-              t.s_retransmitted <- t.s_retransmitted + 1;
-              let d' = max 0.01 (p.Net_policy.delay t.rng ~now:heal ~src ~dst) in
-              Pqueue.add t.queue ~priority:(heal +. d') (Deliver { dst; msg });
-              incr scheduled
-            | Some _ -> lose_permanently t { dst; msg }
-            | None ->
-              Pqueue.add t.queue ~priority:at (Deliver { dst; msg });
+            if link_faulted then lose_permanently t { dst; msg }
+            else begin
+              Pqueue.add t.queue ~priority:at { dst; msg };
               incr scheduled;
               (match p.Net_policy.duplicate t.rng ~now:t.now_ with
               | Some extra ->
-                Pqueue.add t.queue ~priority:(at +. max 0.0 extra) (Deliver { dst; msg });
+                Pqueue.add t.queue ~priority:(at +. max 0.0 extra) { dst; msg };
                 incr scheduled;
                 t.s_duplicates <- t.s_duplicates + 1
               | None -> ());
@@ -400,12 +348,13 @@ module Make (S : Haec_store.Store_intf.S) = struct
                 | Some (p_dup, copies) when Rng.chance t.rng p_dup ->
                   for _ = 1 to copies do
                     let extra = max 0.01 (p.Net_policy.delay t.rng ~now:t.now_ ~src ~dst) in
-                    Pqueue.add t.queue ~priority:(at +. extra) (Deliver { dst; msg });
+                    Pqueue.add t.queue ~priority:(at +. extra) { dst; msg };
                     incr scheduled;
                     t.s_duplicates <- t.s_duplicates + 1
                   done
                 | Some _ | None -> ())
               | None -> ())
+            end
           end
         end
       done;
@@ -477,20 +426,10 @@ module Make (S : Haec_store.Store_intf.S) = struct
     msg
 
   let flush t ~replica =
-    t.dirty.(replica) <- false;
     if t.down.(replica) || not (S.has_pending t.states.(replica)) then None
     else Some (send_one t ~replica)
 
-  (* With coalescing on, a dirty replica defers its flush by one window so
-     that further updates inside the window share the frame; the transmit
-     event performs the (single) send. Without coalescing, flush now. *)
-  let auto_flush t ~replica =
-    if t.auto_send then
-      if not t.coalesce then ignore (flush t ~replica)
-      else if (not t.dirty.(replica)) && S.has_pending t.states.(replica) then begin
-        t.dirty.(replica) <- true;
-        Pqueue.add t.queue ~priority:(t.now_ +. t.coalesce_window) (Transmit replica)
-      end
+  let auto_flush t ~replica = if t.auto_send then ignore (flush t ~replica)
 
   (* Assemble the lifecycle of (update [op], observer) at witness time.
      Timestamps are clamped monotone issue <= sent <= arrived <= applied
@@ -704,15 +643,8 @@ module Make (S : Haec_store.Store_intf.S) = struct
     let inflight = Pqueue.to_list t.queue in
     Pqueue.clear t.queue;
     List.iter
-      (fun (at, ev) ->
-        match ev with
-        | Deliver d when d.dst = replica ->
-          if oracle t then begin
-            t.s_dropped <- t.s_dropped + 1;
-            t.lost_rev <- d :: t.lost_rev
-          end
-          else lose_permanently t d
-        | Deliver _ | Transmit _ -> Pqueue.add t.queue ~priority:at ev)
+      (fun (at, d) ->
+        if d.dst = replica then lose_permanently t d else Pqueue.add t.queue ~priority:at d)
       inflight
 
   let recover t ~replica =
@@ -722,19 +654,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
     t.down.(replica) <- false;
     t.s_recoveries <- t.s_recoveries + 1;
     record t (Event.Recover { replica });
-    (* retransmit everything the crash swallowed *)
-    let mine, rest = List.partition (fun d -> d.dst = replica) t.lost_rev in
-    t.lost_rev <- rest;
-    List.iter (requeue t) (List.rev mine);
     auto_flush t ~replica
-
-  let heal t =
-    let ready, rest = List.partition (fun d -> not t.down.(d.dst)) t.lost_rev in
-    t.lost_rev <- rest;
-    List.iter (requeue t) (List.rev ready);
-    List.length ready
-
-  let lost_count t = List.length t.lost_rev
 
   (* Bring a reserve id into the replica set. The joiner boots empty; its
      catch-up target is everything any serving member has witnessed at this
@@ -743,10 +663,8 @@ module Make (S : Haec_store.Store_intf.S) = struct
      then [op] refuses it. Requires the anti-entropy stack: only a wire
      repair protocol can transfer state into an empty replica. *)
   let join t ~replica =
-    (match t.recovery with
-    | `Anti_entropy -> ()
-    | `Oracle ->
-      invalid_arg "Runner.join: dynamic membership requires `Anti_entropy recovery");
+    if t.gossip = None then
+      invalid_arg "Runner.join: dynamic membership requires a gossip driver";
     let hooks =
       match t.hooks with
       | Some h -> h
@@ -789,7 +707,6 @@ module Make (S : Haec_store.Store_intf.S) = struct
       (match t.hooks with
       | Some h -> t.states.(replica) <- h.on_leave ~epoch ~graceful t.states.(replica)
       | None -> ());
-      t.dirty.(replica) <- false;
       (* the farewell flush: drain every pending payload in one go *)
       while S.has_pending t.states.(replica) do
         ignore (send_one t ~replica)
@@ -801,13 +718,10 @@ module Make (S : Haec_store.Store_intf.S) = struct
     let inflight = Pqueue.to_list t.queue in
     Pqueue.clear t.queue;
     List.iter
-      (fun (at, ev) ->
-        match ev with
-        | Deliver d when d.dst = replica -> if not graceful then lose_permanently t d
-        | Transmit r when r = replica -> ()
-        | ev -> Pqueue.add t.queue ~priority:at ev)
+      (fun (at, d) ->
+        if d.dst <> replica then Pqueue.add t.queue ~priority:at d
+        else if not graceful then lose_permanently t d)
       inflight;
-    t.dirty.(replica) <- false;
     record t (Event.Leave { replica; epoch; graceful })
 
   (* One gossip round: advance the clock to the round's scheduled time,
@@ -854,10 +768,9 @@ module Make (S : Haec_store.Store_intf.S) = struct
     | None -> false
 
   (* Deliver one scheduled message, routing it through the fault layer: a
-     down destination swallows it (owed a retransmission on recovery under
-     [`Oracle], lost for good under [`Anti_entropy]), and an active
-     corruption window may mangle its bytes — the checksummed frame
-     rejects the mangled copy as [Malformed]. *)
+     down destination swallows it for good, and an active corruption window
+     may mangle its bytes — the checksummed frame rejects the mangled copy
+     as [Malformed], which is a loss like any other. *)
   let step t =
     if gossip_due t then begin
       fire_gossip_round t;
@@ -866,23 +779,13 @@ module Make (S : Haec_store.Store_intf.S) = struct
     else
       match Pqueue.pop t.queue with
       | None -> false
-    | Some (at, Transmit replica) ->
-      t.now_ <- max t.now_ at;
-      if t.dirty.(replica) then ignore (flush t ~replica);
-      true
-    | Some (at, Deliver ({ dst; msg } as d)) ->
+    | Some (at, ({ dst; msg } as d)) ->
       t.now_ <- max t.now_ at;
       (if not (Membership.is_member t.membership dst) then
          (* a straggler addressed to a replica that has since departed:
             moot, not lost — the leave already settled the accounting *)
          ()
-       else if t.down.(dst) then begin
-         if oracle t then begin
-           t.s_dropped <- t.s_dropped + 1;
-           t.lost_rev <- d :: t.lost_rev
-         end
-         else lose_permanently t d
-       end
+       else if t.down.(dst) then lose_permanently t d
        else
          let corrupt_p =
            match t.faults with
@@ -893,14 +796,13 @@ module Make (S : Haec_store.Store_intf.S) = struct
            (* [Fault_plan.mutate] is never the identity, so an unseal that
               succeeds can only be a checksum collision *)
            let mangled = Fault_plan.mutate t.rng (Wire.Frame.seal msg.Message.payload) in
-           match Wire.Frame.unseal mangled with
+           (match Wire.Frame.unseal mangled with
            | exception Wire.Decoder.Malformed _ ->
-             t.s_corrupt_rejected <- t.s_corrupt_rejected + 1;
-             if oracle t then requeue t d else lose_permanently t d
+             t.s_corrupt_rejected <- t.s_corrupt_rejected + 1
            | _ ->
              (* checksum collision (~2^-32): treat as loss *)
-             t.s_corrupt_collisions <- t.s_corrupt_collisions + 1;
-             if oracle t then requeue t d else lose_permanently t d
+             t.s_corrupt_collisions <- t.s_corrupt_collisions + 1);
+           lose_permanently t d
          end
          else deliver_msg t ~dst msg);
       true
@@ -946,9 +848,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
       decr budget;
       if step t then go ()
       else begin
-        (* queue empty: retransmit anything owed to live replicas, flush any
-           pending messages, and keep going *)
-        let requeued = heal t in
+        (* queue empty: flush any pending messages, and keep going *)
         let flushed = ref false in
         List.iter
           (fun r ->
@@ -957,7 +857,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
               flushed := true
             end)
           (Membership.members t.membership);
-        if !flushed || requeued > 0 then go ()
+        if !flushed then go ()
         else
           (* nothing in flight and nothing to flush; with a gossip driver
              quiescence additionally means the protocol has converged —

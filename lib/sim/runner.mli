@@ -21,17 +21,15 @@
     {!Haec_wire.Wire.Frame} checksum, message duplication, bounded
     reordering, and permanent-loss dead links.
 
-    {b Recovery modes.} Under the default [`Oracle] recovery, every
-    delivery lost to a crash or a healing link fault is owed a
-    retransmission by the runner itself — an omniscient network that keeps
-    the "sufficiently connected" requirement satisfied by fiat; this is
-    the frozen baseline. Under [`Anti_entropy], the runner never
-    retransmits: every loss is final, and convergence is up to the store's
-    own wire protocol ({!Haec_store.Anti_entropy.Make}), driven by the
-    [gossip] hook — the runner ticks every live replica each gossip
-    interval and, once the network drains, keeps firing rounds until the
-    protocol's own [settled] predicate holds. Dead links are never
-    retransmitted in either mode.
+    {b Loss.} The runner never retransmits. Every delivery swallowed by a
+    crashed destination, a faulted or dead link, or a rejected corrupt
+    frame is lost for good, and the paper's "sufficiently connected"
+    network (every message eventually delivered) is something the store
+    protocol has to achieve itself: {!Haec_store.Anti_entropy.Make},
+    driven by the [gossip] hook — the runner ticks every live replica each
+    gossip interval and, once the network drains, keeps firing rounds
+    until the protocol's own [settled] predicate holds. A store run
+    without a gossip driver simply keeps whatever gaps its losses leave.
 
     {b Dynamic membership.} The runner's [n] is an id-space capacity; the
     actual member set is an epoch-stamped {!Membership.t} view. Ids
@@ -60,25 +58,19 @@ type stats = {
   crashes : int;
   recoveries : int;
   dropped : int;  (** deliveries swallowed by a crash or a faulted link *)
-  retransmitted : int;  (** re-scheduled deliveries owed after a fault *)
   corrupt_rejected : int;
       (** corrupted deliveries rejected as [Malformed] by the frame check *)
   corrupt_collisions : int;
       (** corrupted frames whose checksum still verified (~2^-32 each);
           treated as loss, never delivered *)
   lost_permanent : int;
-      (** deliveries lost for good — dead links always, and under
-          [`Anti_entropy] recovery also crash-swallowed, link-faulted, and
-          corrupt-rejected deliveries (the runner retransmits none of
-          them) *)
+      (** deliveries lost for good: crash-swallowed, link-faulted, dead-link
+          and corrupt-rejected ones. The runner retransmits none of them,
+          so this counts the same deliveries as [dropped]. *)
   gossip_rounds : int;  (** gossip rounds fired by the [gossip] driver *)
   joins : int;  (** replicas that joined mid-run *)
   leaves : int;  (** replicas that left mid-run (graceful or crash-leave) *)
 }
-
-type recovery = [ `Oracle | `Anti_entropy ]
-(** Who repairs a loss: the omniscient runner ([`Oracle], the frozen
-    baseline) or the store's own wire protocol ([`Anti_entropy]). *)
 
 type 'state membership_hooks = {
   progress : 'state -> Haec_vclock.Vclock.t;
@@ -101,11 +93,8 @@ module Make (S : Haec_store.Store_intf.S) : sig
     ?record_witness:bool ->
     ?record_spans:bool ->
     ?auto_send:bool ->
-    ?coalesce:bool ->
-    ?coalesce_window:float ->
     ?policy:Net_policy.t ->
     ?faults:Fault_plan.t ->
-    ?recovery:recovery ->
     ?gossip:float * (S.state -> S.state) * (S.state array -> bool) ->
     ?initial:int ->
     ?hooks:S.state membership_hooks ->
@@ -119,17 +108,6 @@ module Make (S : Haec_store.Store_intf.S) : sig
       stores). Without a [policy], sent messages are only recorded and
       returned — delivery is up to the caller.
 
-      [coalesce] (default [false]) turns on gossip coalescing for
-      auto-sends: instead of flushing immediately, a replica that becomes
-      dirty schedules a single deferred transmission [coalesce_window]
-      (default [2.0]) simulated-time units later, so every update it
-      performs inside the window is batched into one frame. Fewer, larger
-      messages; per-message byte accounting (and the Theorem 12 floor
-      audit) is unchanged because the batched frame is a real recorded
-      message. Manual {!flush} still sends immediately, and
-      {!run_until_quiescent} flushes any still-dirty replica directly when
-      the queue drains, so quiescence and convergence are unaffected.
-
       [faults] enables link-drop, corruption, duplication, reordering, and
       dead-link injection on scheduled deliveries. [recover_state] maps a
       crashed replica's last state to its post-recovery state (default:
@@ -137,14 +115,14 @@ module Make (S : Haec_store.Store_intf.S) : sig
       {!Haec_store.Durable.Make} store to actually exercise checkpoint
       recovery.
 
-      [recovery] (default [`Oracle]) picks who makes up for lost
-      deliveries — see the module comment. [`Anti_entropy] requires
-      [gossip], a triple [(interval, tick, settled)]: every [interval] of
-      simulated time (in event order relative to the delivery queue) the
-      runner applies [tick] to each live replica's state and flushes it,
-      and when the network drains, quiescence is declared only once
-      [settled] holds over the replica states — otherwise further rounds
-      fire, bounded by [run_until_quiescent]'s event budget.
+      [gossip] is the driver of the store's own repair protocol — see the
+      module comment — as a triple [(interval, tick, settled)]: every
+      [interval] of simulated time (in event order relative to the
+      delivery queue) the runner applies [tick] to each live replica's
+      state and flushes it, and when the network drains, quiescence is
+      declared only once [settled] holds over the replica states —
+      otherwise further rounds fire, bounded by [run_until_quiescent]'s
+      event budget.
 
       [initial] (default [n]) makes ids [initial .. n-1] a reserve pool
       for {!join} instead of members from time zero; [hooks] supplies the
@@ -182,14 +160,15 @@ module Make (S : Haec_store.Store_intf.S) : sig
 
   val crash : t -> replica:int -> unit
   (** Crash a replica: record the crash event, mark it down (no ops, no
-      sends, no deliveries), and drop every in-flight delivery addressed
-      to it — those become owed retransmissions. Raises
+      sends, no deliveries), and lose every in-flight delivery addressed
+      to it for good (counted in [lost_permanent]). Raises
       [Invalid_argument] if already down. *)
 
   val recover : t -> replica:int -> unit
   (** Bring a crashed replica back: rebuild its state via [recover_state],
-      record the recover event, and schedule retransmission of everything
-      lost while it was down. Raises [Invalid_argument] if not down. *)
+      record the recover event, and flush anything it has pending. What it
+      missed while down comes back only through the store's repair
+      protocol. Raises [Invalid_argument] if not down. *)
 
   val is_down : t -> replica:int -> bool
 
@@ -200,9 +179,9 @@ module Make (S : Haec_store.Store_intf.S) : sig
       of every serving member's progress vector. The joiner stays
       {e bootstrapping} (op-refusing) until ordinary digest/repair traffic
       carries its progress to the target, at which point it is promoted to
-      serving ([bootstrap.latency] records the delay). Requires
-      [`Anti_entropy] recovery and [hooks]; raises [Invalid_argument]
-      otherwise, or if the id is not in reserve (ids are never reused). *)
+      serving ([bootstrap.latency] records the delay). Requires a
+      [gossip] driver and [hooks]; raises [Invalid_argument] otherwise, or
+      if the id is not in reserve (ids are never reused). *)
 
   val leave : t -> replica:int -> graceful:bool -> unit
   (** Remove a member for good: bump the view epoch and record the leave
@@ -228,22 +207,14 @@ module Make (S : Haec_store.Store_intf.S) : sig
   (** Join-to-serving latency, in simulated time, one observation per
       promoted joiner. *)
 
-  val heal : t -> int
-  (** Re-schedule every lost delivery whose destination is up again;
-      returns how many were requeued. {!run_until_quiescent} does this
-      automatically whenever the queue drains. *)
-
-  val lost_count : t -> int
-  (** Deliveries currently owed a retransmission (destination still down). *)
-
   val stats : t -> stats
 
   val metrics : t -> Haec_obs.Metrics.Registry.t
   (** Wire and visibility telemetry of the run so far, as a fresh
       registry: [wire.messages] (plus one [wire.messages.r<i>] counter per
       replica), the [wire.payload_bytes] and [wire.fanout] histograms,
-      [wire.deliveries] / [wire.duplicates] / [wire.retransmissions] /
-      [wire.dropped] / [wire.corrupt_rejected] counters, the
+      [wire.deliveries] / [wire.duplicates] / [wire.dropped] /
+      [wire.corrupt_rejected] / [wire.lost_permanent] counters, the
       [visibility.lag] staleness histogram (see {!visibility_lag}), and
       [sim.ops] / [sim.crashes] / [sim.recoveries] / [sim.now]. Counters
       are copied at call time; histograms are live references into the
@@ -272,10 +243,11 @@ module Make (S : Haec_store.Store_intf.S) : sig
 
   val run_until_quiescent : ?max_events:int -> t -> unit
   (** Drive the network until no message is in flight, no live replica has
-      a message pending, and no lost delivery is owed to a live replica
-      (Definition 17). Requires a policy. Raises {!Divergence} if
-      [max_events] (default 1_000_000) deliveries are exceeded. Deliveries
-      owed to still-crashed replicas remain parked until {!recover}. *)
+      a message pending and, with a [gossip] driver, the protocol has
+      [settled] (Definition 17). Requires a policy. Raises {!Divergence}
+      if [max_events] (default 1_000_000) deliveries are exceeded. Gossip
+      rounds pause while a member is down; the run parks until
+      {!recover}. *)
 
   val in_flight : t -> int
 

@@ -1,8 +1,9 @@
 (** Protocol-level anti-entropy as a store transformer.
 
     [Make (S)] wraps any store with a digest/repair protocol so that
-    replicas detect and close their own delivery gaps over the wire,
-    instead of relying on the simulator's omniscient retransmission:
+    replicas detect and close their own delivery gaps over the wire —
+    neither the simulator nor the live runtime retransmits a lost
+    message:
 
     - every broadcast of the inner store leaves as a sequence-numbered
       {e update} item ([(origin, seq)] with [origin] the sender and [seq]

@@ -372,7 +372,6 @@ let adversarial_closed_witness ~n ~objects ~ops seed =
   let plan, steps = Sim.Chaos.derive ~n ~objects ~ops ~adversarial:true ~seed () in
   let sim =
     R_ae.create ~seed ~n ~policy:(Sim.Net_policy.random_delay ()) ~faults:plan
-      ~recovery:`Anti_entropy
       ~gossip:
         ( 2.0,
           Durable_ae.map_inner Ae_mvr.tick,

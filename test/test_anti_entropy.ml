@@ -1,5 +1,5 @@
 (* Protocol-level anti-entropy: the digest/repair transformer, adversarial
-   fault plans, chaos convergence without oracle retransmission, and the
+   fault plans, chaos convergence with every loss permanent, and the
    delta-debugging shrinker. *)
 
 open Helpers
@@ -125,7 +125,7 @@ let test_push_backoff_forgiven_on_progress () =
 
 (* The adversarial draws are appended strictly after the baseline ones, so
    an adversarial plan from the same seed shares the baseline fields
-   byte-for-byte — oracle baselines stay frozen. *)
+   byte-for-byte — baseline schedules stay frozen. *)
 let test_adversarial_extends_baseline () =
   List.iter
     (fun seed ->
@@ -195,7 +195,7 @@ let test_mutate_never_identity () =
 
 (* ---------- chaos under anti-entropy recovery ---------- *)
 
-(* Every store class must converge with the oracle off: all losses are
+(* Every store class must converge on adversarial plans: all losses are
    permanent (crashed in-flight traffic, link drops, dead links) and the
    digest/repair protocol is the only way bytes come back. Adversarial
    plans add duplication, reordering, and permanently dead links. *)
@@ -205,8 +205,7 @@ let ae_chaos_seeds name (module S : Store.Store_intf.S) ~require spec mix seeds 
       List.iter
         (fun seed ->
           let o =
-            C.run ~spec_of:(fun _ -> spec) ~mix ~require
-              ~recovery:`Anti_entropy ~adversarial:true ~seed ()
+            C.run ~spec_of:(fun _ -> spec) ~mix ~require ~adversarial:true ~seed ()
           in
           if not (Sim.Chaos.converged o) then
             Alcotest.failf "seed %d: %a" seed Sim.Chaos.pp_outcome o)
@@ -221,9 +220,7 @@ let test_ae_run_exercises_protocol () =
   let lost = ref 0 and rounds = ref 0 and repaired = ref 0 in
   List.iter
     (fun seed ->
-      let o = C.run ~recovery:`Anti_entropy ~adversarial:true ~seed () in
-      Alcotest.(check int) "the oracle never retransmits under anti-entropy" 0
-        o.Sim.Chaos.stats.Sim.Runner.retransmitted;
+      let o = C.run ~adversarial:true ~seed () in
       lost := !lost + o.Sim.Chaos.stats.Sim.Runner.lost_permanent;
       rounds := !rounds + o.Sim.Chaos.stats.Sim.Runner.gossip_rounds;
       let counter name =
@@ -240,8 +237,8 @@ let test_ae_run_exercises_protocol () =
 
 let test_ae_deterministic () =
   let module C = Sim.Chaos.Make (Store.Mvr_store) in
-  let a = C.run ~recovery:`Anti_entropy ~adversarial:true ~seed:3 ()
-  and b = C.run ~recovery:`Anti_entropy ~adversarial:true ~seed:3 () in
+  let a = C.run ~adversarial:true ~seed:3 ()
+  and b = C.run ~adversarial:true ~seed:3 () in
   Alcotest.(check bool) "same trace from the same seed" true
     (List.for_all2
        (fun x y ->

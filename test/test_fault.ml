@@ -396,27 +396,58 @@ let test_durable_checkpoint_cadence_invisible () =
 
 module R = Sim.Runner.Make (Store.Mvr_store)
 
+(* The chaos stack, driven by hand: Durable(Anti_entropy(Mvr_store)) with
+   its gossip tick, so every loss is repaired over the wire or not at all. *)
+module AE_mvr = Store.Anti_entropy.Make (Store.Mvr_store)
+module DA_mvr = Store.Durable.Make (AE_mvr)
+module RA = Sim.Runner.Make (DA_mvr)
+
+let create_ae ?faults ?(seed = 42) ~policy ~n () =
+  RA.create ~seed ~n ~policy ?faults
+    ~gossip:
+      ( 2.0,
+        DA_mvr.map_inner AE_mvr.tick,
+        fun sts -> AE_mvr.settled (Array.map DA_mvr.inner sts) )
+    ~recover_state:(fun ~replica:_ st -> DA_mvr.recover st)
+    ()
+
 let test_crash_drops_in_flight () =
-  let sim = R.create ~n:2 ~policy:(Sim.Net_policy.reliable_fifo ~delay:2.0 ()) () in
-  ignore (R.op sim ~replica:0 ~obj:0 (Op.Write (vi 7)));
-  Alcotest.(check int) "delivery scheduled" 1 (R.in_flight sim);
-  R.crash sim ~replica:1;
-  Alcotest.(check int) "crash swallowed it" 0 (R.in_flight sim);
-  Alcotest.(check int) "owed a retransmission" 1 (R.lost_count sim);
-  Alcotest.(check bool) "marked down" true (R.is_down sim ~replica:1);
+  let sim = create_ae ~n:2 ~policy:(Sim.Net_policy.reliable_fifo ~delay:2.0 ()) () in
+  ignore (RA.op sim ~replica:0 ~obj:0 (Op.Write (vi 7)));
+  Alcotest.(check int) "delivery scheduled" 1 (RA.in_flight sim);
+  RA.crash sim ~replica:1;
+  Alcotest.(check int) "crash swallowed it" 0 (RA.in_flight sim);
+  Alcotest.(check int) "lost for good" 1 (RA.stats sim).Runner.lost_permanent;
+  Alcotest.(check bool) "marked down" true (RA.is_down sim ~replica:1);
   (* ops and deliveries at a down replica are rejected *)
-  (match R.op sim ~replica:1 ~obj:0 Op.Read with
+  (match RA.op sim ~replica:1 ~obj:0 Op.Read with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "op at crashed replica must be rejected");
-  R.recover sim ~replica:1;
-  R.run_until_quiescent sim;
-  Alcotest.check check_response "retransmitted after recovery" (resp [ 7 ])
-    (R.op sim ~replica:1 ~obj:0 Op.Read);
-  let s = R.stats sim in
+  RA.recover sim ~replica:1;
+  RA.run_until_quiescent sim;
+  Alcotest.check check_response "repaired after recovery" (resp [ 7 ])
+    (RA.op sim ~replica:1 ~obj:0 Op.Read);
+  let s = RA.stats sim in
   Alcotest.(check int) "one crash" 1 s.Runner.crashes;
   Alcotest.(check int) "one recovery" 1 s.Runner.recoveries;
-  Alcotest.(check bool) "drop counted" true (s.Runner.dropped >= 1);
-  Alcotest.(check bool) "retransmit counted" true (s.Runner.retransmitted >= 1)
+  Alcotest.(check int) "every drop is a permanent loss" s.Runner.dropped
+    s.Runner.lost_permanent;
+  Alcotest.(check bool) "gossip did the repair" true (s.Runner.gossip_rounds > 0)
+
+(* Without a gossip driver nothing stands behind the store: the delivery a
+   crash swallowed never arrives, and the run still quiesces cleanly. *)
+let test_crash_loss_permanent_without_gossip () =
+  let sim = R.create ~n:2 ~policy:(Sim.Net_policy.reliable_fifo ~delay:2.0 ()) () in
+  ignore (R.op sim ~replica:0 ~obj:0 (Op.Write (vi 7)));
+  R.crash sim ~replica:1;
+  R.recover sim ~replica:1;
+  R.run_until_quiescent sim;
+  Alcotest.(check int) "lost for good" 1 (R.stats sim).Runner.lost_permanent;
+  Alcotest.(check int) "nothing in flight" 0 (R.in_flight sim);
+  Alcotest.check check_response "the write never arrived" (resp [])
+    (R.op sim ~replica:1 ~obj:0 Op.Read);
+  Alcotest.(check bool) "trace well-formed" true
+    (Execution.is_well_formed (R.execution sim))
 
 let test_crash_recover_in_trace () =
   let sim = R.create ~n:2 ~policy:(Sim.Net_policy.reliable_fifo ()) () in
@@ -504,23 +535,29 @@ let test_trace_roundtrip_with_faults () =
 
 let test_corruption_rejected_not_delivered () =
   (* corrupt every delivery for a while: the frame check must reject each
-     mangled copy as Malformed, retransmission must get clean copies
-     through, and the run must still pass every check *)
+     mangled copy as Malformed, each rejection is a permanent loss, repair
+     must get clean copies through once the window closes, and the run
+     must still pass every check *)
   let corruption = { Fault_plan.p = 1.0; from_ = 0.0; until = 30.0 } in
   let plan = Fault_plan.make ~corruption ~horizon:40.0 () in
   let sim =
-    R.create ~seed:11 ~n:3 ~policy:(Sim.Net_policy.random_delay ()) ~faults:plan ()
+    create_ae ~seed:11 ~n:3 ~policy:(Sim.Net_policy.random_delay ()) ~faults:plan ()
   in
   for i = 1 to 10 do
-    ignore (R.op sim ~replica:(i mod 3) ~obj:0 (Op.Write (vi i)))
+    ignore (RA.op sim ~replica:(i mod 3) ~obj:0 (Op.Write (vi i)))
   done;
-  R.run_until_quiescent sim;
-  let s = R.stats sim in
+  RA.run_until_quiescent sim;
+  let s = RA.stats sim in
   Alcotest.(check bool) "corrupt frames rejected" true (s.Runner.corrupt_rejected > 0);
   Alcotest.(check int) "no checksum collisions" 0 s.Runner.corrupt_collisions;
-  let report = Sim.Checks.validate (R.execution sim) (R.witness_abstract sim) in
+  Alcotest.(check int) "every rejected frame is a permanent loss"
+    s.Runner.corrupt_rejected s.Runner.lost_permanent;
+  let report = Sim.Checks.validate (RA.execution sim) (RA.witness_abstract sim) in
   Alcotest.(check bool) "all checks pass despite corruption" true
-    (Sim.Checks.all_ok report)
+    (Sim.Checks.all_ok report);
+  let reads = List.init 3 (fun replica -> RA.op sim ~replica ~obj:0 Op.Read) in
+  Alcotest.(check bool) "replicas agree after repair" true
+    (List.for_all (( = ) (List.hd reads)) reads)
 
 (* ---------- chaos harness ---------- *)
 
@@ -596,4 +633,5 @@ let suite =
       tc "chaos deterministic in the seed" test_chaos_is_deterministic;
       tc "chaos actually injects faults" test_chaos_exercises_faults;
       tc "durable checkpoint cadence is invisible" test_durable_checkpoint_cadence_invisible;
+      tc "crash loss is permanent without gossip" test_crash_loss_permanent_without_gossip;
     ] )

@@ -61,7 +61,6 @@ let hooks =
 let make_sim ?(seed = 1) ?auto_send ?(initial = 3) ~n () =
   R.create ~seed ?auto_send
     ~policy:(Sim.Net_policy.random_delay ())
-    ~recovery:`Anti_entropy
     ~gossip:(2.0, AE.tick, AE.settled)
     ~initial ~hooks ~n ()
 
@@ -196,11 +195,13 @@ let test_churn_extends_adversarial () =
           (c.Fault_plan.joins <> []))
     (List.init 20 (fun i -> i + 1))
 
-let test_churn_requires_anti_entropy () =
+(* Churn needs no opt-in: the default chaos stack already bootstraps
+   joiners over anti-entropy. *)
+let test_churn_on_default_stack () =
   let module C = Sim.Chaos.Make (Store.Mvr_store) in
-  match C.run ~churn:true ~seed:1 () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "oracle recovery must reject churn"
+  let o = C.run ~churn:true ~seed:1 () in
+  Alcotest.(check bool) "a replica joined" true (o.Sim.Chaos.stats.Sim.Runner.joins > 0);
+  if not (Sim.Chaos.converged o) then Alcotest.failf "%a" Sim.Chaos.pp_outcome o
 
 (* Every store class must converge through membership churn on top of the
    full adversarial fault mix: joiners bootstrap over digest/repair,
@@ -213,8 +214,8 @@ let churn_chaos_seeds name (module S : Store.Store_intf.S) ~require spec mix see
       List.iter
         (fun seed ->
           let o =
-            C.run ~spec_of:(fun _ -> spec) ~mix ~require ~recovery:`Anti_entropy
-              ~adversarial:true ~churn:true ~seed ()
+            C.run ~spec_of:(fun _ -> spec) ~mix ~require ~adversarial:true ~churn:true
+              ~seed ()
           in
           joins := !joins + o.Sim.Chaos.stats.Sim.Runner.joins;
           if not (Sim.Chaos.converged o) then
@@ -238,8 +239,7 @@ let churn_shrink_setup =
          (fun seed ->
            not
              (Sim.Chaos.converged
-                (C.run ~ops ~require:`Occ ~recovery:`Anti_entropy ~churn:true
-                   ~seed ())))
+                (C.run ~ops ~require:`Occ ~churn:true ~seed ())))
          (seeds 1 40)
      in
      match failing with
@@ -248,7 +248,7 @@ let churn_shrink_setup =
      | Some seed ->
        let plan, steps = Sim.Chaos.derive ~ops ~churn:true ~seed () in
        let run ~plan ~steps =
-         C.run_plan ~require:`Occ ~recovery:`Anti_entropy ~n:3 ~plan ~steps ~seed ()
+         C.run_plan ~require:`Occ ~n:3 ~plan ~steps ~seed ()
        in
        (seed, plan, steps, run))
 
@@ -300,7 +300,7 @@ let suite =
       tc "crash-leave: survivors converge" test_crash_leave_survivors_converge;
       tc "trace v3 roundtrip with join/leave" test_trace_roundtrip_with_churn;
       tc "churn plans extend the adversarial draws" test_churn_extends_adversarial;
-      tc "churn requires anti-entropy recovery" test_churn_requires_anti_entropy;
+      tc "churn runs on the default stack" test_churn_on_default_stack;
       churn_chaos_seeds "churn chaos: mvr converges on 6 seeds"
         (module Store.Mvr_store) ~require:`Correct Specf.mvr
         Sim.Workload.register_mix (seeds 1 6);

@@ -171,11 +171,11 @@ let test_snapshot_rejects_garbage () =
 
 (* ---------- wire telemetry vs the trace ---------- *)
 
-let run_causal ?(coalesce = false) ~seed ~policy ~ops () =
+let run_causal ?faults ~seed ~policy ~ops () =
   let module R = Sim.Runner.Make (Store.Causal_mvr_store) in
   let rng = Rng.create seed in
   let n = 4 and objects = 3 in
-  let sim = R.create ~seed ~n ~policy ~coalesce () in
+  let sim = R.create ~seed ~n ~policy ?faults () in
   let steps = Sim.Workload.generate ~rng ~n ~objects ~ops Sim.Workload.register_mix in
   Sim.Workload.run
     (fun ~replica ~obj op -> R.op sim ~replica ~obj op)
@@ -213,18 +213,22 @@ let prop_wire_bytes_match_trace =
       && hist_sum offline "wire.payload_bytes" = float_of_int encoded
       && counter live "wire.messages" = List.length (Execution.messages_sent exec))
 
-let prop_wire_bytes_match_trace_coalesced =
-  q ~count:25 "wire.payload_bytes telemetry = encoded bytes under coalescing"
+let prop_wire_bytes_match_trace_lossy =
+  q ~count:25 "wire.payload_bytes telemetry = encoded bytes under permanent loss"
     QCheck2.Gen.(int_range 0 10_000)
     (fun seed ->
-      (* coalescing batches pending updates into fewer frames, but every
-         frame is still a real recorded message, so the byte accounting
-         identity must be untouched *)
-      let run coalesce =
-        run_causal ~coalesce ~seed ~policy:(Sim.Net_policy.random_delay ()) ~ops:40 ()
+      (* a faulted link and corrupted frames lose deliveries for good, but
+         every send is still a recorded message, so the byte accounting
+         identity must be untouched, and every drop is a permanent loss *)
+      let faults =
+        Sim.Fault_plan.make
+          ~links:[ { src = 0; dst = 1; from_ = 2.0; until = 12.0 } ]
+          ~corruption:{ p = 0.2; from_ = 0.0; until = 20.0 }
+          ~horizon:30.0 ()
       in
-      let live, exec = run true in
-      let _, exec_plain = run false in
+      let live, exec =
+        run_causal ~faults ~seed ~policy:(Sim.Net_policy.random_delay ()) ~ops:40 ()
+      in
       let encoded =
         List.fold_left
           (fun acc m -> acc + String.length m.Message.payload)
@@ -234,8 +238,8 @@ let prop_wire_bytes_match_trace_coalesced =
       hist_sum live "wire.payload_bytes" = float_of_int encoded
       && hist_sum offline "wire.payload_bytes" = float_of_int encoded
       && counter live "wire.messages" = List.length (Execution.messages_sent exec)
-      && List.length (Execution.messages_sent exec)
-         <= List.length (Execution.messages_sent exec_plain))
+      && counter live "wire.dropped" > 0
+      && counter live "wire.dropped" = counter live "wire.lost_permanent")
 
 let test_offline_matches_live_fifo () =
   (* on a reliable network every wire metric is recomputable from the trace *)
@@ -294,7 +298,7 @@ let suite =
       Alcotest.test_case "snapshot: multi-snapshot file" `Quick test_snapshot_file_roundtrip;
       Alcotest.test_case "snapshot: rejects garbage" `Quick test_snapshot_rejects_garbage;
       prop_wire_bytes_match_trace;
-      prop_wire_bytes_match_trace_coalesced;
+      prop_wire_bytes_match_trace_lossy;
       Alcotest.test_case "offline = live on fifo" `Quick test_offline_matches_live_fifo;
       Alcotest.test_case "visibility lag recorded" `Quick test_visibility_lag_recorded;
       Alcotest.test_case "theorem 12 floor holds (E19 smoke)" `Quick test_theorem12_floor_holds;

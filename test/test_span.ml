@@ -13,7 +13,7 @@ module C = Chaos.Make (Store.Causal_mvr_store)
 
 let ae_run ?(churn = false) ?(ops = 40) seed =
   C.run ~objects:2 ~ops ~spec_of:(fun _ -> Spec.Spec.mvr)
-    ~mix:Sim.Workload.register_mix ~require:`Causal ~recovery:`Anti_entropy
+    ~mix:Sim.Workload.register_mix ~require:`Causal
     ~adversarial:true ~churn ~seed ()
 
 let visibles spans =
@@ -157,7 +157,7 @@ let test_stream_identical_across_domains () =
   let render domains =
     let outcomes =
       C.run_seeds ~objects:2 ~ops:40 ~spec_of:(fun _ -> Spec.Spec.mvr)
-        ~mix:Sim.Workload.register_mix ~require:`Causal ~recovery:`Anti_entropy
+        ~mix:Sim.Workload.register_mix ~require:`Causal
         ~adversarial:true ~domains ~seeds ()
     in
     String.concat "\n" (List.map (fun o -> Trace_export.to_jsonl o.Chaos.spans) outcomes)
