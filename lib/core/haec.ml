@@ -24,6 +24,7 @@ module Util = struct
   module Bitset = Haec_util.Bitset
   module Sorted_list = Haec_util.Sorted_list
   module Fqueue = Haec_util.Fqueue
+  module Int_tbl = Haec_util.Int_tbl
 end
 
 module Wire = Haec_wire.Wire
@@ -95,6 +96,7 @@ module Sim = struct
   module Fault_plan = Haec_sim.Fault_plan
   module Membership = Haec_sim.Membership
   module Runner = Haec_sim.Runner
+  module Witness = Haec_sim.Witness
   module Workload = Haec_sim.Workload
   module Scenario = Haec_sim.Scenario
   module Checks = Haec_sim.Checks

@@ -6,6 +6,7 @@ open Haec_spec
 module Obs = Haec_obs.Metrics
 module Store_intf = Haec_store.Store_intf
 module Fault_plan = Haec_sim.Fault_plan
+module Witness = Haec_sim.Witness
 
 module type STACK = sig
   include Store_intf.S
@@ -121,7 +122,8 @@ type result = {
 type frame = { bytes : string; seq : int; issued_at : float }
 
 (* a timestamped local event plus, for do events under capture, the
-   witness the store reported *)
+   store's witness cut down to the updates this replica had not yet
+   witnessed (a {!Haec_sim.Witness.fresh} delta) *)
 type tev = { at : float; ev : Event.t; wit : Store_intf.witness option }
 
 let add_gossip dst (src : Store_intf.gossip_stats) =
@@ -170,6 +172,7 @@ module Make (S : STACK) = struct
     mutable oldest_unflushed : float;  (* NaN when no unflushed update *)
     mutable last_tick : float;
     mutable events_rev : tev list;
+    seen : Witness.seen;  (* capture: the keys this replica has witnessed *)
     mutable on_full : int -> unit;
         (* invoked (with the full destination) until the push succeeds;
            the live loop drains its own inbox — peers blocked pushing to
@@ -219,6 +222,7 @@ module Make (S : STACK) = struct
       oldest_unflushed = Float.nan;
       last_tick = 0.0;
       events_rev = [];
+      seen = Witness.seen ();
       on_full = (fun _ -> ());
       faults;
       up;
@@ -438,7 +442,7 @@ module Make (S : STACK) = struct
           {
             at = node.clock ();
             ev = Event.Do { Event.replica = node.me; obj; op; rval };
-            wit = Some (Lazy.force wit);
+            wit = Some (Witness.fresh node.seen ~obj (Lazy.force wit));
           }
           :: node.events_rev
     done
@@ -526,8 +530,8 @@ module Make (S : STACK) = struct
      blocked receive would be a causal cycle, impossible since every
      send precedes its receives in real time on its own replica — but a
      blocked fallback keeps the merge total regardless of clock skew.
-     The witness is assembled runner-style in the same pass: each do
-     event's visible (obj, dot) pairs resolve against the self dots of
+     The witness is assembled by the simulator's recorder in the same
+     pass: each do event's delta resolves against the self dots of
      earlier merged do events, giving vis edges that respect H order by
      construction. *)
   let assemble ~n results =
@@ -537,13 +541,10 @@ module Make (S : STACK) = struct
         results
     in
     let idx = Array.make n 0 in
-    let sent = Hashtbl.create 1024 in
+    let sent = Int_tbl.Pair.create 1024 in
     let total = Array.fold_left (fun a evs -> a + Array.length evs) 0 per in
     let events_rev = ref [] in
-    let dot_pos = Hashtbl.create 1024 in
-    let dos_rev = ref [] in
-    let vis = ref [] in
-    let do_count = ref 0 in
+    let wit = Witness.create () in
     for _ = 1 to total do
       let best = ref (-1) in
       let best_at = ref infinity in
@@ -555,7 +556,7 @@ module Make (S : STACK) = struct
           let is_blocked =
             match te.ev with
             | Event.Receive { msg; _ } ->
-              not (Hashtbl.mem sent (msg.Message.sender, msg.Message.seq))
+              not (Int_tbl.Pair.mem sent (msg.Message.sender, msg.Message.seq))
             | _ -> false
           in
           if is_blocked then begin
@@ -575,31 +576,13 @@ module Make (S : STACK) = struct
       idx.(r) <- idx.(r) + 1;
       (match te.ev with
       | Event.Send { msg; _ } ->
-        Hashtbl.replace sent (msg.Message.sender, msg.Message.seq) ()
+        Int_tbl.Pair.replace sent (msg.Message.sender, msg.Message.seq) ()
       | Event.Do de ->
-        let j = !do_count in
-        (match te.wit with
-        | Some w ->
-          List.iter
-            (fun key ->
-              match Hashtbl.find_opt dot_pos key with
-              | Some i when i <> j -> vis := (i, j) :: !vis
-              | Some _ | None -> ())
-            w.Store_intf.visible;
-          (match w.Store_intf.self with
-          | Some dot -> Hashtbl.replace dot_pos (de.Event.obj, dot) j
-          | None -> ())
-        | None -> ());
-        dos_rev := de :: !dos_rev;
-        incr do_count
+        Witness.record wit de (Option.value te.wit ~default:Store_intf.empty_witness)
       | _ -> ());
       events_rev := te.ev :: !events_rev
     done;
-    let exec = Execution.of_list ~n (List.rev !events_rev) in
-    let witness =
-      Abstract.create ~n (Array.of_list (List.rev !dos_rev)) ~vis:!vis
-    in
-    (exec, witness)
+    (Execution.of_list ~n (List.rev !events_rev), Witness.abstract wit ~n)
 
   let harvest cfg ~elapsed ~drain_elapsed ~outcome ~availability ~recovery_ms
       ~faults results =

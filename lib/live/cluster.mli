@@ -25,8 +25,10 @@
     emitting a [receive] before its [send] — the per-replica orders and
     the send/receive matching are what well-formedness and the checkers
     consume; cross-replica timestamp skew cannot produce an invalid
-    interleaving) and assembles the witness abstract execution from the
-    per-op witnesses exactly as the simulator's runner does. The same
+    interleaving) and assembles the witness abstract execution with the
+    simulator's own recorder ({!Haec_sim.Witness}): each replica keeps
+    only the per-op delta of updates it witnesses for the first time,
+    and the harvest resolves those deltas in merged order. The same
     causal/OCC checkers that audit simulations audit live runs.
 
     {b Visibility lag} (Definition 17, wall-clock): when an update is

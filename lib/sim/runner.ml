@@ -1,6 +1,5 @@
 open Haec_util
 open Haec_model
-open Haec_spec
 open Haec_vclock
 open Haec_wire
 module Obs = Haec_obs.Metrics
@@ -77,11 +76,13 @@ module Make (S : Haec_store.Store_intf.S) = struct
     mutable s_bootstrap_bytes : int;
         (** payload bytes delivered to bootstrapping replicas *)
     bootstrap_hist : Obs.Histogram.t;  (** join-to-serving latency *)
-    (* witness bookkeeping, indexed by do-event position in H *)
+    (* witness bookkeeping, indexed by do-event position in H: each
+       replica's filter of the updates it has witnessed, and the deltas
+       resolved in H order (see {!Witness}) *)
     mutable do_count : int;
-    dot_pos : (int * Dot.t, int) Hashtbl.t;  (* (obj, dot) -> do index *)
-    mutable wit_rev : (int * (int * Dot.t) list) list;
-    mutable do_rev : Event.do_event list;
+    seen : Witness.seen array;
+    wit : Witness.t;
+    mutable do_time : float array;  (* do index -> sim time, growable *)
     (* per-link monotone delivery times, for FIFO policies *)
     mutable fifo_last : float array;
     (* wire telemetry *)
@@ -90,11 +91,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
     fanout_hist : Obs.Histogram.t;  (* deliveries scheduled per send *)
     mutable s_duplicates : int;
     mutable s_deliveries : int;
-    (* visibility-lag telemetry: when did each do event happen, and which
-       (update, observer) pairs have already been witnessed *)
-    do_info : (int, float * int) Hashtbl.t;  (* do index -> (time, replica) *)
-    first_seen : (int * int, unit) Hashtbl.t;  (* (do index, observer) *)
-    lag_hist : Obs.Histogram.t;
+    lag_hist : Obs.Histogram.t;  (* visibility lag, one sample per resolved delta entry *)
     (* span tracing: the per-op lifecycle decomposition of visibility lag
        (see {!Haec_obs.Span}). All bookkeeping is keyed on sim-time data
        already flowing through the runner, so the stream is bit-identical
@@ -106,13 +103,13 @@ module Make (S : Haec_store.Store_intf.S) = struct
         (** per replica: (do index, obj) of updates awaiting their first
             flush, reverse order *)
     op_sent : (int, float) Hashtbl.t;  (* do index -> first-flush time *)
-    msg_ops : (int * int, int list) Hashtbl.t;  (* (src, seq) -> do indices *)
-    sent_time : (int * int, float) Hashtbl.t;  (* (src, seq) -> send time *)
-    delivered_once : (int * int * int, unit) Hashtbl.t;  (* (src, seq, dst) *)
-    arrive : (int * int, float) Hashtbl.t;  (* (op, dst) -> first direct arrival *)
-    dropped_at : (int * int, float) Hashtbl.t;  (* (op, dst) -> first loss *)
-    applied : (int * int, float) Hashtbl.t;  (* (op, dst) -> protocol apply time *)
-    payload_ops : (int * int, int list) Hashtbl.t;
+    msg_ops : int list Int_tbl.Pair.t;  (* (src, seq) -> do indices *)
+    sent_time : float Int_tbl.Pair.t;  (* (src, seq) -> send time *)
+    delivered_once : unit Int_tbl.Triple.t;  (* (src, seq, dst) *)
+    arrive : float Int_tbl.Pair.t;  (* (op, dst) -> first direct arrival *)
+    dropped_at : float Int_tbl.Pair.t;  (* (op, dst) -> first loss *)
+    applied : float Int_tbl.Pair.t;  (* (op, dst) -> protocol apply time *)
+    payload_ops : int list Int_tbl.Pair.t;
         (* (origin, protocol seq) -> do indices; lets repair deliveries,
            which carry re-encoded payloads under fresh message ids, still
            attribute their apply times to the originating ops *)
@@ -168,30 +165,28 @@ module Make (S : Haec_store.Store_intf.S) = struct
       s_bootstrap_bytes = 0;
       bootstrap_hist = Obs.Histogram.create ();
       do_count = 0;
-      dot_pos = Hashtbl.create 64;
-      wit_rev = [];
-      do_rev = [];
+      seen = Array.init n (fun _ -> Witness.seen ());
+      wit = Witness.create ();
+      do_time = [||];
       fifo_last = Array.make (n * n) 0.0;
       msg_count = Array.make n 0;
       payload_hist = Obs.Histogram.create ();
       fanout_hist = Obs.Histogram.create ();
       s_duplicates = 0;
       s_deliveries = 0;
-      do_info = Hashtbl.create 64;
-      first_seen = Hashtbl.create 256;
       lag_hist = Obs.Histogram.create ();
       record_spans = record_spans && record_witness;
       classify;
       spans_rev = [];
       unsent_ops = Array.make n [];
       op_sent = Hashtbl.create 64;
-      msg_ops = Hashtbl.create 64;
-      sent_time = Hashtbl.create 64;
-      delivered_once = Hashtbl.create 256;
-      arrive = Hashtbl.create 256;
-      dropped_at = Hashtbl.create 64;
-      applied = Hashtbl.create 256;
-      payload_ops = Hashtbl.create 64;
+      msg_ops = Int_tbl.Pair.create 64;
+      sent_time = Int_tbl.Pair.create 64;
+      delivered_once = Int_tbl.Triple.create 256;
+      arrive = Int_tbl.Pair.create 256;
+      dropped_at = Int_tbl.Pair.create 64;
+      applied = Int_tbl.Pair.create 256;
+      payload_ops = Int_tbl.Pair.create 64;
       boot_epoch = Hashtbl.create 4;
       boot_win = Hashtbl.create 4;
     }
@@ -268,7 +263,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
     if t.record_spans then begin
       let src = msg.Message.sender and seq = msg.Message.seq in
       let sent =
-        match Hashtbl.find_opt t.sent_time (src, seq) with Some s -> s | None -> t.now_
+        match Int_tbl.Pair.find_opt t.sent_time (src, seq) with Some s -> s | None -> t.now_
       in
       span t
         (Haec_obs.Span.Flight
@@ -280,12 +275,12 @@ module Make (S : Haec_store.Store_intf.S) = struct
              f_at = t.now_;
              f_outcome = Haec_obs.Span.Dropped;
            });
-      match Hashtbl.find_opt t.msg_ops (src, seq) with
+      match Int_tbl.Pair.find_opt t.msg_ops (src, seq) with
       | Some ops ->
         List.iter
           (fun i ->
-            if not (Hashtbl.mem t.dropped_at (i, dst)) then
-              Hashtbl.replace t.dropped_at (i, dst) t.now_)
+            if not (Int_tbl.Pair.mem t.dropped_at (i, dst)) then
+              Int_tbl.Pair.replace t.dropped_at (i, dst) t.now_)
           ops
       | None -> ()
     end
@@ -381,7 +376,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
     t.msg_count.(replica) <- t.msg_count.(replica) + 1;
     Obs.Histogram.observe t.payload_hist (float_of_int (String.length payload));
     if t.record_spans then begin
-      Hashtbl.replace t.sent_time (replica, seq) t.now_;
+      Int_tbl.Pair.replace t.sent_time (replica, seq) t.now_;
       let carried =
         match (before_self, t.hooks) with
         | Some before, Some h ->
@@ -396,19 +391,17 @@ module Make (S : Haec_store.Store_intf.S) = struct
           let pending = List.rev t.unsent_ops.(replica) in
           t.unsent_ops.(replica) <- [];
           if proto_seq >= 0 then
-            Hashtbl.replace t.payload_ops (replica, proto_seq) (List.map fst pending);
+            Int_tbl.Pair.replace t.payload_ops (replica, proto_seq) (List.map fst pending);
           pending
       in
       List.iter
         (fun (i, obj) ->
           Hashtbl.replace t.op_sent i t.now_;
-          let issue =
-            match Hashtbl.find_opt t.do_info i with Some (t0, _) -> t0 | None -> t.now_
-          in
-          span t (Haec_obs.Span.Op { op = i; origin = replica; obj; issue; sent = t.now_ }))
+          span t
+            (Haec_obs.Span.Op { op = i; origin = replica; obj; issue = t.do_time.(i); sent = t.now_ }))
         ops;
       let op_ids = List.map fst ops in
-      Hashtbl.replace t.msg_ops (replica, seq) op_ids;
+      Int_tbl.Pair.replace t.msg_ops (replica, seq) op_ids;
       let kinds = match t.classify with Some f -> f payload | None -> "" in
       span t
         (Haec_obs.Span.Transmit
@@ -445,18 +438,18 @@ module Make (S : Haec_store.Store_intf.S) = struct
       | Some s -> Float.max issue s
       | None -> issue
     in
-    let direct = Hashtbl.mem t.arrive (op, observer) in
+    let direct = Int_tbl.Pair.mem t.arrive (op, observer) in
     let arrived =
-      match Hashtbl.find_opt t.arrive (op, observer) with
+      match Int_tbl.Pair.find_opt t.arrive (op, observer) with
       | Some a -> a
       | None -> (
-        match Hashtbl.find_opt t.dropped_at (op, observer) with
+        match Int_tbl.Pair.find_opt t.dropped_at (op, observer) with
         | Some d -> d
         | None -> sent)
     in
     let arrived = Float.min visible (Float.max sent arrived) in
     let applied =
-      match Hashtbl.find_opt t.applied (op, observer) with
+      match Int_tbl.Pair.find_opt t.applied (op, observer) with
       | Some a -> a
       | None -> arrived
     in
@@ -496,41 +489,34 @@ module Make (S : Haec_store.Store_intf.S) = struct
     let d = { Event.replica; obj; op = o; rval } in
     record t (Event.Do d);
     if t.record_witness then begin
-      let w = Lazy.force witness in
-      t.wit_rev <- (t.do_count, w.Haec_store.Store_intf.visible) :: t.wit_rev;
-      (* visibility lag: the first time this replica witnesses an update
-         that originated elsewhere, record how long it was in flight in
-         simulated time (staleness, Definition 17's "eventually visible"
-         made quantitative) *)
-      List.iter
-        (fun key ->
-          match Hashtbl.find_opt t.dot_pos key with
-          | Some i -> (
-            match Hashtbl.find_opt t.do_info i with
-            | Some (t0, origin) when origin <> replica ->
-              if not (Hashtbl.mem t.first_seen (i, replica)) then begin
-                Hashtbl.add t.first_seen (i, replica) ();
-                if t.record_spans then begin
-                  (* the measured lag is defined as the breakdown's
-                     component sum (see {!Haec_obs.Span.breakdown}), so
-                     attribution is exact by construction *)
-                  let v = assemble_visible t ~op:i ~origin ~obj:(fst key) ~observer:replica ~issue:t0 in
-                  span t (Haec_obs.Span.Visible v);
-                  Obs.Histogram.observe t.lag_hist (Haec_obs.Span.breakdown v).total
-                end
-                else Obs.Histogram.observe t.lag_hist (t.now_ -. t0)
-              end
-            | Some _ | None -> ())
-          | None -> ())
-        w.Haec_store.Store_intf.visible;
-      (match w.Haec_store.Store_intf.self with
-      | Some dot -> Hashtbl.replace t.dot_pos (obj, dot) t.do_count
-      | None -> ());
-      Hashtbl.replace t.do_info t.do_count (t.now_, replica);
+      let j = t.do_count in
+      if j = Array.length t.do_time then begin
+        let grown = Array.make (max 64 (2 * j)) 0.0 in
+        Array.blit t.do_time 0 grown 0 j;
+        t.do_time <- grown
+      end;
+      t.do_time.(j) <- t.now_;
+      (* The delta holds exactly the updates this replica witnesses for
+         the first time, and never its own (see {!Witness}). Visibility
+         lag: record how long each was in flight in simulated time
+         (staleness, Definition 17's "eventually visible" made
+         quantitative). *)
+      let delta = Witness.fresh t.seen.(replica) ~obj (Lazy.force witness) in
+      Witness.record t.wit d delta ~on_new:(fun i obj_i ->
+          let t0 = t.do_time.(i) in
+          if t.record_spans then begin
+            (* the measured lag is defined as the breakdown's component
+               sum (see {!Haec_obs.Span.breakdown}), so attribution is
+               exact by construction *)
+            let origin = (Witness.event t.wit i).Event.replica in
+            let v = assemble_visible t ~op:i ~origin ~obj:obj_i ~observer:replica ~issue:t0 in
+            span t (Haec_obs.Span.Visible v);
+            Obs.Histogram.observe t.lag_hist (Haec_obs.Span.breakdown v).total
+          end
+          else Obs.Histogram.observe t.lag_hist (t.now_ -. t0));
       if t.record_spans && Op.is_update o then
-        t.unsent_ops.(replica) <- (t.do_count, obj) :: t.unsent_ops.(replica)
+        t.unsent_ops.(replica) <- (j, obj) :: t.unsent_ops.(replica)
     end;
-    t.do_rev <- d :: t.do_rev;
     t.do_count <- t.do_count + 1;
     auto_flush t ~replica;
     rval
@@ -579,10 +565,10 @@ module Make (S : Haec_store.Store_intf.S) = struct
     if t.record_spans then begin
       let src = msg.Message.sender and seq = msg.Message.seq in
       let sent =
-        match Hashtbl.find_opt t.sent_time (src, seq) with Some s -> s | None -> t.now_
+        match Int_tbl.Pair.find_opt t.sent_time (src, seq) with Some s -> s | None -> t.now_
       in
-      let dup = Hashtbl.mem t.delivered_once (src, seq, dst) in
-      if not dup then Hashtbl.add t.delivered_once (src, seq, dst) ();
+      let dup = Int_tbl.Triple.mem t.delivered_once (src, seq, dst) in
+      if not dup then Int_tbl.Triple.add t.delivered_once (src, seq, dst) ();
       span t
         (Haec_obs.Span.Flight
            {
@@ -594,12 +580,12 @@ module Make (S : Haec_store.Store_intf.S) = struct
              f_outcome = (if dup then Haec_obs.Span.Duplicate else Haec_obs.Span.Delivered);
            });
       if not dup then (
-        match Hashtbl.find_opt t.msg_ops (src, seq) with
+        match Int_tbl.Pair.find_opt t.msg_ops (src, seq) with
         | Some ops ->
           List.iter
             (fun i ->
-              if not (Hashtbl.mem t.arrive (i, dst)) then
-                Hashtbl.replace t.arrive (i, dst) t.now_)
+              if not (Int_tbl.Pair.mem t.arrive (i, dst)) then
+                Int_tbl.Pair.replace t.arrive (i, dst) t.now_)
             ops
         | None -> ());
       (* the protocol's progress vector names exactly which (origin, seq)
@@ -611,12 +597,12 @@ module Make (S : Haec_store.Store_intf.S) = struct
         for o = 0 to t.n - 1 do
           let b = Vclock.get before o and a = Vclock.get after o in
           for s = b to a - 1 do
-            match Hashtbl.find_opt t.payload_ops (o, s) with
+            match Int_tbl.Pair.find_opt t.payload_ops (o, s) with
             | Some ops ->
               List.iter
                 (fun i ->
-                  if not (Hashtbl.mem t.applied (i, dst)) then
-                    Hashtbl.replace t.applied (i, dst) t.now_)
+                  if not (Int_tbl.Pair.mem t.applied (i, dst)) then
+                    Int_tbl.Pair.replace t.applied (i, dst) t.now_)
                 ops
             | None -> ()
           done
@@ -902,16 +888,5 @@ module Make (S : Haec_store.Store_intf.S) = struct
 
   let witness_abstract t =
     if not t.record_witness then failwith "Runner.witness_abstract: recording disabled";
-    let h = Array.of_list (List.rev t.do_rev) in
-    let vis = ref [] in
-    List.iter
-      (fun (j, visible) ->
-        List.iter
-          (fun key ->
-            match Hashtbl.find_opt t.dot_pos key with
-            | Some i when i <> j -> vis := (i, j) :: !vis
-            | Some _ | None -> ())
-          visible)
-      t.wit_rev;
-    Abstract.create ~n:t.n h ~vis:!vis
+    Witness.abstract t.wit ~n:t.n
   end

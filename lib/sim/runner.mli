@@ -14,6 +14,19 @@
     operation's visibility witness, from which {!witness_abstract} builds an
     abstract execution the run complies with by construction.
 
+    {b Witness cost.} A store's witness lists every update visible to the
+    operation — for the causal stores, every update the replica has ever
+    incorporated — so forcing it is O(visible) per op. The runner keeps
+    none of those lists: each is cut at once to the per-replica delta
+    ({!Witness.fresh}), the updates this replica witnesses for the first
+    time, and only the delta is resolved to do indices ({!Witness.record}).
+    Contract: {!witness_abstract} is exactly the abstract execution that
+    resolving every full witness would give, because
+    {!Haec_spec.Abstract.create} unions each row with the previous row of
+    the same replica and every dropped update is already there. The
+    delta also drives visibility-lag telemetry: each of its entries is
+    one first-time (update, observer) pair.
+
     {b Fault injection.} A {!Fault_plan.t} adds failure modes on top of
     the paper's failure-free model: replica crashes ({!crash} /
     {!recover}, also recorded in the trace), link faults that drop
@@ -262,6 +275,7 @@ module Make (S : Haec_store.Store_intf.S) : sig
   (** The most recent message sent by the given replica. *)
 
   val witness_abstract : t -> Abstract.t
-  (** The witness abstract execution of the run so far. Raises [Failure] if
-      witness recording was disabled. *)
+  (** The witness abstract execution of the run so far, built from the
+      recorded deltas (see the module comment) and validity-checked.
+      Raises [Failure] if witness recording was disabled. *)
 end
