@@ -21,6 +21,10 @@ module type STACK = sig
 
   val pending_bytes : state -> int
 
+  val log_entries : state -> int
+
+  val log_bytes : state -> int
+
   val gossip_stats : unit -> Store_intf.gossip_stats
 
   val reset_gossip_stats : unit -> unit
@@ -662,6 +666,10 @@ module Make (S : STACK) = struct
       | Healed _ | Diverged _ -> 0.0);
     g "ae.queue_depth" (float_of_int queue_depth_peak);
     g "ae.pending_bytes" (float_of_int pending_bytes_peak);
+    (* the repair log the replicas still hold at the end of the run *)
+    let log_sum f = Array.fold_left (fun a (node, _) -> a + f node.state) 0 results in
+    g "ae.log_entries" (float_of_int (log_sum S.log_entries));
+    g "ae.log_bytes" (float_of_int (log_sum S.log_bytes));
     Obs.Registry.register reg "live.lag_ms" (Obs.Registry.Histogram lag_ms);
     Obs.Registry.register reg "live.recovery_ms"
       (Obs.Registry.Histogram recovery_ms);

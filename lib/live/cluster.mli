@@ -61,6 +61,13 @@ module type STACK = sig
 
   val pending_bytes : state -> int
 
+  val log_entries : state -> int
+  (** Payloads in the anti-entropy repair log (published summed over
+      replicas as the [ae.log_entries] gauge). *)
+
+  val log_bytes : state -> int
+  (** Payload bytes in that log ([ae.log_bytes]). *)
+
   val gossip_stats : unit -> Haec_store.Store_intf.gossip_stats
 
   val reset_gossip_stats : unit -> unit

@@ -9,6 +9,8 @@ module type S = sig
   val progress : state -> Vclock.t
   val queue_depth : state -> int
   val pending_bytes : state -> int
+  val log_entries : state -> int
+  val log_bytes : state -> int
   val gossip_stats : unit -> Store_intf.gossip_stats
   val reset_gossip_stats : unit -> unit
   val recover : state -> state
@@ -43,6 +45,8 @@ module Durable (S : Store_intf.S) : S = struct
   let progress st = AE.have (DA.inner st)
   let queue_depth st = AE.queue_depth (DA.inner st)
   let pending_bytes st = AE.pending_bytes (DA.inner st)
+  let log_entries st = AE.log_entries (DA.inner st)
+  let log_bytes st = AE.log_bytes (DA.inner st)
   let gossip_stats = AE.gossip_stats
   let reset_gossip_stats = AE.reset_gossip_stats
   let recover = DA.recover

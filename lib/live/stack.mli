@@ -30,6 +30,8 @@ module type S = sig
   val progress : state -> Vclock.t
   val queue_depth : state -> int
   val pending_bytes : state -> int
+  val log_entries : state -> int
+  val log_bytes : state -> int
   val gossip_stats : unit -> Store_intf.gossip_stats
   val reset_gossip_stats : unit -> unit
   val recover : state -> state

@@ -254,6 +254,17 @@ module Make (S : Haec_store.Store_intf.S) = struct
     c "gossip.membership_bytes" gs.Haec_store.Store_intf.membership_bytes;
     c "gossip.digest_deltas" gs.Haec_store.Store_intf.digest_deltas;
     c "gossip.digests_elided" gs.Haec_store.Store_intf.digests_elided;
+    (* the repair log the members still hold at the end of the run, under
+       the same names the live cluster publishes *)
+    let log_sum f =
+      List.fold_left
+        (fun a r -> a + f (DA.inner (R.replica_state sim r)))
+        0
+        (Membership.members (R.membership sim))
+    in
+    let g name v = Obs.Gauge.set (Obs.Registry.gauge metrics name) (float_of_int v) in
+    g "ae.log_entries" (log_sum AE.log_entries);
+    g "ae.log_bytes" (log_sum AE.log_bytes);
     {
       seed;
       plan;

@@ -50,7 +50,9 @@ type outcome = {
       (** the runner's wire/visibility telemetry (see {!Runner.Make.metrics})
           and the [gossip.*] digest/repair traffic counters (items and
           encoded bytes, plus [gossip.dup_payloads] and
-          [gossip.repair_applied]) *)
+          [gossip.repair_applied]), and the [ae.log_entries] /
+          [ae.log_bytes] gauges — the repair log the members still hold
+          at the end of the run, named as the live cluster names them *)
   spans : Haec_obs.Span.t list;
       (** the run's lifecycle span stream (see {!Runner.Make.spans});
           transmit spans carry protocol item kinds via

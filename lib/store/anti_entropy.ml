@@ -7,9 +7,10 @@
 
     - every broadcast of the inner store leaves as a sequence-numbered
       {e update} item ([(origin, seq)] with [origin] the sender and [seq]
-      its send counter), and every replica logs {e every} payload it
-      applies — its own and every peer's — so any replica can repair any
-      origin's stream for anybody else;
+      its send counter), and every replica logs the payloads it applies —
+      its own and every peer's — so any replica can repair any origin's
+      stream for anybody else, until every member holds them (see
+      {e Trimming} below);
     - a gossip {e tick} (driven by the simulator clock) queues a {e digest}
       broadcast: the replica's version vector [have], whose component [o]
       counts the contiguous prefix of origin [o]'s stream it has applied;
@@ -37,6 +38,26 @@
     crash that loses the queued control items costs nothing — the next
     tick re-announces, and the durable replay of the logged update stream
     ({!Durable.Make}) reconstructs [have] and the log exactly.
+
+    {b Trimming.} A payload leaves the log once every member holds it.
+    Per peer the replica keeps [reported]: what that peer has itself
+    proven to hold — its full digests, its digest deltas rebased on
+    [reported], and its own update stream while contiguous. It is not
+    the push-side [view], which credits a v2 push before it arrives and
+    credits a repair's destination when a third party sees it go by;
+    trimming on [view] would discard payloads a dropped frame never
+    delivered, and the peer's ungated request could then not be
+    answered. At the end of every [receive], origin [o]'s log is cut
+    below [stable(o)], the minimum of [have(o)] and of [reported(o)] over
+    the peers that have not said goodbye, and [floor(o)] rises to it. Only
+    received inputs move the floor, never [tick], so the durable replay
+    rebuilds the same trimmed log. An id that has never joined reports
+    nothing and so holds every floor at 0 until it does, which is what
+    lets a joiner bootstrap from seq 0 (ids are never reused). A
+    crash-leaver, which never says goodbye, holds the floor down for
+    good. Below the floor nobody can be missing anything, so a stale or
+    duplicated request is answered from the floor, and {!Make.settled}
+    scans each origin from the highest floor among the given states.
 
     {b Wire v2.} When {!Haec_wire.Wire.Version} selects [V2] at replica
     creation, the same protocol rides a leaner encoding (DESIGN.md §4h):
@@ -234,6 +255,18 @@ module Make (S : Store_intf.S) : sig
   (** Logged payloads beyond the contiguous applied prefix (received
       out-of-order, waiting for a gap to fill). *)
 
+  val floor : state -> Vclock.t
+  (** Per origin, the trimmed prefix of its stream: every member that has
+      not said goodbye has proven it holds it, so it is no longer logged.
+      Never above [have]. *)
+
+  val log_entries : state -> int
+  (** Payloads in the repair log: the window [floor, have) of every
+      origin, plus orphans. *)
+
+  val log_bytes : state -> int
+  (** Payload bytes in the repair log. *)
+
   val queue_depth : state -> int
   (** Control items (digest markers, requests, repairs, membership
       announcements) queued for the next broadcast — the transformer's
@@ -303,6 +336,10 @@ end = struct
 
   type peer = {
     view : Vclock.t;  (** pointwise max of every digest heard from this peer *)
+    reported : Vclock.t;
+        (** what the peer itself has proven it holds — its digests and
+            its own contiguous update stream, never our optimism about
+            it; bounds the stable prefix *)
     push_due : int;  (** earliest round a repair may be pushed to them *)
     push_backoff : int;
     defer : Int_set.t;
@@ -329,9 +366,11 @@ end = struct
     n : int;
     me : int;
     inner : S.state;
-    log : string Int_map.t Int_map.t;  (** origin -> seq -> payload *)
+    log : string Int_map.t Int_map.t;  (** origin -> seq -> payload, seq >= floor *)
     logged : int;  (** total payloads in [log] *)
+    log_bytes : int;  (** total payload bytes in [log] *)
     have : Vclock.t;  (** contiguous applied prefix per origin *)
+    floor : Vclock.t;  (** per origin, the trimmed prefix every member holds *)
     peers : peer Int_map.t;
     req_due : int Int_map.t;  (** origin -> earliest round to re-request *)
     req_backoff : int Int_map.t;
@@ -359,8 +398,8 @@ end = struct
       if p <> me then
         peers :=
           Int_map.add p
-            { view = Vclock.zero ~n; push_due = 0; push_backoff = 1;
-              defer = Int_set.empty }
+            { view = Vclock.zero ~n; reported = Vclock.zero ~n; push_due = 0;
+              push_backoff = 1; defer = Int_set.empty }
             !peers
     done;
     {
@@ -369,7 +408,9 @@ end = struct
       inner = S.init ~n ~me;
       log = Int_map.empty;
       logged = 0;
+      log_bytes = 0;
       have = Vclock.zero ~n;
+      floor = Vclock.zero ~n;
       peers = !peers;
       req_due = Int_map.empty;
       req_backoff = Int_map.empty;
@@ -388,7 +429,14 @@ end = struct
 
   let have t = t.have
 
-  let orphans t = t.logged - Vclock.sum t.have
+  let floor t = t.floor
+
+  let log_entries t = t.logged
+
+  let log_bytes t = t.log_bytes
+
+  (* the log holds exactly [floor, have) of every origin, plus orphans *)
+  let orphans t = t.logged - (Vclock.sum t.have - Vclock.sum t.floor)
 
   let queue_depth t = List.length t.outq_rev
 
@@ -430,7 +478,8 @@ end = struct
       match Int_map.find_opt origin t.log with Some m -> m | None -> Int_map.empty
     in
     { t with log = Int_map.add origin (Int_map.add seq payload m) t.log;
-             logged = t.logged + 1 }
+             logged = t.logged + 1;
+             log_bytes = t.log_bytes + String.length payload }
 
   (* apply every payload of [origin] that is now contiguous with the
      applied prefix, in sequence order; progress resets the per-origin
@@ -479,9 +528,17 @@ end = struct
         let view = Vclock.raise_to p.view origin upto in
         { t with peers = Int_map.add peer { p with view } t.peers }
 
+  (* raise what the peer has itself proven to hold *)
+  let note_reported t ~peer f =
+    match Int_map.find_opt peer t.peers with
+    | None -> t
+    | Some p -> { t with peers = Int_map.add peer { p with reported = f p.reported } t.peers }
+
   (* a batch of [origin]'s stream starting at [from_seq]: consecutive
      logged payloads, at most {!repair_batch} — stopping at the first gap
-     never sends less than the contiguous prefix the requester is missing *)
+     never sends less than the contiguous prefix the requester is missing.
+     Below the floor every member already holds the stream, so a stale
+     or duplicated ask starts at the floor *)
   let batch_from t ~origin ~from_seq =
     let cap = repair_batch () in
     let rec go seq acc count =
@@ -491,7 +548,7 @@ end = struct
         | None -> List.rev acc
         | Some payload -> go (seq + 1) ((origin, seq, payload) :: acc) (count + 1)
     in
-    go from_seq [] 0
+    go (max from_seq (Vclock.get t.floor origin)) [] 0
 
   let on_digest t ~sender clock =
     if Vclock.size clock <> t.n then
@@ -518,7 +575,7 @@ end = struct
       if !behind = [] then
         (* caught up: forgive the backoff so the next divergence is
            repaired promptly *)
-        (t, { view; push_due = t.rounds; push_backoff = 1; defer = Int_set.empty })
+        (t, { p with view; push_due = t.rounds; push_backoff = 1; defer = Int_set.empty })
       else begin
         (* under v2, a replica that is not the origin holds its push for
            one digest cycle — the origin heard the same digest and serves
@@ -556,6 +613,7 @@ end = struct
           in
           ( t,
             {
+              p with
               view;
               push_due = t.rounds + p.push_backoff;
               push_backoff = min (2 * p.push_backoff) (max_backoff ());
@@ -617,11 +675,16 @@ end = struct
           note_peer_has t ~peer:sender ~origin:sender ~from_seq:0 ~upto:(seq + 1)
         else t
       in
+      let t =
+        note_reported t ~peer:sender (fun r ->
+            if seq <= Vclock.get r sender then Vclock.raise_to r sender (seq + 1) else r)
+      in
       ingest t ~origin:sender ~seq ~payload ~via_repair:false
     | Wire.Gossip.Digest ->
       let clock = Vclock.decode_any dec in
       check_replica t "digest" sender;
-      on_digest t ~sender clock
+      let t = on_digest t ~sender clock in
+      note_reported t ~peer:sender (Vclock.merge clock)
     | Wire.Gossip.Digest_delta ->
       (* only the entries that changed since the sender's last digest,
          as (index-gap, absolute value) pairs; reconstruct a full clock
@@ -637,6 +700,7 @@ end = struct
       if pairs > t.n then
         raise (Wire.Decoder.Malformed "anti-entropy digest-delta: too many entries");
       let clock = ref p.view in
+      let proven = ref p.reported in
       let idx = ref (-1) in
       for _ = 1 to pairs do
         let gap = Wire.Decoder.uint dec in
@@ -644,9 +708,13 @@ end = struct
         idx := !idx + 1 + gap;
         if !idx >= t.n then
           raise (Wire.Decoder.Malformed "anti-entropy digest-delta: index out of range");
-        clock := Vclock.raise_to !clock !idx v
+        clock := Vclock.raise_to !clock !idx v;
+        (* the same entries rebased on what the peer has proven: the
+           unchanged ones are only known to be at least that *)
+        proven := Vclock.raise_to !proven !idx v
       done;
-      on_digest t ~sender !clock
+      let t = on_digest t ~sender !clock in
+      note_reported t ~peer:sender (Vclock.merge !proven)
     | Wire.Gossip.Repair_request ->
       let dst = Wire.Decoder.uint dec in
       let origin = Wire.Decoder.uint dec in
@@ -738,6 +806,45 @@ end = struct
       check_replica t "goodbye" sender;
       { t with epoch = max epoch t.epoch; away = Int_set.add sender t.away }
 
+  (* stable(o): the prefix of origin [o]'s stream that we and every peer
+     that has not said goodbye have proven to hold. Nobody can ask for it
+     again, so it leaves the log. Only received inputs move it — never
+     [tick] — so a durable replay rebuilds the same trimmed log. *)
+  let trim t =
+    let stable = Vclock.to_array t.have in
+    Int_map.iter
+      (fun q p ->
+        if not (Int_set.mem q t.away) then
+          for o = 0 to t.n - 1 do
+            let r = Vclock.get p.reported o in
+            if r < stable.(o) then stable.(o) <- r
+          done)
+      t.peers;
+    let t = ref t in
+    for o = 0 to t.contents.n - 1 do
+      let s = stable.(o) in
+      let cur = !t in
+      if s > Vclock.get cur.floor o then begin
+        let m = Option.value (Int_map.find_opt o cur.log) ~default:Int_map.empty in
+        let below, at, above = Int_map.split s m in
+        let kept = match at with Some p -> Int_map.add s p above | None -> above in
+        let count, bytes =
+          Int_map.fold (fun _ p (c, b) -> (c + 1, b + String.length p)) below (0, 0)
+        in
+        t :=
+          {
+            cur with
+            log =
+              (if Int_map.is_empty kept then Int_map.remove o cur.log
+               else Int_map.add o kept cur.log);
+            logged = cur.logged - count;
+            log_bytes = cur.log_bytes - bytes;
+            floor = Vclock.raise_to cur.floor o s;
+          }
+      end
+    done;
+    !t
+
   let receive t ~sender payload =
     check_replica t "sender" sender;
     (* fold the envelope's items in order through the state; [Wire.decode]
@@ -767,7 +874,7 @@ end = struct
         for _ = 1 to count do
           t := receive_item !t ~sender ~v2 dec
         done;
-        !t)
+        trim !t)
 
   let do_op t ~obj op =
     let inner, rval, witness = S.do_op t.inner ~obj op in
@@ -1016,13 +1123,15 @@ end = struct
     Array.length states = 0
     || begin
          let n = states.(0).n in
+         (* every log still holds its stream from its own floor up, so the
+            union is contiguous at least to the highest floor *)
          let reach o =
            let rec go seq =
              if Array.exists (fun t -> log_find t ~origin:o ~seq <> None) states then
                go (seq + 1)
              else seq
            in
-           go 0
+           go (Array.fold_left (fun a t -> max a (Vclock.get t.floor o)) 0 states)
          in
          let target = Array.init n reach in
          Array.for_all

@@ -1,6 +1,7 @@
-(* Protocol-level anti-entropy: the digest/repair transformer, adversarial
-   fault plans, chaos convergence with every loss permanent, and the
-   delta-debugging shrinker. *)
+(* Protocol-level anti-entropy: the digest/repair transformer, the
+   stable-prefix trim of its repair log, adversarial fault plans, chaos
+   convergence with every loss permanent, and the delta-debugging
+   shrinker. *)
 
 open Helpers
 open Haec
@@ -120,6 +121,129 @@ let test_push_backoff_forgiven_on_progress () =
   let a = AE.receive a ~sender:1 d1 in
   Alcotest.(check bool) "digest showing progress resets the backoff" true
     (AE.has_pending a)
+
+(* ---------- the stable-prefix trim ---------- *)
+
+let v2_replicas n =
+  Wire.Version.scoped Wire.Version.V2 (fun () -> Array.init n (fun me -> AE.init ~n ~me))
+
+let write t v =
+  let t, _, _ = AE.do_op t ~obj:0 (Model.Op.Write (vi v)) in
+  AE.send t
+
+let gossip t = AE.send (AE.tick t)
+
+let vclock = Alcotest.testable Vclock.pp Vclock.equal
+
+(* A v2 push credits the peer's view before the frame arrives. The trim
+   must not: the push below is dropped, so the peer never held those
+   payloads, and its later request has to find them in the log. *)
+let test_dropped_push_still_served () =
+  let r = v2_replicas 2 in
+  let a = r.(0) and b = r.(1) in
+  let a, _ = write a 1 in
+  let a, _ = write a 2 in
+  let a, _ = write a 3 in
+  (* all three broadcasts are lost; b's empty digest solicits a push *)
+  let b, d0 = gossip b in
+  let a = AE.receive a ~sender:1 d0 in
+  Alcotest.(check bool) "push queued" true (AE.has_pending a);
+  let a, _lost_push = AE.send a in
+  Alcotest.(check int) "pushed payloads stay logged" 3 (AE.log_entries a);
+  Alcotest.check vclock "nothing is stable" (Vclock.zero ~n:2) (AE.floor a);
+  (* a's digest shows b the gap; b asks, and the ask is answered *)
+  let a, da = gossip a in
+  let b = AE.receive b ~sender:0 da in
+  let b, req = AE.send b in
+  let a = AE.receive a ~sender:1 req in
+  let a, repair = AE.send a in
+  let b = AE.receive b ~sender:0 repair in
+  Alcotest.(check int) "b caught up through its request" 3 (Vclock.get (AE.have b) 0);
+  (* once b's digest proves it, the prefix leaves a's log *)
+  let _, db = gossip b in
+  let a = AE.receive a ~sender:1 db in
+  Alcotest.(check int) "floor raised to what b proved" 3 (Vclock.get (AE.floor a) 0);
+  Alcotest.(check int) "log emptied" 0 (AE.log_entries a);
+  Alcotest.(check int) "log bytes emptied" 0 (AE.log_bytes a)
+
+(* A request that arrives again after the floor passed its [from_seq]
+   asks only for payloads every member holds: the answer starts at the
+   floor and carries just what the requester still lacks. *)
+let test_stale_request_answered_from_floor () =
+  let r = v2_replicas 2 in
+  let a = r.(0) and b = r.(1) in
+  let a, p0 = write a 1 in
+  let a, _lost = write a 2 in
+  let b = AE.receive b ~sender:0 p0 in
+  let a, da = gossip a in
+  let b = AE.receive b ~sender:0 da in
+  let b, req = AE.send b in
+  Alcotest.(check string) "b asks for the missing seq" "request" (Store.Anti_entropy.classify req);
+  let a = AE.receive a ~sender:1 req in
+  let a, repair = AE.send a in
+  let b = AE.receive b ~sender:0 repair in
+  let _, db = gossip b in
+  let a = AE.receive a ~sender:1 db in
+  Alcotest.(check int) "floor at b's proven prefix" 2 (Vclock.get (AE.floor a) 0);
+  let a, _lost = write a 3 in
+  (* the network duplicates the old request *)
+  let a = AE.receive a ~sender:1 req in
+  let _, repair' = AE.send a in
+  Alcotest.(check string) "answered from the floor: one payload, not two" "repair"
+    (Store.Anti_entropy.classify repair');
+  let b = AE.receive b ~sender:0 repair' in
+  Alcotest.(check int) "b has the whole stream" 3 (Vclock.get (AE.have b) 0)
+
+(* [orphans] counts the payloads past the applied prefix, before and
+   after a trim removes the prefix below them. *)
+let test_orphans_exact_across_trim () =
+  let r = v2_replicas 2 in
+  let a = r.(0) and b = r.(1) in
+  let a, p0 = write a 1 in
+  let a, p1 = write a 2 in
+  let _, p2 = write a 3 in
+  let b = AE.receive b ~sender:0 p0 in
+  let b = AE.receive b ~sender:0 p2 in
+  Alcotest.(check int) "seq 0 trimmed" 1 (Vclock.get (AE.floor b) 0);
+  Alcotest.(check int) "seq 2 parked" 1 (AE.orphans b);
+  Alcotest.(check int) "only the orphan is logged" 1 (AE.log_entries b);
+  let b = AE.receive b ~sender:0 p1 in
+  Alcotest.(check int) "gap filled" 3 (Vclock.get (AE.have b) 0);
+  Alcotest.(check int) "floor follows a's contiguous stream" 2 (Vclock.get (AE.floor b) 0);
+  Alcotest.(check int) "no orphans" 0 (AE.orphans b);
+  Alcotest.(check int) "seq 2 still logged" 1 (AE.log_entries b);
+  Alcotest.(check bool) "log bytes are the inner payload's" true
+    (AE.log_bytes b > 0 && AE.log_bytes b < String.length p2)
+
+(* [settled] scans each origin from the highest floor among the given
+   states: below it the union of the logs was trimmed, but every state
+   applied it. Here the survivors sit at different floors and a
+   crash-leaver's lost seq orphans a later one. *)
+let test_settled_across_floors () =
+  let r = v2_replicas 3 in
+  let r0, p0 = write r.(0) 1 in
+  let r2, q0 = write r.(2) 10 in
+  let r2, _q1_lost = write r2 11 in
+  let r2, q2 = write r2 12 in
+  let r1 = AE.receive r.(1) ~sender:0 p0 in
+  let r2 = AE.receive r2 ~sender:0 p0 in
+  let r0 = AE.receive r0 ~sender:2 q0 in
+  let r1 = AE.receive r1 ~sender:2 q0 in
+  let r1 = AE.receive r1 ~sender:2 q2 in
+  (* r2 gossips once and then crash-leaves: it never says goodbye *)
+  let _, d2 = gossip r2 in
+  let r0 = AE.receive r0 ~sender:2 d2 in
+  let r1 = AE.receive r1 ~sender:2 d2 in
+  let r1, d1 = gossip r1 in
+  let r0 = AE.receive r0 ~sender:1 d1 in
+  (* r0's own requests to r2 go nowhere *)
+  let r0, _ = AE.send r0 in
+  Alcotest.check vclock "r0 heard both peers" (Vclock.of_array [| 1; 0; 1 |]) (AE.floor r0);
+  Alcotest.check vclock "r1 never heard r0's digest" (Vclock.of_array [| 1; 0; 0 |]) (AE.floor r1);
+  Alcotest.(check int) "the crash-leaver orphaned seq 2 at r1" 1 (AE.orphans r1);
+  Alcotest.(check bool) "survivors settled" true (AE.settled [| r0; r1 |]);
+  let r0, _ = write r0 2 in
+  Alcotest.(check bool) "an unshared update unsettles them" false (AE.settled [| r0; r1 |])
 
 (* ---------- adversarial fault plans ---------- *)
 
@@ -317,6 +441,162 @@ let test_shrink_none_on_converging_run () =
   Alcotest.(check bool) "nothing to shrink" true
     (Sim.Shrink.minimize ~run ~plan ~steps () = None)
 
+(* ---------- trim safety, after every step ---------- *)
+
+(* The runner's stack with a watch on every transition: after each op,
+   send and receive, no replica's floor may exceed what any current
+   member holds. A member that is down is measured on the state its
+   durable image recovers to; departed ids and unjoined reserves are
+   not members. *)
+module Trim_watch (S : Store.Store_intf.S) = struct
+  module AE = Store.Anti_entropy.Make (S)
+  module DA = Store.Durable.Make (AE)
+
+  let watch : (int -> DA.state -> unit) ref = ref (fun _ _ -> ())
+
+  module W = struct
+    type state = { me : int; d : DA.state }
+
+    let name = DA.name
+    let invisible_reads = DA.invisible_reads
+    let op_driven = DA.op_driven
+    let init ~n ~me = { me; d = DA.init ~n ~me }
+
+    let seen t =
+      !watch t.me t.d;
+      t
+
+    let do_op t ~obj op =
+      let d, rval, w = DA.do_op t.d ~obj op in
+      (seen { t with d }, rval, w)
+
+    let has_pending t = DA.has_pending t.d
+
+    let send t =
+      let d, payload = DA.send t.d in
+      (seen { t with d }, payload)
+
+    let receive t ~sender payload = seen { t with d = DA.receive t.d ~sender payload }
+  end
+
+  module R = Sim.Runner.Make (W)
+
+  let ae (st : W.state) = DA.inner st.W.d
+
+  let hooks =
+    {
+      Sim.Runner.progress = (fun st -> AE.have (ae st));
+      on_join =
+        (fun ~epoch st -> { st with W.d = DA.map_inner (AE.announce_join ~epoch) st.W.d });
+      on_leave =
+        (fun ~epoch ~graceful st ->
+          if graceful then { st with W.d = DA.map_inner (AE.announce_leave ~epoch) st.W.d }
+          else st);
+    }
+
+  (* replays [Chaos.run_plan]'s schedule; returns how many checks saw a
+     non-zero floor *)
+  let run ~mix ~seed =
+    let plan, steps = Sim.Chaos.derive ~mix ~adversarial:true ~churn:true ~seed () in
+    let capacity =
+      match plan.Fault_plan.churn with None -> 3 | Some c -> c.Fault_plan.capacity
+    in
+    let sim =
+      R.create ~seed ~n:capacity ~initial:3 ~hooks ~record_spans:false
+        ~policy:(Sim.Net_policy.random_delay ()) ~faults:plan
+        ~gossip:
+          ( 2.0,
+            (fun st -> { st with W.d = DA.map_inner AE.tick st.W.d }),
+            fun sts -> AE.settled (Array.map ae sts) )
+        ~recover_state:(fun ~replica:_ st -> { st with W.d = DA.recover st.W.d })
+        ()
+    in
+    (* a down member's recovered [have], computed once per crash *)
+    let recovered = Array.make capacity None in
+    let have_of ~me d m =
+      if m = me then AE.have (DA.inner d)
+      else
+        let st = R.replica_state sim m in
+        if not (R.is_down sim ~replica:m) then AE.have (ae st)
+        else
+          match recovered.(m) with
+          | Some (st', h) when st' == st -> h
+          | _ ->
+            let h = AE.have (DA.inner (DA.recover st.W.d)) in
+            recovered.(m) <- Some (st, h);
+            h
+    in
+    let trimmed = ref 0 in
+    (watch :=
+       fun me d ->
+         let members = List.filter (fun m -> R.is_member sim ~replica:m) (List.init capacity Fun.id) in
+         let haves = List.map (fun m -> (m, have_of ~me d m)) members in
+         for r = 0 to capacity - 1 do
+           let floor = AE.floor (if r = me then DA.inner d else ae (R.replica_state sim r)) in
+           if Vclock.sum floor > 0 then incr trimmed;
+           List.iter
+             (fun (m, have) ->
+               if not (Vclock.leq floor have) then
+                 Alcotest.failf "seed %d: replica %d trimmed to %a but member %d holds only %a"
+                   seed r Vclock.pp floor m Vclock.pp have)
+             haves
+         done);
+    let serving r = R.is_serving sim ~replica:r && not (R.is_down sim ~replica:r) in
+    let faults = ref (Fault_plan.events plan) in
+    let rec fire_up_to time =
+      match !faults with
+      | { Fault_plan.at; what } :: rest when at <= time ->
+        faults := rest;
+        R.advance_to sim at;
+        (match what with
+        | `Crash r -> R.crash sim ~replica:r
+        | `Recover r -> R.recover sim ~replica:r
+        | `Join r -> R.join sim ~replica:r
+        | `Leave (r, graceful) -> R.leave sim ~replica:r ~graceful);
+        fire_up_to time
+      | _ -> ()
+    in
+    List.iter
+      (fun (s : Sim.Workload.step) ->
+        fire_up_to s.at;
+        R.advance_to sim s.at;
+        match List.find_opt serving (List.init capacity (fun k -> (s.replica + k) mod capacity)) with
+        | Some replica -> ignore (R.op sim ~replica ~obj:s.obj s.op)
+        | None -> ())
+      steps;
+    fire_up_to plan.Fault_plan.horizon;
+    R.advance_to sim plan.Fault_plan.horizon;
+    (match R.run_until_quiescent ~max_events:200_000 sim with
+    | () -> ()
+    | exception Sim.Runner.Divergence _ -> Alcotest.failf "seed %d: diverged" seed);
+    (* converged: every serving member reads the same value of every object *)
+    let readers = List.filter serving (Sim.Membership.members (R.membership sim)) in
+    for obj = 0 to 1 do
+      match List.map (fun replica -> R.op sim ~replica ~obj Model.Op.Read) readers with
+      | first :: rest ->
+        if not (List.for_all (Model.Op.equal_response first) rest) then
+          Alcotest.failf "seed %d: object %d reads disagree after quiescence" seed obj
+      | [] -> ()
+    done;
+    watch := (fun _ _ -> ());
+    (!trimmed, R.stats sim)
+end
+
+let trim_safety (module S : Store.Store_intf.S) ~mix () =
+  let module T = Trim_watch (S) in
+  let trimmed = ref 0 and crashes = ref 0 and joins = ref 0 and leaves = ref 0 in
+  List.iter
+    (fun seed ->
+      let t, st = T.run ~mix ~seed in
+      trimmed := !trimmed + t;
+      crashes := !crashes + st.Sim.Runner.crashes;
+      joins := !joins + st.Sim.Runner.joins;
+      leaves := !leaves + st.Sim.Runner.leaves)
+    (seeds 1 24);
+  Alcotest.(check bool) "floors rose" true (!trimmed > 0);
+  Alcotest.(check bool) "crashes, joins and leaves exercised" true
+    (!crashes > 0 && !joins > 0 && !leaves > 0)
+
 let suite =
   ( "anti-entropy",
     [
@@ -345,4 +625,18 @@ let suite =
       tc "shrink minimizes an occ failure to <= 10 ops" test_shrink_minimizes;
       tc "shrink bit-identical across domain counts" test_shrink_parallel_deterministic;
       tc "shrink returns None when the run converges" test_shrink_none_on_converging_run;
+      tc "trim: a dropped push is still served to a request"
+        test_dropped_push_still_served;
+      tc "trim: a stale request is answered from the floor"
+        test_stale_request_answered_from_floor;
+      tc "trim: orphans stay exact" test_orphans_exact_across_trim;
+      tc "trim: settled across floors and a crash-leaver" test_settled_across_floors;
+      tc "trim safety: causal MVR, 24 churn seeds"
+        (trim_safety (module Store.Causal_mvr_store) ~mix:Sim.Workload.register_mix);
+      tc "trim safety: OR-set, 24 churn seeds"
+        (trim_safety (module Store.Causal_orset_store) ~mix:Sim.Workload.orset_mix);
+      tc "trim safety: LWW, 24 churn seeds"
+        (trim_safety (module Store.Lww_store) ~mix:Sim.Workload.register_mix);
+      tc "trim safety: COPS, 24 churn seeds"
+        (trim_safety (module Store.Cops_store) ~mix:Sim.Workload.register_mix);
     ] )

@@ -650,6 +650,25 @@ let test_durable_stack_recover_roundtrip () =
   (* a volatile stack's recover is the identity and it says so *)
   Alcotest.(check bool) "volatile stack is not durable" false Stack.durable
 
+(* The simulator and the live cluster publish the repair log under the
+   same gauge names, each summed over the members at the end of the run. *)
+let test_log_gauges_named_alike () =
+  let module Chaos = Sim.Chaos.Make (Store.Causal_mvr_store) in
+  let sim = (Chaos.run ~seed:1 ()).Sim.Chaos.metrics in
+  let live = (C.run_inline ~ops_per_replica:40 inline_cfg).Cluster.registry in
+  let gauges reg =
+    List.filter_map
+      (fun (name, m) ->
+        match m with
+        | Metrics.Registry.Gauge _ when String.starts_with ~prefix:"ae.log_" name -> Some name
+        | _ -> None)
+      (Metrics.Registry.to_list reg)
+    |> List.sort compare
+  in
+  Alcotest.(check (list string)) "sim log gauges" [ "ae.log_bytes"; "ae.log_entries" ]
+    (gauges sim);
+  Alcotest.(check (list string)) "live log gauges" (gauges sim) (gauges live)
+
 let suite =
   ( "live",
     [
@@ -703,4 +722,6 @@ let suite =
         test_live_crash_plan_requires_durable_stack;
       Alcotest.test_case "live: durable stack recover roundtrip" `Quick
         test_durable_stack_recover_roundtrip;
+      Alcotest.test_case "telemetry: sim and live name the log gauges alike"
+        `Quick test_log_gauges_named_alike;
     ] )

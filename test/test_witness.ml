@@ -233,7 +233,11 @@ let sim_equivalence (module S : Store_intf.S) ~mix () =
    histogram) recorded with the full-list assembly, before the delta
    recorder: the span stream is unchanged event for event, not only its
    Visible spans. A deliberate change to spans, fault plans or stores
-   moves these; regenerate them then. *)
+   moves these; regenerate them then. The span fingerprints of three runs
+   were regenerated when the anti-entropy log began trimming at the
+   stable prefix: a request or push below the floor is answered from the
+   floor, so twelve repair Transmit spans carry fewer payloads; every
+   other span, the vis pairs and the lag histogram are unchanged. *)
 let golden () =
   let module D = Drive (Store.Causal_mvr_store) in
   List.iter
@@ -245,11 +249,11 @@ let golden () =
       Alcotest.(check string) (name ^ ": spans") spans (md5 (D.R.spans sim));
       Alcotest.(check string) (name ^ ": lag") lag (md5 (D.R.visibility_lag sim)))
     [
-      ( false, 1, "fcd59c664ba3b40857a14b3442426958", "a965f9fbfb121f72cf3ed77dbba3de77",
+      ( false, 1, "fcd59c664ba3b40857a14b3442426958", "473f3c124a54f2d630a47f609cbda036",
         "9612d7b16a07e55ea5aa8f1df761f29d" );
-      ( true, 1, "05738b7c7799ec36ed894261f3e92efd", "4cb74f39355f3598f6ea2448ebba097f",
+      ( true, 1, "05738b7c7799ec36ed894261f3e92efd", "378b074d2c944912dc2caa3f921bf643",
         "21e571959a0acd14289374ac15d2607c" );
-      ( false, 2, "9f87975fbff620ef31259a9c51fb0ba3", "341fc550b1feba56f6468917228f26cc",
+      ( false, 2, "9f87975fbff620ef31259a9c51fb0ba3", "b06a572b9404b9fb8a6a55798f4cff55",
         "953ac0060f4bad77586f8e9e4e801c33" );
       ( true, 2, "38e81d91c0b09264608e4822b431d566", "ce094675d53ffcc993ed2e4581a02d01",
         "8f41ac2a4bb43116858b9643accb4e1c" );
