@@ -131,6 +131,21 @@ let bench_spec_check =
   Test.make ~name:"spec/check-correct"
     (Staged.stage (fun () -> Spec.Spec.is_correct ~spec_of:(fun _ -> Spec.Spec.mvr) witness))
 
+(* The same witness through the online checker: both verdicts (the raw
+   witness and its closure) from its deltas, derived once up front as a
+   recording runner would have delivered them. *)
+let bench_spec_check_online =
+  let _, witness = sample_exec in
+  let n = Spec.Abstract.n_replicas witness in
+  let deltas = ref [] in
+  Consistency.Online.iter_deltas witness (fun d delta -> deltas := (d, delta) :: !deltas);
+  let deltas = List.rev !deltas in
+  Test.make ~name:"spec/check-online"
+    (Staged.stage (fun () ->
+         let t = Consistency.Online.create ~n ~spec_of:(fun _ -> Spec.Spec.mvr) in
+         List.iter (fun (d, delta) -> Consistency.Online.feed t d delta) deltas;
+         (Consistency.Online.correct t, Consistency.Online.causal t)))
+
 let occ_sample = Construction.Occ_gen.planted (Util.Rng.create 6) ~n:4 ~groups:4 ~readers:2 ()
 
 let bench_occ_check =
@@ -235,6 +250,7 @@ let tests =
       bench_orset_remove;
       bench_hb_compute;
       bench_spec_check;
+      bench_spec_check_online;
       bench_occ_check;
       bench_theorem6;
       bench_search;

@@ -66,6 +66,7 @@ module Consistency = struct
   module Session = Haec_consistency.Session
   module Causal_hist = Haec_consistency.Causal_hist
   module Search = Haec_consistency.Search
+  module Online = Haec_consistency.Online
 end
 
 module Store = struct

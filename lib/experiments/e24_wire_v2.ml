@@ -92,7 +92,7 @@ let counter metrics name =
   | Some (Obs.Metrics.Registry.Counter c) -> Obs.Metrics.Counter.value c
   | Some _ | None -> 0
 
-type ae = { conv : int; digest : int; repair : int; deltas : int; elided : int }
+type ae = { conv : int; digest : int; repair : int; deltas : int; elided : int; lat : float }
 
 let ae_probe version (module S : Store.Store_intf.S) require spec mix =
   let module C = Sim.Chaos.Make (S) in
@@ -110,8 +110,9 @@ let ae_probe version (module S : Store.Store_intf.S) require spec mix =
             repair = a.repair + counter m "gossip.repair_bytes";
             deltas = a.deltas + counter m "gossip.digest_deltas";
             elided = a.elided + counter m "gossip.digests_elided";
+            lat = a.lat +. (o.Sim.Chaos.quiesced_at -. o.Sim.Chaos.horizon);
           })
-        { conv = 0; digest = 0; repair = 0; deltas = 0; elided = 0 }
+        { conv = 0; digest = 0; repair = 0; deltas = 0; elided = 0; lat = 0.0 }
         outcomes)
 
 let a_converged a = a.conv = List.length seeds
@@ -132,6 +133,9 @@ let ae_rows label (module S : Store.Store_intf.S) require spec mix =
       string_of_int a.deltas;
       string_of_int a.elided;
       Tables.f1 (per_op a);
+      (* mean simulated time from the last heal to quiescence, the
+         bench's sim.repair_latency *)
+      Tables.f2 (a.lat /. float_of_int runs);
       smaller;
     ]
   in
@@ -175,7 +179,7 @@ let run ppf =
     ~header:
       [
         "store"; "wire"; "converged"; "digest B"; "repair B"; "deltas"; "elided";
-        "gossip B/op"; "bytes < v1";
+        "gossip B/op"; "repair lat"; "bytes < v1";
       ]
     b_rows;
   Tables.note ppf
@@ -197,6 +201,10 @@ let run ppf =
   Tables.note ppf
     "per-origin runs, cutting digest+repair gossip bytes on identical fault";
   Tables.note ppf
-    "schedules with convergence intact. Reproduce: haec_cli chaos --wire v1";
+    "schedules with convergence intact. \"repair lat\" is the mean simulated";
+  Tables.note ppf
+    "time from the last heal to quiescence (the bench's sim.repair_latency).";
+  Tables.note ppf
+    "Reproduce: haec_cli chaos --wire v1";
   Tables.note ppf
     "--adversarial (then --wire v2, same seeds)."

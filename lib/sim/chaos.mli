@@ -7,8 +7,11 @@
     deliveries, and their clients, who fail over to a live replica), links
     drop traffic until they heal, and payloads get corrupted at the byte
     level. After the horizon — when every fault has healed — the run is
-    driven to quiescence, {!Checks.validate} runs in full, and every check
-    the store class is on the hook for (see {!level}) must pass:
+    driven to quiescence, every check of {!Checks.report} runs (through
+    {!Checks.validate_online}: [correct] and [causal] online from the
+    witness deltas, the rest as {!Checks.validate} computes them), and
+    every check the store class is on the hook for (see {!level}) must
+    pass:
     convergence survived the faults, corruption never got past the frame
     checksum, and recovery replayed every durable update.
 
@@ -73,6 +76,10 @@ type outcome = {
   result : (Checks.report, string) result;
       (** [Error] when the run diverged instead of reaching quiescence *)
 }
+
+val required : level -> string list
+(** The {!Checks.failures} names a store at this level is on the hook
+    for. *)
 
 val converged : outcome -> bool
 (** The run quiesced and every required check passed. *)

@@ -889,4 +889,8 @@ module Make (S : Haec_store.Store_intf.S) = struct
   let witness_abstract t =
     if not t.record_witness then failwith "Runner.witness_abstract: recording disabled";
     Witness.abstract t.wit ~n:t.n
+
+  let witness_deltas t f =
+    if not t.record_witness then failwith "Runner.witness_deltas: recording disabled";
+    Witness.iter t.wit f
   end

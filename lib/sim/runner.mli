@@ -278,4 +278,9 @@ module Make (S : Haec_store.Store_intf.S) : sig
   (** The witness abstract execution of the run so far, built from the
       recorded deltas (see the module comment) and validity-checked.
       Raises [Failure] if witness recording was disabled. *)
+
+  val witness_deltas : t -> (Event.do_event -> int list -> unit) -> unit
+  (** The same witness as its deltas in [H] order ({!Witness.iter}), the
+      input of {!Haec_consistency.Online.feed}. Raises [Failure] if
+      witness recording was disabled. *)
 end

@@ -34,11 +34,11 @@ let fresh seen ~obj (w : Store_intf.witness) =
 type t = {
   pos : int Key_tbl.t;  (* (obj, self dot) -> do index *)
   mutable dos : Event.do_event array;  (* growable; [len] used *)
+  mutable deltas : int list array;  (* do index -> the earlier events it newly sees *)
   mutable len : int;
-  mutable vis : (int * int) list;
 }
 
-let create () = { pos = Key_tbl.create 256; dos = [||]; len = 0; vis = [] }
+let create () = { pos = Key_tbl.create 256; dos = [||]; deltas = [||]; len = 0 }
 
 let event t i =
   if i < 0 || i >= t.len then invalid_arg "Witness.event: index out of range";
@@ -48,21 +48,37 @@ let no_callback (_ : int) (_ : int) = ()
 
 let record t ?(on_new = no_callback) (d : Event.do_event) (w : Store_intf.witness) =
   let j = t.len in
-  List.iter
-    (fun ((obj, _) as key) ->
-      match Key_tbl.find_opt t.pos key with
-      | Some i ->
-        t.vis <- (i, j) :: t.vis;
-        on_new i obj
-      | None -> ())
-    w.visible;
+  let delta =
+    List.fold_left
+      (fun acc ((obj, _) as key) ->
+        match Key_tbl.find_opt t.pos key with
+        | Some i ->
+          on_new i obj;
+          i :: acc
+        | None -> acc)
+      [] w.visible
+  in
   (match w.self with Some dot -> Key_tbl.replace t.pos (d.Event.obj, dot) j | None -> ());
   if j = Array.length t.dos then begin
-    let grown = Array.make (max 64 (2 * j)) d in
+    let cap = max 64 (2 * j) in
+    let grown = Array.make cap d and grown_deltas = Array.make cap [] in
     Array.blit t.dos 0 grown 0 j;
-    t.dos <- grown
+    Array.blit t.deltas 0 grown_deltas 0 j;
+    t.dos <- grown;
+    t.deltas <- grown_deltas
   end;
   t.dos.(j) <- d;
+  t.deltas.(j) <- delta;
   t.len <- j + 1
 
-let abstract t ~n = Haec_spec.Abstract.create ~n (Array.sub t.dos 0 t.len) ~vis:t.vis
+let iter t f =
+  for j = 0 to t.len - 1 do
+    f t.dos.(j) t.deltas.(j)
+  done
+
+let abstract t ~n =
+  let vis = ref [] in
+  for j = t.len - 1 downto 0 do
+    List.iter (fun i -> vis := (i, j) :: !vis) t.deltas.(j)
+  done;
+  Haec_spec.Abstract.create ~n (Array.sub t.dos 0 t.len) ~vis:!vis

@@ -62,6 +62,12 @@ val record :
 val event : t -> int -> Event.do_event
 (** The [i]th recorded do event. *)
 
+val iter : t -> (Event.do_event -> int list -> unit) -> unit
+(** [iter t f] calls [f d delta] for every recorded do event in [H]
+    order, where [delta] holds the indices of the earlier do events its
+    {!fresh} delta resolved to, in no particular order: the input
+    {!Haec_consistency.Online.feed} takes. *)
+
 val abstract : t -> n:int -> Haec_spec.Abstract.t
 (** The witness abstract execution over the recorded do events
     ({!Haec_spec.Abstract.create}, validity checked). *)

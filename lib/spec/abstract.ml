@@ -39,9 +39,9 @@ let check_valid t =
   try
     for j = 0 to len - 1 do
       (* (3) vis respects H order; no self-visibility. *)
-      Bitset.iter t.rows.(j) (fun i ->
-          if i >= j then
-            raise (Bad (Printf.sprintf "vis (%d,%d) does not respect H order" i j)));
+      (match Bitset.min_elt_from t.rows.(j) j with
+      | Some i -> raise (Bad (Printf.sprintf "vis (%d,%d) does not respect H order" i j))
+      | None -> ());
       let r = t.h.(j).Event.replica in
       (match Hashtbl.find_opt last_at r with
       | Some i ->
@@ -170,16 +170,29 @@ let transitive_closure t =
   let rows = Array.map Bitset.copy t.rows in
   (* Events are topologically ordered by H (vis respects H order), so one
      ascending pass computes the closure: every row below [j] is closed
-     when [j] is reached. Scanning [j]'s predecessors newest first, a
-     predecessor already inside a closed row unioned earlier adds nothing,
-     so only the frontier is unioned. *)
+     when [j] is reached. By condition (1) the previous event [p] at
+     [j]'s replica is in [j]'s row, so [p] and its closed row are in
+     [j]'s closure, and so is the closed row of every member of it. Only
+     the members of [j]'s row outside it are visited, newest first: one
+     already inside a closed row unioned earlier adds nothing. *)
+  let last_at = Hashtbl.create 8 in
+  let fresh = Bitset.create len in
   for j = 0 to len - 1 do
-    let reached = Bitset.create len in
-    for i = j - 1 downto 0 do
-      if Bitset.get t.rows.(j) i && not (Bitset.get reached i) then
-        Bitset.union_into ~dst:reached rows.(i)
-    done;
-    Bitset.union_into ~dst:rows.(j) reached
+    let r = t.h.(j).Event.replica in
+    Bitset.copy_into ~dst:fresh t.rows.(j);
+    let reached =
+      match Hashtbl.find_opt last_at r with
+      | Some p when Bitset.get t.rows.(j) p ->
+        let reached = Bitset.copy rows.(p) in
+        Bitset.set reached p;
+        Bitset.diff_into ~dst:fresh reached;
+        reached
+      | Some _ | None -> Bitset.create len
+    in
+    Bitset.iter_rev fresh (fun i ->
+        if not (Bitset.get reached i) then Bitset.union_into ~dst:reached rows.(i));
+    Bitset.union_into ~dst:rows.(j) reached;
+    Hashtbl.replace last_at r j
   done;
   { t with rows }
 

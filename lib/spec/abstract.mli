@@ -68,10 +68,11 @@ val is_transitive : t -> bool
 val transitive_closure : t -> t
 (** Same [H], vis replaced by its transitive closure.
 
-    Cost: one ascending pass over [H]. Each of the [N] rows scans its
-    predecessors newest first (O(N) bit tests) and unions only its
-    frontier — the predecessors no closed row unioned earlier already
-    reaches — at O(N/63) words per union. *)
+    Cost: one ascending pass over [H]. Each of the [N] rows starts from
+    the closed row of its replica's previous event and visits only the
+    members outside it (for a witness, about its delta), newest first,
+    unioning the closed row of each not yet reached, at O(N/63) words
+    per union. *)
 
 val add_vis : t -> (int * int) list -> t
 (** A copy with additional visibility edges (re-validated). *)

@@ -1,16 +1,20 @@
 open Haec_util
 open Haec_model
 
+type shape = Register | Mvr | Orset | Counter
+
 type t = {
   name : string;
   apply : ctx:Abstract.t -> target:int -> Op.response;
+  shape : shape;
 }
 
 (* All update operations return Ok in every Figure 1 specification; only
    reads consult the context. *)
-let on_read name read =
+let on_read name shape read =
   {
     name;
+    shape;
     apply =
       (fun ~ctx ~target ->
         match (Abstract.event ctx target).Event.op with
@@ -19,7 +23,7 @@ let on_read name read =
   }
 
 let rw_register =
-  on_read "rw-register" (fun ctx target ->
+  on_read "rw-register" Register (fun ctx target ->
       (* the last write event in H' *)
       let rec last_write i =
         if i < 0 then Op.vals []
@@ -36,7 +40,7 @@ let rw_register =
    that union, in O(m) row unions rather than O(m²) vis tests. *)
 
 let mvr =
-  on_read "mvr" (fun ctx target ->
+  on_read "mvr" Mvr (fun ctx target ->
       let dominated = Bitset.create (Abstract.length ctx) in
       for e = 0 to target - 1 do
         match (Abstract.event ctx e).Event.op with
@@ -52,7 +56,7 @@ let mvr =
       Op.vals !values)
 
 let orset =
-  on_read "orset" (fun ctx target ->
+  on_read "orset" Orset (fun ctx target ->
       (* per removed value, the adds visible to one of its removes *)
       let removed = Hashtbl.create 8 in
       for e = 0 to target - 1 do
@@ -79,7 +83,7 @@ let orset =
       Op.vals !values)
 
 let counter =
-  on_read "counter" (fun ctx target ->
+  on_read "counter" Counter (fun ctx target ->
       let total = ref 0 in
       for e1 = 0 to target - 1 do
         match (Abstract.event ctx e1).Event.op with
@@ -93,14 +97,14 @@ let response_in spec a e =
   let ctx, target = Abstract.context a e in
   spec.apply ~ctx ~target
 
+let mismatch e d ~expected =
+  Format.asprintf "event %d (%a): expected %a, recorded %a" e Event.pp_do d
+    Op.pp_response expected Op.pp_response d.Event.rval
+
 let check_event spec a e =
   let expected = response_in spec a e in
-  let actual = (Abstract.event a e).Event.rval in
-  if Op.equal_response expected actual then Ok ()
-  else
-    Error
-      (Format.asprintf "event %d (%a): expected %a, recorded %a" e Event.pp_do
-         (Abstract.event a e) Op.pp_response expected Op.pp_response actual)
+  let d = Abstract.event a e in
+  if Op.equal_response expected d.Event.rval then Ok () else Error (mismatch e d ~expected)
 
 let check_correct ~spec_of a =
   let rec go e =

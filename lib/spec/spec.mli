@@ -8,12 +8,21 @@
 
 open Haec_model
 
+(** Which Figure 1 object a specification describes. The batch checkers
+    only ever call [apply]; the online checker
+    ({!Haec_consistency.Online}) folds each shape incrementally instead,
+    so it dispatches on this and never calls [apply]. *)
+type shape = Register | Mvr | Orset | Counter
+
 type t = {
   name : string;
   apply : ctx:Abstract.t -> target:int -> Op.response;
       (** [apply ~ctx ~target] computes [f_o(ctxt)] where [ctx] is the
           operation-context abstract execution and [target] the index of the
           operation being specified within it (always the last event). *)
+  shape : shape;
+      (** the specification [apply] implements; a wrapper that only
+          instruments [apply] keeps it *)
 }
 
 val rw_register : t
@@ -38,6 +47,10 @@ val response_in : t -> Abstract.t -> int -> Op.response
 
 val check_event : t -> Abstract.t -> int -> (unit, string) result
 (** Does event [e]'s recorded response match the specification? *)
+
+val mismatch : int -> Event.do_event -> expected:Op.response -> string
+(** [mismatch e d ~expected]: the message {!check_event} reports when
+    event [e] (the do event [d]) recorded [d.rval] instead of [expected]. *)
 
 val check_correct : spec_of:(int -> t) -> Abstract.t -> (unit, string) result
 (** Correctness (Definition 8): every event's response matches the

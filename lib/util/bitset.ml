@@ -55,6 +55,12 @@ let inter_into ~dst src =
     dst.words.(w) <- dst.words.(w) land src.words.(w)
   done
 
+let diff_into ~dst src =
+  if dst.cap <> src.cap then invalid_arg "Bitset.diff_into: capacity mismatch";
+  for w = 0 to Array.length dst.words - 1 do
+    dst.words.(w) <- dst.words.(w) land lnot src.words.(w)
+  done
+
 let intersects a b =
   if a.cap <> b.cap then invalid_arg "Bitset.intersects: capacity mismatch";
   let hit = ref false in
@@ -115,11 +121,33 @@ let min_elt t =
   in
   word 0
 
+let min_elt_from t i =
+  let n = Array.length t.words in
+  let rec word w mask =
+    if w >= n then None
+    else
+      let x = t.words.(w) land mask in
+      if x = 0 then word (w + 1) (-1)
+      else
+        let rec bit b = if x land (1 lsl b) <> 0 then Some ((w * 63) + b) else bit (b + 1) in
+        bit 0
+  in
+  if i <= 0 then word 0 (-1) else word (i / 63) (-1 lsl (i mod 63))
+
 let iter t f =
   for w = 0 to Array.length t.words - 1 do
     let word = t.words.(w) in
     if word <> 0 then
       for b = 0 to 62 do
+        if word land (1 lsl b) <> 0 then f ((w * 63) + b)
+      done
+  done
+
+let iter_rev t f =
+  for w = Array.length t.words - 1 downto 0 do
+    let word = t.words.(w) in
+    if word <> 0 then
+      for b = 62 downto 0 do
         if word land (1 lsl b) <> 0 then f ((w * 63) + b)
       done
   done

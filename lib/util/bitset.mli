@@ -34,6 +34,10 @@ val copy_into : dst:t -> t -> unit
 val inter_into : dst:t -> t -> unit
 (** [inter_into ~dst src] ands [src] into [dst]. Requires equal capacity. *)
 
+val diff_into : dst:t -> t -> unit
+(** [diff_into ~dst src] clears in [dst] every bit set in [src].
+    Requires equal capacity. *)
+
 val intersects : t -> t -> bool
 (** Whether the two sets share any element, word-parallel. *)
 
@@ -53,8 +57,15 @@ val is_empty : t -> bool
 val min_elt : t -> int option
 (** Smallest element, if any. *)
 
+val min_elt_from : t -> int -> int option
+(** [min_elt_from t i]: the smallest element [>= i], if any, found a
+    word at a time. *)
+
 val iter : t -> (int -> unit) -> unit
 (** Calls the function on each set bit, ascending. *)
+
+val iter_rev : t -> (int -> unit) -> unit
+(** Calls the function on each set bit, descending. *)
 
 val fold : t -> init:'a -> f:('a -> int -> 'a) -> 'a
 

@@ -45,3 +45,25 @@ let tc name f = Alcotest.test_case name `Quick f
 let check_ok name = function
   | Ok () -> ()
   | Error m -> Alcotest.failf "%s: %s" name m
+
+(* The batch verdicts [Consistency.Online.check] must reproduce exactly. *)
+let batch_verdicts ~spec_of a =
+  ( Specf.check_correct ~spec_of a,
+    match Specf.check_correct ~spec_of (Abstract.transitive_closure a) with
+    | Ok () -> Ok ()
+    | Error m -> Error ("closed witness incorrect: " ^ m) )
+
+(* The same execution with one event's response replaced by a different
+   one. *)
+let perturb_response rng a =
+  let h = Abstract.events a in
+  let e = Rng.int rng (Array.length h) in
+  let d = h.(e) in
+  let rval =
+    match d.Event.rval with
+    | Op.Ok -> Op.vals []
+    | Op.Vals [] -> Op.vals [ vi 999 ]
+    | Op.Vals (_ :: rest) -> if Rng.bool rng then Op.Vals rest else Op.Ok
+  in
+  h.(e) <- { d with Event.rval };
+  Abstract.create ~n:(Abstract.n_replicas a) h ~vis:(Abstract.vis_pairs a)

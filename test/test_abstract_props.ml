@@ -8,10 +8,10 @@ module Op = Model.Op
 
 (* random valid abstract execution from a seed: register writes and reads,
    or with [~set:true] adds, removes and reads over a small value pool *)
-let random_ae ?(set = false) seed =
+let random_ae ?(set = false) ?(max_len = 8) seed =
   let rng = Rng.create seed in
   let n = 2 + Rng.int rng 3 in
-  let len = 3 + Rng.int rng 8 in
+  let len = 3 + Rng.int rng max_len in
   let counter = ref 0 in
   let h =
     Array.init len (fun _ ->
@@ -475,6 +475,39 @@ let test_render_execution () =
   Alcotest.(check bool) "message edge drawn" true
     (contains dot "color=red")
 
+(* ---------- the online checker against the batch checks ---------- *)
+
+module Online = Consistency.Online
+
+let specs = [ Specf.rw_register; Specf.mvr; Specf.orset; Specf.counter ]
+
+let online_agrees ~spec_of a =
+  let online = Online.check ~spec_of a and expected = batch_verdicts ~spec_of a in
+  if online <> expected then begin
+    let show = function Ok () -> "ok" | Error m -> m in
+    QCheck2.Test.fail_reportf "online (%s | %s) vs batch (%s | %s) on@.%a"
+      (show (fst online)) (show (snd online)) (show (fst expected)) (show (snd expected))
+      A.pp a
+  end;
+  true
+
+let prop_online_matches_batch =
+  q ~count:300 "online correct/causal verdicts equal the batch checks" seed_gen (fun seed ->
+      let rng = Rng.create (seed + 7) in
+      List.for_all
+        (fun (set, max_len) ->
+          let a = random_ae ~set ~max_len seed in
+          (* every shape alone, and all four side by side on three objects *)
+          let mixed o = List.nth specs (o mod 4) in
+          List.for_all
+            (fun spec_of ->
+              let derived = Specf.with_correct_responses ~spec_of a in
+              List.for_all
+                (fun x -> online_agrees ~spec_of x && online_agrees ~spec_of (A.transitive_closure x))
+                [ derived; perturb_response rng derived ])
+            (mixed :: List.map (fun s _ -> s) specs))
+        [ (false, 8); (true, 8); (false, 40); (true, 40) ])
+
 (* ---------- soak: larger randomized runs ---------- *)
 
 let soak (name, run) = tc ("soak: " ^ name) run
@@ -536,4 +569,5 @@ let suite =
       prop_occ_matches_reference;
       tc "OCC matches its reference on adversarial anti-entropy runs"
         test_occ_matches_reference_on_adversarial_runs;
+      prop_online_matches_batch;
     ] )

@@ -275,6 +275,84 @@ let live_equivalence (module S : Store_intf.S) ~mix () =
         (Abstract.vis_pairs expected) (Abstract.vis_pairs wit))
     [ 1; 2; 3 ]
 
+(* ---------- the online checker on recorded deltas ---------- *)
+
+module Checks = Sim.Checks
+module Online = Consistency.Online
+
+let failures = Alcotest.(list (pair string string))
+
+(* [Checks.validate_online] must equal [Checks.validate] field by field;
+   a report's failures list names every field that is not [Ok], with its
+   message, so equal lists are equal reports. Also compared per chaos
+   level, as [Chaos.failures] filters them. *)
+let same_report name ~online ~batch =
+  Alcotest.check failures name (Checks.failures batch) (Checks.failures online);
+  List.iter
+    (fun level ->
+      let keep r = List.filter (fun (c, _) -> List.mem c (Sim.Chaos.required level)) (Checks.failures r) in
+      Alcotest.check failures name (keep batch) (keep online))
+    [ `Converge; `Correct; `Causal; `Occ ]
+
+let online_on_chaos (module S : Store_intf.S) ~mix ~spec () =
+  let module D = Drive (S) in
+  let spec_of _ = spec in
+  let verdicts = ref [] in
+  for seed = 1 to 12 do
+    let sim = D.run ~mix ~churn:false ~spans:false ~seed in
+    let exec = D.R.execution sim and wit = D.R.witness_abstract sim in
+    let batch = Checks.validate ~spec_of exec wit in
+    let name = Printf.sprintf "%s seed %d" S.name seed in
+    same_report name ~batch
+      ~online:(Checks.validate_online ~spec_of exec wit ~deltas:(D.R.witness_deltas sim));
+    same_report (name ^ " (deltas from rows)") ~batch
+      ~online:(Checks.validate_online ~spec_of exec wit ~deltas:(Online.iter_deltas wit));
+    verdicts := (batch.Checks.correct, batch.Checks.causal) :: !verdicts
+  done;
+  !verdicts
+
+let online_chaos_stores () =
+  let runs =
+    List.concat_map
+      (fun (store, mix, spec) -> online_on_chaos store ~mix ~spec ())
+      [
+        ((module Store.Mvr_store : Store_intf.S), Sim.Workload.register_mix, Spec.Spec.mvr);
+        ((module Store.Causal_mvr_store), Sim.Workload.register_mix, Spec.Spec.mvr);
+        ((module Store.Orset_store), Sim.Workload.orset_mix, Spec.Spec.orset);
+        ((module Store.Lww_store), Sim.Workload.register_mix, Spec.Spec.rw_register);
+        ((module Store.Delayed_store.K3), Sim.Workload.register_mix, Spec.Spec.mvr);
+      ]
+  in
+  (* both verdicts of both checks must occur, or the comparison is idle *)
+  let has p = List.exists p runs in
+  Alcotest.(check bool) "some run correct" true (has (fun (c, _) -> Result.is_ok c));
+  Alcotest.(check bool) "some run incorrect" true (has (fun (c, _) -> Result.is_error c));
+  Alcotest.(check bool) "some run causal" true (has (fun (_, c) -> Result.is_ok c));
+  Alcotest.(check bool) "some run not causal" true (has (fun (_, c) -> Result.is_error c))
+
+let online_occ_gen () =
+  let rng = Util.Rng.create 17 in
+  for k = 1 to 20 do
+    let a = Construction.Occ_gen.generate rng ~n:(3 + (k mod 3)) ~size_hint:(10 + k) in
+    List.iter
+      (fun (what, a) ->
+        let spec_of _ = Spec.Spec.mvr in
+        if Online.check ~spec_of a <> Helpers.batch_verdicts ~spec_of a then
+          Alcotest.failf "Occ_gen execution %d (%s): online and batch verdicts differ" k what)
+      [ ("as generated", a); ("perturbed", Helpers.perturb_response rng a) ]
+  done
+
+let online_run_inline () =
+  let module C = Live.Cluster.Make (Live.Stack.Volatile (Store.Causal_mvr_store)) in
+  let cfg =
+    { Live.Cluster.default with replicas = 3; seed = 4; objects = 16; zipf = 0.99;
+      mix = Live.Load.register_mix }
+  in
+  let r = C.run_inline ~ops_per_replica:80 cfg in
+  let exec = Option.get r.Live.Cluster.trace and wit = Option.get r.Live.Cluster.witness in
+  same_report "run_inline capture" ~batch:(Checks.validate exec wit)
+    ~online:(Checks.validate_online exec wit ~deltas:(Online.iter_deltas wit))
+
 let store name (module S : Store_intf.S) ~mix =
   Alcotest.test_case ("sim: " ^ name ^ " deltas match the full-list assembly") `Quick
     (sim_equivalence (module S) ~mix)
@@ -293,4 +371,10 @@ let suite =
           live_equivalence (module Store.Causal_mvr_store) ~mix:Live.Load.register_mix ();
           live_equivalence (module Store.Causal_orset_store) ~mix:Live.Load.orset_mix ();
           live_equivalence (module Store.Cops_store) ~mix:Live.Load.register_mix ());
+      Alcotest.test_case "online: chaos-schedule runs give the batch reports" `Quick
+        online_chaos_stores;
+      Alcotest.test_case "online: Occ_gen executions give the batch verdicts" `Quick
+        online_occ_gen;
+      Alcotest.test_case "online: a run_inline capture gives the batch report" `Quick
+        online_run_inline;
     ] )
