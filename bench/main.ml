@@ -146,6 +146,15 @@ let bench_spec_check_online =
          List.iter (fun (d, delta) -> Consistency.Online.feed t d delta) deltas;
          (Consistency.Online.correct t, Consistency.Online.causal t)))
 
+(* The whole report on the same witness, as [audit] and [serve --check]
+   compute it: deltas derived from the witness rows, both verdicts
+   online, and the four other checks. *)
+let bench_spec_validate =
+  let exec, witness = sample_exec in
+  Test.make ~name:"spec/validate"
+    (Staged.stage (fun () ->
+         Sim.Checks.validate ~spec_of:(fun _ -> Spec.Spec.mvr) exec witness))
+
 let occ_sample = Construction.Occ_gen.planted (Util.Rng.create 6) ~n:4 ~groups:4 ~readers:2 ()
 
 let bench_occ_check =
@@ -251,6 +260,7 @@ let tests =
       bench_hb_compute;
       bench_spec_check;
       bench_spec_check_online;
+      bench_spec_validate;
       bench_occ_check;
       bench_theorem6;
       bench_search;

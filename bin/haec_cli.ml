@@ -224,7 +224,9 @@ let simulate_store (type a) (module S : Store.Store_intf.S with type state = a) 
     Format.printf "runner stats: crashes=%d recoveries=%d dropped=%d corrupt_rejected=%d@."
       st.Sim.Runner.crashes st.Sim.Runner.recoveries st.Sim.Runner.dropped
       st.Sim.Runner.corrupt_rejected;
-  let report = Sim.Checks.validate ~quiescent_at exec (R.witness_abstract sim) in
+  let report =
+    Sim.Checks.validate ~quiescent_at ~deltas:(R.witness_deltas sim) exec (R.witness_abstract sim)
+  in
   Format.printf "checks: %a@." Sim.Checks.pp_report report;
   let session = Consistency.Session.check (R.witness_abstract sim) in
   Format.printf "session guarantees: %s@."

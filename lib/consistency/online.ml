@@ -1,3 +1,4 @@
+open Haec_util
 open Haec_model
 open Haec_spec
 module Iset = Set.Make (Int)
@@ -318,20 +319,21 @@ let causal t = t.causal
 
 let length t = t.len
 
+(* The delta of [j] is [row(j) \ row(prev) \ {prev}], a word at a time. *)
 let iter_deltas a f =
   let last = Hashtbl.create 8 in
+  let delta = Bitset.create (Abstract.length a) in
   for j = 0 to Abstract.length a - 1 do
     let d = Abstract.event a j in
-    let prev = Hashtbl.find_opt last d.Event.replica in
-    let fresh i =
-      match prev with Some p -> i <> p && not (Abstract.vis a i p) | None -> true
-    in
-    let delta = ref [] in
-    for i = j - 1 downto 0 do
-      if Abstract.vis a i j && fresh i then delta := i :: !delta
-    done;
-    Hashtbl.replace last d.Event.replica j;
-    f d !delta
+    let row = Abstract.vis_row a j in
+    Bitset.copy_into ~dst:delta row;
+    (match Hashtbl.find_opt last d.Event.replica with
+    | Some (p, prev_row) ->
+      Bitset.diff_into ~dst:delta prev_row;
+      Bitset.clear delta p
+    | None -> ());
+    Hashtbl.replace last d.Event.replica (j, row);
+    f d (Bitset.to_list delta)
   done
 
 let check ~spec_of a =

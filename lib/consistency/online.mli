@@ -74,8 +74,9 @@ val length : t -> int
 val iter_deltas : Abstract.t -> (Event.do_event -> int list -> unit) -> unit
 (** The deltas of an abstract execution, in [H] order: for each event
     [j], the members of its row outside its replica's previous event and
-    that event's row. Costs O(m²) bit tests; for executions that were not
-    recorded as deltas. *)
+    that event's row, computed as [row(j) \ row(prev) \ {prev}] a word
+    at a time. Costs O(m²/63) words for [m] events; for executions that
+    were not recorded as deltas. *)
 
 val check : spec_of:(int -> Spec.t) -> Abstract.t -> (unit, string) result * (unit, string) result
 (** [(correct, causal)] of [a], fed through {!iter_deltas}. *)

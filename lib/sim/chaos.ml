@@ -4,12 +4,12 @@ open Haec_spec
 open Haec_wire
 module Obs = Haec_obs.Metrics
 
-(* Every seed is audited by [Checks.validate_online]: [correct] and
-   [causal] come from [Haec_consistency.Online], fed the runner's witness
-   deltas in H order (one pass, per-replica state, no operation contexts);
-   [well-formed], [complies], [occ] and [eventual] are computed exactly as
-   the batch [Checks.validate] computes them, [occ] over the transitive
-   closure. Both give the same report field by field (test_witness.ml).
+(* Every seed is audited by [Checks.validate], the one checker path,
+   given the runner's recorded witness deltas: [correct] and [causal]
+   come from [Haec_consistency.Online] in one pass in H order, with
+   per-replica state and no operation contexts; the other four checks
+   read the witness, [occ] its transitive closure. The tests hold the
+   report to the batch checks field by field (test_witness.ml).
 
    Which checks a store class is on the hook for. Every store must stay
    well-formed, comply with its witness, and converge post-heal; most also
@@ -232,8 +232,8 @@ module Make (S : Haec_store.Store_intf.S) = struct
         (fun suffix ->
           let quiescent_at = List.length (Execution.do_events exec) - suffix in
           let report =
-            Checks.validate_online ~spec_of ~quiescent_at exec (R.witness_abstract sim)
-              ~deltas:(R.witness_deltas sim)
+            Checks.validate ~spec_of ~quiescent_at ~deltas:(R.witness_deltas sim) exec
+              (R.witness_abstract sim)
           in
           (* fold post-quiescence read agreement (Lemma 3) into the eventual
              check, as the experiment harness does *)

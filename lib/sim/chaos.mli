@@ -8,8 +8,8 @@
     drop traffic until they heal, and payloads get corrupted at the byte
     level. After the horizon — when every fault has healed — the run is
     driven to quiescence, every check of {!Checks.report} runs (through
-    {!Checks.validate_online}: [correct] and [causal] online from the
-    witness deltas, the rest as {!Checks.validate} computes them), and
+    {!Checks.validate}, given the recorded witness deltas, so [correct]
+    and [causal] are checked online), and
     every check the store class is on the hook for (see {!level}) must
     pass:
     convergence survived the faults, corruption never got past the frame

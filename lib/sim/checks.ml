@@ -45,46 +45,20 @@ let occ_result witness =
       (Printf.sprintf "%d OCC violations; first: read %d over writes (%d,%d)"
          (List.length vs) v.Occ.read v.Occ.w0 v.Occ.w1)
 
-let closed_incorrect = function
-  | Ok () -> Ok ()
-  | Error m -> Error ("closed witness incorrect: " ^ m)
-
-(* The checks both entry points compute alike; [correct] and [causal]
-   receive the closure OCC needs anyway. *)
-let assemble ~quiescent_at exec witness ~correct ~causal =
+let validate ?(spec_of = fun _ -> Spec.mvr) ?quiescent_at ?deltas exec witness =
+  let deltas = match deltas with Some d -> d | None -> Online.iter_deltas witness in
+  let online = Online.create ~n:(Abstract.n_replicas witness) ~spec_of in
+  deltas (Online.feed online);
+  if Online.length online <> Abstract.length witness then
+    invalid_arg "Checks.validate: deltas and witness differ in length";
   let quiescent_at =
     match quiescent_at with Some q -> q | None -> Abstract.length witness
   in
-  let closed = Abstract.transitive_closure witness in
   {
     well_formed = Execution.check_well_formed exec;
     complies = Compliance.check exec witness;
-    correct = correct ();
-    causal = causal closed;
-    occ = occ_result closed;
+    correct = Online.correct online;
+    causal = Online.causal online;
+    occ = occ_result (Abstract.transitive_closure witness);
     eventual = Eventual.check_visible_from witness ~quiescent_at;
   }
-
-let spec_or_mvr = function Some f -> f | None -> fun _ -> Spec.mvr
-
-let validate ?spec_of ?quiescent_at exec witness =
-  let spec_of = spec_or_mvr spec_of in
-  (* The raw witness is never transitive: reads carry no dots, so a remote
-     event cannot directly witness a read that program order nevertheless
-     makes visible. The run is causally consistent iff the *transitive
-     closure* of the witness — which is causal by construction and still
-     complies — remains correct: a causal anomaly (an effect exposed
-     without its cause) makes some closed context contradict a recorded
-     response, exactly as in the paper's Figure 2 inference. *)
-  assemble ~quiescent_at exec witness
-    ~correct:(fun () -> Spec.check_correct ~spec_of witness)
-    ~causal:(fun closed -> closed_incorrect (Spec.check_correct ~spec_of closed))
-
-let validate_online ?spec_of ?quiescent_at exec witness ~deltas =
-  let online = Online.create ~n:(Abstract.n_replicas witness) ~spec_of:(spec_or_mvr spec_of) in
-  deltas (Online.feed online);
-  if Online.length online <> Abstract.length witness then
-    invalid_arg "Checks.validate_online: deltas and witness differ in length";
-  assemble ~quiescent_at exec witness
-    ~correct:(fun () -> Online.correct online)
-    ~causal:(fun _ -> Online.causal online)

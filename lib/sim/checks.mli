@@ -6,14 +6,18 @@
     causal consistency (Definition 12), OCC (Definition 18), and the
     finite-execution eventual-consistency surrogate (Corollary 4).
 
-    Two entry points build the same {!report}:
-    - {!validate} computes every check in batch over the witness
-      abstract execution. It is the reference, and [audit], [replay],
-      [serve --check], the experiment harness and the tests use it.
-    - {!validate_online} computes [correct] and [causal] with
-      {!Haec_consistency.Online} from the witness deltas, in one pass
-      with per-replica state, and the other four checks exactly as
-      {!validate} does. {!Chaos} uses it for every seed. *)
+    One path computes every report. [correct] and [causal] come from
+    {!Haec_consistency.Online}, fed the witness deltas in [H] order: one
+    pass with per-replica state, no operation context per do event. A
+    caller that recorded the deltas passes them ([Chaos.run_plan] and
+    [simulate], through {!Runner.Make.witness_deltas}); every other
+    caller ([audit], [replay], [serve --check], the experiment harness)
+    gets them from the witness rows by
+    {!Haec_consistency.Online.iter_deltas}. [well-formed], [complies],
+    [occ] (over the transitive closure) and [eventual] are computed over
+    the witness directly. The batch {!Haec_spec.Spec.check_correct} on
+    the witness and on its closure gives the same report field by field
+    and is the reference the tests hold this one to. *)
 
 open Haec_model
 open Haec_spec
@@ -43,24 +47,15 @@ val pp_report : Format.formatter -> report -> unit
 val validate :
   ?spec_of:(int -> Spec.t) ->
   ?quiescent_at:int ->
+  ?deltas:((Event.do_event -> int list -> unit) -> unit) ->
   Execution.t ->
   Abstract.t ->
   report
 (** [validate exec witness] runs all checks. [spec_of] defaults to the MVR
     specification for every object. [quiescent_at] is the H index from
     which the execution is post-quiescence (defaults to [length], making
-    the eventual check vacuous). *)
-
-val validate_online :
-  ?spec_of:(int -> Spec.t) ->
-  ?quiescent_at:int ->
-  Execution.t ->
-  Abstract.t ->
-  deltas:((Event.do_event -> int list -> unit) -> unit) ->
-  report
-(** [validate_online exec witness ~deltas]: the report {!validate} gives,
-    field by field, where [deltas f] calls [f] on [witness]'s do events
-    in [H] order with their deltas ({!Runner.Make.witness_deltas}, or
-    {!Haec_consistency.Online.iter_deltas} for a witness that was not
-    recorded as deltas). Raises [Invalid_argument] if [deltas] yields a
-    different number of events than [witness] holds. *)
+    the eventual check vacuous). [deltas f] calls [f] on [witness]'s do
+    events in [H] order with their deltas ({!Runner.Make.witness_deltas});
+    it defaults to {!Haec_consistency.Online.iter_deltas} [witness].
+    Raises [Invalid_argument] if [deltas] yields a different number of
+    events than [witness] holds. *)

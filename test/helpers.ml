@@ -53,6 +53,29 @@ let batch_verdicts ~spec_of a =
     | Ok () -> Ok ()
     | Error m -> Error ("closed witness incorrect: " ^ m) )
 
+(* The batch report [Sim.Checks.validate] must reproduce field by field:
+   [correct] and [causal] from one operation context per do event, over
+   the witness and over its transitive closure, and the other four
+   checks as [validate] computes them. *)
+let batch_report ?(spec_of = mvr_spec) ?quiescent_at exec witness =
+  let quiescent_at = Option.value quiescent_at ~default:(Abstract.length witness) in
+  let correct, causal = batch_verdicts ~spec_of witness in
+  {
+    Sim.Checks.well_formed = Execution.check_well_formed exec;
+    complies = Compliance.check exec witness;
+    correct;
+    causal;
+    occ =
+      (match Occ.check (Abstract.transitive_closure witness) with
+      | Error m -> Error ("occ check unsupported: " ^ m)
+      | Ok [] -> Ok ()
+      | Ok (v :: _ as vs) ->
+        Error
+          (Printf.sprintf "%d OCC violations; first: read %d over writes (%d,%d)"
+             (List.length vs) v.Occ.read v.Occ.w0 v.Occ.w1));
+    eventual = Eventual.check_visible_from witness ~quiescent_at;
+  }
+
 (* The same execution with one event's response replaced by a different
    one. *)
 let perturb_response rng a =

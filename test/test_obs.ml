@@ -217,14 +217,21 @@ let prop_wire_bytes_match_trace_lossy =
   q ~count:25 "wire.payload_bytes telemetry = encoded bytes under permanent loss"
     QCheck2.Gen.(int_range 0 10_000)
     (fun seed ->
-      (* a faulted link and corrupted frames lose deliveries for good, but
+      (* faulted links and corrupted frames lose deliveries for good, but
          every send is still a recorded message, so the byte accounting
-         identity must be untouched, and every drop is a permanent loss *)
+         identity must be untouched, and every drop is a permanent loss.
+         Every link into replica 1 is down while the workload runs (ops
+         at t = 1 .. 40), so any update another replica issues is lost on
+         its way there: every seed the generator draws drops at least 4
+         messages. *)
       let faults =
         Sim.Fault_plan.make
-          ~links:[ { src = 0; dst = 1; from_ = 2.0; until = 12.0 } ]
+          ~links:
+            (List.map
+               (fun src -> { Sim.Fault_plan.src; dst = 1; from_ = 0.5; until = 41.0 })
+               [ 0; 2; 3 ])
           ~corruption:{ p = 0.2; from_ = 0.0; until = 20.0 }
-          ~horizon:30.0 ()
+          ~horizon:41.0 ()
       in
       let live, exec =
         run_causal ~faults ~seed ~policy:(Sim.Net_policy.random_delay ()) ~ops:40 ()

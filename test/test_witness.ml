@@ -282,7 +282,7 @@ module Online = Consistency.Online
 
 let failures = Alcotest.(list (pair string string))
 
-(* [Checks.validate_online] must equal [Checks.validate] field by field;
+(* [Checks.validate] must equal [Helpers.batch_report] field by field;
    a report's failures list names every field that is not [Ok], with its
    message, so equal lists are equal reports. Also compared per chaos
    level, as [Chaos.failures] filters them. *)
@@ -301,12 +301,11 @@ let online_on_chaos (module S : Store_intf.S) ~mix ~spec () =
   for seed = 1 to 12 do
     let sim = D.run ~mix ~churn:false ~spans:false ~seed in
     let exec = D.R.execution sim and wit = D.R.witness_abstract sim in
-    let batch = Checks.validate ~spec_of exec wit in
+    let batch = Helpers.batch_report ~spec_of exec wit in
     let name = Printf.sprintf "%s seed %d" S.name seed in
     same_report name ~batch
-      ~online:(Checks.validate_online ~spec_of exec wit ~deltas:(D.R.witness_deltas sim));
-    same_report (name ^ " (deltas from rows)") ~batch
-      ~online:(Checks.validate_online ~spec_of exec wit ~deltas:(Online.iter_deltas wit));
+      ~online:(Checks.validate ~spec_of ~deltas:(D.R.witness_deltas sim) exec wit);
+    same_report (name ^ " (deltas from rows)") ~batch ~online:(Checks.validate ~spec_of exec wit);
     verdicts := (batch.Checks.correct, batch.Checks.causal) :: !verdicts
   done;
   !verdicts
@@ -330,15 +329,22 @@ let online_chaos_stores () =
   Alcotest.(check bool) "some run causal" true (has (fun (_, c) -> Result.is_ok c));
   Alcotest.(check bool) "some run not causal" true (has (fun (_, c) -> Result.is_error c))
 
+(* The execution whose only events are [a]'s do events, in [H] order: it
+   complies with [a], so the whole report of an abstract execution can be
+   compared, not only its two verdicts. *)
+let exec_of a =
+  Model.Execution.of_list ~n:(Abstract.n_replicas a)
+    (List.map (fun d -> Event.Do d) (Array.to_list (Abstract.events a)))
+
 let online_occ_gen () =
   let rng = Util.Rng.create 17 in
   for k = 1 to 20 do
     let a = Construction.Occ_gen.generate rng ~n:(3 + (k mod 3)) ~size_hint:(10 + k) in
     List.iter
       (fun (what, a) ->
-        let spec_of _ = Spec.Spec.mvr in
-        if Online.check ~spec_of a <> Helpers.batch_verdicts ~spec_of a then
-          Alcotest.failf "Occ_gen execution %d (%s): online and batch verdicts differ" k what)
+        let spec_of _ = Spec.Spec.mvr and exec = exec_of a in
+        same_report (Printf.sprintf "Occ_gen execution %d (%s)" k what)
+          ~batch:(Helpers.batch_report ~spec_of exec a) ~online:(Checks.validate ~spec_of exec a))
       [ ("as generated", a); ("perturbed", Helpers.perturb_response rng a) ]
   done
 
@@ -350,8 +356,57 @@ let online_run_inline () =
   in
   let r = C.run_inline ~ops_per_replica:80 cfg in
   let exec = Option.get r.Live.Cluster.trace and wit = Option.get r.Live.Cluster.witness in
-  same_report "run_inline capture" ~batch:(Checks.validate exec wit)
-    ~online:(Checks.validate_online exec wit ~deltas:(Online.iter_deltas wit))
+  same_report "run_inline capture" ~batch:(Helpers.batch_report exec wit)
+    ~online:(Checks.validate exec wit)
+
+(* The reference for [Online.iter_deltas]: the same deltas from one
+   [Abstract.vis] test per pair of events. *)
+let reference_deltas a =
+  let last = Hashtbl.create 8 and acc = ref [] in
+  for j = 0 to Abstract.length a - 1 do
+    let d = Abstract.event a j in
+    let prev = Hashtbl.find_opt last d.Event.replica in
+    let fresh i =
+      match prev with Some p -> i <> p && not (Abstract.vis a i p) | None -> true
+    in
+    let delta = ref [] in
+    for i = j - 1 downto 0 do
+      if Abstract.vis a i j && fresh i then delta := i :: !delta
+    done;
+    Hashtbl.replace last d.Event.replica j;
+    acc := (d, !delta) :: !acc
+  done;
+  List.rev !acc
+
+(* A recorded delta lists its members in the order the store reported
+   them, so deltas are compared as sets. *)
+let collect iter =
+  let acc = ref [] in
+  iter (fun d delta -> acc := (d, List.sort compare delta) :: !acc);
+  List.rev !acc
+
+let deltas_of (module S : Store_intf.S) ~mix () =
+  let module D = Drive (S) in
+  List.iter
+    (fun churn ->
+      for seed = 1 to 4 do
+        let sim = D.run ~mix ~churn ~spans:false ~seed in
+        let wit = D.R.witness_abstract sim in
+        let name = Printf.sprintf "%s seed %d%s" S.name seed (if churn then " churn" else "") in
+        let words = collect (Online.iter_deltas wit) in
+        if words <> reference_deltas wit then
+          Alcotest.failf "%s: word-wise deltas differ from the bit-test reference" name;
+        if words <> collect (D.R.witness_deltas sim) then
+          Alcotest.failf "%s: word-wise deltas differ from the recorded deltas" name
+      done)
+    [ false; true ]
+
+let deltas_match () =
+  deltas_of (module Store.Causal_mvr_store) ~mix:Sim.Workload.register_mix ();
+  deltas_of (module Store.Causal_orset_store) ~mix:Sim.Workload.orset_mix ();
+  deltas_of (module Store.Lww_store) ~mix:Sim.Workload.register_mix ();
+  deltas_of (module Store.Cops_store) ~mix:Sim.Workload.register_mix ();
+  deltas_of (module Store.Delayed_store.K3) ~mix:Sim.Workload.register_mix ()
 
 let store name (module S : Store_intf.S) ~mix =
   Alcotest.test_case ("sim: " ^ name ^ " deltas match the full-list assembly") `Quick
@@ -377,4 +432,6 @@ let suite =
         online_occ_gen;
       Alcotest.test_case "online: a run_inline capture gives the batch report" `Quick
         online_run_inline;
+      Alcotest.test_case "online: word-wise deltas equal the bit-test and recorded deltas" `Quick
+        deltas_match;
     ] )
