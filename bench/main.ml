@@ -277,6 +277,21 @@ let tests_mid =
   Test.make_grouped ~name:"haec"
     [ bench_causal_receive; bench_theorem12; bench_trace_roundtrip ]
 
+(* The sim-chaos workload's unit of work at layer level: one 400-op
+   adversarial seed of Durable (Anti_entropy (causal MVR)) with n=4 and 8
+   objects, checked to [`Causal] — runner, span recording and per-seed
+   checks together. A run takes about 13 ms, so the row gets a
+   group whose quota buys enough samples for an OLS slope. *)
+module Chaos_mvr = Sim.Chaos.Make (Store.Causal_mvr_store)
+
+let bench_chaos_seed =
+  Test.make ~name:"sim/chaos-seed"
+    (Staged.stage (fun () ->
+         Chaos_mvr.run ~n:4 ~objects:8 ~ops:400 ~spec_of:(fun _ -> Spec.Spec.mvr)
+           ~require:`Causal ~adversarial:true ~seed:1 ()))
+
+let tests_slow = Test.make_grouped ~name:"haec" [ bench_chaos_seed ]
+
 (* Sub-100ns operations need far more samples before the OLS slope is
    trustworthy: at the default budget the vclock rows fit with r^2 of
    0.41/0.59 (i.e. noise). They get their own group under the same "haec"
@@ -500,8 +515,13 @@ let run_micro ~quick ~live () =
     if quick then Benchmark.cfg ~limit:3000 ~quota:(Time.second 3.0) ~kde:None ()
     else Benchmark.cfg ~limit:10000 ~quota:(Time.second 8.0) ~kde:None ()
   in
+  let cfg_slow =
+    if quick then Benchmark.cfg ~limit:100 ~quota:(Time.second 3.0) ~kde:None ()
+    else Benchmark.cfg ~limit:500 ~quota:(Time.second 10.0) ~kde:None ()
+  in
   let raw = Benchmark.all cfg instances tests in
   let raw_mid = Benchmark.all cfg_mid instances tests_mid in
+  let raw_slow = Benchmark.all cfg_slow instances tests_slow in
   (* the seeded rows measure the v1 codec; the -v2 rows the v2 one *)
   let raw_fast =
     Wire.Version.scoped Wire.Version.V1 (fun () ->
@@ -514,6 +534,7 @@ let run_micro ~quick ~live () =
   let merged analyze =
     let tbl = analyze raw in
     Hashtbl.iter (fun k v -> Hashtbl.replace tbl k v) (analyze raw_mid);
+    Hashtbl.iter (fun k v -> Hashtbl.replace tbl k v) (analyze raw_slow);
     Hashtbl.iter (fun k v -> Hashtbl.replace tbl k v) (analyze raw_fast);
     Hashtbl.iter (fun k v -> Hashtbl.replace tbl k v) (analyze raw_fast_v2);
     tbl

@@ -970,31 +970,35 @@ let trace_store (module S : Store.Store_intf.S) ~require ~adversarial ~churn
     C.run ~n ~objects ~ops ~spec_of:(fun _ -> spec) ~mix ~policy ~require ~adversarial
       ~churn ~seed ()
   in
-  let spans = o.Sim.Chaos.spans in
+  let log = o.Sim.Chaos.spans in
   let exec = o.Sim.Chaos.exec in
   let tracks = Model.Execution.n_replicas exec in
   Format.printf "trace: store=%s seed=%d replicas=%d objects=%d ops=%d%s%s@."
     S.name seed n objects o.Sim.Chaos.ops
     (if adversarial then " adversarial" else "")
     (if churn then " churn" else "");
-  let count p = List.length (List.filter p spans) in
+  (* one pass: count the kinds (op, transmit, flight, visible, bootstrap,
+     repair round) and keep the visible spans with their breakdowns *)
+  let counts = Array.make 6 0 and visibles_rev = ref [] in
+  Obs.Span.Log.iter log (fun s ->
+      let k =
+        match s with
+        | Obs.Span.Op _ -> 0
+        | Obs.Span.Transmit _ -> 1
+        | Obs.Span.Flight _ -> 2
+        | Obs.Span.Visible v ->
+          visibles_rev := (v, Obs.Span.breakdown v) :: !visibles_rev;
+          3
+        | Obs.Span.Bootstrap _ -> 4
+        | Obs.Span.Repair_round _ -> 5
+      in
+      counts.(k) <- counts.(k) + 1);
   Format.printf
     "spans: %d (ops=%d transmits=%d flights=%d visible=%d bootstraps=%d \
      repair-rounds=%d)@."
-    (List.length spans)
-    (count (function Obs.Span.Op _ -> true | _ -> false))
-    (count (function Obs.Span.Transmit _ -> true | _ -> false))
-    (count (function Obs.Span.Flight _ -> true | _ -> false))
-    (count (function Obs.Span.Visible _ -> true | _ -> false))
-    (count (function Obs.Span.Bootstrap _ -> true | _ -> false))
-    (count (function Obs.Span.Repair_round _ -> true | _ -> false));
-  let visibles =
-    List.filter_map
-      (function
-        | Obs.Span.Visible v -> Some (v, Obs.Span.breakdown v)
-        | _ -> None)
-      spans
-  in
+    (Obs.Span.Log.length log) counts.(0) counts.(1) counts.(2) counts.(3) counts.(4)
+    counts.(5);
+  let visibles = List.rev !visibles_rev in
   (match why with
   | Some op ->
     let rows = List.filter (fun (v, _) -> v.Obs.Span.v_op = op) visibles in
@@ -1074,7 +1078,7 @@ let trace_store (module S : Store.Store_intf.S) ~require ~adversarial ~churn
   | None -> ()
   | Some `Chrome ->
     let path = match out with Some p -> p | None -> "trace.chrome.json" in
-    Obs.Trace_export.save_chrome ~time_scale ~n:tracks path spans;
+    Obs.Trace_export.save_chrome ~time_scale ~n:tracks path (Obs.Span.Log.to_list log);
     Format.printf "@.Chrome trace (load in Perfetto or chrome://tracing) written to %s@."
       path
   | Some `Jsonl ->
@@ -1086,7 +1090,7 @@ let trace_store (module S : Store.Store_intf.S) ~require ~adversarial ~churn
           ("seed", Json.Num (float_of_int seed));
           ("replicas", Json.Num (float_of_int n));
         ]
-      path spans;
+      path (Obs.Span.Log.to_list log);
     Format.printf "@.span stream (JSONL) written to %s@." path);
   `Ok ()
 

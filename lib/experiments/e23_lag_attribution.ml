@@ -53,9 +53,7 @@ let chaos_row label (module S : Store.Store_intf.S) require spec mix ~churn =
   List.iter
     (fun o ->
       let run_total = ref 0.0 and run_obs = ref 0 in
-      List.iter
-        (fun s ->
-          match s with
+      Obs.Span.Log.iter o.Sim.Chaos.spans (function
           | Obs.Span.Visible v ->
             let b = Obs.Span.breakdown v in
             a.obs <- a.obs + 1;
@@ -68,8 +66,7 @@ let chaos_row label (module S : Store.Store_intf.S) require spec mix ~churn =
             Obs.Metrics.Histogram.observe a.hist b.Obs.Span.total;
             run_total := !run_total +. b.Obs.Span.total;
             incr run_obs
-          | _ -> ())
-        o.Sim.Chaos.spans;
+          | _ -> ());
       (* the identity that makes attribution trustworthy: per seed, the
          span totals must reproduce the runner's own lag histogram
          bit-for-bit (same observations, same float order) *)

@@ -88,3 +88,48 @@ val breakdown : visible -> breakdown
 val outcome_name : flight_outcome -> string
 val kind_name : t -> string
 val pp : Format.formatter -> t -> unit
+
+(** The span recorder: dense columnar storage, records built on read.
+
+    Per span kind it keeps a table of fixed-width rows — the kind's int
+    fields, then its float fields by bit pattern — in byte chunks the GC
+    never scans, plus the payload and carried-ops pointers of
+    [Transmit] spans and a one-byte tag per span that keeps the
+    emission order. The log holds no span record; {!iter} and
+    {!to_list} build the values when a caller reads them, classifying
+    each transmit's [kinds] from its payload at that point. A log
+    references only its own storage and the payload strings already on
+    the wire — never the producer that filled it. *)
+module Log : sig
+  type span := t
+
+  type t
+
+  val create : ?classify:(string -> string) -> unit -> t
+  (** [classify] labels a [Transmit] payload with its protocol item
+      kinds when the span is built; without it [kinds] is [""]. *)
+
+  val length : t -> int
+  (** Spans recorded so far. *)
+
+  val op : t -> op:int -> origin:int -> obj:int -> issue:float -> sent:float -> unit
+
+  val transmit :
+    t -> src:int -> seq:int -> sent:float -> payload:string -> ops:int list -> unit
+  (** [bytes] is the payload's length. *)
+
+  val flight :
+    t -> src:int -> seq:int -> dst:int -> sent:float -> at:float -> flight_outcome -> unit
+
+  val visible : t -> visible -> unit
+
+  val bootstrap : t -> bootstrap -> unit
+
+  val repair_round : t -> repair_round -> unit
+
+  val iter : t -> (span -> unit) -> unit
+  (** Every span in emission order, each built afresh. *)
+
+  val to_list : t -> span list
+  (** [iter]'s spans as a list. *)
+end

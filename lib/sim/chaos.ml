@@ -28,7 +28,7 @@ type outcome = {
   require : level;
   stats : Runner.stats;
   metrics : Haec_obs.Metrics.Registry.t;
-  spans : Haec_obs.Span.t list;
+  spans : Haec_obs.Span.Log.t;
   exec : Execution.t;
   ops : int;
   skipped : int;
@@ -282,7 +282,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
       require;
       stats = R.stats sim;
       metrics;
-      spans = R.spans sim;
+      spans = R.span_log sim;
       exec;
       ops = !executed;
       skipped = !skipped;

@@ -56,10 +56,13 @@ type outcome = {
           [gossip.repair_applied]), and the [ae.log_entries] /
           [ae.log_bytes] gauges — the repair log the members still hold
           at the end of the run, named as the live cluster names them *)
-  spans : Haec_obs.Span.t list;
-      (** the run's lifecycle span stream (see {!Runner.Make.spans});
-          transmit spans carry protocol item kinds via
-          {!Haec_store.Anti_entropy.classify} *)
+  spans : Haec_obs.Span.Log.t;
+      (** the run's lifecycle span stream (see {!Runner.Make.span_log}),
+          read through {!Haec_obs.Span.Log.iter} or [to_list], which
+          build the records on demand; transmit spans carry protocol item
+          kinds via {!Haec_store.Anti_entropy.classify}. The log holds its
+          columns and the sent payloads only, never the runner or the
+          replica states. *)
   exec : Execution.t;
   ops : int;  (** client operations executed (after failover) *)
   skipped : int;  (** operations dropped because nobody could serve them *)

@@ -29,6 +29,44 @@ type 'state membership_hooks = {
   on_leave : epoch:int -> graceful:bool -> 'state -> 'state;
 }
 
+(* Dense growable columns of the span bookkeeping, indexed by small ints:
+   a message's seq at its source, a do index, or [do_index * n + replica].
+   An absent time reads NaN, an absent op set [[]]. *)
+module Times = struct
+  type t = { mutable a : float array }
+
+  let create () = { a = [||] }
+
+  let get c i = if i < Array.length c.a then c.a.(i) else Float.nan
+
+  let set c i x =
+    if i >= Array.length c.a then begin
+      let g = Array.make (max 64 (2 * (i + 1))) Float.nan in
+      Array.blit c.a 0 g 0 (Array.length c.a);
+      c.a <- g
+    end;
+    c.a.(i) <- x
+
+  (* the first time recorded at [i] stands *)
+  let first c i x = if Float.is_nan (get c i) then set c i x
+end
+
+module Ops = struct
+  type t = { mutable a : int list array }
+
+  let create () = { a = [||] }
+
+  let get c i = if i < Array.length c.a then c.a.(i) else []
+
+  let set c i x =
+    if i >= Array.length c.a then begin
+      let g = Array.make (max 64 (2 * (i + 1))) [] in
+      Array.blit c.a 0 g 0 (Array.length c.a);
+      c.a <- g
+    end;
+    c.a.(i) <- x
+end
+
 module Make (S : Haec_store.Store_intf.S) = struct
   type delivery = { dst : int; msg : Message.t }
 
@@ -97,26 +135,28 @@ module Make (S : Haec_store.Store_intf.S) = struct
        already flowing through the runner, so the stream is bit-identical
        at any [-j]. Implies [record_witness]. *)
     record_spans : bool;
-    classify : (string -> string) option;  (* payload -> protocol item kinds *)
-    mutable spans_rev : Haec_obs.Span.t list;
+    log : Haec_obs.Span.Log.t;
     unsent_ops : (int * int) list array;
         (** per replica: (do index, obj) of updates awaiting their first
             flush, reverse order *)
-    op_sent : (int, float) Hashtbl.t;  (* do index -> first-flush time *)
-    msg_ops : int list Int_tbl.Pair.t;  (* (src, seq) -> do indices *)
-    sent_time : float Int_tbl.Pair.t;  (* (src, seq) -> send time *)
-    delivered_once : unit Int_tbl.Triple.t;  (* (src, seq, dst) *)
-    arrive : float Int_tbl.Pair.t;  (* (op, dst) -> first direct arrival *)
-    dropped_at : float Int_tbl.Pair.t;  (* (op, dst) -> first loss *)
-    applied : float Int_tbl.Pair.t;  (* (op, dst) -> protocol apply time *)
-    payload_ops : int list Int_tbl.Pair.t;
-        (* (origin, protocol seq) -> do indices; lets repair deliveries,
-           which carry re-encoded payloads under fresh message ids, still
-           attribute their apply times to the originating ops *)
-    boot_epoch : (int, int) Hashtbl.t;  (* joiner -> epoch stamped at join *)
-    boot_win : (int, float * float) Hashtbl.t;
-        (* replica -> (join, promoted) bootstrap window; promoted is
-           [infinity] until promotion *)
+    op_sent : Times.t;  (* do index -> first-flush time *)
+    (* per source, indexed by the message's seq *)
+    msg_ops : Ops.t array;  (* do indices first carried *)
+    sent_time : Times.t array;  (* send time *)
+    delivered : Times.t array;  (* [seq * n + dst] -> first delivery *)
+    (* indexed by [do_index * n + observer] *)
+    arrive : Times.t;  (* first direct arrival *)
+    dropped_at : Times.t;  (* first loss of a direct copy *)
+    applied : Times.t;  (* protocol apply time *)
+    payload_ops : Ops.t array;
+        (* per origin, by protocol seq -> do indices; lets repair
+           deliveries, which carry re-encoded payloads under fresh message
+           ids, still attribute their apply times to the originating ops *)
+    boot_epoch : int array;  (* joiner -> epoch stamped at join, or -1 *)
+    boot_join : float array;
+    boot_promoted : float array;
+        (* replica -> its bootstrap window: NaN join if it never joined,
+           [infinity] promoted until promotion *)
   }
 
   let create ?(seed = 42) ?(record_witness = true) ?(record_spans = true)
@@ -176,19 +216,19 @@ module Make (S : Haec_store.Store_intf.S) = struct
       s_deliveries = 0;
       lag_hist = Obs.Histogram.create ();
       record_spans = record_spans && record_witness;
-      classify;
-      spans_rev = [];
+      log = Haec_obs.Span.Log.create ?classify ();
       unsent_ops = Array.make n [];
-      op_sent = Hashtbl.create 64;
-      msg_ops = Int_tbl.Pair.create 64;
-      sent_time = Int_tbl.Pair.create 64;
-      delivered_once = Int_tbl.Triple.create 256;
-      arrive = Int_tbl.Pair.create 256;
-      dropped_at = Int_tbl.Pair.create 64;
-      applied = Int_tbl.Pair.create 256;
-      payload_ops = Int_tbl.Pair.create 64;
-      boot_epoch = Hashtbl.create 4;
-      boot_win = Hashtbl.create 4;
+      op_sent = Times.create ();
+      msg_ops = Array.init n (fun _ -> Ops.create ());
+      sent_time = Array.init n (fun _ -> Times.create ());
+      delivered = Array.init n (fun _ -> Times.create ());
+      arrive = Times.create ();
+      dropped_at = Times.create ();
+      applied = Times.create ();
+      payload_ops = Array.init n (fun _ -> Ops.create ());
+      boot_epoch = Array.make n (-1);
+      boot_join = Array.make n Float.nan;
+      boot_promoted = Array.make n Float.nan;
     }
 
   let n_replicas t = t.n
@@ -212,9 +252,9 @@ module Make (S : Haec_store.Store_intf.S) = struct
 
   let visibility_lag t = t.lag_hist
 
-  let spans t = List.rev t.spans_rev
+  let span_log t = t.log
 
-  let span t s = if t.record_spans then t.spans_rev <- s :: t.spans_rev
+  let spans t = Haec_obs.Span.Log.to_list t.log
 
   let membership t = t.membership
 
@@ -254,6 +294,12 @@ module Make (S : Haec_store.Store_intf.S) = struct
 
   let record t e = t.events_rev <- e :: t.events_rev
 
+  (* a message's send time; one this runner never sent (handed to
+     [deliver_msg] from outside) counts as sent now *)
+  let sent_at t ~src ~seq =
+    let s = Times.get t.sent_time.(src) seq in
+    if Float.is_nan s then t.now_ else s
+
   (* a delivery the network will never perform (dead or faulted link,
      crashed or crash-departed destination, corrupted frame): nothing
      retransmits it, the store protocol alone must make up for it *)
@@ -262,27 +308,11 @@ module Make (S : Haec_store.Store_intf.S) = struct
     t.s_lost_permanent <- t.s_lost_permanent + 1;
     if t.record_spans then begin
       let src = msg.Message.sender and seq = msg.Message.seq in
-      let sent =
-        match Int_tbl.Pair.find_opt t.sent_time (src, seq) with Some s -> s | None -> t.now_
-      in
-      span t
-        (Haec_obs.Span.Flight
-           {
-             f_src = src;
-             f_seq = seq;
-             f_dst = dst;
-             f_sent = sent;
-             f_at = t.now_;
-             f_outcome = Haec_obs.Span.Dropped;
-           });
-      match Int_tbl.Pair.find_opt t.msg_ops (src, seq) with
-      | Some ops ->
-        List.iter
-          (fun i ->
-            if not (Int_tbl.Pair.mem t.dropped_at (i, dst)) then
-              Int_tbl.Pair.replace t.dropped_at (i, dst) t.now_)
-          ops
-      | None -> ()
+      Haec_obs.Span.Log.flight t.log ~src ~seq ~dst ~sent:(sent_at t ~src ~seq) ~at:t.now_
+        Haec_obs.Span.Dropped;
+      List.iter
+        (fun i -> Times.first t.dropped_at ((i * t.n) + dst) t.now_)
+        (Ops.get t.msg_ops.(src) seq)
     end
 
   let schedule_deliveries t ~src msg =
@@ -376,7 +406,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
     t.msg_count.(replica) <- t.msg_count.(replica) + 1;
     Obs.Histogram.observe t.payload_hist (float_of_int (String.length payload));
     if t.record_spans then begin
-      Int_tbl.Pair.replace t.sent_time (replica, seq) t.now_;
+      Times.set t.sent_time.(replica) seq t.now_;
       let carried =
         match (before_self, t.hooks) with
         | Some before, Some h ->
@@ -390,29 +420,17 @@ module Make (S : Haec_store.Store_intf.S) = struct
         | Some proto_seq ->
           let pending = List.rev t.unsent_ops.(replica) in
           t.unsent_ops.(replica) <- [];
-          if proto_seq >= 0 then
-            Int_tbl.Pair.replace t.payload_ops (replica, proto_seq) (List.map fst pending);
+          if proto_seq >= 0 then Ops.set t.payload_ops.(replica) proto_seq (List.map fst pending);
           pending
       in
       List.iter
         (fun (i, obj) ->
-          Hashtbl.replace t.op_sent i t.now_;
-          span t
-            (Haec_obs.Span.Op { op = i; origin = replica; obj; issue = t.do_time.(i); sent = t.now_ }))
+          Times.set t.op_sent i t.now_;
+          Haec_obs.Span.Log.op t.log ~op:i ~origin:replica ~obj ~issue:t.do_time.(i) ~sent:t.now_)
         ops;
       let op_ids = List.map fst ops in
-      Int_tbl.Pair.replace t.msg_ops (replica, seq) op_ids;
-      let kinds = match t.classify with Some f -> f payload | None -> "" in
-      span t
-        (Haec_obs.Span.Transmit
-           {
-             src = replica;
-             seq;
-             sent = t.now_;
-             bytes = String.length payload;
-             kinds;
-             ops = op_ids;
-           })
+      Ops.set t.msg_ops.(replica) seq op_ids;
+      Haec_obs.Span.Log.transmit t.log ~src:replica ~seq ~sent:t.now_ ~payload ~ops:op_ids
     end;
     record t (Event.Send { replica; msg });
     schedule_deliveries t ~src:replica msg;
@@ -433,31 +451,19 @@ module Make (S : Haec_store.Store_intf.S) = struct
      is repair wait, not dependency wait. *)
   let assemble_visible t ~op ~origin ~obj ~observer ~issue =
     let visible = t.now_ in
-    let sent =
-      match Hashtbl.find_opt t.op_sent op with
-      | Some s -> Float.max issue s
-      | None -> issue
-    in
-    let direct = Int_tbl.Pair.mem t.arrive (op, observer) in
-    let arrived =
-      match Int_tbl.Pair.find_opt t.arrive (op, observer) with
-      | Some a -> a
-      | None -> (
-        match Int_tbl.Pair.find_opt t.dropped_at (op, observer) with
-        | Some d -> d
-        | None -> sent)
-    in
+    let or_else x fallback = if Float.is_nan x then fallback else x in
+    let sent = Float.max issue (or_else (Times.get t.op_sent op) issue) in
+    let k = (op * t.n) + observer in
+    let arrive = Times.get t.arrive k in
+    let direct = not (Float.is_nan arrive) in
+    let arrived = or_else arrive (or_else (Times.get t.dropped_at k) sent) in
     let arrived = Float.min visible (Float.max sent arrived) in
-    let applied =
-      match Int_tbl.Pair.find_opt t.applied (op, observer) with
-      | Some a -> a
-      | None -> arrived
-    in
+    let applied = or_else (Times.get t.applied k) arrived in
     let applied = Float.min visible (Float.max arrived applied) in
+    let j = t.boot_join.(observer) in
     let boot_overlap =
-      match Hashtbl.find_opt t.boot_win observer with
-      | Some (j, p) -> Float.max 0.0 (Float.min p visible -. Float.max j applied)
-      | None -> 0.0
+      if Float.is_nan j then 0.0
+      else Float.max 0.0 (Float.min t.boot_promoted.(observer) visible -. Float.max j applied)
     in
     {
       Haec_obs.Span.v_op = op;
@@ -510,7 +516,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
                exact by construction *)
             let origin = (Witness.event t.wit i).Event.replica in
             let v = assemble_visible t ~op:i ~origin ~obj:obj_i ~observer:replica ~issue:t0 in
-            span t (Haec_obs.Span.Visible v);
+            Haec_obs.Span.Log.visible t.log v;
             Obs.Histogram.observe t.lag_hist (Haec_obs.Span.breakdown v).total
           end
           else Obs.Histogram.observe t.lag_hist (t.now_ -. t0));
@@ -537,15 +543,14 @@ module Make (S : Haec_store.Store_intf.S) = struct
           t.membership <- Membership.promote t.membership replica;
           Obs.Histogram.observe t.bootstrap_hist (t.now_ -. since);
           if t.record_spans then begin
-            Hashtbl.replace t.boot_win replica (since, t.now_);
+            t.boot_join.(replica) <- since;
+            t.boot_promoted.(replica) <- t.now_;
             let epoch =
-              match Hashtbl.find_opt t.boot_epoch replica with
-              | Some e -> e
-              | None -> Membership.epoch t.membership
+              if t.boot_epoch.(replica) >= 0 then t.boot_epoch.(replica)
+              else Membership.epoch t.membership
             in
-            span t
-              (Haec_obs.Span.Bootstrap
-                 { b_replica = replica; b_epoch = epoch; b_join = since; b_promoted = t.now_ })
+            Haec_obs.Span.Log.bootstrap t.log
+              { b_replica = replica; b_epoch = epoch; b_join = since; b_promoted = t.now_ }
           end
         end)
 
@@ -564,30 +569,16 @@ module Make (S : Haec_store.Store_intf.S) = struct
     t.s_deliveries <- t.s_deliveries + 1;
     if t.record_spans then begin
       let src = msg.Message.sender and seq = msg.Message.seq in
-      let sent =
-        match Int_tbl.Pair.find_opt t.sent_time (src, seq) with Some s -> s | None -> t.now_
-      in
-      let dup = Int_tbl.Triple.mem t.delivered_once (src, seq, dst) in
-      if not dup then Int_tbl.Triple.add t.delivered_once (src, seq, dst) ();
-      span t
-        (Haec_obs.Span.Flight
-           {
-             f_src = src;
-             f_seq = seq;
-             f_dst = dst;
-             f_sent = sent;
-             f_at = t.now_;
-             f_outcome = (if dup then Haec_obs.Span.Duplicate else Haec_obs.Span.Delivered);
-           });
-      if not dup then (
-        match Int_tbl.Pair.find_opt t.msg_ops (src, seq) with
-        | Some ops ->
-          List.iter
-            (fun i ->
-              if not (Int_tbl.Pair.mem t.arrive (i, dst)) then
-                Int_tbl.Pair.replace t.arrive (i, dst) t.now_)
-            ops
-        | None -> ());
+      let k = (seq * t.n) + dst in
+      let dup = not (Float.is_nan (Times.get t.delivered.(src) k)) in
+      Haec_obs.Span.Log.flight t.log ~src ~seq ~dst ~sent:(sent_at t ~src ~seq) ~at:t.now_
+        (if dup then Haec_obs.Span.Duplicate else Haec_obs.Span.Delivered);
+      if not dup then begin
+        Times.set t.delivered.(src) k t.now_;
+        List.iter
+          (fun i -> Times.first t.arrive ((i * t.n) + dst) t.now_)
+          (Ops.get t.msg_ops.(src) seq)
+      end;
       (* the protocol's progress vector names exactly which (origin, seq)
          streams advanced under this delivery — direct applies, repair
          applies and orphan-cascade applies all land here *)
@@ -597,14 +588,9 @@ module Make (S : Haec_store.Store_intf.S) = struct
         for o = 0 to t.n - 1 do
           let b = Vclock.get before o and a = Vclock.get after o in
           for s = b to a - 1 do
-            match Int_tbl.Pair.find_opt t.payload_ops (o, s) with
-            | Some ops ->
-              List.iter
-                (fun i ->
-                  if not (Int_tbl.Pair.mem t.applied (i, dst)) then
-                    Int_tbl.Pair.replace t.applied (i, dst) t.now_)
-                ops
-            | None -> ()
+            List.iter
+              (fun i -> Times.first t.applied ((i * t.n) + dst) t.now_)
+              (Ops.get t.payload_ops.(o) s)
           done
         done
       | _ -> ()
@@ -669,8 +655,9 @@ module Make (S : Haec_store.Store_intf.S) = struct
     t.states.(replica) <- hooks.on_join ~epoch t.states.(replica);
     Hashtbl.replace t.bootstrap replica (target, t.now_);
     if t.record_spans then begin
-      Hashtbl.replace t.boot_epoch replica epoch;
-      Hashtbl.replace t.boot_win replica (t.now_, infinity)
+      t.boot_epoch.(replica) <- epoch;
+      t.boot_join.(replica) <- t.now_;
+      t.boot_promoted.(replica) <- infinity
     end;
     (* an empty cluster history needs no catch-up: promote on the spot *)
     maybe_promote t ~replica;
@@ -733,9 +720,9 @@ module Make (S : Haec_store.Store_intf.S) = struct
       t.next_gossip <- t.next_gossip +. g.interval;
       if not (g.settled (member_states t)) then begin
         t.s_gossip_rounds <- t.s_gossip_rounds + 1;
-        span t
-          (Haec_obs.Span.Repair_round
-             { round = t.s_gossip_rounds; r_at = t.now_; r_interval = g.interval });
+        if t.record_spans then
+          Haec_obs.Span.Log.repair_round t.log
+            { round = t.s_gossip_rounds; r_at = t.now_; r_interval = g.interval };
         for r = 0 to t.n - 1 do
           if Membership.is_member t.membership r && not t.down.(r) then begin
             t.states.(r) <- g.tick t.states.(r);

@@ -242,14 +242,24 @@ module Make (S : Haec_store.Store_intf.S) : sig
       With spans on, each observation is exactly the component sum of the
       matching [Visible] span's {!Haec_obs.Span.breakdown}. *)
 
-  val spans : t -> Haec_obs.Span.t list
+  val span_log : t -> Haec_obs.Span.Log.t
   (** The lifecycle span stream of the run so far, in emission order:
       [Op] (issue-to-flush) and [Transmit] spans at each send, [Flight]
       spans for every delivery/duplicate/permanent loss, [Visible] spans
       (one per witnessed (update, observer) pair, carrying the full lag
       decomposition), [Bootstrap] spans at promotion and [Repair_round]
       spans per fired gossip round. Derived from sim-time data only —
-      bit-identical at any [-j]. Empty when [record_spans] is off. *)
+      bit-identical at any [-j]. Empty when [record_spans] is off.
+
+      The runner records into the columnar {!Haec_obs.Span.Log} and keeps
+      its own lifecycle bookkeeping in dense arrays (per-source message
+      data by seq, per-(op, observer) times by [do_index * n + replica]),
+      so it keeps no span record; the returned log is live —
+      it grows as the run goes on — and holds no reference to the runner. *)
+
+  val spans : t -> Haec_obs.Span.t list
+  (** [Span.Log.to_list (span_log t)]: the same stream, its records built
+      by this call. *)
 
   val advance_to : t -> float -> unit
   (** Process all scheduled deliveries up to the given time. *)

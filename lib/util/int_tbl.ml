@@ -12,11 +12,3 @@ module Pair = Hashtbl.Make (struct
 end)
 
 let hash3 a b c = mix (mix a b) c land max_int
-
-module Triple = Hashtbl.Make (struct
-  type t = int * int * int
-
-  let equal ((a, b, c) : t) (d, e, f) = a = d && b = e && c = f
-
-  let hash ((a, b, c) : t) = hash3 a b c
-end)

@@ -1,6 +1,7 @@
-(* Lifecycle span tracing: breakdown exactness against the runner's own
-   lag histogram, structural well-formedness against the trace, export
-   round-trips, and the -j determinism contract for span streams. *)
+(* Lifecycle span tracing: the columnar span log's round-trip, breakdown
+   exactness against the runner's own lag histogram, structural
+   well-formedness against the trace, export round-trips, and the -j
+   determinism contract for span streams. *)
 
 open Haec
 module Span = Obs.Span
@@ -15,6 +16,9 @@ let ae_run ?(churn = false) ?(ops = 40) seed =
   C.run ~objects:2 ~ops ~spec_of:(fun _ -> Spec.Spec.mvr)
     ~mix:Sim.Workload.register_mix ~require:`Causal
     ~adversarial:true ~churn ~seed ()
+
+(* the outcome's span log, its records built *)
+let spans (o : Chaos.outcome) = Span.Log.to_list o.Chaos.spans
 
 let visibles spans =
   List.filter_map (function Span.Visible v -> Some v | _ -> None) spans
@@ -57,13 +61,127 @@ let test_breakdown_repair_path () =
   Alcotest.(check (float 0.0)) "dep empty" 0.0 b.Span.dep_wait;
   Alcotest.(check (float 0.0)) "total" 6.0 b.Span.total
 
+(* ---------- the columnar log ---------- *)
+
+(* a span as text, every float by its bit pattern, so NaN, -0.0 and the
+   last ulp all have to survive the columns *)
+let bits (s : Span.t) =
+  let f x = Printf.sprintf "%Lx" (Int64.bits_of_float x) in
+  match s with
+  | Span.Op o -> Printf.sprintf "op %d %d %d %s %s" o.op o.origin o.obj (f o.issue) (f o.sent)
+  | Span.Transmit x ->
+    Printf.sprintf "transmit %d %d %s %d %S [%s]" x.src x.seq (f x.sent) x.bytes x.kinds
+      (String.concat "," (List.map string_of_int x.ops))
+  | Span.Flight x ->
+    Printf.sprintf "flight %d %d %d %s %s %s" x.f_src x.f_seq x.f_dst (f x.f_sent) (f x.f_at)
+      (Span.outcome_name x.f_outcome)
+  | Span.Visible v ->
+    Printf.sprintf "visible %d %d %d %d %s %s %s %s %s %b %s" v.v_op v.v_origin v.v_obj
+      v.v_observer (f v.issue_at) (f v.sent_at) (f v.arrived_at) (f v.applied_at)
+      (f v.visible_at) v.direct (f v.boot_overlap)
+  | Span.Bootstrap b ->
+    Printf.sprintf "bootstrap %d %d %s %s" b.b_replica b.b_epoch (f b.b_join) (f b.b_promoted)
+  | Span.Repair_round r -> Printf.sprintf "round %d %s %s" r.round (f r.r_at) (f r.r_interval)
+
+let test_log_empty () =
+  let log = Span.Log.create () in
+  Alcotest.(check int) "length" 0 (Span.Log.length log);
+  Alcotest.(check int) "to_list" 0 (List.length (Span.Log.to_list log));
+  Span.Log.iter log (fun _ -> Alcotest.fail "iter visited a span of an empty log")
+
+(* All six kinds interleaved (every flight outcome, both visible paths),
+   over enough rounds to grow every column several times; awkward floats
+   included. [to_list] must give back the pushed records in emission
+   order, bit for bit, with each transmit's kinds classified from its
+   payload when read. *)
+let test_log_roundtrip () =
+  let odd = [| -0.0; Float.nan; Float.infinity; 5e-324; 0.1 +. 0.2; Float.pi; 1e300 |] in
+  let fl k = odd.(k mod Array.length odd) +. float_of_int (k land 1) in
+  let classify p = "kinds:" ^ p in
+  let log = Span.Log.create ~classify () and plain = Span.Log.create () in
+  let expected = ref [] and expected_plain = ref [] in
+  let emit s = expected := s :: !expected in
+  for k = 0 to 299 do
+    let payload = String.make (k mod 5) 'x' in
+    let ops = List.init (k mod 3) (fun i -> k + i) in
+    Span.Log.op log ~op:k ~origin:(k mod 4) ~obj:(k mod 7) ~issue:(fl k) ~sent:(fl (k + 1));
+    emit (Span.Op { op = k; origin = k mod 4; obj = k mod 7; issue = fl k; sent = fl (k + 1) });
+    List.iter
+      (fun outcome ->
+        Span.Log.flight log ~src:k ~seq:(k * 2) ~dst:(k mod 3) ~sent:(fl (k + 2)) ~at:(fl (k + 3))
+          outcome;
+        emit
+          (Span.Flight
+             {
+               f_src = k; f_seq = k * 2; f_dst = k mod 3; f_sent = fl (k + 2);
+               f_at = fl (k + 3); f_outcome = outcome;
+             }))
+      (if k mod 2 = 0 then [ Span.Delivered; Span.Dropped; Span.Duplicate ]
+       else [ Span.Duplicate ]);
+    Span.Log.transmit log ~src:(k mod 4) ~seq:k ~sent:(fl (k + 4)) ~payload ~ops;
+    Span.Log.transmit plain ~src:(k mod 4) ~seq:k ~sent:(fl (k + 4)) ~payload ~ops;
+    let tr kinds =
+      Span.Transmit
+        { src = k mod 4; seq = k; sent = fl (k + 4); bytes = String.length payload; kinds; ops }
+    in
+    emit (tr (classify payload));
+    expected_plain := tr "" :: !expected_plain;
+    let v =
+      {
+        Span.v_op = k; v_origin = k mod 4; v_obj = k mod 7; v_observer = (k + 1) mod 4;
+        issue_at = fl k; sent_at = fl (k + 1); arrived_at = fl (k + 2); applied_at = fl (k + 3);
+        visible_at = fl (k + 4); direct = k mod 3 <> 0; boot_overlap = fl (k + 5);
+      }
+    in
+    Span.Log.visible log v;
+    emit (Span.Visible v);
+    if k mod 10 = 0 then begin
+      let b = { Span.b_replica = k mod 4; b_epoch = k; b_join = fl k; b_promoted = fl (k + 6) } in
+      Span.Log.bootstrap log b;
+      emit (Span.Bootstrap b)
+    end;
+    if k mod 7 = 0 then begin
+      let r = { Span.round = k; r_at = fl (k + 2); r_interval = fl (k + 5) } in
+      Span.Log.repair_round log r;
+      emit (Span.Repair_round r)
+    end
+  done;
+  let expected = List.rev !expected in
+  Alcotest.(check int) "length" (List.length expected) (Span.Log.length log);
+  Alcotest.(check (list string)) "emission order, bit-identical" (List.map bits expected)
+    (List.map bits (Span.Log.to_list log));
+  let walked = ref [] in
+  Span.Log.iter log (fun s -> walked := bits s :: !walked);
+  Alcotest.(check (list string)) "iter = to_list" (List.map bits expected) (List.rev !walked);
+  Alcotest.(check (list string)) "no classifier: kinds empty"
+    (List.rev_map bits !expected_plain)
+    (List.map bits (Span.Log.to_list plain))
+
+(* [Chaos.run]'s log against the runner's own stream of the same plan,
+   driven outside the harness (test_witness's [Drive], the schedule the
+   golden span fingerprints pin) *)
+let test_chaos_log_is_the_runner_stream () =
+  let module D = Test_witness.Drive (Store.Causal_mvr_store) in
+  List.iter
+    (fun (churn, seed) ->
+      let n, objects, ops = if churn then (3, 3, 60) else (4, 4, 80) in
+      let o =
+        C.run ~n ~objects ~ops ~mix:Sim.Workload.register_mix ~adversarial:true ~churn ~seed ()
+      in
+      let sim = D.run ~mix:Sim.Workload.register_mix ~churn ~spans:true ~seed in
+      Alcotest.(check (list string))
+        (Printf.sprintf "seed %d%s" seed (if churn then " churn" else ""))
+        (List.map bits (D.R.spans sim))
+        (List.map bits (spans o)))
+    [ (false, 1); (true, 1); (false, 2); (true, 2) ]
+
 (* ---------- live stream vs the runner's own measurements ---------- *)
 
 let test_components_sum_to_lag_histogram () =
   List.iter
     (fun seed ->
       let o = ae_run seed in
-      let vs = visibles o.Chaos.spans in
+      let vs = visibles (spans o) in
       let total =
         List.fold_left (fun acc v -> acc +. (Span.breakdown v).Span.total) 0.0 vs
       in
@@ -92,13 +210,13 @@ let test_visible_timestamps_monotone () =
         (v.Span.arrived_at <= v.Span.applied_at);
       Alcotest.(check bool) (m ^ ": applied<=visible") true
         (v.Span.applied_at <= v.Span.visible_at))
-    (visibles o.Chaos.spans)
+    (visibles (spans o))
 
 let test_spans_audit_against_trace () =
   List.iter
     (fun seed ->
       let o = ae_run seed in
-      match Telemetry.audit_spans o.Chaos.exec o.Chaos.spans with
+      match Telemetry.audit_spans o.Chaos.exec (spans o) with
       | [] -> ()
       | errs ->
         Alcotest.fail
@@ -110,7 +228,7 @@ let test_transmit_kinds_classified () =
   let kinds =
     List.filter_map
       (function Span.Transmit x -> Some x.Span.kinds | _ -> None)
-      o.Chaos.spans
+      (spans o)
   in
   Alcotest.(check bool) "transmits present" true (kinds <> []);
   (* the anti-entropy drive classifies payloads: digest rounds must show *)
@@ -131,7 +249,7 @@ let test_churn_emits_bootstrap_spans () =
         let o = ae_run ~churn:true seed in
         List.filter_map
           (function Span.Bootstrap b -> Some b | _ -> None)
-          o.Chaos.spans)
+          (spans o))
       [ 1; 2; 3; 4; 5 ]
   in
   Alcotest.(check bool) "some run promoted a joiner" true (boots <> []);
@@ -143,7 +261,7 @@ let test_churn_emits_bootstrap_spans () =
 let test_repair_rounds_numbered () =
   let o = ae_run 1 in
   let rounds =
-    List.filter_map (function Span.Repair_round r -> Some r | _ -> None) o.Chaos.spans
+    List.filter_map (function Span.Repair_round r -> Some r | _ -> None) (spans o)
   in
   Alcotest.(check bool) "gossip rounds traced" true (rounds <> []);
   List.iteri
@@ -160,7 +278,7 @@ let test_stream_identical_across_domains () =
         ~mix:Sim.Workload.register_mix ~require:`Causal
         ~adversarial:true ~domains ~seeds ()
     in
-    String.concat "\n" (List.map (fun o -> Trace_export.to_jsonl o.Chaos.spans) outcomes)
+    String.concat "\n" (List.map (fun o -> Trace_export.to_jsonl (spans o)) outcomes)
   in
   Alcotest.(check string) "-j 1 vs -j 4 byte-identical" (render 1) (render 4)
 
@@ -169,10 +287,10 @@ let test_stream_identical_across_domains () =
 let test_jsonl_roundtrip () =
   let o = ae_run ~churn:true 5 in
   let meta = [ ("store", Json.Str "causal"); ("seed", Json.Num 5.0) ] in
-  let s = Trace_export.to_jsonl ~meta o.Chaos.spans in
+  let s = Trace_export.to_jsonl ~meta (spans o) in
   let meta', spans' = Trace_export.of_jsonl s in
-  Alcotest.(check int) "span count" (List.length o.Chaos.spans) (List.length spans');
-  Alcotest.(check bool) "spans equal" true (o.Chaos.spans = spans');
+  Alcotest.(check int) "span count" (List.length (spans o)) (List.length spans');
+  Alcotest.(check bool) "spans equal" true (spans o = spans');
   Alcotest.(check bool) "meta preserved" true
     (List.assoc_opt "store" meta' = Some (Json.Str "causal"));
   (* and the stream re-renders identically *)
@@ -185,7 +303,7 @@ let test_jsonl_rejects_garbage () =
 let test_chrome_export_schema () =
   let o = ae_run ~churn:true 5 in
   let n = Model.Execution.n_replicas o.Chaos.exec in
-  let doc = Trace_export.to_chrome ~n o.Chaos.spans in
+  let doc = Trace_export.to_chrome ~n (spans o) in
   let events =
     match Json.member "traceEvents" doc with
     | Some (Json.Arr evs) -> evs
@@ -310,6 +428,11 @@ let suite =
         test_breakdown_sums_exactly;
       Alcotest.test_case "breakdown: lost direct copy bills repair-wait" `Quick
         test_breakdown_repair_path;
+      Alcotest.test_case "log: empty" `Quick test_log_empty;
+      Alcotest.test_case "log: six kinds round-trip in emission order, bit for bit" `Quick
+        test_log_roundtrip;
+      Alcotest.test_case "log: Chaos.run holds the runner's own stream" `Quick
+        test_chaos_log_is_the_runner_stream;
       Alcotest.test_case "live: components sum to visibility.lag bit-for-bit" `Quick
         test_components_sum_to_lag_histogram;
       Alcotest.test_case "live: visible timestamps are monotone" `Quick
