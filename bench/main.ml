@@ -431,11 +431,11 @@ let gossip_json ~quick =
    cross-commit eyeballing. *)
 let live_json ~quick =
   let module Json = Haec.Obs.Json in
-  let module Stack = Live.Stack.Volatile (Store.Causal_mvr_store) in
+  let module Stack = Sim.Stack.Volatile (Store.Causal_mvr_store) in
   let module C = Live.Cluster.Make (Stack) in
   (* fault rows run the durable stack (crash windows need a WAL); the
      fault-free rows stay volatile so they compare against prior commits *)
-  let module DStack = Live.Stack.Durable (Store.Causal_mvr_store) in
+  let module DStack = Sim.Stack.Durable (Store.Causal_mvr_store) in
   let module DC = Live.Cluster.Make (DStack) in
   let duration = if quick then 0.2 else 0.5 in
   let run ?(version = Wire.Version.V2) ~n () =

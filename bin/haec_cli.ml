@@ -1197,11 +1197,11 @@ let serve_store (module S : Store.Store_intf.S) ~require ~spec ~cfg ~capture_pat
          WAL to recover from, and a chaos run should measure the
          chaos-ready configuration *)
       if chaos_active then
-        let module St = Live.Stack.Durable (S) in
+        let module St = Sim.Stack.Durable (S) in
         let module C = Live.Cluster.Make (St) in
         Ok (C.run cfg)
       else
-        let module St = Live.Stack.Volatile (S) in
+        let module St = Sim.Stack.Volatile (S) in
         let module C = Live.Cluster.Make (St) in
         Ok (C.run cfg)
     with Invalid_argument msg -> Error msg

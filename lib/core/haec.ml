@@ -101,6 +101,7 @@ module Sim = struct
   module Workload = Haec_sim.Workload
   module Scenario = Haec_sim.Scenario
   module Checks = Haec_sim.Checks
+  module Stack = Haec_sim.Stack
   module Chaos = Haec_sim.Chaos
   module Shrink = Haec_sim.Shrink
   module Telemetry = Haec_sim.Telemetry
@@ -111,7 +112,7 @@ module Live = struct
   module Load = Haec_live.Load
   module Cluster = Haec_live.Cluster
   module Faults = Haec_live.Faults
-  module Stack = Haec_live.Stack
+  module Stack = Haec_sim.Stack
 end
 
 module Viz = struct

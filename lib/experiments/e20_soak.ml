@@ -2,7 +2,8 @@
     path, in replicas (n) and operations (k).
 
     Two instruments, both reading the delivery layer's own work counters
-    ({!Haec_store.Store_intf.delivery_stats}):
+    ({!Haec_store.Store_intf.delivery_stats}), which each replica keeps in
+    its state:
 
     - a {b buffering stress}: one writer emits k single-update messages and
       a reader receives them in reverse order, so k-1 records buffer and a
@@ -46,8 +47,15 @@ type stress = {
 
 (* ---------- buffering stress (store-level, no simulator) ---------- *)
 
-module Stress (S : Store.Store_intf.S) = struct
-  let run ~label ~reset ~stats ~k =
+(* a store that counts its delivery-buffer work per replica *)
+module type COUNTED = sig
+  include Store.Store_intf.S
+
+  val counters : state -> Store.Store_intf.delivery_stats
+end
+
+module Stress (S : COUNTED) = struct
+  let run ~label ~k =
     let msgs = Array.make k "" in
     let writer = ref (S.init ~n:2 ~me:0) in
     for i = 0 to k - 1 do
@@ -57,7 +65,6 @@ module Stress (S : Store.Store_intf.S) = struct
       writer := st;
       msgs.(i) <- payload
     done;
-    reset ();
     let t0 = Sys.time () in
     let reader = ref (S.init ~n:2 ~me:1) in
     for i = k - 1 downto 0 do
@@ -68,7 +75,7 @@ module Stress (S : Store.Store_intf.S) = struct
     ignore final;
     (* every write was delivered: the reader sees the last value *)
     assert (r = Model.Op.vals [ Model.Value.Int (k - 1) ]);
-    let st : Store.Store_intf.delivery_stats = stats () in
+    let st = S.counters !reader in
     {
       s_label = label;
       k;
@@ -81,22 +88,16 @@ end
 module Stress_indexed = Stress (Store.Causal_mvr_store)
 module Stress_naive = Stress (Store.Causal_naive_store)
 
-let stress_indexed ~k =
-  Stress_indexed.run ~label:Store.Causal_mvr_store.name
-    ~reset:Store.Causal_mvr_store.reset_delivery_stats
-    ~stats:Store.Causal_mvr_store.delivery_stats ~k
+let stress_indexed ~k = Stress_indexed.run ~label:Store.Causal_mvr_store.name ~k
 
-let stress_naive ~k =
-  Stress_naive.run ~label:Store.Causal_naive_store.name
-    ~reset:Store.Causal_naive_store.reset_delivery_stats
-    ~stats:Store.Causal_naive_store.delivery_stats ~k
+let stress_naive ~k = Stress_naive.run ~label:Store.Causal_naive_store.name ~k
 
 (* ---------- replication soak (simulator-driven) ---------- *)
 
-module Soak (S : Store.Store_intf.S) = struct
+module Soak (S : COUNTED) = struct
   module R = Sim.Runner.Make (S)
 
-  let run ~label ~reset ~stats ~n ~objects ~ops ~seed () =
+  let run ~label ~n ~objects ~ops ~seed () =
     let rng = Util.Rng.create seed in
     let sim =
       R.create ~seed ~record_witness:false
@@ -106,14 +107,14 @@ module Soak (S : Store.Store_intf.S) = struct
       Sim.Workload.generate ~rng ~n ~objects ~ops ~spacing:0.25
         Sim.Workload.register_mix
     in
-    reset ();
     let t0 = Sys.time () in
     Sim.Workload.run
       (fun ~replica ~obj op -> R.op sim ~replica ~obj op)
       ~advance:(R.advance_to sim) steps;
     R.run_until_quiescent sim;
     let elapsed = Sys.time () -. t0 in
-    let st : Store.Store_intf.delivery_stats = stats () in
+    let counts = List.init n (fun r -> S.counters (R.replica_state sim r)) in
+    let sum f = List.fold_left (fun a c -> a + f c) 0 counts in
     let msgs = R.messages_sent sim in
     {
       label;
@@ -124,9 +125,9 @@ module Soak (S : Store.Store_intf.S) = struct
         List.fold_left
           (fun acc m -> acc + String.length m.Model.Message.payload)
           0 msgs;
-      deliveries = st.Store.Store_intf.delivered;
-      scans = st.Store.Store_intf.scans;
-      max_buffer = st.Store.Store_intf.max_buffer;
+      deliveries = sum (fun c -> c.Store.Store_intf.delivered);
+      scans = sum (fun c -> c.Store.Store_intf.scans);
+      max_buffer = List.fold_left (fun a c -> max a c.Store.Store_intf.max_buffer) 0 counts;
       elapsed;
     }
 end
@@ -134,24 +135,17 @@ end
 module Soak_indexed = Soak (Store.Causal_mvr_store)
 module Soak_naive = Soak (Store.Causal_naive_store)
 
-let soak_indexed ~n ~objects ~ops ~seed () =
-  Soak_indexed.run ~label:Store.Causal_mvr_store.name
-    ~reset:Store.Causal_mvr_store.reset_delivery_stats
-    ~stats:Store.Causal_mvr_store.delivery_stats ~n ~objects ~ops ~seed ()
+let soak_indexed = Soak_indexed.run ~label:Store.Causal_mvr_store.name
 
-let soak_naive ~n ~objects ~ops ~seed () =
-  Soak_naive.run ~label:Store.Causal_naive_store.name
-    ~reset:Store.Causal_naive_store.reset_delivery_stats
-    ~stats:Store.Causal_naive_store.delivery_stats ~n ~objects ~ops ~seed ()
+let soak_naive = Soak_naive.run ~label:Store.Causal_naive_store.name
 
 (* ---------- the experiment table ---------- *)
 
 let f_ops_per_s s = if s.elapsed > 0.0 then Tables.f1 (float_of_int s.ops /. s.elapsed) else "-"
 
 let run ppf =
-  (* one task per k, fanned out over domains: a task's reset/run/read of the
-     domain-local delivery counters never leaves its domain, and same-domain
-     tasks run sequentially, so the counters stay coherent at any -j *)
+  (* one task per k, fanned out over domains; the counters live in the
+     replica states, so the tasks share nothing *)
   let stress_rows =
     Harness.sweep
       (List.map

@@ -19,7 +19,7 @@ let name = "E25"
 
 let title = "E25: live cluster — domains, wall-clock lag and wire bytes"
 
-module Stack = Live.Stack.Volatile (Store.Causal_mvr_store)
+module Stack = Sim.Stack.Volatile (Store.Causal_mvr_store)
 module C = Live.Cluster.Make (Stack)
 
 let duration = 0.2

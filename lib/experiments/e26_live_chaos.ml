@@ -66,7 +66,7 @@ let faults =
   ]
 
 let run_one (module S : Store.Store_intf.S) ~mix ~fault =
-  let module St = Live.Stack.Durable (S) in
+  let module St = Sim.Stack.Durable (S) in
   let module C = Live.Cluster.Make (St) in
   C.run
     {

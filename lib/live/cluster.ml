@@ -8,31 +8,7 @@ module Store_intf = Haec_store.Store_intf
 module Fault_plan = Haec_sim.Fault_plan
 module Witness = Haec_sim.Witness
 
-module type STACK = sig
-  include Store_intf.S
-
-  val tick : state -> state
-
-  val settled : state array -> bool
-
-  val progress : state -> Vclock.t
-
-  val queue_depth : state -> int
-
-  val pending_bytes : state -> int
-
-  val log_entries : state -> int
-
-  val log_bytes : state -> int
-
-  val gossip_stats : unit -> Store_intf.gossip_stats
-
-  val reset_gossip_stats : unit -> unit
-
-  val recover : state -> state
-
-  val durable : bool
-end
+module type STACK = Haec_sim.Stack.S
 
 type config = {
   replicas : int;
@@ -87,6 +63,7 @@ type replica_stats = {
   crash_lost : int;
   queue_depth_peak : int;
   pending_bytes_peak : int;
+  gossip : Store_intf.gossip_stats;
 }
 
 type result = {
@@ -129,23 +106,6 @@ type frame = { bytes : string; seq : int; issued_at : float }
    store's witness cut down to the updates this replica had not yet
    witnessed (a {!Haec_sim.Witness.fresh} delta) *)
 type tev = { at : float; ev : Event.t; wit : Store_intf.witness option }
-
-let add_gossip dst (src : Store_intf.gossip_stats) =
-  let open Store_intf in
-  dst.digests <- dst.digests + src.digests;
-  dst.digest_bytes <- dst.digest_bytes + src.digest_bytes;
-  dst.repairs <- dst.repairs + src.repairs;
-  dst.repair_bytes <- dst.repair_bytes + src.repair_bytes;
-  dst.requests <- dst.requests + src.requests;
-  dst.request_bytes <- dst.request_bytes + src.request_bytes;
-  dst.updates <- dst.updates + src.updates;
-  dst.update_bytes <- dst.update_bytes + src.update_bytes;
-  dst.dup_payloads <- dst.dup_payloads + src.dup_payloads;
-  dst.repair_applied <- dst.repair_applied + src.repair_applied;
-  dst.memberships <- dst.memberships + src.memberships;
-  dst.membership_bytes <- dst.membership_bytes + src.membership_bytes;
-  dst.digest_deltas <- dst.digest_deltas + src.digest_deltas;
-  dst.digests_elided <- dst.digests_elided + src.digests_elided
 
 module Make (S : STACK) = struct
   type node = {
@@ -376,10 +336,11 @@ module Make (S : STACK) = struct
   (* A crash window: the replica's volatile memory and every frame queued
      for or addressed to it die; only the durable image survives. The
      domain itself is kept — each ring has exactly one legal producer and
-     consumer, and the DLS gossip stats die with a domain — so the
-     teardown is semantic: state dropped, no events until Recover, inbox
-     discarded at restart. Returns [false] when the run ended while the
-     replica was down (it then stays down). *)
+     consumer — so the teardown is semantic: state dropped, no events
+     until Recover, inbox discarded at restart. [S.recover] keeps the
+     replica's protocol counters as they were at the crash. Returns
+     [false] when the run ended while the replica was down (it then stays
+     down). *)
   let crash_restart node ~phase ~recover_at =
     node.crashes <- node.crashes + 1;
     if node.cfg.capture then
@@ -538,11 +499,8 @@ module Make (S : STACK) = struct
      pass: each do event's delta resolves against the self dots of
      earlier merged do events, giving vis edges that respect H order by
      construction. *)
-  let assemble ~n results =
-    let per =
-      Array.map
-        (fun (node, _) -> Array.of_list (List.rev node.events_rev))
-        results
+  let assemble ~n nodes =
+    let per = Array.map (fun node -> Array.of_list (List.rev node.events_rev)) nodes
     in
     let idx = Array.make n 0 in
     let sent = Int_tbl.Pair.create 1024 in
@@ -589,12 +547,12 @@ module Make (S : STACK) = struct
     (Execution.of_list ~n (List.rev !events_rev), Witness.abstract wit ~n)
 
   let harvest cfg ~elapsed ~drain_elapsed ~outcome ~availability ~recovery_ms
-      ~faults results =
+      ~faults nodes =
     let n = cfg.replicas in
     let converged = match outcome with Healed _ -> true | Diverged _ -> false in
     let per_replica =
       Array.map
-        (fun (node, _) ->
+        (fun node ->
           {
             ops = node.dos;
             issued = Load.issued node.g;
@@ -611,8 +569,9 @@ module Make (S : STACK) = struct
             crash_lost = node.crash_lost;
             queue_depth_peak = node.qd_peak;
             pending_bytes_peak = node.pb_peak;
+            gossip = S.counters node.state;
           })
-        results
+        nodes
     in
     let sum f = Array.fold_left (fun a r -> a + f r) 0 per_replica in
     let peak f = Array.fold_left (fun a r -> max a (f r)) 0 per_replica in
@@ -624,14 +583,17 @@ module Make (S : STACK) = struct
     let wire_bytes = sum (fun r -> r.wire_bytes) in
     let stalls = sum (fun r -> r.stalls) in
     let max_payload_bytes =
-      Array.fold_left (fun a (node, _) -> max a node.max_payload) 0 results
+      Array.fold_left (fun a node -> max a node.max_payload) 0 nodes
     in
     let queue_depth_peak = peak (fun r -> r.queue_depth_peak) in
     let pending_bytes_peak = peak (fun r -> r.pending_bytes_peak) in
     let lag_ms = Obs.Histogram.create () in
-    Array.iter (fun (node, _) -> Obs.Histogram.merge_into lag_ms node.lag) results;
-    let gossip = Store_intf.fresh_gossip_stats () in
-    Array.iter (fun (_, gs) -> add_gossip gossip gs) results;
+    Array.iter (fun node -> Obs.Histogram.merge_into lag_ms node.lag) nodes;
+    let gossip =
+      Array.fold_left
+        (fun a (r : replica_stats) -> Store_intf.add_gossip_stats a r.gossip)
+        (Store_intf.fresh_gossip_stats ()) per_replica
+    in
     let ops_per_sec =
       if elapsed > 0.0 then float_of_int total_ops /. elapsed else 0.0
     in
@@ -647,13 +609,13 @@ module Make (S : STACK) = struct
     c "live.stalls" stalls;
     c "live.ring.stall" stalls;
     Array.iter
-      (fun (node, _) ->
+      (fun node ->
         Array.iteri
           (fun dst v ->
             if v > 0 then
               c (Printf.sprintf "live.ring.stall.r%d_r%d" node.me dst) v)
           node.stalls_by)
-      results;
+      nodes;
     c "live.crashes" (sum (fun r -> r.crashes));
     c "live.frames.rejected" (sum (fun r -> r.frames_rejected));
     c "live.crash_lost" (sum (fun r -> r.crash_lost));
@@ -664,12 +626,8 @@ module Make (S : STACK) = struct
       (match outcome with
       | Healed { degraded_settled = true } -> 1.0
       | Healed _ | Diverged _ -> 0.0);
-    g "ae.queue_depth" (float_of_int queue_depth_peak);
-    g "ae.pending_bytes" (float_of_int pending_bytes_peak);
-    (* the repair log the replicas still hold at the end of the run *)
-    let log_sum f = Array.fold_left (fun a (node, _) -> a + f node.state) 0 results in
-    g "ae.log_entries" (float_of_int (log_sum S.log_entries));
-    g "ae.log_bytes" (float_of_int (log_sum S.log_bytes));
+    g "live.queue_depth_peak" (float_of_int queue_depth_peak);
+    g "live.pending_bytes_peak" (float_of_int pending_bytes_peak);
     Obs.Registry.register reg "live.lag_ms" (Obs.Registry.Histogram lag_ms);
     Obs.Registry.register reg "live.recovery_ms"
       (Obs.Registry.Histogram recovery_ms);
@@ -685,21 +643,13 @@ module Make (S : STACK) = struct
       c "faults.corrupts" t.corrupts;
       c "faults.crash_lost" t.crash_lost
     | None -> ());
-    c "gossip.digests" gossip.Store_intf.digests;
-    c "gossip.digest_bytes" gossip.Store_intf.digest_bytes;
-    c "gossip.digest_deltas" gossip.Store_intf.digest_deltas;
-    c "gossip.digests_elided" gossip.Store_intf.digests_elided;
-    c "gossip.repairs" gossip.Store_intf.repairs;
-    c "gossip.repair_bytes" gossip.Store_intf.repair_bytes;
-    c "gossip.requests" gossip.Store_intf.requests;
-    c "gossip.request_bytes" gossip.Store_intf.request_bytes;
-    c "gossip.updates" gossip.Store_intf.updates;
-    c "gossip.update_bytes" gossip.Store_intf.update_bytes;
-    c "gossip.dup_payloads" gossip.Store_intf.dup_payloads;
-    c "gossip.repair_applied" gossip.Store_intf.repair_applied;
+    (* the repair log the replicas still hold at the end of the run *)
+    let log_sum f = Array.fold_left (fun a node -> a + f node.state) 0 nodes in
+    Haec_sim.Stack.publish reg gossip ~log_entries:(log_sum S.log_entries)
+      ~log_bytes:(log_sum S.log_bytes);
     let trace, witness =
       if cfg.capture then begin
-        let exec, wit = assemble ~n results in
+        let exec, wit = assemble ~n nodes in
         (Some exec, Some wit)
       end
       else (None, None)
@@ -820,9 +770,7 @@ module Make (S : STACK) = struct
                 Domain.cpu_relax ()
               done;
               live_loop node ~phase ~cell:cells.(me);
-              (* gossip stats live in DLS and die with the domain:
-                 snapshot before returning *)
-              (node, S.gossip_stats ())))
+              node))
     in
     let t0 = clock () in
     (* bind plan time to the load-phase origin; the gate write below
@@ -920,7 +868,7 @@ module Make (S : STACK) = struct
       end
     done;
     Atomic.set phase 2;
-    let results = Array.map Domain.join domains in
+    let nodes = Array.map Domain.join domains in
     let drain_elapsed = clock () -. t1 in
     let outcome =
       if !converged then Healed { degraded_settled = !degraded_settled }
@@ -978,7 +926,7 @@ module Make (S : STACK) = struct
              /. (float_of_int n *. elapsed)
     in
     harvest cfg ~elapsed ~drain_elapsed ~outcome ~availability ~recovery_ms
-      ~faults results
+      ~faults nodes
 
   let run_inline ?(ops_per_replica = 64) ?(tick_every = 8) cfg =
     let cfg = { cfg with capture = true; rate = 0.0 } in
@@ -990,7 +938,6 @@ module Make (S : STACK) = struct
       invalid_arg "Cluster.run_inline: ops_per_replica must be >= 1";
     if tick_every < 1 then
       invalid_arg "Cluster.run_inline: tick_every must be >= 1";
-    S.reset_gossip_stats ();
     let n = cfg.replicas in
     let vt = ref 0.0 in
     let clock () =
@@ -1045,19 +992,9 @@ module Make (S : STACK) = struct
     done;
     if not (done_ ()) then failwith "Cluster.run_inline: did not reach quiescence";
     let elapsed = Unix.gettimeofday () -. t0 in
-    let results =
-      Array.mapi
-        (fun i node ->
-          (* all replicas share this domain's DLS stats: attribute the
-             aggregate once, to replica 0 *)
-          ( node,
-            if i = 0 then S.gossip_stats () else Store_intf.fresh_gossip_stats ()
-          ))
-        nodes
-    in
     harvest cfg ~elapsed ~drain_elapsed:0.0
       ~outcome:(Healed { degraded_settled = false })
       ~availability:1.0
       ~recovery_ms:(Obs.Histogram.create ())
-      ~faults:None results
+      ~faults:None nodes
 end

@@ -2,11 +2,11 @@
     encoded [Wire.Frame] bytes over {!Spsc} rings, driven by a
     closed-loop {!Load} generator.
 
-    Each domain owns one replica stack (a store wrapped in
-    [Anti_entropy.Make]) outright — states, RNGs, histograms and event
-    logs are never shared; the only cross-domain traffic is sealed frame
-    bytes through the rings and small atomic snapshot cells the
-    coordinator polls. Metrics follow the same discipline: every domain
+    Each domain owns one replica stack ({!Haec_sim.Stack}: a store
+    wrapped in [Anti_entropy.Make]) outright — states (protocol counters
+    included), RNGs, histograms and event logs are never shared; the
+    only cross-domain traffic is sealed frame bytes through the rings and
+    small atomic snapshot cells the coordinator polls. Metrics follow the same discipline: every domain
     accumulates into its own counters and histogram, and the harvest
     merges them after [Domain.join] ({!Haec_obs.Metrics.Histogram.merge_into}),
     so the hot path carries no contended cache line.
@@ -39,49 +39,12 @@
     the simulator's lag histogram. *)
 
 open Haec_model
-open Haec_vclock
 module Obs := Haec_obs.Metrics
 
-(** What the runtime needs from a replica stack: a store
-    ({!Haec_store.Store_intf.S}) extended with the anti-entropy pump and
-    introspection — [Anti_entropy.Make (S)] provides everything except
-    [progress], which is its [have] vector. *)
-module type STACK = sig
-  include Haec_store.Store_intf.S
-
-  val tick : state -> state
-
-  val settled : state array -> bool
-
-  val progress : state -> Vclock.t
-  (** Per-origin contiguous applied prefix; drives lag measurement and
-      convergence detection. *)
-
-  val queue_depth : state -> int
-
-  val pending_bytes : state -> int
-
-  val log_entries : state -> int
-  (** Payloads in the anti-entropy repair log (published summed over
-      replicas as the [ae.log_entries] gauge). *)
-
-  val log_bytes : state -> int
-  (** Payload bytes in that log ([ae.log_bytes]). *)
-
-  val gossip_stats : unit -> Haec_store.Store_intf.gossip_stats
-
-  val reset_gossip_stats : unit -> unit
-
-  val recover : state -> state
-  (** Crash recovery: volatile state discarded, rebuilt from whatever the
-      stack keeps durably ({!Haec_store.Store_intf.DURABLE.recover}); the
-      identity for volatile stacks, which therefore cannot run crash
-      plans. *)
-
-  val durable : bool
-  (** Whether {!recover} actually survives a crash — gates crash windows
-      in {!config.faults}. *)
-end
+module type STACK = Haec_sim.Stack.S
+(** What the runtime needs from a replica stack: the one stack signature,
+    which {!Haec_sim.Stack.Volatile} and {!Haec_sim.Stack.Durable} build
+    (also reachable as [Live.Stack]). *)
 
 type config = {
   replicas : int;
@@ -147,6 +110,9 @@ type replica_stats = {
   crash_lost : int;  (** inbox frames discarded at restart *)
   queue_depth_peak : int;
   pending_bytes_peak : int;
+  gossip : Haec_store.Store_intf.gossip_stats;
+      (** this replica's protocol traffic, read from its final state
+          ({!Haec_sim.Stack.S.counters}) *)
 }
 
 type result = {
@@ -181,10 +147,13 @@ type result = {
   fault_links : (int * int * Faults.totals) list;
       (** the non-zero links as [(src, dst, totals)] *)
   registry : Obs.Registry.t;
-      (** the merged per-domain counters under [live.*] / [ae.*] /
-          [gossip.*] / [faults.*] names, including per-link
-          [live.ring.stall.r<src>_r<dst>] counters *)
+      (** the merged per-domain counters under [live.*] / [faults.*]
+          names, including per-link [live.ring.stall.r<src>_r<dst>]
+          counters, and the replicas' protocol counters and repair log
+          under the [gossip.*] / [ae.*] names the simulator uses
+          ({!Haec_sim.Stack.publish}) *)
   gossip : Haec_store.Store_intf.gossip_stats;
+      (** the sum of the replicas' [gossip] counters *)
   trace : Execution.t option;  (** when [capture] *)
   witness : Haec_spec.Abstract.t option;
 }

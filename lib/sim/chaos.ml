@@ -2,7 +2,6 @@ open Haec_util
 open Haec_model
 open Haec_spec
 open Haec_wire
-module Obs = Haec_obs.Metrics
 
 (* Every seed is audited by [Checks.validate], the one checker path,
    given the runner's recorded witness deltas: [correct] and [causal]
@@ -95,27 +94,14 @@ let derive ?(n = 3) ?(objects = 2) ?(ops = 40) ?(mix = Workload.register_mix)
   (plan, steps)
 
 module Make (S : Haec_store.Store_intf.S) = struct
-  module AE = Haec_store.Anti_entropy.Make (S)
-  module DA = Haec_store.Durable.Make (AE)
-  module R = Runner.Make (DA)
+  module St =
+    Stack.Durable_every
+      (struct
+        let auto_checkpoint_every = Some Haec_store.Durable.auto_checkpoint_every
+      end)
+      (S)
 
-  (* The gossip driver: the tick mutates only unlogged control state, so it
-     goes under the durable image without a WAL entry; [settled] reads
-     through both transformers *)
-  let tick = DA.map_inner AE.tick
-
-  let settled states = AE.settled (Array.map DA.inner states)
-
-  (* membership announcements are control state too: [map_inner], no WAL
-     entry — a recovering replica re-announces through normal gossip *)
-  let hooks =
-    {
-      Runner.progress = (fun st -> AE.have (DA.inner st));
-      on_join = (fun ~epoch st -> DA.map_inner (AE.announce_join ~epoch) st);
-      on_leave =
-        (fun ~epoch ~graceful st ->
-          if graceful then DA.map_inner (AE.announce_leave ~epoch) st else st);
-    }
+  module R = Runner.Make (St)
 
   (* First replica at or after [r] that can serve, if any — a client whose
      home replica is down or churned away fails over to another one
@@ -151,11 +137,11 @@ module Make (S : Haec_store.Store_intf.S) = struct
                c.Fault_plan.initial n);
         (c.Fault_plan.capacity, c.Fault_plan.initial)
     in
-    AE.reset_gossip_stats ();
     let sim =
-      R.create ~seed ~n:capacity ~initial ~hooks ~classify:Haec_store.Anti_entropy.classify
-        ~policy ~faults:plan ~gossip:(gossip_interval, tick, settled)
-        ~recover_state:(fun ~replica:_ st -> DA.recover st)
+      R.create ~seed ~n:capacity ~initial ~hooks:St.hooks
+        ~classify:Haec_store.Anti_entropy.classify ~policy ~faults:plan
+        ~gossip:(gossip_interval, St.tick, St.settled)
+        ~recover_state:(fun ~replica:_ -> St.recover)
         ()
     in
     let skipped = ref 0 in
@@ -245,36 +231,18 @@ module Make (S : Haec_store.Store_intf.S) = struct
         quiesced
     in
     let metrics = R.metrics sim in
-    (* digest/repair traffic of the anti-entropy protocol, alongside the
+    (* digest/repair traffic of every replica that ever ran, beside the
        runner's wire telemetry so E21 can hold repair bytes against the
-       Theorem 12 floor *)
-    let gs = AE.gossip_stats () in
-    let c name v = Obs.Counter.add (Obs.Registry.counter metrics name) v in
-    c "gossip.digests" gs.Haec_store.Store_intf.digests;
-    c "gossip.digest_bytes" gs.Haec_store.Store_intf.digest_bytes;
-    c "gossip.repairs" gs.Haec_store.Store_intf.repairs;
-    c "gossip.repair_bytes" gs.Haec_store.Store_intf.repair_bytes;
-    c "gossip.requests" gs.Haec_store.Store_intf.requests;
-    c "gossip.request_bytes" gs.Haec_store.Store_intf.request_bytes;
-    c "gossip.updates" gs.Haec_store.Store_intf.updates;
-    c "gossip.update_bytes" gs.Haec_store.Store_intf.update_bytes;
-    c "gossip.dup_payloads" gs.Haec_store.Store_intf.dup_payloads;
-    c "gossip.repair_applied" gs.Haec_store.Store_intf.repair_applied;
-    c "gossip.memberships" gs.Haec_store.Store_intf.memberships;
-    c "gossip.membership_bytes" gs.Haec_store.Store_intf.membership_bytes;
-    c "gossip.digest_deltas" gs.Haec_store.Store_intf.digest_deltas;
-    c "gossip.digests_elided" gs.Haec_store.Store_intf.digests_elided;
-    (* the repair log the members still hold at the end of the run, under
-       the same names the live cluster publishes *)
-    let log_sum f =
-      List.fold_left
-        (fun a r -> a + f (DA.inner (R.replica_state sim r)))
-        0
-        (Membership.members (R.membership sim))
-    in
-    let g name v = Obs.Gauge.set (Obs.Registry.gauge metrics name) (float_of_int v) in
-    g "ae.log_entries" (log_sum AE.log_entries);
-    g "ae.log_bytes" (log_sum AE.log_bytes);
+       Theorem 12 floor; the repair log is what the members still hold *)
+    let states ids = List.map (R.replica_state sim) ids in
+    let members = states (Membership.members (R.membership sim)) in
+    let sum f = List.fold_left (fun a st -> a + f st) 0 members in
+    Stack.publish metrics
+      (List.fold_left
+         (fun a st -> Haec_store.Store_intf.add_gossip_stats a (St.counters st))
+         (Haec_store.Store_intf.fresh_gossip_stats ())
+         (states (List.init capacity Fun.id)))
+      ~log_entries:(sum St.log_entries) ~log_bytes:(sum St.log_bytes);
     {
       seed;
       plan;

@@ -1,8 +1,9 @@
 (** Chaos harness: seeded random fault schedules against a store.
 
-    One chaos run wraps the store in {!Haec_store.Anti_entropy.Make} and
-    {!Haec_store.Durable.Make}, draws a
-    random {!Fault_plan.t} from the seed, and interleaves it with a random
+    One chaos run builds the store's durable replica stack
+    ({!Stack.Durable_every}, checkpointing every
+    {!Haec_store.Durable.auto_checkpoint_every} entries), draws a random
+    {!Fault_plan.t} from the seed, and interleaves it with a random
     client workload: replicas crash mid-run (losing volatile state, in-flight
     deliveries, and their clients, who fail over to a live replica), links
     drop traffic until they heal, and payloads get corrupted at the byte
@@ -51,9 +52,10 @@ type outcome = {
   stats : Runner.stats;
   metrics : Haec_obs.Metrics.Registry.t;
       (** the runner's wire/visibility telemetry (see {!Runner.Make.metrics})
-          and the [gossip.*] digest/repair traffic counters (items and
-          encoded bytes, plus [gossip.dup_payloads] and
-          [gossip.repair_applied]), and the [ae.log_entries] /
+          and, through {!Stack.publish}, the [gossip.*] traffic counters
+          summed over every replica's state (items and encoded bytes,
+          plus [gossip.dup_payloads] and [gossip.repair_applied]; a
+          recovery replay counts nothing) and the [ae.log_entries] /
           [ae.log_bytes] gauges — the repair log the members still hold
           at the end of the run, named as the live cluster names them *)
   spans : Haec_obs.Span.Log.t;

@@ -39,6 +39,13 @@
     tick re-announces, and the durable replay of the logged update stream
     ({!Durable.Make}) reconstructs [have] and the log exactly.
 
+    {b Counters.} Each replica counts its own traffic in its state
+    ({!Make.counters}). A durable replay rebuilds the state from [init],
+    so it would recount logged sends that never reach the wire again and
+    miss the digests of unlogged ticks; the replica stacks
+    ([Haec_sim.Stack]) therefore carry the crashed replica's counters
+    across recovery ({!Make.set_counters}).
+
     {b Trimming.} A payload leaves the log once every member holds it.
     Per peer the replica keeps [reported]: what that peer has itself
     proven to hold — its full digests, its digest deltas rebased on
@@ -302,37 +309,17 @@ module Make (S : Store_intf.S) : sig
   (** Queue a [Goodbye] for the next broadcast: a graceful leave. A
       crash-leave announces nothing. *)
 
-  val gossip_stats : unit -> Store_intf.gossip_stats
-  (** Aggregate traffic counters across every replica of this module on
-      the calling domain, like {!Causal_mvr_store.delivery_stats}. *)
+  val counters : state -> Store_intf.gossip_stats
+  (** This replica's traffic counters: what its [send]s put on the wire
+      and what its [receive]s deduplicated or repaired. *)
 
-  val reset_gossip_stats : unit -> unit
+  val set_counters : Store_intf.gossip_stats -> state -> state
+  (** Replace the counters and nothing else. Only for carrying a
+      replica's counters across a crash-recovery replay, which re-runs
+      sends that never reach the wire again. *)
 end = struct
   module Int_map = Map.Make (Int)
   module Int_set = Set.Make (Int)
-
-  let stats_key = Domain.DLS.new_key Store_intf.fresh_gossip_stats
-
-  let stats () = Domain.DLS.get stats_key
-
-  let gossip_stats () = Store_intf.copy_gossip_stats (stats ())
-
-  let reset_gossip_stats () =
-    let s = stats () in
-    s.Store_intf.digests <- 0;
-    s.Store_intf.digest_bytes <- 0;
-    s.Store_intf.repairs <- 0;
-    s.Store_intf.repair_bytes <- 0;
-    s.Store_intf.requests <- 0;
-    s.Store_intf.request_bytes <- 0;
-    s.Store_intf.updates <- 0;
-    s.Store_intf.update_bytes <- 0;
-    s.Store_intf.dup_payloads <- 0;
-    s.Store_intf.repair_applied <- 0;
-    s.Store_intf.memberships <- 0;
-    s.Store_intf.membership_bytes <- 0;
-    s.Store_intf.digest_deltas <- 0;
-    s.Store_intf.digests_elided <- 0
 
   type peer = {
     view : Vclock.t;  (** pointwise max of every digest heard from this peer *)
@@ -381,6 +368,7 @@ end = struct
     emit : Wire.Version.t;  (** see [emit_version] *)
     last_sent_digest : Vclock.t option;  (** [have] as of the last digest sent *)
     last_full_round : int;  (** round of the last full digest sent *)
+    counters : Store_intf.gossip_stats;
   }
 
   let name = "anti-entropy(" ^ S.name ^ ")"
@@ -421,6 +409,7 @@ end = struct
       emit = Wire.Version.current ();
       last_sent_digest = None;
       last_full_round = 0;
+      counters = Store_intf.fresh_gossip_stats ();
     }
 
   let inner t = t.inner
@@ -434,6 +423,10 @@ end = struct
   let log_entries t = t.logged
 
   let log_bytes t = t.log_bytes
+
+  let counters t = t.counters
+
+  let set_counters counters t = { t with counters }
 
   (* the log holds exactly [floor, have) of every origin, plus orphans *)
   let orphans t = t.logged - (Vclock.sum t.have - Vclock.sum t.floor)
@@ -501,14 +494,17 @@ end = struct
       in
       cascade t ~origin
 
-  let ingest t ~origin ~seq ~payload ~via_repair =
+  (* what one envelope's payloads did, folded into the counters once at
+     the end of [receive] rather than copying the state per payload *)
+  type tally = { mutable dups : int; mutable repaired : int }
+
+  let ingest tally t ~origin ~seq ~payload ~via_repair =
     if seq < Vclock.get t.have origin || log_find t ~origin ~seq <> None then begin
-      (stats ()).Store_intf.dup_payloads <- (stats ()).Store_intf.dup_payloads + 1;
+      tally.dups <- tally.dups + 1;
       t
     end
     else begin
-      if via_repair then
-        (stats ()).Store_intf.repair_applied <- (stats ()).Store_intf.repair_applied + 1;
+      if via_repair then tally.repaired <- tally.repaired + 1;
       cascade (log_add t ~origin ~seq payload) ~origin
     end
 
@@ -663,7 +659,7 @@ end = struct
      exploiting rules (view inference, opportunistic repair ingestion)
      apply only then, keeping the v1 protocol behaviour byte-for-byte and
      step-for-step what it was *)
-  let receive_item t ~sender ~v2 dec =
+  let receive_item tally t ~sender ~v2 dec =
     match Wire.Gossip.decode_kind dec with
     | Wire.Gossip.Update ->
       let seq = Wire.Decoder.uint dec in
@@ -679,7 +675,7 @@ end = struct
         note_reported t ~peer:sender (fun r ->
             if seq <= Vclock.get r sender then Vclock.raise_to r sender (seq + 1) else r)
       in
-      ingest t ~origin:sender ~seq ~payload ~via_repair:false
+      ingest tally t ~origin:sender ~seq ~payload ~via_repair:false
     | Wire.Gossip.Digest ->
       let clock = Vclock.decode_any dec in
       check_replica t "digest" sender;
@@ -750,7 +746,7 @@ end = struct
       if dst <> t.me then t
       else
         List.fold_left
-          (fun t (origin, seq, payload) -> ingest t ~origin ~seq ~payload ~via_repair:true)
+          (fun t (origin, seq, payload) -> ingest tally t ~origin ~seq ~payload ~via_repair:true)
           t items
     | Wire.Gossip.Repair_runs ->
       (* one merged repair toward [dst]: per-origin runs of consecutive
@@ -780,7 +776,7 @@ end = struct
         t := note_peer_has !t ~peer:dst ~origin ~from_seq ~upto:(from_seq + count);
         for j = 0 to count - 1 do
           let payload = Wire.Decoder.string dec in
-          t := ingest !t ~origin ~seq:(from_seq + j) ~payload ~via_repair:true
+          t := ingest tally !t ~origin ~seq:(from_seq + j) ~payload ~via_repair:true
         done
       done;
       !t
@@ -871,10 +867,24 @@ end = struct
         if count > Wire.Decoder.remaining dec then
           raise (Wire.Decoder.Malformed "anti-entropy envelope: item count exceeds input");
         let t = ref t in
+        let tally = { dups = 0; repaired = 0 } in
         for _ = 1 to count do
-          t := receive_item !t ~sender ~v2 dec
+          t := receive_item tally !t ~sender ~v2 dec
         done;
-        trim !t)
+        let t = !t in
+        let c = t.counters in
+        trim
+          (if tally.dups = 0 && tally.repaired = 0 then t
+           else
+             {
+               t with
+               counters =
+                 {
+                   c with
+                   dup_payloads = c.dup_payloads + tally.dups;
+                   repair_applied = c.repair_applied + tally.repaired;
+                 };
+             }))
 
   let do_op t ~obj op =
     let inner, rval, witness = S.do_op t.inner ~obj op in
@@ -894,11 +904,7 @@ end = struct
          | Some d -> Vclock.equal d t.have
          | None -> false)
       && not (S.has_pending t.inner)
-    then begin
-      (stats ()).Store_intf.digests_elided <-
-        (stats ()).Store_intf.digests_elided + 1;
-      t
-    end
+    then { t with counters = { t.counters with digests_elided = t.counters.digests_elided + 1 } }
     else { t with outq_rev = Out_digest { force_full = false } :: t.outq_rev }
 
   (* group per-destination repair payloads — already deduplicated and
@@ -997,7 +1003,7 @@ end = struct
       + (match digest_mode with `Full | `Delta _ -> 1 | `Absent | `Elide -> 0)
       + List.length outs + List.length repair_packets
     in
-    let st = stats () in
+    let c = ref t.counters in
     let payload =
       Wire.encode (fun enc ->
           if v2 then begin
@@ -1020,17 +1026,14 @@ end = struct
             Wire.Gossip.encode_kind enc Wire.Gossip.Update;
             Wire.Encoder.uint enc seq;
             Wire.Encoder.string enc payload;
-            st.Store_intf.updates <- st.Store_intf.updates + 1;
-            st.Store_intf.update_bytes <- st.Store_intf.update_bytes + bytes ());
+            c := { !c with updates = !c.updates + 1; update_bytes = !c.update_bytes + bytes () });
           (match digest_mode with
           | `Absent -> ()
-          | `Elide ->
-            st.Store_intf.digests_elided <- st.Store_intf.digests_elided + 1
+          | `Elide -> c := { !c with digests_elided = !c.digests_elided + 1 }
           | `Full ->
             Wire.Gossip.encode_kind enc Wire.Gossip.Digest;
             if v2 then Vclock.encode_c enc t.have else Vclock.encode enc t.have;
-            st.Store_intf.digests <- st.Store_intf.digests + 1;
-            st.Store_intf.digest_bytes <- st.Store_intf.digest_bytes + bytes ()
+            c := { !c with digests = !c.digests + 1; digest_bytes = !c.digest_bytes + bytes () }
           | `Delta prev ->
             Wire.Gossip.encode_kind enc Wire.Gossip.Digest_delta;
             let changed = ref [] in
@@ -1046,8 +1049,9 @@ end = struct
                 Wire.Encoder.uint enc (Vclock.get t.have i);
                 last := i)
               !changed;
-            st.Store_intf.digest_deltas <- st.Store_intf.digest_deltas + 1;
-            st.Store_intf.digest_bytes <- st.Store_intf.digest_bytes + bytes ());
+            c :=
+              { !c with digest_deltas = !c.digest_deltas + 1;
+                        digest_bytes = !c.digest_bytes + bytes () });
           List.iter
             (function
               | Out_digest _ | Out_repair _ -> ()
@@ -1056,18 +1060,21 @@ end = struct
                 Wire.Encoder.uint enc dst;
                 Wire.Encoder.uint enc origin;
                 Wire.Encoder.uint enc from_seq;
-                st.Store_intf.requests <- st.Store_intf.requests + 1;
-                st.Store_intf.request_bytes <- st.Store_intf.request_bytes + bytes ()
+                c :=
+                  { !c with requests = !c.requests + 1;
+                            request_bytes = !c.request_bytes + bytes () }
               | Out_hello epoch ->
                 Wire.Gossip.encode_kind enc Wire.Gossip.Hello;
                 Wire.Encoder.uint enc epoch;
-                st.Store_intf.memberships <- st.Store_intf.memberships + 1;
-                st.Store_intf.membership_bytes <- st.Store_intf.membership_bytes + bytes ()
+                c :=
+                  { !c with memberships = !c.memberships + 1;
+                            membership_bytes = !c.membership_bytes + bytes () }
               | Out_goodbye epoch ->
                 Wire.Gossip.encode_kind enc Wire.Gossip.Goodbye;
                 Wire.Encoder.uint enc epoch;
-                st.Store_intf.memberships <- st.Store_intf.memberships + 1;
-                st.Store_intf.membership_bytes <- st.Store_intf.membership_bytes + bytes ())
+                c :=
+                  { !c with memberships = !c.memberships + 1;
+                            membership_bytes = !c.membership_bytes + bytes () })
             outs;
           List.iter
             (fun (dst, items) ->
@@ -1094,8 +1101,7 @@ end = struct
                     Wire.Encoder.string enc payload)
                   items
               end;
-              st.Store_intf.repairs <- st.Store_intf.repairs + 1;
-              st.Store_intf.repair_bytes <- st.Store_intf.repair_bytes + bytes ())
+              c := { !c with repairs = !c.repairs + 1; repair_bytes = !c.repair_bytes + bytes () })
             repair_packets)
     in
     let t =
@@ -1108,6 +1114,7 @@ end = struct
           | `Absent | `Elide -> t.last_sent_digest);
         last_full_round =
           (match digest_mode with `Full -> t.rounds | _ -> t.last_full_round);
+        counters = !c;
       }
     in
     (t, payload)

@@ -48,21 +48,6 @@ module Immediate = struct
 end
 
 module Make (Obj : Object_layer.OBJECT) (P : POLICY) = struct
-  (* one counter record per domain: parallel sweeps (Haec_util.Par) must
-     not race their instrumentation, and a reset/run/read sequence inside
-     one task stays coherent because a task never migrates domains *)
-  let stats_key = Domain.DLS.new_key Store_intf.fresh_delivery_stats
-
-  let stats () = Domain.DLS.get stats_key
-
-  let delivery_stats () = Store_intf.copy_delivery_stats (stats ())
-
-  let reset_delivery_stats () =
-    let stats = stats () in
-    stats.Store_intf.scans <- 0;
-    stats.Store_intf.delivered <- 0;
-    stats.Store_intf.max_buffer <- 0
-
   type update_record = {
     origin : int;
     useq : int;  (** per-origin update sequence number, from 1 *)
@@ -139,6 +124,7 @@ module Make (Obj : Object_layer.OBJECT) (P : POLICY) = struct
     hidden : (update_record * int) Fqueue.t;
         (** delivered but unexposed updates in delivery order, each with
             the [reads] value at which it ripens *)
+    counters : Store_intf.delivery_stats;  (** this replica's buffer work *)
   }
 
   let name = P.name
@@ -160,7 +146,10 @@ module Make (Obj : Object_layer.OBJECT) (P : POLICY) = struct
       waiting = Int_map.empty;
       reads = 0;
       hidden = Fqueue.empty;
+      counters = Store_intf.fresh_delivery_stats ();
     }
+
+  let counters t = t.counters
 
   let obj_state t obj =
     match Int_map.find_opt obj t.objects with Some o -> o | None -> Obj.empty ~n:t.n
@@ -214,11 +203,9 @@ module Make (Obj : Object_layer.OBJECT) (P : POLICY) = struct
   (* The first precondition of [r] not satisfied by [uv], as the
      [(origin, seq)] the update-vector must reach, or [None] when [r] is
      deliverable. One call is the indexed analogue of one full
-     deliverability scan of the old list buffer, so it carries the
-     [scans] accounting the E20 experiment compares. *)
+     deliverability scan of the old list buffer, so the caller counts it
+     as one of the [scans] the E20 experiment compares. *)
   let blocker uv r =
-    let stats = stats () in
-    stats.Store_intf.scans <- stats.Store_intf.scans + 1;
     if Vclock.get uv r.origin < r.useq - 1 then Some (r.origin, r.useq - 1)
     else begin
       let n = Vclock.size uv in
@@ -318,8 +305,8 @@ module Make (Obj : Object_layer.OBJECT) (P : POLICY) = struct
           buffer := add_rec !buffer r;
           incr buffered)
         fresh_records;
-      let stats = stats () in
-      stats.Store_intf.max_buffer <- max stats.Store_intf.max_buffer !buffered;
+      let max_buffer = max t.counters.max_buffer !buffered in
+      let scans = ref 0 and delivered = ref 0 in
       let work = Queue.create () in
       List.iter (fun r -> Queue.add (r.origin, r.useq) work) fresh_records;
       while not (Queue.is_empty work) do
@@ -333,12 +320,13 @@ module Make (Obj : Object_layer.OBJECT) (P : POLICY) = struct
             decr buffered
           end
           else begin
+            incr scans;
             match blocker uv r with
             | Some b -> waiting := add_wait !waiting ~blocker:b (o, s)
             | None ->
               buffer := remove_rec !buffer o s;
               decr buffered;
-              stats.Store_intf.delivered <- stats.Store_intf.delivered + 1;
+              incr delivered;
               Vclock.tick_into uv r.origin;
               clock := max !clock (Obj.time_of r.u);
               if P.expose_after_reads = 0 then
@@ -367,5 +355,11 @@ module Make (Obj : Object_layer.OBJECT) (P : POLICY) = struct
         buffered = !buffered;
         waiting = !waiting;
         hidden = !hidden;
+        counters =
+          {
+            scans = t.counters.scans + !scans;
+            delivered = t.counters.delivered + !delivered;
+            max_buffer;
+          };
       }
 end

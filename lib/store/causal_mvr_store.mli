@@ -12,9 +12,7 @@
 
 include Store_intf.S
 
-val delivery_stats : unit -> Store_intf.delivery_stats
-(** Delivery-buffer work counters (scans, deliveries, peak buffered),
-    aggregated across all replicas of this module; read by the E20 soak
-    benchmark. *)
-
-val reset_delivery_stats : unit -> unit
+val counters : state -> Store_intf.delivery_stats
+(** This replica's delivery-buffer work counters (scans, deliveries, peak
+    buffered); the E20 soak benchmark sums and maxes them over the
+    replicas. *)

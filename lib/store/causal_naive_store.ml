@@ -17,21 +17,6 @@ module Int_map = Map.Make (Int)
 
 let name = "mvr-causal-naive"
 
-(* one counter record per domain: parallel sweeps (Haec_util.Par) must
-   not race their instrumentation, and a reset/run/read sequence inside
-   one task stays coherent because a task never migrates domains *)
-let stats_key = Domain.DLS.new_key Store_intf.fresh_delivery_stats
-
-let stats () = Domain.DLS.get stats_key
-
-let delivery_stats () = Store_intf.copy_delivery_stats (stats ())
-
-let reset_delivery_stats () =
-  let stats = stats () in
-  stats.Store_intf.scans <- 0;
-  stats.Store_intf.delivered <- 0;
-  stats.Store_intf.max_buffer <- 0
-
 type update_record = {
   origin : int;
   useq : int;
@@ -63,6 +48,7 @@ type state = {
   objects : Obj.t Int_map.t;
   pending : update_record list;  (** newest first *)
   buffer : update_record list;
+  counters : Store_intf.delivery_stats;
 }
 
 let invisible_reads = true
@@ -70,7 +56,18 @@ let invisible_reads = true
 let op_driven = true
 
 let init ~n ~me =
-  { n; me; clock = 0; uv = Vclock.zero ~n; objects = Int_map.empty; pending = []; buffer = [] }
+  {
+    n;
+    me;
+    clock = 0;
+    uv = Vclock.zero ~n;
+    objects = Int_map.empty;
+    pending = [];
+    buffer = [];
+    counters = Store_intf.fresh_delivery_stats ();
+  }
+
+let counters t = t.counters
 
 let obj_state t obj =
   match Int_map.find_opt obj t.objects with Some o -> o | None -> Obj.empty ~n:t.n
@@ -83,27 +80,35 @@ let expose t r =
   { t with objects = Int_map.add r.obj (apply_remote (obj_state t r.obj) r.u) t.objects }
 
 let deliverable t r =
-  let stats = stats () in
-  stats.Store_intf.scans <- stats.Store_intf.scans + 1;
   Vclock.get t.uv r.origin = r.useq - 1 && Vclock.leq r.dep t.uv
 
 let deliver t r =
-  let stats = stats () in
-  stats.Store_intf.delivered <- stats.Store_intf.delivered + 1;
   let t =
-    { t with uv = Vclock.tick t.uv r.origin; clock = max t.clock (Obj.time_of r.u) }
+    {
+      t with
+      uv = Vclock.tick t.uv r.origin;
+      clock = max t.clock (Obj.time_of r.u);
+      counters = { t.counters with delivered = t.counters.delivered + 1 };
+    }
   in
   expose t r
 
-let rec drain t =
-  let rec pick acc = function
-    | [] -> None
-    | r :: rest ->
-      if deliverable t r then Some (r, List.rev_append acc rest) else pick (r :: acc) rest
+(* every deliverability check is one of the [scans] E20 counts *)
+let drain t =
+  let scans = ref 0 in
+  let rec go t =
+    let rec pick acc = function
+      | [] -> None
+      | r :: rest ->
+        incr scans;
+        if deliverable t r then Some (r, List.rev_append acc rest) else pick (r :: acc) rest
+    in
+    match pick [] t.buffer with
+    | None -> t
+    | Some (r, buffer) -> go (deliver { t with buffer } r)
   in
-  match pick [] t.buffer with
-  | None -> t
-  | Some (r, buffer) -> drain (deliver { t with buffer } r)
+  let t = go t in
+  { t with counters = { t.counters with scans = t.counters.scans + !scans } }
 
 let visible_now t =
   Int_map.fold
@@ -161,7 +166,6 @@ let receive t ~sender:_ payload =
     r.useq > Vclock.get t.uv r.origin
     && not (List.exists (fun b -> b.origin = r.origin && b.useq = r.useq) t.buffer)
   in
-  let t = { t with buffer = t.buffer @ List.filter fresh records } in
-  let stats = stats () in
-  stats.Store_intf.max_buffer <- max stats.Store_intf.max_buffer (List.length t.buffer);
-  drain t
+  let buffer = t.buffer @ List.filter fresh records in
+  let max_buffer = max t.counters.max_buffer (List.length buffer) in
+  drain { t with buffer; counters = { t.counters with max_buffer } }

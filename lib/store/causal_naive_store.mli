@@ -6,7 +6,5 @@
 
 include Store_intf.S
 
-val delivery_stats : unit -> Store_intf.delivery_stats
-(** Buffer work counters, aggregated across all replicas of this module. *)
-
-val reset_delivery_stats : unit -> unit
+val counters : state -> Store_intf.delivery_stats
+(** This replica's buffer work counters. *)

@@ -16,50 +16,43 @@
 open Haec_model
 open Haec_vclock
 
-(** Instrumentation shared by delivery layers that buffer remote updates:
-    how much work the buffer did, aggregated across every replica of the
-    instantiated store module (the counters are module-global, not part of
-    the pure per-replica state). The soak benchmark (E20) reads these to
-    show how buffer cost scales with the number of buffered records. *)
+(** Instrumentation kept by delivery layers that buffer remote updates
+    ({!Causal_core}, {!Causal_naive_store}): how much work one replica's
+    buffer did. The record is part of the replica state, so it follows the
+    state: an old state keeps its old counts. A durable replay re-does the
+    buffering and so counts it again — these measure work, not traffic.
+    The soak benchmark (E20) sums and maxes them over the replicas to show
+    how buffer cost scales with the number of buffered records. *)
 type delivery_stats = {
-  mutable scans : int;
-      (** deliverability checks performed against buffered records *)
-  mutable delivered : int;
-      (** records handed to the object layer (or the hidden queue) *)
-  mutable max_buffer : int;
-      (** peak number of simultaneously buffered records at one replica *)
+  scans : int;  (** deliverability checks performed against buffered records *)
+  delivered : int;  (** records handed to the object layer (or the hidden queue) *)
+  max_buffer : int;  (** peak number of simultaneously buffered records *)
 }
 
 let fresh_delivery_stats () = { scans = 0; delivered = 0; max_buffer = 0 }
 
-let copy_delivery_stats s =
-  { scans = s.scans; delivered = s.delivered; max_buffer = s.max_buffer }
-
-(** Instrumentation for the anti-entropy gossip layer ({!Anti_entropy}),
-    aggregated across every replica of the instantiated store module, same
-    module-global convention as {!delivery_stats}. Counts are per broadcast
-    payload (the simulator fans one payload out to [n-1] peers); bytes are
-    wire bytes of the encoded items inside those payloads, so the E21
-    digest/repair traffic columns measure real encoded bytes. *)
+(** Wire traffic of one replica of the anti-entropy gossip layer
+    ({!Anti_entropy}), kept in its state like {!delivery_stats}. Counts are
+    per broadcast payload (the simulator fans one payload out to [n-1]
+    peers); bytes are wire bytes of the encoded items inside those
+    payloads, so the E21 digest/repair traffic columns measure real
+    encoded bytes. A crash-recovery replay sends nothing, so the replica
+    stacks ({!Haec_sim.Stack}) carry these counters across it unchanged. *)
 type gossip_stats = {
-  mutable digests : int;  (** digest items sent *)
-  mutable digest_bytes : int;
-  mutable repairs : int;  (** repair items sent (pushes and request answers) *)
-  mutable repair_bytes : int;
-  mutable requests : int;  (** repair-request items sent *)
-  mutable request_bytes : int;
-  mutable updates : int;  (** fresh update items sent *)
-  mutable update_bytes : int;
-  mutable dup_payloads : int;
-      (** received update/repair payloads already logged (duplicates) *)
-  mutable repair_applied : int;
-      (** previously missing payloads obtained through a repair *)
-  mutable memberships : int;  (** hello/goodbye membership items sent *)
-  mutable membership_bytes : int;
-  mutable digest_deltas : int;
-      (** wire-v2 delta digests sent in place of full digests *)
-  mutable digests_elided : int;
-      (** gossip rounds whose digest was suppressed as redundant (v2) *)
+  digests : int;  (** digest items sent *)
+  digest_bytes : int;
+  repairs : int;  (** repair items sent (pushes and request answers) *)
+  repair_bytes : int;
+  requests : int;  (** repair-request items sent *)
+  request_bytes : int;
+  updates : int;  (** fresh update items sent *)
+  update_bytes : int;
+  dup_payloads : int;  (** received update/repair payloads already logged (duplicates) *)
+  repair_applied : int;  (** previously missing payloads obtained through a repair *)
+  memberships : int;  (** hello/goodbye membership items sent *)
+  membership_bytes : int;
+  digest_deltas : int;  (** wire-v2 delta digests sent in place of full digests *)
+  digests_elided : int;  (** gossip rounds whose digest was suppressed as redundant (v2) *)
 }
 
 let fresh_gossip_stats () =
@@ -80,22 +73,23 @@ let fresh_gossip_stats () =
     digests_elided = 0;
   }
 
-let copy_gossip_stats s =
+(** Field-wise sum: the traffic of several replicas. *)
+let add_gossip_stats a b =
   {
-    digests = s.digests;
-    digest_bytes = s.digest_bytes;
-    repairs = s.repairs;
-    repair_bytes = s.repair_bytes;
-    requests = s.requests;
-    request_bytes = s.request_bytes;
-    updates = s.updates;
-    update_bytes = s.update_bytes;
-    dup_payloads = s.dup_payloads;
-    repair_applied = s.repair_applied;
-    memberships = s.memberships;
-    membership_bytes = s.membership_bytes;
-    digest_deltas = s.digest_deltas;
-    digests_elided = s.digests_elided;
+    digests = a.digests + b.digests;
+    digest_bytes = a.digest_bytes + b.digest_bytes;
+    repairs = a.repairs + b.repairs;
+    repair_bytes = a.repair_bytes + b.repair_bytes;
+    requests = a.requests + b.requests;
+    request_bytes = a.request_bytes + b.request_bytes;
+    updates = a.updates + b.updates;
+    update_bytes = a.update_bytes + b.update_bytes;
+    dup_payloads = a.dup_payloads + b.dup_payloads;
+    repair_applied = a.repair_applied + b.repair_applied;
+    memberships = a.memberships + b.memberships;
+    membership_bytes = a.membership_bytes + b.membership_bytes;
+    digest_deltas = a.digest_deltas + b.digest_deltas;
+    digests_elided = a.digests_elided + b.digests_elided;
   }
 
 type witness = {

@@ -11,9 +11,10 @@
     - a task's result depends only on its input (for seed sweeps: the
       seed, through a private {!Rng.t}), never on shared mutable state
       or on wall-clock time;
-    - domain-shared caches in the library (the wire scratch encoder,
-      delivery-stats counters) are domain-local ([Domain.DLS]), so
-      tasks on different domains cannot observe each other;
+    - the library's one cross-call cache (the wire scratch encoder) is
+      domain-local ([Domain.DLS]), and every counter lives in the
+      replica state it counts, so tasks on different domains cannot
+      observe each other;
     - results land in per-task slots and are published by
       [Domain.join], so the caller reads them race-free and in input
       order.

@@ -14,7 +14,6 @@ module AE = Store.Anti_entropy.Make (Store.Mvr_store)
 (* Two replicas, one lost update: the digest exchange must detect the gap
    and push exactly the missing payload — no runner, no oracle. *)
 let test_digest_repair_exchange () =
-  AE.reset_gossip_stats ();
   let a = AE.init ~n:2 ~me:0 and b = AE.init ~n:2 ~me:1 in
   let a, _, _ = AE.do_op a ~obj:0 (Model.Op.Write (vi 1)) in
   let a, p1 = AE.send a in
@@ -38,7 +37,7 @@ let test_digest_repair_exchange () =
   let _, ra, _ = AE.do_op a ~obj:0 Model.Op.Read in
   let _, rb, _ = AE.do_op b ~obj:0 Model.Op.Read in
   Alcotest.(check bool) "reads agree" true (ra = rb);
-  let gs = AE.gossip_stats () in
+  let gs = Store.Store_intf.add_gossip_stats (AE.counters a) (AE.counters b) in
   Alcotest.(check bool) "digest traffic counted" true
     (gs.Store.Store_intf.digests > 0 && gs.Store.Store_intf.digest_bytes > 0);
   Alcotest.(check bool) "repair traffic counted" true
@@ -66,7 +65,6 @@ let test_out_of_order_buffered () =
 (* Duplicate deliveries are absorbed by the log: state unchanged, the
    duplicate counted. *)
 let test_duplicates_dropped () =
-  AE.reset_gossip_stats ();
   let a = AE.init ~n:2 ~me:0 in
   let a, _, _ = AE.do_op a ~obj:0 (Model.Op.Write (vi 7)) in
   let _, p1 = AE.send a in
@@ -77,7 +75,7 @@ let test_duplicates_dropped () =
     (Vclock.get (AE.have b) 0)
     (Vclock.get (AE.have b') 0);
   Alcotest.(check int) "no orphans" 0 (AE.orphans b');
-  let gs = AE.gossip_stats () in
+  let gs = AE.counters b' in
   Alcotest.(check bool) "duplicate counted" true
     (gs.Store.Store_intf.dup_payloads > 0)
 
@@ -597,6 +595,77 @@ let trim_safety (module S : Store.Store_intf.S) ~mix () =
   Alcotest.(check bool) "crashes, joins and leaves exercised" true
     (!crashes > 0 && !joins > 0 && !leaves > 0)
 
+(* ---------- protocol counters ---------- *)
+
+(* A crash-recovery replay re-runs every logged send and receive through
+   a fresh replica, but none of that traffic reaches the wire again: the
+   recovered stack must report exactly the counters it crashed with —
+   neither the history counted twice nor the replay's own recount, which
+   misses the digests of unlogged gossip ticks. *)
+let test_recover_counts_nothing () =
+  let module St = Sim.Stack.Durable (Store.Mvr_store) in
+  let a = ref (St.init ~n:2 ~me:0) and b = ref (St.init ~n:2 ~me:1) in
+  for i = 1 to 10 do
+    let a', _, _ = St.do_op !a ~obj:(i mod 3) (Model.Op.Write (vi i)) in
+    let a' = if i mod 2 = 0 then St.tick a' else a' in
+    let a', payload = St.send a' in
+    a := a';
+    (* every payload arrives twice: b counts one duplicate each *)
+    b := St.receive (St.receive !b ~sender:0 payload) ~sender:0 payload
+  done;
+  let check name st =
+    let before = St.counters st in
+    let after = St.counters (St.recover st) in
+    if before <> after then
+      Alcotest.failf "%s: recovery changed the counters (updates %d -> %d, digests %d -> %d, dups %d -> %d)"
+        name before.updates after.updates before.digests after.digests before.dup_payloads
+        after.dup_payloads
+  in
+  Alcotest.(check int) "ten updates sent" 10 (St.counters !a).updates;
+  Alcotest.(check bool) "digests sent" true ((St.counters !a).digests > 0);
+  Alcotest.(check int) "ten duplicates received" 10 (St.counters !b).dup_payloads;
+  check "sender" !a;
+  check "receiver" !b
+
+(* The published counters are exactly the traffic in the trace: every
+   Send event whose envelope carries an update item is one
+   [gossip.updates], every one carrying a full or delta digest one
+   [gossip.digests + gossip.digest_deltas] — crashes and their recovery
+   replays included. *)
+let counters_match_trace (module S : Store.Store_intf.S) ~churn seeds () =
+  let module C = Sim.Chaos.Make (S) in
+  let recoveries = ref 0 in
+  List.iter
+    (fun seed ->
+      let o = C.run ~n:4 ~ops:60 ~adversarial:true ~churn ~seed () in
+      recoveries := !recoveries + o.Sim.Chaos.stats.Sim.Runner.recoveries;
+      let carrying kinds =
+        List.length
+          (List.filter
+             (function
+               | Model.Event.Send { msg; _ } ->
+                 let items =
+                   List.map
+                     (fun k -> List.hd (String.split_on_char '(' k))
+                     (String.split_on_char '+' (Store.Anti_entropy.classify msg.Model.Message.payload))
+                 in
+                 List.exists (fun k -> List.mem k items) kinds
+               | _ -> false)
+             (Model.Execution.events o.Sim.Chaos.exec))
+      in
+      let counter name =
+        Obs.Metrics.Counter.value (Obs.Metrics.Registry.counter o.Sim.Chaos.metrics name)
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d: update envelopes" seed)
+        (carrying [ "update" ]) (counter "gossip.updates");
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d: digest envelopes" seed)
+        (carrying [ "digest"; "digest-delta" ])
+        (counter "gossip.digests" + counter "gossip.digest_deltas"))
+    seeds;
+  Alcotest.(check bool) "recoveries exercised" true (!recoveries > 0)
+
 let suite =
   ( "anti-entropy",
     [
@@ -639,4 +708,9 @@ let suite =
         (trim_safety (module Store.Lww_store) ~mix:Sim.Workload.register_mix);
       tc "trim safety: COPS, 24 churn seeds"
         (trim_safety (module Store.Cops_store) ~mix:Sim.Workload.register_mix);
+      tc "counters: recovery counts nothing" test_recover_counts_nothing;
+      tc "counters: mvr gossip counters equal the trace's envelopes, 16 seeds"
+        (counters_match_trace (module Store.Mvr_store) ~churn:false (seeds 1 16));
+      tc "counters: causal mvr with churn, 8 seeds"
+        (counters_match_trace (module Store.Causal_mvr_store) ~churn:true (seeds 1 8));
     ] )

@@ -398,17 +398,19 @@ module R = Sim.Runner.Make (Store.Mvr_store)
 
 (* The chaos stack, driven by hand: Durable(Anti_entropy(Mvr_store)) with
    its gossip tick, so every loss is repaired over the wire or not at all. *)
-module AE_mvr = Store.Anti_entropy.Make (Store.Mvr_store)
-module DA_mvr = Store.Durable.Make (AE_mvr)
+module DA_mvr =
+  Sim.Stack.Durable_every
+    (struct
+      let auto_checkpoint_every = Some Store.Durable.auto_checkpoint_every
+    end)
+    (Store.Mvr_store)
+
 module RA = Sim.Runner.Make (DA_mvr)
 
 let create_ae ?faults ?(seed = 42) ~policy ~n () =
   RA.create ~seed ~n ~policy ?faults
-    ~gossip:
-      ( 2.0,
-        DA_mvr.map_inner AE_mvr.tick,
-        fun sts -> AE_mvr.settled (Array.map DA_mvr.inner sts) )
-    ~recover_state:(fun ~replica:_ st -> DA_mvr.recover st)
+    ~gossip:(2.0, DA_mvr.tick, DA_mvr.settled)
+    ~recover_state:(fun ~replica:_ -> DA_mvr.recover)
     ()
 
 let test_crash_drops_in_flight () =

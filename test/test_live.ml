@@ -12,9 +12,9 @@ module Cluster = Live.Cluster
 module Metrics = Obs.Metrics
 
 module AE = Store.Anti_entropy.Make (Store.Causal_mvr_store)
-module Stack = Live.Stack.Volatile (Store.Causal_mvr_store)
+module Stack = Sim.Stack.Volatile (Store.Causal_mvr_store)
 module C = Cluster.Make (Stack)
-module DStack = Live.Stack.Durable (Store.Causal_mvr_store)
+module DStack = Sim.Stack.Durable (Store.Causal_mvr_store)
 module DC = Cluster.Make (DStack)
 module Fault_plan = Sim.Fault_plan
 
@@ -558,6 +558,25 @@ let test_live_crash_restart_checker_clean () =
   in
   Alcotest.(check int) "trace records the crash" 1 crashes;
   Alcotest.(check int) "trace records the recovery" 1 recovers;
+  (* the WAL replay sends nothing: the counters are the captured sends *)
+  let sends_carrying kinds =
+    List.length
+      (List.filter
+         (function
+           | Model.Event.Send { msg; _ } ->
+             let items =
+               String.split_on_char '+' (Store.Anti_entropy.classify msg.Model.Message.payload)
+             in
+             List.exists (fun k -> List.mem k items) kinds
+           | _ -> false)
+         (Model.Execution.events exec))
+  in
+  let g = r.Cluster.gossip in
+  Alcotest.(check int) "gossip.updates = captured update sends" (sends_carrying [ "update" ])
+    g.updates;
+  Alcotest.(check int) "gossip digests = captured digest sends"
+    (sends_carrying [ "digest"; "digest-delta" ])
+    (g.digests + g.digest_deltas);
   let report = Sim.Checks.validate exec (Option.get r.Cluster.witness) in
   (match report.Sim.Checks.well_formed with
   | Ok () -> ()
@@ -650,24 +669,36 @@ let test_durable_stack_recover_roundtrip () =
   (* a volatile stack's recover is the identity and it says so *)
   Alcotest.(check bool) "volatile stack is not durable" false Stack.durable
 
-(* The simulator and the live cluster publish the repair log under the
-   same gauge names, each summed over the members at the end of the run. *)
+(* The simulator and the live cluster publish the replicas' protocol
+   counters and repair log under one vocabulary ({!Sim.Stack.publish}),
+   and a live result's gossip totals are its replicas' counters summed. *)
 let test_log_gauges_named_alike () =
   let module Chaos = Sim.Chaos.Make (Store.Causal_mvr_store) in
   let sim = (Chaos.run ~seed:1 ()).Sim.Chaos.metrics in
-  let live = (C.run_inline ~ops_per_replica:40 inline_cfg).Cluster.registry in
-  let gauges reg =
+  let r = C.run_inline ~ops_per_replica:40 inline_cfg in
+  let names reg =
     List.filter_map
-      (fun (name, m) ->
-        match m with
-        | Metrics.Registry.Gauge _ when String.starts_with ~prefix:"ae.log_" name -> Some name
-        | _ -> None)
+      (fun (name, _) ->
+        if String.starts_with ~prefix:"gossip." name || String.starts_with ~prefix:"ae." name
+        then Some name
+        else None)
       (Metrics.Registry.to_list reg)
     |> List.sort compare
   in
-  Alcotest.(check (list string)) "sim log gauges" [ "ae.log_bytes"; "ae.log_entries" ]
-    (gauges sim);
-  Alcotest.(check (list string)) "live log gauges" (gauges sim) (gauges live)
+  Alcotest.(check bool) "sim publishes the log gauges" true
+    (List.mem "ae.log_entries" (names sim) && List.mem "ae.log_bytes" (names sim));
+  Alcotest.(check (list string)) "live publishes the sim's names" (names sim)
+    (names r.Cluster.registry);
+  let total =
+    Array.fold_left
+      (fun a (p : Cluster.replica_stats) -> Store.Store_intf.add_gossip_stats a p.gossip)
+      (Store.Store_intf.fresh_gossip_stats ()) r.Cluster.per_replica
+  in
+  Alcotest.(check bool) "per-replica counters sum to the result" true (total = r.Cluster.gossip);
+  Alcotest.(check bool) "every replica sent updates" true
+    (Array.for_all (fun (p : Cluster.replica_stats) -> p.gossip.updates > 0) r.Cluster.per_replica);
+  Alcotest.(check int) "registry carries the sum" r.Cluster.gossip.updates
+    (Metrics.Counter.value (Metrics.Registry.counter r.Cluster.registry "gossip.updates"))
 
 let suite =
   ( "live",
@@ -722,6 +753,6 @@ let suite =
         test_live_crash_plan_requires_durable_stack;
       Alcotest.test_case "live: durable stack recover roundtrip" `Quick
         test_durable_stack_recover_roundtrip;
-      Alcotest.test_case "telemetry: sim and live name the log gauges alike"
+      Alcotest.test_case "telemetry: sim and live name the gossip and ae metrics alike"
         `Quick test_log_gauges_named_alike;
     ] )

@@ -115,18 +115,14 @@ let check_histogram name expected got =
 let md5 x = Digest.to_hex (Digest.string (Marshal.to_string x [ Marshal.No_sharing ]))
 
 module Drive (S : Store_intf.S) = struct
-  module AE = Store.Anti_entropy.Make (Recording (S))
-  module DA = Store.Durable.Make (AE)
-  module R = Runner.Make (DA)
+  module St =
+    Sim.Stack.Durable_every
+      (struct
+        let auto_checkpoint_every = Some Store.Durable.auto_checkpoint_every
+      end)
+      (Recording (S))
 
-  let hooks =
-    {
-      Runner.progress = (fun st -> AE.have (DA.inner st));
-      on_join = (fun ~epoch st -> DA.map_inner (AE.announce_join ~epoch) st);
-      on_leave =
-        (fun ~epoch ~graceful st ->
-          if graceful then DA.map_inner (AE.announce_leave ~epoch) st else st);
-    }
+  module R = Runner.Make (St)
 
   (* [Chaos.run_plan]'s schedule on its default stack, keeping the runner
      for its witness *)
@@ -139,13 +135,12 @@ module Drive (S : Store_intf.S) = struct
       | Some c -> (c.Fault_plan.capacity, c.Fault_plan.initial)
     in
     Hashtbl.reset logs;
-    AE.reset_gossip_stats ();
     let sim =
-      R.create ~seed ~n:capacity ~initial ~hooks ~record_spans:spans
+      R.create ~seed ~n:capacity ~initial ~hooks:St.hooks ~record_spans:spans
         ~classify:Store.Anti_entropy.classify ~policy:(Sim.Net_policy.random_delay ())
         ~faults:plan
-        ~gossip:(2.0, DA.map_inner AE.tick, fun sts -> AE.settled (Array.map DA.inner sts))
-        ~recover_state:(fun ~replica:_ st -> DA.recover st)
+        ~gossip:(2.0, St.tick, St.settled)
+        ~recover_state:(fun ~replica:_ -> St.recover)
         ()
     in
     let serving r = R.is_serving sim ~replica:r && not (R.is_down sim ~replica:r) in
@@ -262,7 +257,7 @@ let golden () =
 (* ---------- live capture ---------- *)
 
 let live_equivalence (module S : Store_intf.S) ~mix () =
-  let module C = Live.Cluster.Make (Live.Stack.Volatile (Recording (S))) in
+  let module C = Live.Cluster.Make (Sim.Stack.Volatile (Recording (S))) in
   List.iter
     (fun seed ->
       Hashtbl.reset logs;
@@ -349,7 +344,7 @@ let online_occ_gen () =
   done
 
 let online_run_inline () =
-  let module C = Live.Cluster.Make (Live.Stack.Volatile (Store.Causal_mvr_store)) in
+  let module C = Live.Cluster.Make (Sim.Stack.Volatile (Store.Causal_mvr_store)) in
   let cfg =
     { Live.Cluster.default with replicas = 3; seed = 4; objects = 16; zipf = 0.99;
       mix = Live.Load.register_mix }
