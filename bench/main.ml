@@ -142,7 +142,7 @@ let bench_spec_check_online =
   let deltas = List.rev !deltas in
   Test.make ~name:"spec/check-online"
     (Staged.stage (fun () ->
-         let t = Consistency.Online.create ~n ~spec_of:(fun _ -> Spec.Spec.mvr) in
+         let t = Consistency.Online.create ~n ~spec_of:(fun _ -> Spec.Spec.mvr) () in
          List.iter (fun (d, delta) -> Consistency.Online.feed t d delta) deltas;
          (Consistency.Online.correct t, Consistency.Online.causal t)))
 

@@ -10,6 +10,12 @@ open Haec_spec
 
 val check : Execution.t -> Abstract.t -> (unit, string) result
 
+val check_sequences : Execution.t -> Event.do_event list array -> (unit, string) result
+(** [check_sequences exec hs]: the same check against [H] given as its
+    per-replica projections, [hs.(r)] holding replica [r]'s do events in
+    order, so [H] need not be held as an abstract execution. The replica
+    count is [Array.length hs]. *)
+
 val complies : Execution.t -> Abstract.t -> bool
 
 val abstract_of_execution : Execution.t -> vis:(int * int) list -> Abstract.t

@@ -1,6 +1,10 @@
 open Haec_model
 open Haec_spec
 
+let not_visible ~update ~event ~obj =
+  Printf.sprintf "update %d not visible to post-quiescence event %d on object %d" update event
+    obj
+
 let check_visible_from a ~quiescent_at =
   let len = Abstract.length a in
   let exception Bad of string in
@@ -11,11 +15,7 @@ let check_visible_from a ~quiescent_at =
         for e' = max quiescent_at (e + 1) to len - 1 do
           let d' = Abstract.event a e' in
           if d'.Event.obj = d.Event.obj && not (Abstract.vis a e e') then
-            raise
-              (Bad
-                 (Printf.sprintf
-                    "update %d not visible to post-quiescence event %d on object %d" e
-                    e' d.Event.obj))
+            raise (Bad (not_visible ~update:e ~event:e' ~obj:d.Event.obj))
         done
     done;
     Ok ()

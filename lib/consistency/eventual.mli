@@ -16,6 +16,10 @@ val check_visible_from : Abstract.t -> quiescent_at:int -> (unit, string) result
     same-object event with index [>= quiescent_at]. This is the visibility
     half of the Corollary 4 surrogate. *)
 
+val not_visible : update:int -> event:int -> obj:int -> string
+(** The message {!check_visible_from} reports for its first miss, the
+    least [(update, event)] pair. *)
+
 val is_visible_from : Abstract.t -> quiescent_at:int -> bool
 
 val invisibility_count : Abstract.t -> int -> int

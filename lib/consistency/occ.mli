@@ -23,6 +23,7 @@
     [vis_row(wi) ∩ U[obj(wi')]] built once per [(wi, object)] per call.
     {!witnesses_for} builds the same indexes for its single pair. *)
 
+open Haec_model
 open Haec_spec
 
 type violation = {
@@ -39,6 +40,14 @@ val check : Abstract.t -> (violation list, string) result
 
 val is_occ : Abstract.t -> bool
 (** Causally consistent and no violations. *)
+
+val writes_of_values :
+  (int * Value.t, int list) Hashtbl.t -> obj:int -> Value.t list -> (int list, string) result
+(** [writes_of_values by_value ~obj vs]: the write events behind the
+    values [vs] a read of [obj] returned, given every write's index by
+    [(object, value)]. [Error] names the first value written by no event
+    or by several: the execution is then outside the checkable class,
+    and {!check} returns that message. *)
 
 val witnesses_for : Abstract.t -> read:int -> w0:int -> w1:int -> (int * int) option
 (** The witness pair [(w0', w1')] of Definition 18 for the given returned

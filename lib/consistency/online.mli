@@ -1,5 +1,5 @@
-(** Online correctness and causal-consistency checking over witness
-    deltas.
+(** Online checking of correctness, causal consistency, OCC and eventual
+    consistency over witness deltas.
 
     The batch checks build an operation context per do event: for the
     witness, {!Haec_spec.Spec.check_correct} (Definition 8); for causal
@@ -33,28 +33,53 @@
     counter keeps a count. Because the raw witness is not transitive, a
     raw write hidden by a dominated write is still hidden, which is why
     the folds test against the union of rows and not only the frontier.
-    [apply] is never called.
+    [apply] is never called. A fold stops at its check's first failure;
+    the closed vectors and the raw rows are kept for every event, since
+    OCC and eventual consistency read them.
+
+    {b OCC from closed pasts.} {!occ} resolves the multi-value reads at
+    the end, when every event's closed past is known (a read may return a
+    value written later in [H]). For a returned pair, side [wi] needs an
+    update [wi'] on another object in [past(other) \ past(wi)] whose past
+    holds every update on its object in [past(wi)]. Pasts are
+    down-closed, so that is, per replica, the last such update below
+    [past(wi)]. Along one replica's updates on an object pasts grow, so
+    the condition is monotone and the last update below [past(other)]
+    decides for that replica. Each pair costs O(objects · n² · log u)
+    for [u] updates per (replica, object); no visibility row is read.
+
+    {b Eventual from raw rows.} With [quiescent_at], each later event
+    compares its replica's raw row on its object, per origin, with the
+    count of that origin's updates on the object fed before
+    [quiescent_at]: O(n) per post-quiescence event.
 
     {b Contract.} For any abstract execution [a] fed its deltas in [H]
     order, {!correct} equals [Spec.check_correct ~spec_of a], and
     {!causal} equals that check on [Abstract.transitive_closure a] with
     its message prefixed by ["closed witness incorrect: "]: the same
     [Ok]/[Error], the same first failing event and the same message.
-    Each reports its own first failure.
+    Each reports its own first failure. {!occ} equals
+    [Occ.check (Abstract.transitive_closure a)] — the same violations in
+    the same order, or the same [Error] for a value written twice or
+    never — and {!eventual} equals
+    [Eventual.check_visible_from a ~quiescent_at], message included.
 
     {b Cost.} O(n) per do event plus O(n) per delta entry for the closed
     vectors; each update enters each replica's contexts once per path;
     MVR and OR-set domination unions one row and filters the surviving
-    writes. Memory is O(n) per event. *)
+    writes. Memory is O(n) per event, plus the raw rows' exceptions. *)
 
 open Haec_model
 open Haec_spec
 
 type t
 
-val create : n:int -> spec_of:(int -> Spec.t) -> t
+val create : ?quiescent_at:int -> n:int -> spec_of:(int -> Spec.t) -> unit -> t
 (** A checker for executions over replicas [0 .. n-1]. [spec_of] maps
-    object ids to specifications, as in {!Haec_spec.Spec.check_correct}. *)
+    object ids to specifications, as in {!Haec_spec.Spec.check_correct}.
+    [quiescent_at] is the [H] index from which the execution is
+    post-quiescence, as in {!Eventual.check_visible_from}; by default no
+    event is, and {!eventual} holds vacuously. *)
 
 val feed : t -> Event.do_event -> int list -> unit
 (** [feed t d delta] appends do event [d] at index [length t]. [delta]
@@ -67,6 +92,15 @@ val correct : t -> (unit, string) result
 
 val causal : t -> (unit, string) result
 (** Correctness of its transitive closure. *)
+
+val occ : t -> (Occ.violation list, string) result
+(** The OCC violations of its transitive closure, as {!Occ.check}. Costs
+    O(objects · n² · log) per returned pair; call it once the execution
+    is fed. *)
+
+val eventual : t -> (unit, string) result
+(** Every update fed before [quiescent_at] is visible to every later
+    event on its object. *)
 
 val length : t -> int
 (** Do events fed so far. *)

@@ -41,8 +41,9 @@ module Run (S : Store.Store_intf.S) = struct
       done
     done;
     let exec = R.execution sim in
-    let witness = R.witness_abstract sim in
-    let report = Sim.Checks.validate ~spec_of ~quiescent_at exec witness in
+    let report =
+      Sim.Checks.validate_deltas ~spec_of ~quiescent_at ~n ~deltas:(R.witness_deltas sim) exec
+    in
     let report =
       (* fold read agreement (Lemma 3) into the eventual check *)
       match

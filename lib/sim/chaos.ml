@@ -3,12 +3,13 @@ open Haec_model
 open Haec_spec
 open Haec_wire
 
-(* Every seed is audited by [Checks.validate], the one checker path,
-   given the runner's recorded witness deltas: [correct] and [causal]
-   come from [Haec_consistency.Online] in one pass in H order, with
-   per-replica state and no operation contexts; the other four checks
-   read the witness, [occ] its transitive closure. The tests hold the
-   report to the batch checks field by field (test_witness.ml).
+(* Every seed is audited by [Checks.validate_deltas], the one checker
+   core, given the runner's recorded witness deltas: [correct],
+   [causal], [occ] and [eventual] come from [Haec_consistency.Online] in
+   one pass in H order, with per-replica state, no operation contexts
+   and no transitive closure, and no witness abstract execution is
+   built. The tests hold the report to the batch checks field by field
+   (test_witness.ml).
 
    Which checks a store class is on the hook for. Every store must stay
    well-formed, comply with its witness, and converge post-heal; most also
@@ -218,8 +219,8 @@ module Make (S : Haec_store.Store_intf.S) = struct
         (fun suffix ->
           let quiescent_at = List.length (Execution.do_events exec) - suffix in
           let report =
-            Checks.validate ~spec_of ~quiescent_at ~deltas:(R.witness_deltas sim) exec
-              (R.witness_abstract sim)
+            Checks.validate_deltas ~spec_of ~quiescent_at ~n:capacity
+              ~deltas:(R.witness_deltas sim) exec
           in
           (* fold post-quiescence read agreement (Lemma 3) into the eventual
              check, as the experiment harness does *)

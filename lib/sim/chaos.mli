@@ -9,8 +9,8 @@
     drop traffic until they heal, and payloads get corrupted at the byte
     level. After the horizon — when every fault has healed — the run is
     driven to quiescence, every check of {!Checks.report} runs (through
-    {!Checks.validate}, given the recorded witness deltas, so [correct]
-    and [causal] are checked online), and
+    {!Checks.validate_deltas}, given the recorded witness deltas, so
+    every check runs online and no witness is built), and
     every check the store class is on the hook for (see {!level}) must
     pass:
     convergence survived the faults, corruption never got past the frame

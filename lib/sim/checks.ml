@@ -36,8 +36,7 @@ let pp_report ppf r =
     List.iter (fun (name, m) -> Format.fprintf ppf "%s: %s@," name m) fs;
     Format.fprintf ppf "@]"
 
-let occ_result witness =
-  match Occ.check witness with
+let occ_result = function
   | Error m -> Error ("occ check unsupported: " ^ m)
   | Ok [] -> Ok ()
   | Ok (v :: _ as vs) ->
@@ -45,20 +44,31 @@ let occ_result witness =
       (Printf.sprintf "%d OCC violations; first: read %d over writes (%d,%d)"
          (List.length vs) v.Occ.read v.Occ.w0 v.Occ.w1)
 
+(* The one core: every check from one [Online] pass over the deltas,
+   with each replica's fed do events kept for compliance. Returns how
+   many events were fed. *)
+let run ~spec_of ?quiescent_at ~n ~deltas exec =
+  let online = Online.create ?quiescent_at ~n ~spec_of () in
+  let fed = Array.make n [] in
+  deltas (fun (d : Event.do_event) delta ->
+      Online.feed online d delta;
+      fed.(d.Event.replica) <- d :: fed.(d.Event.replica));
+  ( Online.length online,
+    {
+      well_formed = Execution.check_well_formed exec;
+      complies = Compliance.check_sequences exec (Array.map List.rev fed);
+      correct = Online.correct online;
+      causal = Online.causal online;
+      occ = occ_result (Online.occ online);
+      eventual = Online.eventual online;
+    } )
+
+let validate_deltas ?(spec_of = fun _ -> Spec.mvr) ?quiescent_at ~n ~deltas exec =
+  snd (run ~spec_of ?quiescent_at ~n ~deltas exec)
+
 let validate ?(spec_of = fun _ -> Spec.mvr) ?quiescent_at ?deltas exec witness =
   let deltas = match deltas with Some d -> d | None -> Online.iter_deltas witness in
-  let online = Online.create ~n:(Abstract.n_replicas witness) ~spec_of in
-  deltas (Online.feed online);
-  if Online.length online <> Abstract.length witness then
+  let fed, report = run ~spec_of ?quiescent_at ~n:(Abstract.n_replicas witness) ~deltas exec in
+  if fed <> Abstract.length witness then
     invalid_arg "Checks.validate: deltas and witness differ in length";
-  let quiescent_at =
-    match quiescent_at with Some q -> q | None -> Abstract.length witness
-  in
-  {
-    well_formed = Execution.check_well_formed exec;
-    complies = Compliance.check exec witness;
-    correct = Online.correct online;
-    causal = Online.causal online;
-    occ = occ_result (Abstract.transitive_closure witness);
-    eventual = Eventual.check_visible_from witness ~quiescent_at;
-  }
+  report

@@ -6,18 +6,22 @@
     causal consistency (Definition 12), OCC (Definition 18), and the
     finite-execution eventual-consistency surrogate (Corollary 4).
 
-    One path computes every report. [correct] and [causal] come from
-    {!Haec_consistency.Online}, fed the witness deltas in [H] order: one
-    pass with per-replica state, no operation context per do event. A
-    caller that recorded the deltas passes them ([Chaos.run_plan] and
-    [simulate], through {!Runner.Make.witness_deltas}); every other
-    caller ([audit], [replay], [serve --check], the experiment harness)
-    gets them from the witness rows by
-    {!Haec_consistency.Online.iter_deltas}. [well-formed], [complies],
-    [occ] (over the transitive closure) and [eventual] are computed over
-    the witness directly. The batch {!Haec_spec.Spec.check_correct} on
-    the witness and on its closure gives the same report field by field
-    and is the reference the tests hold this one to. *)
+    One core computes every report, from one
+    {!Haec_consistency.Online} pass over the witness deltas in [H] order:
+    [correct], [causal], [occ] (over the closed pasts, never a
+    transitive closure) and [eventual] (over the raw rows) with
+    per-replica state, and [complies] from the do events fed per
+    replica. No check reads a visibility row. A caller that recorded
+    the deltas calls {!validate_deltas} ([Chaos.run_plan], [simulate]
+    and the experiment harness, through {!Runner.Make.witness_deltas})
+    and never builds the witness; every other caller ([audit], [replay],
+    [serve --check]) calls {!validate}, which reads the deltas
+    off the witness rows by {!Haec_consistency.Online.iter_deltas}. The
+    batch checkers of [Haec_spec] and [Haec_consistency] (operation
+    contexts over the witness and its closure, OCC over the closure, a
+    scan of the witness rows for eventual visibility, compliance against
+    [H]) give the same report field by field and are the reference the
+    tests hold this one to. *)
 
 open Haec_model
 open Haec_spec
@@ -33,7 +37,8 @@ type report = {
           iff this holds. A causal anomaly (effect exposed before its cause)
           surfaces as a closed context contradicting a recorded response. *)
   occ : (unit, string) result;
-      (** Definition 18 violations of the closed witness *)
+      (** Definition 18 violations of the closed witness: the count and
+          the first [(read, w0, w1)] without witnesses *)
   eventual : (unit, string) result;
 }
 
@@ -59,3 +64,15 @@ val validate :
     it defaults to {!Haec_consistency.Online.iter_deltas} [witness].
     Raises [Invalid_argument] if [deltas] yields a different number of
     events than [witness] holds. *)
+
+val validate_deltas :
+  ?spec_of:(int -> Spec.t) ->
+  ?quiescent_at:int ->
+  n:int ->
+  deltas:((Event.do_event -> int list -> unit) -> unit) ->
+  Execution.t ->
+  report
+(** The same report from the deltas alone, over replicas [0 .. n-1]:
+    [validate exec witness] is [validate_deltas ~n:(Abstract.n_replicas
+    witness) ~deltas:(Online.iter_deltas witness) exec]. No abstract
+    execution is built. *)

@@ -22,6 +22,10 @@ let vis_preds t j = Bitset.to_list t.rows.(j)
 
 let vis_row t j = Bitset.copy t.rows.(j)
 
+let row_into ~dst t j = Bitset.copy_into ~dst t.rows.(j)
+
+let diff_row_into ~dst t j = Bitset.diff_into ~dst t.rows.(j)
+
 let vis_pairs t =
   let acc = ref [] in
   for j = Array.length t.h - 1 downto 0 do

@@ -41,6 +41,14 @@ val vis_preds : t -> int -> int list
 val vis_row : t -> int -> Bitset.t
 (** The set [{i | vis a i j}] as a fresh bitset. *)
 
+val row_into : dst:Bitset.t -> t -> int -> unit
+(** [row_into ~dst a j] overwrites [dst] with [vis_row a j], without
+    allocating. [dst] must have [length a] bits. *)
+
+val diff_row_into : dst:Bitset.t -> t -> int -> unit
+(** [diff_row_into ~dst a j] clears in [dst] every member of
+    [vis_row a j], without allocating. *)
+
 val vis_pairs : t -> (int * int) list
 
 val prefix : t -> int -> t

@@ -510,6 +510,66 @@ let prop_online_matches_batch =
             (mixed :: List.map (fun s _ -> s) specs))
         [ (false, 8); (true, 8); (false, 40); (true, 40) ])
 
+(* [a] with one write's value replaced by an earlier write's on the same
+   object, when there is one: reads of that value then name two writes,
+   which OCC cannot check. *)
+let rewrite_duplicate rng a =
+  let h = A.events a in
+  let writes =
+    List.filter
+      (fun j -> match h.(j).Model.Event.op with Op.Write _ -> true | _ -> false)
+      (List.init (Array.length h) Fun.id)
+  in
+  let pairs =
+    List.concat_map
+      (fun j ->
+        List.filter_map
+          (fun i ->
+            if i < j && h.(i).Model.Event.obj = h.(j).Model.Event.obj then Some (i, j) else None)
+          writes)
+      writes
+  in
+  match pairs with
+  | [] -> a
+  | _ ->
+    let i, j = List.nth pairs (Rng.int rng (List.length pairs)) in
+    h.(j) <- { (h.(j)) with Model.Event.op = h.(i).Model.Event.op };
+    A.create ~n:(A.n_replicas a) h ~vis:(A.vis_pairs a)
+
+(* [Online.occ] and [Online.eventual] against [Occ.check] on the closure
+   and [Eventual.check_visible_from] on the raw witness *)
+let online_occ_eventual_agree ~spec_of ~quiescent_at a =
+  let t = Online.create ~quiescent_at ~n:(A.n_replicas a) ~spec_of () in
+  Online.iter_deltas a (Online.feed t);
+  let occ = Occ.check (A.transitive_closure a)
+  and eventual = Eventual.check_visible_from a ~quiescent_at in
+  if Online.occ t <> occ || Online.eventual t <> eventual then begin
+    let show_occ = function
+      | Ok vs -> Printf.sprintf "%d violations" (List.length vs)
+      | Error m -> m
+    and show = function Ok () -> "ok" | Error m -> m in
+    QCheck2.Test.fail_reportf "online (%s | %s) vs batch (%s | %s), quiescent_at %d, on@.%a"
+      (show_occ (Online.occ t)) (show (Online.eventual t)) (show_occ occ) (show eventual)
+      quiescent_at A.pp a
+  end;
+  true
+
+let prop_online_occ_eventual_match_batch =
+  q ~count:300 "online OCC and eventual verdicts equal the batch checks" seed_gen (fun seed ->
+      let rng = Rng.create (seed + 11) in
+      List.for_all
+        (fun (set, max_len) ->
+          let a = random_ae ~set ~max_len seed in
+          let spec_of = if set then orset_spec else mvr_spec in
+          let derived = Specf.with_correct_responses ~spec_of a in
+          List.for_all
+            (fun x ->
+              let quiescent_at = Rng.int rng (A.length x + 2) - 1 in
+              online_occ_eventual_agree ~spec_of ~quiescent_at x
+              && online_occ_eventual_agree ~spec_of ~quiescent_at (A.transitive_closure x))
+            [ derived; perturb_response rng derived; rewrite_duplicate rng derived ])
+        [ (false, 8); (true, 8); (false, 40); (true, 40) ])
+
 (* ---------- soak: larger randomized runs ---------- *)
 
 let soak (name, run) = tc ("soak: " ^ name) run
@@ -572,4 +632,5 @@ let suite =
       tc "OCC matches its reference on adversarial anti-entropy runs"
         test_occ_matches_reference_on_adversarial_runs;
       prop_online_matches_batch;
+      prop_online_occ_eventual_match_batch;
     ] )

@@ -125,8 +125,10 @@ module Drive (S : Store_intf.S) = struct
   module R = Runner.Make (St)
 
   (* [Chaos.run_plan]'s schedule on its default stack, keeping the runner
-     for its witness *)
-  let run ~mix ~churn ~spans ~seed =
+     for its witness, and the H index of the first audit read.
+     [~object_major:true] issues the audit reads object by object, in
+     [Chaos.run_plan]'s order, so the two runs are the same execution. *)
+  let run_q ?(object_major = false) ~mix ~churn ~spans ~seed () =
     let n, objects, ops = if churn then (3, 3, 60) else (4, 4, 80) in
     let plan, steps = Sim.Chaos.derive ~n ~objects ~ops ~mix ~adversarial:true ~churn ~seed () in
     let capacity, initial =
@@ -169,14 +171,17 @@ module Drive (S : Store_intf.S) = struct
     fire_up_to plan.Fault_plan.horizon;
     R.advance_to sim plan.Fault_plan.horizon;
     R.run_until_quiescent ~max_events:200_000 sim;
-    List.iter
-      (fun replica ->
-        if serving replica then
-          for obj = 0 to objects - 1 do
-            ignore (R.op sim ~replica ~obj Model.Op.Read)
-          done)
-      (Sim.Membership.members (R.membership sim));
-    sim
+    let quiescent_at = List.length (Model.Execution.do_events (R.execution sim)) in
+    let readers = List.filter serving (Sim.Membership.members (R.membership sim)) in
+    let read replica obj = ignore (R.op sim ~replica ~obj Model.Op.Read) in
+    if object_major then
+      for obj = 0 to objects - 1 do
+        List.iter (fun replica -> read replica obj) readers
+      done
+    else List.iter (fun replica -> for obj = 0 to objects - 1 do read replica obj done) readers;
+    (sim, quiescent_at)
+
+  let run ~mix ~churn ~spans ~seed = fst (run_q ~mix ~churn ~spans ~seed ())
 
   let visible sim = List.filter_map (function Span.Visible v -> Some v | _ -> None) (R.spans sim)
 
@@ -289,24 +294,36 @@ let same_report name ~online ~batch =
       Alcotest.check failures name (keep batch) (keep online))
     [ `Converge; `Correct; `Causal; `Occ ]
 
+(* Both verdicts of each named check occur among [reports], or the
+   comparison is idle. *)
+let both_verdicts reports names =
+  List.iter
+    (fun name ->
+      let failed r = List.mem_assoc name (Checks.failures r) in
+      Alcotest.(check bool) ("some run passes " ^ name) true
+        (List.exists (fun r -> not (failed r)) reports);
+      Alcotest.(check bool) ("some run fails " ^ name) true (List.exists failed reports))
+    names
+
 let online_on_chaos (module S : Store_intf.S) ~mix ~spec () =
   let module D = Drive (S) in
   let spec_of _ = spec in
-  let verdicts = ref [] in
-  for seed = 1 to 12 do
-    let sim = D.run ~mix ~churn:false ~spans:false ~seed in
-    let exec = D.R.execution sim and wit = D.R.witness_abstract sim in
-    let batch = Helpers.batch_report ~spec_of exec wit in
-    let name = Printf.sprintf "%s seed %d" S.name seed in
-    same_report name ~batch
-      ~online:(Checks.validate ~spec_of ~deltas:(D.R.witness_deltas sim) exec wit);
-    same_report (name ^ " (deltas from rows)") ~batch ~online:(Checks.validate ~spec_of exec wit);
-    verdicts := (batch.Checks.correct, batch.Checks.causal) :: !verdicts
-  done;
-  !verdicts
+  List.init 12 (fun k ->
+      let seed = k + 1 in
+      let sim, quiescent_at = D.run_q ~mix ~churn:false ~spans:false ~seed () in
+      let exec = D.R.execution sim and wit = D.R.witness_abstract sim in
+      let batch = Helpers.batch_report ~spec_of ~quiescent_at exec wit in
+      let name = Printf.sprintf "%s seed %d" S.name seed in
+      same_report name ~batch
+        ~online:
+          (Checks.validate_deltas ~spec_of ~quiescent_at ~n:(D.R.n_replicas sim)
+             ~deltas:(D.R.witness_deltas sim) exec);
+      same_report (name ^ " (deltas from rows)") ~batch
+        ~online:(Checks.validate ~spec_of ~quiescent_at exec wit);
+      batch)
 
 let online_chaos_stores () =
-  let runs =
+  let reports =
     List.concat_map
       (fun (store, mix, spec) -> online_on_chaos store ~mix ~spec ())
       [
@@ -317,12 +334,34 @@ let online_chaos_stores () =
         ((module Store.Delayed_store.K3), Sim.Workload.register_mix, Spec.Spec.mvr);
       ]
   in
-  (* both verdicts of both checks must occur, or the comparison is idle *)
-  let has p = List.exists p runs in
-  Alcotest.(check bool) "some run correct" true (has (fun (c, _) -> Result.is_ok c));
-  Alcotest.(check bool) "some run incorrect" true (has (fun (c, _) -> Result.is_error c));
-  Alcotest.(check bool) "some run causal" true (has (fun (_, c) -> Result.is_ok c));
-  Alcotest.(check bool) "some run not causal" true (has (fun (_, c) -> Result.is_error c))
+  both_verdicts reports [ "correct"; "causal"; "occ"; "eventual" ]
+
+(* The known-failing target: [Chaos.run_plan] on the eager MVR store at
+   [`Occ], whose OCC verdict must be the batch one over the same run's
+   witness, rebuilt by [Drive]. *)
+let online_occ_sweep () =
+  let module C = Sim.Chaos.Make (Store.Mvr_store) in
+  let module D = Drive (Store.Mvr_store) in
+  let mix = Sim.Workload.register_mix in
+  let reports =
+    List.init 8 (fun k ->
+        let seed = k + 1 in
+        let o = C.run ~n:4 ~objects:4 ~ops:80 ~mix ~adversarial:true ~require:`Occ ~seed () in
+        let sim, quiescent_at =
+          D.run_q ~object_major:true ~mix ~churn:false ~spans:false ~seed ()
+        in
+        let exec = D.R.execution sim in
+        let name = Printf.sprintf "mvr-eager seed %d at `Occ" seed in
+        if Model.Execution.do_events exec <> Model.Execution.do_events o.Sim.Chaos.exec then
+          Alcotest.failf "%s: the rebuilt run differs from the chaos run" name;
+        let batch = Helpers.batch_report ~quiescent_at exec (D.R.witness_abstract sim) in
+        (match o.Sim.Chaos.result with
+        | Ok r -> Alcotest.(check (result unit string)) name batch.Checks.occ r.Checks.occ
+        | Error m -> Alcotest.failf "%s: %s" name m);
+        batch)
+  in
+  Alcotest.(check bool) "some seed fails occ" true
+    (List.exists (fun r -> List.mem_assoc "occ" (Checks.failures r)) reports)
 
 (* The execution whose only events are [a]'s do events, in [H] order: it
    complies with [a], so the whole report of an abstract execution can be
@@ -331,17 +370,84 @@ let exec_of a =
   Model.Execution.of_list ~n:(Abstract.n_replicas a)
     (List.map (fun d -> Event.Do d) (Array.to_list (Abstract.events a)))
 
+let same_abstract ?quiescent_at name a =
+  let spec_of _ = Spec.Spec.mvr and exec = exec_of a in
+  let batch = Helpers.batch_report ~spec_of ?quiescent_at exec a in
+  same_report name ~batch ~online:(Checks.validate ~spec_of ?quiescent_at exec a);
+  batch
+
 let online_occ_gen () =
   let rng = Util.Rng.create 17 in
-  for k = 1 to 20 do
-    let a = Construction.Occ_gen.generate rng ~n:(3 + (k mod 3)) ~size_hint:(10 + k) in
-    List.iter
-      (fun (what, a) ->
-        let spec_of _ = Spec.Spec.mvr and exec = exec_of a in
-        same_report (Printf.sprintf "Occ_gen execution %d (%s)" k what)
-          ~batch:(Helpers.batch_report ~spec_of exec a) ~online:(Checks.validate ~spec_of exec a))
-      [ ("as generated", a); ("perturbed", Helpers.perturb_response rng a) ]
-  done
+  let reports =
+    List.concat
+      (List.init 20 (fun k ->
+           let k = k + 1 and n = 3 + (k mod 3) in
+           let a = Construction.Occ_gen.generate rng ~n ~size_hint:(10 + k) in
+           let planted =
+             Construction.Occ_gen.planted rng ~n ~groups:(1 + (k mod 3)) ~readers:(1 + (k mod 2)) ()
+           in
+           List.map
+             (fun (what, a) ->
+               let quiescent_at = k mod (Abstract.length a + 1) in
+               same_abstract ~quiescent_at (Printf.sprintf "Occ_gen execution %d (%s)" k what) a)
+             [
+               ("as generated", a);
+               ("perturbed", Helpers.perturb_response rng a);
+               ("planted", planted);
+               ("planted, perturbed", Helpers.perturb_response rng planted);
+               (* the first gadget's shared object alone: no witnesses left *)
+               ("planted, one object", fst (Abstract.restrict_object planted 0));
+             ]))
+  in
+  both_verdicts reports [ "correct"; "occ"; "eventual" ]
+
+(* OCC outside its checkable class, and values written later in H: the
+   same [Error] message, or the same verdict, as the batch check. *)
+let online_occ_unsupported () =
+  let open Helpers in
+  let case name h ~vis expected =
+    let batch = same_abstract name (Abstract.create ~n:3 h ~vis) in
+    Alcotest.(check (result unit string)) name expected batch.Checks.occ
+  in
+  case "a value written twice"
+    [| w_ 0 0 1; w_ 1 0 1; w_ 1 0 2; rd_ 2 0 [ 1; 2 ] |]
+    ~vis:[ (0, 3); (1, 3); (2, 3) ]
+    (Error "occ check unsupported: multiple writes of value 1");
+  case "a value never written"
+    [| w_ 0 0 1; rd_ 2 0 [ 1; 7 ] |]
+    ~vis:[ (0, 1) ]
+    (Error "occ check unsupported: no write of value 7");
+  (* Figure 3c after the read: each writer's side write is the witness
+     the other side needs *)
+  case "values written later in H"
+    [| rd_ 2 0 [ 1; 2 ]; w_ 0 1 3; w_ 1 2 4; w_ 0 0 1; w_ 1 0 2 |]
+    ~vis:[] (Ok ());
+  case "values written later in H, witnesses seen"
+    [| rd_ 2 0 [ 1; 2 ]; w_ 0 1 3; w_ 1 2 4; w_ 0 0 1; w_ 1 0 2 |]
+    ~vis:[ (1, 4); (2, 3) ]
+    (Error "1 OCC violations; first: read 0 over writes (3,4)");
+  case "the first unsupported read wins"
+    [| w_ 0 0 1; w_ 1 0 2; rd_ 2 0 [ 1; 2 ]; rd_ 2 0 [ 1; 9 ]; rd_ 2 1 [ 8; 9 ] |]
+    ~vis:[ (0, 2); (1, 2) ]
+    (Error "occ check unsupported: no write of value 9")
+
+(* [correct] and [causal] fail at event 0, and the later reads return
+   two concurrent writes without witnesses. The pasts and raw rows that
+   OCC and eventual read must outlive those failures. *)
+let online_verdicts_decoupled () =
+  let open Helpers in
+  let a =
+    Abstract.create ~n:3
+      [| rd_ 0 2 [ 5 ]; w_ 0 0 1; w_ 1 0 2; rd_ 2 0 [ 1; 2 ]; rd_ 1 0 [ 1; 2 ] |]
+      ~vis:[ (1, 3); (2, 3); (1, 4) ]
+  in
+  let r = same_abstract ~quiescent_at:3 "decoupled verdicts" a in
+  let is_error = function Ok () -> false | Error _ -> true in
+  Alcotest.(check bool) "correct fails" true (is_error r.Checks.correct);
+  Alcotest.(check bool) "causal fails" true (is_error r.Checks.causal);
+  Alcotest.(check (result unit string))
+    "occ" (Error "2 OCC violations; first: read 3 over writes (1,2)") r.Checks.occ;
+  Alcotest.(check (result unit string)) "eventual" (Ok ()) r.Checks.eventual
 
 let online_run_inline () =
   let module C = Live.Cluster.Make (Sim.Stack.Volatile (Store.Causal_mvr_store)) in
@@ -425,6 +531,12 @@ let suite =
         online_chaos_stores;
       Alcotest.test_case "online: Occ_gen executions give the batch verdicts" `Quick
         online_occ_gen;
+      Alcotest.test_case "online: the known-failing OCC chaos target gives the batch verdict"
+        `Quick online_occ_sweep;
+      Alcotest.test_case "online: unsupported OCC cases give the batch message" `Quick
+        online_occ_unsupported;
+      Alcotest.test_case "online: OCC and eventual outlive correct/causal failures" `Quick
+        online_verdicts_decoupled;
       Alcotest.test_case "online: a run_inline capture gives the batch report" `Quick
         online_run_inline;
       Alcotest.test_case "online: word-wise deltas equal the bit-test and recorded deltas" `Quick
