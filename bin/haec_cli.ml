@@ -970,7 +970,8 @@ let trace_store (module S : Store.Store_intf.S) ~require ~adversarial ~churn
     C.run ~n ~objects ~ops ~spec_of:(fun _ -> spec) ~mix ~policy ~require ~adversarial
       ~churn ~seed ()
   in
-  let log = o.Sim.Chaos.spans in
+  let traced = Lazy.force o.Sim.Chaos.spans in
+  let log = traced.Sim.Chaos.log in
   let exec = o.Sim.Chaos.exec in
   let tracks = Model.Execution.n_replicas exec in
   Format.printf "trace: store=%s seed=%d replicas=%d objects=%d ops=%d%s%s@."
@@ -1039,22 +1040,21 @@ let trace_store (module S : Store.Store_intf.S) ~require ~adversarial ~churn
       row "bootstrap_refusal" (fun b -> b.Obs.Span.bootstrap_refusal);
       row "total" (fun b -> b.Obs.Span.total);
       (* the cross-check that makes the table trustworthy: every observed
-         total is the value the runner fed the visibility.lag histogram,
-         so the float sums must agree bit-for-bit *)
-      (match Metrics.Registry.find o.Sim.Chaos.metrics "visibility.lag" with
-      | Some (Metrics.Registry.Histogram h) ->
-        let hsum = Metrics.Histogram.sum h in
-        if Metrics.Histogram.count h = obs && hsum = grand then
-          Format.printf
-            "components sum to the measured lag histogram: sum=%.2f over %d \
-             observations (exact)@."
-            grand obs
-        else
-          Format.printf
-            "WARNING: span totals (%.4f over %d) disagree with visibility.lag \
-             (%.4f over %d)@."
-            grand obs hsum (Metrics.Histogram.count h)
-      | _ -> Format.printf "visibility.lag histogram missing from the run metrics@.");
+         total is the value the span-recording replay fed its
+         visibility.lag histogram, so the float sums must agree
+         bit-for-bit *)
+      (let h = traced.Sim.Chaos.lag in
+       let hsum = Metrics.Histogram.sum h in
+       if Metrics.Histogram.count h = obs && hsum = grand then
+         Format.printf
+           "components sum to the measured lag histogram: sum=%.2f over %d \
+            observations (exact)@."
+           grand obs
+       else
+         Format.printf
+           "WARNING: span totals (%.4f over %d) disagree with visibility.lag \
+            (%.4f over %d)@."
+           grand obs hsum (Metrics.Histogram.count h));
       let by_total =
         List.sort
           (fun (_, a) (_, b) -> compare b.Obs.Span.total a.Obs.Span.total)

@@ -5,8 +5,10 @@
     dependency-wait (buffered on causal predecessors) and
     bootstrap-refusal (the observer was a joiner still catching up). The
     components are defined so their float sum {e is} the value the runner
-    feeds the visibility.lag histogram — per store class the table checks
-    that identity across every seed ("exact"), then attributes the mean
+    feeds the visibility.lag histogram when it records spans — the chaos
+    harness records them by replaying each run with spans on, and per
+    store class the table checks that identity on every seed's replay
+    ("exact"), then attributes the mean
     and the p99 tail. Eager stores pay mostly network; dependency-tracking
     stores trade that for dep-wait; under churn the joiner's refusal
     window appears as its own column — the cost of Section 2's
@@ -52,8 +54,9 @@ let chaos_row label (module S : Store.Store_intf.S) require spec mix ~churn =
   in
   List.iter
     (fun o ->
+      let traced = Lazy.force o.Sim.Chaos.spans in
       let run_total = ref 0.0 and run_obs = ref 0 in
-      Obs.Span.Log.iter o.Sim.Chaos.spans (function
+      Obs.Span.Log.iter traced.Sim.Chaos.log (function
           | Obs.Span.Visible v ->
             let b = Obs.Span.breakdown v in
             a.obs <- a.obs + 1;
@@ -68,15 +71,11 @@ let chaos_row label (module S : Store.Store_intf.S) require spec mix ~churn =
             incr run_obs
           | _ -> ());
       (* the identity that makes attribution trustworthy: per seed, the
-         span totals must reproduce the runner's own lag histogram
+         span totals must reproduce the replay's own lag histogram
          bit-for-bit (same observations, same float order) *)
-      match Obs.Metrics.Registry.find o.Sim.Chaos.metrics "visibility.lag" with
-      | Some (Obs.Metrics.Registry.Histogram h) ->
-        if
-          Obs.Metrics.Histogram.count h <> !run_obs
-          || Obs.Metrics.Histogram.sum h <> !run_total
-        then a.exact <- false
-      | Some _ | None -> if !run_obs > 0 then a.exact <- false)
+      let h = traced.Sim.Chaos.lag in
+      if Obs.Metrics.Histogram.count h <> !run_obs || Obs.Metrics.Histogram.sum h <> !run_total
+      then a.exact <- false)
     outcomes;
   let share x = if a.total > 0.0 then 100.0 *. x /. a.total else 0.0 in
   let _, _, p99 = Obs.Metrics.Histogram.percentiles a.hist in

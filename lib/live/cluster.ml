@@ -105,7 +105,7 @@ type frame = { bytes : string; seq : int; issued_at : float }
 (* a timestamped local event plus, for do events under capture, the
    store's witness cut down to the updates this replica had not yet
    witnessed (a {!Haec_sim.Witness.fresh} delta) *)
-type tev = { at : float; ev : Event.t; wit : Store_intf.witness option }
+type tev = { at : float; ev : Event.t; wit : Witness.delta option }
 
 module Make (S : STACK) = struct
   type node = {
@@ -540,7 +540,7 @@ module Make (S : STACK) = struct
       | Event.Send { msg; _ } ->
         Int_tbl.Pair.replace sent (msg.Message.sender, msg.Message.seq) ()
       | Event.Do de ->
-        Witness.record wit de (Option.value te.wit ~default:Store_intf.empty_witness)
+        Witness.record wit de (Option.value te.wit ~default:Witness.no_delta)
       | _ -> ());
       events_rev := te.ev :: !events_rev
     done;

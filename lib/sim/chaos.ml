@@ -21,6 +21,12 @@ open Haec_wire
    principled known-failing target the shrinker is smoke-tested on. *)
 type level = [ `Converge | `Correct | `Causal | `Occ ]
 
+type traced = {
+  log : Haec_obs.Span.Log.t;
+  lag : Haec_obs.Metrics.Histogram.t;
+  trace : Execution.t;
+}
+
 type outcome = {
   seed : int;
   plan : Fault_plan.t;
@@ -28,7 +34,7 @@ type outcome = {
   require : level;
   stats : Runner.stats;
   metrics : Haec_obs.Metrics.Registry.t;
-  spans : Haec_obs.Span.Log.t;
+  spans : traced Lazy.t;
   exec : Execution.t;
   ops : int;
   skipped : int;
@@ -116,15 +122,22 @@ module Make (S : Haec_store.Store_intf.S) = struct
     in
     go 0
 
-  (* [?recovery] has a single value and selects nothing: anti-entropy is
-     the only loss semantics. It stays so that callers written against the
-     two-mode harness keep compiling unchanged. *)
-  let run_plan ?(objects = 2) ?(spec_of = fun (_ : int) -> Spec.mvr) ?policy
-      ?(max_events = 200_000) ?(require = `Correct) ?recovery:(_ : [ `Anti_entropy ] option)
-      ?(gossip_interval = 2.0) ~n ~plan ~steps ~seed () =
-    let policy =
-      match policy with Some p -> p | None -> Net_policy.random_delay ()
-    in
+  (* One execution of a run's inputs, up to and including the audit
+     reads: the runner, the id-space capacity, the client-op counts, and
+     how many audit reads trail the quiescent prefix (or why the run
+     never quiesced). Deterministic in its arguments, the wire version
+     and the anti-entropy tunables; [record_spans] only observes. *)
+  type execution = {
+    sim : R.t;
+    capacity : int;
+    executed : int;
+    skipped : int;
+    refused : int;
+    quiesced : (int, string) result;
+  }
+
+  let execute ~record_spans ~objects ~policy ~max_events ~gossip_interval ~n ~plan ~steps
+      ~seed =
     let horizon = plan.Fault_plan.horizon in
     (* with churn, [n] is the initial member count and the id space grows
        to the plan's capacity; the reserve ids boot empty mid-run *)
@@ -139,7 +152,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
         (c.Fault_plan.capacity, c.Fault_plan.initial)
     in
     let sim =
-      R.create ~seed ~n:capacity ~initial ~hooks:St.hooks
+      R.create ~seed ~n:capacity ~initial ~hooks:St.hooks ~record_spans
         ~classify:Haec_store.Anti_entropy.classify ~policy ~faults:plan
         ~gossip:(gossip_interval, St.tick, St.settled)
         ~recover_state:(fun ~replica:_ -> St.recover)
@@ -213,6 +226,25 @@ module Make (S : Haec_store.Store_intf.S) = struct
         (* must never happen: corruption is rejected inside the runner *)
         Error (Printf.sprintf "corruption escaped the frame check: %s" m)
     in
+    { sim; capacity; executed = !executed; skipped = !skipped; refused = !refused; quiesced }
+
+  (* [?recovery] has a single value and selects nothing: anti-entropy is
+     the only loss semantics. It stays so that callers written against the
+     two-mode harness keep compiling unchanged. *)
+  let run_plan ?(objects = 2) ?(spec_of = fun (_ : int) -> Spec.mvr) ?policy
+      ?(max_events = 200_000) ?(require = `Correct) ?recovery:(_ : [ `Anti_entropy ] option)
+      ?(gossip_interval = 2.0) ~n ~plan ~steps ~seed () =
+    let policy =
+      match policy with Some p -> p | None -> Net_policy.random_delay ()
+    in
+    let execute ~record_spans =
+      execute ~record_spans ~objects ~policy ~max_events ~gossip_interval ~n ~plan ~steps
+        ~seed
+    in
+    let version = Wire.Version.current () and tunables = Haec_store.Anti_entropy.tunables () in
+    let { sim; capacity; executed; skipped; refused; quiesced } =
+      execute ~record_spans:false
+    in
     let exec = R.execution sim in
     let result =
       Result.map
@@ -244,6 +276,17 @@ module Make (S : Haec_store.Store_intf.S) = struct
          (Haec_store.Store_intf.fresh_gossip_stats ())
          (states (List.init capacity Fun.id)))
       ~log_entries:(sum St.log_entries) ~log_bytes:(sum St.log_bytes);
+    (* Spans are paid for only when read: forcing re-runs the same inputs
+       with spans on, under the wire version and tunables of this run
+       (both process-global, so pinned here). The replay runs no checks
+       and keeps nothing of this run's runner. *)
+    let spans =
+      lazy
+        (Wire.Version.scoped version (fun () ->
+             Haec_store.Anti_entropy.with_tunables tunables (fun () ->
+                 let { sim; _ } = execute ~record_spans:true in
+                 { log = R.span_log sim; lag = R.visibility_lag sim; trace = R.execution sim })))
+    in
     {
       seed;
       plan;
@@ -251,12 +294,12 @@ module Make (S : Haec_store.Store_intf.S) = struct
       require;
       stats = R.stats sim;
       metrics;
-      spans = R.span_log sim;
+      spans;
       exec;
-      ops = !executed;
-      skipped = !skipped;
-      refused = !refused;
-      horizon;
+      ops = executed;
+      skipped;
+      refused;
+      horizon = plan.Fault_plan.horizon;
       quiesced_at = R.now sim;
       result;
     }

@@ -44,6 +44,19 @@ type level = [ `Converge | `Correct | `Causal | `Occ ]
     principled known-failing bar the {!Shrink} smoke test minimizes
     against. *)
 
+type traced = {
+  log : Haec_obs.Span.Log.t;
+      (** the run's lifecycle span stream, read through
+          {!Haec_obs.Span.Log.iter} or [to_list], which build the records
+          on demand; transmit spans carry protocol item kinds via
+          {!Haec_store.Anti_entropy.classify} *)
+  lag : Haec_obs.Metrics.Histogram.t;
+      (** the replay's [visibility.lag]: one sample per [Visible] span,
+          its breakdown total, in span order *)
+  trace : Execution.t;  (** the replay's execution, equal to the run's *)
+}
+(** A run re-executed with spans on (see {!outcome.spans}). *)
+
 type outcome = {
   seed : int;
   plan : Fault_plan.t;
@@ -58,13 +71,17 @@ type outcome = {
           recovery replay counts nothing) and the [ae.log_entries] /
           [ae.log_bytes] gauges — the repair log the members still hold
           at the end of the run, named as the live cluster names them *)
-  spans : Haec_obs.Span.Log.t;
-      (** the run's lifecycle span stream (see {!Runner.Make.span_log}),
-          read through {!Haec_obs.Span.Log.iter} or [to_list], which
-          build the records on demand; transmit spans carry protocol item
-          kinds via {!Haec_store.Anti_entropy.classify}. The log holds its
-          columns and the sent payloads only, never the runner or the
-          replica states. *)
+  spans : traced Lazy.t;
+      (** the run's spans, recorded by replay: forcing re-executes the
+          same inputs (plan, steps, seed, objects, policy, gossip interval
+          and event budget) with {!Runner.Make.create}[ ~record_spans:true],
+          under the wire version and anti-entropy tunables current when
+          the run was made. The run itself records no spans, so its
+          [visibility.lag] in [metrics] holds plain [visible - issue]
+          samples; the replay's {!traced.lag} holds the span totals. The
+          replay runs no checks and keeps nothing of the run's replica
+          states. Force from one domain at a time: forcing sets the
+          process-global version and tunables for the replay's duration. *)
   exec : Execution.t;
   ops : int;  (** client operations executed (after failover) *)
   skipped : int;  (** operations dropped because nobody could serve them *)

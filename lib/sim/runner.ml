@@ -159,7 +159,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
            [infinity] promoted until promotion *)
   }
 
-  let create ?(seed = 42) ?(record_witness = true) ?(record_spans = true)
+  let create ?(seed = 42) ?(record_witness = true) ?(record_spans = false)
       ?(auto_send = true) ?policy ?faults ?gossip ?initial ?hooks ?classify
       ?(recover_state = fun ~replica:_ st -> st) ~n () =
     if n <= 0 then invalid_arg "Runner.create: n must be positive";

@@ -14,12 +14,14 @@
     operation's visibility witness, from which {!witness_abstract} builds an
     abstract execution the run complies with by construction.
 
-    {b Witness cost.} A store's witness lists every update visible to the
+    {b Witness cost.} A store's witness names every update visible to the
     operation — for the causal stores, every update the replica has ever
-    incorporated — so forcing it is O(visible) per op. The runner keeps
-    none of those lists: each is cut at once to the per-replica delta
+    incorporated — as one summary per object: a frontier of per-origin
+    counts for the MVR stores, explicit dots for the dot-set layers. The
+    runner cuts each at once to the per-replica delta
     ({!Witness.fresh}), the updates this replica witnesses for the first
-    time, and only the delta is resolved to do indices ({!Witness.record}).
+    time, so an MVR witness costs O(objects × replicas) plus the new
+    keys, and only the delta is resolved to do indices ({!Witness.record}).
     Contract: {!witness_abstract} is exactly the abstract execution that
     resolving every full witness would give, because
     {!Haec_spec.Abstract.create} unions each row with the previous row of
@@ -142,8 +144,9 @@ module Make (S : Haec_store.Store_intf.S) : sig
       membership announcements and the bootstrap progress read — both
       required for {!join} / graceful {!leave} announcements.
 
-      [record_spans] (default [true], implies [record_witness]) collects
-      the per-op lifecycle span stream (see {!spans}); [classify] labels
+      [record_spans] (default [false], implies [record_witness]) collects
+      the per-op lifecycle span stream (see {!spans}); it only observes,
+      so a run with spans is the run without them. [classify] labels
       sent payloads with their protocol item kinds in {!Haec_obs.Span}
       [Transmit] spans (pass {!Haec_store.Anti_entropy.classify} for
       anti-entropy stacks). *)
@@ -239,8 +242,10 @@ module Make (S : Haec_store.Store_intf.S) : sig
       operation at that replica whose witness includes the update. Only
       recorded while witness collection is enabled; drive a read per
       object per replica after quiescence to capture full convergence.
-      With spans on, each observation is exactly the component sum of the
-      matching [Visible] span's {!Haec_obs.Span.breakdown}. *)
+      With spans off, each observation is the plain [visible - issue]
+      difference; with spans on, it is exactly the component sum of the
+      matching [Visible] span's {!Haec_obs.Span.breakdown}, which may
+      differ from it in the last bits. *)
 
   val span_log : t -> Haec_obs.Span.Log.t
   (** The lifecycle span stream of the run so far, in emission order:

@@ -13,23 +13,96 @@ module Key_tbl = Hashtbl.Make (struct
   let hash ((o, d) : t) = Haec_util.Int_tbl.hash3 o d.Dot.replica d.Dot.seq
 end)
 
-type seen = unit Key_tbl.t
+(* Per (object, origin): the high-water count [hw] below which every seq
+   is seen, and how many seen seqs above it the exception table [exc]
+   holds. A seq that extends the prefix absorbs the exceptions it makes
+   contiguous, so the table only ever holds the gaps' far sides. *)
+type row = { mutable hw : int array; mutable held : int array }
 
-let seen () = Key_tbl.create 256
+type seen = { mutable rows : row array; exc : unit Key_tbl.t }
 
-let fresh seen ~obj (w : Store_intf.witness) =
-  let visible =
-    List.filter
-      (fun key ->
-        if Key_tbl.mem seen key then false
-        else begin
-          Key_tbl.add seen key ();
-          true
-        end)
-      w.visible
-  in
-  (match w.self with Some dot -> Key_tbl.replace seen (obj, dot) () | None -> ());
-  { w with visible }
+type delta = { keys : key list; self : Dot.t option }
+
+let no_delta = { keys = []; self = None }
+
+let seen () = { rows = [||]; exc = Key_tbl.create 16 }
+
+let row s ~obj ~origin =
+  let nr = Array.length s.rows in
+  if obj >= nr then
+    s.rows <-
+      Array.init (max 8 (2 * (obj + 1))) (fun i ->
+          if i < nr then s.rows.(i) else { hw = [||]; held = [||] });
+  let row = s.rows.(obj) in
+  let no = Array.length row.hw in
+  if origin >= no then begin
+    let grow a = Array.init (max 4 (2 * (origin + 1))) (fun i -> if i < no then a.(i) else 0) in
+    row.hw <- grow row.hw;
+    row.held <- grow row.held
+  end;
+  row
+
+(* [seq] is seen above the high-water count; if so, forget it: the caller
+   is about to cover it *)
+let take_exception s row ~obj ~origin seq =
+  row.held.(origin) > 0
+  &&
+  let key = (obj, Dot.make ~replica:origin ~seq) in
+  Key_tbl.mem s.exc key
+  && begin
+       Key_tbl.remove s.exc key;
+       row.held.(origin) <- row.held.(origin) - 1;
+       true
+     end
+
+(* raise the high-water count to [h], then past every exception it
+   makes contiguous *)
+let raise_hw s row ~obj ~origin h =
+  let h = ref h in
+  while take_exception s row ~obj ~origin (!h + 1) do
+    incr h
+  done;
+  row.hw.(origin) <- !h
+
+(* mark [(obj, d)] seen; [false] if it already was *)
+let add s ~obj (d : Dot.t) =
+  let origin = d.Dot.replica and seq = d.Dot.seq in
+  let row = row s ~obj ~origin in
+  if seq <= row.hw.(origin) || (row.held.(origin) > 0 && Key_tbl.mem s.exc (obj, d)) then
+    false
+  else begin
+    if seq = row.hw.(origin) + 1 then raise_hw s row ~obj ~origin seq
+    else begin
+      Key_tbl.replace s.exc (obj, d) ();
+      row.held.(origin) <- row.held.(origin) + 1
+    end;
+    true
+  end
+
+let fresh s ~obj (w : Store_intf.witness) =
+  let acc = ref [] in
+  List.iter
+    (fun (sm : Store_intf.summary) ->
+      let o = sm.Store_intf.obj in
+      (match sm.Store_intf.frontier with
+      | None -> ()
+      | Some v ->
+        for origin = 0 to Vclock.size v - 1 do
+          let f = Vclock.get v origin in
+          let row = row s ~obj:o ~origin in
+          let h = row.hw.(origin) in
+          if f > h then begin
+            for seq = h + 1 to f do
+              if not (take_exception s row ~obj:o ~origin seq) then
+                acc := (o, Dot.make ~replica:origin ~seq) :: !acc
+            done;
+            raise_hw s row ~obj:o ~origin f
+          end
+        done);
+      List.iter (fun d -> if add s ~obj:o d then acc := (o, d) :: !acc) sm.Store_intf.extras)
+    w.Store_intf.visible;
+  Option.iter (fun d -> ignore (add s ~obj d)) w.Store_intf.self;
+  { keys = List.rev !acc; self = w.Store_intf.self }
 
 type t = {
   pos : int Key_tbl.t;  (* (obj, self dot) -> do index *)
@@ -46,7 +119,7 @@ let event t i =
 
 let no_callback (_ : int) (_ : int) = ()
 
-let record t ?(on_new = no_callback) (d : Event.do_event) (w : Store_intf.witness) =
+let record t ?(on_new = no_callback) (d : Event.do_event) (w : delta) =
   let j = t.len in
   let delta =
     List.fold_left
@@ -56,7 +129,7 @@ let record t ?(on_new = no_callback) (d : Event.do_event) (w : Store_intf.witnes
           on_new i obj;
           i :: acc
         | None -> acc)
-      [] w.visible
+      [] w.keys
   in
   (match w.self with Some dot -> Key_tbl.replace t.pos (d.Event.obj, dot) j | None -> ());
   if j = Array.length t.dos then begin

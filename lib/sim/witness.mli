@@ -4,7 +4,8 @@
 
     A store's {!Haec_store.Store_intf.witness} names every update visible
     to an operation, which for the causal stores is every update the
-    replica has ever incorporated. The witness abstract execution does
+    replica has ever incorporated (as one frontier per object). The
+    witness abstract execution does
     not need that: {!Haec_spec.Abstract.create} unions each event's row
     with the row of the previous event at the same replica (conditions
     (1) and (2) of Definition 4), so an event only has to contribute the
@@ -31,15 +32,32 @@ open Haec_model
 (** {2 Per replica} *)
 
 type seen
-(** The keys one replica has witnessed or issued so far. *)
+(** The keys one replica has witnessed or issued so far: per (object,
+    origin) a high-water count, below which every seq is seen, and a
+    table of the seen seqs above it. A key that extends the prefix
+    absorbs the table entries it makes contiguous, so for stores whose
+    per-object dots are contiguous per origin (every MVR store) the
+    table stays empty and [seen] costs one count per (object, origin). *)
 
 val seen : unit -> seen
 
-val fresh : seen -> obj:int -> Haec_store.Store_intf.witness -> Haec_store.Store_intf.witness
-(** [fresh s ~obj w] keeps the keys of [w.visible] that [s] has not
-    seen, in [w]'s order and without repeats, and marks them seen; it
-    then marks the operation's own update [(obj, self)]. [self] is
-    passed through. *)
+type delta = {
+  keys : (int * Haec_vclock.Dot.t) list;
+      (** the [(obj, dot)] keys this replica sees for the first time *)
+  self : Haec_vclock.Dot.t option;  (** the operation's own update dot *)
+}
+(** One operation's witness cut to what is new at its replica. *)
+
+val no_delta : delta
+
+val fresh : seen -> obj:int -> Haec_store.Store_intf.witness -> delta
+(** [fresh s ~obj w] is the keys of
+    {!Haec_store.Store_intf.visible_keys}[ w] that [s] has not seen, in
+    that order and without repeats, and marks them seen; it then marks
+    the operation's own update [(obj, self)]. [self] is passed through.
+    A frontier costs one comparison per origin plus one step per new
+    key, never an enumeration of what was seen before. Dot seqs start
+    at 1. *)
 
 (** {2 In execution order} *)
 
@@ -50,11 +68,10 @@ type t
 
 val create : unit -> t
 
-val record :
-  t -> ?on_new:(int -> int -> unit) -> Event.do_event -> Haec_store.Store_intf.witness -> unit
+val record : t -> ?on_new:(int -> int -> unit) -> Event.do_event -> delta -> unit
 (** [record t d w] appends do event [d] at index [j], the number of do
     events recorded before it. Each
-    key of [w.visible] (a {!fresh} delta) that resolves to an earlier do
+    key of [w.keys] (a {!fresh} delta) that resolves to an earlier do
     event [i] adds the edge [(i, j)] and calls [on_new i obj]; keys no
     earlier event issued are ignored. Then [w.self], if any, is
     registered as [d]'s dot on [d.obj]. *)

@@ -142,6 +142,23 @@ let set_full_digest_every n =
   if n < 1 then invalid_arg "Anti_entropy.set_full_digest_every: must be >= 1";
   Atomic.set full_digest_every_v n
 
+(* All three at once, so a run can be re-executed later under the
+   settings it ran with (the chaos harness's span replay). *)
+type tunables = { batch : int; backoff : int; digest_every : int }
+
+let tunables () =
+  { batch = repair_batch (); backoff = max_backoff (); digest_every = full_digest_every () }
+
+let with_tunables t f =
+  let set t =
+    Atomic.set repair_batch_v t.batch;
+    Atomic.set max_backoff_v t.backoff;
+    Atomic.set full_digest_every_v t.digest_every
+  in
+  let saved = tunables () in
+  set t;
+  Fun.protect ~finally:(fun () -> set saved) f
+
 (* Pure classifier for trace labels: name the protocol items riding in an
    encoded anti-entropy envelope without touching any state. Repair items
    report their payload count. Payloads that are not anti-entropy

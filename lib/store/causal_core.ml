@@ -219,10 +219,7 @@ module Make (Obj : Object_layer.OBJECT) (P : POLICY) = struct
     end
 
   let visible_now t =
-    Int_map.fold
-      (fun obj o acc ->
-        List.fold_left (fun acc d -> (obj, d) :: acc) acc (Obj.visible_dots o))
-      t.objects []
+    Int_map.fold (fun obj o acc -> Obj.visible ~obj o :: acc) t.objects []
 
   (* A local read advances the read counter and exposes the ripe prefix
      of the hidden queue, in delivery order. Ripen thresholds are
@@ -284,27 +281,29 @@ module Make (Obj : Object_layer.OBJECT) (P : POLICY) = struct
                   (Vclock.size r.dep) t.n));
         if r.useq < 1 then raise (Wire.Decoder.Malformed "non-positive update sequence"))
       records;
-    let fresh r =
-      r.useq > Vclock.get t.uv r.origin && not (mem_rec t.buffer r.origin r.useq)
+    (* buffer every record neither applied nor buffered yet, checking
+       each against the buffer so far: a payload that repeats a key
+       buffers it once *)
+    let buffer, fresh_rev, count =
+      List.fold_left
+        (fun ((buffer, fresh_rev, count) as acc) r ->
+          if r.useq <= Vclock.get t.uv r.origin || mem_rec buffer r.origin r.useq then acc
+          else (add_rec buffer r, r :: fresh_rev, count + 1))
+        (t.buffer, [], 0) records
     in
-    match List.filter fresh records with
+    match List.rev fresh_rev with
     | [] -> t
     | fresh_records ->
       (* The whole receive cascade works on one uniquely-owned copy of the
          update-vector, ticked in place per delivery; the original [t.uv]
          (aliased as [dep] by earlier local updates) is never mutated. *)
       let uv = Vclock.copy t.uv in
-      let buffer = ref t.buffer in
-      let buffered = ref t.buffered in
+      let buffer = ref buffer in
+      let buffered = ref (t.buffered + count) in
       let waiting = ref t.waiting in
       let objects = ref t.objects in
       let hidden = ref t.hidden in
       let clock = ref t.clock in
-      List.iter
-        (fun r ->
-          buffer := add_rec !buffer r;
-          incr buffered)
-        fresh_records;
       let max_buffer = max t.counters.max_buffer !buffered in
       let scans = ref 0 and delivered = ref 0 in
       let work = Queue.create () in

@@ -81,10 +81,7 @@ let obj_state t obj =
   | None -> Mvr_object.empty ~n:t.n
 
 let visible_now t =
-  Int_map.fold
-    (fun obj o acc ->
-      List.fold_left (fun acc d -> (obj, d) :: acc) acc (Mvr_object.visible_dots o))
-    t.objects []
+  Int_map.fold (fun obj o acc -> Mvr_object.visible ~obj o :: acc) t.objects []
 
 (* Apply an update to the object layer and fold it into the dependency
    frontier: the update subsumes its own dependencies, so they leave the

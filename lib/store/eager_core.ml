@@ -32,10 +32,7 @@ struct
     match Int_map.find_opt obj t.objects with Some o -> o | None -> Obj.empty ~n:t.n
 
   let visible_now t =
-    Int_map.fold
-      (fun obj o acc ->
-        List.fold_left (fun acc d -> (obj, d) :: acc) acc (Obj.visible_dots o))
-      t.objects []
+    Int_map.fold (fun obj o acc -> Obj.visible ~obj o :: acc) t.objects []
 
   let do_op t ~obj op =
     let visible_before = lazy (visible_now t) in

@@ -32,10 +32,7 @@ let mark_relayed t obj dot =
   { t with relayed = Int_map.add obj (Dot.Set.add dot (relayed_of t obj)) t.relayed }
 
 let visible_now t =
-  Int_map.fold
-    (fun obj o acc ->
-      List.fold_left (fun acc d -> (obj, d) :: acc) acc (Mvr_object.visible_dots o))
-    t.objects []
+  Int_map.fold (fun obj o acc -> Mvr_object.visible ~obj o :: acc) t.objects []
 
 let do_op t ~obj op =
   match op with

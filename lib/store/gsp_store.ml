@@ -159,7 +159,7 @@ let witness_of t =
   let own =
     List.rev (Fqueue.fold (fun acc w -> (w.obj, dot_of w) :: acc) [] t.unconfirmed)
   in
-  confirmed_winners @ own
+  List.map (fun (obj, dot) -> Store_intf.dots ~obj [ dot ]) (confirmed_winners @ own)
 
 let do_op t ~obj op =
   match op with

@@ -56,9 +56,11 @@ let apply_entry o e =
       seen = Dot.Set.add e.dot o.seen;
     }
 
+(* dot seqs are per replica across objects, so an object's dots are no
+   prefix: each object lists them, in descending order *)
 let visible_now t =
   Int_map.fold
-    (fun obj o acc -> Dot.Set.fold (fun d acc -> (obj, d) :: acc) o.seen acc)
+    (fun obj o acc -> Store_intf.dots ~obj (Dot.Set.fold List.cons o.seen []) :: acc)
     t.objects []
 
 let do_op t ~obj op =

@@ -36,14 +36,7 @@ let siblings t = t.sibs
 
 let causal_context t = t.cc
 
-let visible_dots t =
-  let acc = ref [] in
-  for r = 0 to t.n - 1 do
-    for seq = 1 to Vclock.get t.cc r do
-      acc := Dot.make ~replica:r ~seq :: !acc
-    done
-  done;
-  !acc
+let visible ~obj t = Store_intf.frontier ~obj t.cc
 
 (* The clock codec is the only version-dependent part: v2 emits the
    compressed self-describing form, and [decode_update] accepts either

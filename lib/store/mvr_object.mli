@@ -7,8 +7,7 @@
     causally dominated ones are discarded. The dot of a write to this
     object by replica [r] is [(r, vv[r])]; the object's causal context [cc]
     (component-wise max of all applied version vectors) is dot-prefix
-    closed, which makes the visibility witness a simple prefix
-    enumeration. *)
+    closed, which makes the visibility witness the context itself. *)
 
 open Haec_wire
 open Haec_vclock
@@ -40,9 +39,9 @@ val siblings : t -> update list
 
 val causal_context : t -> Vclock.t
 
-val visible_dots : t -> Dot.t list
-(** All write dots covered by the causal context: the object-level
-    visibility witness. *)
+val visible : obj:int -> t -> Store_intf.summary
+(** The object-level visibility witness: the causal context as a
+    frontier, covering every write dot it names. *)
 
 val encode_update : Wire.Encoder.t -> update -> unit
 

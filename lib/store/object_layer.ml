@@ -3,10 +3,12 @@
     LWW register, op-based counter, ...) and a delivery layer (eager
     {!Eager_core} or causally buffered {!Causal_core}).
 
-    Invariant required of [visible_dots]: under causally ordered
-    application of updates, the set is exactly the update events whose
-    effects (including being causally overwritten) the replica has
-    incorporated — the per-object visibility witness. *)
+    Invariant required of [visible]: under causally ordered application
+    of updates, the summary names exactly the update events whose effects
+    (including being causally overwritten) the replica has incorporated —
+    the per-object visibility witness. The MVR layer reports its causal
+    context as a frontier; the dot-set layers list their dots as extras,
+    in descending dot order. *)
 
 open Haec_wire
 open Haec_vclock
@@ -24,6 +26,8 @@ let bump_max (d : Dot.t) m =
   if d.Dot.seq > cur then Int_map.add d.Dot.replica d.Dot.seq m else m
 
 let max_seq m me = match Int_map.find_opt me m with Some s -> s | None -> 0
+
+let descending set = Dot.Set.fold List.cons set []
 
 module type OBJECT = sig
   val kind : string
@@ -61,7 +65,8 @@ module type OBJECT = sig
       clock to witness (Lamport's receive rule); 0 for layers that carry
       no timestamps. *)
 
-  val visible_dots : t -> Dot.t list
+  val visible : obj:int -> t -> Store_intf.summary
+  (** The object's visibility witness, as object [obj]. *)
 
   val encode_update : Wire.Encoder.t -> update -> unit
 
@@ -92,7 +97,7 @@ module Mvr : OBJECT = struct
 
   let time_of _ = 0
 
-  let visible_dots = Mvr_object.visible_dots
+  let visible = Mvr_object.visible
 
   let encode_update = Mvr_object.encode_update
 
@@ -154,7 +159,7 @@ module Lww_register : OBJECT = struct
 
   let time_of e = e.ts.Lamport.time
 
-  let visible_dots t = Dot.Set.elements t.seen
+  let visible ~obj t = Store_intf.dots ~obj (descending t.seen)
 
   let encode_update enc e =
     Lamport.encode enc e.ts;
@@ -241,7 +246,7 @@ module Orset : OBJECT = struct
 
   let time_of _ = 0
 
-  let visible_dots t = Dot.Set.elements t.known
+  let visible ~obj t = Store_intf.dots ~obj (descending t.known)
 
   let encode_update enc = function
     | Uadd { dot; value } ->
@@ -314,7 +319,7 @@ module Pn_counter : OBJECT = struct
 
   let time_of _ = 0
 
-  let visible_dots t = Dot.Set.elements t.seen
+  let visible ~obj t = Store_intf.dots ~obj (descending t.seen)
 
   let encode_update enc u =
     Dot.encode enc u.dot;

@@ -17,8 +17,8 @@ let ae_run ?(churn = false) ?(ops = 40) seed =
     ~mix:Sim.Workload.register_mix ~require:`Causal
     ~adversarial:true ~churn ~seed ()
 
-(* the outcome's span log, its records built *)
-let spans (o : Chaos.outcome) = Span.Log.to_list o.Chaos.spans
+(* the outcome's span log, recorded by replay, its records built *)
+let spans (o : Chaos.outcome) = Span.Log.to_list (Lazy.force o.Chaos.spans).Chaos.log
 
 let visibles spans =
   List.filter_map (function Span.Visible v -> Some v | _ -> None) spans
@@ -175,6 +175,95 @@ let test_chaos_log_is_the_runner_stream () =
         (List.map bits (spans o)))
     [ (false, 1); (true, 1); (false, 2); (true, 2) ]
 
+(* ---------- spans recorded by replay ---------- *)
+
+(* Forcing an outcome's spans re-runs its inputs with spans on. The
+   replay must be the same run (its trace encodes to the outcome's bytes),
+   its spans those of a runner that records them inline (test_witness's
+   [Drive], on the same schedule), and its lag histogram the span totals,
+   bit for bit. Swept at -j 1 and -j 2, with and without churn. *)
+let replay_is_the_run (module S : Store.Store_intf.S) ~mix ~spec ~require () =
+  let module Ch = Chaos.Make (S) in
+  let module D = Test_witness.Drive (S) in
+  let crashes = ref 0 and joins = ref 0 in
+  List.iter
+    (fun churn ->
+      let n, objects, ops = if churn then (3, 3, 60) else (4, 4, 80) in
+      List.iter
+        (fun domains ->
+          let outcomes =
+            Ch.run_seeds ~n ~objects ~ops ~spec_of:(fun _ -> spec) ~mix ~require
+              ~adversarial:true ~churn ~domains ~seeds:[ 1; 2; 3 ] ()
+          in
+          List.iter
+            (fun (o : Chaos.outcome) ->
+              let name =
+                Printf.sprintf "%s seed %d%s -j %d" S.name o.Chaos.seed
+                  (if churn then " churn" else "") domains
+              in
+              crashes := !crashes + o.Chaos.stats.Sim.Runner.crashes;
+              joins := !joins + o.Chaos.stats.Sim.Runner.joins;
+              let t = Lazy.force o.Chaos.spans in
+              Alcotest.(check string) (name ^ ": trace bytes")
+                (Model.Trace_io.to_string o.Chaos.exec) (Model.Trace_io.to_string t.Chaos.trace);
+              let sim, _ =
+                D.run_q ~object_major:true ~mix ~churn ~spans:true ~seed:o.Chaos.seed ()
+              in
+              Alcotest.(check (list string)) (name ^ ": inline spans")
+                (List.map bits (D.R.spans sim))
+                (List.map bits (Span.Log.to_list t.Chaos.log));
+              let vs = visibles (Span.Log.to_list t.Chaos.log) in
+              Alcotest.(check int) (name ^ ": lag count") (List.length vs)
+                (Metrics.Histogram.count t.Chaos.lag);
+              Alcotest.(check (float 0.0)) (name ^ ": lag sum")
+                (List.fold_left (fun acc v -> acc +. (Span.breakdown v).Span.total) 0.0 vs)
+                (Metrics.Histogram.sum t.Chaos.lag);
+              Alcotest.(check bool) (name ^ ": lag = inline lag") true
+                (t.Chaos.lag = D.R.visibility_lag sim))
+            outcomes)
+        [ 1; 2 ])
+    [ false; true ];
+  Alcotest.(check bool) "crashes exercised" true (!crashes > 0);
+  Alcotest.(check bool) "churn exercised" true (!joins > 0)
+
+let test_replay_is_the_run () =
+  replay_is_the_run (module Store.Causal_mvr_store) ~mix:Sim.Workload.register_mix
+    ~spec:Spec.Spec.mvr ~require:`Causal ();
+  replay_is_the_run (module Store.Cops_store) ~mix:Sim.Workload.register_mix
+    ~spec:Spec.Spec.mvr ~require:`Causal ();
+  replay_is_the_run (module Store.Orset_store) ~mix:Sim.Workload.orset_mix
+    ~spec:Spec.Spec.orset ~require:`Correct ()
+
+(* A force after the process-global wire version and anti-entropy
+   tunables moved replays under the values the run was made with: the
+   replay's bytes are still the run's. *)
+let test_replay_pins_version_and_tunables () =
+  let o = ae_run ~churn:true 5 in
+  let expected = Model.Trace_io.to_string o.Chaos.exec in
+  let version = Wire.Version.current () and saved = Store.Anti_entropy.tunables () in
+  let t =
+    Fun.protect
+      ~finally:(fun () ->
+        Wire.Version.set version;
+        Store.Anti_entropy.set_repair_batch saved.Store.Anti_entropy.batch)
+      (fun () ->
+        Wire.Version.set Wire.Version.V1;
+        Store.Anti_entropy.set_repair_batch 3;
+        let t = Lazy.force o.Chaos.spans in
+        Alcotest.(check bool) "the globals are restored after the force" true
+          (Wire.Version.current () = Wire.Version.V1
+          && (Store.Anti_entropy.tunables ()).Store.Anti_entropy.batch = 3);
+        t)
+  in
+  Alcotest.(check string) "forced under v1: the run's bytes" expected
+    (Model.Trace_io.to_string t.Chaos.trace);
+  (* and a fresh run under v1 would differ, so the pin is what held *)
+  let v1 =
+    Wire.Version.scoped Wire.Version.V1 (fun () ->
+        Model.Trace_io.to_string (ae_run ~churn:true 5).Chaos.exec)
+  in
+  Alcotest.(check bool) "v1 bytes differ" true (v1 <> expected)
+
 (* ---------- live stream vs the runner's own measurements ---------- *)
 
 let test_components_sum_to_lag_histogram () =
@@ -185,16 +274,21 @@ let test_components_sum_to_lag_histogram () =
       let total =
         List.fold_left (fun acc v -> acc +. (Span.breakdown v).Span.total) 0.0 vs
       in
+      let h = (Lazy.force o.Chaos.spans).Chaos.lag in
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d: one visible span per lag observation" seed)
+        (Metrics.Histogram.count h) (List.length vs);
+      (* bit-for-bit, not approximately: the span-recording runner records
+         each op's lag as the breakdown total itself, in the same order *)
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "seed %d: span totals = histogram sum" seed)
+        (Metrics.Histogram.sum h) total;
+      (* the run itself, spans off, sampled the same observations *)
       match Metrics.Registry.find o.Chaos.metrics "visibility.lag" with
-      | Some (Metrics.Registry.Histogram h) ->
+      | Some (Metrics.Registry.Histogram plain) ->
         Alcotest.(check int)
-          (Printf.sprintf "seed %d: one visible span per lag observation" seed)
-          (Metrics.Histogram.count h) (List.length vs);
-        (* bit-for-bit, not approximately: the runner records each op's lag
-           as the breakdown total itself, in the same order *)
-        Alcotest.(check (float 0.0))
-          (Printf.sprintf "seed %d: span totals = histogram sum" seed)
-          (Metrics.Histogram.sum h) total
+          (Printf.sprintf "seed %d: the run's lag samples" seed)
+          (Metrics.Histogram.count h) (Metrics.Histogram.count plain)
       | _ -> Alcotest.fail "visibility.lag histogram missing")
     [ 1; 2; 3; 4; 5 ]
 
@@ -433,6 +527,10 @@ let suite =
         test_log_roundtrip;
       Alcotest.test_case "log: Chaos.run holds the runner's own stream" `Quick
         test_chaos_log_is_the_runner_stream;
+      Alcotest.test_case "replay: forced spans are the run, recorded inline" `Quick
+        test_replay_is_the_run;
+      Alcotest.test_case "replay: a force pins the run's wire version and tunables" `Quick
+        test_replay_pins_version_and_tunables;
       Alcotest.test_case "live: components sum to visibility.lag bit-for-bit" `Quick
         test_components_sum_to_lag_histogram;
       Alcotest.test_case "live: visible timestamps are monotone" `Quick

@@ -164,6 +164,48 @@ let test_causal_duplicate_and_reorder () =
   let b = Causal_mvr_store.receive b ~sender:0 m1 in
   Alcotest.check check_response "converged to last write" (resp [ 2 ]) (C.read b 0)
 
+(* A payload that repeats one (origin, useq) record buffers it once: the
+   state, [buffered] and the counters equal the one-copy payload's, both
+   while the records wait on a missing dependency and after it lands. *)
+let test_causal_duplicate_in_one_batch () =
+  let module Core =
+    Causal_core.Make
+      (Object_layer.Mvr)
+      (struct
+        let name = "causal-duplicate"
+
+        include Causal_core.Immediate
+      end)
+  in
+  let write st v =
+    let st, _, _ = Core.do_op st ~obj:0 (Op.Write (vi v)) in
+    st
+  in
+  let a, first = Core.send (write (Core.init ~n:2 ~me:0) 1) in
+  let _, rest = Core.send (write (write a 2) 3) in
+  let r2, r3 =
+    match Haec.Wire.decode rest Core.decode_batch with
+    | [ r2; r3 ] -> (r2, r3)
+    | _ -> Alcotest.fail "expected a two-record batch"
+  in
+  let batch records = Haec.Wire.encode (fun enc -> Core.encode_batch enc records) in
+  let b = Core.init ~n:2 ~me:1 in
+  let once = Core.receive b ~sender:0 (batch [ r2; r3 ]) in
+  let twice = Core.receive b ~sender:0 (batch [ r2; r2; r3 ]) in
+  let same what (x : Core.state) (y : Core.state) =
+    Alcotest.(check int) (what ^ ": buffered") x.buffered y.buffered;
+    Alcotest.(check (triple int int int))
+      (what ^ ": counters")
+      (x.counters.scans, x.counters.delivered, x.counters.max_buffer)
+      (y.counters.scans, y.counters.delivered, y.counters.max_buffer);
+    Alcotest.(check bool) (what ^ ": state") true (x = y)
+  in
+  Alcotest.(check int) "both records wait on the first" 2 once.buffered;
+  same "buffered" once twice;
+  let once = Core.receive once ~sender:0 first and twice = Core.receive twice ~sender:0 first in
+  Alcotest.(check int) "all delivered" 0 once.buffered;
+  same "delivered" once twice
+
 (* ---------- LWW store ---------- *)
 
 let test_lww_total_order () =
@@ -400,6 +442,8 @@ let suite =
       tc "causal: buffers until deps" test_causal_buffers_until_deps;
       tc "causal: cross-replica deps" test_causal_cross_replica_deps;
       tc "causal: duplicate and reorder" test_causal_duplicate_and_reorder;
+      tc "causal: a record repeated in one batch is buffered once"
+        test_causal_duplicate_in_one_batch;
       tc "lww: converges to single value" test_lww_total_order;
       tc "lww: higher timestamp wins" test_lww_timestamp_wins;
       tc "orset: local add/remove" test_orset_local;

@@ -14,15 +14,20 @@ module Abstract = Spec.Abstract
 module Event = Model.Event
 module Span = Obs.Span
 module Histogram = Obs.Metrics.Histogram
+module Vclock = Clock.Vclock
+module Dot = Clock.Dot
 
 (* ---------- the reference ---------- *)
 
-(* Every witness forced through the wrapper, per replica, newest first.
-   Durable recovery replays ops without forcing theirs, so each replica's
-   log lines up with its do events in program order. *)
-let logs : (int, Store_intf.witness list) Hashtbl.t = Hashtbl.create 8
+(* Every witness forced through the wrapper, per replica, newest first,
+   with the object of its operation. Durable recovery replays ops without
+   forcing theirs, so each replica's log lines up with its do events in
+   program order. *)
+let logs : (int, (int * Store_intf.witness) list) Hashtbl.t = Hashtbl.create 8
 
-let taken replica = List.rev (Option.value (Hashtbl.find_opt logs replica) ~default:[])
+let taken_on replica = List.rev (Option.value (Hashtbl.find_opt logs replica) ~default:[])
+
+let taken replica = List.map snd (taken_on replica)
 
 module Recording (S : Store_intf.S) : Store_intf.S = struct
   type state = { me : int; inner : S.state }
@@ -37,7 +42,8 @@ module Recording (S : Store_intf.S) : Store_intf.S = struct
     let w =
       lazy
         (let w = Lazy.force w in
-         Hashtbl.replace logs t.me (w :: Option.value (Hashtbl.find_opt logs t.me) ~default:[]);
+         Hashtbl.replace logs t.me
+           ((obj, w) :: Option.value (Hashtbl.find_opt logs t.me) ~default:[]);
          w)
     in
     ({ t with inner }, rval, w)
@@ -79,7 +85,7 @@ let reference ~n (dos : Event.do_event array) =
           match Hashtbl.find_opt final key with
           | Some i when i <> j -> vis := (i, j) :: !vis
           | Some _ | None -> ())
-        w.visible)
+        (Store_intf.visible_keys w))
     wits;
   let so_far = Hashtbl.create 64 and first_seen = Hashtbl.create 256 and firsts = ref [] in
   Array.iteri
@@ -93,7 +99,7 @@ let reference ~n (dos : Event.do_event array) =
             Hashtbl.add first_seen (i, observer) ();
             firsts := (i, observer) :: !firsts
           | Some _ | None -> ())
-        wits.(j).Store_intf.visible;
+        (Store_intf.visible_keys wits.(j));
       Option.iter (fun k -> Hashtbl.replace so_far k j) (self_key j))
     dos;
   (Abstract.create ~n dos ~vis:!vis, List.rev !firsts)
@@ -257,6 +263,140 @@ let golden () =
         "953ac0060f4bad77586f8e9e4e801c33" );
       ( true, 2, "38e81d91c0b09264608e4822b431d566", "ce094675d53ffcc993ed2e4581a02d01",
         "8f41ac2a4bb43116858b9643accb4e1c" );
+    ]
+
+(* ---------- frontier witnesses ---------- *)
+
+(* The per-replica filter [Witness.fresh] replaced: every key of the
+   expanded witness not seen before, in order, each marked seen; then the
+   operation's own dot. *)
+let reference_fresh seen ~obj (w : Store_intf.witness) =
+  let keys =
+    List.filter
+      (fun key ->
+        (not (Hashtbl.mem seen key))
+        && begin
+             Hashtbl.add seen key ();
+             true
+           end)
+      (Store_intf.visible_keys w)
+  in
+  Option.iter (fun dot -> Hashtbl.replace seen (obj, dot) ()) w.Store_intf.self;
+  keys
+
+(* Feed one replica's witnesses to both filters; they must agree key for
+   key, in order. *)
+let same_fresh name witnesses =
+  let seen = Sim.Witness.seen () and reference = Hashtbl.create 64 in
+  List.iteri
+    (fun k (obj, w) ->
+      let got = Sim.Witness.fresh seen ~obj w in
+      let expected = reference_fresh reference ~obj w in
+      if got.Sim.Witness.keys <> expected then
+        Alcotest.failf "%s, witness %d: fresh gives %d keys, the list filter %d" name k
+          (List.length got.Sim.Witness.keys) (List.length expected);
+      if got.Sim.Witness.self <> w.Store_intf.self then
+        Alcotest.failf "%s, witness %d: self not passed through" name k)
+    witnesses
+
+(* Every store class, chaos schedules with crashes and churn: the
+   frontier filter equals the list filter over [visible_keys]. *)
+let frontier_equivalence () =
+  let stores =
+    let reg = Sim.Workload.register_mix and set = Sim.Workload.orset_mix in
+    [
+      ((module Store.Mvr_store : Store_intf.S), reg);
+      ((module Store.Causal_mvr_store), reg);
+      ((module Store.Cops_store), reg);
+      ((module Store.State_mvr_store), reg);
+      ((module Store.Gossip_relay_store), reg);
+      ((module Store.Causal_naive_store), reg);
+      ((module Store.Delayed_store.K3), reg);
+      ((module Store.Lww_store), reg);
+      ((module Store.Causal_reg_store), reg);
+      ((module Store.Orset_store), set);
+      ((module Store.Causal_orset_store), set);
+      ((module Store.Counter_store.Eager), set);
+      ((module Store.Counter_store.Causal), set);
+      ((module Store.Gsp_store), reg);
+    ]
+  in
+  let keys = ref 0 in
+  List.iter
+    (fun ((module S : Store_intf.S), mix) ->
+      let module D = Drive (S) in
+      List.iter
+        (fun churn ->
+          List.iter
+            (fun seed ->
+              (try ignore (D.run ~mix ~churn ~spans:false ~seed)
+               with Runner.Divergence _ -> ());
+              Hashtbl.iter
+                (fun replica _ ->
+                  let ws = taken_on replica in
+                  List.iter
+                    (fun (_, w) -> keys := !keys + List.length (Store_intf.visible_keys w))
+                    ws;
+                  same_fresh
+                    (Printf.sprintf "%s seed %d%s replica %d" S.name seed
+                       (if churn then " churn" else "") replica)
+                    ws)
+                logs)
+            [ 1; 2; 3 ])
+        [ false; true ])
+    stores;
+  Alcotest.(check bool) "witnesses name keys" true (!keys > 0)
+
+let summary ?(frontier = [||]) ?(extras = []) obj =
+  {
+    Store_intf.obj;
+    frontier = (if frontier = [||] then None else Some (Vclock.of_array frontier));
+    extras = List.map (fun (replica, seq) -> Dot.make ~replica ~seq) extras;
+  }
+
+let keys_of = List.map (fun (obj, (d : Dot.t)) -> (obj, d.Dot.replica, d.Dot.seq))
+
+(* Hand-made witnesses through both filters, with the keys [fresh] must
+   give spelled out. *)
+let fresh_cases name steps =
+  let seen = Sim.Witness.seen () and reference = Hashtbl.create 8 in
+  List.iteri
+    (fun k (obj, w, expected) ->
+      let what = Printf.sprintf "%s, step %d" name k in
+      Alcotest.(check (list (triple int int int)))
+        what expected
+        (keys_of (Sim.Witness.fresh seen ~obj w).Sim.Witness.keys);
+      Alcotest.(check (list (triple int int int)))
+        (what ^ ": list filter") expected
+        (keys_of (reference_fresh reference ~obj w)))
+    steps
+
+let extra_then_frontier () =
+  let w visible = { Store_intf.visible; self = None } in
+  fresh_cases "extra then frontier"
+    [
+      (0, w [ summary 0 ~extras:[ (1, 2) ] ], [ (0, 1, 2) ]);
+      (* the frontier covers the extra: only the gap's sides are new *)
+      (0, w [ summary 0 ~frontier:[| 0; 3 |] ], [ (0, 1, 1); (0, 1, 3) ]);
+      (0, w [ summary 0 ~frontier:[| 0; 3 |] ~extras:[ (1, 2); (1, 5) ] ], [ (0, 1, 5) ]);
+      (* another object keeps its own counts *)
+      (0, w [ summary 1 ~frontier:[| 0; 2 |]; summary 0 ~frontier:[| 1; 5 |] ],
+        [ (1, 1, 1); (1, 1, 2); (0, 0, 1); (0, 1, 4) ]);
+      (0, w [ summary 0 ~frontier:[| 1; 6 |] ~extras:[ (1, 2) ] ], [ (0, 1, 6) ]);
+    ]
+
+let self_above_high_water () =
+  let w ?self visible =
+    { Store_intf.visible; self = Option.map (fun seq -> Dot.make ~replica:0 ~seq) self }
+  in
+  fresh_cases "self above the high-water count"
+    [
+      (2, w ~self:3 [], []);
+      (* the self dot (0, 3) stays seen while the frontier passes it *)
+      (2, w [ summary 2 ~frontier:[| 4 |] ], [ (2, 0, 1); (2, 0, 2); (2, 0, 4) ]);
+      (2, w ~self:6 [ summary 2 ~frontier:[| 4 |] ], []);
+      (2, w [ summary 2 ~frontier:[| 7 |] ~extras:[ (0, 6); (0, 9) ] ],
+        [ (2, 0, 5); (2, 0, 7); (2, 0, 9) ]);
     ]
 
 (* ---------- live capture ---------- *)
@@ -522,6 +662,12 @@ let suite =
       store "COPS" (module Store.Cops_store) ~mix:Sim.Workload.register_mix;
       store "delayed-read" (module Store.Delayed_store.K3) ~mix:Sim.Workload.register_mix;
       Alcotest.test_case "sim: span stream and lag match the full-list runner" `Quick golden;
+      Alcotest.test_case "frontier: fresh equals the list filter for every store class" `Quick
+        frontier_equivalence;
+      Alcotest.test_case "frontier: a dot seen as an extra, then covered" `Quick
+        extra_then_frontier;
+      Alcotest.test_case "frontier: a self dot above the high-water count" `Quick
+        self_above_high_water;
       Alcotest.test_case "live: run_inline deltas match the full-list assembly" `Quick
         (fun () ->
           live_equivalence (module Store.Causal_mvr_store) ~mix:Live.Load.register_mix ();
