@@ -44,30 +44,25 @@ let sample_update =
   }
 
 (* The wire/encode-update and wire/decode-update rows are pinned to frame
-   version v1 (the whole fast group runs under [Wire.Version.scoped V1]),
-   so they keep measuring the same codec as the seed baseline; the v2
-   chooser/compressed paths get their own -v2 rows below. *)
-let bench_wire_encode =
-  Test.make ~name:"wire/encode-update"
-    (Staged.stage (fun () ->
-         Wire.encode (fun e -> Store.Mvr_object.encode_update e sample_update)))
+   version v1, so they keep measuring the same codec as the seed
+   baseline; the v2 chooser/compressed paths get their own -v2 rows
+   below. *)
+let encode_sample wire () =
+  Wire.encode (fun e -> Store.Mvr_object.encode_update ~wire e sample_update)
 
-let encoded_update =
-  Wire.Version.scoped Wire.Version.V1 (fun () ->
-      Wire.encode (fun e -> Store.Mvr_object.encode_update e sample_update))
+let bench_wire_encode =
+  Test.make ~name:"wire/encode-update" (Staged.stage (encode_sample Wire.Version.V1))
+
+let encoded_update = encode_sample Wire.Version.V1 ()
 
 let bench_wire_decode =
   Test.make ~name:"wire/decode-update"
     (Staged.stage (fun () -> Wire.decode encoded_update Store.Mvr_object.decode_update))
 
-let encoded_update_v2 =
-  Wire.Version.scoped Wire.Version.V2 (fun () ->
-      Wire.encode (fun e -> Store.Mvr_object.encode_update e sample_update))
+let encoded_update_v2 = encode_sample Wire.Version.V2 ()
 
 let bench_wire_encode_v2 =
-  Test.make ~name:"wire/encode-update-v2"
-    (Staged.stage (fun () ->
-         Wire.encode (fun e -> Store.Mvr_object.encode_update e sample_update)))
+  Test.make ~name:"wire/encode-update-v2" (Staged.stage (encode_sample Wire.Version.V2))
 
 let bench_wire_decode_v2 =
   Test.make ~name:"wire/decode-update-v2"
@@ -309,8 +304,8 @@ let tests_fast =
       bench_mvr_read;
     ]
 
-(* wire-v2 codec rows: same budget as the fast group, run with the v2
-   emission default so the compressed-clock chooser is on the path *)
+(* wire-v2 codec rows: same budget as the fast group, encoding with v2
+   so the compressed-clock chooser is on the path *)
 let tests_fast_v2 =
   Test.make_grouped ~name:"haec"
     [ bench_wire_encode_v2; bench_wire_decode_v2; bench_vclock_encode_c ]
@@ -370,14 +365,15 @@ let gossip_json ~quick =
   (* each store runs the same seeds twice: once per wire version, so the
      delta-state machinery's byte savings are a row-to-row diff in the
      same artifact (E24 charts the same comparison against the Theorem 12
-     floor). [scoped] flips the emission default around the whole sweep —
-     replica states capture it at init — and restores it after. *)
+     floor). The version is part of the replica config the sweep runs
+     under. *)
   let entry label version (module S : Haec.Store.Store_intf.S) require spec mix
       first_seed =
     let module C = Haec.Sim.Chaos.Make (S) in
     let outcomes =
-      Haec.Wire.Version.scoped version (fun () ->
-          C.run_seeds ~spec_of:(fun _ -> spec) ~mix ~require ~adversarial:true ~seeds:(seeds first_seed) ())
+      C.run_seeds ~spec_of:(fun _ -> spec) ~mix ~require ~adversarial:true
+        ~config:{ Haec.Sim.Chaos.default_config with wire = version }
+        ~seeds:(seeds first_seed) ()
     in
     let runs = List.length outcomes in
     let conv = ref 0 and lost = ref 0 and rounds = ref 0 in
@@ -439,8 +435,13 @@ let live_json ~quick =
   let module DC = Live.Cluster.Make (DStack) in
   let duration = if quick then 0.2 else 0.5 in
   let run ?(version = Wire.Version.V2) ~n () =
-    Wire.Version.scoped version (fun () ->
-        C.run { Live.Cluster.default with Live.Cluster.replicas = n; duration })
+    C.run
+      {
+        Live.Cluster.default with
+        Live.Cluster.replicas = n;
+        duration;
+        stack = { Store.Store_intf.default with wire = version };
+      }
   in
   let run_faulted ~n cfg_of =
     DC.run (cfg_of { Live.Cluster.default with Live.Cluster.replicas = n; duration })
@@ -522,15 +523,8 @@ let run_micro ~quick ~live () =
   let raw = Benchmark.all cfg instances tests in
   let raw_mid = Benchmark.all cfg_mid instances tests_mid in
   let raw_slow = Benchmark.all cfg_slow instances tests_slow in
-  (* the seeded rows measure the v1 codec; the -v2 rows the v2 one *)
-  let raw_fast =
-    Wire.Version.scoped Wire.Version.V1 (fun () ->
-        Benchmark.all cfg_fast instances tests_fast)
-  in
-  let raw_fast_v2 =
-    Wire.Version.scoped Wire.Version.V2 (fun () ->
-        Benchmark.all cfg_fast instances tests_fast_v2)
-  in
+  let raw_fast = Benchmark.all cfg_fast instances tests_fast in
+  let raw_fast_v2 = Benchmark.all cfg_fast instances tests_fast_v2 in
   let merged analyze =
     let tbl = analyze raw in
     Hashtbl.iter (fun k v -> Hashtbl.replace tbl k v) (analyze raw_mid);

@@ -31,40 +31,41 @@ let jobs_arg =
 
 let set_jobs = function Some j -> Util.Par.set_default_domains j | None -> ()
 
-(* ---------- wire / anti-entropy tunables ---------- *)
+(* ---------- replica configuration: wire version, anti-entropy tunables ---------- *)
 
-(* one shared flag block for every command that runs a store over the
-   simulated network; the setters validate, so bad values surface as a
-   cmdliner error instead of a backtrace *)
-type tuning = {
-  wire : Wire.Version.t option;
-  repair_batch : int option;
-  max_backoff : int option;
-  full_digest_every : int option;
-}
+(* one shared flag block for every command that builds replicas: it sets
+   these fields of the command's base configuration, and cmdliner itself
+   rejects a value below 1 (a zero batch or backoff deadlocks repair) *)
+let at_least_1 =
+  let parse s =
+    match int_of_string_opt s with
+    | Some k when k >= 1 -> Ok k
+    | _ -> Error (Printf.sprintf "%S is not an integer >= 1" s)
+  in
+  Arg.conv' (parse, Format.pp_print_int)
 
-let tuning_term =
+let config_term =
+  let d = Store.Store_intf.default in
   let wire =
     Arg.(
       value
-      & opt (some (enum [ ("v1", Wire.Version.V1); ("v2", Wire.Version.V2) ])) None
+      & opt (enum [ ("v1", Wire.Version.V1); ("v2", Wire.Version.V2) ]) d.wire
       & info [ "wire" ] ~docv:"VERSION"
           ~doc:
-            "Wire format to emit: v1|v2 (default v2). Decoders accept both; a \
-             replica that receives a v1 anti-entropy envelope downgrades its \
-             own emission for that session.")
+            "Wire format every replica emits: v1|v2 (default v2). Decoders accept \
+             both; what a replica emits never depends on what it receives.")
   in
   let repair_batch =
     Arg.(
       value
-      & opt (some int) None
+      & opt at_least_1 d.repair_batch
       & info [ "repair-batch" ] ~docv:"N"
           ~doc:"Anti-entropy: max repair payloads answered per digest (>= 1, default 32)")
   in
   let max_backoff =
     Arg.(
       value
-      & opt (some int) None
+      & opt at_least_1 d.max_backoff
       & info [ "max-backoff" ] ~docv:"N"
           ~doc:
             "Anti-entropy: cap on the per-origin re-request backoff doubling, in \
@@ -73,25 +74,16 @@ let tuning_term =
   let full_digest_every =
     Arg.(
       value
-      & opt (some int) None
+      & opt at_least_1 d.full_digest_every
       & info [ "full-digest-every" ] ~docv:"N"
           ~doc:
             "Wire v2: emit an absolute digest every N gossip rounds, delta or \
              elided digests in between (>= 1, default 4)")
   in
-  let mk wire repair_batch max_backoff full_digest_every =
-    { wire; repair_batch; max_backoff; full_digest_every }
+  let mk wire repair_batch max_backoff full_digest_every (base : Store.Store_intf.config) =
+    { base with wire; repair_batch; max_backoff; full_digest_every }
   in
   Term.(const mk $ wire $ repair_batch $ max_backoff $ full_digest_every)
-
-let apply_tuning t =
-  try
-    Option.iter Wire.Version.set t.wire;
-    Option.iter Store.Anti_entropy.set_repair_batch t.repair_batch;
-    Option.iter Store.Anti_entropy.set_max_backoff t.max_backoff;
-    Option.iter Store.Anti_entropy.set_full_digest_every t.full_digest_every;
-    Ok ()
-  with Invalid_argument msg -> Error msg
 
 (* ---------- experiment commands ---------- *)
 
@@ -180,11 +172,11 @@ let or_divergence f =
     Format.printf "The network never drained — try a larger --ops budget or a kinder --net.@.";
     exit 3
 
-let simulate_store (type a) (module S : Store.Store_intf.S with type state = a) ~seed ~n
-    ~objects ~ops ~policy ~net_name ~faulty_net ~mix ~verbose ~dump ~metrics =
+let simulate_store (type a) (module S : Store.Store_intf.S with type state = a) ~config
+    ~seed ~n ~objects ~ops ~policy ~net_name ~faulty_net ~mix ~verbose ~dump ~metrics =
   let module R = Sim.Runner.Make (S) in
   let rng = Util.Rng.create seed in
-  let sim = R.create ~seed ~n ~policy () in
+  let sim = R.create ~seed ~config ~n ~policy () in
   let steps = Sim.Workload.generate ~rng ~n ~objects ~ops mix in
   Sim.Workload.run
     (fun ~replica ~obj op -> R.op sim ~replica ~obj op)
@@ -284,41 +276,40 @@ let simulate_cmd =
       & opt (some string) None
       & info [ "metrics" ] ~doc:"Write a metrics snapshot (JSONL) to FILE")
   in
-  let run jobs tuning store net n objects ops seed verbose dump metrics =
+  let run jobs config store net n objects ops seed verbose dump metrics =
     set_jobs jobs;
-    match apply_tuning tuning with
-    | Error msg -> `Error (false, msg)
-    | Ok () ->
-      let policy = policy_of net in
-      let go (module S : Store.Store_intf.S) mix =
-        simulate_store (module S) ~seed ~n ~objects ~ops ~policy
-          ~net_name:(net_name_of net) ~faulty_net:(net_is_faulty net) ~mix ~verbose
-          ~dump ~metrics;
-        `Ok ()
-      in
-      (match store with
-      | Mvr -> go (module Store.Mvr_store) Sim.Workload.register_mix
-      | Causal -> go (module Store.Causal_mvr_store) Sim.Workload.register_mix
-      | Cops -> go (module Store.Cops_store) Sim.Workload.register_mix
-      | State -> go (module Store.State_mvr_store) Sim.Workload.register_mix
-      | Orset -> go (module Store.Orset_store) Sim.Workload.orset_mix
-      | Lww -> go (module Store.Lww_store) Sim.Workload.register_mix
-      | Counter -> go (module Store.Counter_store.Causal) Sim.Workload.orset_mix
-      | Gossip -> go (module Store.Gossip_relay_store) Sim.Workload.register_mix
-      | Delayed -> go (module Store.Delayed_store.K3) Sim.Workload.register_mix
-      | Gsp -> go (module Store.Gsp_store) Sim.Workload.register_mix)
+    let config = config Store.Store_intf.default in
+    let policy = policy_of net in
+    let go (module S : Store.Store_intf.S) mix =
+      simulate_store (module S) ~config ~seed ~n ~objects ~ops ~policy
+        ~net_name:(net_name_of net) ~faulty_net:(net_is_faulty net) ~mix ~verbose
+        ~dump ~metrics;
+      `Ok ()
+    in
+    match store with
+    | Mvr -> go (module Store.Mvr_store) Sim.Workload.register_mix
+    | Causal -> go (module Store.Causal_mvr_store) Sim.Workload.register_mix
+    | Cops -> go (module Store.Cops_store) Sim.Workload.register_mix
+    | State -> go (module Store.State_mvr_store) Sim.Workload.register_mix
+    | Orset -> go (module Store.Orset_store) Sim.Workload.orset_mix
+    | Lww -> go (module Store.Lww_store) Sim.Workload.register_mix
+    | Counter -> go (module Store.Counter_store.Causal) Sim.Workload.orset_mix
+    | Gossip -> go (module Store.Gossip_relay_store) Sim.Workload.register_mix
+    | Delayed -> go (module Store.Delayed_store.K3) Sim.Workload.register_mix
+    | Gsp -> go (module Store.Gsp_store) Sim.Workload.register_mix
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Run a random workload on a store over a simulated network")
     Term.(
       ret
-        (const run $ jobs_arg $ tuning_term $ store $ net $ n $ objects $ ops $ seed
+        (const run $ jobs_arg $ config_term $ store $ net $ n $ objects $ ops $ seed
         $ verbose $ dump $ metrics))
 
 (* ---------- chaos ---------- *)
 
-let chaos_store (module S : Store.Store_intf.S) ~store_flag ~require ~adversarial ~churn ~shrink ~spec ~mix ~seed ~runs ~n ~objects ~ops ~policy
-    ~dump_dir ~metrics =
+let chaos_store (module S : Store.Store_intf.S) ~store_flag ~net ~config ~require
+    ~adversarial ~churn ~shrink ~spec ~mix ~seed ~runs ~n ~objects ~ops ~dump_dir ~metrics =
+  let policy = policy_of net in
   let module C = Sim.Chaos.Make (S) in
   Format.printf "chaos: store=%s replicas=%d objects=%d ops=%d runs=%d%s%s@."
     S.name n objects ops runs
@@ -332,7 +323,7 @@ let chaos_store (module S : Store.Store_intf.S) ~store_flag ~require ~adversaria
      in seed order, so the output is bit-identical at any -j *)
   let outcomes =
     C.run_seeds ~n ~objects ~ops ~spec_of:(fun _ -> spec) ~mix ~policy ~require
-      ~adversarial ~churn
+      ~adversarial ~churn ~config
       ~seeds:(List.init runs (fun i -> seed + i))
       ()
   in
@@ -377,8 +368,8 @@ let chaos_store (module S : Store.Store_intf.S) ~store_flag ~require ~adversaria
           Sim.Chaos.derive ~n ~objects ~ops ~mix ~adversarial ~churn ~seed ()
         in
         let run ~plan ~steps =
-          C.run_plan ~objects ~spec_of:(fun _ -> spec) ~policy ~require ~n ~plan
-            ~steps ~seed ()
+          C.run_plan ~objects ~spec_of:(fun _ -> spec) ~policy ~require ~config ~n
+            ~plan ~steps ~seed ()
         in
         match Sim.Shrink.minimize ~run ~plan ~steps () with
         | None ->
@@ -398,15 +389,19 @@ let chaos_store (module S : Store.Store_intf.S) ~store_flag ~require ~adversaria
             in
             let oc = open_out repro in
             let ppf = Format.formatter_of_out_channel oc in
-            (* the header carries every flag that shapes the seed's inputs,
-               as a ready-to-paste command line: replaying with any fault
-               kind missing would derive a different plan from the same
-               seed and chase a different bug *)
+            (* the header carries every flag that shapes the run, as a
+               ready-to-paste command line: the seed's inputs (a missing
+               fault kind derives a different plan from the same seed),
+               the network, and the replica configuration the outcome
+               was run under *)
+            let c = r.Sim.Shrink.outcome.Sim.Chaos.config in
             Format.fprintf ppf
               "# minimal failing repro for store=%s seed=%d@.\
-               # replay: haec_cli chaos --store %s --seed %d --runs 1 --replicas %d \
+               # replay: haec_cli chaos --store %s --net %s --wire %s --repair-batch %d \
+               --max-backoff %d --full-digest-every %d --seed %d --runs 1 --replicas %d \
                --objects %d --ops %d --require %s%s%s --shrink@.%a@."
-              S.name seed store_flag seed n objects ops
+              S.name seed store_flag (net_name_of net) (Wire.Version.name c.wire)
+              c.repair_batch c.max_backoff c.full_digest_every seed n objects ops
               (match require with
               | `Converge -> "converge"
               | `Correct -> "correct"
@@ -504,13 +499,10 @@ let chaos_cmd =
             "Delta-debug each failing seed to a minimal still-failing (plan, workload) \
              repro; with --dump-dir also writes the minimized trace and repro file")
   in
-  let run jobs tuning store net n objects ops seed runs dump_dir metrics require
+  let run jobs config store net n objects ops seed runs dump_dir metrics require
       adversarial churn shrink =
     set_jobs jobs;
-    match apply_tuning tuning with
-    | Error msg -> `Error (false, msg)
-    | Ok () ->
-    let policy = policy_of net in
+    let config = config Sim.Chaos.default_config in
     let dump_dir = match dump_dir with Some "" -> None | d -> d in
     let store_flag =
       match store with
@@ -520,8 +512,8 @@ let chaos_cmd =
     in
     let go (module S : Store.Store_intf.S) ~require:default_require ~spec mix =
       let require = Option.value require ~default:default_require in
-      chaos_store (module S) ~store_flag ~require ~adversarial ~churn ~shrink
-        ~spec ~mix ~seed ~runs ~n ~objects ~ops ~policy ~dump_dir ~metrics
+      chaos_store (module S) ~store_flag ~net ~config ~require ~adversarial ~churn
+        ~shrink ~spec ~mix ~seed ~runs ~n ~objects ~ops ~dump_dir ~metrics
     in
     (* each store is held to the checks its class guarantees under faulty
        re-delivery: causal stores to causal consistency, the lww register
@@ -551,7 +543,7 @@ let chaos_cmd =
        ~doc:"Crash, drop and corrupt under seeded random fault schedules, then check convergence")
     Term.(
       ret
-        (const run $ jobs_arg $ tuning_term $ store $ net $ n $ objects $ ops $ seed
+        (const run $ jobs_arg $ config_term $ store $ net $ n $ objects $ ops $ seed
         $ runs $ dump_dir $ metrics $ require_arg $ adversarial_arg $ churn_arg
         $ shrink_arg))
 
@@ -963,12 +955,12 @@ let json_check_cmd =
 
 (* ---------- trace: span-level visibility-lag attribution ---------- *)
 
-let trace_store (module S : Store.Store_intf.S) ~require ~adversarial ~churn
+let trace_store (module S : Store.Store_intf.S) ~config ~require ~adversarial ~churn
     ~spec ~mix ~seed ~n ~objects ~ops ~policy ~why ~export ~out ~time_scale ~slowest =
   let module C = Sim.Chaos.Make (S) in
   let o =
     C.run ~n ~objects ~ops ~spec_of:(fun _ -> spec) ~mix ~policy ~require ~adversarial
-      ~churn ~seed ()
+      ~churn ~config ~seed ()
   in
   let traced = Lazy.force o.Sim.Chaos.spans in
   let log = traced.Sim.Chaos.log in
@@ -1145,15 +1137,13 @@ let trace_cmd =
   let slowest =
     Arg.(value & opt int 5 & info [ "slowest" ] ~doc:"Slowest observations to list")
   in
-  let run jobs tuning store net n objects ops seed adversarial churn why export out
+  let run jobs config store net n objects ops seed adversarial churn why export out
       time_scale slowest =
     set_jobs jobs;
-    match apply_tuning tuning with
-    | Error msg -> `Error (false, msg)
-    | Ok () ->
+    let config = config Sim.Chaos.default_config in
     let policy = policy_of net in
     let go (module S : Store.Store_intf.S) ~require ~spec mix =
-      trace_store (module S) ~require ~adversarial ~churn ~spec ~mix ~seed ~n ~objects
+      trace_store (module S) ~config ~require ~adversarial ~churn ~spec ~mix ~seed ~n ~objects
         ~ops ~policy ~why ~export ~out ~time_scale ~slowest
     in
     match store with
@@ -1181,7 +1171,7 @@ let trace_cmd =
           every sim-time unit of visibility lag to encode/network/repair/dep/bootstrap")
     Term.(
       ret
-        (const run $ jobs_arg $ tuning_term $ store $ net $ n $ objects $ ops $ seed
+        (const run $ jobs_arg $ config_term $ store $ net $ n $ objects $ ops $ seed
         $ adversarial_arg $ churn_arg $ why $ export $ out $ time_scale $ slowest))
 
 (* ---------- serve: live cluster on OCaml 5 domains ---------- *)
@@ -1215,7 +1205,7 @@ let serve_store (module S : Store.Store_intf.S) ~require ~spec ~cfg ~capture_pat
       (if res.cfg.rate > 0.0 then Printf.sprintf "%.0f/s/replica" res.cfg.rate
        else "saturation")
       res.cfg.batch
-      (Wire.Version.name (Wire.Version.current ()));
+      (Wire.Version.name res.cfg.stack.wire);
     Format.printf
       "ops=%d (%.0f ops/s aggregate over %.3fs) issued=%d updates=%d converged=%b \
        (drain %.3fs)@."
@@ -1589,57 +1579,55 @@ let serve_cmd =
       & info [ "metrics" ] ~docv:"FILE"
           ~doc:"Append the run's metrics registry snapshot to $(i,FILE) as JSONL")
   in
-  let run tuning store n duration rate objects zipf read_pct batch gossip_ms ring seed
+  let run config store n duration rate objects zipf read_pct batch gossip_ms ring seed
       capture_path check chaos adversarial crashes partitions drop_p heal_by
       metrics_path =
-    match apply_tuning tuning with
+    match build_live_plan ~seed ~n ~duration ~chaos ~adversarial ~crashes ~partitions
+    with
     | Error msg -> `Error (false, msg)
-    | Ok () -> (
-      match build_live_plan ~seed ~n ~duration ~chaos ~adversarial ~crashes ~partitions
-      with
-      | Error msg -> `Error (false, msg)
-      | Ok faults ->
-        let mix =
-          match store with
-          | Orset -> Live.Load.orset_mix
-          | _ -> Live.Load.mix_of_read_pct read_pct
-        in
-        let cfg =
-          {
-            Live.Cluster.replicas = n;
-            seed;
-            objects;
-            mix;
-            zipf;
-            duration;
-            rate;
-            batch;
-            gossip_interval = gossip_ms /. 1000.0;
-            ring_capacity = ring;
-            capture = check || capture_path <> None;
-            faults;
-            drop_p;
-            heal_by;
-          }
-        in
-        let go (module S : Store.Store_intf.S) ~require ~spec =
-          serve_store (module S) ~require ~spec ~cfg ~capture_path ~check
-            ~metrics_path
-        in
-        (match store with
-        | Mvr -> go (module Store.Mvr_store) ~require:`Correct ~spec:Spec.Spec.mvr
-        | Causal ->
-          go (module Store.Causal_mvr_store) ~require:`Causal ~spec:Spec.Spec.mvr
-        | Cops -> go (module Store.Cops_store) ~require:`Causal ~spec:Spec.Spec.mvr
-        | State ->
-          go (module Store.State_mvr_store) ~require:`Correct ~spec:Spec.Spec.mvr
-        | Orset -> go (module Store.Orset_store) ~require:`Correct ~spec:Spec.Spec.orset
-        | Lww ->
-          go (module Store.Lww_store) ~require:`Converge ~spec:Spec.Spec.rw_register
-        | Gossip ->
-          go (module Store.Gossip_relay_store) ~require:`Correct ~spec:Spec.Spec.mvr
-        | Counter | Delayed | Gsp ->
-          `Error (false, "serve supports: mvr|causal|cops|state|orset|lww|gossip")))
+    | Ok faults ->
+      let mix =
+        match store with
+        | Orset -> Live.Load.orset_mix
+        | _ -> Live.Load.mix_of_read_pct read_pct
+      in
+      let cfg =
+        {
+          Live.Cluster.replicas = n;
+          seed;
+          objects;
+          mix;
+          zipf;
+          duration;
+          rate;
+          batch;
+          gossip_interval = gossip_ms /. 1000.0;
+          ring_capacity = ring;
+          capture = check || capture_path <> None;
+          faults;
+          drop_p;
+          heal_by;
+          stack = config Store.Store_intf.default;
+        }
+      in
+      let go (module S : Store.Store_intf.S) ~require ~spec =
+        serve_store (module S) ~require ~spec ~cfg ~capture_path ~check
+          ~metrics_path
+      in
+      (match store with
+      | Mvr -> go (module Store.Mvr_store) ~require:`Correct ~spec:Spec.Spec.mvr
+      | Causal ->
+        go (module Store.Causal_mvr_store) ~require:`Causal ~spec:Spec.Spec.mvr
+      | Cops -> go (module Store.Cops_store) ~require:`Causal ~spec:Spec.Spec.mvr
+      | State ->
+        go (module Store.State_mvr_store) ~require:`Correct ~spec:Spec.Spec.mvr
+      | Orset -> go (module Store.Orset_store) ~require:`Correct ~spec:Spec.Spec.orset
+      | Lww ->
+        go (module Store.Lww_store) ~require:`Converge ~spec:Spec.Spec.rw_register
+      | Gossip ->
+        go (module Store.Gossip_relay_store) ~require:`Correct ~spec:Spec.Spec.mvr
+      | Counter | Delayed | Gsp ->
+        `Error (false, "serve supports: mvr|causal|cops|state|orset|lww|gossip"))
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1650,7 +1638,7 @@ let serve_cmd =
           audited by the simulation checkers")
     Term.(
       ret
-        (const run $ tuning_term $ store $ n $ duration $ rate $ objects $ zipf
+        (const run $ config_term $ store $ n $ duration $ rate $ objects $ zipf
         $ read_pct $ batch $ gossip_ms $ ring $ seed $ capture_arg $ check_arg
         $ chaos_arg $ adversarial_arg $ crash_arg $ partition_arg $ drop_arg
         $ heal_by_arg $ metrics_arg))

@@ -29,22 +29,22 @@ module Probe (S : Store.Store_intf.S) = struct
   module R = Sim.Runner.Make (S)
 
   let run ~version ~seed ~n ~objects ~ops mix =
-    Wire.Version.scoped version (fun () ->
-        let rng = Util.Rng.create seed in
-        let sim = R.create ~seed ~n ~policy:(Sim.Net_policy.random_delay ()) () in
-        let steps = Sim.Workload.generate ~rng ~n ~objects ~ops mix in
-        Sim.Workload.run
-          (fun ~replica ~obj op -> R.op sim ~replica ~obj op)
-          ~advance:(R.advance_to sim) steps;
-        R.run_until_quiescent sim;
-        let exec = R.execution sim in
-        let k = Telemetry.max_writes_per_replica exec in
-        {
-          k;
-          bytes = Model.Execution.total_message_bits exec / 8;
-          max_bits = Model.Execution.max_message_bits exec;
-          floor = Telemetry.theorem12_floor_bits ~n ~s:objects ~k;
-        })
+    let config = { Store.Store_intf.default with wire = version } in
+    let rng = Util.Rng.create seed in
+    let sim = R.create ~seed ~config ~n ~policy:(Sim.Net_policy.random_delay ()) () in
+    let steps = Sim.Workload.generate ~rng ~n ~objects ~ops mix in
+    Sim.Workload.run
+      (fun ~replica ~obj op -> R.op sim ~replica ~obj op)
+      ~advance:(R.advance_to sim) steps;
+    R.run_until_quiescent sim;
+    let exec = R.execution sim in
+    let k = Telemetry.max_writes_per_replica exec in
+    {
+      k;
+      bytes = Model.Execution.total_message_bits exec / 8;
+      max_bits = Model.Execution.max_message_bits exec;
+      floor = Telemetry.theorem12_floor_bits ~n ~s:objects ~k;
+    }
 end
 
 let ratio p = float_of_int p.max_bits /. p.floor
@@ -96,24 +96,23 @@ type ae = { conv : int; digest : int; repair : int; deltas : int; elided : int; 
 
 let ae_probe version (module S : Store.Store_intf.S) require spec mix =
   let module C = Sim.Chaos.Make (S) in
-  Wire.Version.scoped version (fun () ->
-      let outcomes =
-        C.run_seeds ~ops:ae_ops ~spec_of:(fun _ -> spec) ~mix ~require ~adversarial:true
-          ~seeds ()
-      in
-      List.fold_left
-        (fun a o ->
-          let m = o.Sim.Chaos.metrics in
-          {
-            conv = (a.conv + if Sim.Chaos.converged o then 1 else 0);
-            digest = a.digest + counter m "gossip.digest_bytes";
-            repair = a.repair + counter m "gossip.repair_bytes";
-            deltas = a.deltas + counter m "gossip.digest_deltas";
-            elided = a.elided + counter m "gossip.digests_elided";
-            lat = a.lat +. (o.Sim.Chaos.quiesced_at -. o.Sim.Chaos.horizon);
-          })
-        { conv = 0; digest = 0; repair = 0; deltas = 0; elided = 0; lat = 0.0 }
-        outcomes)
+  let outcomes =
+    C.run_seeds ~ops:ae_ops ~spec_of:(fun _ -> spec) ~mix ~require ~adversarial:true
+      ~config:{ Sim.Chaos.default_config with wire = version } ~seeds ()
+  in
+  List.fold_left
+    (fun a o ->
+      let m = o.Sim.Chaos.metrics in
+      {
+        conv = (a.conv + if Sim.Chaos.converged o then 1 else 0);
+        digest = a.digest + counter m "gossip.digest_bytes";
+        repair = a.repair + counter m "gossip.repair_bytes";
+        deltas = a.deltas + counter m "gossip.digest_deltas";
+        elided = a.elided + counter m "gossip.digests_elided";
+        lat = a.lat +. (o.Sim.Chaos.quiesced_at -. o.Sim.Chaos.horizon);
+      })
+    { conv = 0; digest = 0; repair = 0; deltas = 0; elided = 0; lat = 0.0 }
+    outcomes
 
 let a_converged a = a.conv = List.length seeds
 

@@ -27,14 +27,14 @@ let duration = 0.2
 let objects = 8
 
 let run_one ~version ~n =
-  Wire.Version.scoped version (fun () ->
-      C.run
-        {
-          Live.Cluster.default with
-          Live.Cluster.replicas = n;
-          objects;
-          duration;
-        })
+  C.run
+    {
+      Live.Cluster.default with
+      Live.Cluster.replicas = n;
+      objects;
+      duration;
+      stack = { Store.Store_intf.default with wire = version };
+    }
 
 let fmt_ms f = if Float.is_nan f then "-" else Tables.f2 f
 

@@ -25,6 +25,7 @@ type config = {
   faults : Fault_plan.t option;
   drop_p : float;
   heal_by : float;
+  stack : Haec_store.Store_intf.config;
 }
 
 let default =
@@ -43,6 +44,7 @@ let default =
     faults = None;
     drop_p = 0.0;
     heal_by = 0.0;
+    stack = Haec_store.Store_intf.default;
   }
 
 type outcome = Healed of { degraded_settled : bool } | Diverged of string
@@ -163,7 +165,7 @@ module Make (S : STACK) = struct
       n;
       cfg;
       clock;
-      state = S.init ~n ~me;
+      state = S.create cfg.stack ~n ~me;
       inbox = Array.init n (fun src -> rings.(src).(me));
       outbox = rings.(me);
       rng = Rng.create (cfg.seed + (me * 1_000_003));

@@ -76,6 +76,10 @@ type config = {
           counted from the later of drain start and the plan's last heal;
           [0.] = automatic ([max 10 (5 * duration)], the no-fault drain
           deadline) *)
+  stack : Haec_store.Store_intf.config;
+      (** what every replica stack is built with: wire version,
+          anti-entropy tunables, checkpoint cadence (by default
+          {!Haec_store.Store_intf.default}, which never auto-checkpoints) *)
 }
 
 val default : config

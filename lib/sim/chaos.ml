@@ -2,6 +2,7 @@ open Haec_util
 open Haec_model
 open Haec_spec
 open Haec_wire
+module Store_intf = Haec_store.Store_intf
 
 (* Every seed is audited by [Checks.validate_deltas], the one checker
    core, given the runner's recorded witness deltas: [correct],
@@ -29,6 +30,7 @@ type traced = {
 
 type outcome = {
   seed : int;
+  config : Store_intf.config;
   plan : Fault_plan.t;
   steps : Workload.step list;
   require : level;
@@ -61,6 +63,9 @@ let failures o =
   | Error e -> [ ("run", e) ]
 
 let converged o = failures o = []
+
+let default_config =
+  { Store_intf.default with checkpoint_every = Some Haec_store.Durable.auto_checkpoint_every }
 
 let pp_outcome ppf o =
   let s = o.stats in
@@ -101,12 +106,7 @@ let derive ?(n = 3) ?(objects = 2) ?(ops = 40) ?(mix = Workload.register_mix)
   (plan, steps)
 
 module Make (S : Haec_store.Store_intf.S) = struct
-  module St =
-    Stack.Durable_every
-      (struct
-        let auto_checkpoint_every = Some Haec_store.Durable.auto_checkpoint_every
-      end)
-      (S)
+  module St = Stack.Durable (S)
 
   module R = Runner.Make (St)
 
@@ -125,8 +125,8 @@ module Make (S : Haec_store.Store_intf.S) = struct
   (* One execution of a run's inputs, up to and including the audit
      reads: the runner, the id-space capacity, the client-op counts, and
      how many audit reads trail the quiescent prefix (or why the run
-     never quiesced). Deterministic in its arguments, the wire version
-     and the anti-entropy tunables; [record_spans] only observes. *)
+     never quiesced). Deterministic in its arguments, [config] included;
+     [record_spans] only observes. *)
   type execution = {
     sim : R.t;
     capacity : int;
@@ -136,8 +136,8 @@ module Make (S : Haec_store.Store_intf.S) = struct
     quiesced : (int, string) result;
   }
 
-  let execute ~record_spans ~objects ~policy ~max_events ~gossip_interval ~n ~plan ~steps
-      ~seed =
+  let execute ~config ~record_spans ~objects ~policy ~max_events ~gossip_interval ~n ~plan
+      ~steps ~seed =
     let horizon = plan.Fault_plan.horizon in
     (* with churn, [n] is the initial member count and the id space grows
        to the plan's capacity; the reserve ids boot empty mid-run *)
@@ -152,7 +152,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
         (c.Fault_plan.capacity, c.Fault_plan.initial)
     in
     let sim =
-      R.create ~seed ~n:capacity ~initial ~hooks:St.hooks ~record_spans
+      R.create ~seed ~config ~n:capacity ~initial ~hooks:St.hooks ~record_spans
         ~classify:Haec_store.Anti_entropy.classify ~policy ~faults:plan
         ~gossip:(gossip_interval, St.tick, St.settled)
         ~recover_state:(fun ~replica:_ -> St.recover)
@@ -233,15 +233,14 @@ module Make (S : Haec_store.Store_intf.S) = struct
      two-mode harness keep compiling unchanged. *)
   let run_plan ?(objects = 2) ?(spec_of = fun (_ : int) -> Spec.mvr) ?policy
       ?(max_events = 200_000) ?(require = `Correct) ?recovery:(_ : [ `Anti_entropy ] option)
-      ?(gossip_interval = 2.0) ~n ~plan ~steps ~seed () =
+      ?(gossip_interval = 2.0) ?(config = default_config) ~n ~plan ~steps ~seed () =
     let policy =
       match policy with Some p -> p | None -> Net_policy.random_delay ()
     in
     let execute ~record_spans =
-      execute ~record_spans ~objects ~policy ~max_events ~gossip_interval ~n ~plan ~steps
-        ~seed
+      execute ~config ~record_spans ~objects ~policy ~max_events ~gossip_interval ~n ~plan
+        ~steps ~seed
     in
-    let version = Wire.Version.current () and tunables = Haec_store.Anti_entropy.tunables () in
     let { sim; capacity; executed; skipped; refused; quiesced } =
       execute ~record_spans:false
     in
@@ -272,23 +271,21 @@ module Make (S : Haec_store.Store_intf.S) = struct
     let sum f = List.fold_left (fun a st -> a + f st) 0 members in
     Stack.publish metrics
       (List.fold_left
-         (fun a st -> Haec_store.Store_intf.add_gossip_stats a (St.counters st))
-         (Haec_store.Store_intf.fresh_gossip_stats ())
+         (fun a st -> Store_intf.add_gossip_stats a (St.counters st))
+         (Store_intf.fresh_gossip_stats ())
          (states (List.init capacity Fun.id)))
       ~log_entries:(sum St.log_entries) ~log_bytes:(sum St.log_bytes);
-    (* Spans are paid for only when read: forcing re-runs the same inputs
-       with spans on, under the wire version and tunables of this run
-       (both process-global, so pinned here). The replay runs no checks
-       and keeps nothing of this run's runner. *)
+    (* Spans are paid for only when read: forcing re-runs the same inputs,
+       this run's config included, with spans on. The replay runs no
+       checks and keeps nothing of this run's runner. *)
     let spans =
       lazy
-        (Wire.Version.scoped version (fun () ->
-             Haec_store.Anti_entropy.with_tunables tunables (fun () ->
-                 let { sim; _ } = execute ~record_spans:true in
-                 { log = R.span_log sim; lag = R.visibility_lag sim; trace = R.execution sim })))
+        (let { sim; _ } = execute ~record_spans:true in
+         { log = R.span_log sim; lag = R.visibility_lag sim; trace = R.execution sim })
     in
     {
       seed;
+      config;
       plan;
       steps;
       require;
@@ -305,20 +302,20 @@ module Make (S : Haec_store.Store_intf.S) = struct
     }
 
   let run ?(n = 3) ?(objects = 2) ?(ops = 40) ?spec_of ?(mix = Workload.register_mix)
-      ?policy ?max_events ?require ?recovery ?adversarial ?churn ?gossip_interval
+      ?policy ?max_events ?require ?recovery ?adversarial ?churn ?gossip_interval ?config
       ~seed () =
     let plan, steps = derive ~n ~objects ~ops ~mix ?adversarial ?churn ~seed () in
     run_plan ~objects ?spec_of ?policy ?max_events ?require ?recovery ?gossip_interval
-      ~n ~plan ~steps ~seed ()
+      ?config ~n ~plan ~steps ~seed ()
 
   (* Runs are deterministic in their seed and share no state, so a sweep
      fans out over domains; outcomes come back in seed order regardless of
      [?domains] (see the contract in [Haec_util.Par]). *)
   let run_seeds ?n ?objects ?ops ?spec_of ?mix ?policy ?max_events ?require ?recovery
-      ?adversarial ?churn ?gossip_interval ?domains ~seeds () =
+      ?adversarial ?churn ?gossip_interval ?config ?domains ~seeds () =
     Par.map_list ?domains
       (fun seed ->
         run ?n ?objects ?ops ?spec_of ?mix ?policy ?max_events ?require ?recovery
-          ?adversarial ?churn ?gossip_interval ~seed ())
+          ?adversarial ?churn ?gossip_interval ?config ~seed ())
       seeds
 end

@@ -1,8 +1,8 @@
 (** Chaos harness: seeded random fault schedules against a store.
 
     One chaos run builds the store's durable replica stack
-    ({!Stack.Durable_every}, checkpointing every
-    {!Haec_store.Durable.auto_checkpoint_every} entries), draws a random
+    ({!Stack.Durable}, built with a {!Haec_store.Store_intf.config}; by
+    default {!default_config}), draws a random
     {!Fault_plan.t} from the seed, and interleaves it with a random
     client workload: replicas crash mid-run (losing volatile state, in-flight
     deliveries, and their clients, who fail over to a live replica), links
@@ -59,6 +59,9 @@ type traced = {
 
 type outcome = {
   seed : int;
+  config : Haec_store.Store_intf.config;
+      (** what every replica of the run was built with: wire version,
+          anti-entropy tunables, checkpoint cadence *)
   plan : Fault_plan.t;
   steps : Workload.step list;  (** the client workload the run replayed *)
   require : level;
@@ -74,14 +77,13 @@ type outcome = {
   spans : traced Lazy.t;
       (** the run's spans, recorded by replay: forcing re-executes the
           same inputs (plan, steps, seed, objects, policy, gossip interval
-          and event budget) with {!Runner.Make.create}[ ~record_spans:true],
-          under the wire version and anti-entropy tunables current when
-          the run was made. The run itself records no spans, so its
+          and event budget) under {!config}, with
+          {!Runner.Make.create}[ ~record_spans:true]. The run itself
+          records no spans, so its
           [visibility.lag] in [metrics] holds plain [visible - issue]
           samples; the replay's {!traced.lag} holds the span totals. The
           replay runs no checks and keeps nothing of the run's replica
-          states. Force from one domain at a time: forcing sets the
-          process-global version and tunables for the replay's duration. *)
+          states. *)
   exec : Execution.t;
   ops : int;  (** client operations executed (after failover) *)
   skipped : int;  (** operations dropped because nobody could serve them *)
@@ -102,6 +104,10 @@ type outcome = {
 val required : level -> string list
 (** The {!Checks.failures} names a store at this level is on the hook
     for. *)
+
+val default_config : Haec_store.Store_intf.config
+(** {!Haec_store.Store_intf.default}, checkpointing every
+    {!Haec_store.Durable.auto_checkpoint_every} WAL entries. *)
 
 val converged : outcome -> bool
 (** The run quiesced and every required check passed. *)
@@ -141,6 +147,7 @@ module Make (S : Haec_store.Store_intf.S) : sig
     ?require:level ->
     ?recovery:[ `Anti_entropy ] ->
     ?gossip_interval:float ->
+    ?config:Haec_store.Store_intf.config ->
     n:int ->
     plan:Fault_plan.t ->
     steps:Workload.step list ->
@@ -150,7 +157,8 @@ module Make (S : Haec_store.Store_intf.S) : sig
   (** Replay explicit inputs — the entry point the shrinker minimizes
       through. [seed] seeds only the network schedule (delivery delays,
       corruption choices), not the inputs. [gossip_interval] (default 2.0)
-      is the simulated time between digest rounds. A plan with churn keeps
+      is the simulated time between digest rounds; [config] (default
+      {!default_config}) builds every replica. A plan with churn keeps
       [n] as the {e initial} member count — the run's id space grows to
       the plan's capacity. [recovery] has one value and selects nothing:
       it is accepted so that callers naming the anti-entropy stack
@@ -169,6 +177,7 @@ module Make (S : Haec_store.Store_intf.S) : sig
     ?adversarial:bool ->
     ?churn:bool ->
     ?gossip_interval:float ->
+    ?config:Haec_store.Store_intf.config ->
     seed:int ->
     unit ->
     outcome
@@ -189,6 +198,7 @@ module Make (S : Haec_store.Store_intf.S) : sig
     ?adversarial:bool ->
     ?churn:bool ->
     ?gossip_interval:float ->
+    ?config:Haec_store.Store_intf.config ->
     ?domains:int ->
     seeds:int list ->
     unit ->

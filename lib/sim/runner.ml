@@ -159,9 +159,9 @@ module Make (S : Haec_store.Store_intf.S) = struct
            [infinity] promoted until promotion *)
   }
 
-  let create ?(seed = 42) ?(record_witness = true) ?(record_spans = false)
-      ?(auto_send = true) ?policy ?faults ?gossip ?initial ?hooks ?classify
-      ?(recover_state = fun ~replica:_ st -> st) ~n () =
+  let create ?(seed = 42) ?(config = Haec_store.Store_intf.default)
+      ?(record_witness = true) ?(record_spans = false) ?(auto_send = true) ?policy ?faults
+      ?gossip ?initial ?hooks ?classify ?(recover_state = fun ~replica:_ st -> st) ~n () =
     if n <= 0 then invalid_arg "Runner.create: n must be positive";
     let initial = match initial with None -> n | Some i -> i in
     if initial <= 0 || initial > n then
@@ -187,7 +187,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
       recover_state;
       auto_send;
       record_witness;
-      states = Array.init n (fun me -> S.init ~n ~me);
+      states = Array.init n (fun me -> S.create config ~n ~me);
       down = Array.make n false;
       events_rev = [];
       send_seq = Array.make n 0;

@@ -105,6 +105,7 @@ module Make (S : Haec_store.Store_intf.S) : sig
 
   val create :
     ?seed:int ->
+    ?config:Haec_store.Store_intf.config ->
     ?record_witness:bool ->
     ?record_spans:bool ->
     ?auto_send:bool ->
@@ -118,7 +119,10 @@ module Make (S : Haec_store.Store_intf.S) : sig
     n:int ->
     unit ->
     t
-  (** [auto_send] (default [true]) flushes a replica right after any event
+  (** [config] (default {!Haec_store.Store_intf.default}) builds every
+      replica, reserve ids included.
+
+      [auto_send] (default [true]) flushes a replica right after any event
       that leaves a message pending (client op, or receive for non-op-driven
       stores). Without a [policy], sent messages are only recorded and
       returned — delivery is up to the caller.

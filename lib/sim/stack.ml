@@ -38,13 +38,9 @@ module Volatile (S : Store_intf.S) = struct
   let durable = false
 end
 
-module Durable_every
-    (C : sig
-      val auto_checkpoint_every : int option
-    end)
-    (S : Store_intf.S) : S = struct
+module Durable (S : Store_intf.S) : S = struct
   module V = Volatile (S)
-  module DA = Haec_store.Durable.Make_tuned (C) (V)
+  module DA = Haec_store.Durable.Make (V)
   include DA
 
   (* control state the protocol regenerates on its own (the gossip tick,
@@ -73,12 +69,6 @@ module Durable_every
   let recover st = lift (V.set_counters (counters st)) (DA.recover st)
   let durable = true
 end
-
-module Durable =
-  Durable_every
-    (struct
-      let auto_checkpoint_every = None
-    end)
 
 let publish reg (g : Store_intf.gossip_stats) ~log_entries ~log_bytes =
   let c name v = Obs.Counter.add (Obs.Registry.counter reg name) v in

@@ -6,12 +6,17 @@
 
     {!Volatile} is anti-entropy directly over the store: no crash
     durability, [recover] is the identity, and the live cluster rejects
-    crash windows for it. {!Durable_every} layers
-    {!Haec_store.Durable.Make_tuned} {e over} the anti-entropy wrapper, so
+    crash windows for it. {!Durable} layers {!Haec_store.Durable.Make}
+    {e over} the anti-entropy wrapper, so
     the WAL records client ops, received payloads and sends of the whole
     protocol stack; [recover] replays them through a fresh replica, which
     resumes with exactly the state it had durably logged. Losses beyond
     that are permanent until anti-entropy repair heals them.
+
+    Both are built by [create config]: the one {!Store_intf.config} value
+    reaches the durable image (its checkpoint cadence), the anti-entropy
+    layer (its tunables) and the store (its wire version), and stays in
+    the state, so a recovered replica emits as it did before the crash.
 
     Protocol counters are part of each replica's state
     ({!S.counters}); summing them over the replicas gives a run's
@@ -65,17 +70,11 @@ end
 
 module Volatile (S : Store_intf.S) : S
 
-module Durable_every (C : sig
-  val auto_checkpoint_every : int option
-end)
-(S : Store_intf.S) : S
-(** The durable stack with the given checkpoint cadence (see
-    {!Haec_store.Durable.Make_tuned}). The simulator checkpoints every
-    {!Haec_store.Durable.auto_checkpoint_every} entries. *)
-
 module Durable (S : Store_intf.S) : S
-(** The live cadence: never auto-checkpoint, so the hot path never
-    encodes a WAL entry, and recovery replays the WAL from genesis. *)
+(** Checkpoints as the config's [checkpoint_every] says: by default
+    never, so the live hot path never encodes a WAL entry and recovery
+    replays the WAL from genesis; the chaos harness checkpoints every
+    {!Haec_store.Durable.auto_checkpoint_every} entries. *)
 
 val publish :
   Haec_obs.Metrics.Registry.t ->

@@ -16,7 +16,7 @@
       counts the contiguous prefix of origin [o]'s stream it has applied;
     - a received digest is compared against [have]: where the peer is
       behind, the replica {e pushes} a batched {e repair} (capped at
-      {!repair_batch} payloads per origin, gated by per-peer exponential
+      [repair_batch] payloads per origin, gated by per-peer exponential
       backoff); where the peer is ahead, it sends a targeted
       {e repair request} (per-origin exponential backoff), which the peer
       answers ungated — an explicit ask is never throttled;
@@ -25,7 +25,7 @@
       inner replica sees an exactly-once, per-origin-FIFO stream no matter
       how the network duplicated, reordered, or dropped.
 
-    Backoff is counted in gossip rounds and capped ({!max_backoff}), never
+    Backoff is counted in gossip rounds and capped ([max_backoff]), never
     infinite, so repair stays live: as long as ticks keep firing and the
     network is sufficiently connected in the sense of the paper's
     Section 2 (the undirected graph of pairs with both directions alive is
@@ -66,13 +66,15 @@
     duplicated request is answered from the floor, and {!Make.settled}
     scans each origin from the highest floor among the given states.
 
-    {b Wire v2.} When {!Haec_wire.Wire.Version} selects [V2] at replica
-    creation, the same protocol rides a leaner encoding (DESIGN.md §4h):
+    {b Wire v2.} When the replica's configuration
+    ({!Store_intf.config}, fixed at [create] and kept in the state, with
+    the tunables [repair_batch], [max_backoff] and [full_digest_every])
+    selects [V2], the same protocol rides a leaner encoding (DESIGN.md §4h):
     the envelope leads with a [0x00, 2] version marker (a v1 envelope
     starts with its item count, which is at least 1, so the two framings
     are self-describing); full digests are compressed vector clocks; a
     digest whose [have] already matches the last one sent is {e elided}
-    entirely (a full digest is still forced every {!full_digest_every}
+    entirely (a full digest is still forced every [full_digest_every]
     rounds, bounding staleness), and otherwise only the {e changed}
     entries go out as a {!Haec_wire.Wire.Gossip.Digest_delta}; the
     repairs queued in one round toward one destination are merged,
@@ -87,10 +89,9 @@
     also reached — the first shot; and repair payloads addressed to a
     third replica are ingested opportunistically, since the bytes arrived
     anyway. Decoding is version-agnostic throughout — every v2 layout
-    hides behind a marker byte no v1 item starts with — so mixed fleets
-    interoperate; a replica that {e receives} a v1 envelope downgrades its
-    own emissions to v1 for good (sticky negotiation), which keeps a
-    mixed fleet conservatively on the common format.
+    hides behind a marker byte no v1 item starts with — so a replica
+    decodes either version, and what it emits depends on its own
+    configuration alone, never on what it has received.
 
     {b Dynamic membership.} A joining replica announces itself with a
     {!Haec_wire.Wire.Gossip.Hello} (via {!Make.announce_join}, applied by
@@ -113,51 +114,6 @@
 
 open Haec_wire
 open Haec_vclock
-
-(* Protocol tunables. Process-global atomics rather than per-state fields
-   so the CLI can set them once before any replica exists; the setters
-   validate because a zero batch or backoff deadlocks repair. *)
-
-let repair_batch_v = Atomic.make 32
-
-let max_backoff_v = Atomic.make 32
-
-let full_digest_every_v = Atomic.make 4
-
-let repair_batch () = Atomic.get repair_batch_v
-
-let max_backoff () = Atomic.get max_backoff_v
-
-let full_digest_every () = Atomic.get full_digest_every_v
-
-let set_repair_batch n =
-  if n < 1 then invalid_arg "Anti_entropy.set_repair_batch: must be >= 1";
-  Atomic.set repair_batch_v n
-
-let set_max_backoff n =
-  if n < 1 then invalid_arg "Anti_entropy.set_max_backoff: must be >= 1";
-  Atomic.set max_backoff_v n
-
-let set_full_digest_every n =
-  if n < 1 then invalid_arg "Anti_entropy.set_full_digest_every: must be >= 1";
-  Atomic.set full_digest_every_v n
-
-(* All three at once, so a run can be re-executed later under the
-   settings it ran with (the chaos harness's span replay). *)
-type tunables = { batch : int; backoff : int; digest_every : int }
-
-let tunables () =
-  { batch = repair_batch (); backoff = max_backoff (); digest_every = full_digest_every () }
-
-let with_tunables t f =
-  let set t =
-    Atomic.set repair_batch_v t.batch;
-    Atomic.set max_backoff_v t.backoff;
-    Atomic.set full_digest_every_v t.digest_every
-  in
-  let saved = tunables () in
-  set t;
-  Fun.protect ~finally:(fun () -> set saved) f
 
 (* Pure classifier for trace labels: name the protocol items riding in an
    encoded anti-entropy envelope without touching any state. Repair items
@@ -305,11 +261,6 @@ module Make (S : Store_intf.S) : sig
       wire-bytes measure — the v2 encoder may still dedup and
       run-compress these payloads at send time. *)
 
-  val emit_version : state -> Wire.Version.t
-  (** The frame version this replica currently emits: the global
-      {!Haec_wire.Wire.Version.current} at [init] time, downgraded to
-      [V1] — permanently — the first time a v1 envelope is received. *)
-
   val epoch : state -> int
   (** Highest membership epoch announced by or to this replica; 0 until
       any [Hello]/[Goodbye] is seen. *)
@@ -367,6 +318,8 @@ end = struct
   let is_digest = function Out_digest _ -> true | _ -> false
 
   type state = {
+    cfg : Store_intf.config;
+        (** wire version and tunables, shared with the inner store *)
     n : int;
     me : int;
     inner : S.state;
@@ -382,7 +335,6 @@ end = struct
     outq_rev : out_item list;
     epoch : int;  (** highest membership epoch seen *)
     away : Int_set.t;  (** peers that said goodbye *)
-    emit : Wire.Version.t;  (** see [emit_version] *)
     last_sent_digest : Vclock.t option;  (** [have] as of the last digest sent *)
     last_full_round : int;  (** round of the last full digest sent *)
     counters : Store_intf.gossip_stats;
@@ -397,7 +349,8 @@ end = struct
      (Definition 15) even when the inner store is *)
   let op_driven = false
 
-  let init ~n ~me =
+  let create cfg ~n ~me =
+    Store_intf.validate cfg;
     let peers = ref Int_map.empty in
     for p = 0 to n - 1 do
       if p <> me then
@@ -408,9 +361,10 @@ end = struct
             !peers
     done;
     {
+      cfg;
       n;
       me;
-      inner = S.init ~n ~me;
+      inner = S.create cfg ~n ~me;
       log = Int_map.empty;
       logged = 0;
       log_bytes = 0;
@@ -423,11 +377,12 @@ end = struct
       outq_rev = [];
       epoch = 0;
       away = Int_set.empty;
-      emit = Wire.Version.current ();
       last_sent_digest = None;
       last_full_round = 0;
       counters = Store_intf.fresh_gossip_stats ();
     }
+
+  let init = create Store_intf.default
 
   let inner t = t.inner
 
@@ -458,8 +413,6 @@ end = struct
           List.fold_left (fun a (_, _, p) -> a + String.length p) acc items
         | Out_digest _ | Out_request _ | Out_hello _ | Out_goodbye _ -> acc)
       0 t.outq_rev
-
-  let emit_version t = t.emit
 
   let epoch t = t.epoch
 
@@ -548,12 +501,12 @@ end = struct
     | Some p -> { t with peers = Int_map.add peer { p with reported = f p.reported } t.peers }
 
   (* a batch of [origin]'s stream starting at [from_seq]: consecutive
-     logged payloads, at most {!repair_batch} — stopping at the first gap
+     logged payloads, at most [repair_batch] — stopping at the first gap
      never sends less than the contiguous prefix the requester is missing.
      Below the floor every member already holds the stream, so a stale
      or duplicated ask starts at the floor *)
   let batch_from t ~origin ~from_seq =
-    let cap = repair_batch () in
+    let cap = t.cfg.repair_batch in
     let rec go seq acc count =
       if count = cap then List.rev acc
       else
@@ -595,7 +548,7 @@ end = struct
            its own stream first; we only step in if the peer is still
            behind at its next digest *)
         let ready, wait =
-          match t.emit with
+          match t.cfg.wire with
           | Wire.Version.V1 -> (!behind, [])
           | Wire.Version.V2 ->
             List.partition (fun o -> o = t.me || Int_set.mem o p.defer) !behind
@@ -617,7 +570,7 @@ end = struct
              answered ungated — closes the gap; the push path never fires
              for these seqs again, the request path always will *)
           let view =
-            match t.emit with
+            match t.cfg.wire with
             | Wire.Version.V1 -> view
             | Wire.Version.V2 ->
               List.fold_left
@@ -629,7 +582,7 @@ end = struct
               p with
               view;
               push_due = t.rounds + p.push_backoff;
-              push_backoff = min (2 * p.push_backoff) (max_backoff ());
+              push_backoff = min (2 * p.push_backoff) t.cfg.max_backoff;
               defer = Int_set.of_list wait;
             } )
         end
@@ -659,7 +612,7 @@ end = struct
               req_due = Int_map.add o (t.contents.rounds + backoff) t.contents.req_due;
               req_backoff =
                 Int_map.add o
-                  (min (2 * backoff) (max_backoff ()))
+                  (min (2 * backoff) t.contents.cfg.max_backoff)
                   t.contents.req_backoff;
             }
         end
@@ -863,23 +816,14 @@ end = struct
     (* fold the envelope's items in order through the state; [Wire.decode]
        checks the whole input was consumed *)
     Wire.decode payload (fun dec ->
+        (* a v2 envelope leads with [0x00, 2]; a v1 one with its item
+           count. Either is accepted, whatever this replica emits *)
         let v2 = Wire.Decoder.peek dec = 0 in
-        let t =
-          if v2 then begin
-            let _ = Wire.Decoder.uint dec in
-            let v = Wire.Decoder.uint dec in
-            (match Wire.Version.of_int v with
-            | Some Wire.Version.V2 -> ()
-            | _ ->
-              raise (Wire.Decoder.Malformed "anti-entropy envelope: unknown version"));
-            t
-          end
-          else if t.emit = Wire.Version.V1 then t
-          else
-            (* sticky downgrade: a peer that talks v1 may not understand
-               v2 layouts, so from here on neither do we emit them *)
-            { t with emit = Wire.Version.V1 }
-        in
+        if v2 then begin
+          let _ = Wire.Decoder.uint dec in
+          if Wire.Version.of_int (Wire.Decoder.uint dec) <> Some Wire.Version.V2 then
+            raise (Wire.Decoder.Malformed "anti-entropy envelope: unknown version")
+        end;
         let count = Wire.Decoder.uint dec in
         if count > Wire.Decoder.remaining dec then
           raise (Wire.Decoder.Malformed "anti-entropy envelope: item count exceeds input");
@@ -915,8 +859,8 @@ end = struct
     else if
       (* v2 elision: nothing changed since the last digest went out and no
          periodic full digest is due — stay quiet this round *)
-      t.emit = Wire.Version.V2
-      && t.rounds - t.last_full_round < full_digest_every ()
+      t.cfg.wire = Wire.Version.V2
+      && t.rounds - t.last_full_round < t.cfg.full_digest_every
       && (match t.last_sent_digest with
          | Some d -> Vclock.equal d t.have
          | None -> false)
@@ -954,7 +898,7 @@ end = struct
       end
       else (t, None)
     in
-    let v2 = t.emit = Wire.Version.V2 in
+    let v2 = t.cfg.wire = Wire.Version.V2 in
     let outs = List.rev t.outq_rev in
     let digest_marker = List.exists is_digest outs in
     let force_full =
@@ -1007,7 +951,7 @@ end = struct
       else if
         force_full
         || t.last_sent_digest = None
-        || t.rounds - t.last_full_round >= full_digest_every ()
+        || t.rounds - t.last_full_round >= t.cfg.full_digest_every
       then `Full
       else
         match t.last_sent_digest with

@@ -64,12 +64,12 @@ module Make (Obj : Object_layer.OBJECT) (P : POLICY) = struct
      entry instead of up to five. The reference point is always inside
      the same message, so loss, duplication, and reordering of whole
      messages cannot desynchronize the codec. *)
-  let encode_batch enc records =
+  let encode_batch ~wire enc records =
     (* wire v2 compresses both legs of the dependency framing: the
        absolute head clock via the packed/run-length chooser and each
        later delta sparsely (only changed entries); decode accepts either
        form via the marker byte, so the batch stays self-describing *)
-    let v2 = Wire.Version.current () = Wire.Version.V2 in
+    let v2 = wire = Wire.Version.V2 in
     Wire.Encoder.uint enc (List.length records);
     let prev = ref None in
     List.iter
@@ -83,7 +83,7 @@ module Make (Obj : Object_layer.OBJECT) (P : POLICY) = struct
           else Vclock.encode_delta enc ~prev:p r.dep);
         prev := Some r.dep;
         Wire.Encoder.uint enc r.obj;
-        Obj.encode_update enc r.u)
+        Obj.encode_update ~wire enc r.u)
       records
 
   let decode_batch dec =
@@ -106,6 +106,7 @@ module Make (Obj : Object_layer.OBJECT) (P : POLICY) = struct
     go len None []
 
   type state = {
+    cfg : Store_intf.config;
     n : int;
     me : int;
     clock : int;  (** witnesses the time of every applied update *)
@@ -133,8 +134,9 @@ module Make (Obj : Object_layer.OBJECT) (P : POLICY) = struct
 
   let op_driven = true
 
-  let init ~n ~me =
+  let create cfg ~n ~me =
     {
+      cfg;
       n;
       me;
       clock = 0;
@@ -148,6 +150,8 @@ module Make (Obj : Object_layer.OBJECT) (P : POLICY) = struct
       hidden = Fqueue.empty;
       counters = Store_intf.fresh_delivery_stats ();
     }
+
+  let init = create Store_intf.default
 
   let counters t = t.counters
 
@@ -263,7 +267,9 @@ module Make (Obj : Object_layer.OBJECT) (P : POLICY) = struct
 
   let send t =
     if not (has_pending t) then invalid_arg (P.name ^ ".send: nothing pending");
-    let payload = Wire.encode (fun enc -> encode_batch enc (List.rev t.pending)) in
+    let payload =
+      Wire.encode (fun enc -> encode_batch ~wire:t.cfg.wire enc (List.rev t.pending))
+    in
     ({ t with pending = [] }, payload)
 
   let receive t ~sender:_ payload =

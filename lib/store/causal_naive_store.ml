@@ -25,12 +25,12 @@ type update_record = {
   u : Obj.update;
 }
 
-let encode_record enc r =
+let encode_record ~wire enc r =
   Wire.Encoder.uint enc r.origin;
   Wire.Encoder.uint enc r.useq;
   Vclock.encode enc r.dep;
   Wire.Encoder.uint enc r.obj;
-  Obj.encode_update enc r.u
+  Obj.encode_update ~wire enc r.u
 
 let decode_record dec =
   let origin = Wire.Decoder.uint dec in
@@ -41,6 +41,7 @@ let decode_record dec =
   { origin; useq; dep; obj; u }
 
 type state = {
+  cfg : Store_intf.config;
   n : int;
   me : int;
   clock : int;
@@ -55,8 +56,9 @@ let invisible_reads = true
 
 let op_driven = true
 
-let init ~n ~me =
+let create cfg ~n ~me =
   {
+    cfg;
     n;
     me;
     clock = 0;
@@ -66,6 +68,8 @@ let init ~n ~me =
     buffer = [];
     counters = Store_intf.fresh_delivery_stats ();
   }
+
+let init = create Store_intf.default
 
 let counters t = t.counters
 
@@ -142,7 +146,8 @@ let has_pending t = t.pending <> []
 let send t =
   if not (has_pending t) then invalid_arg (name ^ ".send: nothing pending");
   let payload =
-    Wire.encode (fun enc -> Wire.Encoder.list enc encode_record (List.rev t.pending))
+    Wire.encode (fun enc ->
+        Wire.Encoder.list enc (encode_record ~wire:t.cfg.wire) (List.rev t.pending))
   in
   ({ t with pending = [] }, payload)
 

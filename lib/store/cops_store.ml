@@ -15,22 +15,16 @@ type update_record = {
 
 (* A v1 batch is a record list, so it starts with a count >= 1 ([send]
    refuses an empty pending queue). A v2 batch prepends the marker
-   [0x00, 2] and compresses each record's dependency set; the update's
-   clocks compress through {!Mvr_object.encode_update} under either
-   version. Decoding dispatches on the leading byte, so either side can
+   [0x00, 2] and compresses each record's dependency set; a v2 replica's
+   update clocks compress through {!Mvr_object.encode_update} in either
+   batch. Decoding dispatches on the leading byte, so either side can
    read either batch. *)
 
-let encode_record enc r =
+let encode_record ~wire ~marked enc r =
   Dot.encode enc r.dot;
   Wire.Encoder.uint enc r.obj;
-  Mvr_object.encode_update enc r.u;
-  Dot.encode_set enc r.deps
-
-let encode_record_v2 enc r =
-  Dot.encode enc r.dot;
-  Wire.Encoder.uint enc r.obj;
-  Mvr_object.encode_update enc r.u;
-  Dot.encode_set_c enc r.deps
+  Mvr_object.encode_update ~wire enc r.u;
+  (if marked then Dot.encode_set_c else Dot.encode_set) enc r.deps
 
 let decode_record ~v2 dec =
   let dot = Dot.decode dec in
@@ -40,6 +34,7 @@ let decode_record ~v2 dec =
   { dot; obj; u; deps }
 
 type state = {
+  cfg : Store_intf.config;
   n : int;
   me : int;
   next_seq : int;
@@ -62,8 +57,9 @@ let invisible_reads = true
 
 let op_driven = true
 
-let init ~n ~me =
+let create cfg ~n ~me =
   {
+    cfg;
     n;
     me;
     next_seq = 1;
@@ -74,6 +70,8 @@ let init ~n ~me =
     buffer = Dot_map.empty;
     waiting = Dot_map.empty;
   }
+
+let init = create Store_intf.default
 
 let obj_state t obj =
   match Int_map.find_opt obj t.objects with
@@ -169,16 +167,16 @@ let send t =
         (* the marked batch costs 2 bytes up front and compresses only
            the dependency sets (the update's clocks compress under either
            layout), so emit it exactly when the sets pay for the marker *)
-        let saves =
-          Wire.Version.current () = Wire.Version.V2
+        let wire = t.cfg.wire in
+        let marked =
+          wire = Wire.Version.V2
           && List.fold_left (fun a r -> a + Dot.set_c_delta r.deps) 2 records < 0
         in
-        if not saves then Wire.Encoder.list enc encode_record records
-        else begin
+        if marked then begin
           Wire.Encoder.uint enc 0;
-          Wire.Encoder.uint enc 2;
-          Wire.Encoder.list enc encode_record_v2 records
-        end)
+          Wire.Encoder.uint enc 2
+        end;
+        Wire.Encoder.list enc (encode_record ~wire ~marked) records)
   in
   ({ t with pending = [] }, payload)
 

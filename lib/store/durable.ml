@@ -6,15 +6,19 @@
     input applied since — client updates, received payloads (already in
     [S]'s own wire encoding), and sends. A crash discards the volatile
     inner state; {!Make.recover} rebuilds it by decoding the checkpoint
-    and replaying everything through a fresh [S.init] replica. Because
-    stores are pure deterministic state machines, the rebuilt replica is
-    observationally identical to the one that crashed.
+    and replaying everything through a fresh replica built with the same
+    {!Store_intf.config}. Because stores are pure deterministic state
+    machines, the rebuilt replica is observationally identical to the one
+    that crashed, down to the bytes it emits.
 
     Reads are logged only for stores whose reads change state
     (Definition 16 violators such as {!Delayed_store}); for everyone else
-    the log stays update-only. The log auto-compacts into the checkpoint
-    every {!auto_checkpoint_every} entries. The checkpoint is the whole
-    replay log since [init], not a copy of live state: its size and the
+    the log stays update-only. The config's [checkpoint_every = Some k]
+    folds the log into the checkpoint every [k] entries (the chaos
+    harness uses {!auto_checkpoint_every}); [None] never does, so the
+    live hot path never encodes a WAL entry. The cadence changes neither
+    the snapshot bytes nor what [recover] rebuilds. The checkpoint is the
+    whole replay log since [create], not a copy of live state: its size and the
     cost of {!Make.recover} grow with every logged input. A checkpoint
     appends one encoded chunk holding only the entries logged since the
     previous one, so checkpointing costs O(new entries), and the
@@ -26,23 +30,8 @@ open Haec_model
 
 let auto_checkpoint_every = 32
 
-(* [Make_tuned] exposes the checkpoint cadence: [Some k] folds the WAL
-   into the snapshot every [k] entries (the simulator default, [Make]);
-   [None] never auto-checkpoints, so the caller checkpoints explicitly
-   (or never: recovery replays the WAL from genesis, and live runs are
-   short). Either way a checkpoint encodes only the entries logged since
-   the last one — O(k) per checkpoint, O(1) amortized per entry — and
-   the cadence changes neither the snapshot bytes nor what [recover]
-   rebuilds. *)
-module Make_tuned (C : sig
-  val auto_checkpoint_every : int option
-end)
-(S : Store_intf.S) : sig
+module Make (S : Store_intf.S) : sig
   include Store_intf.DURABLE
-
-  val inject : n:int -> me:int -> S.state -> state
-  (** Wrap an existing inner state with an empty durable image — for tests
-      that need a replica whose durable image is deliberately stale. *)
 
   val inner : state -> S.state
   (** The wrapped volatile state, read-only — for observation hooks such as
@@ -86,6 +75,7 @@ end = struct
     | tag -> raise (Wire.Decoder.Malformed (Printf.sprintf "bad log entry tag %d" tag))
 
   type state = {
+    cfg : Store_intf.config;  (** also the inner replica's, and the cadence's *)
     n : int;
     me : int;
     inner : S.state;  (** volatile: lost at a crash *)
@@ -104,10 +94,20 @@ end = struct
 
   let op_driven = S.op_driven
 
-  let inject ~n ~me inner =
-    { n; me; inner; chunks_rev = []; snap_len = 0; chunk_bytes = 0; wal_rev = []; wal_len = 0 }
+  let create cfg ~n ~me =
+    {
+      cfg;
+      n;
+      me;
+      inner = S.create cfg ~n ~me;
+      chunks_rev = [];
+      snap_len = 0;
+      chunk_bytes = 0;
+      wal_rev = [];
+      wal_len = 0;
+    }
 
-  let init ~n ~me = inject ~n ~me (S.init ~n ~me)
+  let init = create Store_intf.default
 
   let inner t = t.inner
 
@@ -138,7 +138,7 @@ end = struct
 
   let log t e =
     let t = { t with wal_rev = e :: t.wal_rev; wal_len = t.wal_len + 1 } in
-    match C.auto_checkpoint_every with
+    match t.cfg.checkpoint_every with
     | Some every when t.wal_len >= every -> checkpoint t
     | Some _ | None -> t
 
@@ -150,7 +150,8 @@ end = struct
     | Sent -> if S.has_pending inner then fst (S.send inner) else inner
 
   let recover t =
-    let inner = List.fold_left replay_entry (S.init ~n:t.n ~me:t.me) (snapshot_entries t) in
+    let fresh = S.create t.cfg ~n:t.n ~me:t.me in
+    let inner = List.fold_left replay_entry fresh (snapshot_entries t) in
     let inner = List.fold_left replay_entry inner (List.rev t.wal_rev) in
     { t with inner }
 
@@ -180,10 +181,3 @@ end = struct
     let inner = S.receive t.inner ~sender payload in
     log { t with inner } (Deliver { sender; payload })
 end
-
-module Make (S : Store_intf.S) =
-  Make_tuned
-    (struct
-      let auto_checkpoint_every = Some auto_checkpoint_every
-    end)
-    (S)

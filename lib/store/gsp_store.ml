@@ -94,6 +94,9 @@ let init ~n ~me =
     sequenced = Dot.Set.empty;
   }
 
+(* nothing here depends on the wire version or the anti-entropy settings *)
+let create (_ : Store_intf.config) = init
+
 let dot_of w = Dot.make ~replica:w.origin ~seq:w.oseq
 
 (* apply the contiguous prefix of buffered orders *)

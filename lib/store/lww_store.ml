@@ -39,6 +39,9 @@ let init ~n ~me =
     pending = [];
   }
 
+(* nothing here depends on the wire version or the anti-entropy settings *)
+let create (_ : Store_intf.config) = init
+
 let empty_obj = { current = None; seen = Dot.Set.empty }
 
 let obj_state t obj =

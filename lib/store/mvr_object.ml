@@ -42,10 +42,13 @@ let visible ~obj t = Store_intf.frontier ~obj t.cc
    compressed self-describing form, and [decode_update] accepts either
    via the marker byte, so mixed-version peers interoperate without any
    per-connection negotiation state. *)
-let encode_update enc u =
-  (match Wire.Version.current () with
-  | Wire.Version.V1 -> Vclock.encode enc u.vv
-  | Wire.Version.V2 -> Vclock.encode_c enc u.vv);
+let encode_clock ~wire enc v =
+  match wire with
+  | Wire.Version.V1 -> Vclock.encode enc v
+  | Wire.Version.V2 -> Vclock.encode_c enc v
+
+let encode_update ~wire enc u =
+  encode_clock ~wire enc u.vv;
   Dot.encode enc u.dot;
   Value.encode enc u.value
 
@@ -72,12 +75,10 @@ let join a b =
   in
   { n = a.n; cc = Vclock.merge a.cc b.cc; sibs = from_a @ from_b }
 
-let encode enc t =
+let encode ~wire enc t =
   Wire.Encoder.uint enc t.n;
-  (match Wire.Version.current () with
-  | Wire.Version.V1 -> Vclock.encode enc t.cc
-  | Wire.Version.V2 -> Vclock.encode_c enc t.cc);
-  Wire.Encoder.list enc encode_update t.sibs
+  encode_clock ~wire enc t.cc;
+  Wire.Encoder.list enc (encode_update ~wire) t.sibs
 
 let decode dec =
   let n = Wire.Decoder.uint dec in

@@ -3,6 +3,7 @@ open Haec_model
 module Int_map = Map.Make (Int)
 
 type state = {
+  cfg : Store_intf.config;
   n : int;
   me : int;
   objects : Mvr_object.t Int_map.t;
@@ -15,7 +16,9 @@ let invisible_reads = true
 
 let op_driven = true
 
-let init ~n ~me = { n; me; objects = Int_map.empty; dirty = false }
+let create cfg ~n ~me = { cfg; n; me; objects = Int_map.empty; dirty = false }
+
+let init = create Store_intf.default
 
 let obj_state t obj =
   match Int_map.find_opt obj t.objects with
@@ -43,9 +46,9 @@ let do_op t ~obj op =
 
 let has_pending t = t.dirty
 
-let encode_entry enc (obj, o) =
+let encode_entry ~wire enc (obj, o) =
   Wire.Encoder.uint enc obj;
-  Mvr_object.encode enc o
+  Mvr_object.encode ~wire enc o
 
 let decode_entry dec =
   let obj = Wire.Decoder.uint dec in
@@ -56,7 +59,7 @@ let send t =
   if not t.dirty then invalid_arg "State_mvr_store.send: nothing pending";
   let payload =
     Wire.encode (fun enc ->
-        Wire.Encoder.list enc encode_entry (Int_map.bindings t.objects))
+        Wire.Encoder.list enc (encode_entry ~wire:t.cfg.wire) (Int_map.bindings t.objects))
   in
   ({ t with dirty = false }, payload)
 

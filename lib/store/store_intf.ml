@@ -139,6 +139,41 @@ let visible_keys w =
       prefix @ List.map (fun d -> (s.obj, d)) s.extras)
     w.visible
 
+(** A replica's settings, fixed when it is created and kept in its state:
+    every message a replica emits is a function of its own state and
+    inputs, so two replicas configured differently can run side by side
+    in one process. *)
+type config = {
+  wire : Haec_wire.Wire.Version.t;
+      (** the frame version this replica emits; decoders accept both *)
+  repair_batch : int;  (** anti-entropy: repair payloads answered per origin and digest *)
+  max_backoff : int;  (** anti-entropy: cap on the push and re-request backoff, in rounds *)
+  full_digest_every : int;
+      (** anti-entropy, wire v2: an absolute digest every this many rounds *)
+  checkpoint_every : int option;
+      (** durable image: fold the WAL into the snapshot every [k] entries;
+          [None] never auto-checkpoints *)
+}
+
+let default =
+  {
+    wire = Haec_wire.Wire.Version.V2;
+    repair_batch = 32;
+    max_backoff = 32;
+    full_digest_every = 4;
+    checkpoint_every = None;
+  }
+
+(** Raises [Invalid_argument] naming the first anti-entropy setting
+    below 1: a zero batch or backoff deadlocks repair. *)
+let validate c =
+  let at_least_1 name v =
+    if v < 1 then invalid_arg (Printf.sprintf "%s must be >= 1 (got %d)" name v)
+  in
+  at_least_1 "repair_batch" c.repair_batch;
+  at_least_1 "max_backoff" c.max_backoff;
+  at_least_1 "full_digest_every" c.full_digest_every
+
 module type S = sig
   type state
 
@@ -151,8 +186,11 @@ module type S = sig
   (** Definition 15: messages become pending only due to client operations,
       never merely from receiving a message. *)
 
+  val create : config -> n:int -> me:int -> state
+  (** Initial state of replica [me] out of [n], emitting as [config] says. *)
+
   val init : n:int -> me:int -> state
-  (** Initial state of replica [me] out of [n]. *)
+  (** [create default]. *)
 
   val do_op : state -> obj:int -> Op.t -> state * Op.response * witness Lazy.t
   (** The witness is lazy: runs that do not check consistency never

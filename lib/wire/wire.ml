@@ -18,27 +18,13 @@ module Version = struct
 
   let name = function V1 -> "v1" | V2 -> "v2"
 
-  (* One process-global default, read when a replica state is created or a
-     message encoded. Set once at CLI start (before any worker domain
-     spawns), so parallel seed sweeps see a coherent value. *)
-  let default = Atomic.make V2
-
-  let current () = Atomic.get default
-
-  let set v = Atomic.set default v
-
-  (* Scoped override for experiments that compare v1 against v2 in one
-     process; restores on exit or exception. *)
-  let scoped v f =
-    let saved = Atomic.get default in
-    Atomic.set default v;
-    match f () with
-    | x ->
-      Atomic.set default saved;
-      x
-    | exception exn ->
-      Atomic.set default saved;
-      raise exn
+  (* Which version a replica emits is part of its configuration
+     ([Haec_store.Store_intf.config]), not process state. [set] survives
+     only for callers written against the old process-global default: the
+     default is [V2], so [set V2] is a no-op and [set V1] is refused. *)
+  let set = function
+    | V2 -> ()
+    | V1 -> invalid_arg "Wire.Version.set V1: the wire version is a replica setting"
 end
 
 module Encoder = struct

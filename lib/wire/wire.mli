@@ -25,18 +25,11 @@ module Version : sig
 
   val name : t -> string
 
-  val current : unit -> t
-  (** The process-global emission default, initially [V2]. Read when a
-      replica state is created or a message encoded. *)
-
   val set : t -> unit
-  (** Set the global default. Call once at startup, before worker domains
-      spawn. *)
-
-  val scoped : t -> (unit -> 'a) -> 'a
-  (** [scoped v f] runs [f] with the default set to [v], restoring the
-      previous default on return or exception. For experiments comparing
-      v1 against v2 in one process. *)
+  (** Stateless: [set V2] does nothing and [set V1] raises
+      [Invalid_argument]. What a replica emits is its configuration
+      ([Haec_store.Store_intf.config.wire]); this remains only for
+      callers that still pin the old default. *)
 end
 
 module Encoder : sig

@@ -364,19 +364,15 @@ let prop_occ_matches_reference =
 (* A causal-MVR store under anti-entropy recovery and an adversarial fault
    plan (crashes with durable replay, drops, duplication, reordering, dead
    links), driven like a chaos run; returns the closed witness. *)
-module Durable_ae =
-  Sim.Stack.Durable_every
-    (struct
-      let auto_checkpoint_every = Some Store.Durable.auto_checkpoint_every
-    end)
-    (Store.Causal_mvr_store)
+module Durable_ae = Sim.Stack.Durable (Store.Causal_mvr_store)
 
 module R_ae = Sim.Runner.Make (Durable_ae)
 
 let adversarial_closed_witness ~n ~objects ~ops seed =
   let plan, steps = Sim.Chaos.derive ~n ~objects ~ops ~adversarial:true ~seed () in
   let sim =
-    R_ae.create ~seed ~n ~policy:(Sim.Net_policy.random_delay ()) ~faults:plan
+    R_ae.create ~seed ~config:Sim.Chaos.default_config ~n
+      ~policy:(Sim.Net_policy.random_delay ()) ~faults:plan
       ~gossip:(2.0, Durable_ae.tick, Durable_ae.settled)
       ~recover_state:(fun ~replica:_ -> Durable_ae.recover)
       ()

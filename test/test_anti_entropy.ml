@@ -88,10 +88,8 @@ let test_duplicates_dropped () =
    the re-push this test drives is replaced by the requester path (covered
    by the wire-v2 protocol tests). *)
 let test_push_backoff_forgiven_on_progress () =
-  let a, b =
-    Wire.Version.scoped Wire.Version.V1 (fun () ->
-        (AE.init ~n:2 ~me:0, AE.init ~n:2 ~me:1))
-  in
+  let v1 = { Store.Store_intf.default with wire = Wire.Version.V1 } in
+  let a, b = (AE.create v1 ~n:2 ~me:0, AE.create v1 ~n:2 ~me:1) in
   let a, _, _ = AE.do_op a ~obj:0 (Model.Op.Write (vi 1)) in
   let a, p1 = AE.send a in
   let a, _, _ = AE.do_op a ~obj:0 (Model.Op.Write (vi 2)) in
@@ -122,8 +120,7 @@ let test_push_backoff_forgiven_on_progress () =
 
 (* ---------- the stable-prefix trim ---------- *)
 
-let v2_replicas n =
-  Wire.Version.scoped Wire.Version.V2 (fun () -> Array.init n (fun me -> AE.init ~n ~me))
+let v2_replicas n = Array.init n (fun me -> AE.init ~n ~me)
 
 let write t v =
   let t, _, _ = AE.do_op t ~obj:0 (Model.Op.Write (vi v)) in
@@ -458,7 +455,8 @@ module Trim_watch (S : Store.Store_intf.S) = struct
     let name = DA.name
     let invisible_reads = DA.invisible_reads
     let op_driven = DA.op_driven
-    let init ~n ~me = { me; d = DA.init ~n ~me }
+    let create cfg ~n ~me = { me; d = DA.create cfg ~n ~me }
+    let init = create Store.Store_intf.default
 
     let seen t =
       !watch t.me t.d;
@@ -500,7 +498,8 @@ module Trim_watch (S : Store.Store_intf.S) = struct
       match plan.Fault_plan.churn with None -> 3 | Some c -> c.Fault_plan.capacity
     in
     let sim =
-      R.create ~seed ~n:capacity ~initial:3 ~hooks ~record_spans:false
+      R.create ~seed ~config:Sim.Chaos.default_config ~n:capacity ~initial:3 ~hooks
+        ~record_spans:false
         ~policy:(Sim.Net_policy.random_delay ()) ~faults:plan
         ~gossip:
           ( 2.0,

@@ -212,6 +212,8 @@ let test_plan_link_window () =
 
 module D = Store.Durable.Make (Store.Mvr_store)
 
+let with_cadence every = { Store.Store_intf.default with checkpoint_every = every }
+
 let read st ~obj =
   let _, rval, _ = D.do_op st ~obj Op.Read in
   rval
@@ -251,7 +253,9 @@ let test_durable_recover_replays_deliveries () =
     (read recovered ~obj:0)
 
 let test_durable_checkpoint_compacts () =
-  let st = ref (D.init ~n:2 ~me:0) in
+  let st =
+    ref (D.create (with_cadence (Some Store.Durable.auto_checkpoint_every)) ~n:2 ~me:0)
+  in
   for i = 1 to 100 do
     let st', _, _ = D.do_op !st ~obj:(i mod 3) (Op.Write (vi i)) in
     let st', _ = D.send st' in
@@ -276,20 +280,6 @@ let test_durable_invisible_reads_not_logged () =
    every 32 entries, or once at the end serializes to the bytes of the
    whole log encoded as one list, and a crash at any point — mid-chunk
    included — recovers the same reads. *)
-module D_every =
-  Store.Durable.Make_tuned
-    (struct
-      let auto_checkpoint_every = Some 1
-    end)
-    (Store.Mvr_store)
-
-module D_never =
-  Store.Durable.Make_tuned
-    (struct
-      let auto_checkpoint_every = None
-    end)
-    (Store.Mvr_store)
-
 (* writes at replica 0, interleaved with sends and deliveries of replica
    1's payloads *)
 let cadence_inputs =
@@ -326,7 +316,10 @@ let whole_log_bytes =
       let prefix = List.filteri (fun i _ -> i < k) cadence_inputs in
       String.length (Wire.encode (fun enc -> Wire.Encoder.list enc encode_entry prefix)))
 
-module Cadence (D : Store.Store_intf.DURABLE) = struct
+module Cadence (C : sig
+  val every : int option
+end) =
+struct
   let step st = function
     | `Write (obj, v) ->
       let st, _, _ = D.do_op st ~obj (Op.Write (vi v)) in
@@ -341,7 +334,7 @@ module Cadence (D : Store.Store_intf.DURABLE) = struct
     List.rev
       (List.fold_left
          (fun acc input -> step (List.hd acc) input :: acc)
-         [ D.init ~n:2 ~me:0 ]
+         [ D.create (with_cadence C.every) ~n:2 ~me:0 ]
          cadence_inputs)
 
   let reads st =
@@ -365,9 +358,17 @@ module Cadence (D : Store.Store_intf.DURABLE) = struct
       prefixes
 end
 
-module C_every = Cadence (D_every)
-module C_32 = Cadence (D)
-module C_never = Cadence (D_never)
+module C_every = Cadence (struct
+  let every = Some 1
+end)
+
+module C_32 = Cadence (struct
+  let every = Some 32
+end)
+
+module C_never = Cadence (struct
+  let every = None
+end)
 
 let test_durable_checkpoint_cadence_invisible () =
   let live = List.map C_every.reads C_every.prefixes in
@@ -384,7 +385,7 @@ let test_durable_checkpoint_cadence_invisible () =
     C_never.checkpoint_bytes;
   (* with a checkpoint after every entry, the snapshot needs no explicit one *)
   Alcotest.check bytes "every entry is always checkpointed" whole_log_bytes
-    (List.map D_every.snapshot_bytes C_every.prefixes);
+    (List.map D.snapshot_bytes C_every.prefixes);
   (* several 32-entry chunks, and a count past one varint byte *)
   Alcotest.(check bool) "the log outgrows a one-byte count" true
     (List.length cadence_inputs > 128);
@@ -398,17 +399,12 @@ module R = Sim.Runner.Make (Store.Mvr_store)
 
 (* The chaos stack, driven by hand: Durable(Anti_entropy(Mvr_store)) with
    its gossip tick, so every loss is repaired over the wire or not at all. *)
-module DA_mvr =
-  Sim.Stack.Durable_every
-    (struct
-      let auto_checkpoint_every = Some Store.Durable.auto_checkpoint_every
-    end)
-    (Store.Mvr_store)
+module DA_mvr = Sim.Stack.Durable (Store.Mvr_store)
 
 module RA = Sim.Runner.Make (DA_mvr)
 
 let create_ae ?faults ?(seed = 42) ~policy ~n () =
-  RA.create ~seed ~n ~policy ?faults
+  RA.create ~seed ~config:Sim.Chaos.default_config ~n ~policy ?faults
     ~gossip:(2.0, DA_mvr.tick, DA_mvr.settled)
     ~recover_state:(fun ~replica:_ -> DA_mvr.recover)
     ()
@@ -598,6 +594,43 @@ let test_chaos_exercises_faults () =
   in
   Alcotest.(check bool) "faults actually struck" true (total > 0)
 
+(* Two configurations in one process at once: v1 and v2 seeds of the
+   causal stack, interleaved over two domains, give exactly the
+   sequential outcomes. Each run's replicas carry their own config. *)
+let test_chaos_configs_in_parallel () =
+  let module C = Sim.Chaos.Make (Store.Causal_mvr_store) in
+  let config wire = { Sim.Chaos.default_config with wire } in
+  let jobs =
+    List.concat_map
+      (fun seed -> [ (config Wire.Version.V1, seed); (config Wire.Version.V2, seed) ])
+      (seeds 1 4)
+  in
+  let run (config, seed) =
+    let o = C.run ~adversarial:true ~require:`Causal ~config ~seed () in
+    let counter name =
+      match Obs.Metrics.Registry.find o.Sim.Chaos.metrics name with
+      | Some (Obs.Metrics.Registry.Counter c) -> Obs.Metrics.Counter.value c
+      | Some _ | None -> -1
+    in
+    ( Model.Trace_io.to_string o.Sim.Chaos.exec,
+      List.map counter [ "gossip.update_bytes"; "gossip.digest_bytes"; "gossip.repair_bytes" ],
+      Sim.Chaos.failures o,
+      o.Sim.Chaos.config = config )
+  in
+  let sequential = List.map run jobs in
+  let parallel = Util.Par.map_list ~domains:2 run jobs in
+  Alcotest.(check bool) "parallel outcomes equal sequential ones" true (parallel = sequential);
+  List.iter
+    (fun (_, bytes, fails, own) ->
+      Alcotest.(check bool) "the outcome records its config" true own;
+      Alcotest.(check (list (pair string string))) "required checks pass" [] fails;
+      Alcotest.(check bool) "traffic counted" true (List.for_all (fun b -> b > 0) bytes))
+    parallel;
+  match parallel with
+  | (_, v1, _, _) :: (_, v2, _, _) :: _ ->
+    Alcotest.(check bool) "v1 and v2 differ on the wire" true (v1 <> v2)
+  | _ -> assert false
+
 let suite =
   ( "fault",
     [
@@ -634,6 +667,7 @@ let suite =
         (seeds 41 50);
       tc "chaos deterministic in the seed" test_chaos_is_deterministic;
       tc "chaos actually injects faults" test_chaos_exercises_faults;
+      tc "chaos: v1 and v2 seeds at -j 2 equal sequential" test_chaos_configs_in_parallel;
       tc "durable checkpoint cadence is invisible" test_durable_checkpoint_cadence_invisible;
       tc "crash loss is permanent without gossip" test_crash_loss_permanent_without_gossip;
     ] )

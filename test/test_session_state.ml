@@ -186,8 +186,15 @@ let prop_join_agrees_with_updates =
 
 let test_state_roundtrip () =
   let a, _, _ = join_states_of_seed 7 in
-  let a' = Haec.Wire.decode (Haec.Wire.encode (fun e -> Mvr_object.encode e a)) Mvr_object.decode in
-  Alcotest.(check bool) "wire roundtrip preserves reads" true (normal a = normal a')
+  List.iter
+    (fun wire ->
+      let a' =
+        Haec.Wire.decode
+          (Haec.Wire.encode (fun e -> Mvr_object.encode ~wire e a))
+          Mvr_object.decode
+      in
+      Alcotest.(check bool) "wire roundtrip preserves reads" true (normal a = normal a'))
+    [ Haec.Wire.Version.V1; Haec.Wire.Version.V2 ]
 
 let suite =
   ( "session+state",

@@ -12,10 +12,10 @@ module Telemetry = Sim.Telemetry
 module Chaos = Sim.Chaos
 module C = Chaos.Make (Store.Causal_mvr_store)
 
-let ae_run ?(churn = false) ?(ops = 40) seed =
+let ae_run ?(churn = false) ?(ops = 40) ?config seed =
   C.run ~objects:2 ~ops ~spec_of:(fun _ -> Spec.Spec.mvr)
     ~mix:Sim.Workload.register_mix ~require:`Causal
-    ~adversarial:true ~churn ~seed ()
+    ~adversarial:true ~churn ?config ~seed ()
 
 (* the outcome's span log, recorded by replay, its records built *)
 let spans (o : Chaos.outcome) = Span.Log.to_list (Lazy.force o.Chaos.spans).Chaos.log
@@ -234,35 +234,17 @@ let test_replay_is_the_run () =
   replay_is_the_run (module Store.Orset_store) ~mix:Sim.Workload.orset_mix
     ~spec:Spec.Spec.orset ~require:`Correct ()
 
-(* A force after the process-global wire version and anti-entropy
-   tunables moved replays under the values the run was made with: the
-   replay's bytes are still the run's. *)
-let test_replay_pins_version_and_tunables () =
-  let o = ae_run ~churn:true 5 in
+(* A run made under an off-default config replays under that config:
+   the forced spans' trace is the run's, byte for byte, and it differs
+   from a default run's, so the config is what the replay reused. *)
+let test_replay_reuses_the_config () =
+  let config = { Chaos.default_config with wire = Wire.Version.V1; repair_batch = 3 } in
+  let o = ae_run ~churn:true ~config 5 in
   let expected = Model.Trace_io.to_string o.Chaos.exec in
-  let version = Wire.Version.current () and saved = Store.Anti_entropy.tunables () in
-  let t =
-    Fun.protect
-      ~finally:(fun () ->
-        Wire.Version.set version;
-        Store.Anti_entropy.set_repair_batch saved.Store.Anti_entropy.batch)
-      (fun () ->
-        Wire.Version.set Wire.Version.V1;
-        Store.Anti_entropy.set_repair_batch 3;
-        let t = Lazy.force o.Chaos.spans in
-        Alcotest.(check bool) "the globals are restored after the force" true
-          (Wire.Version.current () = Wire.Version.V1
-          && (Store.Anti_entropy.tunables ()).Store.Anti_entropy.batch = 3);
-        t)
-  in
-  Alcotest.(check string) "forced under v1: the run's bytes" expected
-    (Model.Trace_io.to_string t.Chaos.trace);
-  (* and a fresh run under v1 would differ, so the pin is what held *)
-  let v1 =
-    Wire.Version.scoped Wire.Version.V1 (fun () ->
-        Model.Trace_io.to_string (ae_run ~churn:true 5).Chaos.exec)
-  in
-  Alcotest.(check bool) "v1 bytes differ" true (v1 <> expected)
+  Alcotest.(check string) "forced spans: the run's bytes" expected
+    (Model.Trace_io.to_string (Lazy.force o.Chaos.spans).Chaos.trace);
+  let default = Model.Trace_io.to_string (ae_run ~churn:true 5).Chaos.exec in
+  Alcotest.(check bool) "a default run's bytes differ" true (default <> expected)
 
 (* ---------- live stream vs the runner's own measurements ---------- *)
 
@@ -529,8 +511,8 @@ let suite =
         test_chaos_log_is_the_runner_stream;
       Alcotest.test_case "replay: forced spans are the run, recorded inline" `Quick
         test_replay_is_the_run;
-      Alcotest.test_case "replay: a force pins the run's wire version and tunables" `Quick
-        test_replay_pins_version_and_tunables;
+      Alcotest.test_case "replay: a force reuses the run's config" `Quick
+        test_replay_reuses_the_config;
       Alcotest.test_case "live: components sum to visibility.lag bit-for-bit" `Quick
         test_components_sum_to_lag_histogram;
       Alcotest.test_case "live: visible timestamps are monotone" `Quick

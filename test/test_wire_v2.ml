@@ -97,21 +97,23 @@ let prop_dot_set_c_delta_exact =
 (* a small two-replica session, produced under [version], returning every
    distinct payload the protocol put on the wire: updates, a digest, and
    a repair batch *)
+let with_wire wire = { Store.Store_intf.default with wire }
+
 let session_payloads version =
-  Wire.Version.scoped version (fun () ->
-      let a = AE.init ~n:2 ~me:0 and b = AE.init ~n:2 ~me:1 in
-      let a, _, _ = AE.do_op a ~obj:0 (Model.Op.Write (vi 1)) in
-      let a, p1 = AE.send a in
-      let a, _, _ = AE.do_op a ~obj:1 (Model.Op.Write (vi 2)) in
-      let a, lost = AE.send a in
-      let b = AE.receive b ~sender:0 p1 in
-      let b = AE.tick b in
-      let b, digest = AE.send b in
-      let a = AE.receive a ~sender:1 digest in
-      let a, repair = AE.send a in
-      let b = AE.receive b ~sender:0 repair in
-      ignore (a, b);
-      [ p1; lost; digest; repair ])
+  let cfg = with_wire version in
+  let a = AE.create cfg ~n:2 ~me:0 and b = AE.create cfg ~n:2 ~me:1 in
+  let a, _, _ = AE.do_op a ~obj:0 (Model.Op.Write (vi 1)) in
+  let a, p1 = AE.send a in
+  let a, _, _ = AE.do_op a ~obj:1 (Model.Op.Write (vi 2)) in
+  let a, lost = AE.send a in
+  let b = AE.receive b ~sender:0 p1 in
+  let b = AE.tick b in
+  let b, digest = AE.send b in
+  let a = AE.receive a ~sender:1 digest in
+  let a, repair = AE.send a in
+  let b = AE.receive b ~sender:0 repair in
+  ignore (a, b);
+  [ p1; lost; digest; repair ]
 
 let expect_malformed ~what payload =
   let b = AE.init ~n:2 ~me:1 in
@@ -159,7 +161,7 @@ let prop_receive_total =
       | _ -> true
       | exception Wire.Decoder.Malformed _ -> true)
 
-(* ---------- version negotiation ---------- *)
+(* ---------- per-replica emission ---------- *)
 
 let drain st =
   let rec go st acc =
@@ -170,93 +172,178 @@ let drain st =
   in
   go st []
 
+(* tick both replicas and exchange everything pending until they settle *)
+let rec converge a b fuel =
+  if fuel = 0 then Alcotest.fail "replicas did not converge";
+  let a = AE.tick a and b = AE.tick b in
+  let a, from_a = drain a in
+  let b = List.fold_left (fun b p -> AE.receive b ~sender:0 p) b from_a in
+  let b, from_b = drain b in
+  let a = List.fold_left (fun a p -> AE.receive a ~sender:1 p) a from_b in
+  if Vclock.equal (AE.have a) (AE.have b) && AE.settled [| a; b |] then (a, b)
+  else converge a b (fuel - 1)
+
 let test_mixed_version_convergence () =
-  (* a speaks v2, b speaks v1: both decode the other, and a's first v1
-     envelope from b downgrades a's own emission — permanently *)
-  let a = Wire.Version.scoped Wire.Version.V2 (fun () -> AE.init ~n:2 ~me:0) in
-  let b = Wire.Version.scoped Wire.Version.V1 (fun () -> AE.init ~n:2 ~me:1) in
-  Alcotest.(check string) "a starts at v2" "v2" (Wire.Version.name (AE.emit_version a));
+  (* a emits v2, b emits v1: each decodes the other, and they converge *)
+  let a = AE.create (with_wire Wire.Version.V2) ~n:2 ~me:0 in
+  let b = AE.create (with_wire Wire.Version.V1) ~n:2 ~me:1 in
   let a, _, _ = AE.do_op a ~obj:0 (Model.Op.Write (vi 7)) in
   let a, p = AE.send a in
   let b = AE.receive b ~sender:0 p in
   Alcotest.(check int) "b applied a's v2 update" 1 (Vclock.get (AE.have b) 0);
   let b, _, _ = AE.do_op b ~obj:0 (Model.Op.Write (vi 8)) in
-  let _b, p = AE.send b in
+  let b, p = AE.send b in
   let a = AE.receive a ~sender:1 p in
   Alcotest.(check int) "a applied b's v1 update" 1 (Vclock.get (AE.have a) 1);
-  Alcotest.(check string) "a downgraded to v1" "v1" (Wire.Version.name (AE.emit_version a));
-  (* and the downgrade sticks across further v2-scoped traffic *)
-  let a = Wire.Version.scoped Wire.Version.V2 (fun () -> AE.tick a) in
-  let a, ps = drain a in
-  Alcotest.(check string) "still v1 after tick" "v1" (Wire.Version.name (AE.emit_version a));
-  List.iter
-    (fun p ->
-      Alcotest.(check bool) "a's digest is a v1 envelope (count >= 1)" true
-        (String.length p > 0 && p.[0] <> '\x00'))
-    ps
+  let a, b = converge a b 20 in
+  let _, ra, _ = AE.do_op a ~obj:0 Model.Op.Read in
+  let _, rb, _ = AE.do_op b ~obj:0 Model.Op.Read in
+  Alcotest.(check bool) "reads agree" true (ra = rb)
+
+(* The causal store under anti-entropy at n = 16, where v1 and v2 clock
+   layouts differ (a v2 clock leads with a 0x00 marker). *)
+module CAE = Store.Anti_entropy.Make (Store.Causal_mvr_store)
+
+let is_v2_envelope p = String.length p > 1 && p.[0] = '\x00' && p.[1] = '\x02'
+
+(* Parse an envelope holding one update with the v1 decoders only: the
+   envelope, the causal batch inside it, and its dependency and update
+   clocks. A v2 layout anywhere fails the parse or leaves bytes over. *)
+let strictly_v1_update payload =
+  match
+    Wire.decode payload (fun dec ->
+        if Wire.Decoder.uint dec <> 1 then raise (Wire.Decoder.Malformed "items");
+        if Wire.Gossip.decode_kind dec <> Wire.Gossip.Update then
+          raise (Wire.Decoder.Malformed "kind");
+        let _seq = Wire.Decoder.uint dec in
+        let batch = Wire.Decoder.string dec in
+        Wire.decode batch (fun dec ->
+            let records = Wire.Decoder.uint dec in
+            for _ = 1 to records do
+              let _origin = Wire.Decoder.uint dec in
+              let _useq = Wire.Decoder.uint dec in
+              let dep = Vclock.decode dec in
+              let _obj = Wire.Decoder.uint dec in
+              let vv = Vclock.decode dec in
+              let _dot = Dot.decode dec in
+              let _value = Model.Value.decode dec in
+              if Vclock.size dep <> 16 || Vclock.size vv <> 16 then
+                raise (Wire.Decoder.Malformed "clock size")
+            done))
+  with
+  | () -> true
+  | exception Wire.Decoder.Malformed _ -> false
+
+let write16 st v =
+  let st, _, _ = CAE.do_op st ~obj:0 (Model.Op.Write (vi v)) in
+  CAE.send st
+
+let test_emission_is_per_replica () =
+  let v1 = with_wire Wire.Version.V1 and v2 = with_wire Wire.Version.V2 in
+  let r0 = CAE.create v2 ~n:16 ~me:0 and r1 = CAE.create v1 ~n:16 ~me:1 in
+  let r1, from_r1 = write16 r1 1 in
+  Alcotest.(check bool) "a v1 replica emits a v1 envelope" false (is_v2_envelope from_r1);
+  Alcotest.(check bool) "a v1 replica's update has no v2 clock layout" true
+    (strictly_v1_update from_r1);
+  let r0 = CAE.receive r0 ~sender:1 from_r1 in
+  Alcotest.(check int) "the v2 replica applied it" 1 (Vclock.get (CAE.have r0) 1);
+  let r0, from_r0 = write16 r0 2 in
+  Alcotest.(check bool) "a v2 replica still emits v2 after receiving v1" true
+    (is_v2_envelope from_r0);
+  let r0 = CAE.tick r0 in
+  let _, digest = CAE.send r0 in
+  Alcotest.(check bool) "and so do its digests" true (is_v2_envelope digest);
+  (* a state's bytes are a function of that state: replicas built with
+     other configs, and whole runs under them, in between change nothing *)
+  let r1 = CAE.receive r1 ~sender:0 from_r0 in
+  let pending, _, _ = CAE.do_op r1 ~obj:1 (Model.Op.Write (vi 3)) in
+  let before = snd (CAE.send pending) in
+  let _ = write16 (CAE.create v2 ~n:16 ~me:2) 4 in
+  let module C = Sim.Chaos.Make (Store.Causal_mvr_store) in
+  let _ = C.run ~config:{ Sim.Chaos.default_config with wire = Wire.Version.V2 } ~seed:1 () in
+  Alcotest.(check string) "same state, same bytes" before (snd (CAE.send pending));
+  Alcotest.(check bool) "still v1, after a v1 peer heard v2" true
+    (strictly_v1_update before)
+
+(* A crash replays the WAL through a replica built with the same config. *)
+let test_recovered_replica_keeps_its_wire () =
+  let module St = Sim.Stack.Durable (Store.Causal_mvr_store) in
+  let cfg = { (with_wire Wire.Version.V1) with checkpoint_every = Some 2 } in
+  let st = ref (St.create cfg ~n:16 ~me:0) in
+  for v = 1 to 5 do
+    let s, _, _ = St.do_op !st ~obj:(v mod 2) (Model.Op.Write (vi v)) in
+    st := fst (St.send s)
+  done;
+  let next st =
+    let st, _, _ = St.do_op st ~obj:0 (Model.Op.Write (vi 9)) in
+    snd (St.send st)
+  in
+  let recovered = St.recover !st in
+  Alcotest.(check bool) "a recovered v1 replica emits v1" true
+    (strictly_v1_update (next recovered));
+  Alcotest.(check string) "the bytes it would have sent uncrashed" (next !st)
+    (next recovered)
 
 let test_v2_lost_push_requester_path () =
   (* the companion to the v1-pinned backoff test in test_anti_entropy:
      under v2 a push optimistically credits the peer, so when the push is
      lost the stale digest cannot re-trigger it — the gap closes from the
      requester side instead, once a full digest shows b what it misses *)
-  Wire.Version.scoped Wire.Version.V2 (fun () ->
-      let a = AE.init ~n:2 ~me:0 and b = AE.init ~n:2 ~me:1 in
-      let a, _, _ = AE.do_op a ~obj:0 (Model.Op.Write (vi 1)) in
-      let a, _lost_update = AE.send a in
-      let b = AE.tick b in
-      let b, digest = AE.send b in
-      let a = AE.receive a ~sender:1 digest in
-      Alcotest.(check bool) "push queued" true (AE.has_pending a);
-      let a, _lost_push = AE.send a in
-      (* a now optimistically believes b is caught up: replaying the same
-         stale digest must not trigger another push *)
-      let a = AE.receive a ~sender:1 digest in
-      Alcotest.(check bool) "stale digest re-push suppressed" false (AE.has_pending a);
-      (* recovery: a's periodic full digest tells b it is behind, and b
-         requests the gap — the answer path is never gated *)
-      let rec converge a b fuel =
-        if fuel = 0 then Alcotest.fail "v2 requester path did not converge";
-        let a = AE.tick a and b = AE.tick b in
-        let a, from_a = drain a in
-        let b = List.fold_left (fun b p -> AE.receive b ~sender:0 p) b from_a in
-        let b, from_b = drain b in
-        let a = List.fold_left (fun a p -> AE.receive a ~sender:1 p) a from_b in
-        if Vclock.equal (AE.have a) (AE.have b) && AE.settled [| a; b |] then (a, b)
-        else converge a b (fuel - 1)
-      in
-      let a, b = converge a b 20 in
-      let _, ra, _ = AE.do_op a ~obj:0 Model.Op.Read in
-      let _, rb, _ = AE.do_op b ~obj:0 Model.Op.Read in
-      Alcotest.(check bool) "reads agree after requester-path repair" true (ra = rb))
+  let a = AE.init ~n:2 ~me:0 and b = AE.init ~n:2 ~me:1 in
+  let a, _, _ = AE.do_op a ~obj:0 (Model.Op.Write (vi 1)) in
+  let a, _lost_update = AE.send a in
+  let b = AE.tick b in
+  let b, digest = AE.send b in
+  let a = AE.receive a ~sender:1 digest in
+  Alcotest.(check bool) "push queued" true (AE.has_pending a);
+  let a, _lost_push = AE.send a in
+  (* a now optimistically believes b is caught up: replaying the same
+     stale digest must not trigger another push *)
+  let a = AE.receive a ~sender:1 digest in
+  Alcotest.(check bool) "stale digest re-push suppressed" false (AE.has_pending a);
+  (* recovery: a's periodic full digest tells b it is behind, and b
+     requests the gap — the answer path is never gated *)
+  let a, b = converge a b 20 in
+  let _, ra, _ = AE.do_op a ~obj:0 Model.Op.Read in
+  let _, rb, _ = AE.do_op b ~obj:0 Model.Op.Read in
+  Alcotest.(check bool) "reads agree after requester-path repair" true (ra = rb)
 
-(* ---------- tunables ---------- *)
+(* ---------- config validation ---------- *)
 
-let test_tunable_validation () =
-  let check_invalid name f =
-    match f () with
+module Stack_mvr = Sim.Stack.Durable (Store.Mvr_store)
+
+let test_config_validation () =
+  let d = Store.Store_intf.default in
+  let check_invalid name cfg =
+    (match Store.Store_intf.validate cfg with
     | () -> Alcotest.failf "%s: expected Invalid_argument" name
+    | exception Invalid_argument _ -> ());
+    (* and no replica can be built with it *)
+    match Stack_mvr.create cfg ~n:2 ~me:0 with
+    | _ -> Alcotest.failf "%s: a replica was built" name
     | exception Invalid_argument _ -> ()
   in
-  check_invalid "repair_batch 0" (fun () -> Store.Anti_entropy.set_repair_batch 0);
-  check_invalid "max_backoff 0" (fun () -> Store.Anti_entropy.set_max_backoff 0);
-  check_invalid "full_digest_every -3" (fun () ->
-      Store.Anti_entropy.set_full_digest_every (-3));
-  (* valid values round-trip, then restore the defaults for the rest of
-     the suite — these are process-wide knobs *)
-  let rb = Store.Anti_entropy.repair_batch ()
-  and mb = Store.Anti_entropy.max_backoff ()
-  and fde = Store.Anti_entropy.full_digest_every () in
-  Store.Anti_entropy.set_repair_batch 7;
-  Store.Anti_entropy.set_max_backoff 9;
-  Store.Anti_entropy.set_full_digest_every 11;
-  Alcotest.(check int) "repair_batch set" 7 (Store.Anti_entropy.repair_batch ());
-  Alcotest.(check int) "max_backoff set" 9 (Store.Anti_entropy.max_backoff ());
-  Alcotest.(check int) "full_digest_every set" 11
-    (Store.Anti_entropy.full_digest_every ());
-  Store.Anti_entropy.set_repair_batch rb;
-  Store.Anti_entropy.set_max_backoff mb;
-  Store.Anti_entropy.set_full_digest_every fde
+  check_invalid "repair_batch 0" { d with repair_batch = 0 };
+  check_invalid "max_backoff 0" { d with max_backoff = 0 };
+  check_invalid "full_digest_every -3" { d with full_digest_every = -3 };
+  Store.Store_intf.validate d;
+  Store.Store_intf.validate Sim.Chaos.default_config;
+  (* the settings reach the replica: a peer's empty digest is answered
+     with at most [repair_batch] of the three missed payloads *)
+  let repair_label repair_batch =
+    let cfg = { d with repair_batch; wire = Wire.Version.V1 } in
+    let a =
+      List.fold_left
+        (fun a v ->
+          let a, _, _ = AE.do_op a ~obj:0 (Model.Op.Write (vi v)) in
+          fst (AE.send a))
+        (AE.create cfg ~n:2 ~me:0) [ 1; 2; 3 ]
+    in
+    let _, digest = AE.send (AE.tick (AE.create cfg ~n:2 ~me:1)) in
+    Store.Anti_entropy.classify (snd (AE.send (AE.receive a ~sender:1 digest)))
+  in
+  Alcotest.(check string) "repair_batch 1" "repair" (repair_label 1);
+  Alcotest.(check string) "repair_batch 32" "repair(3)" (repair_label 32)
 
 let suite =
   ( "wire-v2",
@@ -272,7 +359,9 @@ let suite =
       tc "truncation fuzz (v1 + v2 envelopes)" test_truncation_fuzz;
       tc "sealed frame flip fuzz" test_sealed_flip_fuzz;
       prop_receive_total;
-      tc "mixed versions converge, downgrade sticks" test_mixed_version_convergence;
+      tc "mixed versions converge, each on its own wire" test_mixed_version_convergence;
+      tc "emission is per replica (n = 16)" test_emission_is_per_replica;
+      tc "a recovered v1 replica still emits v1" test_recovered_replica_keeps_its_wire;
       tc "v2 lost push recovered by requester" test_v2_lost_push_requester_path;
-      tc "tunable validation" test_tunable_validation;
+      tc "config validation" test_config_validation;
     ] )

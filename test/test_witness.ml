@@ -35,7 +35,8 @@ module Recording (S : Store_intf.S) : Store_intf.S = struct
   let name = S.name
   let invisible_reads = S.invisible_reads
   let op_driven = S.op_driven
-  let init ~n ~me = { me; inner = S.init ~n ~me }
+  let create cfg ~n ~me = { me; inner = S.create cfg ~n ~me }
+  let init = create Store_intf.default
 
   let do_op t ~obj op =
     let inner, rval, w = S.do_op t.inner ~obj op in
@@ -121,12 +122,7 @@ let check_histogram name expected got =
 let md5 x = Digest.to_hex (Digest.string (Marshal.to_string x [ Marshal.No_sharing ]))
 
 module Drive (S : Store_intf.S) = struct
-  module St =
-    Sim.Stack.Durable_every
-      (struct
-        let auto_checkpoint_every = Some Store.Durable.auto_checkpoint_every
-      end)
-      (Recording (S))
+  module St = Sim.Stack.Durable (Recording (S))
 
   module R = Runner.Make (St)
 
@@ -144,7 +140,8 @@ module Drive (S : Store_intf.S) = struct
     in
     Hashtbl.reset logs;
     let sim =
-      R.create ~seed ~n:capacity ~initial ~hooks:St.hooks ~record_spans:spans
+      R.create ~seed ~config:Sim.Chaos.default_config ~n:capacity ~initial ~hooks:St.hooks
+        ~record_spans:spans
         ~classify:Store.Anti_entropy.classify ~policy:(Sim.Net_policy.random_delay ())
         ~faults:plan
         ~gossip:(2.0, St.tick, St.settled)
