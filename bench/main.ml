@@ -4,7 +4,8 @@
    table registered in Haec_experiments.Registry — whatever the registry
    currently holds; `haec_cli list` or EXPERIMENTS.md enumerate them —
    then runs Bechamel microbenchmarks of the core operations and the
-   replication soak macro-benchmark, writing both to BENCH_results.json.
+   replication soak macro-benchmark, and times the witness table's
+   passes at audit scale, writing them to BENCH_results.json.
 
    `dune exec bench/main.exe -- E6 E7` runs only the named experiments;
    `dune exec bench/main.exe -- --micro` runs only the micro + soak
@@ -353,6 +354,55 @@ let soak_json ~quick =
   in
   stress @ soaks
 
+(* ---------- witness table at audit scale ---------- *)
+
+(* What an audit pays on a captured witness, on [run_inline] captures of
+   the volatile causal MVR stack on two replicas ([serve --check]'s
+   shape) at 1,200 and 20,000 do events: [Abstract.create] from the
+   capture's delta edges, [Online.iter_deltas] reading them back, and
+   [transitive_closure]. Each cell is the median wall time of [reps]
+   runs after one warm-up run. *)
+module Capture = Live.Cluster.Make (Sim.Stack.Volatile (Store.Causal_mvr_store))
+
+let abstract_json ~quick =
+  let module Json = Haec.Obs.Json in
+  let module A = Spec.Abstract in
+  let reps = if quick then 5 else 15 in
+  let median_ms f =
+    ignore (Sys.opaque_identity (f ()));
+    let ts =
+      Array.init reps (fun _ ->
+          let t0 = Unix.gettimeofday () in
+          ignore (Sys.opaque_identity (f ()));
+          Unix.gettimeofday () -. t0)
+    in
+    Array.sort compare ts;
+    1000.0 *. ts.(reps / 2)
+  in
+  List.map
+    (fun events ->
+      let cfg =
+        { Live.Cluster.default with replicas = 2; seed = 1; objects = 64; zipf = 0.99 }
+      in
+      let r = Capture.run_inline ~ops_per_replica:(events / 2) cfg in
+      let wit = Option.get r.Live.Cluster.witness in
+      let n = A.n_replicas wit and dos = A.events wit in
+      let edges = ref [] and j = ref 0 in
+      Consistency.Online.iter_deltas wit (fun _ delta ->
+          List.iter (fun i -> edges := (i, !j) :: !edges) delta;
+          incr j);
+      let edges = !edges in
+      ( Printf.sprintf "abstract/%d-events" (A.length wit),
+        Json.Obj
+          [
+            ("create_ms", Json.Num (median_ms (fun () -> A.create ~n dos ~vis:edges)));
+            ( "iter_deltas_ms",
+              Json.Num (median_ms (fun () -> Consistency.Online.iter_deltas wit (fun _ _ -> ())))
+            );
+            ("closure_ms", Json.Num (median_ms (fun () -> A.transitive_closure wit)));
+          ] ))
+    [ 1200; 20000 ]
+
 (* ---------- anti-entropy recovery macro (E21 harness) ---------- *)
 
 (* Chaos with adversarial plans: nothing retransmits a loss, so the
@@ -563,53 +613,31 @@ let run_micro ~quick ~live () =
      diffed across commits *)
   let module Json = Haec.Obs.Json in
   let num = function Some v -> Json.Num v | None -> Json.Null in
-  print_newline ();
-  print_endline "Replication soak (E20 harness)";
-  print_endline "==============================";
-  let soak_rows = soak_json ~quick in
-  List.iter
-    (fun (name, entry) ->
-      match entry with
-      | Json.Obj fields ->
-        let cell (k, v) =
-          match v with Json.Num f -> Printf.sprintf "%s=%.1f" k f | _ -> ""
-        in
-        Printf.printf "%-44s %s\n" name (String.concat "  " (List.map cell fields))
-      | _ -> ())
-    soak_rows;
-  print_newline ();
-  print_endline "Anti-entropy recovery (E21 harness)";
-  print_endline "===================================";
-  let gossip_rows = gossip_json ~quick in
-  List.iter
-    (fun (name, entry) ->
-      match entry with
-      | Json.Obj fields ->
-        let cell (k, v) =
-          match v with Json.Num f -> Printf.sprintf "%s=%.1f" k f | _ -> ""
-        in
-        Printf.printf "%-44s %s\n" name (String.concat "  " (List.map cell fields))
-      | _ -> ())
-    gossip_rows;
+  (* one titled table per macro section, its rows kept for the artifact *)
+  let section ?(digits = 1) title rows =
+    print_newline ();
+    print_endline title;
+    print_endline (String.make (String.length title) '=');
+    List.iter
+      (fun (name, entry) ->
+        match entry with
+        | Json.Obj fields ->
+          let cell (k, v) =
+            match v with Json.Num f -> Printf.sprintf "%s=%.*f" k digits f | _ -> ""
+          in
+          Printf.printf "%-44s %s\n" name (String.concat "  " (List.map cell fields))
+        | _ -> ())
+      rows;
+    rows
+  in
+  let soak_rows = section "Replication soak (E20 harness)" (soak_json ~quick) in
+  let abstract_rows =
+    section ~digits:2 "Witness table (Abstract at audit scale, median ms)" (abstract_json ~quick)
+  in
+  let gossip_rows = section "Anti-entropy recovery (E21 harness)" (gossip_json ~quick) in
   let live_rows =
     if not live then []
-    else begin
-      print_newline ();
-      print_endline "Live cluster saturation (E25 harness, real domains)";
-      print_endline "===================================================";
-      let rows = live_json ~quick in
-      List.iter
-        (fun (name, entry) ->
-          match entry with
-          | Json.Obj fields ->
-            let cell (k, v) =
-              match v with Json.Num f -> Printf.sprintf "%s=%.1f" k f | _ -> ""
-            in
-            Printf.printf "%-44s %s\n" name (String.concat "  " (List.map cell fields))
-          | _ -> ())
-        rows;
-      rows
-    end
+    else section "Live cluster saturation (E25 harness, real domains)" (live_json ~quick)
   in
   let doc =
     Json.Obj
@@ -624,7 +652,7 @@ let run_micro ~quick ~live () =
                  ("minor_words_per_run", num (estimate allocs name));
                ] ))
          rows
-      @ soak_rows @ gossip_rows @ live_rows)
+      @ soak_rows @ abstract_rows @ gossip_rows @ live_rows)
   in
   let oc = open_out "BENCH_results.json" in
   output_string oc (Json.to_string doc);

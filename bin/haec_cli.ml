@@ -1342,11 +1342,15 @@ let serve_store (module S : Store.Store_intf.S) ~require ~spec ~cfg ~capture_pat
         else if failed <> [] then
           `Error (false, "live check failed\n  " ^ String.concat "\n  " failed)
         else begin
+          (* the witness is its first-visibility table: one word per
+             (event, replica) *)
+          let events = Spec.Abstract.length wit and replicas = Spec.Abstract.n_replicas wit in
           Format.printf
             "checkers: %s clean on the captured live trace (%d do events audited in \
-             %.3fs)@."
+             %.3fs; witness table %d events x %d replicas, %.1f KiB)@."
             (String.concat ", " (List.map fst required))
-            (Spec.Abstract.length wit) check_s;
+            events check_s events replicas
+            (float_of_int (events * replicas * (Sys.word_size / 8)) /. 1024.0);
           `Ok ()
         end
       | _ -> `Error (false, "live check: run produced no captured trace")

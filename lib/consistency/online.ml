@@ -1,4 +1,3 @@
-open Haec_util
 open Haec_model
 open Haec_spec
 module Iset = Set.Make (Int)
@@ -473,21 +472,24 @@ let eventual t =
 
 let length t = t.len
 
-(* The delta of [j] is [row(j) \ row(prev) \ {prev}], a word at a time,
-   read off the rows in place. *)
+(* The delta of [j] is [row(j) \ row(prev) \ {prev}]: the [i] whose
+   first visible event at [j]'s replica is [j] itself, less [prev]. One
+   bucket per event, filled by [fv] in descending [i], so ascending. *)
 let iter_deltas a f =
-  let last = Hashtbl.create 8 in
-  let delta = Bitset.create (Abstract.length a) in
-  for j = 0 to Abstract.length a - 1 do
+  let len = Abstract.length a and n = Abstract.n_replicas a in
+  let buckets = Array.make len [] in
+  for i = len - 1 downto 0 do
+    for r = 0 to n - 1 do
+      let j = Abstract.first_vis a i r in
+      if j < len then buckets.(j) <- i :: buckets.(j)
+    done
+  done;
+  let last = Array.make n (-1) in
+  for j = 0 to len - 1 do
     let d = Abstract.event a j in
-    Abstract.row_into ~dst:delta a j;
-    (match Hashtbl.find_opt last d.Event.replica with
-    | Some p ->
-      Abstract.diff_row_into ~dst:delta a p;
-      Bitset.clear delta p
-    | None -> ());
-    Hashtbl.replace last d.Event.replica j;
-    f d (Bitset.to_list delta)
+    let p = last.(d.Event.replica) in
+    last.(d.Event.replica) <- j;
+    f d (if p < 0 then buckets.(j) else List.filter (fun i -> i <> p) buckets.(j))
   done
 
 let check ~spec_of a =

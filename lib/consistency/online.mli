@@ -108,8 +108,9 @@ val length : t -> int
 val iter_deltas : Abstract.t -> (Event.do_event -> int list -> unit) -> unit
 (** The deltas of an abstract execution, in [H] order: for each event
     [j], the members of its row outside its replica's previous event and
-    that event's row, computed as [row(j) \ row(prev) \ {prev}] a word
-    at a time. Costs O(m²/63) words for [m] events; for executions that
+    that event's row, ascending: the [i] with
+    [Abstract.first_vis a i (replica j) = j], less [prev]. One bucket
+    pass, O(N·n) for [N] events over [n] replicas; for executions that
     were not recorded as deltas. *)
 
 val check : spec_of:(int -> Spec.t) -> Abstract.t -> (unit, string) result * (unit, string) result

@@ -129,9 +129,23 @@ let check_reference a =
    reference passes, and a fast failure re-runs the reference checker both
    to confirm and to produce the same witness message it always produced. *)
 
+(* Row [j] is its replica's previous event [p], [p]'s row and [j]'s
+   delta: one row copy per event, where reading each row off the
+   first-visibility table would cost O(N). *)
 let build_rows a =
   let len = Abstract.length a in
-  Array.init len (fun e -> Abstract.vis_row a e)
+  let rows = Array.make len (Bitset.create 0) in
+  let last = Array.make (Abstract.n_replicas a) (-1) in
+  let j = ref 0 in
+  Online.iter_deltas a (fun d delta ->
+      let p = last.(d.Event.replica) in
+      let row = if p < 0 then Bitset.create len else Bitset.copy rows.(p) in
+      if p >= 0 then Bitset.set row p;
+      List.iter (Bitset.set row) delta;
+      rows.(!j) <- row;
+      last.(d.Event.replica) <- !j;
+      incr j);
+  rows
 
 let build_seen rows =
   let len = Array.length rows in

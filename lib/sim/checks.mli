@@ -9,17 +9,18 @@
     One core computes every report, from one
     {!Haec_consistency.Online} pass over the witness deltas in [H] order:
     [correct], [causal], [occ] (over the closed pasts, never a
-    transitive closure) and [eventual] (over the raw rows) with
+    transitive closure) and [eventual] (over the raw witness) with
     per-replica state, and [complies] from the do events fed per
     replica. No check reads a visibility row. A caller that recorded
     the deltas calls {!validate_deltas} ([Chaos.run_plan], [simulate]
     and the experiment harness, through {!Runner.Make.witness_deltas})
     and never builds the witness; every other caller ([audit], [replay],
     [serve --check]) calls {!validate}, which reads the deltas
-    off the witness rows by {!Haec_consistency.Online.iter_deltas}. The
+    off the witness's first-visibility table by
+    {!Haec_consistency.Online.iter_deltas}. The
     batch checkers of [Haec_spec] and [Haec_consistency] (operation
     contexts over the witness and its closure, OCC over the closure, a
-    scan of the witness rows for eventual visibility, compliance against
+    scan of the witness for eventual visibility, compliance against
     [H]) give the same report field by field and are the reference the
     tests hold this one to. *)
 

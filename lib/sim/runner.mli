@@ -24,8 +24,9 @@
     keys, and only the delta is resolved to do indices ({!Witness.record}).
     Contract: {!witness_abstract} is exactly the abstract execution that
     resolving every full witness would give, because
-    {!Haec_spec.Abstract.create} unions each row with the previous row of
-    the same replica and every dropped update is already there. The
+    in {!Haec_spec.Abstract.create} each event sees what the previous
+    event of the same replica sees, and every dropped update is already
+    there. The
     delta also drives visibility-lag telemetry: each of its entries is
     one first-time (update, observer) pair.
 

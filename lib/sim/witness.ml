@@ -150,8 +150,4 @@ let iter t f =
   done
 
 let abstract t ~n =
-  let vis = ref [] in
-  for j = t.len - 1 downto 0 do
-    List.iter (fun i -> vis := (i, j) :: !vis) t.deltas.(j)
-  done;
-  Haec_spec.Abstract.create ~n (Array.sub t.dos 0 t.len) ~vis:!vis
+  Haec_spec.Abstract.of_deltas ~n (Array.sub t.dos 0 t.len) ~delta:(Array.get t.deltas)

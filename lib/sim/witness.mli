@@ -6,8 +6,8 @@
     to an operation, which for the causal stores is every update the
     replica has ever incorporated (as one frontier per object). The
     witness abstract execution does
-    not need that: {!Haec_spec.Abstract.create} unions each event's row
-    with the row of the previous event at the same replica (conditions
+    not need that: in {!Haec_spec.Abstract.create} each event sees what
+    the previous event at the same replica sees (conditions
     (1) and (2) of Definition 4), so an event only has to contribute the
     updates its replica had not already witnessed at an earlier do
     event. Recording proceeds in two stages:
@@ -15,15 +15,15 @@
     - {b at the replica}, a {!seen} filter strips a witness down to the
       [(obj, dot)] keys this replica sees for the first time ({!fresh});
     - {b in execution order}, {!record} resolves those keys against the
-      dots earlier do events issued and collects the [(i, j)] visibility
-      edges.
+      dots earlier do events issued, giving event [j]'s delta: the
+      earlier events [j] sees first at its replica.
 
     Because the filter also marks the replica's own update dots,
     its own earlier updates never reappear — program order covers them.
     The resulting {!abstract} is exactly the one obtained by resolving
     every full witness: a key dropped from event [j]'s witness was in
     the witness of some earlier event at the same replica, hence already
-    in [j]'s inherited row. The per-replica delta is also exactly the
+    seen by [j]. The per-replica delta is also exactly the
     set of "first time this observer witnesses update [i]" pairs that
     visibility-lag telemetry needs. *)
 
@@ -63,8 +63,8 @@ val fresh : seen -> obj:int -> Haec_store.Store_intf.witness -> delta
 
 type t
 (** The do events recorded so far, their self dots in a table keyed on
-    [(obj, dot)] with a monomorphic hash, and the visibility edges
-    resolved from their deltas. *)
+    [(obj, dot)] with a monomorphic hash, and their deltas resolved to
+    do indices. *)
 
 val create : unit -> t
 
@@ -72,7 +72,7 @@ val record : t -> ?on_new:(int -> int -> unit) -> Event.do_event -> delta -> uni
 (** [record t d w] appends do event [d] at index [j], the number of do
     events recorded before it. Each
     key of [w.keys] (a {!fresh} delta) that resolves to an earlier do
-    event [i] adds the edge [(i, j)] and calls [on_new i obj]; keys no
+    event [i] adds [i] to [j]'s delta and calls [on_new i obj]; keys no
     earlier event issued are ignored. Then [w.self], if any, is
     registered as [d]'s dot on [d.obj]. *)
 
@@ -87,4 +87,6 @@ val iter : t -> (Event.do_event -> int list -> unit) -> unit
 
 val abstract : t -> n:int -> Haec_spec.Abstract.t
 (** The witness abstract execution over the recorded do events
-    ({!Haec_spec.Abstract.create}, validity checked). *)
+    ({!Haec_spec.Abstract.of_deltas}, validity checked): its
+    first-visibility table filled from the recorded deltas, with no edge
+    list built. *)

@@ -1,12 +1,14 @@
 open Haec_util
 open Haec_model
 
-type t = {
-  n : int;
-  h : Event.do_event array;
-  (* rows.(j) = set of i with i vis j *)
-  rows : Bitset.t array;
-}
+(* Conditions (1) and (2) of Definition 4 make the events at one replica
+   that see [i] a suffix of that replica's events, so [vis] is the first
+   of them: fv.(i * n + r) is the first do event at replica [r] that sees
+   event [i], [never] if none does, and [vis i j] iff
+   [fv.(i * n + replica j) <= j]. *)
+type t = { n : int; h : Event.do_event array; fv : int array }
+
+let never = max_int
 
 let n_replicas t = t.n
 
@@ -16,15 +18,25 @@ let event t i = t.h.(i)
 
 let events t = Array.copy t.h
 
-let vis t i j = Bitset.get t.rows.(j) i
+let first_vis t i r =
+  if r < 0 || r >= t.n then invalid_arg "Abstract.first_vis: replica out of range";
+  t.fv.((i * t.n) + r)
 
-let vis_preds t j = Bitset.to_list t.rows.(j)
+let vis t i j = t.fv.((i * t.n) + t.h.(j).Event.replica) <= j
 
-let vis_row t j = Bitset.copy t.rows.(j)
+let vis_preds t j =
+  let acc = ref [] in
+  for i = Array.length t.h - 1 downto 0 do
+    if vis t i j then acc := i :: !acc
+  done;
+  !acc
 
-let row_into ~dst t j = Bitset.copy_into ~dst t.rows.(j)
-
-let diff_row_into ~dst t j = Bitset.diff_into ~dst t.rows.(j)
+let vis_row t j =
+  let row = Bitset.create (Array.length t.h) in
+  for i = 0 to Array.length t.h - 1 do
+    if vis t i j then Bitset.set row i
+  done;
+  row
 
 let vis_pairs t =
   let acc = ref [] in
@@ -33,76 +45,71 @@ let vis_pairs t =
   done;
   !acc
 
+(* (1) and (2) hold by construction, so only (3) can fail: [i] is seen at
+   or before itself. The first offending row is the least [fv(i, r) <= i]
+   over all [(i, r)], and its least member the least such [i]. *)
 let check_valid t =
-  let len = Array.length t.h in
-  let exception Bad of string in
-  (* Conditions (1) and (2) of Definition 4 are chains along each replica's
-     program order, so checking each event against its immediate
-     same-replica predecessor suffices. *)
-  let last_at = Hashtbl.create 8 in
-  try
-    for j = 0 to len - 1 do
-      (* (3) vis respects H order; no self-visibility. *)
-      (match Bitset.min_elt_from t.rows.(j) j with
-      | Some i -> raise (Bad (Printf.sprintf "vis (%d,%d) does not respect H order" i j))
-      | None -> ());
-      let r = t.h.(j).Event.replica in
-      (match Hashtbl.find_opt last_at r with
-      | Some i ->
-        (* (1) same-replica precedence implies vis *)
-        if not (Bitset.get t.rows.(j) i) then
-          raise (Bad (Printf.sprintf "same-replica events %d,%d not vis-related" i j));
-        (* (2) visibility persists at a replica *)
-        if not (Bitset.is_subset t.rows.(i) t.rows.(j)) then
-          raise (Bad (Printf.sprintf "visibility not persistent between %d and %d" i j))
-      | None -> ());
-      Hashtbl.replace last_at r j
-    done;
-    Ok ()
-  with Bad m -> Error m
+  let bad = ref None in
+  Array.iteri
+    (fun k j ->
+      let i = k / t.n in
+      if j <= i then
+        match !bad with
+        | Some (j', i') when (j', i') <= (j, i) -> ()
+        | Some _ | None -> bad := Some (j, i))
+    t.fv;
+  match !bad with
+  | None -> Ok ()
+  | Some (j, i) -> Error (Printf.sprintf "vis (%d,%d) does not respect H order" i j)
 
-let create_unchecked ~n h ~vis =
-  if n <= 0 then invalid_arg "Abstract.create: n must be positive";
+(* Lowers [fv(i, r_j)] to [j]: the edge [(i, j)]. *)
+let lower ~n h fv i j =
   let len = Array.length h in
-  let rows = Array.init len (fun _ -> Bitset.create len) in
-  List.iter
-    (fun (i, j) ->
-      if i < 0 || i >= len || j < 0 || j >= len then
-        invalid_arg "Abstract.create: vis index out of range";
-      Bitset.set rows.(j) i)
-    vis;
-  (* Condition (1) of Definition 4 holds in every abstract execution, so we
-     bake it in rather than forcing every caller to enumerate program order. *)
-  let last_at = Hashtbl.create 8 in
+  if i < 0 || i >= len || j < 0 || j >= len then
+    invalid_arg "Abstract.create: vis index out of range";
+  let k = (i * n) + h.(j).Event.replica in
+  if j < fv.(k) then fv.(k) <- j
+
+(* [edges f] calls [f i j] for each given edge; then condition (1) lets
+   each event see its replica's previous one. *)
+let build ~n h edges =
+  if n <= 0 then invalid_arg "Abstract.create: n must be positive";
+  Array.iter
+    (fun (d : Event.do_event) ->
+      if d.Event.replica < 0 || d.Event.replica >= n then
+        invalid_arg "Abstract.create: replica out of range")
+    h;
+  let fv = Array.make (Array.length h * n) never in
+  edges (lower ~n h fv);
+  let last_at = Array.make n (-1) in
   Array.iteri
     (fun j (d : Event.do_event) ->
-      (match Hashtbl.find_opt last_at d.Event.replica with
-      | Some i ->
-        Bitset.set rows.(j) i;
-        (* inherit everything visible at the previous same-replica event,
-           enforcing condition (2) by construction *)
-        Bitset.union_into ~dst:rows.(j) rows.(i)
-      | None -> ());
-      Hashtbl.replace last_at d.Event.replica j)
+      let r = d.Event.replica in
+      if last_at.(r) >= 0 then lower ~n h fv last_at.(r) j;
+      last_at.(r) <- j)
     h;
-  { n; h = Array.copy h; rows }
+  { n; h = Array.copy h; fv }
 
-let create ~n h ~vis =
-  let t = create_unchecked ~n h ~vis in
-  match check_valid t with
-  | Ok () -> t
-  | Error m -> invalid_arg ("Abstract.create: " ^ m)
+let validated t =
+  match check_valid t with Ok () -> t | Error m -> invalid_arg ("Abstract.create: " ^ m)
+
+let of_edges vis f = List.iter (fun (i, j) -> f i j) vis
+
+let create_unchecked ~n h ~vis = build ~n h (of_edges vis)
+
+let create ~n h ~vis = validated (create_unchecked ~n h ~vis)
+
+let of_deltas ~n h ~delta =
+  validated
+    (build ~n h (fun f ->
+         for j = 0 to Array.length h - 1 do
+           List.iter (fun i -> f i j) (delta j)
+         done))
 
 let prefix t m =
   if m < 0 || m > Array.length t.h then invalid_arg "Abstract.prefix";
-  let h = Array.sub t.h 0 m in
-  let rows =
-    Array.init m (fun j ->
-        let row = Bitset.create m in
-        Bitset.iter t.rows.(j) (fun i -> if i < m then Bitset.set row i);
-        row)
-  in
-  { n = t.n; h; rows }
+  let fv = Array.init (m * t.n) (fun k -> if t.fv.(k) < m then t.fv.(k) else never) in
+  { t with h = Array.sub t.h 0 m; fv }
 
 let equal_do (a : Event.do_event) (b : Event.do_event) =
   a.Event.replica = b.Event.replica
@@ -124,24 +131,21 @@ let equal_equivalent a b =
   in
   replicas_equal 0
 
-(* Restriction of H to the indices in [idx] (ascending), with vis projected.
-   Vis respects H order, so a member's row can only hold earlier members:
-   testing those bits of its full row costs O(m²) for m members, however
-   long [t] is, where walking every set bit of the full rows would grow
-   with the whole execution. *)
+(* Restriction of H to the indices in [idx] (ascending), with the pairs
+   of vis that respect the new order. Descending [new_j], each member
+   that sees [new_i] becomes its first visible event at its replica: one
+   test per pair, O(m²) for m members however long [t] is. *)
 let restrict t idx =
-  let m = Array.length idx in
+  let m = Array.length idx and n = t.n in
   let h = Array.map (fun old_i -> t.h.(old_i)) idx in
-  let rows =
-    Array.init m (fun new_j ->
-        let row = Bitset.create m in
-        let full = t.rows.(idx.(new_j)) in
-        for new_i = 0 to new_j - 1 do
-          if Bitset.get full idx.(new_i) then Bitset.set row new_i
-        done;
-        row)
-  in
-  { n = t.n; h; rows }
+  let fv = Array.make (m * n) never in
+  for new_j = m - 1 downto 0 do
+    let r = h.(new_j).Event.replica in
+    for new_i = 0 to new_j - 1 do
+      if vis t idx.(new_i) idx.(new_j) then fv.((new_i * n) + r) <- new_j
+    done
+  done;
+  { n; h; fv }
 
 let restrict_object t o =
   let acc = ref [] in
@@ -151,58 +155,38 @@ let restrict_object t o =
 
 let context t e =
   let o = t.h.(e).Event.obj in
-  let members = ref [] in
+  let members = ref [ e ] in
   for i = e - 1 downto 0 do
-    if t.h.(i).Event.obj = o && Bitset.get t.rows.(e) i then members := i :: !members
+    if t.h.(i).Event.obj = o && vis t i e then members := i :: !members
   done;
-  let idx = Array.of_list (!members @ [ e ]) in
-  let sub = restrict t idx in
-  (sub, Array.length idx - 1)
+  let idx = Array.of_list !members in
+  (restrict t idx, Array.length idx - 1)
 
-let is_transitive t =
-  let len = Array.length t.h in
-  let ok = ref true in
-  (for j = 0 to len - 1 do
-     (* every predecessor's row must be contained in j's row *)
-     Bitset.iter t.rows.(j) (fun i ->
-         if not (Bitset.is_subset t.rows.(i) t.rows.(j)) then ok := false)
-   done);
-  !ok
-
+(* Whatever sees an event transitively also sees its same-replica
+   predecessors, so whatever [i] reaches through replica [s] it reaches
+   through [fv(i, s)]: [fvc(i, r) = min(fv(i, r), min over s of
+   fvc(fv(i, s), r))]. Vis respects H order, so [fv(i, s) > i] and one
+   descending pass computes it. *)
 let transitive_closure t =
-  let len = Array.length t.h in
-  let rows = Array.map Bitset.copy t.rows in
-  (* Events are topologically ordered by H (vis respects H order), so one
-     ascending pass computes the closure: every row below [j] is closed
-     when [j] is reached. By condition (1) the previous event [p] at
-     [j]'s replica is in [j]'s row, so [p] and its closed row are in
-     [j]'s closure, and so is the closed row of every member of it. Only
-     the members of [j]'s row outside it are visited, newest first: one
-     already inside a closed row unioned earlier adds nothing. *)
-  let last_at = Hashtbl.create 8 in
-  let fresh = Bitset.create len in
-  for j = 0 to len - 1 do
-    let r = t.h.(j).Event.replica in
-    Bitset.copy_into ~dst:fresh t.rows.(j);
-    let reached =
-      match Hashtbl.find_opt last_at r with
-      | Some p when Bitset.get t.rows.(j) p ->
-        let reached = Bitset.copy rows.(p) in
-        Bitset.set reached p;
-        Bitset.diff_into ~dst:fresh reached;
-        reached
-      | Some _ | None -> Bitset.create len
-    in
-    Bitset.iter_rev fresh (fun i ->
-        if not (Bitset.get reached i) then Bitset.union_into ~dst:reached rows.(i));
-    Bitset.union_into ~dst:rows.(j) reached;
-    Hashtbl.replace last_at r j
+  let n = t.n in
+  let fv = Array.copy t.fv in
+  for i = Array.length t.h - 1 downto 0 do
+    for s = 0 to n - 1 do
+      let k = t.fv.((i * n) + s) in
+      if k <> never && k > i then
+        for r = 0 to n - 1 do
+          if fv.((k * n) + r) < fv.((i * n) + r) then fv.((i * n) + r) <- fv.((k * n) + r)
+        done
+    done
   done;
-  { t with rows }
+  { t with fv }
+
+let is_transitive t = (transitive_closure t).fv = t.fv
 
 let add_vis t pairs =
-  let existing = vis_pairs t in
-  create ~n:t.n t.h ~vis:(existing @ pairs)
+  let fv = Array.copy t.fv in
+  of_edges pairs (lower ~n:t.n t.h fv);
+  validated { t with fv }
 
 let writes_visible_to t j =
   let o = t.h.(j).Event.obj in

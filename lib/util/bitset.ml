@@ -55,12 +55,6 @@ let inter_into ~dst src =
     dst.words.(w) <- dst.words.(w) land src.words.(w)
   done
 
-let diff_into ~dst src =
-  if dst.cap <> src.cap then invalid_arg "Bitset.diff_into: capacity mismatch";
-  for w = 0 to Array.length dst.words - 1 do
-    dst.words.(w) <- dst.words.(w) land lnot src.words.(w)
-  done
-
 let intersects a b =
   if a.cap <> b.cap then invalid_arg "Bitset.intersects: capacity mismatch";
   let hit = ref false in

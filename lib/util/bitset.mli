@@ -1,8 +1,7 @@
 (** Fixed-capacity mutable bitsets.
 
-    Visibility relations over abstract executions are stored as one bitset
-    row per event, which keeps the transitivity and OCC checks cheap even
-    for executions with thousands of events. *)
+    The reference checkers materialise visibility rows as bitsets, which
+    keeps their row unions and subset tests a word at a time. *)
 
 type t
 
@@ -33,10 +32,6 @@ val copy_into : dst:t -> t -> unit
 
 val inter_into : dst:t -> t -> unit
 (** [inter_into ~dst src] ands [src] into [dst]. Requires equal capacity. *)
-
-val diff_into : dst:t -> t -> unit
-(** [diff_into ~dst src] clears in [dst] every bit set in [src].
-    Requires equal capacity. *)
 
 val intersects : t -> t -> bool
 (** Whether the two sets share any element, word-parallel. *)

@@ -58,11 +58,11 @@ module Recording (S : Store_intf.S) : Store_intf.S = struct
   let receive t ~sender payload = { t with inner = S.receive t.inner ~sender payload }
 end
 
-(* The full-list assembly over [dos] (in H order): the abstract execution
+(* The full-list assembly over [dos] (in H order): the visibility edges
    from every witness resolved against the final dot table, and the
    (update, observer) pairs in the order the runner first saw each, with
    dots resolved as of the observing operation. *)
-let reference ~n (dos : Event.do_event array) =
+let reference_edges (dos : Event.do_event array) =
   let pending = Hashtbl.create 8 in
   let wits =
     Array.map
@@ -103,7 +103,12 @@ let reference ~n (dos : Event.do_event array) =
         (Store_intf.visible_keys wits.(j));
       Option.iter (fun k -> Hashtbl.replace so_far k j) (self_key j))
     dos;
-  (Abstract.create ~n dos ~vis:!vis, List.rev !firsts)
+  (!vis, List.rev !firsts)
+
+(* ... and the abstract execution they give *)
+let reference ~n dos =
+  let vis, firsts = reference_edges dos in
+  (Abstract.create ~n dos ~vis, firsts)
 
 let pairs = Alcotest.(list (pair int int))
 
@@ -631,11 +636,11 @@ let deltas_of (module S : Store_intf.S) ~mix () =
         let sim = D.run ~mix ~churn ~spans:false ~seed in
         let wit = D.R.witness_abstract sim in
         let name = Printf.sprintf "%s seed %d%s" S.name seed (if churn then " churn" else "") in
-        let words = collect (Online.iter_deltas wit) in
-        if words <> reference_deltas wit then
-          Alcotest.failf "%s: word-wise deltas differ from the bit-test reference" name;
-        if words <> collect (D.R.witness_deltas sim) then
-          Alcotest.failf "%s: word-wise deltas differ from the recorded deltas" name
+        let table = collect (Online.iter_deltas wit) in
+        if table <> reference_deltas wit then
+          Alcotest.failf "%s: table deltas differ from the bit-test reference" name;
+        if table <> collect (D.R.witness_deltas sim) then
+          Alcotest.failf "%s: table deltas differ from the recorded deltas" name
       done)
     [ false; true ]
 
@@ -682,6 +687,6 @@ let suite =
         online_verdicts_decoupled;
       Alcotest.test_case "online: a run_inline capture gives the batch report" `Quick
         online_run_inline;
-      Alcotest.test_case "online: word-wise deltas equal the bit-test and recorded deltas" `Quick
+      Alcotest.test_case "online: table deltas equal the bit-test and recorded deltas" `Quick
         deltas_match;
     ] )
