@@ -44,26 +44,25 @@ let sample_update =
     value = Value.Pair (3000, 3);
   }
 
-(* The wire/encode-update and wire/decode-update rows are pinned to frame
-   version v1, so they keep measuring the same codec as the seed
-   baseline; the v2 chooser/compressed paths get their own -v2 rows
-   below. *)
-let encode_sample wire () =
-  Wire.encode (fun e -> Store.Mvr_object.encode_update ~wire e sample_update)
-
-let bench_wire_encode =
-  Test.make ~name:"wire/encode-update" (Staged.stage (encode_sample Wire.Version.V1))
-
-let encoded_update = encode_sample Wire.Version.V1 ()
+(* The wire/decode-update row decodes the v1 layout (plain varint clock),
+   which replicas no longer emit but every decoder still accepts, so it
+   keeps measuring the same codec as the seed baseline; the v2 paths get
+   their own -v2 rows below. *)
+let encoded_update =
+  Wire.encode (fun e ->
+      Vclock.encode e sample_update.vv;
+      Clock.Dot.encode e sample_update.dot;
+      Value.encode e sample_update.value)
 
 let bench_wire_decode =
   Test.make ~name:"wire/decode-update"
     (Staged.stage (fun () -> Wire.decode encoded_update Store.Mvr_object.decode_update))
 
-let encoded_update_v2 = encode_sample Wire.Version.V2 ()
+let encode_sample () = Wire.encode (fun e -> Store.Mvr_object.encode_update e sample_update)
 
-let bench_wire_encode_v2 =
-  Test.make ~name:"wire/encode-update-v2" (Staged.stage (encode_sample Wire.Version.V2))
+let encoded_update_v2 = encode_sample ()
+
+let bench_wire_encode_v2 = Test.make ~name:"wire/encode-update-v2" (Staged.stage encode_sample)
 
 let bench_wire_decode_v2 =
   Test.make ~name:"wire/decode-update-v2"
@@ -299,14 +298,13 @@ let tests_fast =
       bench_state_join;
       bench_vclock_merge;
       bench_vclock_compare;
-      bench_wire_encode;
       bench_wire_decode;
       bench_mvr_write;
       bench_mvr_read;
     ]
 
-(* wire-v2 codec rows: same budget as the fast group, encoding with v2
-   so the compressed-clock chooser is on the path *)
+(* wire-v2 codec rows: same budget as the fast group, with the
+   compressed-clock chooser on the encode path *)
 let tests_fast_v2 =
   Test.make_grouped ~name:"haec"
     [ bench_wire_encode_v2; bench_wire_decode_v2; bench_vclock_encode_c ]
@@ -412,17 +410,10 @@ let abstract_json ~quick =
 let gossip_json ~quick =
   let module Json = Haec.Obs.Json in
   let seeds n = List.init (if quick then 4 else 12) (fun i -> i + n) in
-  (* each store runs the same seeds twice: once per wire version, so the
-     delta-state machinery's byte savings are a row-to-row diff in the
-     same artifact (E24 charts the same comparison against the Theorem 12
-     floor). The version is part of the replica config the sweep runs
-     under. *)
-  let entry label version (module S : Haec.Store.Store_intf.S) require spec mix
-      first_seed =
+  let entry label (module S : Haec.Store.Store_intf.S) require spec mix first_seed =
     let module C = Haec.Sim.Chaos.Make (S) in
     let outcomes =
       C.run_seeds ~spec_of:(fun _ -> spec) ~mix ~require ~adversarial:true
-        ~config:{ Haec.Sim.Chaos.default_config with wire = version }
         ~seeds:(seeds first_seed) ()
     in
     let runs = List.length outcomes in
@@ -443,8 +434,7 @@ let gossip_json ~quick =
         digest_b := !digest_b + counter "gossip.digest_bytes";
         repair_b := !repair_b + counter "gossip.repair_bytes")
       outcomes;
-    ( Printf.sprintf "gossip/ae-%s-n3%s" label
-        (match version with Haec.Wire.Version.V1 -> "-v1" | V2 -> ""),
+    ( Printf.sprintf "gossip/ae-%s-n3" label,
       Json.Obj
         [
           ("converged", Json.Num (float_of_int !conv /. float_of_int runs));
@@ -456,14 +446,10 @@ let gossip_json ~quick =
         ] )
   in
   [
-    entry "mvr" Haec.Wire.Version.V2 (module Haec.Store.Mvr_store) `Correct
-      Haec.Spec.Spec.mvr Haec.Sim.Workload.register_mix 1;
-    entry "mvr" Haec.Wire.Version.V1 (module Haec.Store.Mvr_store) `Correct
-      Haec.Spec.Spec.mvr Haec.Sim.Workload.register_mix 1;
-    entry "causal" Haec.Wire.Version.V2 (module Haec.Store.Causal_mvr_store) `Causal
-      Haec.Spec.Spec.mvr Haec.Sim.Workload.register_mix 101;
-    entry "causal" Haec.Wire.Version.V1 (module Haec.Store.Causal_mvr_store) `Causal
-      Haec.Spec.Spec.mvr Haec.Sim.Workload.register_mix 101;
+    entry "mvr" (module Haec.Store.Mvr_store) `Correct Haec.Spec.Spec.mvr
+      Haec.Sim.Workload.register_mix 1;
+    entry "causal" (module Haec.Store.Causal_mvr_store) `Causal Haec.Spec.Spec.mvr
+      Haec.Sim.Workload.register_mix 101;
   ]
 
 (* ---------- live cluster throughput (E25 harness) ---------- *)
@@ -471,8 +457,7 @@ let gossip_json ~quick =
 (* Real domains on real cores (or, on a starved CI box, time-slicing one
    core — the rows record whatever the machine actually delivers):
    saturation ops/s, wall-clock visibility lag and payload bytes per
-   update, for the causal store at 1/2/4 domains and for v1 vs v2 wire
-   at 2 domains. No ns_per_run/r_square fields, so the fit gate and the
+   update, for the causal store at 1/2/4 domains. No ns_per_run/r_square fields, so the fit gate and the
    regression diff skip these rows; they ride in the same artifact for
    cross-commit eyeballing. *)
 let live_json ~quick =
@@ -484,15 +469,7 @@ let live_json ~quick =
   let module DStack = Sim.Stack.Durable (Store.Causal_mvr_store) in
   let module DC = Live.Cluster.Make (DStack) in
   let duration = if quick then 0.2 else 0.5 in
-  let run ?(version = Wire.Version.V2) ~n () =
-    C.run
-      {
-        Live.Cluster.default with
-        Live.Cluster.replicas = n;
-        duration;
-        stack = { Store.Store_intf.default with wire = version };
-      }
-  in
+  let run ~n () = C.run { Live.Cluster.default with Live.Cluster.replicas = n; duration } in
   let run_faulted ~n cfg_of =
     DC.run (cfg_of { Live.Cluster.default with Live.Cluster.replicas = n; duration })
   in
@@ -528,7 +505,6 @@ let live_json ~quick =
   [
     entry "live/causal-n1" (run ~n:1 ());
     entry "live/causal-n2" (run ~n:2 ());
-    entry "live/causal-n2-v1" (run ~version:Wire.Version.V1 ~n:2 ());
     entry "live/causal-n4" (run ~n:4 ());
     entry "live/causal-n2-drop1"
       (run_faulted ~n:2 (fun c -> { c with Live.Cluster.drop_p = 0.01 }));

@@ -31,7 +31,7 @@ let jobs_arg =
 
 let set_jobs = function Some j -> Util.Par.set_default_domains j | None -> ()
 
-(* ---------- replica configuration: wire version, anti-entropy tunables ---------- *)
+(* ---------- replica configuration: anti-entropy tunables ---------- *)
 
 (* one shared flag block for every command that builds replicas: it sets
    these fields of the command's base configuration, and cmdliner itself
@@ -46,15 +46,6 @@ let at_least_1 =
 
 let config_term =
   let d = Store.Store_intf.default in
-  let wire =
-    Arg.(
-      value
-      & opt (enum [ ("v1", Wire.Version.V1); ("v2", Wire.Version.V2) ]) d.wire
-      & info [ "wire" ] ~docv:"VERSION"
-          ~doc:
-            "Wire format every replica emits: v1|v2 (default v2). Decoders accept \
-             both; what a replica emits never depends on what it receives.")
-  in
   let repair_batch =
     Arg.(
       value
@@ -77,13 +68,13 @@ let config_term =
       & opt at_least_1 d.full_digest_every
       & info [ "full-digest-every" ] ~docv:"N"
           ~doc:
-            "Wire v2: emit an absolute digest every N gossip rounds, delta or \
+            "Anti-entropy: emit an absolute digest every N gossip rounds, delta or \
              elided digests in between (>= 1, default 4)")
   in
-  let mk wire repair_batch max_backoff full_digest_every (base : Store.Store_intf.config) =
-    { base with wire; repair_batch; max_backoff; full_digest_every }
+  let mk repair_batch max_backoff full_digest_every (base : Store.Store_intf.config) =
+    { base with repair_batch; max_backoff; full_digest_every }
   in
-  Term.(const mk $ wire $ repair_batch $ max_backoff $ full_digest_every)
+  Term.(const mk $ repair_batch $ max_backoff $ full_digest_every)
 
 (* ---------- experiment commands ---------- *)
 
@@ -397,11 +388,10 @@ let chaos_store (module S : Store.Store_intf.S) ~store_flag ~net ~config ~requir
             let c = r.Sim.Shrink.outcome.Sim.Chaos.config in
             Format.fprintf ppf
               "# minimal failing repro for store=%s seed=%d@.\
-               # replay: haec_cli chaos --store %s --net %s --wire %s --repair-batch %d \
+               # replay: haec_cli chaos --store %s --net %s --repair-batch %d \
                --max-backoff %d --full-digest-every %d --seed %d --runs 1 --replicas %d \
                --objects %d --ops %d --require %s%s%s --shrink@.%a@."
-              S.name seed store_flag (net_name_of net) (Wire.Version.name c.wire)
-              c.repair_batch c.max_backoff c.full_digest_every seed n objects ops
+              S.name seed store_flag (net_name_of net) c.repair_batch c.max_backoff c.full_digest_every seed n objects ops
               (match require with
               | `Converge -> "converge"
               | `Correct -> "correct"
@@ -1200,12 +1190,11 @@ let serve_store (module S : Store.Store_intf.S) ~require ~spec ~cfg ~capture_pat
   | Error msg -> `Error (false, msg)
   | Ok res ->
     let open Live.Cluster in
-    Format.printf "live store=%s replicas=%d duration=%.2fs rate=%s batch=%d wire=%s@."
+    Format.printf "live store=%s replicas=%d duration=%.2fs rate=%s batch=%d@."
       S.name res.cfg.replicas res.cfg.duration
       (if res.cfg.rate > 0.0 then Printf.sprintf "%.0f/s/replica" res.cfg.rate
        else "saturation")
-      res.cfg.batch
-      (Wire.Version.name res.cfg.stack.wire);
+      res.cfg.batch;
     Format.printf
       "ops=%d (%.0f ops/s aggregate over %.3fs) issued=%d updates=%d converged=%b \
        (drain %.3fs)@."

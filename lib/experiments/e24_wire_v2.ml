@@ -12,7 +12,12 @@
     store while staying at or above the floor. Part B repeats the E21
     adversarial anti-entropy runs under both versions: v2 must cut the
     digest+repair gossip bytes on the same fault schedules without
-    losing convergence. *)
+    losing convergence.
+
+    Replicas emit only v2 now, so the v1 rows are recorded data: the
+    values the same seeded runs printed when a replica could still be
+    configured to emit v1 (commit 2cb7357). The v2 rows run live and
+    are compared against them. *)
 
 open Haec
 module Telemetry = Sim.Telemetry
@@ -28,10 +33,9 @@ type probe = { k : int; bytes : int; max_bits : int; floor : float }
 module Probe (S : Store.Store_intf.S) = struct
   module R = Sim.Runner.Make (S)
 
-  let run ~version ~seed ~n ~objects ~ops mix =
-    let config = { Store.Store_intf.default with wire = version } in
+  let run ~seed ~n ~objects ~ops mix =
     let rng = Util.Rng.create seed in
-    let sim = R.create ~seed ~config ~n ~policy:(Sim.Net_policy.random_delay ()) () in
+    let sim = R.create ~seed ~n ~policy:(Sim.Net_policy.random_delay ()) () in
     let steps = Sim.Workload.generate ~rng ~n ~objects ~ops mix in
     Sim.Workload.run
       (fun ~replica ~obj op -> R.op sim ~replica ~obj op)
@@ -49,12 +53,15 @@ end
 
 let ratio p = float_of_int p.max_bits /. p.floor
 
-let probe_rows label probe ~n ~objects ~ops mix =
+(* the v1 run of each part A row, as recorded: (k, bytes, max msg bits)
+   on the same seed and workload, so k and the floor agree with v2 *)
+let recorded_v1 ~n ~objects (k, bytes, max_bits) =
+  { k; bytes; max_bits; floor = Telemetry.theorem12_floor_bits ~n ~s:objects ~k }
+
+let probe_rows label probe ~v1 ~n ~objects ~ops mix =
   let seed = 2400 + n in
-  let v1 = probe ~version:Wire.Version.V1 ~seed ~n ~objects ~ops mix in
-  let v2 = probe ~version:Wire.Version.V2 ~seed ~n ~objects ~ops mix in
-  (* same seed, same workload: only the wire encoding differs, so k and
-     the floor agree between the two runs *)
+  let v1 = recorded_v1 ~n ~objects v1 in
+  let v2 = probe ~seed ~n ~objects ~ops mix in
   let row version p smaller =
     [
       label;
@@ -94,11 +101,10 @@ let counter metrics name =
 
 type ae = { conv : int; digest : int; repair : int; deltas : int; elided : int; lat : float }
 
-let ae_probe version (module S : Store.Store_intf.S) require spec mix =
+let ae_probe (module S : Store.Store_intf.S) require spec mix =
   let module C = Sim.Chaos.Make (S) in
   let outcomes =
-    C.run_seeds ~ops:ae_ops ~spec_of:(fun _ -> spec) ~mix ~require ~adversarial:true
-      ~config:{ Sim.Chaos.default_config with wire = version } ~seeds ()
+    C.run_seeds ~ops:ae_ops ~spec_of:(fun _ -> spec) ~mix ~require ~adversarial:true ~seeds ()
   in
   List.fold_left
     (fun a o ->
@@ -116,9 +122,14 @@ let ae_probe version (module S : Store.Store_intf.S) require spec mix =
 
 let a_converged a = a.conv = List.length seeds
 
-let ae_rows label (module S : Store.Store_intf.S) require spec mix =
-  let v1 = ae_probe Wire.Version.V1 (module S : Store.Store_intf.S) require spec mix in
-  let v2 = ae_probe Wire.Version.V2 (module S : Store.Store_intf.S) require spec mix in
+(* the v1 sweep of each part B row, as recorded over the same seeds;
+   [lat] is the mean repair latency at the table's two decimals *)
+let recorded_ae (conv, digest, repair, lat) =
+  { conv; digest; repair; deltas = 0; elided = 0; lat = lat *. float_of_int (List.length seeds) }
+
+let ae_rows label (module S : Store.Store_intf.S) ~v1 require spec mix =
+  let v1 = recorded_ae v1 in
+  let v2 = ae_probe (module S : Store.Store_intf.S) require spec mix in
   let runs = List.length seeds in
   let total a = a.digest + a.repair in
   let per_op a = float_of_int (total a) /. float_of_int (runs * ae_ops) in
@@ -151,10 +162,14 @@ let run ppf =
         (* enough ops that clock entries outgrow one-byte varints: that is
            the regime where bit-packing beats the raw array and the ratio
            must drop; below it raw is already optimal and v1 = v2 *)
-        probe_rows "mvr-causal" P_causal.run ~n:6 ~objects:3 ~ops:5400 reg;
-        probe_rows "causal-reg" P_reg.run ~n:6 ~objects:3 ~ops:5400 reg;
-        probe_rows "mvr-cops-deps" P_cops.run ~n:6 ~objects:3 ~ops:5400 reg;
-        probe_rows "orset-causal" P_orset.run ~n:6 ~objects:3 ~ops:5400 set;
+        probe_rows "mvr-causal" P_causal.run ~v1:(462, 76879, 296) ~n:6 ~objects:3
+          ~ops:5400 reg;
+        probe_rows "causal-reg" P_reg.run ~v1:(462, 63992, 216) ~n:6 ~objects:3 ~ops:5400
+          reg;
+        probe_rows "mvr-cops-deps" P_cops.run ~v1:(462, 62055, 296) ~n:6 ~objects:3
+          ~ops:5400 reg;
+        probe_rows "orset-causal" P_orset.run ~v1:(577, 73346, 512) ~n:6 ~objects:3
+          ~ops:5400 set;
       ]
   in
   Tables.print ppf ~title
@@ -167,10 +182,14 @@ let run ppf =
   let b_rows =
     List.concat
       [
-        ae_rows "mvr-eager" (module Store.Mvr_store) `Correct Spec.Spec.mvr reg;
-        ae_rows "mvr-causal" (module Store.Causal_mvr_store) `Causal Spec.Spec.mvr reg;
-        ae_rows "mvr-cops-deps" (module Store.Cops_store) `Causal Spec.Spec.mvr reg;
-        ae_rows "orset" (module Store.Orset_store) `Correct Spec.Spec.orset set;
+        ae_rows "mvr-eager" (module Store.Mvr_store) ~v1:(6, 2345, 25056, 0.47) `Correct
+          Spec.Spec.mvr reg;
+        ae_rows "mvr-causal" (module Store.Causal_mvr_store) ~v1:(6, 2345, 35717, 0.30)
+          `Causal Spec.Spec.mvr reg;
+        ae_rows "mvr-cops-deps" (module Store.Cops_store) ~v1:(6, 2345, 34854, 0.47) `Causal
+          Spec.Spec.mvr reg;
+        ae_rows "orset" (module Store.Orset_store) ~v1:(6, 2510, 20791, 1.74) `Correct
+          Spec.Spec.orset set;
       ]
   in
   Tables.print ppf
@@ -204,6 +223,6 @@ let run ppf =
   Tables.note ppf
     "time from the last heal to quiescence (the bench's sim.repair_latency).";
   Tables.note ppf
-    "Reproduce: haec_cli chaos --wire v1";
+    "The v1 rows are recorded from commit 2cb7357, the last that emitted";
   Tables.note ppf
-    "--adversarial (then --wire v2, same seeds)."
+    "v1. Reproduce the v2 rows: haec_cli chaos --adversarial."

@@ -5,12 +5,13 @@
     one measures the same store stack (causal MVR wrapped in
     anti-entropy) on real parallel hardware: aggregate throughput
     against domain count, wall-clock visibility lag (the live analogue
-    of Definition 17), and payload bytes per update for v1 vs v2 wire —
-    with the largest frame still checked against the Theorem 12 floor
+    of Definition 17), and payload bytes per update on wire v2 — with
+    the largest frame still checked against the Theorem 12 floor
     min{n-2, s-1} * lg k, which binds any causal implementation, live
     or simulated. Numbers depend on the machine (core count, load); the
-    structural claims — convergence, frames >= the floor, v2 <= v1
-    bytes — do not. *)
+    structural claims — convergence, frames >= the floor — do not. The
+    last v1 rows, from when a replica could still emit v1, are kept as
+    text in EXPERIMENTS.md. *)
 
 open Haec
 module Telemetry = Sim.Telemetry
@@ -26,19 +27,11 @@ let duration = 0.2
 
 let objects = 8
 
-let run_one ~version ~n =
-  C.run
-    {
-      Live.Cluster.default with
-      Live.Cluster.replicas = n;
-      objects;
-      duration;
-      stack = { Store.Store_intf.default with wire = version };
-    }
+let run_one ~n = C.run { Live.Cluster.default with Live.Cluster.replicas = n; objects; duration }
 
 let fmt_ms f = if Float.is_nan f then "-" else Tables.f2 f
 
-let row ~version (res : Live.Cluster.result) =
+let row (res : Live.Cluster.result) =
   let open Live.Cluster in
   let n = res.cfg.replicas in
   let p50, p95, p99 = Obs.Metrics.Histogram.percentiles res.lag_ms in
@@ -52,7 +45,7 @@ let row ~version (res : Live.Cluster.result) =
   in
   let max_bits = 8 * res.max_payload_bytes in
   [
-    Wire.Version.name version;
+    "v2";
     string_of_int n;
     string_of_int res.total_ops;
     Printf.sprintf "%.0f" res.ops_per_sec;
@@ -72,14 +65,7 @@ let row ~version (res : Live.Cluster.result) =
   ]
 
 let run ppf =
-  let rows =
-    List.concat_map
-      (fun n ->
-        List.map
-          (fun version -> row ~version (run_one ~version ~n))
-          [ Wire.Version.V2; Wire.Version.V1 ])
-      [ 1; 2; 4 ]
-  in
+  let rows = List.map (fun n -> row (run_one ~n)) [ 1; 2; 4 ] in
   Tables.print ppf ~title
     ~header:
       [
@@ -99,13 +85,11 @@ let run ppf =
   Tables.note ppf
     "wall-clock issue-to-applied (Definition 17's live analogue); ops/s";
   Tables.note ppf
-    "and lag depend on the machine, but every run must converge, v2 must";
+    "and lag depend on the machine, but every run must converge, and at";
   Tables.note ppf
-    "not exceed v1 payload bytes per update, and at n >= 3 the largest";
+    "n >= 3 the largest frame must clear the Theorem 12 floor";
   Tables.note ppf
-    "frame must clear the Theorem 12 floor min{n-2, s-1} * lg k — the";
+    "min{n-2, s-1} * lg k — the bound holds for real executions exactly as";
   Tables.note ppf
-    "bound holds for real executions exactly as for simulated ones.";
-  Tables.note ppf
-    "Reproduce: haec_cli serve --store causal -n 4 --duration 0.2 (and";
-  Tables.note ppf "--wire v1); bench/main.exe -- --micro --live."
+    "for simulated ones. Reproduce: haec_cli serve --store causal -n 4";
+  Tables.note ppf "--duration 0.2; bench/main.exe -- --micro --live."

@@ -744,7 +744,12 @@ module Make (S : STACK) = struct
 
   let run cfg =
     validate cfg;
-    if cfg.duration <= 0.0 then invalid_arg "Cluster.run: duration must be > 0";
+    (* a NaN fails every comparison, so test finiteness first: a NaN
+       duration would end the load phase at once, an infinite one never *)
+    if (not (Float.is_finite cfg.duration)) || cfg.duration <= 0.0 then
+      invalid_arg "Cluster.run: duration must be finite and > 0";
+    if (not (Float.is_finite cfg.rate)) || cfg.rate < 0.0 then
+      invalid_arg "Cluster.run: rate must be finite and >= 0 (0 = saturation)";
     let n = cfg.replicas in
     let faults =
       match (cfg.faults, cfg.drop_p > 0.0) with

@@ -77,8 +77,8 @@ type config = {
           [0.] = automatic ([max 10 (5 * duration)], the no-fault drain
           deadline) *)
   stack : Haec_store.Store_intf.config;
-      (** what every replica stack is built with: wire version,
-          anti-entropy tunables, checkpoint cadence (by default
+      (** what every replica stack is built with: anti-entropy
+          tunables and checkpoint cadence (by default
           {!Haec_store.Store_intf.default}, which never auto-checkpoints) *)
 }
 
@@ -167,7 +167,9 @@ module Make (S : STACK) : sig
   (** Spawn [replicas] domains, drive the load phase for [duration],
       then stop issuing and drain until every replica settles (or a
       deadline passes — see [converged]), join, and harvest.
-      Raises [Invalid_argument] on a nonsensical config. *)
+      Raises [Invalid_argument] on a nonsensical config, including a
+      [duration] that is not finite and > 0 and a [rate] that is not
+      finite and >= 0. *)
 
   val run_inline : ?ops_per_replica:int -> ?tick_every:int -> config -> result
   (** The same node code, single-domain and deterministic: replicas run

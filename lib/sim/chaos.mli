@@ -60,8 +60,8 @@ type traced = {
 type outcome = {
   seed : int;
   config : Haec_store.Store_intf.config;
-      (** what every replica of the run was built with: wire version,
-          anti-entropy tunables, checkpoint cadence *)
+      (** what every replica of the run was built with: anti-entropy
+          tunables and checkpoint cadence *)
   plan : Fault_plan.t;
   steps : Workload.step list;  (** the client workload the run replayed *)
   require : level;

@@ -14,9 +14,9 @@
     that are permanent until anti-entropy repair heals them.
 
     Both are built by [create config]: the one {!Store_intf.config} value
-    reaches the durable image (its checkpoint cadence), the anti-entropy
-    layer (its tunables) and the store (its wire version), and stays in
-    the state, so a recovered replica emits as it did before the crash.
+    reaches the durable image (its checkpoint cadence) and the
+    anti-entropy layer (its tunables), and stays in the state, so a
+    recovered replica emits as it did before the crash.
 
     Protocol counters are part of each replica's state
     ({!S.counters}); summing them over the replicas gives a run's

@@ -50,7 +50,7 @@
     Per peer the replica keeps [reported]: what that peer has itself
     proven to hold — its full digests, its digest deltas rebased on
     [reported], and its own update stream while contiguous. It is not
-    the push-side [view], which credits a v2 push before it arrives and
+    the push-side [view], which credits a push before it arrives and
     credits a repair's destination when a third party sees it go by;
     trimming on [view] would discard payloads a dropped frame never
     delivered, and the peer's ungated request could then not be
@@ -66,19 +66,19 @@
     duplicated request is answered from the floor, and {!Make.settled}
     scans each origin from the highest floor among the given states.
 
-    {b Wire v2.} When the replica's configuration
-    ({!Store_intf.config}, fixed at [create] and kept in the state, with
-    the tunables [repair_batch], [max_backoff] and [full_digest_every])
-    selects [V2], the same protocol rides a leaner encoding (DESIGN.md §4h):
-    the envelope leads with a [0x00, 2] version marker (a v1 envelope
-    starts with its item count, which is at least 1, so the two framings
-    are self-describing); full digests are compressed vector clocks; a
-    digest whose [have] already matches the last one sent is {e elided}
-    entirely (a full digest is still forced every [full_digest_every]
-    rounds, bounding staleness), and otherwise only the {e changed}
-    entries go out as a {!Haec_wire.Wire.Gossip.Digest_delta}; the
-    repairs queued in one round toward one destination are merged,
-    deduplicated, and encoded as {!Haec_wire.Wire.Gossip.Repair_runs} —
+    {b Wire v2.} Every replica emits the v2 encoding (DESIGN.md §4h),
+    tuned by its configuration ({!Store_intf.config}, fixed at [create]
+    and kept in the state: [repair_batch], [max_backoff] and
+    [full_digest_every]). The envelope leads with a [0x00, 2] version
+    marker (a v1 envelope starts with its item count, which is at least
+    1, so the two framings are self-describing); full digests are
+    compressed vector clocks; a digest whose [have] already matches the
+    last one sent is {e elided} entirely (a full digest is still forced
+    every [full_digest_every] rounds, bounding staleness), and otherwise
+    only the {e changed} entries go out as a
+    {!Haec_wire.Wire.Gossip.Digest_delta}; the repairs queued in one
+    round toward one destination are merged, deduplicated, and encoded
+    as {!Haec_wire.Wire.Gossip.Repair_runs} —
     per-origin runs of consecutive sequence numbers, so the per-payload
     [(origin, seq)] labels collapse into one run header. Three further
     duplicate-suppression rules exploit the broadcast transport: an
@@ -90,8 +90,8 @@
     third replica are ingested opportunistically, since the bytes arrived
     anyway. Decoding is version-agnostic throughout — every v2 layout
     hides behind a marker byte no v1 item starts with — so a replica
-    decodes either version, and what it emits depends on its own
-    configuration alone, never on what it has received.
+    still decodes the v1 frames of older peers, and what it emits never
+    depends on what it has received.
 
     {b Dynamic membership.} A joining replica announces itself with a
     {!Haec_wire.Wire.Gossip.Hello} (via {!Make.announce_join}, applied by
@@ -207,7 +207,7 @@ module Make (S : Store_intf.S) : sig
 
   val tick : state -> state
   (** Advance the gossip round counter and queue a digest broadcast (the
-      store then [has_pending]) — unless, under wire v2, the digest would
+      store then [has_pending]) — unless the digest would
       repeat the last one sent and no full digest is due, in which case
       the round stays quiet and the elision is counted. Called by the
       simulator's gossip driver; deliberately {e not} a logged input —
@@ -258,7 +258,7 @@ module Make (S : Store_intf.S) : sig
   (** Repair payload bytes sitting in the outbound queue (the dominant
       term of the backlog; control items are O(1) bytes each). Like
       {!queue_depth} this is a pre-[send] backpressure signal, not a
-      wire-bytes measure — the v2 encoder may still dedup and
+      wire-bytes measure — the encoder may still dedup and
       run-compress these payloads at send time. *)
 
   val epoch : state -> int
@@ -299,15 +299,15 @@ end = struct
     push_backoff : int;
     defer : Int_set.t;
         (** origins whose push toward this peer already waited one digest
-            cycle for the origin itself to serve it (wire v2 only) *)
+            cycle for the origin itself to serve it *)
   }
 
   (* control items queued for the next broadcast; a digest is a marker,
      not a snapshot — the [have] vector is read at send time so it always
-     reflects the updates travelling in the same payload. Under wire v2
-     the marker resolves at send time to a full digest, a delta against
-     the last digest sent, or nothing; [force_full] (membership traffic)
-     pins it to a full digest. *)
+     reflects the updates travelling in the same payload. The marker
+     resolves at send time to a full digest, a delta against the last
+     digest sent, or nothing; [force_full] (membership traffic) pins it
+     to a full digest. *)
   type out_item =
     | Out_digest of { force_full : bool }
     | Out_request of { dst : int; origin : int; from_seq : int }
@@ -318,8 +318,7 @@ end = struct
   let is_digest = function Out_digest _ -> true | _ -> false
 
   type state = {
-    cfg : Store_intf.config;
-        (** wire version and tunables, shared with the inner store *)
+    cfg : Store_intf.config;  (** the anti-entropy tunables *)
     n : int;
     me : int;
     inner : S.state;
@@ -543,15 +542,12 @@ end = struct
            repaired promptly *)
         (t, { p with view; push_due = t.rounds; push_backoff = 1; defer = Int_set.empty })
       else begin
-        (* under v2, a replica that is not the origin holds its push for
-           one digest cycle — the origin heard the same digest and serves
-           its own stream first; we only step in if the peer is still
-           behind at its next digest *)
+        (* a replica that is not the origin holds its push for one digest
+           cycle — the origin heard the same digest and serves its own
+           stream first; we only step in if the peer is still behind at
+           its next digest *)
         let ready, wait =
-          match t.cfg.wire with
-          | Wire.Version.V1 -> (!behind, [])
-          | Wire.Version.V2 ->
-            List.partition (fun o -> o = t.me || Int_set.mem o p.defer) !behind
+          List.partition (fun o -> o = t.me || Int_set.mem o p.defer) !behind
         in
         if ready <> [] && t.rounds >= p.push_due then begin
           let items =
@@ -563,19 +559,14 @@ end = struct
             if items = [] then t
             else { t with outq_rev = Out_repair { dst = sender; items } :: t.outq_rev }
           in
-          (* send-side optimism (v2): credit the peer with what was just
+          (* send-side optimism: credit the peer with what was just
              pushed, so a stale or duplicated digest cannot re-trigger the
              same push. If the frame is lost the peer stays behind, sees us
              ahead in our next (periodic) digest, and its repair request —
              answered ungated — closes the gap; the push path never fires
              for these seqs again, the request path always will *)
           let view =
-            match t.cfg.wire with
-            | Wire.Version.V1 -> view
-            | Wire.Version.V2 ->
-              List.fold_left
-                (fun v (o, seq, _) -> Vclock.raise_to v o (seq + 1))
-                view items
+            List.fold_left (fun v (o, seq, _) -> Vclock.raise_to v o (seq + 1)) view items
           in
           ( t,
             {
@@ -627,8 +618,8 @@ end = struct
 
   (* [v2] says the enclosing envelope was a v2 frame: the broadcast-
      exploiting rules (view inference, opportunistic repair ingestion)
-     apply only then, keeping the v1 protocol behaviour byte-for-byte and
-     step-for-step what it was *)
+     apply only then, so a v1 peer's frames are read under the rules
+     that peer assumed *)
   let receive_item tally t ~sender ~v2 dec =
     match Wire.Gossip.decode_kind dec with
     | Wire.Gossip.Update ->
@@ -817,7 +808,7 @@ end = struct
        checks the whole input was consumed *)
     Wire.decode payload (fun dec ->
         (* a v2 envelope leads with [0x00, 2]; a v1 one with its item
-           count. Either is accepted, whatever this replica emits *)
+           count. Either is accepted, though this replica emits only v2 *)
         let v2 = Wire.Decoder.peek dec = 0 in
         if v2 then begin
           let _ = Wire.Decoder.uint dec in
@@ -857,10 +848,9 @@ end = struct
     let t = { t with rounds = t.rounds + 1 } in
     if List.exists is_digest t.outq_rev then t
     else if
-      (* v2 elision: nothing changed since the last digest went out and no
+      (* elision: nothing changed since the last digest went out and no
          periodic full digest is due — stay quiet this round *)
-      t.cfg.wire = Wire.Version.V2
-      && t.rounds - t.last_full_round < t.cfg.full_digest_every
+      t.rounds - t.last_full_round < t.cfg.full_digest_every
       && (match t.last_sent_digest with
          | Some d -> Vclock.equal d t.have
          | None -> false)
@@ -898,7 +888,6 @@ end = struct
       end
       else (t, None)
     in
-    let v2 = t.cfg.wire = Wire.Version.V2 in
     let outs = List.rev t.outq_rev in
     let digest_marker = List.exists is_digest outs in
     let force_full =
@@ -917,28 +906,25 @@ end = struct
         outs
       |> List.sort_uniq (fun (o1, s1, _) (o2, s2, _) -> compare (o1, s1) (o2, s2))
     in
+    (* every receiver opportunistically ingests any repair in the
+       broadcast, whoever it is addressed to — so a payload already
+       present for one destination need not repeat for another *)
     let repair_packets =
-      if not v2 then List.map (fun dst -> (dst, merged_repair dst)) repair_dsts
-      else begin
-        (* under v2 every receiver opportunistically ingests any repair in
-           the broadcast, whoever it is addressed to — so a payload already
-           present for one destination need not repeat for another *)
-        let seen = Hashtbl.create 64 in
-        List.filter_map
-          (fun dst ->
-            let items =
-              List.filter
-                (fun (o, s, _) ->
-                  if Hashtbl.mem seen (o, s) then false
-                  else begin
-                    Hashtbl.add seen (o, s) ();
-                    true
-                  end)
-                (merged_repair dst)
-            in
-            if items = [] then None else Some (dst, items))
-          repair_dsts
-      end
+      let seen = Hashtbl.create 64 in
+      List.filter_map
+        (fun dst ->
+          let items =
+            List.filter
+              (fun (o, s, _) ->
+                if Hashtbl.mem seen (o, s) then false
+                else begin
+                  Hashtbl.add seen (o, s) ();
+                  true
+                end)
+              (merged_repair dst)
+          in
+          if items = [] then None else Some (dst, items))
+        repair_dsts
     in
     let outs =
       List.filter (function Out_digest _ | Out_repair _ -> false | _ -> true) outs
@@ -947,7 +933,6 @@ end = struct
        update above ticked it *)
     let digest_mode =
       if not digest_marker then `Absent
-      else if not v2 then `Full
       else if
         force_full
         || t.last_sent_digest = None
@@ -967,12 +952,10 @@ end = struct
     let c = ref t.counters in
     let payload =
       Wire.encode (fun enc ->
-          if v2 then begin
-            (* envelope version marker: a v1 envelope starts with its item
-               count, which is always >= 1 *)
-            Wire.Encoder.uint enc 0;
-            Wire.Encoder.uint enc (Wire.Version.to_int Wire.Version.V2)
-          end;
+          (* envelope version marker: a v1 envelope starts with its item
+             count, which is always >= 1 *)
+          Wire.Encoder.uint enc 0;
+          Wire.Encoder.uint enc (Wire.Version.to_int Wire.Version.V2);
           Wire.Encoder.uint enc count;
           let mark = ref (Wire.Encoder.size_bytes enc) in
           let bytes () =
@@ -993,7 +976,7 @@ end = struct
           | `Elide -> c := { !c with digests_elided = !c.digests_elided + 1 }
           | `Full ->
             Wire.Gossip.encode_kind enc Wire.Gossip.Digest;
-            if v2 then Vclock.encode_c enc t.have else Vclock.encode enc t.have;
+            Vclock.encode_c enc t.have;
             c := { !c with digests = !c.digests + 1; digest_bytes = !c.digest_bytes + bytes () }
           | `Delta prev ->
             Wire.Gossip.encode_kind enc Wire.Gossip.Digest_delta;
@@ -1039,29 +1022,17 @@ end = struct
             outs;
           List.iter
             (fun (dst, items) ->
-              if v2 then begin
-                Wire.Gossip.encode_kind enc Wire.Gossip.Repair_runs;
-                Wire.Encoder.uint enc dst;
-                let runs = to_runs items in
-                Wire.Encoder.uint enc (List.length runs);
-                List.iter
-                  (fun (origin, from_seq, payloads) ->
-                    Wire.Encoder.uint enc origin;
-                    Wire.Encoder.uint enc from_seq;
-                    Wire.Encoder.uint enc (List.length payloads);
-                    List.iter (Wire.Encoder.string enc) payloads)
-                  runs
-              end
-              else begin
-                Wire.Gossip.encode_kind enc Wire.Gossip.Repair;
-                Wire.Encoder.uint enc dst;
-                Wire.Encoder.list enc
-                  (fun enc (origin, seq, payload) ->
-                    Wire.Encoder.uint enc origin;
-                    Wire.Encoder.uint enc seq;
-                    Wire.Encoder.string enc payload)
-                  items
-              end;
+              Wire.Gossip.encode_kind enc Wire.Gossip.Repair_runs;
+              Wire.Encoder.uint enc dst;
+              let runs = to_runs items in
+              Wire.Encoder.uint enc (List.length runs);
+              List.iter
+                (fun (origin, from_seq, payloads) ->
+                  Wire.Encoder.uint enc origin;
+                  Wire.Encoder.uint enc from_seq;
+                  Wire.Encoder.uint enc (List.length payloads);
+                  List.iter (Wire.Encoder.string enc) payloads)
+                runs;
               c := { !c with repairs = !c.repairs + 1; repair_bytes = !c.repair_bytes + bytes () })
             repair_packets)
     in

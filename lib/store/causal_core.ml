@@ -64,12 +64,11 @@ module Make (Obj : Object_layer.OBJECT) (P : POLICY) = struct
      entry instead of up to five. The reference point is always inside
      the same message, so loss, duplication, and reordering of whole
      messages cannot desynchronize the codec. *)
-  let encode_batch ~wire enc records =
-    (* wire v2 compresses both legs of the dependency framing: the
-       absolute head clock via the packed/run-length chooser and each
-       later delta sparsely (only changed entries); decode accepts either
-       form via the marker byte, so the batch stays self-describing *)
-    let v2 = wire = Wire.Version.V2 in
+  let encode_batch enc records =
+    (* both legs of the dependency framing are compressed: the absolute
+       head clock via the packed/run-length chooser and each later delta
+       sparsely (only changed entries); decode also accepts the v1 forms
+       via the marker byte, so the batch stays self-describing *)
     Wire.Encoder.uint enc (List.length records);
     let prev = ref None in
     List.iter
@@ -77,13 +76,11 @@ module Make (Obj : Object_layer.OBJECT) (P : POLICY) = struct
         Wire.Encoder.uint enc r.origin;
         Wire.Encoder.uint enc r.useq;
         (match !prev with
-        | None -> if v2 then Vclock.encode_c enc r.dep else Vclock.encode enc r.dep
-        | Some p ->
-          if v2 then Vclock.encode_delta_c enc ~prev:p r.dep
-          else Vclock.encode_delta enc ~prev:p r.dep);
+        | None -> Vclock.encode_c enc r.dep
+        | Some p -> Vclock.encode_delta_c enc ~prev:p r.dep);
         prev := Some r.dep;
         Wire.Encoder.uint enc r.obj;
-        Obj.encode_update ~wire enc r.u)
+        Obj.encode_update enc r.u)
       records
 
   let decode_batch dec =
@@ -106,7 +103,6 @@ module Make (Obj : Object_layer.OBJECT) (P : POLICY) = struct
     go len None []
 
   type state = {
-    cfg : Store_intf.config;
     n : int;
     me : int;
     clock : int;  (** witnesses the time of every applied update *)
@@ -134,9 +130,8 @@ module Make (Obj : Object_layer.OBJECT) (P : POLICY) = struct
 
   let op_driven = true
 
-  let create cfg ~n ~me =
+  let init ~n ~me =
     {
-      cfg;
       n;
       me;
       clock = 0;
@@ -151,7 +146,7 @@ module Make (Obj : Object_layer.OBJECT) (P : POLICY) = struct
       counters = Store_intf.fresh_delivery_stats ();
     }
 
-  let init = create Store_intf.default
+  let create (_ : Store_intf.config) = init
 
   let counters t = t.counters
 
@@ -267,9 +262,7 @@ module Make (Obj : Object_layer.OBJECT) (P : POLICY) = struct
 
   let send t =
     if not (has_pending t) then invalid_arg (P.name ^ ".send: nothing pending");
-    let payload =
-      Wire.encode (fun enc -> encode_batch ~wire:t.cfg.wire enc (List.rev t.pending))
-    in
+    let payload = Wire.encode (fun enc -> encode_batch enc (List.rev t.pending)) in
     ({ t with pending = [] }, payload)
 
   let receive t ~sender:_ payload =

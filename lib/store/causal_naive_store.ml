@@ -25,12 +25,12 @@ type update_record = {
   u : Obj.update;
 }
 
-let encode_record ~wire enc r =
+let encode_record enc r =
   Wire.Encoder.uint enc r.origin;
   Wire.Encoder.uint enc r.useq;
   Vclock.encode enc r.dep;
   Wire.Encoder.uint enc r.obj;
-  Obj.encode_update ~wire enc r.u
+  Obj.encode_update enc r.u
 
 let decode_record dec =
   let origin = Wire.Decoder.uint dec in
@@ -41,7 +41,6 @@ let decode_record dec =
   { origin; useq; dep; obj; u }
 
 type state = {
-  cfg : Store_intf.config;
   n : int;
   me : int;
   clock : int;
@@ -56,9 +55,8 @@ let invisible_reads = true
 
 let op_driven = true
 
-let create cfg ~n ~me =
+let init ~n ~me =
   {
-    cfg;
     n;
     me;
     clock = 0;
@@ -69,7 +67,7 @@ let create cfg ~n ~me =
     counters = Store_intf.fresh_delivery_stats ();
   }
 
-let init = create Store_intf.default
+let create (_ : Store_intf.config) = init
 
 let counters t = t.counters
 
@@ -147,7 +145,7 @@ let send t =
   if not (has_pending t) then invalid_arg (name ^ ".send: nothing pending");
   let payload =
     Wire.encode (fun enc ->
-        Wire.Encoder.list enc (encode_record ~wire:t.cfg.wire) (List.rev t.pending))
+        Wire.Encoder.list enc encode_record (List.rev t.pending))
   in
   ({ t with pending = [] }, payload)
 

@@ -13,17 +13,17 @@ type update_record = {
   deps : Dot.Set.t;  (** nearest dependencies (global dots) *)
 }
 
-(* A v1 batch is a record list, so it starts with a count >= 1 ([send]
-   refuses an empty pending queue). A v2 batch prepends the marker
-   [0x00, 2] and compresses each record's dependency set; a v2 replica's
-   update clocks compress through {!Mvr_object.encode_update} in either
-   batch. Decoding dispatches on the leading byte, so either side can
-   read either batch. *)
+(* An unmarked batch is a record list, so it starts with a count >= 1
+   ([send] refuses an empty pending queue). A marked batch prepends
+   [0x00, 2] and compresses each record's dependency set; the update
+   clocks compress through {!Mvr_object.encode_update} in either batch.
+   Decoding dispatches on the leading byte, so a replica reads either
+   batch, and v1 peers' batches too. *)
 
-let encode_record ~wire ~marked enc r =
+let encode_record ~marked enc r =
   Dot.encode enc r.dot;
   Wire.Encoder.uint enc r.obj;
-  Mvr_object.encode_update ~wire enc r.u;
+  Mvr_object.encode_update enc r.u;
   (if marked then Dot.encode_set_c else Dot.encode_set) enc r.deps
 
 let decode_record ~v2 dec =
@@ -34,7 +34,6 @@ let decode_record ~v2 dec =
   { dot; obj; u; deps }
 
 type state = {
-  cfg : Store_intf.config;
   n : int;
   me : int;
   next_seq : int;
@@ -57,9 +56,8 @@ let invisible_reads = true
 
 let op_driven = true
 
-let create cfg ~n ~me =
+let init ~n ~me =
   {
-    cfg;
     n;
     me;
     next_seq = 1;
@@ -71,7 +69,7 @@ let create cfg ~n ~me =
     waiting = Dot_map.empty;
   }
 
-let init = create Store_intf.default
+let create (_ : Store_intf.config) = init
 
 let obj_state t obj =
   match Int_map.find_opt obj t.objects with
@@ -167,16 +165,12 @@ let send t =
         (* the marked batch costs 2 bytes up front and compresses only
            the dependency sets (the update's clocks compress under either
            layout), so emit it exactly when the sets pay for the marker *)
-        let wire = t.cfg.wire in
-        let marked =
-          wire = Wire.Version.V2
-          && List.fold_left (fun a r -> a + Dot.set_c_delta r.deps) 2 records < 0
-        in
+        let marked = List.fold_left (fun a r -> a + Dot.set_c_delta r.deps) 2 records < 0 in
         if marked then begin
           Wire.Encoder.uint enc 0;
           Wire.Encoder.uint enc 2
         end;
-        Wire.Encoder.list enc (encode_record ~wire ~marked) records)
+        Wire.Encoder.list enc (encode_record ~marked) records)
   in
   ({ t with pending = [] }, payload)
 

@@ -13,7 +13,6 @@ module Make
     end) =
 struct
   type state = {
-    cfg : Store_intf.config;
     n : int;
     me : int;
     clock : int;  (** witnesses the time of every applied update *)
@@ -27,9 +26,9 @@ struct
 
   let op_driven = true
 
-  let create cfg ~n ~me = { cfg; n; me; clock = 0; objects = Int_map.empty; pending = [] }
+  let init ~n ~me = { n; me; clock = 0; objects = Int_map.empty; pending = [] }
 
-  let init = create Store_intf.default
+  let create (_ : Store_intf.config) = init
 
   let obj_state t obj =
     match Int_map.find_opt obj t.objects with Some o -> o | None -> Obj.empty ~n:t.n
@@ -53,9 +52,9 @@ struct
 
   let has_pending t = t.pending <> []
 
-  let encode_entry ~wire enc (obj, u) =
+  let encode_entry enc (obj, u) =
     Wire.Encoder.uint enc obj;
-    Obj.encode_update ~wire enc u
+    Obj.encode_update enc u
 
   let decode_entry dec =
     let obj = Wire.Decoder.uint dec in
@@ -66,7 +65,7 @@ struct
     if not (has_pending t) then invalid_arg (N.name ^ ".send: nothing pending");
     let payload =
       Wire.encode (fun enc ->
-          Wire.Encoder.list enc (encode_entry ~wire:t.cfg.wire) (List.rev t.pending))
+          Wire.Encoder.list enc encode_entry (List.rev t.pending))
     in
     ({ t with pending = [] }, payload)
 

@@ -4,7 +4,6 @@ open Haec_model
 module Int_map = Map.Make (Int)
 
 type state = {
-  cfg : Store_intf.config;
   n : int;
   me : int;
   objects : Mvr_object.t Int_map.t;
@@ -18,10 +17,9 @@ let invisible_reads = true
 
 let op_driven = false
 
-let create cfg ~n ~me =
-  { cfg; n; me; objects = Int_map.empty; pending = []; relayed = Int_map.empty }
+let init ~n ~me = { n; me; objects = Int_map.empty; pending = []; relayed = Int_map.empty }
 
-let init = create Store_intf.default
+let create (_ : Store_intf.config) = init
 
 let obj_state t obj =
   match Int_map.find_opt obj t.objects with
@@ -65,9 +63,9 @@ let do_op t ~obj op =
 
 let has_pending t = t.pending <> []
 
-let encode_entry ~wire enc (obj, u) =
+let encode_entry enc (obj, u) =
   Wire.Encoder.uint enc obj;
-  Mvr_object.encode_update ~wire enc u
+  Mvr_object.encode_update enc u
 
 let decode_entry dec =
   let obj = Wire.Decoder.uint dec in
@@ -78,7 +76,7 @@ let send t =
   if not (has_pending t) then invalid_arg "Gossip_relay_store.send: nothing pending";
   let payload =
     Wire.encode (fun enc ->
-        Wire.Encoder.list enc (encode_entry ~wire:t.cfg.wire) (List.rev t.pending))
+        Wire.Encoder.list enc encode_entry (List.rev t.pending))
   in
   ({ t with pending = [] }, payload)
 

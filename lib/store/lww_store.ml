@@ -39,7 +39,7 @@ let init ~n ~me =
     pending = [];
   }
 
-(* nothing here depends on the wire version or the anti-entropy settings *)
+(* nothing here depends on the anti-entropy settings *)
 let create (_ : Store_intf.config) = init
 
 let empty_obj = { current = None; seen = Dot.Set.empty }

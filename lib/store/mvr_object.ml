@@ -38,17 +38,11 @@ let causal_context t = t.cc
 
 let visible ~obj t = Store_intf.frontier ~obj t.cc
 
-(* The clock codec is the only version-dependent part: v2 emits the
-   compressed self-describing form, and [decode_update] accepts either
-   via the marker byte, so mixed-version peers interoperate without any
-   per-connection negotiation state. *)
-let encode_clock ~wire enc v =
-  match wire with
-  | Wire.Version.V1 -> Vclock.encode enc v
-  | Wire.Version.V2 -> Vclock.encode_c enc v
-
-let encode_update ~wire enc u =
-  encode_clock ~wire enc u.vv;
+(* Clocks go out in the compressed self-describing form; [decode_update]
+   also accepts the v1 varint array via the marker byte, so v1 peers
+   interoperate without any per-connection negotiation state. *)
+let encode_update enc u =
+  Vclock.encode_c enc u.vv;
   Dot.encode enc u.dot;
   Value.encode enc u.value
 
@@ -75,10 +69,10 @@ let join a b =
   in
   { n = a.n; cc = Vclock.merge a.cc b.cc; sibs = from_a @ from_b }
 
-let encode ~wire enc t =
+let encode enc t =
   Wire.Encoder.uint enc t.n;
-  encode_clock ~wire enc t.cc;
-  Wire.Encoder.list enc (encode_update ~wire) t.sibs
+  Vclock.encode_c enc t.cc;
+  Wire.Encoder.list enc encode_update t.sibs
 
 let decode dec =
   let n = Wire.Decoder.uint dec in

@@ -43,8 +43,8 @@ val visible : obj:int -> t -> Store_intf.summary
 (** The object-level visibility witness: the causal context as a
     frontier, covering every write dot it names. *)
 
-val encode_update : wire:Wire.Version.t -> Wire.Encoder.t -> update -> unit
-(** The clocks in [wire]'s layout; {!decode_update} reads either. *)
+val encode_update : Wire.Encoder.t -> update -> unit
+(** The clock in the compressed v2 layout; {!decode_update} also reads v1. *)
 
 val decode_update : Wire.Decoder.t -> update
 
@@ -55,7 +55,7 @@ val join : t -> t -> t
     dropped — the ORSWOT join rule. Commutative, associative and
     idempotent. *)
 
-val encode : wire:Wire.Version.t -> Wire.Encoder.t -> t -> unit
+val encode : Wire.Encoder.t -> t -> unit
 (** Full-state serialization, for state-based replication. *)
 
 val decode : Wire.Decoder.t -> t

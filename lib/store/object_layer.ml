@@ -68,8 +68,8 @@ module type OBJECT = sig
   val visible : obj:int -> t -> Store_intf.summary
   (** The object's visibility witness, as object [obj]. *)
 
-  val encode_update : wire:Wire.Version.t -> Wire.Encoder.t -> update -> unit
-  (** [wire] selects what the layer emits; {!decode_update} reads both. *)
+  val encode_update : Wire.Encoder.t -> update -> unit
+  (** Emits the v2 layout; {!decode_update} also reads v1. *)
 
   val decode_update : Wire.Decoder.t -> update
 end
@@ -162,7 +162,7 @@ module Lww_register : OBJECT = struct
 
   let visible ~obj t = Store_intf.dots ~obj (descending t.seen)
 
-  let encode_update ~wire:_ enc e =
+  let encode_update enc e =
     Lamport.encode enc e.ts;
     Dot.encode enc e.dot;
     Value.encode enc e.value
@@ -249,7 +249,7 @@ module Orset : OBJECT = struct
 
   let visible ~obj t = Store_intf.dots ~obj (descending t.known)
 
-  let encode_update ~wire:_ enc = function
+  let encode_update enc = function
     | Uadd { dot; value } ->
       Wire.Encoder.uint enc 0;
       Dot.encode enc dot;
@@ -322,7 +322,7 @@ module Pn_counter : OBJECT = struct
 
   let visible ~obj t = Store_intf.dots ~obj (descending t.seen)
 
-  let encode_update ~wire:_ enc u =
+  let encode_update enc u =
     Dot.encode enc u.dot;
     Wire.Encoder.int enc u.delta
 

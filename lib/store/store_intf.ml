@@ -142,14 +142,13 @@ let visible_keys w =
 (** A replica's settings, fixed when it is created and kept in its state:
     every message a replica emits is a function of its own state and
     inputs, so two replicas configured differently can run side by side
-    in one process. *)
+    in one process. Every replica emits wire v2 (DESIGN.md §4h); every
+    decoder still accepts v1 frames. *)
 type config = {
-  wire : Haec_wire.Wire.Version.t;
-      (** the frame version this replica emits; decoders accept both *)
   repair_batch : int;  (** anti-entropy: repair payloads answered per origin and digest *)
   max_backoff : int;  (** anti-entropy: cap on the push and re-request backoff, in rounds *)
   full_digest_every : int;
-      (** anti-entropy, wire v2: an absolute digest every this many rounds *)
+      (** anti-entropy: an absolute digest every this many rounds *)
   checkpoint_every : int option;
       (** durable image: fold the WAL into the snapshot every [k] entries;
           [None] never auto-checkpoints *)
@@ -157,7 +156,6 @@ type config = {
 
 let default =
   {
-    wire = Haec_wire.Wire.Version.V2;
     repair_batch = 32;
     max_backoff = 32;
     full_digest_every = 4;
@@ -187,7 +185,7 @@ module type S = sig
       never merely from receiving a message. *)
 
   val create : config -> n:int -> me:int -> state
-  (** Initial state of replica [me] out of [n], emitting as [config] says. *)
+  (** Initial state of replica [me] out of [n], tuned by [config]. *)
 
   val init : n:int -> me:int -> state
   (** [create default]. *)

@@ -1,12 +1,12 @@
 module Version = struct
-  (* The negotiated frame version. [V1] is the original layout: every
-     integer a LEB128 varint, every vector clock a length-prefixed varint
-     array. [V2] adds the compressed layouts (bit-packed / run-length
-     vectors, sparse deltas, delta digests, grouped repair runs), each one
+  (* The frame versions. [V1] is the original layout: every integer a
+     LEB128 varint, every vector clock a length-prefixed varint array.
+     [V2] adds the compressed layouts (bit-packed / run-length vectors,
+     sparse deltas, delta digests, grouped repair runs), each one
      self-describing behind a leading 0x00 marker byte — a position where
      every v1 encoding puts a varint that is at least 1 — so decoders are
-     version-agnostic: any replica decodes both formats, and the
-     configured version governs only what a replica *emits*. *)
+     version-agnostic: any replica decodes both formats, and every
+     replica emits [V2]. *)
   type t = V1 | V2
 
   let to_int = function V1 -> 1 | V2 -> 2
@@ -16,15 +16,12 @@ module Version = struct
     | 2 -> Some V2
     | _ -> None
 
-  let name = function V1 -> "v1" | V2 -> "v2"
-
-  (* Which version a replica emits is part of its configuration
-     ([Haec_store.Store_intf.config]), not process state. [set] survives
-     only for callers written against the old process-global default: the
-     default is [V2], so [set V2] is a no-op and [set V1] is refused. *)
+  (* Every replica emits [V2]; this is not process state. [set]
+     survives only for callers written against the old process-global
+     default: [set V2] is a no-op and [set V1] is refused. *)
   let set = function
     | V2 -> ()
-    | V1 -> invalid_arg "Wire.Version.set V1: the wire version is a replica setting"
+    | V1 -> invalid_arg "Wire.Version.set V1: replicas emit only v2"
 end
 
 module Encoder = struct

@@ -13,8 +13,7 @@
     delta digests, grouped repair runs — each self-describing behind a
     leading [0x00] marker byte, a position where every v1 encoding puts a
     varint that is at least 1. Decoders are therefore version-agnostic
-    (anything decodes both formats); {!Version} only governs what gets
-    {e emitted}. *)
+    (anything decodes both formats); every replica emits [V2]. *)
 
 module Version : sig
   type t = V1 | V2
@@ -23,13 +22,10 @@ module Version : sig
 
   val of_int : int -> t option
 
-  val name : t -> string
-
   val set : t -> unit
   (** Stateless: [set V2] does nothing and [set V1] raises
-      [Invalid_argument]. What a replica emits is its configuration
-      ([Haec_store.Store_intf.config.wire]); this remains only for
-      callers that still pin the old default. *)
+      [Invalid_argument], since every replica emits [V2]; this remains
+      only for callers that still pin the old default. *)
 end
 
 module Encoder : sig

@@ -84,34 +84,37 @@ let test_duplicates_dropped () =
    suppressed (backoff doubling), but one whose clock has advanced — the
    peer applied something since we last looked — resets the backoff and
    queues a push immediately instead of waiting out the old deadline.
-   Pinned to wire v1: under v2 a push optimistically credits the peer, so
-   the re-push this test drives is replaced by the requester path (covered
-   by the wire-v2 protocol tests). *)
+   A push credits the peer's view with what it carried, so the batch is
+   one payload: the peer stays behind that view, and only the backoff
+   holds the next push back. *)
 let test_push_backoff_forgiven_on_progress () =
-  let v1 = { Store.Store_intf.default with wire = Wire.Version.V1 } in
-  let a, b = (AE.create v1 ~n:2 ~me:0, AE.create v1 ~n:2 ~me:1) in
+  let cfg = { Store.Store_intf.default with repair_batch = 1 } in
+  let a, b = (AE.create cfg ~n:2 ~me:0, AE.create cfg ~n:2 ~me:1) in
   let a, _, _ = AE.do_op a ~obj:0 (Model.Op.Write (vi 1)) in
   let a, p1 = AE.send a in
   let a, _, _ = AE.do_op a ~obj:0 (Model.Op.Write (vi 2)) in
-  let a, _lost2 = AE.send a in
+  let a, p2 = AE.send a in
   let a, _, _ = AE.do_op a ~obj:0 (Model.Op.Write (vi 3)) in
   let a, _lost3 = AE.send a in
   (* all three broadcasts are lost; b's empty digest solicits a push *)
   let b = AE.tick b in
-  let _, d0 = AE.send b in
+  let b, d0 = AE.send b in
   let a = AE.receive a ~sender:1 d0 in
   Alcotest.(check bool) "first stale digest queues a push" true
     (AE.has_pending a);
   let a, _lost_push = AE.send a in
-  (* the same stale digest again (a duplicate delivery): the per-peer
-     backoff suppresses the redundant push *)
+  (* the same stale digest again (a duplicate delivery): b is still
+     behind the one payload the push credited, but the per-peer backoff
+     suppresses the redundant push *)
   let a = AE.receive a ~sender:1 d0 in
   Alcotest.(check bool) "repeated stale digest backed off" false
     (AE.has_pending a);
-  (* the peer finally makes progress (the first payload lands late); its
-     next digest has advanced beyond the view we recorded, so the backoff
-     must reset and a push fire immediately — not at the old deadline *)
+  (* the peer finally makes progress (the first two payloads land late);
+     its next digest has advanced beyond the view we recorded, so the
+     backoff must reset and a push fire immediately — not at the old
+     deadline *)
   let b = AE.receive b ~sender:0 p1 in
+  let b = AE.receive b ~sender:0 p2 in
   let b = AE.tick b in
   let _, d1 = AE.send b in
   let a = AE.receive a ~sender:1 d1 in

@@ -656,6 +656,25 @@ let test_live_crash_plan_requires_durable_stack () =
       true
       (String.length msg > 0)
 
+(* A NaN compares false against every bound, so a bare [<= 0.] lets it
+   through: a NaN duration ends the load phase at once, an infinite one
+   never ends it, and a NaN or negative rate would silently mean
+   saturation. Each is rejected before any domain starts. *)
+let bad_run_values =
+  [
+    ("duration nan", { Cluster.default with Cluster.duration = Float.nan });
+    ("duration inf", { Cluster.default with Cluster.duration = Float.infinity });
+    ("duration 0", { Cluster.default with Cluster.duration = 0.0 });
+    ("rate -5", { Cluster.default with Cluster.rate = -5.0 });
+    ("rate nan", { Cluster.default with Cluster.rate = Float.nan });
+    ("rate inf", { Cluster.default with Cluster.rate = Float.infinity });
+  ]
+
+let test_run_rejects cfg () =
+  match C.run cfg with
+  | _ -> Alcotest.fail "run accepted the config"
+  | exception Invalid_argument _ -> ()
+
 let test_durable_stack_recover_roundtrip () =
   let s = ref (DStack.init ~n:2 ~me:0) in
   for i = 1 to 20 do
@@ -755,4 +774,8 @@ let suite =
         test_durable_stack_recover_roundtrip;
       Alcotest.test_case "telemetry: sim and live name the gossip and ae metrics alike"
         `Quick test_log_gauges_named_alike;
-    ] )
+    ]
+    @ List.map
+        (fun (what, cfg) ->
+          Alcotest.test_case ("live: run rejects " ^ what) `Quick (test_run_rejects cfg))
+        bad_run_values )

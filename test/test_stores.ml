@@ -188,9 +188,7 @@ let test_causal_duplicate_in_one_batch () =
     | [ r2; r3 ] -> (r2, r3)
     | _ -> Alcotest.fail "expected a two-record batch"
   in
-  let batch records =
-    Haec.Wire.encode (fun enc -> Core.encode_batch ~wire:Haec.Wire.Version.V2 enc records)
-  in
+  let batch records = Haec.Wire.encode (fun enc -> Core.encode_batch enc records) in
   let b = Core.init ~n:2 ~me:1 in
   let once = Core.receive b ~sender:0 (batch [ r2; r3 ]) in
   let twice = Core.receive b ~sender:0 (batch [ r2; r2; r3 ]) in

@@ -94,14 +94,10 @@ let prop_dot_set_c_delta_exact =
 
 (* ---------- envelope fuzz: truncation and byte flips ---------- *)
 
-(* a small two-replica session, produced under [version], returning every
-   distinct payload the protocol put on the wire: updates, a digest, and
-   a repair batch *)
-let with_wire wire = { Store.Store_intf.default with wire }
-
-let session_payloads version =
-  let cfg = with_wire version in
-  let a = AE.create cfg ~n:2 ~me:0 and b = AE.create cfg ~n:2 ~me:1 in
+(* a small two-replica session, returning every distinct payload the
+   protocol put on the wire: updates, a digest, and a repair batch *)
+let session_payloads () =
+  let a = AE.init ~n:2 ~me:0 and b = AE.init ~n:2 ~me:1 in
   let a, _, _ = AE.do_op a ~obj:0 (Model.Op.Write (vi 1)) in
   let a, p1 = AE.send a in
   let a, _, _ = AE.do_op a ~obj:1 (Model.Op.Write (vi 2)) in
@@ -115,6 +111,22 @@ let session_payloads version =
   ignore (a, b);
   [ p1; lost; digest; repair ]
 
+(* The same session as a v1 replica emitted it, recorded from the last
+   build that could still emit v1: a's update, its lost update, b's
+   digest, and a's repair toward b. No replica emits these layouts any
+   more; every decoder must still read them. *)
+let v1_update = "\001\000\000\t\001\000\002\001\000\000\001\000\002"
+
+let v1_lost_update = "\001\000\001\t\001\001\002\001\000\000\001\000\004"
+
+let v1_digest = "\001\001\002\001\000"
+
+let v1_repair = "\001\003\001\001\000\001\t\001\001\002\001\000\000\001\000\004"
+
+let v1_session_payloads = [ v1_update; v1_lost_update; v1_digest; v1_repair ]
+
+let both_versions () = [ ("v1", v1_session_payloads); ("v2", session_payloads ()) ]
+
 let expect_malformed ~what payload =
   let b = AE.init ~n:2 ~me:1 in
   match AE.receive b ~sender:0 payload with
@@ -123,23 +135,21 @@ let expect_malformed ~what payload =
 
 let test_truncation_fuzz () =
   List.iter
-    (fun version ->
+    (fun (version, payloads) ->
       List.iteri
         (fun pi payload ->
           for len = 0 to String.length payload - 1 do
             expect_malformed
-              ~what:
-                (Printf.sprintf "%s payload %d cut to %d bytes"
-                   (Wire.Version.name version) pi len)
+              ~what:(Printf.sprintf "%s payload %d cut to %d bytes" version pi len)
               (String.sub payload 0 len)
           done)
-        (session_payloads version))
-    [ Wire.Version.V1; Wire.Version.V2 ]
+        payloads)
+    (both_versions ())
 
 let test_sealed_flip_fuzz () =
   (* a corrupted frame must die at the CRC, whatever the inner version *)
   List.iter
-    (fun version ->
+    (fun (_, payloads) ->
       List.iter
         (fun payload ->
           let framed = Wire.Frame.seal payload in
@@ -150,8 +160,8 @@ let test_sealed_flip_fuzz () =
             | exception Wire.Decoder.Malformed _ -> ()
             | _ -> Alcotest.failf "flipped byte %d of a sealed frame accepted" i
           done)
-        (session_payloads version))
-    [ Wire.Version.V1; Wire.Version.V2 ]
+        payloads)
+    (both_versions ())
 
 let prop_receive_total =
   (* arbitrary bytes: receive either applies or raises Malformed *)
@@ -161,7 +171,7 @@ let prop_receive_total =
       | _ -> true
       | exception Wire.Decoder.Malformed _ -> true)
 
-(* ---------- per-replica emission ---------- *)
+(* ---------- mixed versions ---------- *)
 
 let drain st =
   let rec go st acc =
@@ -184,91 +194,35 @@ let rec converge a b fuel =
   else converge a b (fuel - 1)
 
 let test_mixed_version_convergence () =
-  (* a emits v2, b emits v1: each decodes the other, and they converge *)
-  let a = AE.create (with_wire Wire.Version.V2) ~n:2 ~me:0 in
-  let b = AE.create (with_wire Wire.Version.V1) ~n:2 ~me:1 in
-  let a, _, _ = AE.do_op a ~obj:0 (Model.Op.Write (vi 7)) in
-  let a, p = AE.send a in
-  let b = AE.receive b ~sender:0 p in
-  Alcotest.(check int) "b applied a's v2 update" 1 (Vclock.get (AE.have b) 0);
-  let b, _, _ = AE.do_op b ~obj:0 (Model.Op.Write (vi 8)) in
-  let b, p = AE.send b in
-  let a = AE.receive a ~sender:1 p in
-  Alcotest.(check int) "a applied b's v1 update" 1 (Vclock.get (AE.have a) 1);
+  (* a v2 replica applies a v1 peer's update, digest and repair, and the
+     two v2 replicas then converge on what the v1 session wrote *)
+  let b = AE.init ~n:2 ~me:1 in
+  let b = AE.receive b ~sender:0 v1_update in
+  Alcotest.(check int) "b applied the v1 update" 1 (Vclock.get (AE.have b) 0);
+  let a = AE.init ~n:2 ~me:0 in
+  let a, _, _ = AE.do_op a ~obj:0 (Model.Op.Write (vi 1)) in
+  let a, _ = AE.send a in
+  let a, _, _ = AE.do_op a ~obj:1 (Model.Op.Write (vi 2)) in
+  let a, _lost = AE.send a in
+  let a = AE.receive a ~sender:1 v1_digest in
+  Alcotest.(check string) "a answers the v1 digest with a repair" "repair"
+    (Store.Anti_entropy.classify (snd (AE.send a)));
+  let b = AE.receive b ~sender:0 v1_repair in
+  Alcotest.(check int) "b applied the v1 repair" 2 (Vclock.get (AE.have b) 0);
   let a, b = converge a b 20 in
-  let _, ra, _ = AE.do_op a ~obj:0 Model.Op.Read in
-  let _, rb, _ = AE.do_op b ~obj:0 Model.Op.Read in
-  Alcotest.(check bool) "reads agree" true (ra = rb)
+  List.iter
+    (fun obj ->
+      let _, ra, _ = AE.do_op a ~obj Model.Op.Read in
+      let _, rb, _ = AE.do_op b ~obj Model.Op.Read in
+      Alcotest.(check bool) (Printf.sprintf "reads of object %d agree" obj) true (ra = rb))
+    [ 0; 1 ]
 
-(* The causal store under anti-entropy at n = 16, where v1 and v2 clock
-   layouts differ (a v2 clock leads with a 0x00 marker). *)
-module CAE = Store.Anti_entropy.Make (Store.Causal_mvr_store)
-
-let is_v2_envelope p = String.length p > 1 && p.[0] = '\x00' && p.[1] = '\x02'
-
-(* Parse an envelope holding one update with the v1 decoders only: the
-   envelope, the causal batch inside it, and its dependency and update
-   clocks. A v2 layout anywhere fails the parse or leaves bytes over. *)
-let strictly_v1_update payload =
-  match
-    Wire.decode payload (fun dec ->
-        if Wire.Decoder.uint dec <> 1 then raise (Wire.Decoder.Malformed "items");
-        if Wire.Gossip.decode_kind dec <> Wire.Gossip.Update then
-          raise (Wire.Decoder.Malformed "kind");
-        let _seq = Wire.Decoder.uint dec in
-        let batch = Wire.Decoder.string dec in
-        Wire.decode batch (fun dec ->
-            let records = Wire.Decoder.uint dec in
-            for _ = 1 to records do
-              let _origin = Wire.Decoder.uint dec in
-              let _useq = Wire.Decoder.uint dec in
-              let dep = Vclock.decode dec in
-              let _obj = Wire.Decoder.uint dec in
-              let vv = Vclock.decode dec in
-              let _dot = Dot.decode dec in
-              let _value = Model.Value.decode dec in
-              if Vclock.size dep <> 16 || Vclock.size vv <> 16 then
-                raise (Wire.Decoder.Malformed "clock size")
-            done))
-  with
-  | () -> true
-  | exception Wire.Decoder.Malformed _ -> false
-
-let write16 st v =
-  let st, _, _ = CAE.do_op st ~obj:0 (Model.Op.Write (vi v)) in
-  CAE.send st
-
-let test_emission_is_per_replica () =
-  let v1 = with_wire Wire.Version.V1 and v2 = with_wire Wire.Version.V2 in
-  let r0 = CAE.create v2 ~n:16 ~me:0 and r1 = CAE.create v1 ~n:16 ~me:1 in
-  let r1, from_r1 = write16 r1 1 in
-  Alcotest.(check bool) "a v1 replica emits a v1 envelope" false (is_v2_envelope from_r1);
-  Alcotest.(check bool) "a v1 replica's update has no v2 clock layout" true
-    (strictly_v1_update from_r1);
-  let r0 = CAE.receive r0 ~sender:1 from_r1 in
-  Alcotest.(check int) "the v2 replica applied it" 1 (Vclock.get (CAE.have r0) 1);
-  let r0, from_r0 = write16 r0 2 in
-  Alcotest.(check bool) "a v2 replica still emits v2 after receiving v1" true
-    (is_v2_envelope from_r0);
-  let r0 = CAE.tick r0 in
-  let _, digest = CAE.send r0 in
-  Alcotest.(check bool) "and so do its digests" true (is_v2_envelope digest);
-  (* a state's bytes are a function of that state: replicas built with
-     other configs, and whole runs under them, in between change nothing *)
-  let r1 = CAE.receive r1 ~sender:0 from_r0 in
-  let pending, _, _ = CAE.do_op r1 ~obj:1 (Model.Op.Write (vi 3)) in
-  let before = snd (CAE.send pending) in
-  let _ = write16 (CAE.create v2 ~n:16 ~me:2) 4 in
-  let module C = Sim.Chaos.Make (Store.Causal_mvr_store) in
-  let _ = C.run ~config:{ Sim.Chaos.default_config with wire = Wire.Version.V2 } ~seed:1 () in
-  Alcotest.(check string) "same state, same bytes" before (snd (CAE.send pending));
-  Alcotest.(check bool) "still v1, after a v1 peer heard v2" true
-    (strictly_v1_update before)
-
-(* A crash replays the WAL through a replica built with the same config. *)
-let test_recovered_replica_keeps_its_wire () =
+(* A crash replays the WAL through a replica built with the same config
+   (here a checkpoint every two entries), so the recovered replica's
+   next message is byte for byte the one it would have sent uncrashed. *)
+let test_recovered_replica_sends_the_same_bytes () =
   let module St = Sim.Stack.Durable (Store.Causal_mvr_store) in
-  let cfg = { (with_wire Wire.Version.V1) with checkpoint_every = Some 2 } in
+  let cfg = { Store.Store_intf.default with checkpoint_every = Some 2 } in
   let st = ref (St.create cfg ~n:16 ~me:0) in
   for v = 1 to 5 do
     let s, _, _ = St.do_op !st ~obj:(v mod 2) (Model.Op.Write (vi v)) in
@@ -278,17 +232,14 @@ let test_recovered_replica_keeps_its_wire () =
     let st, _, _ = St.do_op st ~obj:0 (Model.Op.Write (vi 9)) in
     snd (St.send st)
   in
-  let recovered = St.recover !st in
-  Alcotest.(check bool) "a recovered v1 replica emits v1" true
-    (strictly_v1_update (next recovered));
   Alcotest.(check string) "the bytes it would have sent uncrashed" (next !st)
-    (next recovered)
+    (next (St.recover !st))
 
 let test_v2_lost_push_requester_path () =
-  (* the companion to the v1-pinned backoff test in test_anti_entropy:
-     under v2 a push optimistically credits the peer, so when the push is
-     lost the stale digest cannot re-trigger it — the gap closes from the
-     requester side instead, once a full digest shows b what it misses *)
+  (* the companion to the push backoff test in test_anti_entropy: a push
+     optimistically credits the peer, so when the push is lost the stale
+     digest cannot re-trigger it — the gap closes from the requester side
+     instead, once a full digest shows b what it misses *)
   let a = AE.init ~n:2 ~me:0 and b = AE.init ~n:2 ~me:1 in
   let a, _, _ = AE.do_op a ~obj:0 (Model.Op.Write (vi 1)) in
   let a, _lost_update = AE.send a in
@@ -331,7 +282,7 @@ let test_config_validation () =
   (* the settings reach the replica: a peer's empty digest is answered
      with at most [repair_batch] of the three missed payloads *)
   let repair_label repair_batch =
-    let cfg = { d with repair_batch; wire = Wire.Version.V1 } in
+    let cfg = { d with repair_batch } in
     let a =
       List.fold_left
         (fun a v ->
@@ -360,8 +311,7 @@ let suite =
       tc "sealed frame flip fuzz" test_sealed_flip_fuzz;
       prop_receive_total;
       tc "mixed versions converge, each on its own wire" test_mixed_version_convergence;
-      tc "emission is per replica (n = 16)" test_emission_is_per_replica;
-      tc "a recovered v1 replica still emits v1" test_recovered_replica_keeps_its_wire;
+      tc "recovery resends uncrashed bytes" test_recovered_replica_sends_the_same_bytes;
       tc "v2 lost push recovered by requester" test_v2_lost_push_requester_path;
       tc "config validation" test_config_validation;
     ] )
