@@ -51,7 +51,9 @@ let config_term =
       value
       & opt at_least_1 d.repair_batch
       & info [ "repair-batch" ] ~docv:"N"
-          ~doc:"Anti-entropy: max repair payloads answered per digest (>= 1, default 32)")
+          ~doc:
+            "Anti-entropy: max payloads of one origin sent in answer to one repair \
+             request or join (>= 1, default 32)")
   in
   let max_backoff =
     Arg.(
@@ -59,8 +61,8 @@ let config_term =
       & opt at_least_1 d.max_backoff
       & info [ "max-backoff" ] ~docv:"N"
           ~doc:
-            "Anti-entropy: cap on the per-origin re-request backoff doubling, in \
-             gossip rounds (>= 1, default 32)")
+            "Anti-entropy: cap on the doubling backoff before the same peer is asked \
+             again for the same origin, in gossip rounds (>= 1, default 32)")
   in
   let full_digest_every =
     Arg.(

@@ -70,10 +70,12 @@ type outcome = {
       (** the runner's wire/visibility telemetry (see {!Runner.Make.metrics})
           and, through {!Stack.publish}, the [gossip.*] traffic counters
           summed over every replica's state (items and encoded bytes,
-          plus [gossip.dup_payloads] and [gossip.repair_applied]; a
-          recovery replay counts nothing) and the [ae.log_entries] /
-          [ae.log_bytes] gauges — the repair log the members still hold
-          at the end of the run, named as the live cluster names them *)
+          plus [gossip.dup_payloads], its split [gossip.dup_updates] /
+          [gossip.dup_repairs] / [gossip.dup_overheard], and
+          [gossip.repair_applied]; a recovery replay counts nothing)
+          and the [ae.log_entries] / [ae.log_bytes] gauges — the repair
+          log the members still hold at the end of the run, named as the
+          live cluster names them *)
   spans : traced Lazy.t;
       (** the run's spans, recorded by replay: forcing re-executes the
           same inputs (plan, steps, seed, objects, policy, gossip interval

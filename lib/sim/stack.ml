@@ -81,6 +81,9 @@ let publish reg (g : Store_intf.gossip_stats) ~log_entries ~log_bytes =
   c "gossip.updates" g.updates;
   c "gossip.update_bytes" g.update_bytes;
   c "gossip.dup_payloads" g.dup_payloads;
+  c "gossip.dup_updates" g.dup_updates;
+  c "gossip.dup_repairs" g.dup_repairs;
+  c "gossip.dup_overheard" g.dup_overheard;
   c "gossip.repair_applied" g.repair_applied;
   c "gossip.memberships" g.memberships;
   c "gossip.membership_bytes" g.membership_bytes;

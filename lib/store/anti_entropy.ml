@@ -15,23 +15,29 @@
       broadcast: the replica's version vector [have], whose component [o]
       counts the contiguous prefix of origin [o]'s stream it has applied;
     - a received digest is compared against [have]: where the peer is
-      behind, the replica {e pushes} a batched {e repair} (capped at
-      [repair_batch] payloads per origin, gated by per-peer exponential
-      backoff); where the peer is ahead, it sends a targeted
-      {e repair request} (per-origin exponential backoff), which the peer
-      answers ungated — an explicit ask is never throttled;
+      ahead, the replica sends it a targeted {e repair request}, which
+      the peer answers ungated with a batched {e repair} of at most
+      [repair_batch] payloads — an explicit ask is never throttled, the
+      asker paces itself. Where the peer is behind, nothing is sent: the
+      replica that lacks a payload is the only one that knows it lacks
+      it (a digest races the payloads it reports, which may still be in
+      flight), so repair is {e pulled};
     - repairs and direct updates alike are deduplicated against the log
       and applied to the inner store in per-origin sequence order, so the
       inner replica sees an exactly-once, per-origin-FIFO stream no matter
       how the network duplicated, reordered, or dropped.
 
-    Backoff is counted in gossip rounds and capped ([max_backoff]), never
-    infinite, so repair stays live: as long as ticks keep firing and the
-    network is sufficiently connected in the sense of the paper's
-    Section 2 (the undirected graph of pairs with both directions alive is
-    connected), every update reaches every replica even when some links
-    are permanently dead — a digest travelling one live direction triggers
-    a push from any third replica that already has the bytes.
+    A request backs off per (origin, peer), exponentially in gossip
+    rounds and capped at [max_backoff], never infinitely; progress on an
+    origin resets its backoff toward every peer. So repair stays live: as
+    long as ticks keep firing and the network is sufficiently connected
+    in the sense of the paper's Section 2 (the undirected graph of pairs
+    with both directions alive is connected), every update reaches every
+    replica even when some links are permanently dead. A payload travels
+    pull by pull along links alive both ways — the holder's digest
+    reaches the asker, the request reaches the holder, the repair comes
+    back — and a request lost on a link dead one way never holds back the
+    request to the next peer whose digest shows the same gap.
 
     Digests, repairs, and requests are control traffic: they carry no
     sequence numbers of their own and are regenerated from state, so a
@@ -50,13 +56,12 @@
     Per peer the replica keeps [reported]: what that peer has itself
     proven to hold — its full digests, its digest deltas rebased on
     [reported], and its own update stream while contiguous. It is not
-    the push-side [view], which credits a push before it arrives and
-    credits a repair's destination when a third party sees it go by;
-    trimming on [view] would discard payloads a dropped frame never
-    delivered, and the peer's ungated request could then not be
-    answered. At the end of every [receive], origin [o]'s log is cut
-    below [stable(o)], the minimum of [have(o)] and of [reported(o)] over
-    the peers that have not said goodbye, and [floor(o)] rises to it. Only
+    [view], which digest deltas rebase on and requests read: [view] also
+    takes the payloads the peer was seen sending as evidence of what it
+    holds, good enough to ask it but not what it reported applying. At
+    the end of every [receive], origin [o]'s log is cut below
+    [stable(o)], the minimum of [have(o)] and of [reported(o)] over the
+    peers that have not said goodbye, and [floor(o)] rises to it. Only
     received inputs move the floor, never [tick], so the durable replay
     rebuilds the same trimmed log. An id that has never joined reports
     nothing and so holds every floor at 0 until it does, which is what
@@ -80,36 +85,36 @@
     round toward one destination are merged, deduplicated, and encoded
     as {!Haec_wire.Wire.Gossip.Repair_runs} —
     per-origin runs of consecutive sequence numbers, so the per-payload
-    [(origin, seq)] labels collapse into one run header. Three further
-    duplicate-suppression rules exploit the broadcast transport: an
-    update or repair item proves what its {e sender} holds, so receivers
-    lift their view of the sender accordingly without waiting for a
-    digest; a replica that is not the origin of a missing prefix defers
-    its push by one digest cycle, giving the origin — which every digest
-    also reached — the first shot; and repair payloads addressed to a
-    third replica are ingested opportunistically, since the bytes arrived
-    anyway. Decoding is version-agnostic throughout — every v2 layout
-    hides behind a marker byte no v1 item starts with — so a replica
-    still decodes the v1 frames of older peers, and what it emits never
-    depends on what it has received.
+    [(origin, seq)] labels collapse into one run header. Two further
+    rules exploit the broadcast transport: an update or repair item
+    proves what its {e sender} holds, so receivers lift their view of
+    the sender accordingly and can ask it without waiting for a digest;
+    and repair payloads addressed to a third replica are ingested
+    opportunistically, since the bytes arrived anyway. Decoding is
+    version-agnostic throughout — every v2 layout hides behind a marker
+    byte no v1 item starts with — so a replica still decodes the v1
+    frames of older peers, and what it emits never depends on what it
+    has received.
 
     {b Dynamic membership.} A joining replica announces itself with a
     {!Haec_wire.Wire.Gossip.Hello} (via {!Make.announce_join}, applied by
-    the runner) that rides with its first — empty — digest; every peer
-    that hears it resets its push backoff toward the joiner and answers
-    with a digest of its own, so the ordinary digest/repair machinery
-    performs the bootstrap state transfer without a dedicated protocol. A
-    graceful leave announces a {!Haec_wire.Wire.Gossip.Goodbye}
+    the runner) that rides with its first — empty — digest. A hello
+    counts as an ask for everything: every peer that hears it answers
+    with the first [repair_batch] payloads of every origin's stream it
+    logs and a digest of its own, from which the joiner requests the
+    rest, so the ordinary digest/request machinery performs the
+    bootstrap state transfer without a dedicated protocol. A graceful
+    leave announces a {!Haec_wire.Wire.Gossip.Goodbye}
     ({!Make.announce_leave}); a crash-leave announces nothing, and the
     survivors converge among themselves — the reach-based {!Make.settled}
     predicate demands agreement only up to the longest contiguous prefix
-    of each origin's stream that the surviving logs can still reconstruct,
-    so payloads that died with a crash-leaver (orphaning later seqs) do
-    not wedge quiescence. Membership knowledge here is deliberately
-    minimal and eventually accurate — an epoch high-water mark and a
-    departed set — matching what eventual consistency actually requires
-    of a failure detector (Dubois et al., PAPERS.md); the authoritative
-    epoch-stamped view lives in the simulator
+    of each origin's stream that the surviving logs can still
+    reconstruct, so payloads that died with a crash-leaver (orphaning
+    later seqs) do not wedge quiescence. Membership knowledge here is
+    deliberately minimal and eventually accurate — an epoch high-water
+    mark and a departed set — matching what eventual consistency
+    actually requires of a failure detector (Dubois et al., PAPERS.md);
+    the authoritative epoch-stamped view lives in the simulator
     ({!Haec_sim.Membership}). *)
 
 open Haec_wire
@@ -290,16 +295,12 @@ end = struct
   module Int_set = Set.Make (Int)
 
   type peer = {
-    view : Vclock.t;  (** pointwise max of every digest heard from this peer *)
+    view : Vclock.t;
+        (** pointwise max of every digest heard from this peer and of the
+            payloads it was seen sending *)
     reported : Vclock.t;
-        (** what the peer itself has proven it holds — its digests and
-            its own contiguous update stream, never our optimism about
-            it; bounds the stable prefix *)
-    push_due : int;  (** earliest round a repair may be pushed to them *)
-    push_backoff : int;
-    defer : Int_set.t;
-        (** origins whose push toward this peer already waited one digest
-            cycle for the origin itself to serve it *)
+        (** what the peer itself has proven to hold — its digests and
+            its own contiguous update stream; bounds the stable prefix *)
   }
 
   (* control items queued for the next broadcast; a digest is a marker,
@@ -328,8 +329,9 @@ end = struct
     have : Vclock.t;  (** contiguous applied prefix per origin *)
     floor : Vclock.t;  (** per origin, the trimmed prefix every member holds *)
     peers : peer Int_map.t;
-    req_due : int Int_map.t;  (** origin -> earliest round to re-request *)
-    req_backoff : int Int_map.t;
+    req : (int * int) Int_map.t Int_map.t;
+        (** origin -> peer -> (earliest round to ask that peer again,
+            backoff) *)
     rounds : int;
     outq_rev : out_item list;
     epoch : int;  (** highest membership epoch seen *)
@@ -343,9 +345,10 @@ end = struct
 
   let invisible_reads = S.invisible_reads
 
-  (* receiving a digest can enqueue a repair: messages become pending
-     without any client operation, so the transformer is not op-driven
-     (Definition 15) even when the inner store is *)
+  (* receiving a digest can enqueue a request, and a request a repair:
+     messages become pending without any client operation, so the
+     transformer is not op-driven (Definition 15) even when the inner
+     store is *)
   let op_driven = false
 
   let create cfg ~n ~me =
@@ -354,10 +357,7 @@ end = struct
     for p = 0 to n - 1 do
       if p <> me then
         peers :=
-          Int_map.add p
-            { view = Vclock.zero ~n; reported = Vclock.zero ~n; push_due = 0;
-              push_backoff = 1; defer = Int_set.empty }
-            !peers
+          Int_map.add p { view = Vclock.zero ~n; reported = Vclock.zero ~n } !peers
     done;
     {
       cfg;
@@ -370,8 +370,7 @@ end = struct
       have = Vclock.zero ~n;
       floor = Vclock.zero ~n;
       peers = !peers;
-      req_due = Int_map.empty;
-      req_backoff = Int_map.empty;
+      req = Int_map.empty;
       rounds = 0;
       outq_rev = [];
       epoch = 0;
@@ -444,8 +443,9 @@ end = struct
              log_bytes = t.log_bytes + String.length payload }
 
   (* apply every payload of [origin] that is now contiguous with the
-     applied prefix, in sequence order; progress resets the per-origin
-     request backoff so the next gap is chased eagerly again *)
+     applied prefix, in sequence order; progress resets the request
+     backoff of [origin] toward every peer, so the next gap is chased
+     eagerly again *)
   let rec cascade t ~origin =
     let next = Vclock.get t.have origin in
     match log_find t ~origin ~seq:next with
@@ -457,32 +457,41 @@ end = struct
           t with
           inner;
           have = Vclock.tick t.have origin;
-          req_due = Int_map.remove origin t.req_due;
-          req_backoff = Int_map.remove origin t.req_backoff;
+          req = Int_map.remove origin t.req;
         }
       in
       cascade t ~origin
 
   (* what one envelope's payloads did, folded into the counters once at
-     the end of [receive] rather than copying the state per payload *)
-  type tally = { mutable dups : int; mutable repaired : int }
+     the end of [receive] rather than copying the state per payload.
+     Duplicates are split by how they came: an eager update, a repair
+     addressed to us, or a repair addressed to a third party *)
+  type tally = {
+    mutable dup_updates : int;
+    mutable dup_repairs : int;
+    mutable dup_overheard : int;
+    mutable repaired : int;
+  }
 
-  let ingest tally t ~origin ~seq ~payload ~via_repair =
+  let ingest tally t ~origin ~seq ~payload ~via =
     if seq < Vclock.get t.have origin || log_find t ~origin ~seq <> None then begin
-      tally.dups <- tally.dups + 1;
+      (match via with
+      | `Update -> tally.dup_updates <- tally.dup_updates + 1
+      | `Repair -> tally.dup_repairs <- tally.dup_repairs + 1
+      | `Overheard -> tally.dup_overheard <- tally.dup_overheard + 1);
       t
     end
     else begin
-      if via_repair then tally.repaired <- tally.repaired + 1;
+      if via <> `Update then tally.repaired <- tally.repaired + 1;
       cascade (log_add t ~origin ~seq payload) ~origin
     end
 
   (* the sender of an update or repair item demonstrably holds the
      payloads it sent: lift our view of its contiguous prefix without
-     waiting for its next digest, suppressing duplicate pushes (and
-     enabling productive requests) one round earlier. [from_seq] must
-     attach to the prefix we already credit the peer with, else the
-     evidence is non-contiguous and proves nothing about the prefix. *)
+     waiting for its next digest, so a request can go to it one round
+     earlier. [from_seq] must attach to the prefix we already credit the
+     peer with, else the evidence is non-contiguous and proves nothing
+     about the prefix. *)
   let note_peer_has t ~peer ~origin ~from_seq ~upto =
     match Int_map.find_opt peer t.peers with
     | None -> t
@@ -515,6 +524,10 @@ end = struct
     in
     go (max from_seq (Vclock.get t.floor origin)) [] 0
 
+  (* a digest shows what the peer holds: ask it for whatever it has and
+     we lack. Each (origin, peer) pair backs off on its own, so an ask
+     lost on a dead link toward one peer never holds back the ask to the
+     next peer whose digest shows the same gap *)
   let on_digest t ~sender clock =
     if Vclock.size clock <> t.n then
       raise (Wire.Decoder.Malformed "anti-entropy digest: wrong vector size");
@@ -523,93 +536,29 @@ end = struct
       | Some p -> p
       | None -> raise (Wire.Decoder.Malformed "anti-entropy digest: bad sender")
     in
-    (* any new progress in the digest forgives the push backoff: a freshly
-       joined or long-partitioned peer advancing through its bootstrap must
-       not stay pinned at the cap, one batch per 32 rounds *)
-    let p =
-      if Vclock.leq clock p.view then p
-      else { p with push_due = t.rounds; push_backoff = 1 }
-    in
     let view = Vclock.merge p.view clock in
-    (* push what they are missing, batched per origin, per-peer backoff *)
-    let behind = ref [] in
-    for o = t.n - 1 downto 0 do
-      if Vclock.get t.have o > Vclock.get view o then behind := o :: !behind
-    done;
-    let t, p =
-      if !behind = [] then
-        (* caught up: forgive the backoff so the next divergence is
-           repaired promptly *)
-        (t, { p with view; push_due = t.rounds; push_backoff = 1; defer = Int_set.empty })
-      else begin
-        (* a replica that is not the origin holds its push for one digest
-           cycle — the origin heard the same digest and serves its own
-           stream first; we only step in if the peer is still behind at
-           its next digest *)
-        let ready, wait =
-          List.partition (fun o -> o = t.me || Int_set.mem o p.defer) !behind
-        in
-        if ready <> [] && t.rounds >= p.push_due then begin
-          let items =
-            List.concat_map
-              (fun o -> batch_from t ~origin:o ~from_seq:(Vclock.get view o))
-              ready
-          in
-          let t =
-            if items = [] then t
-            else { t with outq_rev = Out_repair { dst = sender; items } :: t.outq_rev }
-          in
-          (* send-side optimism: credit the peer with what was just
-             pushed, so a stale or duplicated digest cannot re-trigger the
-             same push. If the frame is lost the peer stays behind, sees us
-             ahead in our next (periodic) digest, and its repair request —
-             answered ungated — closes the gap; the push path never fires
-             for these seqs again, the request path always will *)
-          let view =
-            List.fold_left (fun v (o, seq, _) -> Vclock.raise_to v o (seq + 1)) view items
-          in
-          ( t,
-            {
-              p with
-              view;
-              push_due = t.rounds + p.push_backoff;
-              push_backoff = min (2 * p.push_backoff) t.cfg.max_backoff;
-              defer = Int_set.of_list wait;
-            } )
-        end
-        else
-          (* blocked by backoff or everything deferred: whatever is still
-             missing at the peer's next digest is then fair game *)
-          (t, { p with view; defer = Int_set.of_list !behind })
-      end
-    in
-    let t = { t with peers = Int_map.add sender p t.peers } in
-    (* request what they have and we lack, per-origin backoff *)
-    let t = ref t in
+    let t = ref { t with peers = Int_map.add sender { p with view } t.peers } in
     for o = 0 to t.contents.n - 1 do
-      if Vclock.get view o > Vclock.get t.contents.have o then begin
-        let due = Option.value (Int_map.find_opt o t.contents.req_due) ~default:0 in
-        if t.contents.rounds >= due then begin
-          let backoff =
-            Option.value (Int_map.find_opt o t.contents.req_backoff) ~default:1
-          in
+      let cur = !t in
+      let from_seq = Vclock.get cur.have o in
+      if Vclock.get view o > from_seq then begin
+        let asked = Option.value (Int_map.find_opt o cur.req) ~default:Int_map.empty in
+        let due, backoff = Option.value (Int_map.find_opt sender asked) ~default:(0, 1) in
+        if cur.rounds >= due then
           t :=
             {
-              t.contents with
-              outq_rev =
-                Out_request
-                  { dst = sender; origin = o; from_seq = Vclock.get t.contents.have o }
-                :: t.contents.outq_rev;
-              req_due = Int_map.add o (t.contents.rounds + backoff) t.contents.req_due;
-              req_backoff =
+              cur with
+              outq_rev = Out_request { dst = sender; origin = o; from_seq } :: cur.outq_rev;
+              req =
                 Int_map.add o
-                  (min (2 * backoff) t.contents.cfg.max_backoff)
-                  t.contents.req_backoff;
+                  (Int_map.add sender
+                     (cur.rounds + backoff, min (2 * backoff) cur.cfg.max_backoff)
+                     asked)
+                  cur.req;
             }
-        end
       end
     done;
-    t.contents
+    !t
 
   let check_replica t what r =
     if r < 0 || r >= t.n then
@@ -636,7 +585,7 @@ end = struct
         note_reported t ~peer:sender (fun r ->
             if seq <= Vclock.get r sender then Vclock.raise_to r sender (seq + 1) else r)
       in
-      ingest tally t ~origin:sender ~seq ~payload ~via_repair:false
+      ingest tally t ~origin:sender ~seq ~payload ~via:`Update
     | Wire.Gossip.Digest ->
       let clock = Vclock.decode_any dec in
       check_replica t "digest" sender;
@@ -707,18 +656,20 @@ end = struct
       if dst <> t.me then t
       else
         List.fold_left
-          (fun t (origin, seq, payload) -> ingest tally t ~origin ~seq ~payload ~via_repair:true)
+          (fun t (origin, seq, payload) -> ingest tally t ~origin ~seq ~payload ~via:`Repair)
           t items
     | Wire.Gossip.Repair_runs ->
       (* one merged repair toward [dst]: per-origin runs of consecutive
          seqs. The bytes reached every replica, so even when [dst] is a
          third party we ingest what we ourselves lack (the log dedups),
-         and we credit the sender with holding the runs *)
+         and we credit the sender with holding the runs. The destination
+         is credited with nothing: only its own digests say what it got *)
       let dst = Wire.Decoder.uint dec in
       let runs = Wire.Decoder.uint dec in
       if runs > Wire.Decoder.remaining dec then
         raise (Wire.Decoder.Malformed "anti-entropy repair-runs: bad run count");
       check_replica t "repair-runs" dst;
+      let via = if dst = t.me then `Repair else `Overheard in
       let t = ref t in
       for _ = 1 to runs do
         let origin = Wire.Decoder.uint dec in
@@ -727,37 +678,30 @@ end = struct
         if count > Wire.Decoder.remaining dec then
           raise (Wire.Decoder.Malformed "anti-entropy repair-runs: bad payload count");
         check_replica !t "repair-runs" origin;
-        t :=
-          note_peer_has !t ~peer:sender ~origin ~from_seq ~upto:(from_seq + count);
-        (* the destination is about to receive these too (same broadcast),
-           so a third party observing the repair need not push the same
-           prefix again; if the dst's link actually dropped the frame, its
-           own requests — answered ungated — and the periodic full digests
-           restore progress *)
-        t := note_peer_has !t ~peer:dst ~origin ~from_seq ~upto:(from_seq + count);
+        t := note_peer_has !t ~peer:sender ~origin ~from_seq ~upto:(from_seq + count);
         for j = 0 to count - 1 do
           let payload = Wire.Decoder.string dec in
-          t := ingest tally !t ~origin ~seq:(from_seq + j) ~payload ~via_repair:true
+          t := ingest tally !t ~origin ~seq:(from_seq + j) ~payload ~via
         done
       done;
       !t
     | Wire.Gossip.Hello ->
       let epoch = Wire.Decoder.uint dec in
       check_replica t "hello" sender;
-      (* a joiner enters empty: forgive any backoff toward it and answer
-         with a digest so it can start requesting immediately *)
-      let peers =
-        match Int_map.find_opt sender t.peers with
-        | None -> t.peers
-        | Some p ->
-          Int_map.add sender { p with push_due = t.rounds; push_backoff = 1 } t.peers
-      in
+      (* a joiner enters empty, so its hello asks for everything: answer
+         with the first batch of every origin's stream we log, and with a
+         digest from which it requests the rest *)
       let outq_rev =
         if List.exists is_digest t.outq_rev then t.outq_rev
         else Out_digest { force_full = true } :: t.outq_rev
       in
-      { t with peers; outq_rev; epoch = max epoch t.epoch;
-               away = Int_set.remove sender t.away }
+      let outq_rev =
+        let first origin = batch_from t ~origin ~from_seq:0 in
+        match List.concat_map first (List.init t.n Fun.id) with
+        | [] -> outq_rev
+        | items -> Out_repair { dst = sender; items } :: outq_rev
+      in
+      { t with outq_rev; epoch = max epoch t.epoch; away = Int_set.remove sender t.away }
     | Wire.Gossip.Goodbye ->
       let epoch = Wire.Decoder.uint dec in
       check_replica t "goodbye" sender;
@@ -819,21 +763,25 @@ end = struct
         if count > Wire.Decoder.remaining dec then
           raise (Wire.Decoder.Malformed "anti-entropy envelope: item count exceeds input");
         let t = ref t in
-        let tally = { dups = 0; repaired = 0 } in
+        let tally = { dup_updates = 0; dup_repairs = 0; dup_overheard = 0; repaired = 0 } in
         for _ = 1 to count do
           t := receive_item tally !t ~sender ~v2 dec
         done;
         let t = !t in
         let c = t.counters in
+        let dups = tally.dup_updates + tally.dup_repairs + tally.dup_overheard in
         trim
-          (if tally.dups = 0 && tally.repaired = 0 then t
+          (if dups = 0 && tally.repaired = 0 then t
            else
              {
                t with
                counters =
                  {
                    c with
-                   dup_payloads = c.dup_payloads + tally.dups;
+                   dup_payloads = c.dup_payloads + dups;
+                   dup_updates = c.dup_updates + tally.dup_updates;
+                   dup_repairs = c.dup_repairs + tally.dup_repairs;
+                   dup_overheard = c.dup_overheard + tally.dup_overheard;
                    repair_applied = c.repair_applied + tally.repaired;
                  };
              }))

@@ -41,13 +41,18 @@ let fresh_delivery_stats () = { scans = 0; delivered = 0; max_buffer = 0 }
 type gossip_stats = {
   digests : int;  (** digest items sent *)
   digest_bytes : int;
-  repairs : int;  (** repair items sent (pushes and request answers) *)
+  repairs : int;  (** repair items sent (answers to requests and hellos) *)
   repair_bytes : int;
   requests : int;  (** repair-request items sent *)
   request_bytes : int;
   updates : int;  (** fresh update items sent *)
   update_bytes : int;
-  dup_payloads : int;  (** received update/repair payloads already logged (duplicates) *)
+  dup_payloads : int;
+      (** received update/repair payloads already logged (duplicates):
+          always [dup_updates + dup_repairs + dup_overheard] *)
+  dup_updates : int;  (** duplicates that came as an eager update item *)
+  dup_repairs : int;  (** duplicates in a repair addressed to this replica *)
+  dup_overheard : int;  (** duplicates in a repair addressed to a third replica *)
   repair_applied : int;  (** previously missing payloads obtained through a repair *)
   memberships : int;  (** hello/goodbye membership items sent *)
   membership_bytes : int;
@@ -66,6 +71,9 @@ let fresh_gossip_stats () =
     updates = 0;
     update_bytes = 0;
     dup_payloads = 0;
+    dup_updates = 0;
+    dup_repairs = 0;
+    dup_overheard = 0;
     repair_applied = 0;
     memberships = 0;
     membership_bytes = 0;
@@ -85,6 +93,9 @@ let add_gossip_stats a b =
     updates = a.updates + b.updates;
     update_bytes = a.update_bytes + b.update_bytes;
     dup_payloads = a.dup_payloads + b.dup_payloads;
+    dup_updates = a.dup_updates + b.dup_updates;
+    dup_repairs = a.dup_repairs + b.dup_repairs;
+    dup_overheard = a.dup_overheard + b.dup_overheard;
     repair_applied = a.repair_applied + b.repair_applied;
     memberships = a.memberships + b.memberships;
     membership_bytes = a.membership_bytes + b.membership_bytes;
@@ -145,8 +156,12 @@ let visible_keys w =
     in one process. Every replica emits wire v2 (DESIGN.md §4h); every
     decoder still accepts v1 frames. *)
 type config = {
-  repair_batch : int;  (** anti-entropy: repair payloads answered per origin and digest *)
-  max_backoff : int;  (** anti-entropy: cap on the push and re-request backoff, in rounds *)
+  repair_batch : int;
+      (** anti-entropy: payloads of one origin sent in answer to one repair
+          request, or to a joiner's hello *)
+  max_backoff : int;
+      (** anti-entropy: cap, in gossip rounds, on the doubling backoff before
+          a replica asks the same peer again for the same origin *)
   full_digest_every : int;
       (** anti-entropy: an absolute digest every this many rounds *)
   checkpoint_every : int option;

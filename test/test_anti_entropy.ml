@@ -12,7 +12,8 @@ module AE = Store.Anti_entropy.Make (Store.Mvr_store)
 (* ---------- the protocol, by hand ---------- *)
 
 (* Two replicas, one lost update: the digest exchange must detect the gap
-   and push exactly the missing payload — no runner, no oracle. *)
+   and the replica that lacks the payload pulls exactly it — no runner,
+   no oracle. *)
 let test_digest_repair_exchange () =
   let a = AE.init ~n:2 ~me:0 and b = AE.init ~n:2 ~me:1 in
   let a, _, _ = AE.do_op a ~obj:0 (Model.Op.Write (vi 1)) in
@@ -22,11 +23,18 @@ let test_digest_repair_exchange () =
   (* the second broadcast vanishes; b only ever hears the first *)
   let b = AE.receive b ~sender:0 p1 in
   Alcotest.(check int) "b applied the first update" 1 (Vclock.get (AE.have b) 0);
-  (* a gossip tick queues a digest on b; a hears it and sees b is behind *)
+  (* b's digest shows a that b is behind, and a sends nothing for it *)
   let b = AE.tick b in
   Alcotest.(check bool) "digest pending after tick" true (AE.has_pending b);
   let b, digest = AE.send b in
   let a = AE.receive a ~sender:1 digest in
+  Alcotest.(check bool) "nothing pushed" false (AE.has_pending a);
+  (* a's digest shows b the gap: b asks, and a answers *)
+  let a, digest = AE.send (AE.tick a) in
+  let b = AE.receive b ~sender:0 digest in
+  Alcotest.(check bool) "request queued at b" true (AE.has_pending b);
+  let b, request = AE.send b in
+  let a = AE.receive a ~sender:1 request in
   Alcotest.(check bool) "repair queued at a" true (AE.has_pending a);
   let a, repair = AE.send a in
   let b = AE.receive b ~sender:0 repair in
@@ -40,6 +48,8 @@ let test_digest_repair_exchange () =
   let gs = Store.Store_intf.add_gossip_stats (AE.counters a) (AE.counters b) in
   Alcotest.(check bool) "digest traffic counted" true
     (gs.Store.Store_intf.digests > 0 && gs.Store.Store_intf.digest_bytes > 0);
+  Alcotest.(check bool) "request traffic counted" true
+    (gs.Store.Store_intf.requests > 0 && gs.Store.Store_intf.request_bytes > 0);
   Alcotest.(check bool) "repair traffic counted" true
     (gs.Store.Store_intf.repairs > 0 && gs.Store.Store_intf.repair_bytes > 0);
   Alcotest.(check bool) "repair payloads applied" true
@@ -79,47 +89,34 @@ let test_duplicates_dropped () =
   Alcotest.(check bool) "duplicate counted" true
     (gs.Store.Store_intf.dup_payloads > 0)
 
-(* The per-peer push backoff must be forgiven the moment a peer's digest
-   shows new progress: a digest that merely repeats a known-stale view is
-   suppressed (backoff doubling), but one whose clock has advanced — the
-   peer applied something since we last looked — resets the backoff and
-   queues a push immediately instead of waiting out the old deadline.
-   A push credits the peer's view with what it carried, so the batch is
-   one payload: the peer stays behind that view, and only the backoff
-   holds the next push back. *)
-let test_push_backoff_forgiven_on_progress () =
-  let cfg = { Store.Store_intf.default with repair_batch = 1 } in
-  let a, b = (AE.create cfg ~n:2 ~me:0, AE.create cfg ~n:2 ~me:1) in
+(* [dup_payloads] splits by how the duplicate came: an eager update
+   delivered twice, a repair addressed to this replica carrying what it
+   holds, and a repair addressed to a third replica that this one
+   overheard. The three always sum to [dup_payloads]. *)
+let test_dup_split () =
+  let a = AE.init ~n:3 ~me:0 and b = AE.init ~n:3 ~me:1 and c = AE.init ~n:3 ~me:2 in
   let a, _, _ = AE.do_op a ~obj:0 (Model.Op.Write (vi 1)) in
-  let a, p1 = AE.send a in
+  let a, p0 = AE.send a in
   let a, _, _ = AE.do_op a ~obj:0 (Model.Op.Write (vi 2)) in
-  let a, p2 = AE.send a in
-  let a, _, _ = AE.do_op a ~obj:0 (Model.Op.Write (vi 3)) in
-  let a, _lost3 = AE.send a in
-  (* all three broadcasts are lost; b's empty digest solicits a push *)
-  let b = AE.tick b in
-  let b, d0 = AE.send b in
-  let a = AE.receive a ~sender:1 d0 in
-  Alcotest.(check bool) "first stale digest queues a push" true
-    (AE.has_pending a);
-  let a, _lost_push = AE.send a in
-  (* the same stale digest again (a duplicate delivery): b is still
-     behind the one payload the push credited, but the per-peer backoff
-     suppresses the redundant push *)
-  let a = AE.receive a ~sender:1 d0 in
-  Alcotest.(check bool) "repeated stale digest backed off" false
-    (AE.has_pending a);
-  (* the peer finally makes progress (the first two payloads land late);
-     its next digest has advanced beyond the view we recorded, so the
-     backoff must reset and a push fire immediately — not at the old
-     deadline *)
-  let b = AE.receive b ~sender:0 p1 in
-  let b = AE.receive b ~sender:0 p2 in
-  let b = AE.tick b in
-  let _, d1 = AE.send b in
-  let a = AE.receive a ~sender:1 d1 in
-  Alcotest.(check bool) "digest showing progress resets the backoff" true
-    (AE.has_pending a)
+  let a, p1 = AE.send a in
+  (* c hears both updates, b only the first *)
+  let c = AE.receive (AE.receive c ~sender:0 p0) ~sender:0 p1 in
+  let b = AE.receive b ~sender:0 p0 in
+  let a, digest = AE.send (AE.tick a) in
+  let b, request = AE.send (AE.receive b ~sender:0 digest) in
+  let _, repair = AE.send (AE.receive a ~sender:1 request) in
+  let b = AE.receive (AE.receive b ~sender:0 repair) ~sender:0 repair in
+  let c = AE.receive (AE.receive c ~sender:0 repair) ~sender:0 p0 in
+  let split name st (updates, repairs, overheard) =
+    let g = AE.counters st in
+    Alcotest.(check (list int)) (name ^ ": updates, repairs, overheard")
+      [ updates; repairs; overheard ]
+      Store.Store_intf.[ g.dup_updates; g.dup_repairs; g.dup_overheard ];
+    Alcotest.(check int) (name ^ ": the split sums to dup_payloads")
+      (updates + repairs + overheard) g.Store.Store_intf.dup_payloads
+  in
+  split "b, the repair delivered twice" b (0, 1, 0);
+  split "c, a third party's repair and an update again" c (1, 0, 1)
 
 (* ---------- the stable-prefix trim ---------- *)
 
@@ -133,36 +130,81 @@ let gossip t = AE.send (AE.tick t)
 
 let vclock = Alcotest.testable Vclock.pp Vclock.equal
 
-(* A v2 push credits the peer's view before the frame arrives. The trim
-   must not: the push below is dropped, so the peer never held those
-   payloads, and its later request has to find them in the log. *)
-let test_dropped_push_still_served () =
+(* The trim counts only what a peer has itself proven to hold. The repair
+   below is dropped, so the peer never held those payloads: they stay in
+   the log, and the peer's repeated request finds them there. *)
+let test_dropped_repair_rerequested () =
   let r = v2_replicas 2 in
   let a = r.(0) and b = r.(1) in
   let a, _ = write a 1 in
   let a, _ = write a 2 in
   let a, _ = write a 3 in
-  (* all three broadcasts are lost; b's empty digest solicits a push *)
-  let b, d0 = gossip b in
-  let a = AE.receive a ~sender:1 d0 in
-  Alcotest.(check bool) "push queued" true (AE.has_pending a);
-  let a, _lost_push = AE.send a in
-  Alcotest.(check int) "pushed payloads stay logged" 3 (AE.log_entries a);
-  Alcotest.check vclock "nothing is stable" (Vclock.zero ~n:2) (AE.floor a);
-  (* a's digest shows b the gap; b asks, and the ask is answered *)
+  (* all three broadcasts are lost; a's digest shows b the gap *)
   let a, da = gossip a in
+  let b, req = AE.send (AE.receive b ~sender:0 da) in
+  let a, _lost_repair = AE.send (AE.receive a ~sender:1 req) in
+  Alcotest.(check int) "repaired payloads stay logged" 3 (AE.log_entries a);
+  Alcotest.check vclock "nothing is stable" (Vclock.zero ~n:2) (AE.floor a);
+  (* the same digest again: within the backoff b does not ask, a round
+     later it does *)
   let b = AE.receive b ~sender:0 da in
+  Alcotest.(check bool) "re-ask backed off" false (AE.has_pending b);
+  let b = AE.receive (AE.tick b) ~sender:0 da in
   let b, req = AE.send b in
   let a = AE.receive a ~sender:1 req in
   let a, repair = AE.send a in
   let b = AE.receive b ~sender:0 repair in
-  Alcotest.(check int) "b caught up through its request" 3 (Vclock.get (AE.have b) 0);
+  Alcotest.(check int) "b caught up through its second request" 3 (Vclock.get (AE.have b) 0);
   (* once b's digest proves it, the prefix leaves a's log *)
   let _, db = gossip b in
   let a = AE.receive a ~sender:1 db in
   Alcotest.(check int) "floor raised to what b proved" 3 (Vclock.get (AE.floor a) 0);
   Alcotest.(check int) "log emptied" 0 (AE.log_entries a);
   Alcotest.(check int) "log bytes emptied" 0 (AE.log_bytes a)
+
+(* Repair is pulled, so it is live along links alive both ways. Here the
+   link from p to q is dead and the one from q to p alive: q's digest
+   shows p a gap, but p's requests to q never arrive. r also holds the
+   payload, and its digest shows p the same gap; the request backoff is
+   kept per (origin, peer), so the lost asks to q never hold back the ask
+   to r. q's digest reaches p first every round, so an ask that backed off
+   per origin alone would go to q forever. *)
+let test_one_way_dead_link () =
+  let p = 0 and q = 1 and r = 2 in
+  let st = Array.init 3 (fun me -> AE.init ~n:3 ~me) in
+  let st_q, _, _ = AE.do_op st.(q) ~obj:0 (Model.Op.Write (vi 1)) in
+  let st_q, update = AE.send st_q in
+  st.(q) <- st_q;
+  (* the update reaches r and is lost on its way to p *)
+  st.(r) <- AE.receive st.(r) ~sender:q update;
+  let alive ~src ~dst = not (src = p && dst = q) in
+  let round () =
+    Array.iteri (fun i s -> st.(i) <- AE.tick s) st;
+    List.iter
+      (fun src ->
+        while AE.has_pending st.(src) do
+          let s, payload = AE.send st.(src) in
+          st.(src) <- s;
+          List.iter
+            (fun dst ->
+              if dst <> src && alive ~src ~dst then
+                st.(dst) <- AE.receive st.(dst) ~sender:src payload)
+            [ p; q; r ]
+        done)
+      [ q; r; p ]
+  in
+  let rec go k =
+    if Vclock.get (AE.have st.(p)) q = 1 then k
+    else if k = 8 then Alcotest.fail "p did not get q's update within 8 rounds"
+    else begin
+      round ();
+      go (k + 1)
+    end
+  in
+  let rounds = go 0 in
+  Alcotest.(check bool) (Printf.sprintf "closed in %d rounds" rounds) true (rounds <= 2);
+  Alcotest.(check int) "p's asks to q went unanswered" 0
+    (AE.counters st.(q)).Store.Store_intf.repairs
 
 (* A request that arrives again after the floor passed its [from_seq]
    asks only for payloads every member holds: the answer starts at the
@@ -668,14 +710,37 @@ let counters_match_trace (module S : Store.Store_intf.S) ~churn seeds () =
     seeds;
   Alcotest.(check bool) "recoveries exercised" true (!recoveries > 0)
 
+(* A joiner enters empty, so its hello asks for everything: a peer that
+   hears it answers with the first [repair_batch] payloads of every
+   origin it logs, and with a digest from which the joiner requests the
+   rest. *)
+let test_hello_answered_with_every_origin () =
+  let cfg = { Store.Store_intf.default with repair_batch = 2 } in
+  let a = AE.create cfg ~n:3 ~me:0 and b = AE.create cfg ~n:3 ~me:1 in
+  let a, _ = write a 1 in
+  let a, _ = write a 2 in
+  let a, _ = write a 3 in
+  let b, q0 = write b 10 in
+  let _, q1 = write b 11 in
+  let a = AE.receive (AE.receive a ~sender:1 q0) ~sender:1 q1 in
+  let _, hello = AE.send (AE.announce_join ~epoch:1 (AE.create cfg ~n:3 ~me:2)) in
+  Alcotest.(check string) "the joiner's hello rides with its digest" "digest+hello"
+    (Store.Anti_entropy.classify hello);
+  let _, answer = AE.send (AE.receive a ~sender:2 hello) in
+  Alcotest.(check string) "two payloads of each origin, and a digest" "digest+repair(4)"
+    (Store.Anti_entropy.classify answer);
+  let j = AE.receive (AE.create cfg ~n:3 ~me:2) ~sender:0 answer in
+  Alcotest.check vclock "the joiner applied both batches" (Vclock.of_array [| 2; 2; 0 |])
+    (AE.have j);
+  Alcotest.(check bool) "and asks for the rest" true (AE.has_pending j)
+
 let suite =
   ( "anti-entropy",
     [
       tc "digest/repair closes a loss by hand" test_digest_repair_exchange;
       tc "out-of-order updates buffered, applied in order" test_out_of_order_buffered;
       tc "duplicate deliveries dropped" test_duplicates_dropped;
-      tc "push backoff forgiven when a digest shows progress"
-        test_push_backoff_forgiven_on_progress;
+      tc "pull is live across a one-way dead link" test_one_way_dead_link;
       tc "adversarial plans extend the baseline draws" test_adversarial_extends_baseline;
       tc "dead links validated for connectivity" test_dead_link_validation;
       tc "mutate is never the identity" test_mutate_never_identity;
@@ -696,8 +761,8 @@ let suite =
       tc "shrink minimizes an occ failure to <= 10 ops" test_shrink_minimizes;
       tc "shrink bit-identical across domain counts" test_shrink_parallel_deterministic;
       tc "shrink returns None when the run converges" test_shrink_none_on_converging_run;
-      tc "trim: a dropped push is still served to a request"
-        test_dropped_push_still_served;
+      tc "trim: a dropped repair is re-requested and served from the log"
+        test_dropped_repair_rerequested;
       tc "trim: a stale request is answered from the floor"
         test_stale_request_answered_from_floor;
       tc "trim: orphans stay exact" test_orphans_exact_across_trim;
@@ -715,4 +780,7 @@ let suite =
         (counters_match_trace (module Store.Mvr_store) ~churn:false (seeds 1 16));
       tc "counters: causal mvr with churn, 8 seeds"
         (counters_match_trace (module Store.Causal_mvr_store) ~churn:true (seeds 1 8));
+      tc "counters: dup_payloads split by cause" test_dup_split;
+      tc "hello: answered with the first batch of every origin"
+        test_hello_answered_with_every_origin;
     ] )

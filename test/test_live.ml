@@ -139,13 +139,16 @@ let test_ae_backpressure_accessors () =
   let a = AE.tick a in
   Alcotest.(check int) "tick queues one digest marker" 1 (AE.queue_depth a);
   Alcotest.(check int) "digest markers carry no payload" 0 (AE.pending_bytes a);
-  let a, _ = AE.send a in
+  let a, _lost = AE.send a in
   Alcotest.(check int) "send drains the queue" 0 (AE.queue_depth a);
-  (* a digest from an empty peer makes us queue a repair: payload bytes
+  (* the first broadcast is lost; the second one's digest shows the peer
+     the gap, and its request makes us queue a repair: payload bytes
      become pending *)
-  let b = AE.tick (AE.init ~n:2 ~me:1) in
-  let _, digest = AE.send b in
-  let a = AE.receive a ~sender:1 digest in
+  let a, _, _ = AE.do_op a ~obj:0 (Model.Op.Write (Model.Value.Int 2)) in
+  let a, second = AE.send (AE.tick a) in
+  let b = AE.receive (AE.init ~n:2 ~me:1) ~sender:0 second in
+  let _, request = AE.send b in
+  let a = AE.receive a ~sender:1 request in
   Alcotest.(check bool) "repair queued" true (AE.queue_depth a >= 1);
   Alcotest.(check bool)
     (Printf.sprintf "pending bytes positive (%d)" (AE.pending_bytes a))

@@ -95,7 +95,8 @@ let prop_dot_set_c_delta_exact =
 (* ---------- envelope fuzz: truncation and byte flips ---------- *)
 
 (* a small two-replica session, returning every distinct payload the
-   protocol put on the wire: updates, a digest, and a repair batch *)
+   protocol put on the wire: updates, a digest, the request it prompts,
+   and the repair batch that answers it *)
 let session_payloads () =
   let a = AE.init ~n:2 ~me:0 and b = AE.init ~n:2 ~me:1 in
   let a, _, _ = AE.do_op a ~obj:0 (Model.Op.Write (vi 1)) in
@@ -103,18 +104,19 @@ let session_payloads () =
   let a, _, _ = AE.do_op a ~obj:1 (Model.Op.Write (vi 2)) in
   let a, lost = AE.send a in
   let b = AE.receive b ~sender:0 p1 in
-  let b = AE.tick b in
-  let b, digest = AE.send b in
-  let a = AE.receive a ~sender:1 digest in
+  let a, digest = AE.send (AE.tick a) in
+  let b = AE.receive b ~sender:0 digest in
+  let b, request = AE.send b in
+  let a = AE.receive a ~sender:1 request in
   let a, repair = AE.send a in
   let b = AE.receive b ~sender:0 repair in
   ignore (a, b);
-  [ p1; lost; digest; repair ]
+  [ p1; lost; digest; request; repair ]
 
-(* The same session as a v1 replica emitted it, recorded from the last
-   build that could still emit v1: a's update, its lost update, b's
-   digest, and a's repair toward b. No replica emits these layouts any
-   more; every decoder must still read them. *)
+(* A session as a v1 replica emitted it, recorded from the last build
+   that could still emit v1 (which also pushed repairs): a's update, its
+   lost update, b's digest, and a's repair pushed toward b. No replica
+   emits these layouts any more; every decoder must still read them. *)
 let v1_update = "\001\000\000\t\001\000\002\001\000\000\001\000\002"
 
 let v1_lost_update = "\001\000\001\t\001\001\002\001\000\000\001\000\004"
@@ -205,8 +207,8 @@ let test_mixed_version_convergence () =
   let a, _, _ = AE.do_op a ~obj:1 (Model.Op.Write (vi 2)) in
   let a, _lost = AE.send a in
   let a = AE.receive a ~sender:1 v1_digest in
-  Alcotest.(check string) "a answers the v1 digest with a repair" "repair"
-    (Store.Anti_entropy.classify (snd (AE.send a)));
+  Alcotest.(check bool) "a reads the v1 digest and, being ahead, asks nothing" false
+    (AE.has_pending a);
   let b = AE.receive b ~sender:0 v1_repair in
   Alcotest.(check int) "b applied the v1 repair" 2 (Vclock.get (AE.have b) 0);
   let a, b = converge a b 20 in
@@ -235,29 +237,29 @@ let test_recovered_replica_sends_the_same_bytes () =
   Alcotest.(check string) "the bytes it would have sent uncrashed" (next !st)
     (next (St.recover !st))
 
-let test_v2_lost_push_requester_path () =
-  (* the companion to the push backoff test in test_anti_entropy: a push
-     optimistically credits the peer, so when the push is lost the stale
-     digest cannot re-trigger it — the gap closes from the requester side
-     instead, once a full digest shows b what it misses *)
+let test_v2_lost_repair_rerequested () =
+  (* a digest showing a peer behind never makes the holder send anything:
+     the replica that lacks the payload asks, and when the answer is lost
+     it asks again once its backoff allows *)
   let a = AE.init ~n:2 ~me:0 and b = AE.init ~n:2 ~me:1 in
   let a, _, _ = AE.do_op a ~obj:0 (Model.Op.Write (vi 1)) in
   let a, _lost_update = AE.send a in
-  let b = AE.tick b in
-  let b, digest = AE.send b in
-  let a = AE.receive a ~sender:1 digest in
-  Alcotest.(check bool) "push queued" true (AE.has_pending a);
-  let a, _lost_push = AE.send a in
-  (* a now optimistically believes b is caught up: replaying the same
-     stale digest must not trigger another push *)
-  let a = AE.receive a ~sender:1 digest in
-  Alcotest.(check bool) "stale digest re-push suppressed" false (AE.has_pending a);
-  (* recovery: a's periodic full digest tells b it is behind, and b
-     requests the gap — the answer path is never gated *)
+  let b, b_digest = AE.send (AE.tick b) in
+  let a = AE.receive a ~sender:1 b_digest in
+  Alcotest.(check bool) "a digest from behind prompts nothing" false (AE.has_pending a);
+  let a, digest = AE.send (AE.tick a) in
+  let b = AE.receive b ~sender:0 digest in
+  let b, request = AE.send b in
+  Alcotest.(check string) "b asks" "request" (Store.Anti_entropy.classify request);
+  let a, _lost_repair = AE.send (AE.receive a ~sender:1 request) in
+  (* the same digest again within the backoff asks nothing *)
+  let b = AE.receive b ~sender:0 digest in
+  Alcotest.(check bool) "re-ask backed off" false (AE.has_pending b);
+  (* recovery: b asks again at a later round; the answer is never gated *)
   let a, b = converge a b 20 in
   let _, ra, _ = AE.do_op a ~obj:0 Model.Op.Read in
   let _, rb, _ = AE.do_op b ~obj:0 Model.Op.Read in
-  Alcotest.(check bool) "reads agree after requester-path repair" true (ra = rb)
+  Alcotest.(check bool) "reads agree after the repeated request" true (ra = rb)
 
 (* ---------- config validation ---------- *)
 
@@ -279,7 +281,7 @@ let test_config_validation () =
   check_invalid "full_digest_every -3" { d with full_digest_every = -3 };
   Store.Store_intf.validate d;
   Store.Store_intf.validate Sim.Chaos.default_config;
-  (* the settings reach the replica: a peer's empty digest is answered
+  (* the settings reach the replica: an empty peer's request is answered
      with at most [repair_batch] of the three missed payloads *)
   let repair_label repair_batch =
     let cfg = { d with repair_batch } in
@@ -290,8 +292,9 @@ let test_config_validation () =
           fst (AE.send a))
         (AE.create cfg ~n:2 ~me:0) [ 1; 2; 3 ]
     in
-    let _, digest = AE.send (AE.tick (AE.create cfg ~n:2 ~me:1)) in
-    Store.Anti_entropy.classify (snd (AE.send (AE.receive a ~sender:1 digest)))
+    let a, digest = AE.send (AE.tick a) in
+    let _, request = AE.send (AE.receive (AE.create cfg ~n:2 ~me:1) ~sender:0 digest) in
+    Store.Anti_entropy.classify (snd (AE.send (AE.receive a ~sender:1 request)))
   in
   Alcotest.(check string) "repair_batch 1" "repair" (repair_label 1);
   Alcotest.(check string) "repair_batch 32" "repair(3)" (repair_label 32)
@@ -312,6 +315,6 @@ let suite =
       prop_receive_total;
       tc "mixed versions converge, each on its own wire" test_mixed_version_convergence;
       tc "recovery resends uncrashed bytes" test_recovered_replica_sends_the_same_bytes;
-      tc "v2 lost push recovered by requester" test_v2_lost_push_requester_path;
+      tc "v2 lost repair re-requested" test_v2_lost_repair_rerequested;
       tc "config validation" test_config_validation;
     ] )
