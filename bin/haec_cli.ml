@@ -300,6 +300,67 @@ let simulate_cmd =
 
 (* ---------- chaos ---------- *)
 
+(* One line over the whole sweep: wire bytes per client update (the
+   sim-chaos benchmark's bytes_per_update) and the share of each protocol
+   item kind, how many payloads arrived twice and by which path, how many
+   repairs filled a gap, and the mean repair latency (quiescence minus
+   fault horizon, as E21 reports it); with churn also E22's bootstrap
+   bytes and join-to-serving latency. *)
+let chaos_summary ~churn (outcomes : Sim.Chaos.outcome list) =
+  let sum f = List.fold_left (fun a o -> a + f o) 0 outcomes in
+  let counter name (o : Sim.Chaos.outcome) =
+    match Metrics.Registry.find o.metrics name with
+    | Some (Metrics.Registry.Counter c) -> Metrics.Counter.value c
+    | _ -> 0
+  in
+  let hist name (o : Sim.Chaos.outcome) =
+    match Metrics.Registry.find o.metrics name with
+    | Some (Metrics.Registry.Histogram h) -> (Metrics.Histogram.sum h, Metrics.Histogram.count h)
+    | _ -> (0.0, 0)
+  in
+  let updates =
+    sum (fun o ->
+        List.length
+          (List.filter
+             (fun (_, d) -> Op.is_update d.Model.Event.op)
+             (Model.Execution.do_events o.exec)))
+  in
+  let per_update b = float_of_int b /. float_of_int (max 1 updates) in
+  let bytes name = per_update (sum (counter name)) in
+  let total = List.fold_left (fun a o -> a +. fst (hist "wire.payload_bytes" o)) 0.0 outcomes in
+  let lat =
+    List.fold_left
+      (fun a (o : Sim.Chaos.outcome) -> a +. Float.max 0.0 (o.quiesced_at -. o.horizon))
+      0.0 outcomes
+  in
+  let boot =
+    if not churn then ""
+    else
+      let s, n =
+        List.fold_left
+          (fun (s, n) o ->
+            let s', n' = hist "bootstrap.latency" o in
+            (s +. s', n + n'))
+          (0.0, 0) outcomes
+      in
+      Printf.sprintf " boot_B=%d boot_lat=%s" (sum (counter "sim.bootstrap_bytes"))
+        (if n = 0 then "-" else Printf.sprintf "%.2f" (s /. float_of_int n))
+  in
+  Format.printf
+    "summary: runs=%d converged=%d updates=%d B/update=%.2f (update %.2f, digest %.2f, \
+     request %.2f, repair %.2f) dup_updates=%d dup_repairs=%d dup_overheard=%d \
+     repaired=%d repair_lat=%.2f%s@."
+    (List.length outcomes)
+    (List.length (List.filter Sim.Chaos.converged outcomes))
+    updates
+    (total /. float_of_int (max 1 updates))
+    (bytes "gossip.update_bytes") (bytes "gossip.digest_bytes")
+    (bytes "gossip.request_bytes") (bytes "gossip.repair_bytes")
+    (sum (counter "gossip.dup_updates")) (sum (counter "gossip.dup_repairs"))
+    (sum (counter "gossip.dup_overheard")) (sum (counter "gossip.repair_applied"))
+    (lat /. float_of_int (max 1 (List.length outcomes)))
+    boot
+
 let chaos_store (module S : Store.Store_intf.S) ~store_flag ~net ~config ~require
     ~adversarial ~churn ~shrink ~spec ~mix ~seed ~runs ~n ~objects ~ops ~dump_dir ~metrics =
   let policy = policy_of net in
@@ -408,6 +469,7 @@ let chaos_store (module S : Store.Store_intf.S) ~store_flag ~net ~config ~requir
       end
     end)
     outcomes;
+  chaos_summary ~churn outcomes;
   (match metrics with
   | Some path ->
     (try

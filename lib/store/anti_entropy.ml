@@ -14,11 +14,14 @@
     - a gossip {e tick} (driven by the simulator clock) queues a {e digest}
       broadcast: the replica's version vector [have], whose component [o]
       counts the contiguous prefix of origin [o]'s stream it has applied;
-    - a received digest is compared against [have]: where the peer is
-      ahead, the replica sends it a targeted {e repair request}, which
-      the peer answers ungated with a batched {e repair} of at most
-      [repair_batch] payloads — an explicit ask is never throttled, the
-      asker paces itself. Where the peer is behind, nothing is sent: the
+    - a received digest is compared against [have], once the whole
+      envelope it came in has been applied: where the peer is ahead, the
+      replica sends it a targeted {e repair request} for the gap — from
+      [have(o)] up to the first payload of [o] it already holds past the
+      gap, or one batch when it holds none — which the peer answers
+      ungated with a batched {e repair} of at most [repair_batch]
+      payloads — an explicit ask is never throttled, the asker paces
+      itself. Where the peer is behind, nothing is sent: the
       replica that lacks a payload is the only one that knows it lacks
       it (a digest races the payloads it reports, which may still be in
       flight), so repair is {e pulled};
@@ -29,7 +32,11 @@
 
     A request backs off per (origin, peer), exponentially in gossip
     rounds and capped at [max_backoff], never infinitely; progress on an
-    origin resets its backoff toward every peer. So repair stays live: as
+    origin resets its backoff toward every peer. The first wait toward a
+    peer is its measured round trip: an answer to a first ask (Karn's
+    rule) is timed in rounds and smoothed as RFC 6298 does, and the wait
+    is [srtt + 2 rttvar], between 1 and [max_backoff]; later waits
+    double. So repair stays live: as
     long as ticks keep firing and the network is sufficiently connected
     in the sense of the paper's Section 2 (the undirected graph of pairs
     with both directions alive is connected), every update reaches every
@@ -43,7 +50,9 @@
     sequence numbers of their own and are regenerated from state, so a
     crash that loses the queued control items costs nothing — the next
     tick re-announces, and the durable replay of the logged update stream
-    ({!Durable.Make}) reconstructs [have] and the log exactly.
+    ({!Durable.Make}) reconstructs [have] and the log exactly. The
+    backoff table and the round-trip estimates are control state too:
+    the replay rebuilds them from what it replays, not as they were.
 
     {b Counters.} Each replica counts its own traffic in its state
     ({!Make.counters}). A durable replay rebuilds the state from [init],
@@ -85,7 +94,10 @@
     round toward one destination are merged, deduplicated, and encoded
     as {!Haec_wire.Wire.Gossip.Repair_runs} —
     per-origin runs of consecutive sequence numbers, so the per-payload
-    [(origin, seq)] labels collapse into one run header. Two further
+    [(origin, seq)] labels collapse into one run header; a
+    {!Haec_wire.Wire.Gossip.Repair_request} ends in a [count] bounding
+    the gap it asks for (a v1 request has none and is answered
+    unbounded). Two further
     rules exploit the broadcast transport: an update or repair item
     proves what its {e sender} holds, so receivers lift their view of
     the sender accordingly and can ask it without waiting for a digest;
@@ -129,7 +141,8 @@ let classify payload =
     Wire.decode payload (fun dec ->
         (* v2 envelopes lead with a 0x00 marker and a version byte; a v1
            envelope starts with its item count >= 1 *)
-        if Wire.Decoder.peek dec = 0 then begin
+        let v2 = Wire.Decoder.peek dec = 0 in
+        if v2 then begin
           let _ = Wire.Decoder.uint dec in
           let v = Wire.Decoder.uint dec in
           if Wire.Version.of_int v = None then
@@ -163,6 +176,8 @@ let classify payload =
             let _ = Wire.Decoder.uint dec in
             let _ = Wire.Decoder.uint dec in
             let _ = Wire.Decoder.uint dec in
+            (* a v2 request also bounds the gap it asks for *)
+            if v2 then ignore (Wire.Decoder.uint dec);
             add "request" 1
           | Wire.Gossip.Repair ->
             let _ = Wire.Decoder.uint dec in
@@ -294,6 +309,9 @@ end = struct
   module Int_map = Map.Make (Int)
   module Int_set = Set.Make (Int)
 
+  (* a peer's smoothed round trip, in gossip rounds (RFC 6298) *)
+  type rtt = { srtt : float; rttvar : float }
+
   type peer = {
     view : Vclock.t;
         (** pointwise max of every digest heard from this peer and of the
@@ -301,6 +319,17 @@ end = struct
     reported : Vclock.t;
         (** what the peer itself has proven to hold — its digests and
             its own contiguous update stream; bounds the stable prefix *)
+    rtt : rtt option;  (** from timed asks to this peer; [None] until one is answered *)
+  }
+
+  (* the last ask of one origin's gap toward one peer *)
+  type ask = {
+    due : int;  (** earliest round to ask that peer again *)
+    backoff : int;  (** rounds the next re-ask waits *)
+    asked_at : int;  (** round of the last ask *)
+    tries : int;
+        (** asks since the last progress; only an answer to the first is
+            timed (Karn's rule: a re-asked gap's answer is ambiguous) *)
   }
 
   (* control items queued for the next broadcast; a digest is a marker,
@@ -311,7 +340,7 @@ end = struct
      to a full digest. *)
   type out_item =
     | Out_digest of { force_full : bool }
-    | Out_request of { dst : int; origin : int; from_seq : int }
+    | Out_request of { dst : int; origin : int; from_seq : int; upto : int }
     | Out_repair of { dst : int; items : (int * int * string) list }
     | Out_hello of int  (** membership epoch being announced *)
     | Out_goodbye of int
@@ -329,9 +358,7 @@ end = struct
     have : Vclock.t;  (** contiguous applied prefix per origin *)
     floor : Vclock.t;  (** per origin, the trimmed prefix every member holds *)
     peers : peer Int_map.t;
-    req : (int * int) Int_map.t Int_map.t;
-        (** origin -> peer -> (earliest round to ask that peer again,
-            backoff) *)
+    req : ask Int_map.t Int_map.t;  (** origin -> peer -> the last ask *)
     rounds : int;
     outq_rev : out_item list;
     epoch : int;  (** highest membership epoch seen *)
@@ -357,7 +384,9 @@ end = struct
     for p = 0 to n - 1 do
       if p <> me then
         peers :=
-          Int_map.add p { view = Vclock.zero ~n; reported = Vclock.zero ~n } !peers
+          Int_map.add p
+            { view = Vclock.zero ~n; reported = Vclock.zero ~n; rtt = None }
+            !peers
     done;
     {
       cfg;
@@ -471,6 +500,7 @@ end = struct
     mutable dup_repairs : int;
     mutable dup_overheard : int;
     mutable repaired : int;
+    mutable digest : bool;  (** the envelope carried a digest *)
   }
 
   let ingest tally t ~origin ~seq ~payload ~via =
@@ -508,15 +538,15 @@ end = struct
     | None -> t
     | Some p -> { t with peers = Int_map.add peer { p with reported = f p.reported } t.peers }
 
-  (* a batch of [origin]'s stream starting at [from_seq]: consecutive
+  (* a batch of [origin]'s stream in [from_seq, upto): consecutive
      logged payloads, at most [repair_batch] — stopping at the first gap
      never sends less than the contiguous prefix the requester is missing.
      Below the floor every member already holds the stream, so a stale
      or duplicated ask starts at the floor *)
-  let batch_from t ~origin ~from_seq =
+  let batch_from ?(upto = max_int) t ~origin ~from_seq =
     let cap = t.cfg.repair_batch in
     let rec go seq acc count =
-      if count = cap then List.rev acc
+      if count = cap || seq >= upto then List.rev acc
       else
         match log_find t ~origin ~seq with
         | None -> List.rev acc
@@ -524,10 +554,9 @@ end = struct
     in
     go (max from_seq (Vclock.get t.floor origin)) [] 0
 
-  (* a digest shows what the peer holds: ask it for whatever it has and
-     we lack. Each (origin, peer) pair backs off on its own, so an ask
-     lost on a dead link toward one peer never holds back the ask to the
-     next peer whose digest shows the same gap *)
+  (* a digest shows what the peer holds; the asks it prompts wait for
+     the end of the envelope ({!ask}), so a repair riding behind the
+     digest is applied before anything is asked for *)
   let on_digest t ~sender clock =
     if Vclock.size clock <> t.n then
       raise (Wire.Decoder.Malformed "anti-entropy digest: wrong vector size");
@@ -536,29 +565,84 @@ end = struct
       | Some p -> p
       | None -> raise (Wire.Decoder.Malformed "anti-entropy digest: bad sender")
     in
-    let view = Vclock.merge p.view clock in
-    let t = ref { t with peers = Int_map.add sender { p with view } t.peers } in
-    for o = 0 to t.contents.n - 1 do
-      let cur = !t in
-      let from_seq = Vclock.get cur.have o in
-      if Vclock.get view o > from_seq then begin
-        let asked = Option.value (Int_map.find_opt o cur.req) ~default:Int_map.empty in
-        let due, backoff = Option.value (Int_map.find_opt sender asked) ~default:(0, 1) in
-        if cur.rounds >= due then
-          t :=
+    { t with peers = Int_map.add sender { p with view = Vclock.merge p.view clock } t.peers }
+
+  (* the first wait before re-asking [p]: its measured round trip plus
+     twice the deviation, or one round until an ask to it was timed *)
+  let first_backoff t p =
+    match p.rtt with
+    | None -> 1
+    | Some { srtt; rttvar } ->
+      max 1 (min t.cfg.max_backoff (int_of_float (Float.ceil (srtt +. (2.0 *. rttvar)))))
+
+  (* ask [peer] for every gap its view shows it can fill: from [have(o)]
+     up to the first payload we already hold past the gap, or one batch
+     when we hold none. Each (origin, peer) pair backs off on its own, so
+     an ask lost on a dead link toward one peer never holds back the ask
+     to the next peer whose digest shows the same gap *)
+  let ask t ~peer =
+    match Int_map.find_opt peer t.peers with
+    | None -> t
+    | Some p ->
+      let t = ref t in
+      for o = 0 to t.contents.n - 1 do
+        let cur = !t in
+        let from_seq = Vclock.get cur.have o in
+        if Vclock.get p.view o > from_seq then begin
+          let asked = Option.value (Int_map.find_opt o cur.req) ~default:Int_map.empty in
+          let prev = Int_map.find_opt peer asked in
+          if match prev with Some a -> cur.rounds >= a.due | None -> true then begin
+            let backoff, tries =
+              match prev with Some a -> (a.backoff, a.tries + 1) | None -> (first_backoff cur p, 1)
+            in
+            let upto =
+              let batch = from_seq + cur.cfg.repair_batch in
+              match Int_map.find_opt o cur.log with
+              | None -> batch
+              | Some m -> (
+                match Int_map.find_first_opt (fun s -> s > from_seq) m with
+                | Some (s, _) -> min s batch
+                | None -> batch)
+            in
+            let a =
+              {
+                due = cur.rounds + backoff;
+                backoff = min (2 * backoff) cur.cfg.max_backoff;
+                asked_at = cur.rounds;
+                tries;
+              }
+            in
+            t :=
+              {
+                cur with
+                outq_rev = Out_request { dst = peer; origin = o; from_seq; upto } :: cur.outq_rev;
+                req = Int_map.add o (Int_map.add peer a asked) cur.req;
+              }
+          end
+        end
+      done;
+      !t
+
+  (* a repair from [peer] answering our first ask for [origin]'s gap
+     times the round trip (RFC 6298's gains, in rounds) *)
+  let time_answer t ~peer ~origin =
+    match Option.bind (Int_map.find_opt origin t.req) (Int_map.find_opt peer) with
+    | Some { tries = 1; asked_at; _ } -> (
+      match Int_map.find_opt peer t.peers with
+      | None -> t
+      | Some p ->
+        let r = float_of_int (t.rounds - asked_at) in
+        let rtt =
+          match p.rtt with
+          | None -> { srtt = r; rttvar = r /. 2.0 }
+          | Some { srtt; rttvar } ->
             {
-              cur with
-              outq_rev = Out_request { dst = sender; origin = o; from_seq } :: cur.outq_rev;
-              req =
-                Int_map.add o
-                  (Int_map.add sender
-                     (cur.rounds + backoff, min (2 * backoff) cur.cfg.max_backoff)
-                     asked)
-                  cur.req;
+              srtt = (0.875 *. srtt) +. (0.125 *. r);
+              rttvar = (0.75 *. rttvar) +. (0.25 *. Float.abs (srtt -. r));
             }
-      end
-    done;
-    !t
+        in
+        { t with peers = Int_map.add peer { p with rtt = Some rtt } t.peers })
+    | Some _ | None -> t
 
   let check_replica t what r =
     if r < 0 || r >= t.n then
@@ -589,6 +673,7 @@ end = struct
     | Wire.Gossip.Digest ->
       let clock = Vclock.decode_any dec in
       check_replica t "digest" sender;
+      tally.digest <- true;
       let t = on_digest t ~sender clock in
       note_reported t ~peer:sender (Vclock.merge clock)
     | Wire.Gossip.Digest_delta ->
@@ -619,18 +704,22 @@ end = struct
            unchanged ones are only known to be at least that *)
         proven := Vclock.raise_to !proven !idx v
       done;
+      tally.digest <- true;
       let t = on_digest t ~sender !clock in
       note_reported t ~peer:sender (Vclock.merge !proven)
     | Wire.Gossip.Repair_request ->
       let dst = Wire.Decoder.uint dec in
       let origin = Wire.Decoder.uint dec in
       let from_seq = Wire.Decoder.uint dec in
+      (* a v2 ask names how much of the stream it lacks; a v1 ask is
+         unbounded *)
+      let upto = if v2 then from_seq + Wire.Decoder.uint dec else max_int in
       check_replica t "repair-request" dst;
       check_replica t "repair-request" origin;
       if dst <> t.me then t (* broadcast transport: not addressed to us *)
       else begin
         (* an explicit ask is answered ungated: the requester paces itself *)
-        match batch_from t ~origin ~from_seq with
+        match batch_from t ~origin ~from_seq ~upto with
         | [] -> t
         | items -> { t with outq_rev = Out_repair { dst = sender; items } :: t.outq_rev }
       end
@@ -679,6 +768,7 @@ end = struct
           raise (Wire.Decoder.Malformed "anti-entropy repair-runs: bad payload count");
         check_replica !t "repair-runs" origin;
         t := note_peer_has !t ~peer:sender ~origin ~from_seq ~upto:(from_seq + count);
+        if dst = !t.me then t := time_answer !t ~peer:sender ~origin;
         for j = 0 to count - 1 do
           let payload = Wire.Decoder.string dec in
           t := ingest tally !t ~origin ~seq:(from_seq + j) ~payload ~via
@@ -763,11 +853,15 @@ end = struct
         if count > Wire.Decoder.remaining dec then
           raise (Wire.Decoder.Malformed "anti-entropy envelope: item count exceeds input");
         let t = ref t in
-        let tally = { dup_updates = 0; dup_repairs = 0; dup_overheard = 0; repaired = 0 } in
+        let tally =
+          { dup_updates = 0; dup_repairs = 0; dup_overheard = 0; repaired = 0; digest = false }
+        in
         for _ = 1 to count do
           t := receive_item tally !t ~sender ~v2 dec
         done;
-        let t = !t in
+        (* ask only once the whole envelope is in: a repair that rode
+           behind the digest has already closed part of the gap *)
+        let t = if tally.digest then ask !t ~peer:sender else !t in
         let c = t.counters in
         let dups = tally.dup_updates + tally.dup_repairs + tally.dup_overheard in
         trim
@@ -947,11 +1041,12 @@ end = struct
           List.iter
             (function
               | Out_digest _ | Out_repair _ -> ()
-              | Out_request { dst; origin; from_seq } ->
+              | Out_request { dst; origin; from_seq; upto } ->
                 Wire.Gossip.encode_kind enc Wire.Gossip.Repair_request;
                 Wire.Encoder.uint enc dst;
                 Wire.Encoder.uint enc origin;
                 Wire.Encoder.uint enc from_seq;
+                Wire.Encoder.uint enc (upto - from_seq);
                 c :=
                   { !c with requests = !c.requests + 1;
                             request_bytes = !c.request_bytes + bytes () }

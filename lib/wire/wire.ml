@@ -469,7 +469,8 @@ module Gossip = struct
      changed since the sender's last digest, and [Repair_runs] carries one
      merged per-peer repair as per-origin runs of consecutive sequence
      numbers. V1 emitters never produce them; every decoder accepts
-     them. *)
+     them. A v2 envelope's [Repair_request] also ends in a [count]
+     bounding the gap it asks for. *)
   type kind =
     | Update
     | Digest

@@ -176,6 +176,9 @@ module Gossip : sig
     | Update
     | Digest
     | Repair_request
+        (** [dst, origin, from_seq] asks [dst] for [origin]'s stream from
+            [from_seq]; inside a v2 envelope a fourth field [count] bounds
+            the ask to [[from_seq, from_seq + count)] *)
     | Repair
     | Hello
     | Goodbye

@@ -130,6 +130,72 @@ let gossip t = AE.send (AE.tick t)
 
 let vclock = Alcotest.testable Vclock.pp Vclock.equal
 
+(* the requests of a v2 envelope that carries nothing else, as
+   [dst; origin; from_seq; count] *)
+let request_fields payload =
+  Wire.decode payload (fun dec ->
+      let _marker = Wire.Decoder.uint dec in
+      let _version = Wire.Decoder.uint dec in
+      List.init (Wire.Decoder.uint dec) (fun _ ->
+          if Wire.Gossip.decode_kind dec <> Wire.Gossip.Repair_request then
+            Alcotest.fail "expected only repair requests";
+          List.init 4 (fun _ -> Wire.Decoder.uint dec)))
+
+(* A request names the gap and no more: b holds seq 0 and seqs 2-5 of
+   a's stream, so it asks for [1, 2), and a answers with that one payload
+   rather than the batch from seq 1 up. *)
+let test_request_bounded_by_held () =
+  let r = v2_replicas 2 in
+  let a = ref r.(0) and b = ref r.(1) in
+  for v = 0 to 5 do
+    let a', p = write !a v in
+    a := a';
+    if v <> 1 then b := AE.receive !b ~sender:0 p
+  done;
+  Alcotest.(check int) "seqs 2-5 parked" 4 (AE.orphans !b);
+  let a, da = gossip !a in
+  let b, req = AE.send (AE.receive !b ~sender:0 da) in
+  Alcotest.(check (list (list int))) "b asks a for [1, 2)" [ [ 0; 0; 1; 1 ] ] (request_fields req);
+  let _, repair = AE.send (AE.receive a ~sender:1 req) in
+  Alcotest.(check string) "one payload answers it" "repair" (Store.Anti_entropy.classify repair);
+  let b = AE.receive b ~sender:0 repair in
+  Alcotest.(check int) "b applied the whole stream" 6 (Vclock.get (AE.have b) 0);
+  Alcotest.(check int) "nothing arrived twice" 0 (AE.counters b).Store.Store_intf.dup_payloads
+
+(* Re-asks wait for the measured round trip, but never longer than
+   [max_backoff] rounds: here a's first answer reaches b only 100 rounds
+   after b asked, as if a partition held it. b's next ask toward a is
+   repeated after exactly [max_backoff] rounds. *)
+let test_inflated_rtt_capped () =
+  let cfg = { Store.Store_intf.default with max_backoff = 4 } in
+  let a = AE.create cfg ~n:2 ~me:0 and b = AE.create cfg ~n:2 ~me:1 in
+  let a, _lost = write a 1 in
+  let a, da = gossip a in
+  let b, req = AE.send (AE.receive b ~sender:0 da) in
+  let a, repair = AE.send (AE.receive a ~sender:1 req) in
+  let b = ref b in
+  for _ = 1 to 100 do
+    b := AE.tick !b
+  done;
+  let b, _ = AE.send (AE.receive !b ~sender:0 repair) in
+  Alcotest.(check int) "the late answer filled the gap" 1 (Vclock.get (AE.have b) 0);
+  let a, _lost = write a 2 in
+  let _, da = gossip a in
+  let asks b = List.mem "request" (String.split_on_char '+' (Store.Anti_entropy.classify b)) in
+  let b, first = AE.send (AE.receive b ~sender:0 da) in
+  Alcotest.(check bool) "the new gap is asked for at once" true (asks first);
+  (* the ask is lost; a's digest keeps arriving every round *)
+  let rec wait b k =
+    if k > 100 then Alcotest.fail "b never asked again"
+    else
+      let b = AE.receive (AE.tick b) ~sender:0 da in
+      if not (AE.has_pending b) then wait b (k + 1)
+      else
+        let b, p = AE.send b in
+        if asks p then k else wait b (k + 1)
+  in
+  Alcotest.(check int) "asked again after max_backoff rounds" cfg.max_backoff (wait b 1)
+
 (* The trim counts only what a peer has itself proven to hold. The repair
    below is dropped, so the peer never held those payloads: they stay in
    the log, and the peer's repeated request finds them there. *)
@@ -732,7 +798,12 @@ let test_hello_answered_with_every_origin () =
   let j = AE.receive (AE.create cfg ~n:3 ~me:2) ~sender:0 answer in
   Alcotest.check vclock "the joiner applied both batches" (Vclock.of_array [| 2; 2; 0 |])
     (AE.have j);
-  Alcotest.(check bool) "and asks for the rest" true (AE.has_pending j)
+  Alcotest.(check bool) "and asks for the rest" true (AE.has_pending j);
+  (* the digest and the batches came in one envelope: the ask is made
+     after the batches were applied, so it starts past them *)
+  let _, ask = AE.send j in
+  Alcotest.(check (list (list int))) "it asks a for origin 0 from seq 2" [ [ 0; 0; 2; 2 ] ]
+    (request_fields ask)
 
 let suite =
   ( "anti-entropy",
@@ -783,4 +854,7 @@ let suite =
       tc "counters: dup_payloads split by cause" test_dup_split;
       tc "hello: answered with the first batch of every origin"
         test_hello_answered_with_every_origin;
+      tc "a request is bounded by the first payload held" test_request_bounded_by_held;
+      tc "an inflated round trip never delays an ask past max_backoff"
+        test_inflated_rtt_capped;
     ] )

@@ -136,6 +136,12 @@ let expect_malformed ~what payload =
   | exception Wire.Decoder.Malformed _ -> ()
 
 let test_truncation_fuzz () =
+  (* the v2 request ends in the asker's bound (one batch past seq 1, as b
+     holds nothing above its gap), so one of the cuts below drops exactly
+     that field *)
+  Alcotest.(check string) "the fuzzed v2 request carries its bound"
+    "\000\002\001\002\000\000\001\032"
+    (List.nth (session_payloads ()) 3);
   List.iter
     (fun (version, payloads) ->
       List.iteri
@@ -172,6 +178,21 @@ let prop_receive_total =
       match AE.receive b ~sender:0 s with
       | _ -> true
       | exception Wire.Decoder.Malformed _ -> true)
+
+(* A v1 request has no bound: it is answered with the batch from its
+   seq up, as v1 peers expect. *)
+let test_v1_request_unbounded () =
+  let a = ref (AE.init ~n:2 ~me:0) in
+  for v = 1 to 3 do
+    let a', _, _ = AE.do_op !a ~obj:0 (Model.Op.Write (vi v)) in
+    a := fst (AE.send a')
+  done;
+  (* one item: a request to replica 0 for origin 0 from seq 1 *)
+  let v1_request = "\001\002\000\000\001" in
+  Alcotest.(check string) "v1 request classified" "request" (Store.Anti_entropy.classify v1_request);
+  let _, repair = AE.send (AE.receive !a ~sender:1 v1_request) in
+  Alcotest.(check string) "answered from seq 1 to the end" "repair(2)"
+    (Store.Anti_entropy.classify repair)
 
 (* ---------- mixed versions ---------- *)
 
@@ -317,4 +338,5 @@ let suite =
       tc "recovery resends uncrashed bytes" test_recovered_replica_sends_the_same_bytes;
       tc "v2 lost repair re-requested" test_v2_lost_repair_rerequested;
       tc "config validation" test_config_validation;
+      tc "v1 request read without a bound" test_v1_request_unbounded;
     ] )
