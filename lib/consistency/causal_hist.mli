@@ -57,12 +57,8 @@ val check_events : ?model:model -> n:int -> Event.do_event list -> verdict
     [model] defaults to [`Ccv]. Internally the causal order is saturated
     word-parallel over bitset adjacency rows and the bad patterns are
     row-intersection queries; verdicts (including witness indices) are
-    identical to {!check_events_reference}. *)
-
-val check_events_reference : ?model:model -> n:int -> Event.do_event list -> verdict
-(** The frozen pre-bit-parallel implementation (list scans, cardinal-based
-    saturation). Exists solely as the oracle for randomized equivalence
-    testing of {!check_events}; never use it on large histories. *)
+    identical to the frozen list-based implementation that the tests keep
+    as its oracle. *)
 
 val check : ?model:model -> Execution.t -> verdict
 (** Convenience: checks the do events of an execution. *)

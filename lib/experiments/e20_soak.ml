@@ -12,12 +12,11 @@
       performs Theta(k^2) deliverability scans, the dependency-indexed
       buffer ({!Haec_store.Causal_mvr_store}) Theta(k).
     - a {b replication soak}: n replicas running a random register workload
-      over a reordering network until quiescence, reporting ops/s,
-      bytes/op and scans/op — the macro numbers the BENCH_* perf
-      trajectory tracks across commits.
+      over a reordering network until quiescence, reporting bytes/op and
+      scans/op. Its throughput ([elapsed]) varies by machine, so the
+      table leaves it out; bench/main.ml's [soak/*] rows report it.
 
-    Wall-clock columns (ops/s, seconds) vary by machine; the scan counts
-    are deterministic for a given seed. *)
+    Every column of the table is deterministic for a given seed. *)
 
 open Haec
 
@@ -141,8 +140,6 @@ let soak_naive = Soak_naive.run ~label:Store.Causal_naive_store.name
 
 (* ---------- the experiment table ---------- *)
 
-let f_ops_per_s s = if s.elapsed > 0.0 then Tables.f1 (float_of_int s.ops /. s.elapsed) else "-"
-
 let run ppf =
   (* one task per k, fanned out over domains; the counters live in the
      replica states, so the tasks share nothing *)
@@ -189,15 +186,13 @@ let run ppf =
           Tables.f1 (float_of_int s.total_bytes /. float_of_int s.ops);
           string_of_int s.scans;
           Tables.f1 (float_of_int s.scans /. float_of_int (max 1 s.deliveries));
-          f_ops_per_s s;
         ])
   in
   Tables.print ppf ~title:(title ^ " — random-workload soak (indexed store)")
-    ~header:[ "store"; "n"; "ops"; "messages"; "bytes/op"; "scans"; "scans/delivery"; "ops/s" ]
+    ~header:[ "store"; "n"; "ops"; "messages"; "bytes/op"; "scans"; "scans/delivery" ]
     soak_rows;
   Tables.note ppf
     "Random register workloads over a reordering network, run to quiescence.";
   Tables.note ppf
-    "scans/delivery is the delivery-buffer work per applied update; ops/s is";
-  Tables.note ppf "CPU-clock dependent (and inflated under -j > 1: Sys.time counts";
-  Tables.note ppf "every domain) and excluded from any test assertion."
+    "scans/delivery is the delivery-buffer work per applied update; the";
+  Tables.note ppf "soak's throughput is in bench/main.ml's soak/* rows."

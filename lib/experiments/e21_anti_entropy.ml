@@ -31,6 +31,7 @@ let chaos_row label (module S : Store.Store_intf.S) require spec mix =
   let conv = ref 0 in
   let lost = ref 0 and rounds = ref 0 in
   let digest_b = ref 0 and repair_b = ref 0 and repaired = ref 0 and dups = ref 0 in
+  let deltas = ref 0 and elided = ref 0 in
   let lat_sum = ref 0.0 and lat_max = ref 0.0 in
   let max_bits = ref 0 and floor_bits = ref 0.0 in
   let outcomes =
@@ -47,6 +48,8 @@ let chaos_row label (module S : Store.Store_intf.S) require spec mix =
       lat_max := Float.max !lat_max lat;
       digest_b := !digest_b + counter o.Sim.Chaos.metrics "gossip.digest_bytes";
       repair_b := !repair_b + counter o.Sim.Chaos.metrics "gossip.repair_bytes";
+      deltas := !deltas + counter o.Sim.Chaos.metrics "gossip.digest_deltas";
+      elided := !elided + counter o.Sim.Chaos.metrics "gossip.digests_elided";
       repaired := !repaired + counter o.Sim.Chaos.metrics "gossip.repair_applied";
       dups := !dups + counter o.Sim.Chaos.metrics "gossip.dup_payloads";
       (* the floor is per-run: k = updates at that run's busiest replica *)
@@ -66,6 +69,8 @@ let chaos_row label (module S : Store.Store_intf.S) require spec mix =
     Tables.f1 !lat_max;
     string_of_int !digest_b;
     string_of_int !repair_b;
+    string_of_int !deltas;
+    string_of_int !elided;
     string_of_int !repaired;
     string_of_int !dups;
     string_of_int !max_bits;
@@ -88,7 +93,7 @@ let run ppf =
     ~header:
       [
         "store"; "converged"; "lost"; "rounds"; "lat mean"; "lat max"; "digest B";
-        "repair B"; "repaired"; "dups"; "max bits"; "floor"; ">= floor";
+        "repair B"; "deltas"; "elided"; "repaired"; "dups"; "max bits"; "floor"; ">= floor";
       ]
     rows;
   Tables.note ppf
@@ -104,12 +109,15 @@ let run ppf =
   Tables.note ppf
     "digest/repair B = protocol bytes on the wire (the E19 telemetry splits";
   Tables.note ppf
-    "them out as gossip.* counters); repaired = payloads applied from repair";
+    "them out as gossip.* counters); deltas / elided = digests sent as a sparse";
   Tables.note ppf
-    "batches; dups = duplicates absorbed by the log. The largest message still";
+    "delta against the last-sent vector / skipped because nothing changed;";
   Tables.note ppf
-    "clears the per-run Theorem 12 floor min{n-2, s-1} * lg k -- repair";
+    "repaired = payloads applied from repair batches; dups = duplicates";
   Tables.note ppf
-    "metadata spends the overhead budget, it cannot dodge the lower bound.";
+    "absorbed by the log. The largest message still clears the per-run";
+  Tables.note ppf
+    "Theorem 12 floor min{n-2, s-1} * lg k -- repair metadata spends the";
+  Tables.note ppf "overhead budget, it cannot dodge the lower bound.";
   Tables.note ppf
     "Reproduce: haec_cli chaos --adversarial --seed S"

@@ -57,7 +57,6 @@ let all =
       title = E23_lag_attribution.title;
       run = E23_lag_attribution.run;
     };
-    { id = E24_wire_v2.name; title = E24_wire_v2.title; run = E24_wire_v2.run };
     { id = E25_live.name; title = E25_live.title; run = E25_live.run };
     {
       id = E26_live_chaos.name;

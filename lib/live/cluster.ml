@@ -821,9 +821,9 @@ module Make (S : STACK) = struct
        component instead: all components settled twice in a row is the
        degraded steady state the paper's availability claims are about,
        recorded in the outcome. Ring occupancy is deliberately NOT
-       consulted: under wire v1 the steady state exchanges digest frames
-       forever, so "rings empty" would time the poll out on a converged
-       cluster. *)
+       consulted: even a converged cluster sends a full digest every
+       [full_digest_every] gossip ticks, so "rings empty" could time the
+       poll out on a converged cluster. *)
     let converged = ref false in
     let degraded_settled = ref false in
     let full_streak = ref 0 in

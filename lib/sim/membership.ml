@@ -1,4 +1,4 @@
-type status = Reserve | Bootstrapping | Serving | Departed
+type status = Reserve | Bootstrapping | Serving | Leaving | Departed
 
 type t = {
   capacity : int;
@@ -33,7 +33,7 @@ let status t r =
   t.status.(r)
 
 let is_member t r = match status t r with
-  | Bootstrapping | Serving -> true
+  | Bootstrapping | Serving | Leaving -> true
   | Reserve | Departed -> false
 
 let is_serving t r = status t r = Serving
@@ -43,7 +43,7 @@ let set t r s = { t with status = Array.mapi (fun i old -> if i = r then s else 
 let join t r =
   (match status t r with
   | Reserve -> ()
-  | Bootstrapping | Serving ->
+  | Bootstrapping | Serving | Leaving ->
     invalid_arg (Printf.sprintf "Membership.join: replica %d is already a member" r)
   | Departed ->
     invalid_arg (Printf.sprintf "Membership.join: replica %d departed; ids are never reused" r));
@@ -53,15 +53,24 @@ let join t r =
 let promote t r =
   (match status t r with
   | Bootstrapping -> ()
-  | Reserve | Serving | Departed ->
+  | Reserve | Serving | Leaving | Departed ->
     invalid_arg (Printf.sprintf "Membership.promote: replica %d is not bootstrapping" r));
   (* promotion is a local read-availability transition, not a view change:
      the epoch counts joins and leaves only *)
   set t r Serving
 
-let leave t r =
+(* like promotion, a local read-availability transition: the view changes
+   only when the leaver departs *)
+let retire t r =
   (match status t r with
   | Bootstrapping | Serving -> ()
+  | Reserve | Leaving | Departed ->
+    invalid_arg (Printf.sprintf "Membership.retire: replica %d is not a staying member" r));
+  set t r Leaving
+
+let leave t r =
+  (match status t r with
+  | Bootstrapping | Serving | Leaving -> ()
   | Reserve | Departed ->
     invalid_arg (Printf.sprintf "Membership.leave: replica %d is not a member" r));
   let t = set t r Departed in
@@ -74,7 +83,7 @@ let filter t p =
   done;
   !acc
 
-let members t = filter t (function Bootstrapping | Serving -> true | _ -> false)
+let members t = filter t (function Bootstrapping | Serving | Leaving -> true | _ -> false)
 
 let serving t = filter t (fun s -> s = Serving)
 
@@ -84,6 +93,7 @@ let status_name = function
   | Reserve -> "reserve"
   | Bootstrapping -> "bootstrapping"
   | Serving -> "serving"
+  | Leaving -> "leaving"
   | Departed -> "departed"
 
 let pp ppf t =

@@ -5,7 +5,8 @@
     pool. A reserve replica enters the set with {!join} (it boots empty
     and is {e bootstrapping}: it takes no client reads until the runner
     {!promote}s it after anti-entropy catch-up), a member exits for good
-    with {!leave}. Ids are never reused — a departed replica cannot
+    with {!leave}, optionally after {!retire} has stopped it serving while
+    it hands its own updates off. Ids are never reused — a departed replica cannot
     rejoin, which is what lets fixed-size vector clocks survive churn:
     a departed origin's entry simply stops advancing.
 
@@ -20,7 +21,7 @@
     membership knowledge is all eventual consistency needs (Dubois et al.,
     see PAPERS.md). *)
 
-type status = Reserve | Bootstrapping | Serving | Departed
+type status = Reserve | Bootstrapping | Serving | Leaving | Departed
 
 type t
 
@@ -36,7 +37,7 @@ val epoch : t -> int
 val status : t -> int -> status
 
 val is_member : t -> int -> bool
-(** Bootstrapping or serving. *)
+(** Bootstrapping, serving or leaving. *)
 
 val is_serving : t -> int -> bool
 
@@ -47,11 +48,15 @@ val join : t -> int -> t
 val promote : t -> int -> t
 (** Bootstrapping -> serving; the epoch is unchanged. *)
 
+val retire : t -> int -> t
+(** Bootstrapping or serving -> leaving: still a member, no longer
+    serving; the epoch is unchanged. *)
+
 val leave : t -> int -> t
 (** Member -> departed; bumps the epoch. *)
 
 val members : t -> int list
-(** Bootstrapping and serving ids, ascending. *)
+(** Bootstrapping, serving and leaving ids, ascending. *)
 
 val serving : t -> int list
 

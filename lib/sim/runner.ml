@@ -91,6 +91,8 @@ module Make (S : Haec_store.Store_intf.S) = struct
     hooks : S.state membership_hooks option;
     bootstrap : (int, Vclock.t * float) Hashtbl.t;
         (** bootstrapping replica -> (catch-up target, join time) *)
+    mutable leaving : int list;
+        (** graceful leavers waiting for a member to hold their own stream *)
     mutable next_gossip : float;
     recover_state : replica:int -> S.state -> S.state;
     auto_send : bool;
@@ -183,6 +185,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
       membership = Membership.create ~capacity:n ~initial;
       hooks;
       bootstrap = Hashtbl.create 8;
+      leaving = [];
       next_gossip = (match gossip with Some g -> g.interval | None -> infinity);
       recover_state;
       auto_send;
@@ -527,6 +530,63 @@ module Make (S : Haec_store.Store_intf.S) = struct
     auto_flush t ~replica;
     rval
 
+  (* Remove a member for good. A graceful leaver says goodbye and flushes
+     everything it still holds locally before departing; a crash-leaver
+     vanishes mid-protocol — in-flight deliveries addressed to it die with
+     it, permanently, and any update only it had logged is simply gone
+     (the reach-based settled check accounts for that). *)
+  let depart t ~replica ~graceful =
+    t.membership <- Membership.leave t.membership replica;
+    let epoch = Membership.epoch t.membership in
+    t.s_leaves <- t.s_leaves + 1;
+    Hashtbl.remove t.bootstrap replica;
+    if graceful then begin
+      (match t.hooks with
+      | Some h -> t.states.(replica) <- h.on_leave ~epoch ~graceful t.states.(replica)
+      | None -> ());
+      (* the farewell flush: drain every pending payload in one go *)
+      while S.has_pending t.states.(replica) do
+        ignore (send_one t ~replica)
+      done
+    end;
+    (* either way the leaver is off the network now: deliveries already in
+       flight toward it are moot (graceful: it flushed; crash-leave: lost
+       for good — count those) *)
+    let inflight = Pqueue.to_list t.queue in
+    Pqueue.clear t.queue;
+    List.iter
+      (fun (at, d) ->
+        if d.dst <> replica then Pqueue.add t.queue ~priority:at d
+        else if not graceful then lose_permanently t d)
+      inflight;
+    record t (Event.Leave { replica; epoch; graceful })
+
+  (* A graceful leaver has handed off once another staying member that is
+     up holds its whole own stream. Observation-only, like [settled]: the
+     hand-off itself rides ordinary digest/repair traffic. *)
+  let handed_off t ~replica =
+    match t.hooks with
+    | None -> true
+    | Some h ->
+      let own = Vclock.get (h.progress t.states.(replica)) replica in
+      List.exists
+        (fun r ->
+          r <> replica
+          && (not t.down.(r))
+          && Membership.status t.membership r <> Membership.Leaving
+          && Vclock.get (h.progress t.states.(r)) replica >= own)
+        (Membership.members t.membership)
+
+  (* run wherever a member's progress can advance: deliveries, recoveries *)
+  let depart_handed_off t =
+    if t.leaving <> [] then begin
+      let ready, waiting =
+        List.partition (fun r -> (not t.down.(r)) && handed_off t ~replica:r) t.leaving
+      in
+      t.leaving <- waiting;
+      List.iter (fun replica -> depart t ~replica ~graceful:true) ready
+    end
+
   (* Promotion check: a bootstrapping replica becomes serving once its
      progress vector has caught up to the catch-up target captured at join
      time. Driven from deliveries — progress only advances when a repair
@@ -601,7 +661,8 @@ module Make (S : Haec_store.Store_intf.S) = struct
     end;
     record t (Event.Receive { replica = dst; msg });
     (* non-op-driven stores may now have a message pending *)
-    auto_flush t ~replica:dst
+    auto_flush t ~replica:dst;
+    depart_handed_off t
 
   let crash t ~replica =
     if t.down.(replica) then
@@ -626,7 +687,8 @@ module Make (S : Haec_store.Store_intf.S) = struct
     t.down.(replica) <- false;
     t.s_recoveries <- t.s_recoveries + 1;
     record t (Event.Recover { replica });
-    auto_flush t ~replica
+    auto_flush t ~replica;
+    depart_handed_off t
 
   (* Bring a reserve id into the replica set. The joiner boots empty; its
      catch-up target is everything any serving member has witnessed at this
@@ -663,39 +725,20 @@ module Make (S : Haec_store.Store_intf.S) = struct
     maybe_promote t ~replica;
     ignore (flush t ~replica)
 
-  (* Remove a member for good. A graceful leaver says goodbye and flushes
-     everything it still holds locally before departing; a crash-leaver
-     vanishes mid-protocol — in-flight deliveries addressed to it die with
-     it, permanently, and any update only it had logged is simply gone
-     (the reach-based settled check accounts for that). *)
+  (* A graceful leaver that is the only holder of part of its own stream
+     stops serving at once but keeps gossiping as a member; it departs
+     once a survivor holds the stream, so a payload whose every copy was
+     lost on the wire does not die with it. *)
   let leave t ~replica ~graceful =
     if t.down.(replica) then
       invalid_arg
         (Printf.sprintf "Runner.leave: replica %d is down; recover it first or crash-leave" replica);
-    t.membership <- Membership.leave t.membership replica;
-    let epoch = Membership.epoch t.membership in
-    t.s_leaves <- t.s_leaves + 1;
-    Hashtbl.remove t.bootstrap replica;
-    if graceful then begin
-      (match t.hooks with
-      | Some h -> t.states.(replica) <- h.on_leave ~epoch ~graceful t.states.(replica)
-      | None -> ());
-      (* the farewell flush: drain every pending payload in one go *)
-      while S.has_pending t.states.(replica) do
-        ignore (send_one t ~replica)
-      done
-    end;
-    (* either way the leaver is off the network now: deliveries already in
-       flight toward it are moot (graceful: it flushed; crash-leave: lost
-       for good — count those) *)
-    let inflight = Pqueue.to_list t.queue in
-    Pqueue.clear t.queue;
-    List.iter
-      (fun (at, d) ->
-        if d.dst <> replica then Pqueue.add t.queue ~priority:at d
-        else if not graceful then lose_permanently t d)
-      inflight;
-    record t (Event.Leave { replica; epoch; graceful })
+    if (not graceful) || handed_off t ~replica then depart t ~replica ~graceful
+    else begin
+      t.membership <- Membership.retire t.membership replica;
+      Hashtbl.remove t.bootstrap replica;
+      t.leaving <- t.leaving @ [ replica ]
+    end
 
   (* One gossip round: advance the clock to the round's scheduled time,
      tick every live replica (queuing its digest) and flush it. Crashed

@@ -56,10 +56,11 @@
     catch-up target captured at join time it is {e bootstrapping} and
     {!Make.op} refuses it — a refused read is unavailability, never a
     stale-causal answer. {!Make.leave} removes a member for good
-    (graceful: flushes everything first; crash-leave: vanishes, in-flight
-    deliveries to it are lost permanently). Ids are never reused. Both
-    transitions are recorded in the trace ({!Haec_model.Event.Join} /
-    [Leave]) and bump the view epoch. *)
+    (graceful: hands off its own stream, then flushes everything;
+    crash-leave: vanishes, in-flight deliveries to it are lost
+    permanently). Ids are never reused. Both transitions are recorded in
+    the trace ({!Haec_model.Event.Join} / [Leave]) and bump the view
+    epoch. *)
 
 open Haec_model
 open Haec_spec
@@ -207,7 +208,12 @@ module Make (S : Haec_store.Store_intf.S) : sig
   val leave : t -> replica:int -> graceful:bool -> unit
   (** Remove a member for good: bump the view epoch and record the leave
       event. Graceful: the leaver announces goodbye ([on_leave] hook) and
-      flushes every pending payload before departing. Crash-leave
+      flushes every pending payload before departing. While no other
+      staying member that is up holds the leaver's whole own stream (its
+      [hooks.progress] entry for the leaver reaches the leaver's own),
+      the leaver only stops serving: it stays a gossiping member, and
+      departs, as above, after the delivery or recovery that completes
+      the hand-off. Crash-leave
       ([graceful:false]): it vanishes mid-protocol — in-flight deliveries
       addressed to it are lost permanently and anything only it had logged
       is gone (survivor convergence is up to the repair protocol). Raises

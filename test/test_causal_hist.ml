@@ -244,6 +244,146 @@ let prop_cross_validation_random =
         | Search.No_solution -> violation verdict
         | Search.Gave_up -> true))
 
+(* The frozen list-based checker that preceded the bit-parallel one, kept
+   verbatim as its oracle (see the equivalence properties below). Do not
+   optimize it. *)
+module Reference = struct
+  open Model
+  open CH
+  module Bitset = Util.Bitset
+
+  exception Bad of verdict
+
+  let check_events_reference ?(model = `Ccv) ~n events =
+    let evs = Array.of_list events in
+    let len = Array.length evs in
+    try
+      (* map values to their unique writers *)
+      let writer : (int * Value.t, int) Hashtbl.t = Hashtbl.create 32 in
+      Array.iteri
+        (fun i (d : Event.do_event) ->
+          match d.Event.op with
+          | Op.Write v | Op.Add v ->
+            if Hashtbl.mem writer (d.Event.obj, v) then
+              raise (Bad (Unsupported (Format.asprintf "duplicated write value %a" Value.pp v)));
+            Hashtbl.replace writer (d.Event.obj, v) i
+          | Op.Read | Op.Remove _ -> ())
+        evs;
+      (* reads-from, derived from responses *)
+      let rf = Array.make len None in
+      Array.iteri
+        (fun i (d : Event.do_event) ->
+          if Op.is_read d.Event.op then
+            match d.Event.rval with
+            | Op.Ok -> raise (Bad (Unsupported "read returned ok"))
+            | Op.Vals [] -> ()
+            | Op.Vals [ v ] -> (
+              match Hashtbl.find_opt writer (d.Event.obj, v) with
+              | Some w -> rf.(i) <- Some w
+              | None -> raise (Bad (Violation (Thin_air_read { read = i }))))
+            | Op.Vals _ ->
+              raise (Bad (Unsupported "multi-value read (MVR history): use Search instead")))
+        evs;
+      (* co = transitive closure of session order + reads-from *)
+      let succs = Array.make len [] in
+      let last_at = Hashtbl.create 8 in
+      Array.iteri
+        (fun i (d : Event.do_event) ->
+          (match Hashtbl.find_opt last_at d.Event.replica with
+          | Some j -> succs.(j) <- i :: succs.(j)
+          | None -> ());
+          Hashtbl.replace last_at d.Event.replica i;
+          match rf.(i) with Some w -> succs.(w) <- i :: succs.(w) | None -> ())
+        evs;
+      (* forward reachability per node; cycle iff node reaches itself *)
+      let reach = Array.init len (fun _ -> Bitset.create (max len 1)) in
+      (* process in reverse topological attempt: repeated passes until fixpoint
+         (len is modest; simple worklist) *)
+      let changed = ref true in
+      while !changed do
+        changed := false;
+        for i = len - 1 downto 0 do
+          List.iter
+            (fun j ->
+              let before = Bitset.cardinal reach.(i) in
+              Bitset.set reach.(i) j;
+              Bitset.union_into ~dst:reach.(i) reach.(j);
+              if Bitset.cardinal reach.(i) <> before then changed := true)
+            succs.(i)
+        done
+      done;
+      for i = 0 to len - 1 do
+        if Bitset.get reach.(i) i then raise (Bad (Violation (Cyclic_co { witness = i })))
+      done;
+      let co i j = Bitset.get reach.(i) j in
+      (* bad patterns over reads *)
+      Array.iteri
+        (fun r (d : Event.do_event) ->
+          if Op.is_read d.Event.op then
+            match rf.(r) with
+            | None ->
+              (* reads initial value: no same-object write may causally precede *)
+              for w = 0 to len - 1 do
+                let dw = evs.(w) in
+                if dw.Event.obj = d.Event.obj && Op.is_update dw.Event.op && co w r then
+                  raise (Bad (Violation (Write_co_init_read { read = r; write = w })))
+              done
+            | Some w1 ->
+              (* the write read from must not be causally overwritten *)
+              for w2 = 0 to len - 1 do
+                let dw2 = evs.(w2) in
+                if
+                  w2 <> w1
+                  && dw2.Event.obj = d.Event.obj
+                  && Op.is_update dw2.Event.op
+                  && co w1 w2 && co w2 r
+                then
+                  raise
+                    (Bad (Violation (Write_co_read { read = r; overwritten = w1; overwriting = w2 })))
+              done)
+        evs;
+      (* causal convergence: the conflict order cf forced by reads --
+         w1 -> w2 when a read of w2 has w1 in its causal past -- must embed,
+         together with co, into one total order: co ∪ cf acyclic *)
+      if model = `Ccv then begin
+        let cf_succs = Array.make len [] in
+        Array.iteri
+          (fun r (d : Event.do_event) ->
+            match rf.(r) with
+            | Some w2 ->
+              for w1 = 0 to len - 1 do
+                let d1 = evs.(w1) in
+                if
+                  w1 <> w2
+                  && d1.Event.obj = d.Event.obj
+                  && Op.is_update d1.Event.op && co w1 r
+                then cf_succs.(w1) <- w2 :: cf_succs.(w1)
+              done
+            | None -> ())
+          evs;
+        let reach2 = Array.init len (fun i -> Bitset.copy reach.(i)) in
+        let changed = ref true in
+        while !changed do
+          changed := false;
+          for i = len - 1 downto 0 do
+            List.iter
+              (fun j ->
+                let before = Bitset.cardinal reach2.(i) in
+                Bitset.set reach2.(i) j;
+                Bitset.union_into ~dst:reach2.(i) reach2.(j);
+                if Bitset.cardinal reach2.(i) <> before then changed := true)
+              (succs.(i) @ cf_succs.(i))
+          done
+        done;
+        for i = 0 to len - 1 do
+          if Bitset.get reach2.(i) i then raise (Bad (Violation (Cyclic_cf { witness = i })))
+        done
+      end;
+      ignore n;
+      Consistent
+    with Bad v -> v
+end
+
 let prop_bitset_matches_reference =
   (* oracle: the bit-parallel checker returns the exact verdict (witness
      indices included) of the frozen list-based implementation, under both
@@ -274,7 +414,7 @@ let prop_bitset_matches_reference =
       let events = gen 0 [] in
       List.for_all
         (fun model ->
-          CH.check_events ~model ~n events = CH.check_events_reference ~model ~n events)
+          CH.check_events ~model ~n events = Reference.check_events_reference ~model ~n events)
         [ `Cc; `Ccv ])
 
 let test_bitset_matches_reference_on_store_runs () =
@@ -297,7 +437,7 @@ let test_bitset_matches_reference_on_store_runs () =
     List.iter
       (fun model ->
         let fast = CH.check_events ~model ~n events in
-        let slow = CH.check_events_reference ~model ~n events in
+        let slow = Reference.check_events_reference ~model ~n events in
         if fast <> slow then
           Alcotest.failf "%s seed %d: fast %a but reference %a" S.name seed CH.pp_verdict
             fast CH.pp_verdict slow)

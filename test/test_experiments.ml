@@ -1,86 +1,16 @@
-(* Smoke tests over the experiment registry: the cheap experiments run to
-   completion and their key cells carry the values the paper predicts.
-   (The heavyweight sweeps are exercised by `dune exec bench/main.exe`.) *)
+(* The experiment registry's shape. The tables themselves are checked
+   exactly: test/golden/dune diffs every deterministic experiment's output
+   against test/golden/E<i>.expected. *)
 
 open Helpers
 module Registry = Haec_experiments.Registry
 
-let render (e : Registry.t) =
-  let buf = Buffer.create 1024 in
-  let ppf = Format.formatter_of_buffer buf in
-  e.Registry.run ppf;
-  Format.pp_print_flush ppf ();
-  Buffer.contents buf
-
-let contains hay needle =
-  let hl = String.length hay and nl = String.length needle in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
-
-let run_and_check id needles =
-  match Registry.find id with
-  | None -> Alcotest.failf "experiment %s not registered" id
-  | Some e ->
-    let out = render e in
-    List.iter
-      (fun needle ->
-        if not (contains out needle) then
-          Alcotest.failf "%s output missing %S; got:\n%s" id needle out)
-      needles
-
 let test_registry_complete () =
   let ids = List.map (fun e -> e.Registry.id) Registry.all in
   Alcotest.(check (list string)) "all experiments present"
-    [ "E1"; "E2"; "E3"; "E4"; "E5"; "E6"; "E7"; "E8"; "E9"; "E10"; "E11"; "E12"; "E13"; "E14"; "E15"; "E16"; "E17"; "E18"; "E19"; "E20"; "E21"; "E22"; "E23"; "E24"; "E25"; "E26" ]
+    [ "E1"; "E2"; "E3"; "E4"; "E5"; "E6"; "E7"; "E8"; "E9"; "E10"; "E11"; "E12"; "E13"; "E14"; "E15"; "E16"; "E17"; "E18"; "E19"; "E20"; "E21"; "E22"; "E23"; "E25"; "E26" ]
     ids;
   Alcotest.(check bool) "lookup case-insensitive" true (Registry.find "e6" <> None);
   Alcotest.(check bool) "unknown id" true (Registry.find "E99" = None)
 
-let test_e2 () =
-  run_and_check "E2"
-    [ "IMPOSSIBLE"; "hide w_x1, y unseen (Fig 2)"; "causality dropped" ]
-
-let test_e3 () =
-  (* all three figures classified as the paper draws them *)
-  let out = render (Option.get (Registry.find "E3")) in
-  let occurrences needle =
-    let rec count i acc =
-      if i + String.length needle > String.length out then acc
-      else if String.sub out i (String.length needle) = needle then
-        count (i + 1) (acc + 1)
-      else count (i + 1) acc
-    in
-    count 0 0
-  in
-  ignore (occurrences "yes");
-  List.iter (fun n -> if not (contains out n) then Alcotest.failf "missing %s" n)
-    [ "Fig 3a"; "Fig 3b"; "Fig 3c" ];
-  (* the as-paper column must be yes on every row: no 'no' in that column
-     means the word 'no ' never follows the OCC column... simpler: the
-     table must not contain a row where as-paper is no; we detect that by
-     requiring three occurrences of 'yes' in the as-paper position via the
-     structured checks in test_consistency instead. Here: no row says
-     'mismatch'. *)
-  if contains out "mismatch" then Alcotest.fail "unexpected mismatch"
-
-let test_e5 () = run_and_check "E5" [ "mvr-delayed-expose-3"; "invisible-reads" ]
-
-let test_e8 () =
-  run_and_check "E8" [ "hidden successfully"; "REFUTED (no abstract execution)" ]
-
-let test_e10 () = run_and_check "E10" [ "mvr-gossip-relay"; "gsp"; "Lemma 5" ]
-
-let test_e12 () =
-  run_and_check "E12" [ "gsp-total-order"; "mvr-causal"; "converges after heal" ]
-
-let suite =
-  ( "experiments",
-    [
-      tc "registry complete" test_registry_complete;
-      tc "E2 table (fig 2)" test_e2;
-      tc "E3 table (fig 3)" test_e3;
-      tc "E5 table (visible reads)" test_e5;
-      tc "E8 table (single object)" test_e8;
-      tc "E10 table (pending)" test_e10;
-      tc "E12 table (liveness)" test_e12;
-    ] )
+let suite = ("experiments", [ tc "registry complete" test_registry_complete ])

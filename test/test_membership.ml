@@ -116,6 +116,35 @@ let test_graceful_leave_flushes () =
   Alcotest.check check_response "survivor 2 got the farewell flush" (resp [ 7 ]) r2;
   check_ok "trace well-formed" (Model.Execution.check_well_formed (R.execution sim))
 
+(* Seed 190 of the gossip-relay churn sweep: R2 leaves gracefully while
+   it is the only holder of its own seq 13 (every ask for it was lost on
+   the wire). Departing then would take the update with it and fail
+   [eventual]; the leaver must wait until a survivor holds its stream. *)
+let test_graceful_leave_hands_off () =
+  (* by hand: the leaver's update is in flight, held by nobody else *)
+  let sim = make_sim ~seed:2 ~n:3 () in
+  ignore (R.op sim ~replica:0 ~obj:0 (Op.Write (vi 7)));
+  R.leave sim ~replica:0 ~graceful:true;
+  Alcotest.(check bool) "leaver stops serving" false (R.is_serving sim ~replica:0);
+  Alcotest.(check bool) "leaver still a member" true (R.is_member sim ~replica:0);
+  Alcotest.(check int) "no leave yet" 0 (R.stats sim).Sim.Runner.leaves;
+  (match R.op sim ~replica:0 ~obj:0 Op.Read with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a leaving replica served a read");
+  R.run_until_quiescent sim;
+  Alcotest.(check bool) "leaver departed" false (R.is_member sim ~replica:0);
+  Alcotest.(check int) "leave counted" 1 (R.stats sim).Sim.Runner.leaves;
+  Alcotest.check check_response "survivor holds the stream" (resp [ 7 ])
+    (R.op sim ~replica:1 ~obj:0 Op.Read);
+  check_ok "trace well-formed" (Model.Execution.check_well_formed (R.execution sim));
+  let module C = Sim.Chaos.Make (Store.Gossip_relay_store) in
+  let o = C.run ~require:`Correct ~adversarial:true ~churn:true ~seed:190 () in
+  Alcotest.(check bool) "a replica left gracefully" true
+    (List.exists
+       (fun (l : Fault_plan.leave_event) -> l.Fault_plan.graceful)
+       (Option.get o.Sim.Chaos.plan.Fault_plan.churn).Fault_plan.leaves);
+  if not (Sim.Chaos.converged o) then Alcotest.failf "%a" Sim.Chaos.pp_outcome o
+
 let test_crash_leave_survivors_converge () =
   let sim = make_sim ~seed:3 ~n:3 () in
   ignore (R.op sim ~replica:0 ~obj:0 (Op.Write (vi 1)));
@@ -316,4 +345,6 @@ let suite =
       tc "churn shrink keeps a valid minimized plan" test_churn_shrink_minimizes;
       tc "churn shrink bit-identical across domain counts"
         test_churn_shrink_parallel_deterministic;
+      tc "graceful leave waits for a survivor to hold its stream"
+        test_graceful_leave_hands_off;
     ] )
