@@ -10,6 +10,7 @@
 open Cmdliner
 open Haec
 module Registry = Haec_experiments.Registry
+module Stores = Haec_experiments.Stores
 module Op = Model.Op
 module Value = Model.Value
 module Json = Obs.Json
@@ -115,24 +116,21 @@ let experiment_cmd =
     (Cmd.info "experiment" ~doc:"Regenerate experiment tables (paper figures/theorems)")
     Term.(ret (const run $ jobs_arg $ ids))
 
+(* ---------- --store: an entry of the store catalogue ---------- *)
+
+(* --store names a catalogue entry out of [entries], the stores the
+   command runs; any other value is a usage error (exit 124) *)
+let store_arg entries ~default =
+  let flags = List.map (fun e -> e.Stores.flag) entries in
+  let flag =
+    Arg.(
+      value
+      & opt (enum (List.map (fun f -> (f, f)) flags)) default
+      & info [ "store" ] ~doc:("Store: " ^ String.concat "|" flags))
+  in
+  Term.(const Stores.find $ flag)
+
 (* ---------- simulate ---------- *)
-
-type store_choice = Mvr | Causal | Cops | State | Orset | Lww | Counter | Gossip | Delayed | Gsp
-
-let store_conv =
-  Arg.enum
-    [
-      ("mvr", Mvr);
-      ("causal", Causal);
-      ("cops", Cops);
-      ("state", State);
-      ("orset", Orset);
-      ("lww", Lww);
-      ("counter", Counter);
-      ("gossip", Gossip);
-      ("delayed", Delayed);
-      ("gsp", Gsp);
-    ]
 
 type net_choice = Fifo | Reorder | Lossy | Partition
 
@@ -165,12 +163,13 @@ let or_divergence f =
     Format.printf "The network never drained — try a larger --ops budget or a kinder --net.@.";
     exit 3
 
-let simulate_store (type a) (module S : Store.Store_intf.S with type state = a) ~config
-    ~seed ~n ~objects ~ops ~policy ~net_name ~faulty_net ~mix ~verbose ~dump ~metrics =
+let simulate_store (e : Stores.entry) ~config ~seed ~n ~objects ~ops ~policy ~net_name
+    ~faulty_net ~verbose ~dump ~metrics =
+  let (module S : Store.Store_intf.S) = e.store in
   let module R = Sim.Runner.Make (S) in
   let rng = Util.Rng.create seed in
   let sim = R.create ~seed ~config ~n ~policy () in
-  let steps = Sim.Workload.generate ~rng ~n ~objects ~ops mix in
+  let steps = Sim.Workload.generate ~rng ~n ~objects ~ops e.mix in
   Sim.Workload.run
     (fun ~replica ~obj op -> R.op sim ~replica ~obj op)
     ~advance:(R.advance_to sim) steps;
@@ -248,12 +247,7 @@ let simulate_store (type a) (module S : Store.Store_intf.S with type state = a) 
   if verbose then Format.printf "@.%a@." Model.Execution.pp exec
 
 let simulate_cmd =
-  let store =
-    Arg.(
-      value & opt store_conv Mvr
-      & info [ "store" ]
-          ~doc:"Store: mvr|causal|cops|state|orset|lww|counter|gossip|delayed|gsp")
-  in
+  let store = store_arg Stores.all ~default:"mvr" in
   let net = Arg.(value & opt net_conv Reorder & info [ "net" ] ~doc:"Network: fifo|reorder|lossy|partition") in
   let n = Arg.(value & opt int 3 & info [ "replicas"; "n" ] ~doc:"Number of replicas") in
   let objects = Arg.(value & opt int 3 & info [ "objects" ] ~doc:"Number of objects") in
@@ -271,32 +265,15 @@ let simulate_cmd =
   in
   let run jobs config store net n objects ops seed verbose dump metrics =
     set_jobs jobs;
-    let config = config Store.Store_intf.default in
-    let policy = policy_of net in
-    let go (module S : Store.Store_intf.S) mix =
-      simulate_store (module S) ~config ~seed ~n ~objects ~ops ~policy
-        ~net_name:(net_name_of net) ~faulty_net:(net_is_faulty net) ~mix ~verbose
-        ~dump ~metrics;
-      `Ok ()
-    in
-    match store with
-    | Mvr -> go (module Store.Mvr_store) Sim.Workload.register_mix
-    | Causal -> go (module Store.Causal_mvr_store) Sim.Workload.register_mix
-    | Cops -> go (module Store.Cops_store) Sim.Workload.register_mix
-    | State -> go (module Store.State_mvr_store) Sim.Workload.register_mix
-    | Orset -> go (module Store.Orset_store) Sim.Workload.orset_mix
-    | Lww -> go (module Store.Lww_store) Sim.Workload.register_mix
-    | Counter -> go (module Store.Counter_store.Causal) Sim.Workload.orset_mix
-    | Gossip -> go (module Store.Gossip_relay_store) Sim.Workload.register_mix
-    | Delayed -> go (module Store.Delayed_store.K3) Sim.Workload.register_mix
-    | Gsp -> go (module Store.Gsp_store) Sim.Workload.register_mix
+    simulate_store store ~config:(config Store.Store_intf.default) ~seed ~n ~objects ~ops
+      ~policy:(policy_of net) ~net_name:(net_name_of net) ~faulty_net:(net_is_faulty net)
+      ~verbose ~dump ~metrics
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Run a random workload on a store over a simulated network")
     Term.(
-      ret
-        (const run $ jobs_arg $ config_term $ store $ net $ n $ objects $ ops $ seed
-        $ verbose $ dump $ metrics))
+      const run $ jobs_arg $ config_term $ store $ net $ n $ objects $ ops $ seed $ verbose
+      $ dump $ metrics)
 
 (* ---------- chaos ---------- *)
 
@@ -361,9 +338,10 @@ let chaos_summary ~churn (outcomes : Sim.Chaos.outcome list) =
     (lat /. float_of_int (max 1 (List.length outcomes)))
     boot
 
-let chaos_store (module S : Store.Store_intf.S) ~store_flag ~net ~config ~require
-    ~adversarial ~churn ~shrink ~spec ~mix ~seed ~runs ~n ~objects ~ops ~dump_dir ~metrics =
+let chaos_store (e : Stores.entry) ~net ~config ~require ~adversarial ~churn ~shrink ~seed
+    ~runs ~n ~objects ~ops ~dump_dir ~metrics =
   let policy = policy_of net in
+  let (module S : Store.Store_intf.S) = e.store and spec = e.spec and mix = e.mix in
   let module C = Sim.Chaos.Make (S) in
   Format.printf "chaos: store=%s replicas=%d objects=%d ops=%d runs=%d%s%s@."
     S.name n objects ops runs
@@ -454,7 +432,7 @@ let chaos_store (module S : Store.Store_intf.S) ~store_flag ~net ~config ~requir
                # replay: haec_cli chaos --store %s --net %s --repair-batch %d \
                --max-backoff %d --full-digest-every %d --seed %d --runs 1 --replicas %d \
                --objects %d --ops %d --require %s%s%s --shrink@.%a@."
-              S.name seed store_flag (net_name_of net) c.repair_batch c.max_backoff c.full_digest_every seed n objects ops
+              S.name seed e.flag (net_name_of net) c.repair_batch c.max_backoff c.full_digest_every seed n objects ops
               (match require with
               | `Converge -> "converge"
               | `Correct -> "correct"
@@ -484,11 +462,7 @@ let chaos_store (module S : Store.Store_intf.S) ~store_flag ~net ~config ~requir
   else `Error (false, Printf.sprintf "%d of %d chaos runs failed" !failed runs)
 
 let chaos_cmd =
-  let store =
-    Arg.(
-      value & opt store_conv Causal
-      & info [ "store" ] ~doc:"Store: mvr|causal|cops|state|orset|lww|gossip")
-  in
+  let store = store_arg Stores.checked ~default:"causal" in
   let net = Arg.(value & opt net_conv Reorder & info [ "net" ] ~doc:"Base network: fifo|reorder|lossy|partition") in
   let n = Arg.(value & opt int 3 & info [ "replicas"; "n" ] ~doc:"Number of replicas") in
   let objects = Arg.(value & opt int 2 & info [ "objects" ] ~doc:"Number of objects") in
@@ -558,39 +532,11 @@ let chaos_cmd =
     set_jobs jobs;
     let config = config Sim.Chaos.default_config in
     let dump_dir = match dump_dir with Some "" -> None | d -> d in
-    let store_flag =
-      match store with
-      | Mvr -> "mvr" | Causal -> "causal" | Cops -> "cops" | State -> "state"
-      | Orset -> "orset" | Lww -> "lww" | Counter -> "counter" | Gossip -> "gossip"
-      | Delayed -> "delayed" | Gsp -> "gsp"
-    in
-    let go (module S : Store.Store_intf.S) ~require:default_require ~spec mix =
-      let require = Option.value require ~default:default_require in
-      chaos_store (module S) ~store_flag ~net ~config ~require ~adversarial ~churn
-        ~shrink ~spec ~mix ~seed ~runs ~n ~objects ~ops ~dump_dir ~metrics
-    in
-    (* each store is held to the checks its class guarantees under faulty
-       re-delivery: causal stores to causal consistency, the lww register
-       only to convergence (its timestamp arbitration may disagree with
-       trace order), everyone else to witness correctness. OCC is reported
-       but never required — Theorem 6. *)
-    match store with
-    | Mvr -> go (module Store.Mvr_store) ~require:`Correct ~spec:Spec.Spec.mvr
-               Sim.Workload.register_mix
-    | Causal -> go (module Store.Causal_mvr_store) ~require:`Causal ~spec:Spec.Spec.mvr
-                  Sim.Workload.register_mix
-    | Cops -> go (module Store.Cops_store) ~require:`Causal ~spec:Spec.Spec.mvr
-                Sim.Workload.register_mix
-    | State -> go (module Store.State_mvr_store) ~require:`Correct ~spec:Spec.Spec.mvr
-                 Sim.Workload.register_mix
-    | Orset -> go (module Store.Orset_store) ~require:`Correct ~spec:Spec.Spec.orset
-                 Sim.Workload.orset_mix
-    | Lww -> go (module Store.Lww_store) ~require:`Converge ~spec:Spec.Spec.rw_register
-               Sim.Workload.register_mix
-    | Gossip -> go (module Store.Gossip_relay_store) ~require:`Correct ~spec:Spec.Spec.mvr
-                  Sim.Workload.register_mix
-    | Counter | Delayed | Gsp ->
-      `Error (false, "chaos supports: mvr|causal|cops|state|orset|lww|gossip")
+    (* by default a store is held to the checks its class guarantees; the
+       parser admits only stores that have a level *)
+    let require = Option.value require ~default:(Option.get store.Stores.level) in
+    chaos_store store ~net ~config ~require ~adversarial ~churn ~shrink ~seed ~runs ~n
+      ~objects ~ops ~dump_dir ~metrics
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -811,12 +757,7 @@ let metrics_cmd =
 (* ---------- render ---------- *)
 
 let render_cmd =
-  let store =
-    Arg.(
-      value & opt store_conv Mvr
-      & info [ "store" ]
-          ~doc:"Store: mvr|causal|cops|state|orset|lww|counter|gossip|delayed|gsp")
-  in
+  let store = store_arg Stores.all ~default:"mvr" in
   let ops = Arg.(value & opt int 8 & info [ "ops" ] ~doc:"Number of client operations") in
   let n = Arg.(value & opt int 3 & info [ "replicas"; "n" ] ~doc:"Number of replicas") in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed") in
@@ -826,35 +767,23 @@ let render_cmd =
       & opt (enum [ ("witness", `Witness); ("execution", `Execution) ]) `Witness
       & info [ "what" ] ~doc:"Render the witness abstract execution or the raw execution")
   in
-  let run store n ops seed what =
-    let go (module S : Store.Store_intf.S) mix =
-      let module R = Sim.Runner.Make (S) in
-      let rng = Util.Rng.create seed in
-      let sim = R.create ~seed ~n ~policy:(Sim.Net_policy.random_delay ()) () in
-      let steps = Sim.Workload.generate ~rng ~n ~objects:2 ~ops mix in
-      Sim.Workload.run
-        (fun ~replica ~obj op -> R.op sim ~replica ~obj op)
-        ~advance:(R.advance_to sim) steps;
-      or_divergence (fun () -> R.run_until_quiescent sim);
-      let dot =
-        match what with
-        | `Witness ->
-          Viz.Render.abstract_to_dot ~title:(S.name ^ " witness") (R.witness_abstract sim)
-        | `Execution -> Viz.Render.execution_to_dot ~title:S.name (R.execution sim)
-      in
-      print_string dot
+  let run (store : Stores.entry) n ops seed what =
+    let (module S : Store.Store_intf.S) = store.store in
+    let module R = Sim.Runner.Make (S) in
+    let rng = Util.Rng.create seed in
+    let sim = R.create ~seed ~n ~policy:(Sim.Net_policy.random_delay ()) () in
+    let steps = Sim.Workload.generate ~rng ~n ~objects:2 ~ops store.mix in
+    Sim.Workload.run
+      (fun ~replica ~obj op -> R.op sim ~replica ~obj op)
+      ~advance:(R.advance_to sim) steps;
+    or_divergence (fun () -> R.run_until_quiescent sim);
+    let dot =
+      match what with
+      | `Witness ->
+        Viz.Render.abstract_to_dot ~title:(S.name ^ " witness") (R.witness_abstract sim)
+      | `Execution -> Viz.Render.execution_to_dot ~title:S.name (R.execution sim)
     in
-    match store with
-    | Mvr -> go (module Store.Mvr_store) Sim.Workload.register_mix
-    | Causal -> go (module Store.Causal_mvr_store) Sim.Workload.register_mix
-    | Cops -> go (module Store.Cops_store) Sim.Workload.register_mix
-    | State -> go (module Store.State_mvr_store) Sim.Workload.register_mix
-    | Orset -> go (module Store.Orset_store) Sim.Workload.orset_mix
-    | Lww -> go (module Store.Lww_store) Sim.Workload.register_mix
-    | Counter -> go (module Store.Counter_store.Causal) Sim.Workload.orset_mix
-    | Gossip -> go (module Store.Gossip_relay_store) Sim.Workload.register_mix
-    | Delayed -> go (module Store.Delayed_store.K3) Sim.Workload.register_mix
-    | Gsp -> go (module Store.Gsp_store) Sim.Workload.register_mix
+    print_string dot
   in
   Cmd.v
     (Cmd.info "render" ~doc:"Emit a graphviz dot drawing of a simulated run")
@@ -1009,12 +938,13 @@ let json_check_cmd =
 
 (* ---------- trace: span-level visibility-lag attribution ---------- *)
 
-let trace_store (module S : Store.Store_intf.S) ~config ~require ~adversarial ~churn
-    ~spec ~mix ~seed ~n ~objects ~ops ~policy ~why ~export ~out ~time_scale ~slowest =
+let trace_store (e : Stores.entry) ~config ~adversarial ~churn ~seed ~n ~objects ~ops
+    ~policy ~why ~export ~out ~time_scale ~slowest =
+  let (module S : Store.Store_intf.S) = e.store in
   let module C = Sim.Chaos.Make (S) in
   let o =
-    C.run ~n ~objects ~ops ~spec_of:(fun _ -> spec) ~mix ~policy ~require ~adversarial
-      ~churn ~config ~seed ()
+    C.run ~n ~objects ~ops ~spec_of:(fun _ -> e.spec) ~mix:e.mix ~policy ?require:e.level
+      ~adversarial ~churn ~config ~seed ()
   in
   let traced = Lazy.force o.Sim.Chaos.spans in
   let log = traced.Sim.Chaos.log in
@@ -1141,11 +1071,7 @@ let trace_store (module S : Store.Store_intf.S) ~config ~require ~adversarial ~c
   `Ok ()
 
 let trace_cmd =
-  let store =
-    Arg.(
-      value & opt store_conv Causal
-      & info [ "store" ] ~doc:"Store: mvr|causal|cops|state|orset|lww|gossip")
-  in
+  let store = store_arg Stores.checked ~default:"causal" in
   let net = Arg.(value & opt net_conv Reorder & info [ "net" ] ~doc:"Base network: fifo|reorder|lossy|partition") in
   let n = Arg.(value & opt int 3 & info [ "replicas"; "n" ] ~doc:"Number of replicas") in
   let objects = Arg.(value & opt int 2 & info [ "objects" ] ~doc:"Number of objects") in
@@ -1194,29 +1120,8 @@ let trace_cmd =
   let run jobs config store net n objects ops seed adversarial churn why export out
       time_scale slowest =
     set_jobs jobs;
-    let config = config Sim.Chaos.default_config in
-    let policy = policy_of net in
-    let go (module S : Store.Store_intf.S) ~require ~spec mix =
-      trace_store (module S) ~config ~require ~adversarial ~churn ~spec ~mix ~seed ~n ~objects
-        ~ops ~policy ~why ~export ~out ~time_scale ~slowest
-    in
-    match store with
-    | Mvr -> go (module Store.Mvr_store) ~require:`Correct ~spec:Spec.Spec.mvr
-               Sim.Workload.register_mix
-    | Causal -> go (module Store.Causal_mvr_store) ~require:`Causal ~spec:Spec.Spec.mvr
-                  Sim.Workload.register_mix
-    | Cops -> go (module Store.Cops_store) ~require:`Causal ~spec:Spec.Spec.mvr
-                Sim.Workload.register_mix
-    | State -> go (module Store.State_mvr_store) ~require:`Correct ~spec:Spec.Spec.mvr
-                 Sim.Workload.register_mix
-    | Orset -> go (module Store.Orset_store) ~require:`Correct ~spec:Spec.Spec.orset
-                 Sim.Workload.orset_mix
-    | Lww -> go (module Store.Lww_store) ~require:`Converge ~spec:Spec.Spec.rw_register
-               Sim.Workload.register_mix
-    | Gossip -> go (module Store.Gossip_relay_store) ~require:`Correct
-                  ~spec:Spec.Spec.mvr Sim.Workload.register_mix
-    | Counter | Delayed | Gsp ->
-      `Error (false, "trace supports: mvr|causal|cops|state|orset|lww|gossip")
+    trace_store store ~config:(config Sim.Chaos.default_config) ~adversarial ~churn ~seed
+      ~n ~objects ~ops ~policy:(policy_of net) ~why ~export ~out ~time_scale ~slowest
   in
   Cmd.v
     (Cmd.info "trace"
@@ -1230,8 +1135,8 @@ let trace_cmd =
 
 (* ---------- serve: live cluster on OCaml 5 domains ---------- *)
 
-let serve_store (module S : Store.Store_intf.S) ~require ~spec ~cfg ~capture_path ~check
-    ~metrics_path =
+let serve_store (e : Stores.entry) ~cfg ~capture_path ~check ~metrics_path =
+  let (module S : Store.Store_intf.S) = e.store in
   let chaos_active =
     cfg.Live.Cluster.faults <> None || cfg.Live.Cluster.drop_p > 0.0
   in
@@ -1352,7 +1257,7 @@ let serve_store (module S : Store.Store_intf.S) ~require ~spec ~cfg ~capture_pat
       match (res.trace, res.witness) with
       | Some exec, Some wit ->
         let t0 = Unix.gettimeofday () in
-        let report = Sim.Checks.validate ~spec_of:(fun _ -> spec) exec wit in
+        let report = Sim.Checks.validate ~spec_of:(fun _ -> e.spec) exec wit in
         let check_s = Unix.gettimeofday () -. t0 in
         let verdicts =
           [ ("well-formed", report.Sim.Checks.well_formed);
@@ -1363,12 +1268,10 @@ let serve_store (module S : Store.Store_intf.S) ~require ~spec ~cfg ~capture_pat
             ("eventual", report.Sim.Checks.eventual);
           ]
         in
+        (* the level's checks, except eventual: a live run's convergence
+           is gated by [res.converged] below *)
         let required_names =
-          [ "well-formed"; "complies" ]
-          @ (match require with
-            | `Causal -> [ "correct"; "causal" ]
-            | `Correct -> [ "correct" ]
-            | `Converge -> [])
+          List.filter (( <> ) "eventual") (Sim.Chaos.required (Option.get e.level))
         in
         let required = List.filter (fun (name, _) -> List.mem name required_names) verdicts in
         (* every verdict is printed; only the required ones gate the exit
@@ -1520,11 +1423,7 @@ let build_live_plan ~seed ~n ~duration ~chaos ~adversarial ~crashes ~partitions 
     with Invalid_argument msg -> Error msg
 
 let serve_cmd =
-  let store =
-    Arg.(
-      value & opt store_conv Causal
-      & info [ "store" ] ~doc:"Store: mvr|causal|cops|state|orset|lww|gossip")
-  in
+  let store = store_arg Stores.checked ~default:"causal" in
   let n = Arg.(value & opt int 2 & info [ "replicas"; "n" ] ~doc:"Replica domains") in
   let duration =
     Arg.(value & opt float 1.0 & info [ "duration" ] ~doc:"Load-phase wall seconds")
@@ -1643,10 +1542,10 @@ let serve_cmd =
     with
     | Error msg -> `Error (false, msg)
     | Ok faults ->
+      (* a register store takes --read-pct; a set store runs its own mix *)
       let mix =
-        match store with
-        | Orset -> Live.Load.orset_mix
-        | _ -> Live.Load.mix_of_read_pct read_pct
+        if store.Stores.mix.write_w > 0 then Live.Load.mix_of_read_pct read_pct
+        else store.mix
       in
       let cfg =
         {
@@ -1667,24 +1566,7 @@ let serve_cmd =
           stack = config Store.Store_intf.default;
         }
       in
-      let go (module S : Store.Store_intf.S) ~require ~spec =
-        serve_store (module S) ~require ~spec ~cfg ~capture_path ~check
-          ~metrics_path
-      in
-      (match store with
-      | Mvr -> go (module Store.Mvr_store) ~require:`Correct ~spec:Spec.Spec.mvr
-      | Causal ->
-        go (module Store.Causal_mvr_store) ~require:`Causal ~spec:Spec.Spec.mvr
-      | Cops -> go (module Store.Cops_store) ~require:`Causal ~spec:Spec.Spec.mvr
-      | State ->
-        go (module Store.State_mvr_store) ~require:`Correct ~spec:Spec.Spec.mvr
-      | Orset -> go (module Store.Orset_store) ~require:`Correct ~spec:Spec.Spec.orset
-      | Lww ->
-        go (module Store.Lww_store) ~require:`Converge ~spec:Spec.Spec.rw_register
-      | Gossip ->
-        go (module Store.Gossip_relay_store) ~require:`Correct ~spec:Spec.Spec.mvr
-      | Counter | Delayed | Gsp ->
-        `Error (false, "serve supports: mvr|causal|cops|state|orset|lww|gossip"))
+      serve_store store ~cfg ~capture_path ~check ~metrics_path
   in
   Cmd.v
     (Cmd.info "serve"

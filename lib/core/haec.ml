@@ -22,7 +22,6 @@ module Util = struct
   module Par = Haec_util.Par
   module Pqueue = Haec_util.Pqueue
   module Bitset = Haec_util.Bitset
-  module Sorted_list = Haec_util.Sorted_list
   module Fqueue = Haec_util.Fqueue
   module Int_tbl = Haec_util.Int_tbl
 end

@@ -26,17 +26,15 @@ let counter metrics name =
   | Some (Obs.Metrics.Registry.Counter c) -> Obs.Metrics.Counter.value c
   | Some _ | None -> 0
 
-let chaos_row label (module S : Store.Store_intf.S) require spec mix =
-  let module C = Sim.Chaos.Make (S) in
+let chaos_row flag =
+  let e = Stores.find flag in
   let conv = ref 0 in
   let lost = ref 0 and rounds = ref 0 in
   let digest_b = ref 0 and repair_b = ref 0 and repaired = ref 0 and dups = ref 0 in
   let deltas = ref 0 and elided = ref 0 in
   let lat_sum = ref 0.0 and lat_max = ref 0.0 in
   let max_bits = ref 0 and floor_bits = ref 0.0 in
-  let outcomes =
-    C.run_seeds ~spec_of:(fun _ -> spec) ~mix ~require ~adversarial:true ~seeds ()
-  in
+  let outcomes = Stores.chaos_seeds ~adversarial:true e ~seeds in
   List.iter
     (fun o ->
       if Sim.Chaos.converged o then incr conv;
@@ -61,7 +59,7 @@ let chaos_row label (module S : Store.Store_intf.S) require spec mix =
     outcomes;
   let runs = List.length seeds in
   [
-    label;
+    Stores.name e;
     Printf.sprintf "%d/%d" !conv runs;
     string_of_int !lost;
     string_of_int !rounds;
@@ -79,16 +77,7 @@ let chaos_row label (module S : Store.Store_intf.S) require spec mix =
   ]
 
 let run ppf =
-  let reg = Sim.Workload.register_mix and set = Sim.Workload.orset_mix in
-  let rows =
-    [
-      chaos_row "mvr-eager" (module Store.Mvr_store) `Correct Spec.Spec.mvr reg;
-      chaos_row "mvr-causal" (module Store.Causal_mvr_store) `Causal Spec.Spec.mvr reg;
-      chaos_row "mvr-cops-deps" (module Store.Cops_store) `Causal Spec.Spec.mvr reg;
-      chaos_row "orset" (module Store.Orset_store) `Correct Spec.Spec.orset set;
-      chaos_row "lww-register" (module Store.Lww_store) `Converge Spec.Spec.rw_register reg;
-    ]
-  in
+  let rows = List.map chaos_row [ "mvr"; "causal"; "cops"; "orset"; "lww" ] in
   Tables.print ppf ~title
     ~header:
       [

@@ -85,32 +85,28 @@ let summarize outcomes =
     Tables.yes_no (!min_ratio = infinity || !min_ratio >= 1.0);
   ]
 
-let churn_row label (module S : Store.Store_intf.S) require spec mix =
-  let module C = Sim.Chaos.Make (S) in
-  let outcomes =
-    C.run_seeds ~spec_of:(fun _ -> spec) ~mix ~require ~adversarial:true ~churn:true
-      ~seeds ()
-  in
-  label :: summarize outcomes
+let churn_row e =
+  Stores.name e :: summarize (Stores.chaos_seeds ~adversarial:true ~churn:true e ~seeds)
 
 (* The deterministic scenarios: explicit churn plans over 3 initial
    members and 3 reserves, replayed through the same harness. The
    workload (40 steps, 1.0 apart) and network schedule are seeded, so the
    rows are reproducible bit-for-bit. *)
 let scenario_row label ~joins ~leaves =
-  let module C = Sim.Chaos.Make (Store.Causal_mvr_store) in
+  let e = Stores.find "causal" in
+  let (module S : Store.Store_intf.S) = e.store in
+  let module C = Sim.Chaos.Make (S) in
   let initial = 3 and capacity = 6 and horizon = 60.0 and seed = 7 in
   let churn = { Sim.Fault_plan.initial; capacity; joins; leaves } in
   let plan = Sim.Fault_plan.make ~churn ~n:capacity ~horizon () in
   let rng = Util.Rng.create seed in
   let steps =
-    Sim.Workload.generate ~rng ~n:initial ~objects:2 ~ops:40
-      Sim.Workload.register_mix
+    Sim.Workload.generate ~rng ~n:initial ~objects:2 ~ops:40 e.mix
   in
   let outcome =
     C.run_plan
-      ~spec_of:(fun _ -> Spec.Spec.mvr)
-      ~require:`Causal ~n:initial ~plan ~steps ~seed ()
+      ~spec_of:(fun _ -> e.spec)
+      ?require:e.level ~n:initial ~plan ~steps ~seed ()
   in
   label :: summarize [ outcome ]
 
@@ -145,23 +141,8 @@ let flash_join () =
     ~leaves:[]
 
 let run ppf =
-  let reg = Sim.Workload.register_mix and set = Sim.Workload.orset_mix in
-  let rows =
-    [
-      churn_row "mvr-eager" (module Store.Mvr_store) `Correct Spec.Spec.mvr reg;
-      churn_row "mvr-causal" (module Store.Causal_mvr_store) `Causal Spec.Spec.mvr reg;
-      churn_row "mvr-cops-deps" (module Store.Cops_store) `Causal Spec.Spec.mvr reg;
-      churn_row "mvr-state-based" (module Store.State_mvr_store) `Correct Spec.Spec.mvr
-        reg;
-      churn_row "orset" (module Store.Orset_store) `Correct Spec.Spec.orset set;
-      churn_row "lww-register" (module Store.Lww_store) `Converge Spec.Spec.rw_register
-        reg;
-      churn_row "mvr-gossip-relay" (module Store.Gossip_relay_store) `Correct
-        Spec.Spec.mvr reg;
-      rolling_replace ();
-      flash_join ();
-    ]
-  in
+  (* every store with a check level, then the two scenarios *)
+  let rows = List.map churn_row Stores.checked @ [ rolling_replace (); flash_join () ] in
   Tables.print ppf ~title
     ~header:
       [

@@ -34,11 +34,8 @@ type acc = {
   hist : Obs.Metrics.Histogram.t;
 }
 
-let chaos_row label (module S : Store.Store_intf.S) require spec mix ~churn =
-  let module C = Sim.Chaos.Make (S) in
-  let outcomes =
-    C.run_seeds ~spec_of:(fun _ -> spec) ~mix ~require ~adversarial:true ~churn ~seeds ()
-  in
+let chaos_row (label, flag, churn) =
+  let outcomes = Stores.chaos_seeds ~adversarial:true ~churn (Stores.find flag) ~seeds in
   let a =
     {
       obs = 0;
@@ -93,24 +90,17 @@ let chaos_row label (module S : Store.Store_intf.S) require spec mix ~churn =
   ]
 
 let run ppf =
-  let reg = Sim.Workload.register_mix and set = Sim.Workload.orset_mix in
   let rows =
-    [
-      chaos_row "mvr-eager" (module Store.Mvr_store) `Correct Spec.Spec.mvr reg
-        ~churn:false;
-      chaos_row "mvr-causal" (module Store.Causal_mvr_store) `Causal Spec.Spec.mvr reg
-        ~churn:false;
-      chaos_row "mvr-cops-deps" (module Store.Cops_store) `Causal Spec.Spec.mvr reg
-        ~churn:false;
-      chaos_row "orset" (module Store.Orset_store) `Correct Spec.Spec.orset set
-        ~churn:false;
-      chaos_row "lww-register" (module Store.Lww_store) `Converge Spec.Spec.rw_register
-        reg ~churn:false;
-      chaos_row "mvr-causal +churn" (module Store.Causal_mvr_store) `Causal Spec.Spec.mvr
-        reg ~churn:true;
-      chaos_row "mvr-cops +churn" (module Store.Cops_store) `Causal Spec.Spec.mvr reg
-        ~churn:true;
-    ]
+    List.map chaos_row
+      [
+        ("mvr-eager", "mvr", false);
+        ("mvr-causal", "causal", false);
+        ("mvr-cops-deps", "cops", false);
+        ("orset", "orset", false);
+        ("lww-register", "lww", false);
+        ("mvr-causal +churn", "causal", true);
+        ("mvr-cops +churn", "cops", true);
+      ]
   in
   Tables.print ppf ~title
     ~header:

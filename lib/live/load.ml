@@ -1,11 +1,11 @@
 open Haec_util
 open Haec_model
 
-type mix = { read_w : int; write_w : int; add_w : int; remove_w : int }
+type mix = Haec_sim.Workload.mix = { read_w : int; write_w : int; add_w : int; remove_w : int }
 
-let register_mix = { read_w = 1; write_w = 1; add_w = 0; remove_w = 0 }
+let register_mix = Haec_sim.Workload.register_mix
 
-let orset_mix = { read_w = 2; write_w = 0; add_w = 2; remove_w = 1 }
+let orset_mix = Haec_sim.Workload.orset_mix
 
 let mix_of_read_pct p =
   let p = max 0 (min 100 p) in

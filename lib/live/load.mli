@@ -1,23 +1,23 @@
 (** Closed-loop load generation for the live cluster runtime: operation
     mixes, Zipf key skew, and op construction.
 
-    Deliberately independent of the simulator's [Workload] module (this
-    library sits below [haec_sim]): the live generator needs per-replica
-    determinism (each domain owns a seeded {!Haec_util.Rng.t} split from
-    the run seed) and globally unique write values without coordination —
+    It shares the simulator's mix type but not its generator: the live
+    generator needs per-replica determinism (each domain owns a seeded
+    {!Haec_util.Rng.t} split from the run seed) and globally unique write
+    values without coordination —
     a write by replica [r] carries [Value.Pair (r, k)] with [k] that
     replica's write counter, so value-based checkers (OCC, RVal) can
     resolve reads to writes in a live trace exactly as they do in
     simulation. *)
 
-type mix = { read_w : int; write_w : int; add_w : int; remove_w : int }
+type mix = Haec_sim.Workload.mix = { read_w : int; write_w : int; add_w : int; remove_w : int }
 (** Relative weights; at least one must be positive. *)
 
 val register_mix : mix
 (** 1:1 read/write — the MVR/causal register default. *)
 
 val orset_mix : mix
-(** 2:0:2:1 read/add/remove, matching the simulator's set workload. *)
+(** 2:0:2:1 read/add/remove, the simulator's set workload. *)
 
 val mix_of_read_pct : int -> mix
 (** [mix_of_read_pct p] — [p]% reads, the rest writes; [p] clamped to

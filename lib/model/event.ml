@@ -14,15 +14,6 @@ type t =
   | Join of { replica : int; epoch : int }
   | Leave of { replica : int; epoch : int; graceful : bool }
 
-type action =
-  | Act_do
-  | Act_send
-  | Act_receive
-  | Act_crash
-  | Act_recover
-  | Act_join
-  | Act_leave
-
 let replica = function
   | Do { replica; _ }
   | Send { replica; _ }
@@ -32,15 +23,6 @@ let replica = function
   | Join { replica; _ }
   | Leave { replica; _ } -> replica
 
-let act = function
-  | Do _ -> Act_do
-  | Send _ -> Act_send
-  | Receive _ -> Act_receive
-  | Crash _ -> Act_crash
-  | Recover _ -> Act_recover
-  | Join _ -> Act_join
-  | Leave _ -> Act_leave
-
 let msg = function
   | Do _ | Crash _ | Recover _ | Join _ | Leave _ -> None
   | Send { msg; _ } | Receive { msg; _ } -> Some msg
@@ -48,18 +30,6 @@ let msg = function
 let as_do = function
   | Do d -> Some d
   | Send _ | Receive _ | Crash _ | Recover _ | Join _ | Leave _ -> None
-
-let is_do = function
-  | Do _ -> true
-  | Send _ | Receive _ | Crash _ | Recover _ | Join _ | Leave _ -> false
-
-let is_write_do = function
-  | Do { op; _ } -> Op.is_update op
-  | Send _ | Receive _ | Crash _ | Recover _ | Join _ | Leave _ -> false
-
-let is_read_do = function
-  | Do { op; _ } -> Op.is_read op
-  | Send _ | Receive _ | Crash _ | Recover _ | Join _ | Leave _ -> false
 
 let pp_do ppf { replica; obj; op; rval } =
   Format.fprintf ppf "do@%d(o%d, %a) -> %a" replica obj Op.pp op Op.pp_response rval

@@ -37,31 +37,13 @@ type t =
   | Join of { replica : int; epoch : int }
   | Leave of { replica : int; epoch : int; graceful : bool }
 
-type action =
-  | Act_do
-  | Act_send
-  | Act_receive
-  | Act_crash
-  | Act_recover
-  | Act_join
-  | Act_leave
-
 val replica : t -> int
 (** [R(e)]: the replica at which the event occurs. *)
-
-val act : t -> action
 
 val msg : t -> Message.t option
 (** The message attribute of a [send]/[receive]; [None] for a [do]. *)
 
 val as_do : t -> do_event option
-
-val is_do : t -> bool
-
-val is_write_do : t -> bool
-(** A [do] event whose operation is an update. *)
-
-val is_read_do : t -> bool
 
 val pp : Format.formatter -> t -> unit
 

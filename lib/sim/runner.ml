@@ -29,8 +29,9 @@ type 'state membership_hooks = {
   on_leave : epoch:int -> graceful:bool -> 'state -> 'state;
 }
 
-(* Dense growable columns of the span bookkeeping, indexed by small ints:
-   a message's seq at its source, a do index, or [do_index * n + replica].
+(* Dense growable columns of the witness and span bookkeeping, indexed
+   by small ints: a message's seq at its source, a do index, or
+   [do_index * n + replica].
    An absent time reads NaN, an absent op set [[]]. *)
 module Times = struct
   type t = { mutable a : float array }
@@ -106,10 +107,11 @@ module Make (S : Haec_store.Store_intf.S) = struct
     (* fault statistics *)
     mutable s_crashes : int;
     mutable s_recoveries : int;
-    mutable s_dropped : int;
+    mutable s_lost : int;
+        (** deliveries lost for good: every drop is permanent, so this one
+            count is both [stats.dropped] and [stats.lost_permanent] *)
     mutable s_corrupt_rejected : int;
     mutable s_corrupt_collisions : int;
-    mutable s_lost_permanent : int;
     mutable s_gossip_rounds : int;
     mutable s_joins : int;
     mutable s_leaves : int;
@@ -122,7 +124,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
     mutable do_count : int;
     seen : Witness.seen array;
     wit : Witness.t;
-    mutable do_time : float array;  (* do index -> sim time, growable *)
+    do_time : Times.t;  (* do index -> sim time *)
     (* per-link monotone delivery times, for FIFO policies *)
     mutable fifo_last : float array;
     (* wire telemetry *)
@@ -198,10 +200,9 @@ module Make (S : Haec_store.Store_intf.S) = struct
       now_ = 0.0;
       s_crashes = 0;
       s_recoveries = 0;
-      s_dropped = 0;
+      s_lost = 0;
       s_corrupt_rejected = 0;
       s_corrupt_collisions = 0;
-      s_lost_permanent = 0;
       s_gossip_rounds = 0;
       s_joins = 0;
       s_leaves = 0;
@@ -210,7 +211,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
       do_count = 0;
       seen = Array.init n (fun _ -> Witness.seen ());
       wit = Witness.create ();
-      do_time = [||];
+      do_time = Times.create ();
       fifo_last = Array.make (n * n) 0.0;
       msg_count = Array.make n 0;
       payload_hist = Obs.Histogram.create ();
@@ -244,10 +245,10 @@ module Make (S : Haec_store.Store_intf.S) = struct
     {
       crashes = t.s_crashes;
       recoveries = t.s_recoveries;
-      dropped = t.s_dropped;
+      dropped = t.s_lost;
       corrupt_rejected = t.s_corrupt_rejected;
       corrupt_collisions = t.s_corrupt_collisions;
-      lost_permanent = t.s_lost_permanent;
+      lost_permanent = t.s_lost;
       gossip_rounds = t.s_gossip_rounds;
       joins = t.s_joins;
       leaves = t.s_leaves;
@@ -278,9 +279,9 @@ module Make (S : Haec_store.Store_intf.S) = struct
     Obs.Registry.register reg "wire.fanout" (Obs.Registry.Histogram t.fanout_hist);
     c "wire.deliveries" t.s_deliveries;
     c "wire.duplicates" t.s_duplicates;
-    c "wire.dropped" t.s_dropped;
+    c "wire.dropped" t.s_lost;
     c "wire.corrupt_rejected" t.s_corrupt_rejected;
-    c "wire.lost_permanent" t.s_lost_permanent;
+    c "wire.lost_permanent" t.s_lost;
     Obs.Registry.register reg "visibility.lag" (Obs.Registry.Histogram t.lag_hist);
     c "sim.ops" t.do_count;
     c "sim.crashes" t.s_crashes;
@@ -307,8 +308,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
      crashed or crash-departed destination, corrupted frame): nothing
      retransmits it, the store protocol alone must make up for it *)
   let lose_permanently t { dst; msg } =
-    t.s_dropped <- t.s_dropped + 1;
-    t.s_lost_permanent <- t.s_lost_permanent + 1;
+    t.s_lost <- t.s_lost + 1;
     if t.record_spans then begin
       let src = msg.Message.sender and seq = msg.Message.seq in
       Haec_obs.Span.Log.flight t.log ~src ~seq ~dst ~sent:(sent_at t ~src ~seq) ~at:t.now_
@@ -429,7 +429,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
       List.iter
         (fun (i, obj) ->
           Times.set t.op_sent i t.now_;
-          Haec_obs.Span.Log.op t.log ~op:i ~origin:replica ~obj ~issue:t.do_time.(i) ~sent:t.now_)
+          Haec_obs.Span.Log.op t.log ~op:i ~origin:replica ~obj ~issue:(Times.get t.do_time i) ~sent:t.now_)
         ops;
       let op_ids = List.map fst ops in
       Ops.set t.msg_ops.(replica) seq op_ids;
@@ -499,12 +499,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
     record t (Event.Do d);
     if t.record_witness then begin
       let j = t.do_count in
-      if j = Array.length t.do_time then begin
-        let grown = Array.make (max 64 (2 * j)) 0.0 in
-        Array.blit t.do_time 0 grown 0 j;
-        t.do_time <- grown
-      end;
-      t.do_time.(j) <- t.now_;
+      Times.set t.do_time j t.now_;
       (* The delta holds exactly the updates this replica witnesses for
          the first time, and never its own (see {!Witness}). Visibility
          lag: record how long each was in flight in simulated time
@@ -512,7 +507,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
          quantitative). *)
       let delta = Witness.fresh t.seen.(replica) ~obj (Lazy.force witness) in
       Witness.record t.wit d delta ~on_new:(fun i obj_i ->
-          let t0 = t.do_time.(i) in
+          let t0 = Times.get t.do_time i in
           if t.record_spans then begin
             (* the measured lag is defined as the breakdown's component
                sum (see {!Haec_obs.Span.breakdown}), so attribution is

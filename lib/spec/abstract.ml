@@ -188,12 +188,6 @@ let add_vis t pairs =
   of_edges pairs (lower ~n:t.n t.h fv);
   validated { t with fv }
 
-let writes_visible_to t j =
-  let o = t.h.(j).Event.obj in
-  List.filter
-    (fun i -> t.h.(i).Event.obj = o && Op.is_update t.h.(i).Event.op)
-    (vis_preds t j)
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>";
   Array.iteri

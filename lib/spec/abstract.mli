@@ -110,9 +110,5 @@ val add_vis : t -> (int * int) list -> t
 (** A copy with additional visibility edges (re-validated).
     O(N·n + edges). *)
 
-val writes_visible_to : t -> int -> int list
-(** Indices of update events on the same object visible to event [j].
-    O(N). *)
-
 val pp : Format.formatter -> t -> unit
 (** Each event with its visible predecessors. O(N²). *)

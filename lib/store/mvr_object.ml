@@ -34,8 +34,6 @@ let read t = List.sort_uniq Value.compare (List.map (fun s -> s.value) t.sibs)
 
 let siblings t = t.sibs
 
-let causal_context t = t.cc
-
 let visible ~obj t = Store_intf.frontier ~obj t.cc
 
 (* Clocks go out in the compressed self-describing form; [decode_update]

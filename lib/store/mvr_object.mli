@@ -37,8 +37,6 @@ val read : t -> Value.t list
 
 val siblings : t -> update list
 
-val causal_context : t -> Vclock.t
-
 val visible : obj:int -> t -> Store_intf.summary
 (** The object-level visibility witness: the causal context as a
     frontier, covering every write dot it names. *)

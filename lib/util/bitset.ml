@@ -55,14 +55,6 @@ let inter_into ~dst src =
     dst.words.(w) <- dst.words.(w) land src.words.(w)
   done
 
-let intersects a b =
-  if a.cap <> b.cap then invalid_arg "Bitset.intersects: capacity mismatch";
-  let hit = ref false in
-  for w = 0 to Array.length a.words - 1 do
-    if a.words.(w) land b.words.(w) <> 0 then hit := true
-  done;
-  !hit
-
 let equal a b =
   a.cap = b.cap
   &&

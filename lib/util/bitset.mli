@@ -33,9 +33,6 @@ val copy_into : dst:t -> t -> unit
 val inter_into : dst:t -> t -> unit
 (** [inter_into ~dst src] ands [src] into [dst]. Requires equal capacity. *)
 
-val intersects : t -> t -> bool
-(** Whether the two sets share any element, word-parallel. *)
-
 val equal : t -> t -> bool
 
 val hash : t -> int

@@ -195,11 +195,6 @@ module Decoder = struct
 
   let of_string input = { input; pos = 0; limit = String.length input }
 
-  let of_sub input ~pos ~len =
-    if pos < 0 || len < 0 || pos + len > String.length input then
-      invalid_arg "Wire.Decoder.of_sub: window out of bounds";
-    { input; pos; limit = pos + len }
-
   let remaining t = t.limit - t.pos
 
   let byte t =

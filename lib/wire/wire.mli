@@ -82,10 +82,6 @@ module Decoder : sig
 
   val of_string : string -> t
 
-  val of_sub : string -> pos:int -> len:int -> t
-  (** A decoder over the window [\[pos, pos+len)] of the string, without
-      copying. Raises [Invalid_argument] if the window is out of bounds. *)
-
   val uint : t -> int
 
   val uint_array : t -> int array

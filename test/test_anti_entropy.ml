@@ -805,6 +805,53 @@ let test_hello_answered_with_every_origin () =
   Alcotest.(check (list (list int))) "it asks a for origin 0 from seq 2" [ [ 0; 0; 2; 2 ] ]
     (request_fields ask)
 
+(* A joiner bootstraps a stream longer than two repair batches under the
+   default configuration: the answer to its hello and the answer to each
+   of its asks carry min(repair_batch, remaining) payloads, so the stream
+   arrives in ceil(len / repair_batch) answers. *)
+let test_bootstrap_long_stream_in_batches () =
+  let cfg = Store.Store_intf.default in
+  let batch = cfg.repair_batch in
+  let len = (2 * batch) + (batch / 2) + 1 in
+  let a = ref (AE.create cfg ~n:3 ~me:0) in
+  for v = 1 to len do
+    a := fst (write !a v)
+  done;
+  let j = AE.announce_join ~epoch:1 (AE.create cfg ~n:3 ~me:2) in
+  let j, hello = AE.send j in
+  let a, answer = AE.send (AE.receive !a ~sender:2 hello) in
+  (* apply an answer, then let the joiner ask (ticking both until its
+     backoff lets it; a's digest, when a sends one, shows nothing new) and
+     route the ask to a *)
+  let rec drive a j answer carried rounds =
+    let before = Vclock.get (AE.have j) 0 in
+    let j = AE.receive j ~sender:0 answer in
+    let carried = (Vclock.get (AE.have j) 0 - before) :: carried in
+    let rec ask a j rounds =
+      if rounds > 100 then Alcotest.fail "the joiner never asked again"
+      else if AE.has_pending j then
+        let j, req = AE.send j in
+        if List.mem "request" (String.split_on_char '+' (Store.Anti_entropy.classify req))
+        then (a, j, req, rounds)
+        else ask a j rounds
+      else
+        let a = AE.tick a and j = AE.tick j in
+        if AE.has_pending a then
+          let a, da = AE.send a in
+          ask a (AE.receive j ~sender:0 da) (rounds + 1)
+        else ask a j (rounds + 1)
+    in
+    if Vclock.get (AE.have j) 0 = len then (j, List.rev carried)
+    else
+      let a, j, req, rounds = ask a j rounds in
+      let a, answer = AE.send (AE.receive a ~sender:2 req) in
+      drive a j answer carried rounds
+  in
+  let j, carried = drive a j answer [] 0 in
+  let expected = List.init ((len + batch - 1) / batch) (fun k -> min batch (len - (k * batch))) in
+  Alcotest.(check (list int)) "payloads per answer" expected carried;
+  Alcotest.(check int) "nothing arrived twice" 0 (AE.counters j).Store.Store_intf.dup_payloads
+
 let suite =
   ( "anti-entropy",
     [
@@ -857,4 +904,6 @@ let suite =
       tc "a request is bounded by the first payload held" test_request_bounded_by_held;
       tc "an inflated round trip never delays an ask past max_backoff"
         test_inflated_rtt_capped;
+      tc "bootstrap: a long stream arrives in full repair batches"
+        test_bootstrap_long_stream_in_batches;
     ] )

@@ -1,7 +1,6 @@
 open Helpers
 module Pqueue = Haec.Util.Pqueue
 module Bitset = Haec.Util.Bitset
-module Sorted_list = Haec.Util.Sorted_list
 module Fqueue = Haec.Util.Fqueue
 
 (* ---------- Rng ---------- *)
@@ -219,27 +218,6 @@ let prop_bitset_roundtrip =
       List.for_all (Bitset.get b) idxs
       && Bitset.to_list b = List.sort_uniq compare idxs)
 
-(* ---------- Sorted_list ---------- *)
-
-let compare_int = Int.compare
-
-let test_sorted_ops () =
-  let s = Sorted_list.of_list ~compare:compare_int [ 3; 1; 2; 3; 1 ] in
-  Alcotest.(check (list int)) "of_list" [ 1; 2; 3 ] s;
-  Alcotest.(check (list int)) "add" [ 0; 1; 2; 3 ] (Sorted_list.add ~compare:compare_int 0 s);
-  Alcotest.(check (list int)) "add dup" [ 1; 2; 3 ] (Sorted_list.add ~compare:compare_int 2 s);
-  Alcotest.(check (list int)) "remove" [ 1; 3 ] (Sorted_list.remove ~compare:compare_int 2 s);
-  Alcotest.(check bool) "mem" true (Sorted_list.mem ~compare:compare_int 2 s);
-  Alcotest.(check bool) "not mem" false (Sorted_list.mem ~compare:compare_int 9 s)
-
-let test_sorted_set_algebra () =
-  let a = [ 1; 3; 5 ] and b = [ 2; 3; 4; 5 ] in
-  Alcotest.(check (list int)) "union" [ 1; 2; 3; 4; 5 ] (Sorted_list.union ~compare:compare_int a b);
-  Alcotest.(check (list int)) "inter" [ 3; 5 ] (Sorted_list.inter ~compare:compare_int a b);
-  Alcotest.(check (list int)) "diff" [ 1 ] (Sorted_list.diff ~compare:compare_int a b);
-  Alcotest.(check bool) "subset" true (Sorted_list.subset ~compare:compare_int [ 3; 5 ] b);
-  Alcotest.(check bool) "not subset" false (Sorted_list.subset ~compare:compare_int [ 1; 3 ] b)
-
 (* min_elt_from and iter_rev against their list meanings *)
 let prop_bitset_from_rev =
   q ~count:200 "bitset min_elt_from/iter_rev"
@@ -279,7 +257,5 @@ let suite =
       tc "bitset word boundaries" test_bitset_word_boundaries;
       tc "bitset bounds" test_bitset_bounds;
       prop_bitset_roundtrip;
-      tc "sorted list ops" test_sorted_ops;
-      tc "sorted set algebra" test_sorted_set_algebra;
       prop_bitset_from_rev;
     ] )
