@@ -74,8 +74,8 @@ let config_term =
             "Anti-entropy: emit an absolute digest every N gossip rounds, delta or \
              elided digests in between (>= 1, default 4)")
   in
-  let mk repair_batch max_backoff full_digest_every (base : Store.Store_intf.config) =
-    { base with repair_batch; max_backoff; full_digest_every }
+  let mk repair_batch max_backoff full_digest_every =
+    { Store.Store_intf.repair_batch; max_backoff; full_digest_every }
   in
   Term.(const mk $ repair_batch $ max_backoff $ full_digest_every)
 
@@ -265,7 +265,7 @@ let simulate_cmd =
   in
   let run jobs config store net n objects ops seed verbose dump metrics =
     set_jobs jobs;
-    simulate_store store ~config:(config Store.Store_intf.default) ~seed ~n ~objects ~ops
+    simulate_store store ~config ~seed ~n ~objects ~ops
       ~policy:(policy_of net) ~net_name:(net_name_of net) ~faulty_net:(net_is_faulty net)
       ~verbose ~dump ~metrics
   in
@@ -530,7 +530,6 @@ let chaos_cmd =
   let run jobs config store net n objects ops seed runs dump_dir metrics require
       adversarial churn shrink =
     set_jobs jobs;
-    let config = config Sim.Chaos.default_config in
     let dump_dir = match dump_dir with Some "" -> None | d -> d in
     (* by default a store is held to the checks its class guarantees; the
        parser admits only stores that have a level *)
@@ -1120,7 +1119,7 @@ let trace_cmd =
   let run jobs config store net n objects ops seed adversarial churn why export out
       time_scale slowest =
     set_jobs jobs;
-    trace_store store ~config:(config Sim.Chaos.default_config) ~adversarial ~churn ~seed
+    trace_store store ~config ~adversarial ~churn ~seed
       ~n ~objects ~ops ~policy:(policy_of net) ~why ~export ~out ~time_scale ~slowest
   in
   Cmd.v
@@ -1259,13 +1258,17 @@ let serve_store (e : Stores.entry) ~cfg ~capture_path ~check ~metrics_path =
         let t0 = Unix.gettimeofday () in
         let report = Sim.Checks.validate ~spec_of:(fun _ -> e.spec) exec wit in
         let check_s = Unix.gettimeofday () -. t0 in
+        let shown = function Ok () -> "ok" | Error e -> "FAILED: " ^ e in
         let verdicts =
-          [ ("well-formed", report.Sim.Checks.well_formed);
-            ("complies", report.Sim.Checks.complies);
-            ("correct", report.Sim.Checks.correct);
-            ("causal", report.Sim.Checks.causal);
-            ("occ", report.Sim.Checks.occ);
-            ("eventual", report.Sim.Checks.eventual);
+          [ ("well-formed", shown report.Sim.Checks.well_formed);
+            ("complies", shown report.Sim.Checks.complies);
+            ("correct", shown report.Sim.Checks.correct);
+            ("causal", shown report.Sim.Checks.causal);
+            ( "occ",
+              match report.Sim.Checks.occ with
+              | Sim.Checks.Occ_violated e -> "FAILED: " ^ e
+              | occ -> Sim.Checks.occ_text occ );
+            ("eventual", shown report.Sim.Checks.eventual);
           ]
         in
         (* the level's checks, except eventual: a live run's convergence
@@ -1273,20 +1276,17 @@ let serve_store (e : Stores.entry) ~cfg ~capture_path ~check ~metrics_path =
         let required_names =
           List.filter (( <> ) "eventual") (Sim.Chaos.required (Option.get e.level))
         in
-        let required = List.filter (fun (name, _) -> List.mem name required_names) verdicts in
         (* every verdict is printed; only the required ones gate the exit
-           code *)
+           code, and a required OCC that does not apply fails it *)
         List.iter
-          (fun (name, r) ->
-            Format.printf "  %s: %s%s@." name
-              (match r with Ok () -> "ok" | Error e -> "FAILED: " ^ e)
+          (fun (name, text) ->
+            Format.printf "  %s: %s%s@." name text
               (if List.mem name required_names then "" else " (not required)"))
           verdicts;
         let failed =
           List.filter_map
-            (fun (name, r) ->
-              match r with Ok () -> None | Error e -> Some (name ^ ": " ^ e))
-            required
+            (fun (name, e) -> if List.mem name required_names then Some (name ^ ": " ^ e) else None)
+            (Sim.Checks.failures report)
         in
         if res.total_ops = 0 then `Error (false, "live check: no operations executed")
         else if not res.converged then
@@ -1304,7 +1304,7 @@ let serve_store (e : Stores.entry) ~cfg ~capture_path ~check ~metrics_path =
           Format.printf
             "checkers: %s clean on the captured live trace (%d do events audited in \
              %.3fs; witness table %d events x %d replicas, %.1f KiB)@."
-            (String.concat ", " (List.map fst required))
+            (String.concat ", " required_names)
             events check_s events replicas
             (float_of_int (events * replicas * (Sys.word_size / 8)) /. 1024.0);
           `Ok ()
@@ -1563,7 +1563,7 @@ let serve_cmd =
           faults;
           drop_p;
           heal_by;
-          stack = config Store.Store_intf.default;
+          stack = config;
         }
       in
       serve_store store ~cfg ~capture_path ~check ~metrics_path

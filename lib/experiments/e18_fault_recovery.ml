@@ -33,7 +33,7 @@ let stores =
 let chaos_row (label, flag) =
   let conv = ref 0 in
   let crashes = ref 0 and dropped = ref 0 and lost = ref 0 and corrupt = ref 0 in
-  let causal_viol = ref 0 and occ_viol = ref 0 in
+  let causal_viol = ref 0 and occ_viol = ref 0 and occ_na = ref 0 in
   let lag_p99 = ref 0.0 in
   (* the seeds fan out over domains; counters fold sequentially after *)
   let outcomes = Stores.chaos_seeds (Stores.find flag) ~seeds in
@@ -49,7 +49,10 @@ let chaos_row (label, flag) =
       (match o.Sim.Chaos.result with
       | Ok r ->
         (match r.Sim.Checks.causal with Error _ -> incr causal_viol | Ok () -> ());
-        (match r.Sim.Checks.occ with Error _ -> incr occ_viol | Ok () -> ())
+        (match r.Sim.Checks.occ with
+        | Sim.Checks.Occ_violated _ -> incr occ_viol
+        | Occ_not_applicable _ -> incr occ_na
+        | Occ_holds -> ())
       | Error _ -> ());
       let s = o.Sim.Chaos.stats in
       crashes := !crashes + s.Sim.Runner.crashes;
@@ -65,7 +68,7 @@ let chaos_row (label, flag) =
     string_of_int !lost;
     string_of_int !corrupt;
     Printf.sprintf "%d" !causal_viol;
-    Printf.sprintf "%d" !occ_viol;
+    (if !occ_na = List.length seeds then "n/a" else string_of_int !occ_viol);
     Tables.f1 !lag_p99;
   ]
 

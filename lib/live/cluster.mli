@@ -77,9 +77,8 @@ type config = {
           [0.] = automatic ([max 10 (5 * duration)], the no-fault drain
           deadline) *)
   stack : Haec_store.Store_intf.config;
-      (** what every replica stack is built with: anti-entropy
-          tunables and checkpoint cadence (by default
-          {!Haec_store.Store_intf.default}, which never auto-checkpoints) *)
+      (** what every replica stack is built with: the anti-entropy
+          tunables (by default {!Haec_store.Store_intf.default}) *)
 }
 
 val default : config

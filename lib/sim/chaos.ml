@@ -64,9 +64,6 @@ let failures o =
 
 let converged o = failures o = []
 
-let default_config =
-  { Store_intf.default with checkpoint_every = Some Haec_store.Durable.auto_checkpoint_every }
-
 let pp_outcome ppf o =
   let s = o.stats in
   Format.fprintf ppf
@@ -233,7 +230,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
      two-mode harness keep compiling unchanged. *)
   let run_plan ?(objects = 2) ?(spec_of = fun (_ : int) -> Spec.mvr) ?policy
       ?(max_events = 200_000) ?(require = `Correct) ?recovery:(_ : [ `Anti_entropy ] option)
-      ?(gossip_interval = 2.0) ?(config = default_config) ~n ~plan ~steps ~seed () =
+      ?(gossip_interval = 2.0) ?(config = Store_intf.default) ~n ~plan ~steps ~seed () =
     let policy =
       match policy with Some p -> p | None -> Net_policy.random_delay ()
     in

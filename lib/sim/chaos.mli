@@ -2,7 +2,7 @@
 
     One chaos run builds the store's durable replica stack
     ({!Stack.Durable}, built with a {!Haec_store.Store_intf.config}; by
-    default {!default_config}), draws a random
+    default {!Haec_store.Store_intf.default}), draws a random
     {!Fault_plan.t} from the seed, and interleaves it with a random
     client workload: replicas crash mid-run (losing volatile state, in-flight
     deliveries, and their clients, who fail over to a live replica), links
@@ -60,8 +60,8 @@ type traced = {
 type outcome = {
   seed : int;
   config : Haec_store.Store_intf.config;
-      (** what every replica of the run was built with: anti-entropy
-          tunables and checkpoint cadence *)
+      (** what every replica of the run was built with: the anti-entropy
+          tunables *)
   plan : Fault_plan.t;
   steps : Workload.step list;  (** the client workload the run replayed *)
   require : level;
@@ -106,10 +106,6 @@ type outcome = {
 val required : level -> string list
 (** The {!Checks.failures} names a store at this level is on the hook
     for. *)
-
-val default_config : Haec_store.Store_intf.config
-(** {!Haec_store.Store_intf.default}, checkpointing every
-    {!Haec_store.Durable.auto_checkpoint_every} WAL entries. *)
 
 val converged : outcome -> bool
 (** The run quiesced and every required check passed. *)
@@ -160,7 +156,7 @@ module Make (S : Haec_store.Store_intf.S) : sig
       through. [seed] seeds only the network schedule (delivery delays,
       corruption choices), not the inputs. [gossip_interval] (default 2.0)
       is the simulated time between digest rounds; [config] (default
-      {!default_config}) builds every replica. A plan with churn keeps
+      {!Haec_store.Store_intf.default}) builds every replica. A plan with churn keeps
       [n] as the {e initial} member count — the run's id space grows to
       the plan's capacity. [recovery] has one value and selects nothing:
       it is accepted so that callers naming the anti-entropy stack

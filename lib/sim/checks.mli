@@ -27,6 +27,15 @@
 open Haec_model
 open Haec_spec
 
+type occ =
+  | Occ_holds
+  | Occ_violated of string
+      (** Definition 18 violations of the closed witness: the count and
+          the first [(read, w0, w1)] without witnesses *)
+  | Occ_not_applicable of string
+      (** a read returned a value no write, or several, wrote: why, and
+          ["no writes"] when the run has none (an OR-set's) *)
+
 type report = {
   well_formed : (unit, string) result;
   complies : (unit, string) result;
@@ -37,16 +46,16 @@ type report = {
           run complies with a correct causally consistent abstract execution
           iff this holds. A causal anomaly (effect exposed before its cause)
           surfaces as a closed context contradicting a recorded response. *)
-  occ : (unit, string) result;
-      (** Definition 18 violations of the closed witness: the count and
-          the first [(read, w0, w1)] without witnesses *)
+  occ : occ;
   eventual : (unit, string) result;
 }
 
-val all_ok : report -> bool
+val occ_text : occ -> string
+(** ["ok"], the violations, or ["n/a (why)"]. *)
 
 val failures : report -> (string * string) list
-(** [(check, reason)] for each failed check. *)
+(** [(check, reason)] for each check that did not pass: a failed check,
+    or OCC that does not apply, whose reason is its {!occ_text}. *)
 
 val pp_report : Format.formatter -> report -> unit
 

@@ -1,34 +1,31 @@
 (** Crash durability as a store transformer.
 
-    [Make (S)] wraps any store with a durable image: a serialized
-    checkpoint (the store's replay log up to the last checkpoint, encoded
-    through the wire layer) plus a write-ahead log of every state-changing
-    input applied since — client updates, received payloads (already in
-    [S]'s own wire encoding), and sends. A crash discards the volatile
-    inner state; {!Make.recover} rebuilds it by decoding the checkpoint
-    and replaying everything through a fresh replica built with the same
+    [Make (S)] wraps any store with a durable image: the store's replay
+    log, encoded through the wire layer — client updates, received
+    payloads (already in [S]'s own wire encoding), and sends. A crash
+    discards the volatile inner state; {!Make.recover} rebuilds it by
+    replaying the log through a fresh replica built with the same
     {!Store_intf.config}. Because stores are pure deterministic state
     machines, the rebuilt replica is observationally identical to the one
     that crashed, down to the bytes it emits.
 
     Reads are logged only for stores whose reads change state
     (Definition 16 violators such as {!Delayed_store}); for everyone else
-    the log stays update-only. The config's [checkpoint_every = Some k]
-    folds the log into the checkpoint every [k] entries (the chaos
-    harness uses {!auto_checkpoint_every}); [None] never does, so the
-    live hot path never encodes a WAL entry. The cadence changes neither
-    the snapshot bytes nor what [recover] rebuilds. The checkpoint is the
-    whole replay log since [create], not a copy of live state: its size and the
-    cost of {!Make.recover} grow with every logged input. A checkpoint
-    appends one encoded chunk holding only the entries logged since the
-    previous one, so checkpointing costs O(new entries), and the
-    serialized snapshot — the entry count followed by the chunks — is
-    byte-for-byte the encoding of the whole log as one list. *)
+    the log stays update-only. Every [chunk_entries] logged inputs fold
+    into one encoded chunk, live and simulated alike, so fewer than
+    [chunk_entries] entries (and payload copies) are ever held decoded,
+    and {!Make.recover} decodes one chunk at a time. The log is the whole
+    replay log since [create], not a copy of live state: its size and the
+    cost of {!Make.recover} grow with every logged input. The serialized
+    snapshot — the entry count followed by the chunks — is byte-for-byte
+    the encoding of the whole log as one list. *)
 
 open Haec_wire
 open Haec_model
 
-let auto_checkpoint_every = 32
+(* big enough that a chunk's header and list cell are noise beside its
+   bytes, small enough that the decoded tail stays a few payloads *)
+let chunk_entries = 32
 
 module Make (S : Store_intf.S) : sig
   include Store_intf.DURABLE
@@ -75,16 +72,16 @@ end = struct
     | tag -> raise (Wire.Decoder.Malformed (Printf.sprintf "bad log entry tag %d" tag))
 
   type state = {
-    cfg : Store_intf.config;  (** also the inner replica's, and the cadence's *)
+    cfg : Store_intf.config;  (** also the inner replica's *)
     n : int;
     me : int;
     inner : S.state;  (** volatile: lost at a crash *)
     chunks_rev : string list;
-        (** durable: the replay log up to the last checkpoint, one encoded
-            chunk per checkpoint, newest first *)
+        (** durable: the replay log up to the last fold, one encoded chunk
+            per fold, newest first *)
     snap_len : int;  (** entries across [chunks_rev] *)
     chunk_bytes : int;  (** bytes across [chunks_rev] *)
-    wal_rev : entry list;  (** durable: entries since the checkpoint, newest first *)
+    wal_rev : entry list;  (** durable: entries since the last fold, newest first *)
     wal_len : int;
   }
 
@@ -117,10 +114,6 @@ end = struct
      exactly [Wire.Encoder.list] over every entry. *)
   let count_prefix t = Wire.encode (fun enc -> Wire.Encoder.uint enc t.snap_len)
 
-  let snapshot_entries t =
-    let snapshot = String.concat "" (count_prefix t :: List.rev t.chunks_rev) in
-    Wire.decode snapshot (fun dec -> Wire.Decoder.list dec decode_entry)
-
   let checkpoint t =
     if t.wal_len = 0 then t
     else
@@ -138,9 +131,7 @@ end = struct
 
   let log t e =
     let t = { t with wal_rev = e :: t.wal_rev; wal_len = t.wal_len + 1 } in
-    match t.cfg.checkpoint_every with
-    | Some every when t.wal_len >= every -> checkpoint t
-    | Some _ | None -> t
+    if t.wal_len >= chunk_entries then checkpoint t else t
 
   let replay_entry inner = function
     | Apply { obj; op } ->
@@ -149,9 +140,21 @@ end = struct
     | Deliver { sender; payload } -> S.receive inner ~sender payload
     | Sent -> if S.has_pending inner then fst (S.send inner) else inner
 
+  (* only the entry being replayed is ever decoded; [recover] checks the
+     entry count, so a lost or cut chunk is [Malformed] *)
+  let replay_chunk (inner, entries) chunk =
+    let dec = Wire.Decoder.of_string chunk in
+    let inner = ref inner and entries = ref entries in
+    while not (Wire.Decoder.at_end dec) do
+      inner := replay_entry !inner (decode_entry dec);
+      incr entries
+    done;
+    (!inner, !entries)
+
   let recover t =
     let fresh = S.create t.cfg ~n:t.n ~me:t.me in
-    let inner = List.fold_left replay_entry fresh (snapshot_entries t) in
+    let inner, entries = List.fold_left replay_chunk (fresh, 0) (List.rev t.chunks_rev) in
+    if entries <> t.snap_len then raise (Wire.Decoder.Malformed "durable log: entry count");
     let inner = List.fold_left replay_entry inner (List.rev t.wal_rev) in
     { t with inner }
 

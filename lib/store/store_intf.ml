@@ -164,9 +164,6 @@ type config = {
           a replica asks the same peer again for the same origin *)
   full_digest_every : int;
       (** anti-entropy: an absolute digest every this many rounds *)
-  checkpoint_every : int option;
-      (** durable image: fold the WAL into the snapshot every [k] entries;
-          [None] never auto-checkpoints *)
 }
 
 let default =
@@ -174,7 +171,6 @@ let default =
     repair_batch = 32;
     max_backoff = 32;
     full_digest_every = 4;
-    checkpoint_every = None;
   }
 
 (** Raises [Invalid_argument] naming the first anti-entropy setting
@@ -221,25 +217,27 @@ module type S = sig
 end
 
 (** A store that survives crashes: alongside the volatile replica state it
-    maintains a durable image — a wire-encoded checkpoint plus a
-    write-ahead log of everything applied since — from which {!recover}
+    maintains a durable image — a wire-encoded log of everything applied,
+    folded into encoded chunks as it grows — from which {!recover}
     rebuilds the replica after a crash wipes its volatile memory. See
     {!Durable.Make}, which derives this for any store. *)
 module type DURABLE = sig
   include S
 
   val checkpoint : state -> state
-  (** Fold the write-ahead log into the serialized snapshot. Idempotent. *)
+  (** Fold the not-yet-folded log entries into the serialized snapshot now,
+      rather than when a chunk fills. Idempotent; changes neither the
+      snapshot bytes a later fold produces nor what {!recover} rebuilds. *)
 
   val recover : state -> state
   (** The state after a crash: volatile memory is discarded and rebuilt by
-      decoding the snapshot and replaying it plus every post-checkpoint
-      log entry through a fresh replica. Raises
+      replaying the snapshot, one decoded chunk at a time, plus every
+      not-yet-folded log entry through a fresh replica. Raises
       [Haec_wire.Wire.Decoder.Malformed] if the durable image is corrupt. *)
 
   val wal_length : state -> int
-  (** Number of log entries applied since the last checkpoint. *)
+  (** Number of log entries applied since the last fold. *)
 
   val snapshot_bytes : state -> int
-  (** Size of the serialized checkpoint, in bytes. *)
+  (** Size of the serialized snapshot, in bytes. *)
 end

@@ -161,36 +161,32 @@ let encode_c enc t =
   let v = t.v in
   let n = Array.length v in
   if n = 0 then invalid_arg "Vclock.encode_c: empty clock";
-  (* one allocation-free pass: integer accumulators ride the recursion
-     (no refs — this runs once per encoded clock on the replication hot
-     path, and captured refs would heap-allocate) *)
-  let rec scan i raw maxv runs run_bytes run_val run_len =
-    if i = n then begin
-      let runs, run_bytes =
-        if run_len > 0 then
-          (runs + 1, run_bytes + varint_len run_len + varint_len run_val)
-        else (runs, run_bytes)
-      in
-      (raw, maxv, runs, run_bytes)
-    end
+  (* one allocation-free pass: the accumulators are local refs, which the
+     compiler keeps in registers (this runs once per encoded clock on the
+     replication hot path) *)
+  let raw = ref (varint_len n) and maxv = ref 0 in
+  let runs = ref 0 and run_bytes = ref 0 and run_val = ref (-1) and run_len = ref 0 in
+  for i = 0 to n - 1 do
+    let x = Array.unsafe_get v i in
+    if x < 0 then invalid_arg "Vclock.encode_c: negative entry";
+    raw := !raw + varint_len x;
+    if x > !maxv then maxv := x;
+    if x = !run_val then incr run_len
     else begin
-      let x = Array.unsafe_get v i in
-      if x < 0 then invalid_arg "Vclock.encode_c: negative entry";
-      let raw = raw + varint_len x in
-      let maxv = if x > maxv then x else maxv in
-      if x = run_val then scan (i + 1) raw maxv runs run_bytes run_val (run_len + 1)
-      else
-        let runs, run_bytes =
-          if run_len > 0 then
-            (runs + 1, run_bytes + varint_len run_len + varint_len run_val)
-          else (runs, run_bytes)
-        in
-        scan (i + 1) raw maxv runs run_bytes x 1
+      if !run_len > 0 then begin
+        incr runs;
+        run_bytes := !run_bytes + varint_len !run_len + varint_len !run_val
+      end;
+      run_val := x;
+      run_len := 1
     end
-  in
-  let raw, maxv, runs, run_bytes = scan 0 (varint_len n) 0 0 0 (-1) 0 in
+  done;
+  (* n >= 1, so a last run is open *)
+  let runs = !runs + 1 in
+  let run_bytes = !run_bytes + varint_len !run_len + varint_len !run_val in
+  let raw = !raw in
   let rle = 2 + varint_len runs + run_bytes in
-  let w = bit_width maxv in
+  let w = bit_width !maxv in
   let packed = if w > 56 then max_int else 2 + varint_len n + (((n * w) + 7) / 8) in
   if raw <= rle && raw <= packed then Wire.Encoder.uint_array enc v
   else if packed <= rle then begin
@@ -203,21 +199,19 @@ let encode_c enc t =
     Wire.Encoder.uint enc 0;
     Wire.Encoder.uint enc 0;
     Wire.Encoder.uint enc runs;
-    let rec emit i run_val run_len =
-      if i = n then begin
-        Wire.Encoder.uint enc run_len;
-        Wire.Encoder.uint enc run_val
+    let run_val = ref (Array.unsafe_get v 0) and run_len = ref 1 in
+    for i = 1 to n - 1 do
+      let x = Array.unsafe_get v i in
+      if x = !run_val then incr run_len
+      else begin
+        Wire.Encoder.uint enc !run_len;
+        Wire.Encoder.uint enc !run_val;
+        run_val := x;
+        run_len := 1
       end
-      else
-        let x = Array.unsafe_get v i in
-        if x = run_val then emit (i + 1) run_val (run_len + 1)
-        else begin
-          Wire.Encoder.uint enc run_len;
-          Wire.Encoder.uint enc run_val;
-          emit (i + 1) x 1
-        end
-    in
-    emit 1 (Array.unsafe_get v 0) 1
+    done;
+    Wire.Encoder.uint enc !run_len;
+    Wire.Encoder.uint enc !run_val
   end
 
 let decode_any dec =
@@ -296,19 +290,20 @@ let encode_delta_c enc ~prev t =
   check_sizes prev t;
   let n = Array.length t.v in
   if n = 0 then invalid_arg "Vclock.encode_delta_c: empty clock";
-  let rec scan i dense sparse changed last =
-    if i = n then (dense, sparse, changed)
+  (* one allocation-free pass over local refs, as in [encode_c] *)
+  let dense = ref (varint_len n) and sparse = ref 2 and changed = ref 0 and last = ref (-1) in
+  for i = 0 to n - 1 do
+    let d = Array.unsafe_get t.v i - Array.unsafe_get prev.v i in
+    if d < 0 then invalid_arg "Vclock.encode_delta_c: prev exceeds clock";
+    if d = 0 then incr dense
     else begin
-      let d = Array.unsafe_get t.v i - Array.unsafe_get prev.v i in
-      if d < 0 then invalid_arg "Vclock.encode_delta_c: prev exceeds clock";
-      if d = 0 then scan (i + 1) (dense + 1) sparse changed last
-      else
-        scan (i + 1) (dense + varint_len d)
-          (sparse + varint_len (i - last - 1) + varint_len d)
-          (changed + 1) i
+      dense := !dense + varint_len d;
+      sparse := !sparse + varint_len (i - !last - 1) + varint_len d;
+      incr changed;
+      last := i
     end
-  in
-  let dense, sparse, changed = scan 0 (varint_len n) 2 0 (-1) in
+  done;
+  let dense = !dense and sparse = !sparse and changed = !changed in
   if dense <= sparse then encode_delta enc ~prev t
   else begin
     Wire.Encoder.uint enc 0;

@@ -56,21 +56,19 @@ module Encoder = struct
      patterns whose top bit is set — from [max_int]/[min_int] — survive.
      The loop writes through a local [buf] binding and stores [len] once
      at the end: going through [add_byte] would pay a call plus a field
-     store per byte, which dominates on mostly-1-and-2-byte varints. *)
+     store per byte, which dominates on mostly-1-and-2-byte varints. Local
+     refs stay in registers; a local recursive [go] would allocate a closure. *)
   let uint_bits t n =
     reserve t 10 (* a 63-bit word is at most ceil(63/7) = 9 varint bytes *);
     let buf = t.buf in
-    let rec go pos n =
-      if n >= 0 && n < 0x80 then begin
-        Bytes.unsafe_set buf pos (Char.unsafe_chr n);
-        t.len <- pos + 1
-      end
-      else begin
-        Bytes.unsafe_set buf pos (Char.unsafe_chr (0x80 lor (n land 0x7F)));
-        go (pos + 1) (n lsr 7)
-      end
-    in
-    go t.len n
+    let pos = ref t.len and n = ref n in
+    while !n < 0 || !n >= 0x80 do
+      Bytes.unsafe_set buf !pos (Char.unsafe_chr (0x80 lor (!n land 0x7F)));
+      incr pos;
+      n := !n lsr 7
+    done;
+    Bytes.unsafe_set buf !pos (Char.unsafe_chr !n);
+    t.len <- !pos + 1
 
   let uint t n =
     if n < 0 then invalid_arg "Wire.Encoder.uint: negative";
@@ -84,25 +82,19 @@ module Encoder = struct
     uint_bits t n;
     reserve t (10 * n);
     let buf = t.buf in
-    let rec entry i pos =
-      if i = n then t.len <- pos
-      else begin
-        let v = Array.unsafe_get a i in
-        if v < 0 then invalid_arg "Wire.Encoder.uint_array: negative";
-        let rec go pos v =
-          if v < 0x80 then begin
-            Bytes.unsafe_set buf pos (Char.unsafe_chr v);
-            entry (i + 1) (pos + 1)
-          end
-          else begin
-            Bytes.unsafe_set buf pos (Char.unsafe_chr (0x80 lor (v land 0x7F)));
-            go (pos + 1) (v lsr 7)
-          end
-        in
-        go pos v
-      end
-    in
-    entry 0 t.len
+    let pos = ref t.len in
+    for i = 0 to n - 1 do
+      let v = ref (Array.unsafe_get a i) in
+      if !v < 0 then invalid_arg "Wire.Encoder.uint_array: negative";
+      while !v >= 0x80 do
+        Bytes.unsafe_set buf !pos (Char.unsafe_chr (0x80 lor (!v land 0x7F)));
+        incr pos;
+        v := !v lsr 7
+      done;
+      Bytes.unsafe_set buf !pos (Char.unsafe_chr !v);
+      incr pos
+    done;
+    t.len <- !pos
 
   (* Fixed-width bit packing, little-endian bit order, no length prefix:
      the v2 compressed-vector payload. Requires [1 <= width <= 56] (so the

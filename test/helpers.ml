@@ -67,10 +67,14 @@ let batch_report ?(spec_of = mvr_spec) ?quiescent_at exec witness =
     causal;
     occ =
       (match Occ.check (Abstract.transitive_closure witness) with
-      | Error m -> Error ("occ check unsupported: " ^ m)
-      | Ok [] -> Ok ()
+      | Error m ->
+        let write i = match (Abstract.event witness i).Event.op with Op.Write _ -> true | _ -> false in
+        Sim.Checks.Occ_not_applicable
+          (if List.exists write (List.init (Abstract.length witness) Fun.id) then m
+           else "no writes")
+      | Ok [] -> Occ_holds
       | Ok (v :: _ as vs) ->
-        Error
+        Occ_violated
           (Printf.sprintf "%d OCC violations; first: read %d over writes (%d,%d)"
              (List.length vs) v.Occ.read v.Occ.w0 v.Occ.w1));
     eventual = Eventual.check_visible_from witness ~quiescent_at;

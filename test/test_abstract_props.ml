@@ -371,7 +371,7 @@ module R_ae = Sim.Runner.Make (Durable_ae)
 let adversarial_closed_witness ~n ~objects ~ops seed =
   let plan, steps = Sim.Chaos.derive ~n ~objects ~ops ~adversarial:true ~seed () in
   let sim =
-    R_ae.create ~seed ~config:Sim.Chaos.default_config ~n
+    R_ae.create ~seed ~config:Store.Store_intf.default ~n
       ~policy:(Sim.Net_policy.random_delay ()) ~faults:plan
       ~gossip:(2.0, Durable_ae.tick, Durable_ae.settled)
       ~recover_state:(fun ~replica:_ -> Durable_ae.recover)

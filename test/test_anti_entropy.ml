@@ -609,7 +609,7 @@ module Trim_watch (S : Store.Store_intf.S) = struct
       match plan.Fault_plan.churn with None -> 3 | Some c -> c.Fault_plan.capacity
     in
     let sim =
-      R.create ~seed ~config:Sim.Chaos.default_config ~n:capacity ~initial:3 ~hooks
+      R.create ~seed ~config:Store.Store_intf.default ~n:capacity ~initial:3 ~hooks
         ~record_spans:false
         ~policy:(Sim.Net_policy.random_delay ()) ~faults:plan
         ~gossip:

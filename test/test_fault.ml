@@ -212,8 +212,6 @@ let test_plan_link_window () =
 
 module D = Store.Durable.Make (Store.Mvr_store)
 
-let with_cadence every = { Store.Store_intf.default with checkpoint_every = every }
-
 let read st ~obj =
   let _, rval, _ = D.do_op st ~obj Op.Read in
   rval
@@ -253,16 +251,14 @@ let test_durable_recover_replays_deliveries () =
     (read recovered ~obj:0)
 
 let test_durable_checkpoint_compacts () =
-  let st =
-    ref (D.create (with_cadence (Some Store.Durable.auto_checkpoint_every)) ~n:2 ~me:0)
-  in
+  let st = ref (D.init ~n:2 ~me:0) in
   for i = 1 to 100 do
     let st', _, _ = D.do_op !st ~obj:(i mod 3) (Op.Write (vi i)) in
     let st', _ = D.send st' in
     st := st'
   done;
-  (* the auto-checkpoint keeps the WAL bounded *)
-  Alcotest.(check bool) "wal bounded" true (D.wal_length !st < 40);
+  (* every 32 entries fold into a chunk: the decoded tail stays short *)
+  Alcotest.(check bool) "wal bounded" true (D.wal_length !st < 32);
   Alcotest.(check bool) "snapshot non-empty" true (D.snapshot_bytes !st > 0);
   let ck = D.checkpoint !st in
   Alcotest.(check int) "explicit checkpoint empties the wal" 0 (D.wal_length ck);
@@ -276,8 +272,8 @@ let test_durable_invisible_reads_not_logged () =
   let st, _, _ = D.do_op st ~obj:0 Op.Read in
   Alcotest.(check int) "read left no log entry" before (D.wal_length st)
 
-(* The checkpoint cadence is invisible: a snapshot folded every entry,
-   every 32 entries, or once at the end serializes to the bytes of the
+(* When the log folds is invisible: a snapshot folded every 32 entries,
+   or also explicitly after every entry, serializes to the bytes of the
    whole log encoded as one list, and a crash at any point — mid-chunk
    included — recovers the same reads. *)
 (* writes at replica 0, interleaved with sends and deliveries of replica
@@ -317,15 +313,20 @@ let whole_log_bytes =
       String.length (Wire.encode (fun enc -> Wire.Encoder.list enc encode_entry prefix)))
 
 module Cadence (C : sig
-  val every : int option
+  val explicit : bool
+  (** also fold after every input *)
 end) =
 struct
-  let step st = function
-    | `Write (obj, v) ->
-      let st, _, _ = D.do_op st ~obj (Op.Write (vi v)) in
-      st
-    | `Send -> fst (D.send st)
-    | `Deliver payload -> D.receive st ~sender:1 payload
+  let step st input =
+    let st =
+      match input with
+      | `Write (obj, v) ->
+        let st, _, _ = D.do_op st ~obj (Op.Write (vi v)) in
+        st
+      | `Send -> fst (D.send st)
+      | `Deliver payload -> D.receive st ~sender:1 payload
+    in
+    if C.explicit then D.checkpoint st else st
 
   (* the state after every prefix of the inputs, shortest first; all are
      built before any is recovered, so a recovery also checks that an
@@ -334,7 +335,7 @@ struct
     List.rev
       (List.fold_left
          (fun acc input -> step (List.hd acc) input :: acc)
-         [ D.create (with_cadence C.every) ~n:2 ~me:0 ]
+         [ D.init ~n:2 ~me:0 ]
          cadence_inputs)
 
   let reads st =
@@ -358,40 +359,80 @@ struct
       prefixes
 end
 
-module C_every = Cadence (struct
-  let every = Some 1
-end)
-
 module C_32 = Cadence (struct
-  let every = Some 32
+  let explicit = false
 end)
 
-module C_never = Cadence (struct
-  let every = None
+module C_every = Cadence (struct
+  let explicit = true
 end)
 
 let test_durable_checkpoint_cadence_invisible () =
-  let live = List.map C_every.reads C_every.prefixes in
+  let live = List.map C_32.reads C_32.prefixes in
   let reads = Alcotest.(list (list check_response)) in
-  Alcotest.check reads "every entry: crash recovers the live reads" live C_every.crash_reads;
   Alcotest.check reads "every 32: crash recovers the live reads" live C_32.crash_reads;
-  Alcotest.check reads "never: crash recovers the live reads" live C_never.crash_reads;
+  Alcotest.check reads "every entry: crash recovers the live reads" live C_every.crash_reads;
   let bytes = Alcotest.(list int) in
-  Alcotest.check bytes "every entry: whole-log snapshot bytes" whole_log_bytes
-    C_every.checkpoint_bytes;
   Alcotest.check bytes "every 32: whole-log snapshot bytes" whole_log_bytes
     C_32.checkpoint_bytes;
-  Alcotest.check bytes "never: whole-log snapshot bytes" whole_log_bytes
-    C_never.checkpoint_bytes;
-  (* with a checkpoint after every entry, the snapshot needs no explicit one *)
+  Alcotest.check bytes "every entry: whole-log snapshot bytes" whole_log_bytes
+    C_every.checkpoint_bytes;
+  (* with a fold after every entry, the snapshot needs no explicit one *)
   Alcotest.check bytes "every entry is always checkpointed" whole_log_bytes
     (List.map D.snapshot_bytes C_every.prefixes);
+  (* unprompted, the log folds exactly when 32 entries are pending *)
+  Alcotest.(check (list int)) "every 32: entries left unfolded"
+    (List.init (List.length cadence_inputs + 1) (fun k -> k mod 32))
+    (List.map D.wal_length C_32.prefixes);
   (* several 32-entry chunks, and a count past one varint byte *)
   Alcotest.(check bool) "the log outgrows a one-byte count" true
     (List.length cadence_inputs > 128);
-  Alcotest.(check bool) "every entry: checkpoint idempotent" true C_every.checkpoint_idempotent;
   Alcotest.(check bool) "every 32: checkpoint idempotent" true C_32.checkpoint_idempotent;
-  Alcotest.(check bool) "never: checkpoint idempotent" true C_never.checkpoint_idempotent
+  Alcotest.(check bool) "every entry: checkpoint idempotent" true C_every.checkpoint_idempotent
+
+(* The durable log's memory is its encoded bytes: after 10 000 logged
+   writes, sends and ~50-byte deliveries into the anti-entropy stack,
+   fewer than 32 entries stay decoded, and what the durable image holds
+   beyond the inner state is within 1.5x the snapshot's words plus the
+   decoded tail. *)
+let test_durable_log_memory () =
+  let module AE = Store.Anti_entropy.Make (Store.Causal_mvr_store) in
+  let module DA = Store.Durable.Make (AE) in
+  (* replica 1's payloads in send order, two writes each *)
+  let remote = ref (AE.init ~n:2 ~me:1) in
+  let remote_payload k =
+    for j = 0 to 1 do
+      let st, _, _ = AE.do_op !remote ~obj:j (Op.Write (vi ((2 * k) + j))) in
+      remote := st
+    done;
+    let st, payload = AE.send !remote in
+    remote := st;
+    payload
+  in
+  let st = ref (DA.init ~n:2 ~me:0) and delivered = ref 0 and payload_bytes = ref 0 in
+  for i = 1 to 10_000 do
+    (st :=
+       match i mod 3 with
+       | 1 ->
+         let st, _, _ = DA.do_op !st ~obj:(i mod 5) (Op.Write (vi i)) in
+         st
+       | 2 -> fst (DA.send !st)
+       | _ ->
+         let payload = remote_payload !delivered in
+         incr delivered;
+         payload_bytes := !payload_bytes + String.length payload;
+         DA.receive !st ~sender:1 payload)
+  done;
+  Alcotest.(check bool) "deliveries of ~50 bytes" true
+    (abs ((!payload_bytes / !delivered) - 50) < 25);
+  Alcotest.(check bool) "fewer than 32 entries unfolded" true (DA.wal_length !st < 32);
+  let durable_words =
+    Obj.reachable_words (Obj.repr !st) - Obj.reachable_words (Obj.repr (DA.inner !st))
+  in
+  let bound = (3 * DA.snapshot_bytes !st / 16) + 2048 in
+  if durable_words > bound then
+    Alcotest.failf "durable image holds %d words beyond the inner state; bound %d (%d snapshot bytes)"
+      durable_words bound (DA.snapshot_bytes !st)
 
 (* ---------- runner crash semantics ---------- *)
 
@@ -404,7 +445,7 @@ module DA_mvr = Sim.Stack.Durable (Store.Mvr_store)
 module RA = Sim.Runner.Make (DA_mvr)
 
 let create_ae ?faults ?(seed = 42) ~policy ~n () =
-  RA.create ~seed ~config:Sim.Chaos.default_config ~n ~policy ?faults
+  RA.create ~seed ~config:Store.Store_intf.default ~n ~policy ?faults
     ~gossip:(2.0, DA_mvr.tick, DA_mvr.settled)
     ~recover_state:(fun ~replica:_ -> DA_mvr.recover)
     ()
@@ -552,7 +593,7 @@ let test_corruption_rejected_not_delivered () =
     s.Runner.corrupt_rejected s.Runner.lost_permanent;
   let report = Sim.Checks.validate (RA.execution sim) (RA.witness_abstract sim) in
   Alcotest.(check bool) "all checks pass despite corruption" true
-    (Sim.Checks.all_ok report);
+    (Sim.Checks.failures report = []);
   let reads = List.init 3 (fun replica -> RA.op sim ~replica ~obj:0 Op.Read) in
   Alcotest.(check bool) "replicas agree after repair" true
     (List.for_all (( = ) (List.hd reads)) reads)
@@ -600,10 +641,10 @@ let test_chaos_exercises_faults () =
    sequential outcomes. Each run's replicas carry their own config. *)
 let test_chaos_configs_in_parallel () =
   let module C = Sim.Chaos.Make (Store.Causal_mvr_store) in
-  let small = { Sim.Chaos.default_config with repair_batch = 2; full_digest_every = 1 } in
+  let small = { Store.Store_intf.default with repair_batch = 2; full_digest_every = 1 } in
   let jobs =
     List.concat_map
-      (fun seed -> [ (small, seed); (Sim.Chaos.default_config, seed) ])
+      (fun seed -> [ (small, seed); (Store.Store_intf.default, seed) ])
       (seeds 1 4)
   in
   let run (config, seed) =
@@ -670,5 +711,6 @@ let suite =
       tc "chaos actually injects faults" test_chaos_exercises_faults;
       tc "chaos: two configs in parallel" test_chaos_configs_in_parallel;
       tc "durable checkpoint cadence is invisible" test_durable_checkpoint_cadence_invisible;
+      tc "durable log memory is its encoded bytes" test_durable_log_memory;
       tc "crash loss is permanent without gossip" test_crash_loss_permanent_without_gossip;
     ] )

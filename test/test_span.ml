@@ -238,7 +238,7 @@ let test_replay_is_the_run () =
    the forced spans' trace is the run's, byte for byte, and it differs
    from a default run's, so the config is what the replay reused. *)
 let test_replay_reuses_the_config () =
-  let config = { Chaos.default_config with repair_batch = 3 } in
+  let config = { Store.Store_intf.default with repair_batch = 3 } in
   let o = ae_run ~churn:true ~config 5 in
   let expected = Model.Trace_io.to_string o.Chaos.exec in
   Alcotest.(check string) "forced spans: the run's bytes" expected

@@ -240,23 +240,25 @@ let test_mixed_version_convergence () =
       Alcotest.(check bool) (Printf.sprintf "reads of object %d agree" obj) true (ra = rb))
     [ 0; 1 ]
 
-(* A crash replays the WAL through a replica built with the same config
-   (here a checkpoint every two entries), so the recovered replica's
-   next message is byte for byte the one it would have sent uncrashed. *)
+(* A crash replays the durable log through a replica built with the same
+   config, so the recovered replica's next message is byte for byte the
+   one it would have sent uncrashed — at every prefix of 40 logged
+   inputs, mid-chunk and on either side of the first 32-entry fold. *)
 let test_recovered_replica_sends_the_same_bytes () =
   let module St = Sim.Stack.Durable (Store.Causal_mvr_store) in
-  let cfg = { Store.Store_intf.default with checkpoint_every = Some 2 } in
-  let st = ref (St.create cfg ~n:16 ~me:0) in
-  for v = 1 to 5 do
-    let s, _, _ = St.do_op !st ~obj:(v mod 2) (Model.Op.Write (vi v)) in
-    st := fst (St.send s)
-  done;
+  let cfg = { Store.Store_intf.default with repair_batch = 2 } in
   let next st =
-    let st, _, _ = St.do_op st ~obj:0 (Model.Op.Write (vi 9)) in
+    let st, _, _ = St.do_op st ~obj:0 (Model.Op.Write (vi 99)) in
     snd (St.send st)
   in
-  Alcotest.(check string) "the bytes it would have sent uncrashed" (next !st)
-    (next (St.recover !st))
+  let st = ref (St.create cfg ~n:16 ~me:0) in
+  for v = 1 to 20 do
+    let s, _, _ = St.do_op !st ~obj:(v mod 2) (Model.Op.Write (vi v)) in
+    Alcotest.(check string) "mid-send" (next s) (next (St.recover s));
+    st := fst (St.send s);
+    Alcotest.(check string) "the bytes it would have sent uncrashed" (next !st)
+      (next (St.recover !st))
+  done
 
 let test_v2_lost_repair_rerequested () =
   (* a digest showing a peer behind never makes the holder send anything:
@@ -301,7 +303,6 @@ let test_config_validation () =
   check_invalid "max_backoff 0" { d with max_backoff = 0 };
   check_invalid "full_digest_every -3" { d with full_digest_every = -3 };
   Store.Store_intf.validate d;
-  Store.Store_intf.validate Sim.Chaos.default_config;
   (* the settings reach the replica: an empty peer's request is answered
      with at most [repair_batch] of the three missed payloads *)
   let repair_label repair_batch =
@@ -319,6 +320,41 @@ let test_config_validation () =
   in
   Alcotest.(check string) "repair_batch 1" "repair" (repair_label 1);
   Alcotest.(check string) "repair_batch 32" "repair(3)" (repair_label 32)
+
+(* The hot-path encoders allocate nothing once the encoder has room: the
+   minor words of 100 calls, less those of 100 no-op calls, are 0. Each
+   clock shape picks a different [encode_c] layout (raw, run-length,
+   bit-packed), and each delta a different [encode_delta_c] one. *)
+let test_encoders_allocate_nothing () =
+  let enc = Wire.Encoder.create () in
+  (* the buffer doubles to 2^19 bytes: room for every call below *)
+  Wire.Encoder.string enc (String.make 300_000 'x');
+  let words f =
+    f ();
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 100 do
+      f ()
+    done;
+    Gc.minor_words () -. w0
+  in
+  let baseline = words ignore in
+  let zero name f =
+    Alcotest.(check (float 0.)) (name ^ ": minor words") 0. (words f -. baseline)
+  in
+  let pair = [| 3; 200 |] and wide = Array.init 16 (fun i -> 1 + (i * 65_537)) in
+  let raw = Vclock.of_array [| 3; 5 |] in
+  let runs = Vclock.of_array (Array.make 16 7) in
+  let spread = Vclock.of_array wide in
+  let prev = Vclock.of_array (Array.make 16 7) in
+  let one_changed = Vclock.of_array (Array.init 16 (fun i -> if i = 9 then 8 else 7)) in
+  let all_changed = Vclock.of_array (Array.make 16 300) in
+  zero "uint_array, 2 entries" (fun () -> Wire.Encoder.uint_array enc pair);
+  zero "uint_array, 16 entries" (fun () -> Wire.Encoder.uint_array enc wide);
+  zero "encode_c raw" (fun () -> Vclock.encode_c enc raw);
+  zero "encode_c run-length" (fun () -> Vclock.encode_c enc runs);
+  zero "encode_c bit-packed" (fun () -> Vclock.encode_c enc spread);
+  zero "encode_delta_c sparse" (fun () -> Vclock.encode_delta_c enc ~prev one_changed);
+  zero "encode_delta_c dense" (fun () -> Vclock.encode_delta_c enc ~prev all_changed)
 
 let suite =
   ( "wire-v2",
@@ -339,4 +375,5 @@ let suite =
       tc "v2 lost repair re-requested" test_v2_lost_repair_rerequested;
       tc "config validation" test_config_validation;
       tc "v1 request read without a bound" test_v1_request_unbounded;
+      tc "hot encoders allocate nothing" test_encoders_allocate_nothing;
     ] )

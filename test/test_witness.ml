@@ -145,7 +145,7 @@ module Drive (S : Store_intf.S) = struct
     in
     Hashtbl.reset logs;
     let sim =
-      R.create ~seed ~config:Sim.Chaos.default_config ~n:capacity ~initial ~hooks:St.hooks
+      R.create ~seed ~config:Store.Store_intf.default ~n:capacity ~initial ~hooks:St.hooks
         ~record_spans:spans
         ~classify:Store.Anti_entropy.classify ~policy:(Sim.Net_policy.random_delay ())
         ~faults:plan
@@ -432,6 +432,8 @@ module Online = Consistency.Online
 
 let failures = Alcotest.(list (pair string string))
 
+let occ = Alcotest.testable (fun ppf o -> Fmt.string ppf (Checks.occ_text o)) ( = )
+
 (* [Checks.validate] must equal [Helpers.batch_report] field by field;
    a report's failures list names every field that is not [Ok], with its
    message, so equal lists are equal reports. Also compared per chaos
@@ -506,12 +508,37 @@ let online_occ_sweep () =
           Alcotest.failf "%s: the rebuilt run differs from the chaos run" name;
         let batch = Helpers.batch_report ~quiescent_at exec (D.R.witness_abstract sim) in
         (match o.Sim.Chaos.result with
-        | Ok r -> Alcotest.(check (result unit string)) name batch.Checks.occ r.Checks.occ
+        | Ok r -> Alcotest.check occ name batch.Checks.occ r.Checks.occ
         | Error m -> Alcotest.failf "%s: %s" name m);
         batch)
   in
   Alcotest.(check bool) "some seed fails occ" true
     (List.exists (fun r -> List.mem_assoc "occ" (Checks.failures r)) reports)
+
+(* OCC that cannot run is not a violation: an OR-set run has adds and no
+   writes, so its verdict is n/a — a failure only where OCC is required —
+   while the eager MVR store's violations stay violations. *)
+let occ_not_applicable_is_not_a_violation () =
+  let module Orset = Sim.Chaos.Make (Store.Orset_store) in
+  let orset require =
+    Orset.run ~spec_of:(fun _ -> Spec.Spec.orset) ~mix:Sim.Workload.orset_mix ~require
+      ~seed:1 ()
+  in
+  (match (orset `Occ).Sim.Chaos.result with
+  | Ok r -> Alcotest.check occ "or-set" (Checks.Occ_not_applicable "no writes") r.Checks.occ
+  | Error m -> Alcotest.failf "or-set run: %s" m);
+  Alcotest.check failures "a required n/a fails the run" [ ("occ", "n/a (no writes)") ]
+    (List.filter (fun (c, _) -> c = "occ") (Sim.Chaos.failures (orset `Occ)));
+  Alcotest.check failures "an unrequired n/a does not" []
+    (List.filter (fun (c, _) -> c = "occ") (Sim.Chaos.failures (orset `Correct)));
+  let module Mvr = Sim.Chaos.Make (Store.Mvr_store) in
+  let violated seed =
+    match (Mvr.run ~n:4 ~objects:4 ~ops:80 ~adversarial:true ~require:`Occ ~seed ()).result with
+    | Ok { Checks.occ = Checks.Occ_violated _; _ } -> true
+    | Ok _ | Error _ -> false
+  in
+  Alcotest.(check bool) "an eager MVR seed violates OCC" true
+    (List.exists violated (List.init 8 succ))
 
 (* The execution whose only events are [a]'s do events, in [H] order: it
    complies with [a], so the whole report of an abstract execution can be
@@ -557,29 +584,29 @@ let online_occ_unsupported () =
   let open Helpers in
   let case name h ~vis expected =
     let batch = same_abstract name (Abstract.create ~n:3 h ~vis) in
-    Alcotest.(check (result unit string)) name expected batch.Checks.occ
+    Alcotest.check occ name expected batch.Checks.occ
   in
   case "a value written twice"
     [| w_ 0 0 1; w_ 1 0 1; w_ 1 0 2; rd_ 2 0 [ 1; 2 ] |]
     ~vis:[ (0, 3); (1, 3); (2, 3) ]
-    (Error "occ check unsupported: multiple writes of value 1");
+    (Checks.Occ_not_applicable "multiple writes of value 1");
   case "a value never written"
     [| w_ 0 0 1; rd_ 2 0 [ 1; 7 ] |]
     ~vis:[ (0, 1) ]
-    (Error "occ check unsupported: no write of value 7");
+    (Checks.Occ_not_applicable "no write of value 7");
   (* Figure 3c after the read: each writer's side write is the witness
      the other side needs *)
   case "values written later in H"
     [| rd_ 2 0 [ 1; 2 ]; w_ 0 1 3; w_ 1 2 4; w_ 0 0 1; w_ 1 0 2 |]
-    ~vis:[] (Ok ());
+    ~vis:[] Checks.Occ_holds;
   case "values written later in H, witnesses seen"
     [| rd_ 2 0 [ 1; 2 ]; w_ 0 1 3; w_ 1 2 4; w_ 0 0 1; w_ 1 0 2 |]
     ~vis:[ (1, 4); (2, 3) ]
-    (Error "1 OCC violations; first: read 0 over writes (3,4)");
+    (Checks.Occ_violated "1 OCC violations; first: read 0 over writes (3,4)");
   case "the first unsupported read wins"
     [| w_ 0 0 1; w_ 1 0 2; rd_ 2 0 [ 1; 2 ]; rd_ 2 0 [ 1; 9 ]; rd_ 2 1 [ 8; 9 ] |]
     ~vis:[ (0, 2); (1, 2) ]
-    (Error "occ check unsupported: no write of value 9")
+    (Checks.Occ_not_applicable "no write of value 9")
 
 (* [correct] and [causal] fail at event 0, and the later reads return
    two concurrent writes without witnesses. The pasts and raw rows that
@@ -595,8 +622,8 @@ let online_verdicts_decoupled () =
   let is_error = function Ok () -> false | Error _ -> true in
   Alcotest.(check bool) "correct fails" true (is_error r.Checks.correct);
   Alcotest.(check bool) "causal fails" true (is_error r.Checks.causal);
-  Alcotest.(check (result unit string))
-    "occ" (Error "2 OCC violations; first: read 3 over writes (1,2)") r.Checks.occ;
+  Alcotest.check occ "occ"
+    (Checks.Occ_violated "2 OCC violations; first: read 3 over writes (1,2)") r.Checks.occ;
   Alcotest.(check (result unit string)) "eventual" (Ok ()) r.Checks.eventual
 
 let online_run_inline () =
@@ -691,6 +718,8 @@ let suite =
         `Quick online_occ_sweep;
       Alcotest.test_case "online: unsupported OCC cases give the batch message" `Quick
         online_occ_unsupported;
+      Alcotest.test_case "online: OCC without writes is n/a, not a violation" `Quick
+        occ_not_applicable_is_not_a_violation;
       Alcotest.test_case "online: OCC and eventual outlive correct/causal failures" `Quick
         online_verdicts_decoupled;
       Alcotest.test_case "online: a run_inline capture gives the batch report" `Quick
