@@ -1175,12 +1175,12 @@ let serve_store (e : Stores.entry) ~cfg ~capture_path ~check ~metrics_path =
       (Metrics.Histogram.count res.lag_ms);
     Format.printf
       "frames=%d payload=%dB wire=%dB payload/update=%.1fB queue-peak=%d \
-       pending-peak=%dB@."
+       pending-peak=%dB log-peak=%d@."
       res.frames res.payload_bytes res.wire_bytes
       (if res.total_updates > 0 then
          float_of_int res.payload_bytes /. float_of_int res.total_updates
        else 0.0)
-      res.queue_depth_peak res.pending_bytes_peak;
+      res.queue_depth_peak res.pending_bytes_peak res.log_entries_peak;
     (* stall rate per destination push: each frame is offered to n-1 rings *)
     let pushes = res.frames * max 1 (res.cfg.replicas - 1) in
     let worst = ref None in

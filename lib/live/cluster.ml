@@ -65,6 +65,7 @@ type replica_stats = {
   crash_lost : int;
   queue_depth_peak : int;
   pending_bytes_peak : int;
+  log_entries_peak : int;
   gossip : Store_intf.gossip_stats;
 }
 
@@ -90,6 +91,7 @@ type result = {
   frames_rejected : int;
   queue_depth_peak : int;
   pending_bytes_peak : int;
+  log_entries_peak : int;
   per_replica : replica_stats array;
   fault_totals : Faults.totals option;
   fault_links : (int * int * Faults.totals) list;
@@ -134,6 +136,7 @@ module Make (S : STACK) = struct
     mutable max_payload : int;
     mutable qd_peak : int;
     mutable pb_peak : int;
+    mutable log_peak : int;
     lag : Obs.Histogram.t;
     mutable oldest_unflushed : float;  (* NaN when no unflushed update *)
     mutable last_tick : float;
@@ -141,8 +144,9 @@ module Make (S : STACK) = struct
     seen : Witness.seen;  (* capture: the keys this replica has witnessed *)
     mutable on_full : int -> unit;
         (* invoked (with the full destination) until the push succeeds;
-           the live loop drains its own inbox — peers blocked pushing to
-           us make progress once we pop, so the mesh cannot deadlock *)
+           the live loop drains its own inbox under the pass budget —
+           peers blocked pushing to us make progress once we pop, so the
+           mesh cannot deadlock *)
     faults : Faults.t option;
     up : bool Atomic.t array;
         (* shared liveness board: cell [r] is written only by domain [r]
@@ -184,6 +188,7 @@ module Make (S : STACK) = struct
       max_payload = 0;
       qd_peak = 0;
       pb_peak = 0;
+      log_peak = 0;
       lag = Obs.Histogram.create ();
       oldest_unflushed = Float.nan;
       last_tick = 0.0;
@@ -228,24 +233,38 @@ module Make (S : STACK) = struct
           }
           :: node.events_rev
 
-  let drain node =
+  (* Frames the live loop pops from one inbox per pass. A received frame
+     costs ~6 us at saturation, so a pass stays well under the 1 ms gossip
+     interval and every replica sends its digest on time: a peer trims its
+     repair log only on those digests. Without a budget, a domain at
+     saturation stayed inside one drain for 0.3 s while its peer produced,
+     and the peer's log grew to 60k entries in 4 s. *)
+  let drain_budget = 64
+
+  (* pop at most [budget] frames from each inbox; returns how many *)
+  let drain node ~budget =
     let got = ref 0 in
     for src = 0 to node.n - 1 do
       if src <> node.me then begin
         let ring = node.inbox.(src) in
-        let more = ref true in
-        while !more do
+        let k = ref 0 in
+        while
+          !k < budget
+          &&
           match Spsc.try_pop ring with
-          | None -> more := false
+          | None -> false
           | Some f ->
-            incr got;
-            receive_frame node ~src f
-        done
+            receive_frame node ~src f;
+            true
+        do
+          incr k
+        done;
+        got := !got + !k
       end
     done;
     !got
 
-  (* The ring never blocks: full means the consumer is behind (drain our
+  (* The ring never blocks: full means the consumer is behind (serve our
      own inbox via [on_full] and retry — the mesh cannot deadlock) or
      crashed (the frame dies on the wire, like bytes sent to a dead
      process). *)
@@ -425,7 +444,9 @@ module Make (S : STACK) = struct
     let qd = S.queue_depth node.state in
     if qd > node.qd_peak then node.qd_peak <- qd;
     let pb = S.pending_bytes node.state in
-    if pb > node.pb_peak then node.pb_peak <- pb
+    if pb > node.pb_peak then node.pb_peak <- pb;
+    let le = S.log_entries node.state in
+    if le > node.log_peak then node.log_peak <- le
 
   (* phase protocol: 0 = load, 1 = drain (no new client ops, keep
      gossiping until the coordinator sees global settlement), 2 = stop *)
@@ -454,7 +475,7 @@ module Make (S : STACK) = struct
          end
        end);
       if !running then begin
-        let got = drain node in
+        let got = drain node ~budget:drain_budget in
         let ph = Atomic.get phase in
         if ph = 0 then begin
           if not pacing then begin
@@ -571,6 +592,7 @@ module Make (S : STACK) = struct
             crash_lost = node.crash_lost;
             queue_depth_peak = node.qd_peak;
             pending_bytes_peak = node.pb_peak;
+            log_entries_peak = max node.log_peak (S.log_entries node.state);
             gossip = S.counters node.state;
           })
         nodes
@@ -589,6 +611,7 @@ module Make (S : STACK) = struct
     in
     let queue_depth_peak = peak (fun r -> r.queue_depth_peak) in
     let pending_bytes_peak = peak (fun r -> r.pending_bytes_peak) in
+    let log_entries_peak = peak (fun r -> r.log_entries_peak) in
     let lag_ms = Obs.Histogram.create () in
     Array.iter (fun node -> Obs.Histogram.merge_into lag_ms node.lag) nodes;
     let gossip =
@@ -645,10 +668,11 @@ module Make (S : STACK) = struct
       c "faults.corrupts" t.corrupts;
       c "faults.crash_lost" t.crash_lost
     | None -> ());
-    (* the repair log the replicas still hold at the end of the run *)
+    (* the repair log the replicas still hold at the end of the run, and
+       the largest one any replica held when sampled *)
     let log_sum f = Array.fold_left (fun a node -> a + f node.state) 0 nodes in
     Haec_sim.Stack.publish reg gossip ~log_entries:(log_sum S.log_entries)
-      ~log_bytes:(log_sum S.log_bytes);
+      ~log_bytes:(log_sum S.log_bytes) ~log_entries_peak;
     let trace, witness =
       if cfg.capture then begin
         let exec, wit = assemble ~n nodes in
@@ -678,6 +702,7 @@ module Make (S : STACK) = struct
       frames_rejected = sum (fun r -> r.frames_rejected);
       queue_depth_peak;
       pending_bytes_peak;
+      log_entries_peak;
       per_replica;
       fault_totals;
       fault_links;
@@ -772,7 +797,9 @@ module Make (S : STACK) = struct
       Array.init n (fun me ->
           Domain.spawn (fun () ->
               let node = make_node cfg ~me ~clock ~rings ~faults ~up in
-              node.on_full <- (fun _ -> ignore (drain node));
+              node.on_full <-
+                (fun _ ->
+                  if drain node ~budget:drain_budget = 0 then Domain.cpu_relax ());
               while not (Atomic.get gate) do
                 Domain.cpu_relax ()
               done;
@@ -959,13 +986,16 @@ module Make (S : STACK) = struct
       Array.init n (fun me -> make_node cfg ~me ~clock ~rings ~faults:None ~up)
     in
     Array.iter
-      (fun node -> node.on_full <- (fun dst -> ignore (drain nodes.(dst))))
+      (fun node ->
+        node.on_full <- (fun dst -> ignore (drain nodes.(dst) ~budget:max_int)))
       nodes;
     let t0 = Unix.gettimeofday () in
+    (* drains here run to empty: the rounds are a fixed schedule, and no
+       peer produces while one replica drains *)
     for round = 1 to ops_per_replica do
       Array.iter
         (fun node ->
-          ignore (drain node);
+          ignore (drain node ~budget:max_int);
           issue node ~count:1;
           flush node)
         nodes;
@@ -987,7 +1017,7 @@ module Make (S : STACK) = struct
       incr guard;
       Array.iter
         (fun node ->
-          ignore (drain node);
+          ignore (drain node ~budget:max_int);
           if S.has_pending node.state then flush node)
         nodes;
       if quiet () && not (S.settled (states ())) then

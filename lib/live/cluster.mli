@@ -113,6 +113,10 @@ type replica_stats = {
   crash_lost : int;  (** inbox frames discarded at restart *)
   queue_depth_peak : int;
   pending_bytes_peak : int;
+  log_entries_peak : int;
+      (** the most payloads this replica's repair log held, sampled with
+          the backpressure peaks (every 1024 passes while issuing, every
+          pass after) and at the end of the run *)
   gossip : Haec_store.Store_intf.gossip_stats;
       (** this replica's protocol traffic, read from its final state
           ({!Haec_sim.Stack.S.counters}) *)
@@ -145,6 +149,7 @@ type result = {
   frames_rejected : int;
   queue_depth_peak : int;
   pending_bytes_peak : int;
+  log_entries_peak : int;  (** the largest replica's [log_entries_peak] *)
   per_replica : replica_stats array;
   fault_totals : Faults.totals option;  (** aggregated injection counts *)
   fault_links : (int * int * Faults.totals) list;
@@ -154,7 +159,8 @@ type result = {
           names, including per-link [live.ring.stall.r<src>_r<dst>]
           counters, and the replicas' protocol counters and repair log
           under the [gossip.*] / [ae.*] names the simulator uses
-          ({!Haec_sim.Stack.publish}) *)
+          ({!Haec_sim.Stack.publish}), [ae.log_entries_peak] being
+          [log_entries_peak] *)
   gossip : Haec_store.Store_intf.gossip_stats;
       (** the sum of the replicas' [gossip] counters *)
   trace : Execution.t option;  (** when [capture] *)

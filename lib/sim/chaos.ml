@@ -120,10 +120,11 @@ module Make (S : Haec_store.Store_intf.S) = struct
     go 0
 
   (* One execution of a run's inputs, up to and including the audit
-     reads: the runner, the id-space capacity, the client-op counts, and
-     how many audit reads trail the quiescent prefix (or why the run
-     never quiesced). Deterministic in its arguments, [config] included;
-     [record_spans] only observes. *)
+     reads: the runner, the id-space capacity, the client-op counts, how
+     many audit reads trail the quiescent prefix (or why the run never
+     quiesced), and the most payloads one member's repair log held after
+     any client step or at the end. Deterministic in its arguments,
+     [config] included; [record_spans] only observes. *)
   type execution = {
     sim : R.t;
     capacity : int;
@@ -131,6 +132,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
     skipped : int;
     refused : int;
     quiesced : (int, string) result;
+    log_peak : int;
   }
 
   let execute ~config ~record_spans ~objects ~policy ~max_events ~gossip_interval ~n ~plan
@@ -158,6 +160,13 @@ module Make (S : Haec_store.Store_intf.S) = struct
     let skipped = ref 0 in
     let executed = ref 0 in
     let refused = ref 0 in
+    let log_peak = ref 0 in
+    let sample_log () =
+      for r = 0 to capacity - 1 do
+        if R.is_member sim ~replica:r then
+          log_peak := max !log_peak (St.log_entries (R.replica_state sim r))
+      done
+    in
     (* interleave the fault schedule with the client workload by time *)
     let faults = ref (Fault_plan.events plan) in
     let fire_up_to time =
@@ -190,7 +199,8 @@ module Make (S : Haec_store.Store_intf.S) = struct
         | None -> incr skipped (* nobody is serving: no one to take the op *)
         | Some replica ->
           incr executed;
-          ignore (R.op sim ~replica ~obj:s.obj s.op))
+          ignore (R.op sim ~replica ~obj:s.obj s.op);
+          sample_log ())
       steps;
     (* past the workload: let the remaining faults strike and heal *)
     fire_up_to horizon;
@@ -223,7 +233,9 @@ module Make (S : Haec_store.Store_intf.S) = struct
         (* must never happen: corruption is rejected inside the runner *)
         Error (Printf.sprintf "corruption escaped the frame check: %s" m)
     in
-    { sim; capacity; executed = !executed; skipped = !skipped; refused = !refused; quiesced }
+    sample_log ();
+    { sim; capacity; executed = !executed; skipped = !skipped; refused = !refused; quiesced;
+      log_peak = !log_peak }
 
   (* [?recovery] has a single value and selects nothing: anti-entropy is
      the only loss semantics. It stays so that callers written against the
@@ -238,7 +250,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
       execute ~config ~record_spans ~objects ~policy ~max_events ~gossip_interval ~n ~plan
         ~steps ~seed
     in
-    let { sim; capacity; executed; skipped; refused; quiesced } =
+    let { sim; capacity; executed; skipped; refused; quiesced; log_peak } =
       execute ~record_spans:false
     in
     let exec = R.execution sim in
@@ -271,7 +283,8 @@ module Make (S : Haec_store.Store_intf.S) = struct
          (fun a st -> Store_intf.add_gossip_stats a (St.counters st))
          (Store_intf.fresh_gossip_stats ())
          (states (List.init capacity Fun.id)))
-      ~log_entries:(sum St.log_entries) ~log_bytes:(sum St.log_bytes);
+      ~log_entries:(sum St.log_entries) ~log_bytes:(sum St.log_bytes)
+      ~log_entries_peak:log_peak;
     (* Spans are paid for only when read: forcing re-runs the same inputs,
        this run's config included, with spans on. The replay runs no
        checks and keeps nothing of this run's runner. *)

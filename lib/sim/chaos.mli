@@ -75,7 +75,9 @@ type outcome = {
           [gossip.repair_applied]; a recovery replay counts nothing)
           and the [ae.log_entries] / [ae.log_bytes] gauges — the repair
           log the members still hold at the end of the run, named as the
-          live cluster names them *)
+          live cluster names them — and [ae.log_entries_peak], the most
+          payloads one member's log held, sampled after every client
+          step and at the end *)
   spans : traced Lazy.t;
       (** the run's spans, recorded by replay: forcing re-executes the
           same inputs (plan, steps, seed, objects, policy, gossip interval

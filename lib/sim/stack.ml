@@ -70,7 +70,7 @@ module Durable (S : Store_intf.S) : S = struct
   let durable = true
 end
 
-let publish reg (g : Store_intf.gossip_stats) ~log_entries ~log_bytes =
+let publish reg (g : Store_intf.gossip_stats) ~log_entries ~log_bytes ~log_entries_peak =
   let c name v = Obs.Counter.add (Obs.Registry.counter reg name) v in
   c "gossip.digests" g.digests;
   c "gossip.digest_bytes" g.digest_bytes;
@@ -91,4 +91,5 @@ let publish reg (g : Store_intf.gossip_stats) ~log_entries ~log_bytes =
   c "gossip.digests_elided" g.digests_elided;
   let g name v = Obs.Gauge.set (Obs.Registry.gauge reg name) (float_of_int v) in
   g "ae.log_entries" log_entries;
-  g "ae.log_bytes" log_bytes
+  g "ae.log_bytes" log_bytes;
+  g "ae.log_entries_peak" log_entries_peak

@@ -76,8 +76,12 @@ val publish :
   Store_intf.gossip_stats ->
   log_entries:int ->
   log_bytes:int ->
+  log_entries_peak:int ->
   unit
 (** Write a run's protocol traffic as the [gossip.*] counters (added to
     any already there) and its repair log as the [ae.log_entries] /
-    [ae.log_bytes] gauges. The one place these names are written: the
-    simulator and the live cluster publish through it. *)
+    [ae.log_bytes] gauges (what the replicas hold at the end of the run)
+    and the [ae.log_entries_peak] gauge (the most payloads one replica's
+    log held at any sample taken during the run). The one place these
+    names are written: the simulator and the live cluster publish
+    through it. *)

@@ -952,21 +952,23 @@ end = struct
        broadcast, whoever it is addressed to — so a payload already
        present for one destination need not repeat for another *)
     let repair_packets =
-      let seen = Hashtbl.create 64 in
-      List.filter_map
-        (fun dst ->
-          let items =
-            List.filter
-              (fun (o, s, _) ->
-                if Hashtbl.mem seen (o, s) then false
-                else begin
-                  Hashtbl.add seen (o, s) ();
-                  true
-                end)
-              (merged_repair dst)
-          in
-          if items = [] then None else Some (dst, items))
-        repair_dsts
+      if repair_dsts = [] then []
+      else
+        let seen = Hashtbl.create 64 in
+        List.filter_map
+          (fun dst ->
+            let items =
+              List.filter
+                (fun (o, s, _) ->
+                  if Hashtbl.mem seen (o, s) then false
+                  else begin
+                    Hashtbl.add seen (o, s) ();
+                    true
+                  end)
+                (merged_repair dst)
+            in
+            if items = [] then None else Some (dst, items))
+          repair_dsts
     in
     let outs =
       List.filter (function Out_digest _ | Out_repair _ -> false | _ -> true) outs

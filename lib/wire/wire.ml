@@ -267,8 +267,9 @@ module Decoder = struct
   let packed_array t ~n ~width =
     if width < 1 || width > 56 then raise (Malformed "packed array: bad width");
     if n < 0 then raise (Malformed "packed array: negative length");
+    (* [n * width] may overflow; compare against the bits left instead *)
+    if n > remaining t * 8 / width then raise (Malformed "packed array exceeds input");
     let bytes = ((n * width) + 7) / 8 in
-    if bytes > remaining t then raise (Malformed "packed array exceeds input");
     let a = Array.make n 0 in
     let input = t.input in
     let pos = ref t.pos in

@@ -722,6 +722,26 @@ let test_log_gauges_named_alike () =
   Alcotest.(check int) "registry carries the sum" r.Cluster.gossip.updates
     (Metrics.Counter.value (Metrics.Registry.counter r.Cluster.registry "gossip.updates"))
 
+(* A replica trims its repair log only on the digests its peers send
+   each gossip tick. At saturation every pass of the live loop must
+   therefore reach its tick: a domain that drained its inbox until empty
+   sent no digest for up to 0.3 s while its peer produced, and the peer's
+   log reached 2.3k-44k entries in 2 s runs of this shape. With the pass
+   budget the sampled peak stays near the ring's 1024 frames. *)
+let test_live_saturate_log_bounded () =
+  let r = C.run { Cluster.default with duration = 2.0 } in
+  Alcotest.(check bool) "cluster settled" true r.Cluster.converged;
+  Array.iteri
+    (fun i (p : Cluster.replica_stats) ->
+      if p.log_entries_peak > 4096 then
+        Alcotest.failf "R%d repair log peaked at %d entries (bound 4096)" i
+          p.log_entries_peak)
+    r.Cluster.per_replica;
+  Alcotest.(check (float 0.0)) "the registry gauge is the replicas' max"
+    (float_of_int r.Cluster.log_entries_peak)
+    (Metrics.Gauge.value
+       (Metrics.Registry.gauge r.Cluster.registry "ae.log_entries_peak"))
+
 let suite =
   ( "live",
     [
@@ -777,6 +797,8 @@ let suite =
         test_durable_stack_recover_roundtrip;
       Alcotest.test_case "telemetry: sim and live name the gossip and ae metrics alike"
         `Quick test_log_gauges_named_alike;
+      Alcotest.test_case "live: saturation keeps the repair log bounded" `Quick
+        test_live_saturate_log_bounded;
     ]
     @ List.map
         (fun (what, cfg) ->

@@ -37,6 +37,56 @@ let test_causal_out_of_range_origin () =
         (Store.Causal_reg_store.init ~n:3 ~me:0)
         ~sender:1 payload)
 
+let test_gossip_relay_foreign_vv () =
+  (* an 8-replica deployment's first write: its clock has 8 entries and
+     its dot origin 4, neither of which fits 3 replicas *)
+  let payload = foreign_payload (module Store.Gossip_relay_store) ~n_foreign:8 in
+  expect_malformed "gossip relay" (fun () ->
+      Store.Gossip_relay_store.receive
+        (Store.Gossip_relay_store.init ~n:3 ~me:0)
+        ~sender:1 payload)
+
+let test_gossip_relay_misfit_update () =
+  (* each update breaks one check: an 8-entry clock with a valid origin,
+     and a 3-entry clock whose dot names replica 5 of 3 *)
+  List.iter
+    (fun (what, size, origin) ->
+      let u =
+        {
+          Store.Mvr_object.vv = Clock.Vclock.zero ~n:size;
+          dot = Clock.Dot.make ~replica:origin ~seq:1;
+          value = vi 1;
+        }
+      in
+      let payload =
+        Wire.encode (fun enc ->
+            Wire.Encoder.list enc
+              (fun enc u ->
+                Wire.Encoder.uint enc 0;
+                Store.Mvr_object.encode_update enc u)
+              [ u ])
+      in
+      expect_malformed what (fun () ->
+          Store.Gossip_relay_store.receive
+            (Store.Gossip_relay_store.init ~n:3 ~me:0)
+            ~sender:1 payload))
+    [ ("clock size", 8, 1); ("dot origin", 3, 5) ]
+
+let test_packed_clock_length_overflow () =
+  (* the varints 0, 32, 2^58, 5: a bit-packed clock (marker 0, width 32)
+     claiming 2^58 entries, whose bit count n * width overflows *)
+  let input =
+    Wire.encode (fun enc -> List.iter (Wire.Encoder.uint enc) [ 0; 32; 1 lsl 58; 5 ])
+  in
+  Alcotest.(check int) "12 bytes" 12 (String.length input);
+  expect_malformed "Vclock.decode_any" (fun () ->
+      Wire.decode input Clock.Vclock.decode_any);
+  expect_malformed "Decoder.packed_array" (fun () ->
+      Wire.decode input (fun dec ->
+          ignore (Wire.Decoder.uint dec);
+          ignore (Wire.Decoder.uint dec);
+          Wire.Decoder.packed_array dec ~n:(1 lsl 58) ~width:32))
+
 let test_state_foreign_join () =
   let payload = foreign_payload (module Store.State_mvr_store) ~n_foreign:8 in
   expect_malformed "state mvr" (fun () ->
@@ -83,6 +133,11 @@ let suite =
       tc "eager mvr rejects foreign version vectors" test_mvr_foreign_vv;
       tc "causal mvr rejects foreign version vectors" test_causal_foreign_vv;
       tc "causal reg rejects out-of-range origins" test_causal_out_of_range_origin;
+      tc "gossip relay rejects foreign version vectors" test_gossip_relay_foreign_vv;
+      tc "gossip relay rejects a clock size or origin that does not fit"
+        test_gossip_relay_misfit_update;
+      tc "a packed clock whose bit count overflows is malformed"
+        test_packed_clock_length_overflow;
       tc "state store rejects foreign states" test_state_foreign_join;
       tc "rejection leaves state intact" test_state_survives_rejection;
       prop_fuzz_all_stores;
