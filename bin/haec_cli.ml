@@ -1498,7 +1498,7 @@ let serve_cmd =
       & opt_all crash_spec_conv []
       & info [ "crash" ] ~docv:"R:FROM-UNTIL"
           ~doc:
-            "Crash replica $(i,R) at FROM and restart it (recovering from its WAL) \
+            "Crash replica $(i,R) at FROM and restart it (recovering from its durable image) \
              at UNTIL, both fractions of the load phase (may exceed 1.0 into the \
              drain). Repeatable.")
   in

@@ -384,10 +384,10 @@ module Make (S : STACK) = struct
         wait ()
       end
       else begin
-        (* restart: rebuild from the durable image (WAL replay through a
-           fresh replica) and discard whatever the rings held for the
-           dead process — those losses are permanent until anti-entropy
-           repair heals them *)
+        (* restart: rebuild from the durable snapshot (the last state
+           image plus a replay of the log since it) and discard whatever
+           the rings held for the dead process — those losses are
+           permanent until anti-entropy repair heals them *)
         node.state <- S.recover node.state;
         for src = 0 to node.n - 1 do
           if src <> node.me then begin
@@ -1004,7 +1004,8 @@ module Make (S : STACK) = struct
           (fun node ->
             node.state <- S.tick node.state;
             flush node)
-          nodes
+          nodes;
+      Array.iter sample_backpressure nodes
     done;
     let states () = Array.map (fun node -> node.state) nodes in
     let quiet () =

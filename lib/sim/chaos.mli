@@ -14,7 +14,7 @@
     every check the store class is on the hook for (see {!level}) must
     pass:
     convergence survived the faults, corruption never got past the frame
-    checksum, and recovery replayed every durable update.
+    checksum, and recovery restored every durable update.
 
     The stack is [Durable(Anti_entropy(S))]: the store closes its own gaps
     over the wire. The runner retransmits nothing — every loss is

@@ -133,7 +133,7 @@ module Make (S : Haec_store.Store_intf.S) : sig
       dead-link injection on scheduled deliveries. [recover_state] maps a
       crashed replica's last state to its post-recovery state (default:
       identity, i.e. perfect durability); pass the [recover] of a
-      {!Haec_store.Durable.Make} store to actually exercise log-replay
+      {!Haec_store.Durable.Make} store to actually exercise image-and-log
       recovery.
 
       [gossip] is the driver of the store's own repair protocol — see the

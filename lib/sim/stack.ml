@@ -45,7 +45,8 @@ module Durable (S : Store_intf.S) : S = struct
 
   (* control state the protocol regenerates on its own (the gossip tick,
      membership announcements) changes under the durable image without a
-     WAL entry; a recovering replica re-announces through normal gossip *)
+     WAL entry: a recovered replica keeps it as of the last state image
+     and re-announces through normal gossip *)
   let lift = DA.map_inner
   let tick = lift V.tick
   let settled states = V.settled (Array.map DA.inner states)

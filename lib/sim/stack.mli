@@ -7,11 +7,13 @@
     {!Volatile} is anti-entropy directly over the store: no crash
     durability, [recover] is the identity, and the live cluster rejects
     crash windows for it. {!Durable} layers {!Haec_store.Durable.Make}
-    {e over} the anti-entropy wrapper, so
-    the durable log records client ops, received payloads and sends of the whole
-    protocol stack; [recover] replays them through a fresh replica, which
-    resumes with exactly the state it had durably logged. Losses beyond
-    that are permanent until anti-entropy repair heals them.
+    {e over} the anti-entropy wrapper, so its state image holds the
+    whole protocol stack, and the log after the image records client
+    ops, received payloads and sends; [recover] replays that log over
+    the image. The replica resumes with every logged input and with the
+    control state it had at the last image (ask table, RTT estimates,
+    round counter). Losses beyond that are permanent until anti-entropy
+    repair heals them.
 
     Both are built by [create config]: the one {!Store_intf.config} value
     tunes the anti-entropy layer and stays in the state, so a recovered

@@ -189,10 +189,13 @@ let receive t ~sender:_ payload =
           Wire.Decoder.list dec (decode_record ~v2:true)
         end)
   in
+  (* an update sized for another deployment parses but would index out
+     of bounds on apply: reject the batch before any of it lands *)
   List.iter
     (fun r ->
       if r.dot.Dot.replica < 0 || r.dot.Dot.replica >= t.n then
-        raise (Wire.Decoder.Malformed "update origin out of range"))
+        raise (Wire.Decoder.Malformed "update origin out of range");
+      Mvr_object.check_fits ~n:t.n r.u)
     records;
   let fresh r = (not (Dot.Set.mem r.dot t.applied)) && not (Dot_map.mem r.dot t.buffer) in
   let fresh_records = List.filter fresh records in

@@ -1,24 +1,28 @@
 (** Crash durability as a store transformer.
 
-    [Make (S)] wraps any store with a durable image: the store's replay
-    log, encoded through the wire layer — client updates, received
-    payloads (already in [S]'s own wire encoding), and sends. A crash
-    discards the volatile inner state; {!Make.recover} rebuilds it by
-    replaying the log through a fresh replica built with the same
-    {!Store_intf.config}. Because stores are pure deterministic state
-    machines, the rebuilt replica is observationally identical to the one
-    that crashed, down to the bytes it emits.
+    [Make (S)] wraps any store with a durable snapshot: a sealed image of
+    the inner state, plus the store's replay log since that image,
+    encoded through the wire layer — client updates, received payloads
+    (already in [S]'s own wire encoding), and sends. A crash discards the
+    volatile inner state; {!Make.recover} unseals the image and replays
+    the log written since it. Because stores are pure
+    deterministic state machines, the rebuilt replica is observationally
+    identical to the one that crashed as far as its logged inputs go,
+    down to the bytes it emits.
 
     Reads are logged only for stores whose reads change state
     (Definition 16 violators such as {!Delayed_store}); for everyone else
     the log stays update-only. Every [chunk_entries] logged inputs fold
     into one encoded chunk, live and simulated alike, so fewer than
     [chunk_entries] entries (and payload copies) are ever held decoded,
-    and {!Make.recover} decodes one chunk at a time. The log is the whole
-    replay log since [create], not a copy of live state: its size and the
-    cost of {!Make.recover} grow with every logged input. The serialized
-    snapshot — the entry count followed by the chunks — is byte-for-byte
-    the encoding of the whole log as one list. *)
+    and {!Make.recover} decodes one chunk at a time. Whenever the chunks
+    folded since the image outweigh it, the image is retaken from the
+    current inner state ([Marshal], sealed by {!Wire.Frame.seal} so a cut
+    or flipped image is [Malformed]) and the chunks are dropped. The
+    snapshot therefore stays under about two images plus one chunk, and
+    a recovery replays at most one image's worth of log, however long
+    the replica has run. The image is read back only by the process that
+    wrote it, never from the wire. *)
 
 open Haec_wire
 open Haec_model
@@ -38,9 +42,11 @@ module Make (S : Store_intf.S) : sig
   val map_inner : (S.state -> S.state) -> state -> state
   (** Apply a function to the wrapped state {e without logging anything}.
       Only for inputs the inner protocol regenerates on its own (the
-      anti-entropy gossip tick): a state change that influences the inner
-      replica's logged-replay behavior must instead go through
-      {!do_op}/{!receive}/{!send}, or recovery would not reproduce it. *)
+      anti-entropy gossip tick): such a change survives a crash only up
+      to the last image, which holds the inner state as it is. A
+      state change that influences the inner replica's logged-replay
+      behavior must instead go through {!do_op}/{!receive}/{!send}, or
+      recovery would not reproduce it. *)
 end = struct
   type entry =
     | Apply of { obj : int; op : Op.t }
@@ -72,13 +78,11 @@ end = struct
     | tag -> raise (Wire.Decoder.Malformed (Printf.sprintf "bad log entry tag %d" tag))
 
   type state = {
-    cfg : Store_intf.config;  (** also the inner replica's *)
-    n : int;
-    me : int;
     inner : S.state;  (** volatile: lost at a crash *)
+    image : string;  (** durable: the inner state at the last image, marshalled and sealed *)
     chunks_rev : string list;
-        (** durable: the replay log up to the last fold, one encoded chunk
-            per fold, newest first *)
+        (** durable: the replay log from the image up to the last fold,
+            one encoded chunk per fold, newest first *)
     snap_len : int;  (** entries across [chunks_rev] *)
     chunk_bytes : int;  (** bytes across [chunks_rev] *)
     wal_rev : entry list;  (** durable: entries since the last fold, newest first *)
@@ -91,12 +95,11 @@ end = struct
 
   let op_driven = S.op_driven
 
-  let create cfg ~n ~me =
+  (* a durable state whose image is [inner] and whose log is empty *)
+  let imaged inner =
     {
-      cfg;
-      n;
-      me;
-      inner = S.create cfg ~n ~me;
+      inner;
+      image = Wire.Frame.seal (Marshal.to_string inner []);
       chunks_rev = [];
       snap_len = 0;
       chunk_bytes = 0;
@@ -104,15 +107,13 @@ end = struct
       wal_len = 0;
     }
 
+  let create cfg ~n ~me = imaged (S.create cfg ~n ~me)
+
   let init = create Store_intf.default
 
   let inner t = t.inner
 
   let map_inner f t = { t with inner = f t.inner }
-
-  (* The serialized snapshot is the entry count followed by the chunks:
-     exactly [Wire.Encoder.list] over every entry. *)
-  let count_prefix t = Wire.encode (fun enc -> Wire.Encoder.uint enc t.snap_len)
 
   let checkpoint t =
     if t.wal_len = 0 then t
@@ -120,14 +121,18 @@ end = struct
       let chunk =
         Wire.encode (fun enc -> List.iter (encode_entry enc) (List.rev t.wal_rev))
       in
-      {
-        t with
-        chunks_rev = chunk :: t.chunks_rev;
-        snap_len = t.snap_len + t.wal_len;
-        chunk_bytes = t.chunk_bytes + String.length chunk;
-        wal_rev = [];
-        wal_len = 0;
-      }
+      let chunk_bytes = t.chunk_bytes + String.length chunk in
+      (* the log since the image now outweighs it: image the state instead *)
+      if chunk_bytes > String.length t.image then imaged t.inner
+      else
+        {
+          t with
+          chunks_rev = chunk :: t.chunks_rev;
+          snap_len = t.snap_len + t.wal_len;
+          chunk_bytes;
+          wal_rev = [];
+          wal_len = 0;
+        }
 
   let log t e =
     let t = { t with wal_rev = e :: t.wal_rev; wal_len = t.wal_len + 1 } in
@@ -152,15 +157,16 @@ end = struct
     (!inner, !entries)
 
   let recover t =
-    let fresh = S.create t.cfg ~n:t.n ~me:t.me in
-    let inner, entries = List.fold_left replay_chunk (fresh, 0) (List.rev t.chunks_rev) in
+    (* the CRC vouches for the bytes [imaged] marshalled *)
+    let base : S.state = Marshal.from_string (Wire.Frame.unseal t.image) 0 in
+    let inner, entries = List.fold_left replay_chunk (base, 0) (List.rev t.chunks_rev) in
     if entries <> t.snap_len then raise (Wire.Decoder.Malformed "durable log: entry count");
     let inner = List.fold_left replay_entry inner (List.rev t.wal_rev) in
     { t with inner }
 
   let wal_length t = t.wal_len
 
-  let snapshot_bytes t = String.length (count_prefix t) + t.chunk_bytes
+  let snapshot_bytes t = String.length t.image + t.chunk_bytes
 
   let do_op t ~obj op =
     let inner, rval, witness = S.do_op t.inner ~obj op in

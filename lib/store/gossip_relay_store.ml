@@ -84,17 +84,7 @@ let receive t ~sender:_ payload =
   let entries = Wire.decode payload (fun dec -> Wire.Decoder.list dec decode_entry) in
   (* a clock or dot origin sized for another deployment parses but would
      index out of bounds on apply: reject the input before any of it lands *)
-  List.iter
-    (fun (_, (u : Mvr_object.update)) ->
-      if Vclock.size u.vv <> t.n then
-        raise
-          (Wire.Decoder.Malformed
-             (Printf.sprintf "version vector has %d entries, expected %d"
-                (Vclock.size u.vv) t.n));
-      let r = u.dot.Dot.replica in
-      if r < 0 || r >= t.n then
-        raise (Wire.Decoder.Malformed (Printf.sprintf "dot origin %d out of range" r)))
-    entries;
+  List.iter (fun (_, u) -> Mvr_object.check_fits ~n:t.n u) entries;
   List.fold_left
     (fun t (obj, u) ->
       let t =

@@ -50,6 +50,15 @@ let decode_update dec =
   let value = Value.decode dec in
   { vv; dot; value }
 
+let check_fits ~n u =
+  if Vclock.size u.vv <> n then
+    raise
+      (Wire.Decoder.Malformed
+         (Printf.sprintf "version vector has %d entries, expected %d" (Vclock.size u.vv) n));
+  let r = u.dot.Dot.replica in
+  if r < 0 || r >= n then
+    raise (Wire.Decoder.Malformed (Printf.sprintf "dot origin %d out of range" r))
+
 let covered cc (u : update) = u.dot.Dot.seq <= Vclock.get cc u.dot.Dot.replica
 
 let same_dot a b = Dot.equal a.dot b.dot

@@ -46,6 +46,12 @@ val encode_update : Wire.Encoder.t -> update -> unit
 
 val decode_update : Wire.Decoder.t -> update
 
+val check_fits : n:int -> update -> unit
+(** Raises {!Wire.Decoder.Malformed} unless the update's clock has [n]
+    entries and its dot origin lies in [\[0, n)]: an update from a
+    deployment of another size parses, but would index out of bounds on
+    {!apply}. *)
+
 val join : t -> t -> t
 (** State-based (CvRDT) merge: least upper bound of the two states. A
     sibling known to the other side (dot covered by its causal context)

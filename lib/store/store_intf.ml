@@ -217,27 +217,32 @@ module type S = sig
 end
 
 (** A store that survives crashes: alongside the volatile replica state it
-    maintains a durable image — a wire-encoded log of everything applied,
-    folded into encoded chunks as it grows — from which {!recover}
-    rebuilds the replica after a crash wipes its volatile memory. See
+    maintains a durable snapshot — an image of the replica state plus a
+    wire-encoded log of everything applied since it, folded into encoded
+    chunks as it grows — from which {!recover} rebuilds the replica
+    after a crash wipes its volatile memory. See
     {!Durable.Make}, which derives this for any store. *)
 module type DURABLE = sig
   include S
 
   val checkpoint : state -> state
-  (** Fold the not-yet-folded log entries into the serialized snapshot now,
-      rather than when a chunk fills. Idempotent; changes neither the
-      snapshot bytes a later fold produces nor what {!recover} rebuilds. *)
+  (** Fold the not-yet-folded log entries into the snapshot now, rather
+      than when a chunk fills; like any fold, it re-images the state if
+      the chunks since the image now outweigh it. Idempotent. Moves where
+      later folds and images fall, so it changes later snapshot bytes,
+      but not what {!recover} rebuilds from logged inputs. *)
 
   val recover : state -> state
-  (** The state after a crash: volatile memory is discarded and rebuilt by
-      replaying the snapshot, one decoded chunk at a time, plus every
-      not-yet-folded log entry through a fresh replica. Raises
-      [Haec_wire.Wire.Decoder.Malformed] if the durable image is corrupt. *)
+  (** The state after a crash: volatile memory is discarded and rebuilt
+      from the last state image, replaying the chunks folded since it,
+      one decoded chunk at a time, and every not-yet-folded log entry.
+      Raises [Haec_wire.Wire.Decoder.Malformed] if the durable image is
+      corrupt. *)
 
   val wal_length : state -> int
   (** Number of log entries applied since the last fold. *)
 
   val snapshot_bytes : state -> int
-  (** Size of the serialized snapshot, in bytes. *)
+  (** Size of the snapshot, in bytes: the sealed state image plus the
+      chunks folded since it. *)
 end

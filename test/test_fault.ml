@@ -272,10 +272,11 @@ let test_durable_invisible_reads_not_logged () =
   let st, _, _ = D.do_op st ~obj:0 Op.Read in
   Alcotest.(check int) "read left no log entry" before (D.wal_length st)
 
-(* When the log folds is invisible: a snapshot folded every 32 entries,
-   or also explicitly after every entry, serializes to the bytes of the
-   whole log encoded as one list, and a crash at any point — mid-chunk
-   included — recovers the same reads. *)
+(* When the log folds changes what the snapshot holds, never what a
+   crash recovers: folded every 32 entries, or also explicitly after
+   every entry, a crash at any point — mid-chunk included — recovers the
+   same reads, and each snapshot is one image of the inner state plus
+   the chunks folded since it. *)
 (* writes at replica 0, interleaved with sends and deliveries of replica
    1's payloads *)
 let cadence_inputs =
@@ -291,26 +292,58 @@ let cadence_inputs =
          (`Write (i mod 3, i) :: (if i mod 3 = 2 then [ `Send ] else []))
          @ if i mod 4 = 1 then [ `Deliver (remote_payload i) ] else []))
 
-(* the snapshot size of each prefix of the inputs, as [Wire.Encoder.list]
-   over every entry in [Durable]'s log-entry format: each input logs one
+(* an input's bytes in [Durable]'s log-entry format: each input logs one
    entry (reads are invisible, and every send has something pending) *)
-let whole_log_bytes =
-  let encode_entry enc = function
-    | `Write (obj, v) ->
-      Wire.Encoder.uint enc 0;
-      Wire.Encoder.uint enc obj;
-      Op.encode enc (Op.Write (vi v))
-    | `Deliver payload ->
-      Wire.Encoder.uint enc 1;
-      Wire.Encoder.uint enc 1;
-      Wire.Encoder.string enc payload
-    | `Send -> Wire.Encoder.uint enc 2
+let encode_input enc = function
+  | `Write (obj, v) ->
+    Wire.Encoder.uint enc 0;
+    Wire.Encoder.uint enc obj;
+    Op.encode enc (Op.Write (vi v))
+  | `Deliver payload ->
+    Wire.Encoder.uint enc 1;
+    Wire.Encoder.uint enc 1;
+    Wire.Encoder.string enc payload
+  | `Send -> Wire.Encoder.uint enc 2
+
+(* the image format: the inner state, marshalled and sealed *)
+let image_bytes st = String.length (Wire.Frame.seal (Marshal.to_string (D.inner st) []))
+
+(* The snapshot a fold schedule should leave, from the inputs alone:
+   [states] holds the state after each prefix and [fold k] says whether
+   the log folds after input [k]. Each fold encodes the inputs since the
+   last one as a chunk; when the chunks since the image outweigh it, the
+   image of the current state replaces image and chunks. Returns the
+   snapshot bytes after each prefix, the bytes after an explicit
+   checkpoint of each prefix, and the number of images taken. *)
+let snapshot_model states ~fold =
+  let states = Array.of_list states in
+  let image = ref (image_bytes states.(0)) and chunks = ref 0 and since = ref [] in
+  let images = ref 0 in
+  (* image bytes, chunk bytes and whether it re-images, once the inputs
+     since the last fold are folded after input [k] *)
+  let fold_at k =
+    if !since = [] then (!image, !chunks, false)
+    else
+      let chunk = Wire.encode (fun enc -> List.iter (encode_input enc) (List.rev !since)) in
+      let c = !chunks + String.length chunk in
+      if c > !image then (image_bytes states.(k), 0, true) else (!image, c, false)
   in
-  List.init
-    (List.length cadence_inputs + 1)
-    (fun k ->
-      let prefix = List.filteri (fun i _ -> i < k) cadence_inputs in
-      String.length (Wire.encode (fun enc -> Wire.Encoder.list enc encode_entry prefix)))
+  let bytes = ref [ !image ] and checkpointed = ref [ !image ] in
+  List.iteri
+    (fun i input ->
+      let k = i + 1 in
+      since := input :: !since;
+      let img, ch, imaged = fold_at k in
+      if fold k then begin
+        if imaged then incr images;
+        image := img;
+        chunks := ch;
+        since := []
+      end;
+      bytes := (!image + !chunks) :: !bytes;
+      checkpointed := (img + ch) :: !checkpointed)
+    cadence_inputs;
+  (List.rev !bytes, List.rev !checkpointed, !images)
 
 module Cadence (C : sig
   val explicit : bool
@@ -373,20 +406,29 @@ let test_durable_checkpoint_cadence_invisible () =
   Alcotest.check reads "every 32: crash recovers the live reads" live C_32.crash_reads;
   Alcotest.check reads "every entry: crash recovers the live reads" live C_every.crash_reads;
   let bytes = Alcotest.(list int) in
-  Alcotest.check bytes "every 32: whole-log snapshot bytes" whole_log_bytes
+  let every_32, every_32_checkpointed, images_32 =
+    snapshot_model C_32.prefixes ~fold:(fun k -> k mod 32 = 0)
+  in
+  let every_entry, _, images_every =
+    snapshot_model C_32.prefixes ~fold:(fun _ -> true)
+  in
+  Alcotest.check bytes "every 32: an image plus the chunks since" every_32
+    (List.map D.snapshot_bytes C_32.prefixes);
+  Alcotest.check bytes "every 32: checkpointed image plus chunks" every_32_checkpointed
     C_32.checkpoint_bytes;
-  Alcotest.check bytes "every entry: whole-log snapshot bytes" whole_log_bytes
+  Alcotest.check bytes "every entry: an image plus the chunks since" every_entry
     C_every.checkpoint_bytes;
   (* with a fold after every entry, the snapshot needs no explicit one *)
-  Alcotest.check bytes "every entry is always checkpointed" whole_log_bytes
+  Alcotest.check bytes "every entry is always checkpointed" C_every.checkpoint_bytes
     (List.map D.snapshot_bytes C_every.prefixes);
   (* unprompted, the log folds exactly when 32 entries are pending *)
   Alcotest.(check (list int)) "every 32: entries left unfolded"
     (List.init (List.length cadence_inputs + 1) (fun k -> k mod 32))
     (List.map D.wal_length C_32.prefixes);
-  (* several 32-entry chunks, and a count past one varint byte *)
-  Alcotest.(check bool) "the log outgrows a one-byte count" true
-    (List.length cadence_inputs > 128);
+  (* several 32-entry chunks, and recoveries from more than one image *)
+  Alcotest.(check bool) "every 32: several chunks" true (List.length cadence_inputs > 128);
+  Alcotest.(check bool) "every 32: re-imaged twice" true (images_32 >= 2);
+  Alcotest.(check bool) "every entry: re-imaged twice" true (images_every >= 2);
   Alcotest.(check bool) "every 32: checkpoint idempotent" true C_32.checkpoint_idempotent;
   Alcotest.(check bool) "every entry: checkpoint idempotent" true C_every.checkpoint_idempotent
 
@@ -433,6 +475,78 @@ let test_durable_log_memory () =
   if durable_words > bound then
     Alcotest.failf "durable image holds %d words beyond the inner state; bound %d (%d snapshot bytes)"
       durable_words bound (DA.snapshot_bytes !st)
+
+(* A durable replica's snapshot, and what a recovery replays, follow its
+   state, not its history. Two replicas exchange writes and digests, so
+   replica 0's state stays bounded; from 10 000 to 40 000 logged inputs,
+   its snapshot bytes and the inner-store calls one recovery makes stay
+   within 1.5x. Each is the peak over the last 1 000 inputs before the
+   count, since both swing with the chunks logged since the last image. *)
+module Counted (S : Store.Store_intf.S) = struct
+  include S
+
+  let calls = ref 0
+
+  let do_op t ~obj op =
+    incr calls;
+    S.do_op t ~obj op
+
+  let send t =
+    incr calls;
+    S.send t
+
+  let receive t ~sender payload =
+    incr calls;
+    S.receive t ~sender payload
+end
+
+let test_durable_bounded_by_state () =
+  let module AE = Store.Anti_entropy.Make (Store.Causal_mvr_store) in
+  let module C = Counted (AE) in
+  let module DA = Store.Durable.Make (C) in
+  let a = ref (DA.init ~n:2 ~me:0) and b = ref (AE.init ~n:2 ~me:1) in
+  let inputs = ref 0 and snapshot_peak = ref 0 and replay_peak = ref 0 in
+  let input f =
+    a := f !a;
+    incr inputs;
+    let window = !inputs mod 10_000 > 9_000 || !inputs mod 10_000 = 0 in
+    if window then begin
+      snapshot_peak := max !snapshot_peak (DA.snapshot_bytes !a);
+      C.calls := 0;
+      ignore (DA.recover !a);
+      replay_peak := max !replay_peak !C.calls
+    end
+  in
+  let peaks_at count =
+    snapshot_peak := 0;
+    replay_peak := 0;
+    let i = ref 0 in
+    while !inputs < count do
+      incr i;
+      (* both write and gossip; each takes the other's payload *)
+      input (fun a ->
+          let a, _, _ = DA.do_op a ~obj:(!i mod 5) (Op.Write (vi !i)) in
+          DA.map_inner AE.tick a);
+      let b', _, _ = AE.do_op !b ~obj:(!i mod 5) (Op.Write (vi (- !i))) in
+      let b', to_a = AE.send (AE.tick b') in
+      let to_b = ref "" in
+      input (fun a ->
+          let a, p = DA.send a in
+          to_b := p;
+          a);
+      input (fun a -> DA.receive a ~sender:1 to_a);
+      b := AE.receive b' ~sender:0 !to_b
+    done;
+    (!snapshot_peak, !replay_peak)
+  in
+  let s10, r10 = peaks_at 10_000 in
+  let s40, r40 = peaks_at 40_000 in
+  let within what x y =
+    if float_of_int (max x y) > 1.5 *. float_of_int (min x y) then
+      Alcotest.failf "%s at 10 000 inputs is %d, at 40 000 is %d" what x y
+  in
+  within "peak snapshot bytes" s10 s40;
+  within "peak inner calls of one recovery" r10 r40
 
 (* ---------- runner crash semantics ---------- *)
 
@@ -713,4 +827,5 @@ let suite =
       tc "durable checkpoint cadence is invisible" test_durable_checkpoint_cadence_invisible;
       tc "durable log memory is its encoded bytes" test_durable_log_memory;
       tc "crash loss is permanent without gossip" test_crash_loss_permanent_without_gossip;
+      tc "durable snapshot and recovery bounded by state" test_durable_bounded_by_state;
     ] )

@@ -742,6 +742,22 @@ let test_live_saturate_log_bounded () =
     (Metrics.Gauge.value
        (Metrics.Registry.gauge r.Cluster.registry "ae.log_entries_peak"))
 
+(* The single-domain runtime samples every replica's backpressure once
+   per round, as the live loop does once per pass: its repair logs fill
+   between digests and drain once everyone has everything, so the
+   sampled peak exceeds what the logs hold at the end. *)
+let test_inline_samples_backpressure () =
+  let r = C.run_inline ~ops_per_replica:40 ~tick_every:8 inline_cfg in
+  let final =
+    Metrics.Gauge.value (Metrics.Registry.gauge r.Cluster.registry "ae.log_entries")
+  in
+  Array.iteri
+    (fun i (p : Cluster.replica_stats) ->
+      if float_of_int p.log_entries_peak <= final then
+        Alcotest.failf "R%d log peak %d, but the logs end with %.0f entries" i
+          p.log_entries_peak final)
+    r.Cluster.per_replica
+
 let suite =
   ( "live",
     [
@@ -803,4 +819,8 @@ let suite =
     @ List.map
         (fun (what, cfg) ->
           Alcotest.test_case ("live: run rejects " ^ what) `Quick (test_run_rejects cfg))
-        bad_run_values )
+        bad_run_values
+    @ [
+        Alcotest.test_case "live: run_inline samples backpressure each round" `Quick
+          test_inline_samples_backpressure;
+      ] )

@@ -72,6 +72,41 @@ let test_gossip_relay_misfit_update () =
             ~sender:1 payload))
     [ ("clock size", 8, 1); ("dot origin", 3, 5) ]
 
+let test_cops_foreign_vv () =
+  (* replica 1 of a 4-replica deployment: its global dot origin fits 3
+     replicas, its update clock does not *)
+  let st = Store.Cops_store.init ~n:4 ~me:1 in
+  let st, _, _ = Store.Cops_store.do_op st ~obj:0 (Op.Write (vi 1)) in
+  let payload = snd (Store.Cops_store.send st) in
+  expect_malformed "cops" (fun () ->
+      Store.Cops_store.receive (Store.Cops_store.init ~n:3 ~me:0) ~sender:1 payload)
+
+let test_cops_misfit_update () =
+  (* each record's global dot (1, 1) fits; its update breaks one check:
+     an 8-entry clock, then an object dot naming replica 5 of 3 *)
+  List.iter
+    (fun (what, size, origin) ->
+      let u =
+        {
+          Store.Mvr_object.vv = Clock.Vclock.zero ~n:size;
+          dot = Clock.Dot.make ~replica:origin ~seq:1;
+          value = vi 1;
+        }
+      in
+      let payload =
+        Wire.encode (fun enc ->
+            Wire.Encoder.list enc
+              (fun enc u ->
+                Clock.Dot.encode enc (Clock.Dot.make ~replica:1 ~seq:1);
+                Wire.Encoder.uint enc 0;
+                Store.Mvr_object.encode_update enc u;
+                Clock.Dot.encode_set enc Clock.Dot.Set.empty)
+              [ u ])
+      in
+      expect_malformed what (fun () ->
+          Store.Cops_store.receive (Store.Cops_store.init ~n:3 ~me:0) ~sender:1 payload))
+    [ ("clock size", 8, 1); ("dot origin", 3, 5) ]
+
 let test_packed_clock_length_overflow () =
   (* the varints 0, 32, 2^58, 5: a bit-packed clock (marker 0, width 32)
      claiming 2^58 entries, whose bit count n * width overflows *)
@@ -141,4 +176,6 @@ let suite =
       tc "state store rejects foreign states" test_state_foreign_join;
       tc "rejection leaves state intact" test_state_survives_rejection;
       prop_fuzz_all_stores;
+      tc "cops rejects foreign version vectors" test_cops_foreign_vv;
+      tc "cops rejects a clock size or origin that does not fit" test_cops_misfit_update;
     ] )

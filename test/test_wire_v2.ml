@@ -240,25 +240,51 @@ let test_mixed_version_convergence () =
       Alcotest.(check bool) (Printf.sprintf "reads of object %d agree" obj) true (ra = rb))
     [ 0; 1 ]
 
-(* A crash replays the durable log through a replica built with the same
-   config, so the recovered replica's next message is byte for byte the
-   one it would have sent uncrashed — at every prefix of 40 logged
-   inputs, mid-chunk and on either side of the first 32-entry fold. *)
+(* A crash restores the last state image, config included, and replays
+   the log since it, so the recovered replica's next message is byte for
+   byte the one it would have sent uncrashed — after every write and
+   every send, mid-chunk and on either side of folds and images. One
+   peer's digests, heard as if from each of the other 15, let replica 0
+   trim its repair log, so its state stays small and its image is
+   retaken along the loop. *)
 let test_recovered_replica_sends_the_same_bytes () =
-  let module St = Sim.Stack.Durable (Store.Causal_mvr_store) in
+  let module V = Sim.Stack.Volatile (Store.Causal_mvr_store) in
+  let module St = Store.Durable.Make (V) in
   let cfg = { Store.Store_intf.default with repair_batch = 2 } in
   let next st =
     let st, _, _ = St.do_op st ~obj:0 (Model.Op.Write (vi 99)) in
     snd (St.send st)
   in
-  let st = ref (St.create cfg ~n:16 ~me:0) in
-  for v = 1 to 20 do
-    let s, _, _ = St.do_op !st ~obj:(v mod 2) (Model.Op.Write (vi v)) in
-    Alcotest.(check string) "mid-send" (next s) (next (St.recover s));
-    st := fst (St.send s);
+  (* right after an image, the snapshot is the current state's image alone *)
+  let imaged st =
+    St.wal_length st = 0
+    && St.snapshot_bytes st
+       = String.length (Wire.Frame.seal (Marshal.to_string (St.inner st) []))
+  in
+  let st = ref (St.create cfg ~n:16 ~me:0) and images = ref 0 in
+  let step f =
+    let s, out = f !st in
+    st := s;
+    if imaged s then incr images;
+    out
+  in
+  let peer = ref (V.create cfg ~n:16 ~me:1) in
+  for v = 1 to 60 do
+    step (fun st ->
+        let st, _, _ = St.do_op st ~obj:(v mod 2) (Model.Op.Write (vi v)) in
+        (st, ()));
+    Alcotest.(check string) "mid-send" (next !st) (next (St.recover !st));
+    let update = step St.send in
     Alcotest.(check string) "the bytes it would have sent uncrashed" (next !st)
-      (next (St.recover !st))
-  done
+      (next (St.recover !st));
+    peer := V.tick (V.receive !peer ~sender:0 update);
+    let p, digest = V.send !peer in
+    peer := p;
+    for sender = 1 to 15 do
+      step (fun st -> (St.receive st ~sender digest, ()))
+    done
+  done;
+  Alcotest.(check bool) "recovered across two images" true (!images >= 2)
 
 let test_v2_lost_repair_rerequested () =
   (* a digest showing a peer behind never makes the holder send anything:

@@ -253,7 +253,12 @@ let sim_equivalence (module S : Store_intf.S) ~mix () =
    became bounded at the asker's first held payload and re-asks were
    timed by measured round trips: repairs carry fewer payloads and
    leave in other rounds (seed 2 without churn keeps its vis pairs and
-   lag histogram; only its span stream moved). *)
+   lag histogram; only its span stream moved). Three runs' fingerprints
+   moved again when a durable replica began recovering from a state
+   image: it keeps the control state it had at the last image (ask
+   table, RTT estimates, round counter) instead of restarting it, so it
+   gossips and asks at other times after a crash (seed 1 with churn is
+   unchanged). *)
 let golden () =
   let module D = Drive (Store.Causal_mvr_store) in
   List.iter
@@ -265,14 +270,14 @@ let golden () =
       Alcotest.(check string) (name ^ ": spans") spans (md5 (D.R.spans sim));
       Alcotest.(check string) (name ^ ": lag") lag (md5 (D.R.visibility_lag sim)))
     [
-      ( false, 1, "773267bd26e2821e6ed1a484872c844a", "75fe51b4d113066faf98d2a0c986b2e4",
-        "590e8f3c4c0bcab28ed687e906a060bb" );
+      ( false, 1, "bd1e75d7948719cbc773e910bac0380f", "29d8369edd64eb24c702d11059f04a0a",
+        "2f33af12316aca2da42689954fa05636" );
       ( true, 1, "2b21d597bbd6c92a4895b6f8d59a57df", "759615b3aabd88e3642c37a670042971",
         "88567169223f67c936737565227004ca" );
-      ( false, 2, "497fe77407eba4b49c015260513ee099", "8df134cdbb54a22e49ea6a886c25556a",
-        "55e14553b0c83d5faa79b29c9d8575e0" );
-      ( true, 2, "7fa2947940bb4b17445cbdeafb737f09", "1899886a7f5dbbcd39ee6c514e8f1913",
-        "8cddee26907a99e02c1006620e961830" );
+      ( false, 2, "b7fd94d6a9e919e581e9068aad41311a", "96d95e7771772b81a42d25b10f7e2858",
+        "749ead80cd598a6f551e7b6fcf4b4d24" );
+      ( true, 2, "2726f36778ec8dde677919e12cb89b33", "eba86c59dedec67b511b96ee32241270",
+        "4d5405d5b9b2a6a1d315052123b5462e" );
     ]
 
 (* ---------- frontier witnesses ---------- *)
