@@ -72,6 +72,8 @@ module Store = struct
   module Store_intf = Haec_store.Store_intf
   module Durable = Haec_store.Durable
   module Anti_entropy = Haec_store.Anti_entropy
+  module Envelope = Haec_store.Envelope
+  module Repair_plan = Haec_store.Repair_plan
   module Object_layer = Haec_store.Object_layer
   module Eager_core = Haec_store.Eager_core
   module Causal_core = Haec_store.Causal_core

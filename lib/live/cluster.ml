@@ -440,11 +440,15 @@ module Make (S : STACK) = struct
       flush node
     end
 
+  (* the control items a drain queued: sampled before the next flush,
+     which sends the whole queue *)
   let sample_backpressure node =
     let qd = S.queue_depth node.state in
     if qd > node.qd_peak then node.qd_peak <- qd;
     let pb = S.pending_bytes node.state in
-    if pb > node.pb_peak then node.pb_peak <- pb;
+    if pb > node.pb_peak then node.pb_peak <- pb
+
+  let sample_log node =
     let le = S.log_entries node.state in
     if le > node.log_peak then node.log_peak <- le
 
@@ -476,6 +480,7 @@ module Make (S : STACK) = struct
        end);
       if !running then begin
         let got = drain node ~budget:drain_budget in
+        if got > 0 then sample_backpressure node;
         let ph = Atomic.get phase in
         if ph = 0 then begin
           if not pacing then begin
@@ -500,7 +505,7 @@ module Make (S : STACK) = struct
         pump_delayed node;
         maybe_tick node ~now:(node.clock ());
         if ph > 0 || !iters land 1023 = 0 then begin
-          sample_backpressure node;
+          sample_log node;
           Atomic.set cell (Some { s_state = node.state; s_phase = ph })
         end;
         if ph = 1 then begin
@@ -996,6 +1001,7 @@ module Make (S : STACK) = struct
       Array.iter
         (fun node ->
           ignore (drain node ~budget:max_int);
+          sample_backpressure node;
           issue node ~count:1;
           flush node)
         nodes;
@@ -1005,7 +1011,7 @@ module Make (S : STACK) = struct
             node.state <- S.tick node.state;
             flush node)
           nodes;
-      Array.iter sample_backpressure nodes
+      Array.iter sample_log nodes
     done;
     let states () = Array.map (fun node -> node.state) nodes in
     let quiet () =

@@ -112,11 +112,14 @@ type replica_stats = {
   crashes : int;  (** crash windows this replica fired *)
   crash_lost : int;  (** inbox frames discarded at restart *)
   queue_depth_peak : int;
+      (** the most control items queued at once, sampled after every
+          drain that received a frame (every round inline), before the
+          flush that sends them *)
   pending_bytes_peak : int;
   log_entries_peak : int;
-      (** the most payloads this replica's repair log held, sampled with
-          the backpressure peaks (every 1024 passes while issuing, every
-          pass after) and at the end of the run *)
+      (** the most payloads this replica's repair log held, sampled every
+          1024 passes while issuing, every pass after (every round
+          inline) and at the end of the run *)
   gossip : Haec_store.Store_intf.gossip_stats;
       (** this replica's protocol traffic, read from its final state
           ({!Haec_sim.Stack.S.counters}) *)

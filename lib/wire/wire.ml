@@ -300,24 +300,16 @@ module Decoder = struct
 
   let string t =
     let len = uint t in
-    if len < 0 || t.pos + len > t.limit then
+    if len < 0 || len > t.limit - t.pos then
       raise (Malformed "string length exceeds input");
     let s = String.sub t.input t.pos len in
     t.pos <- t.pos + len;
     s
 
-  (* Advance past a length-prefixed string without copying it — the
-     zero-copy path for classifiers that only need the envelope shape. *)
-  let skip_string t =
-    let len = uint t in
-    if len < 0 || t.pos + len > t.limit then
-      raise (Malformed "string length exceeds input");
-    t.pos <- t.pos + len
-
   (* A child decoder over the next [len] bytes (a view, no copy); the
      parent skips past them. *)
   let sub t len =
-    if len < 0 || t.pos + len > t.limit then
+    if len < 0 || len > t.limit - t.pos then
       raise (Malformed "sub-decoder length exceeds input");
     let child = { input = t.input; pos = t.pos; limit = t.pos + len } in
     t.pos <- t.pos + len;

@@ -98,10 +98,6 @@ module Decoder : sig
 
   val string : t -> string
 
-  val skip_string : t -> unit
-  (** Advance past a length-prefixed string without copying it — the
-      zero-copy path for classifiers that only need the envelope shape. *)
-
   val sub : t -> int -> t
   (** [sub t len] is a child decoder viewing the next [len] bytes; the
       parent skips past them. Raises [Malformed] if fewer remain. *)

@@ -133,13 +133,12 @@ let vclock = Alcotest.testable Vclock.pp Vclock.equal
 (* the requests of a v2 envelope that carries nothing else, as
    [dst; origin; from_seq; count] *)
 let request_fields payload =
-  Wire.decode payload (fun dec ->
-      let _marker = Wire.Decoder.uint dec in
-      let _version = Wire.Decoder.uint dec in
-      List.init (Wire.Decoder.uint dec) (fun _ ->
-          if Wire.Gossip.decode_kind dec <> Wire.Gossip.Repair_request then
-            Alcotest.fail "expected only repair requests";
-          List.init 4 (fun _ -> Wire.Decoder.uint dec)))
+  List.map
+    (function
+      | Store.Envelope.Request { dst; origin; from_seq; count = Some count } ->
+        [ dst; origin; from_seq; count ]
+      | _ -> Alcotest.fail "expected only bounded repair requests")
+    (Store.Envelope.decode payload).items
 
 (* A request names the gap and no more: b holds seq 0 and seqs 2-5 of
    a's stream, so it asks for [1, 2), and a answers with that one payload
@@ -852,6 +851,139 @@ let test_bootstrap_long_stream_in_batches () =
   Alcotest.(check (list int)) "payloads per answer" expected carried;
   Alcotest.(check int) "nothing arrived twice" 0 (AE.counters j).Store.Store_intf.dup_payloads
 
+(* ---------- the envelope codec ---------- *)
+
+module Envelope = Store.Envelope
+module Plan = Store.Repair_plan
+
+(* envelopes of either version, with small and multi-byte fields; a v1
+   envelope has at least one item and requests without a bound *)
+let gen_envelope =
+  let open QCheck2.Gen in
+  let nat = oneof [ int_bound 70; int_bound 1_000_000 ] in
+  let payload = string_size (int_bound 40) in
+  let delta gaps =
+    snd (List.fold_left_map (fun last (gap, v) -> (last + 1 + gap, (last + 1 + gap, v))) (-1) gaps)
+  in
+  let item v2 : Envelope.item t =
+    oneof
+      [
+        map2 (fun seq payload -> Envelope.Update { seq; payload }) nat payload;
+        map (fun a -> Envelope.Digest (Vclock.of_array a)) (array_size (int_range 1 8) nat);
+        map (fun gaps -> Envelope.Digest_delta (delta gaps)) (list_size (int_bound 5) (pair (int_bound 3) nat));
+        map4
+          (fun dst origin from_seq count ->
+            Envelope.Request { dst; origin; from_seq; count = (if v2 then Some count else None) })
+          nat nat nat nat;
+        map2 (fun dst items -> Envelope.Repair { dst; items }) nat (list_size (int_bound 4) (triple nat nat payload));
+        map2
+          (fun dst runs -> Envelope.Repair_runs { dst; runs })
+          nat
+          (list_size (int_bound 3) (triple nat nat (list_size (int_bound 4) payload)));
+        map (fun e -> Envelope.Hello e) nat;
+        map (fun e -> Envelope.Goodbye e) nat;
+      ]
+  in
+  bool >>= fun v2 ->
+  map
+    (fun items -> { Envelope.v2; items })
+    (list_size (if v2 then int_bound 6 else int_range 1 6) (item v2))
+
+let prop_codec_roundtrip =
+  q "envelope: decode (encode e) = e, v1 included" gen_envelope (fun e ->
+      Envelope.decode (Envelope.encode e) = e)
+
+(* trace labels name the decoded items, in order of first appearance *)
+let prop_classify_names_decoded =
+  q "envelope: classify names the decoded items" gen_envelope (fun e ->
+      let p = Envelope.encode e in
+      let names =
+        List.fold_left
+          (fun acc i -> if List.mem (Envelope.name i) acc then acc else acc @ [ Envelope.name i ])
+          [] (Envelope.decode p).items
+      in
+      let label = Store.Anti_entropy.classify p in
+      List.map
+        (fun k -> List.hd (String.split_on_char '(' k))
+        (if label = "" then [] else String.split_on_char '+' label)
+      = names)
+
+(* ---------- the repair planner ---------- *)
+
+let gen_cfg =
+  QCheck2.Gen.map2
+    (fun repair_batch max_backoff -> { Store.Store_intf.default with repair_batch; max_backoff })
+    (QCheck2.Gen.int_range 1 40) (QCheck2.Gen.int_range 1 40)
+
+let ask plan cfg ~round ~peer ~origin =
+  match Plan.ask plan cfg ~rtt:None ~round ~peer ~origin ~have:0 ~next_held:None with
+  | Some (_, plan) -> plan
+  | None -> plan
+
+(* an asker that holds [have] and some seqs past it asks for
+   [have, upto): none of it held, and at most one batch *)
+let prop_ask_covers_no_held_seq =
+  q "planner: an ask covers no held seq and at most one batch"
+    QCheck2.Gen.(triple gen_cfg (int_bound 1000) (list_size (int_bound 6) (int_range 1 80)))
+    (fun (cfg, have, offsets) ->
+      let held = List.map (fun d -> have + d) offsets in
+      let next_held = if held = [] then None else Some (List.fold_left min max_int held) in
+      match Plan.ask Plan.empty cfg ~rtt:None ~round:0 ~peer:1 ~origin:0 ~have ~next_held with
+      | None -> false
+      | Some (upto, _) ->
+        upto > have
+        && upto - have <= cfg.repair_batch
+        && not (List.exists (fun s -> s < upto) held))
+
+let prop_answer_bounded =
+  q "planner: an answer stays within the bound, the floor and the batch"
+    QCheck2.Gen.(
+      quad gen_cfg (int_bound 100) (int_bound 100) (option (oneof [ int_bound 100; return max_int ])))
+    (fun (cfg, floor, from_seq, count) ->
+      (* a v1 ask, or a count past the largest seq, is unbounded *)
+      let upto =
+        match count with Some c when c < max_int - from_seq -> from_seq + c | _ -> max_int
+      in
+      let start, stop = Plan.answer cfg ~floor ~from_seq ~upto in
+      let answered = List.init (max 0 (stop - start)) (fun i -> start + i) in
+      List.length answered <= cfg.repair_batch
+      && List.for_all (fun s -> s >= floor && s >= from_seq && s < upto) answered)
+
+(* Karn's rule: the answer to a first ask times the round trip; once
+   the gap was asked for again, its answer is ambiguous *)
+let prop_only_first_ask_timed =
+  q "planner: only an answer to a first ask is timed"
+    QCheck2.Gen.(triple gen_cfg (int_bound 50) (int_bound 60))
+    (fun (cfg, round, wait) ->
+      let first = ask Plan.empty cfg ~round ~peer:1 ~origin:0 in
+      let due = (Option.get (Plan.last_ask first ~origin:0 ~peer:1)).due in
+      let again = ask first cfg ~round:due ~peer:1 ~origin:0 in
+      let r = float_of_int wait in
+      Plan.answered first ~rtt:None ~round:(round + wait) ~peer:1 ~origin:0
+      = Some { Plan.srtt = r; rttvar = r /. 2.0 }
+      && (Option.get (Plan.last_ask again ~origin:0 ~peer:1)).tries = 2
+      && Plan.answered again ~rtt:None ~round:(due + wait) ~peer:1 ~origin:0 = None
+      && Plan.answered first ~rtt:None ~round ~peer:2 ~origin:0 = None)
+
+(* progress on an origin retires its asks toward every peer, so the
+   next gap is asked for at once, and other origins keep theirs *)
+let prop_progress_retires_asks =
+  q "planner: progress on an origin retires its asks"
+    QCheck2.Gen.(triple gen_cfg (int_bound 50) (list_size (int_range 1 5) (pair (int_bound 3) (int_range 1 4))))
+    (fun (cfg, round, asks) ->
+      let plan =
+        List.fold_left (fun plan (origin, peer) -> ask plan cfg ~round ~peer ~origin) Plan.empty asks
+      in
+      let origin = fst (List.hd asks) in
+      let after = Plan.progress plan ~origin in
+      List.for_all
+        (fun (o, peer) ->
+          if o = origin then
+            Plan.last_ask after ~origin ~peer = None
+            && (Option.get (Plan.last_ask (ask after cfg ~round ~peer ~origin) ~origin ~peer)).tries = 1
+          else Plan.last_ask after ~origin:o ~peer = Plan.last_ask plan ~origin:o ~peer)
+        asks)
+
 let suite =
   ( "anti-entropy",
     [
@@ -906,4 +1038,10 @@ let suite =
         test_inflated_rtt_capped;
       tc "bootstrap: a long stream arrives in full repair batches"
         test_bootstrap_long_stream_in_batches;
+      prop_codec_roundtrip;
+      prop_classify_names_decoded;
+      prop_ask_covers_no_held_seq;
+      prop_answer_bounded;
+      prop_only_first_ask_timed;
+      prop_progress_retires_asks;
     ] )

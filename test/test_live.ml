@@ -758,6 +758,20 @@ let test_inline_samples_backpressure () =
           p.log_entries_peak final)
     r.Cluster.per_replica
 
+(* Backpressure is sampled after a pass's drain, before its flush sends
+   the control queue: on a lossy link the repairs and requests a drain
+   queues show up in the peak. Sampled after the flush, the queue was
+   always empty and the peak read 0. *)
+let test_lossy_run_samples_queue_depth () =
+  let r = C.run { chaos_cfg with Cluster.drop_p = 0.2 } in
+  Alcotest.(check bool) "cluster converged" true r.Cluster.converged;
+  let peak =
+    Array.fold_left
+      (fun a (p : Cluster.replica_stats) -> max a p.queue_depth_peak)
+      0 r.Cluster.per_replica
+  in
+  if peak = 0 then Alcotest.fail "queue_depth_peak read 0 on a lossy run"
+
 let suite =
   ( "live",
     [
@@ -823,4 +837,6 @@ let suite =
     @ [
         Alcotest.test_case "live: run_inline samples backpressure each round" `Quick
           test_inline_samples_backpressure;
+        Alcotest.test_case "live: a lossy run samples a nonzero queue depth" `Quick
+          test_lossy_run_samples_queue_depth;
       ] )

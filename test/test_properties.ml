@@ -340,8 +340,104 @@ let prop_search_sound =
 
 (* ---------- store payload fuzzing ---------- *)
 
+(* Real anti-entropy envelopes of one checked store, and a replica to
+   feed mutants of them to: three replicas run the store's workload over
+   a broadcast that loses every third delivery and gossip every fourth
+   op; a fourth replica joins halfway and leaves at the end, so every
+   item kind the replicas emit occurs. *)
+let ae_exchange (e : Haec_experiments.Stores.entry) =
+  let (module S) = e.store in
+  let module AE = Store.Anti_entropy.Make (S) in
+  let n = 4 in
+  let st = Array.init n (fun me -> AE.init ~n ~me) in
+  let sent = ref [] and deliveries = ref 0 in
+  let flush_all () =
+    for src = 0 to n - 1 do
+      if AE.has_pending st.(src) then begin
+        let s, p = AE.send st.(src) in
+        st.(src) <- s;
+        sent := p :: !sent;
+        for dst = 0 to n - 1 do
+          incr deliveries;
+          if dst <> src && !deliveries mod 3 <> 0 then st.(dst) <- AE.receive st.(dst) ~sender:src p
+        done
+      end
+    done
+  in
+  let steps = Sim.Workload.generate ~rng:(Rng.create 7) ~n:3 ~objects:3 ~ops:32 e.mix in
+  List.iteri
+    (fun i (step : Sim.Workload.step) ->
+      let s, _, _ = AE.do_op st.(step.replica) ~obj:step.obj step.op in
+      st.(step.replica) <- s;
+      if i = 16 then st.(3) <- AE.announce_join ~epoch:1 st.(3);
+      if i mod 4 = 3 then Array.iteri (fun r s -> st.(r) <- AE.tick s) st;
+      flush_all ();
+      flush_all ())
+    steps;
+  st.(3) <- AE.announce_leave ~epoch:2 st.(3);
+  flush_all ();
+  (List.rev !sent, fun p -> ignore (AE.receive st.(1) ~sender:0 p))
+
+let ae_exchanges = lazy (List.map ae_exchange Haec_experiments.Stores.checked)
+
+(* the offset past [skip] varints from [off] *)
+let rec skip_varints s off skip =
+  if skip = 0 || off >= String.length s then off
+  else if Char.code s.[off] < 0x80 then skip_varints s (off + 1) (skip - 1)
+  else skip_varints s (off + 1) skip
+
+let set_varint s off v =
+  let next = min (String.length s) (skip_varints s off 1) in
+  String.sub s 0 off
+  ^ Wire.encode (fun enc -> Wire.Encoder.uint enc v)
+  ^ String.sub s next (String.length s - next)
+
+(* where the envelope's count and each item's fields start, from the
+   sizes the codec reports while re-encoding it *)
+let field_starts payload =
+  let sizes = ref [] in
+  let p =
+    Store.Envelope.encode
+      ~sized:(fun _ bytes -> sizes := bytes :: !sizes)
+      (Store.Envelope.decode payload)
+  in
+  let header = String.length p - List.fold_left ( + ) 0 !sizes in
+  (* past the marker and version bytes; an item's fields follow its tag *)
+  2 :: snd (List.fold_left_map (fun off b -> (off + b, off + 1)) header (List.rev !sizes))
+
+(* a real envelope with 1-4 bytes set to random, 0x00 or 0xFF, cut
+   short, or with one varint field (a count, a length, a replica id or a
+   seq) set to 0, 2^k or max *)
+let gen_mutated_envelope =
+  let open QCheck2.Gen in
+  let big = int_bound 1_000_000 in
+  let byte = oneof [ int_bound 255; return 0; return 0xFF ] in
+  let value = oneof [ return 0; map (fun k -> 1 lsl k) (int_bound 61); return max_int ] in
+  big >>= fun pick ->
+  let sources = List.concat_map fst (Lazy.force ae_exchanges) in
+  let s = List.nth sources (pick mod List.length sources) in
+  let len = String.length s in
+  oneof
+    [
+      map
+        (fun edits ->
+          let b = Bytes.of_string s in
+          List.iter (fun (i, v) -> Bytes.set b (i mod len) (Char.chr v)) edits;
+          Bytes.to_string b)
+        (list_size (int_range 1 4) (pair big byte));
+      map (fun cut -> String.sub s 0 (cut mod len)) big;
+      map3
+        (fun field skip v ->
+          let starts = field_starts s in
+          let off = skip_varints s (List.nth starts (field mod List.length starts)) skip in
+          if off >= len then s else set_varint s off v)
+        big (int_bound 2) value;
+    ]
+
 let prop_payload_fuzz =
-  q ~count:200 "stores never crash on garbage payloads" QCheck2.Gen.string (fun payload ->
+  q ~count:2000 "stores never crash on garbage payloads"
+    QCheck2.Gen.(oneof [ string; gen_mutated_envelope ])
+    (fun payload ->
       let probe receive =
         match receive payload with
         | _ -> true
@@ -351,7 +447,11 @@ let prop_payload_fuzz =
       && probe (fun p ->
              Store.Causal_mvr_store.receive (Store.Causal_mvr_store.init ~n:3 ~me:0) ~sender:1 p)
       && probe (fun p -> Store.Orset_store.receive (Store.Orset_store.init ~n:3 ~me:0) ~sender:1 p)
-      && probe (fun p -> Store.Lww_store.receive (Store.Lww_store.init ~n:3 ~me:0) ~sender:1 p))
+      && probe (fun p -> Store.Lww_store.receive (Store.Lww_store.init ~n:3 ~me:0) ~sender:1 p)
+      (* every checked store behind anti-entropy, and the trace labeller *)
+      && List.for_all (fun (_, receive) -> probe receive) (Lazy.force ae_exchanges)
+      && (ignore (Store.Anti_entropy.classify payload : string);
+          true))
 
 let suite =
   ( "properties",

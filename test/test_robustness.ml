@@ -122,6 +122,24 @@ let test_packed_clock_length_overflow () =
           ignore (Wire.Decoder.uint dec);
           Wire.Decoder.packed_array dec ~n:(1 lsl 58) ~width:32))
 
+(* A length prefix near max_int overflowed [pos + len] and passed the
+   bounds check, so [String.sub] raised [Invalid_argument]; the structure-
+   aware fuzz of anti-entropy envelopes found it on an update's payload *)
+let test_string_length_overflow () =
+  let input = Wire.encode (fun enc -> List.iter (Wire.Encoder.uint enc) [ 7; max_int ]) in
+  let after_one read dec =
+    ignore (Wire.Decoder.uint dec);
+    read dec
+  in
+  expect_malformed "Decoder.string" (fun () -> Wire.decode input (after_one Wire.Decoder.string));
+  expect_malformed "Decoder.sub" (fun () ->
+      Wire.decode input (after_one (fun dec -> Wire.Decoder.sub dec max_int)));
+  (* the same length in an anti-entropy update item *)
+  expect_malformed "anti-entropy update" (fun () ->
+      let module AE = Store.Anti_entropy.Make (Store.Mvr_store) in
+      AE.receive (AE.init ~n:2 ~me:1) ~sender:0
+        (Wire.encode (fun enc -> List.iter (Wire.Encoder.uint enc) [ 0; 2; 1; 0; 0; max_int ])))
+
 let test_state_foreign_join () =
   let payload = foreign_payload (module Store.State_mvr_store) ~n_foreign:8 in
   expect_malformed "state mvr" (fun () ->
@@ -173,6 +191,7 @@ let suite =
         test_gossip_relay_misfit_update;
       tc "a packed clock whose bit count overflows is malformed"
         test_packed_clock_length_overflow;
+      tc "a length prefix near max_int is malformed" test_string_length_overflow;
       tc "state store rejects foreign states" test_state_foreign_join;
       tc "rejection leaves state intact" test_state_survives_rejection;
       prop_fuzz_all_stores;
