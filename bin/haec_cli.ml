@@ -325,14 +325,15 @@ let chaos_summary ~churn (outcomes : Sim.Chaos.outcome list) =
   in
   Format.printf
     "summary: runs=%d converged=%d updates=%d B/update=%.2f (update %.2f, digest %.2f, \
-     request %.2f, repair %.2f) dup_updates=%d dup_repairs=%d dup_overheard=%d \
-     repaired=%d repair_lat=%.2f%s@."
+     request %.2f, repair %.2f, membership %.2f, framing %.2f) dup_updates=%d dup_repairs=%d \
+     dup_overheard=%d repaired=%d repair_lat=%.2f%s@."
     (List.length outcomes)
     (List.length (List.filter Sim.Chaos.converged outcomes))
     updates
     (total /. float_of_int (max 1 updates))
     (bytes "gossip.update_bytes") (bytes "gossip.digest_bytes")
     (bytes "gossip.request_bytes") (bytes "gossip.repair_bytes")
+    (bytes "gossip.membership_bytes") (bytes "gossip.framing_bytes")
     (sum (counter "gossip.dup_updates")) (sum (counter "gossip.dup_repairs"))
     (sum (counter "gossip.dup_overheard")) (sum (counter "gossip.repair_applied"))
     (lat /. float_of_int (max 1 (List.length outcomes)))

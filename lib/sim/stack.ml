@@ -90,6 +90,7 @@ let publish reg (g : Store_intf.gossip_stats) ~log_entries ~log_bytes ~log_entri
   c "gossip.membership_bytes" g.membership_bytes;
   c "gossip.digest_deltas" g.digest_deltas;
   c "gossip.digests_elided" g.digests_elided;
+  c "gossip.framing_bytes" g.framing_bytes;
   let g name v = Obs.Gauge.set (Obs.Registry.gauge reg name) (float_of_int v) in
   g "ae.log_entries" log_entries;
   g "ae.log_bytes" log_bytes;

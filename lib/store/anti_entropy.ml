@@ -7,21 +7,23 @@
     applies, so any replica can repair any origin's stream. A gossip
     {!Make.tick} queues a digest of [have], the contiguous prefix of each
     origin's stream applied. A replica that sees a digest ahead of [have]
-    asks its sender for the gap once the whole envelope is in, and the
-    sender answers ungated: repair is pulled, since only the replica that
-    lacks a payload knows it lacks it. Payloads are deduplicated against
-    the log and applied in per-origin order, so the inner store sees an
-    exactly-once, per-origin-FIFO stream. While ticks fire and the links
-    alive both ways connect the replicas (Section 2), every update
-    reaches every replica.
+    asks one peer that can fill the gap once the whole envelope is in,
+    and that peer answers ungated: repair is pulled, since only the
+    replica that lacks a payload knows it lacks it. Payloads are
+    deduplicated against the log and applied in per-origin order, so the
+    inner store sees an exactly-once, per-origin-FIFO stream. While ticks
+    fire and the links alive both ways connect the replicas (Section 2),
+    every update reaches every replica.
 
     Three modules split the protocol:
     - {!Envelope} owns the format: v1 and v2 framing, the item kinds and
       their fields, and the one decoder that [receive] and {!classify}
       both go through.
     - {!Repair_plan} owns the policy: the ask table with its backoff and
-      round-trip estimates, the ask rule (how much of a gap to ask for)
-      and the answer rule (how much of the log answers an ask).
+      round-trip estimates, the ask rule (which one peer to ask for a
+      gap, and how much of it) and the answer rule (how much of the log
+      answers an ask). This module only lists the peers that could fill
+      a gap.
     - This module owns the state: the repair log and its trim, [have],
       each peer's [view] and [reported], the outbound queue, digest
       elision, membership and the counters.
@@ -400,30 +402,37 @@ end = struct
     let t = { t with peers = Int_map.add sender { p with view = Vclock.merge p.view view } t.peers } in
     note_reported t ~peer:sender (Vclock.merge reported)
 
-  (* ask [peer] for every gap its view shows it can fill, as
-     {!Repair_plan.ask} bounds it. Each (origin, peer) pair backs off on
-     its own, so an ask lost on a dead link toward one peer never holds
-     back the ask to the next peer whose digest shows the same gap *)
-  let ask t ~peer =
-    match Int_map.find_opt peer t.peers with
+  (* for every gap the digest from [sender] shows, hand {!Repair_plan.ask}
+     the peers that can fill it: those that have not said goodbye and
+     whose view is past [have]. It picks at most one to ask *)
+  let ask t ~sender =
+    match Int_map.find_opt sender t.peers with
     | None -> t
-    | Some p ->
+    | Some shown ->
       let t = ref t in
       for origin = 0 to t.contents.n - 1 do
         let cur = !t in
         let have = Vclock.get cur.have origin in
-        if Vclock.get p.view origin > have then begin
+        if Vclock.get shown.view origin > have then begin
+          let candidates =
+            Int_map.fold
+              (fun peer (p : peer) acc ->
+                if Vclock.get p.view origin > have && not (Int_set.mem peer cur.away) then
+                  { Repair_plan.peer; rtt = p.rtt } :: acc
+                else acc)
+              cur.peers []
+          in
           let next_held =
             Option.bind (Int_map.find_opt origin cur.log) (fun m ->
                 Option.map fst (Int_map.find_first_opt (fun s -> s > have) m))
           in
           match
-            Repair_plan.ask cur.plan cur.cfg ~rtt:p.rtt ~round:cur.rounds ~peer ~origin ~have
+            Repair_plan.ask cur.plan cur.cfg ~round:cur.rounds ~sender ~candidates ~origin ~have
               ~next_held
           with
           | None -> ()
-          | Some (upto, plan) ->
-            let request = Out_request { dst = peer; origin; from_seq = have; upto } in
+          | Some (dst, upto, plan) ->
+            let request = Out_request { dst; origin; from_seq = have; upto } in
             t := { cur with plan; outq_rev = request :: cur.outq_rev }
         end
       done;
@@ -583,7 +592,7 @@ end = struct
     let t = Envelope.fold payload ~init:t (fun ~v2 t item -> receive_item tally t ~sender ~v2 item) in
     (* ask only once the whole envelope is in: a repair that rode behind
        the digest has already closed part of the gap *)
-    let t = if tally.digest then ask t ~peer:sender else t in
+    let t = if tally.digest then ask t ~sender else t in
     let c = t.counters in
     let dups = tally.dup_updates + tally.dup_repairs + tally.dup_overheard in
     trim
@@ -747,11 +756,16 @@ end = struct
         | `Elide -> { t.counters with digests_elided = t.counters.digests_elided + 1 }
         | `Absent | `Full | `Delta _ -> t.counters)
     in
+    let item_bytes = ref 0 in
     let payload =
       Envelope.encode
-        ~sized:(fun item bytes -> c := count_sent !c item bytes)
+        ~sized:(fun item bytes ->
+          item_bytes := !item_bytes + bytes;
+          c := count_sent !c item bytes)
         { v2 = true; items = update @ digest @ queued @ repairs }
     in
+    (* what no item counted is the envelope's header *)
+    c := { !c with framing_bytes = !c.framing_bytes + String.length payload - !item_bytes };
     let t =
       {
         t with

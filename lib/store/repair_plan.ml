@@ -1,11 +1,22 @@
 (** The repair policy of {!Anti_entropy} as pure functions over plain
-    values: when a replica asks a peer for a gap, how much it asks for,
+    values: when a replica asks for a gap and whom, how much it asks for,
     how much an ask is answered with, and how long a re-ask waits. It
     knows no codec and no log; the caller reads the seqs it needs from
     its own log and hands them in, and keeps the values this module
     defines (the ask table, a round-trip estimate per peer) in its state.
 
-    An ask backs off per (origin, peer), exponentially in gossip rounds
+    One gap has one ask outstanding. The candidates for an origin's gap
+    are the peers whose view is past it; while one of them was asked and
+    its wait has not run out, nobody is asked again. Then the candidate
+    asked the fewest times since the last progress is asked, the one with
+    the shortest round trip among equals, so a peer that never answers is
+    asked again only after every other candidate was asked as often.
+    Until some candidate's round trip is measured, a gap is asked of the
+    peer whose digest showed it, each peer on its own wait: with nothing
+    measured there is nothing to prefer, and a peer behind a dead link
+    cannot hold back the others.
+
+    A wait backs off per (origin, peer), exponentially in gossip rounds
     and capped at [max_backoff]; progress on an origin retires its asks
     toward every peer. The first wait toward a peer is its measured round
     trip: an answer to a first ask (Karn's rule) is timed in rounds and
@@ -39,26 +50,45 @@ let first_wait (cfg : Store_intf.config) = function
   | Some { srtt; rttvar } ->
     max 1 (min cfg.max_backoff (int_of_float (Float.ceil (srtt +. (2.0 *. rttvar)))))
 
-(* The ask rule. A replica holding [origin]'s stream up to [have], whose
-   view of [peer] (round trip [rtt]) is ahead, asks it for [have, upto):
-   up to the first seq it already holds past the gap ([next_held]), at
-   most one batch. [Some (upto, t')] records the ask; [None] while the
-   last ask toward that peer still backs off. *)
-let ask (t : t) (cfg : Store_intf.config) ~rtt ~round ~peer ~origin ~have ~next_held =
-  let prev = last_ask t ~origin ~peer in
-  match prev with
-  | Some a when round < a.due -> None
-  | _ ->
-    let backoff, tries =
-      match prev with Some a -> (a.backoff, a.tries + 1) | None -> (first_wait cfg rtt, 1)
-    in
-    let batch = have + cfg.repair_batch in
-    let upto = match next_held with Some s -> min s batch | None -> batch in
-    let a =
-      { due = round + backoff; backoff = min (2 * backoff) cfg.max_backoff; asked_at = round; tries }
-    in
-    let asked = Option.value (Int_map.find_opt origin t) ~default:Int_map.empty in
-    Some (upto, Int_map.add origin (Int_map.add peer a asked) t)
+(* a peer whose view is past the asker's [have] of one origin *)
+type candidate = { peer : int; rtt : rtt option }
+
+(* The ask rule. A replica holding [origin]'s stream up to [have], which
+   just read a digest from [sender], asks one of the [candidates] for
+   [have, upto): up to the first seq it already holds past the gap
+   ([next_held]), at most one batch. [Some (peer, upto, t')] records the
+   ask; [None] while the gap's ask still waits (see the module comment). *)
+let ask (t : t) (cfg : Store_intf.config) ~round ~sender ~candidates ~origin ~have ~next_held =
+  let prev c = last_ask t ~origin ~peer:c.peer in
+  let waiting c = match prev c with Some a -> round < a.due | None -> false in
+  let chosen =
+    if List.for_all (fun c -> c.rtt = None) candidates then
+      List.find_opt (fun c -> c.peer = sender && not (waiting c)) candidates
+    else if List.exists waiting candidates then None
+    else
+      let key c =
+        ( (match prev c with Some a -> a.tries | None -> 0),
+          (match c.rtt with Some r -> r.srtt | None -> Float.infinity),
+          c.peer )
+      in
+      List.fold_left
+        (fun best c ->
+          match best with Some b when compare (key b) (key c) <= 0 -> best | _ -> Some c)
+        None candidates
+  in
+  Option.map
+    (fun c ->
+      let backoff, tries =
+        match prev c with Some a -> (a.backoff, a.tries + 1) | None -> (first_wait cfg c.rtt, 1)
+      in
+      let batch = have + cfg.repair_batch in
+      let upto = match next_held with Some s -> min s batch | None -> batch in
+      let a =
+        { due = round + backoff; backoff = min (2 * backoff) cfg.max_backoff; asked_at = round; tries }
+      in
+      let asked = Option.value (Int_map.find_opt origin t) ~default:Int_map.empty in
+      (c.peer, upto, Int_map.add origin (Int_map.add c.peer a asked) t))
+    chosen
 
 (* [peer] answered our ask for [origin]'s gap: [Some rtt'] folds the
    round trip into its estimate [rtt] with RFC 6298's gains when the ask

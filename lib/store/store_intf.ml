@@ -58,6 +58,9 @@ type gossip_stats = {
   membership_bytes : int;
   digest_deltas : int;  (** wire-v2 delta digests sent in place of full digests *)
   digests_elided : int;  (** gossip rounds whose digest was suppressed as redundant (v2) *)
+  framing_bytes : int;
+      (** envelope header bytes ([0x00], version, item count) outside every
+          item: with the item kinds' bytes, every payload byte sent *)
 }
 
 let fresh_gossip_stats () =
@@ -79,6 +82,7 @@ let fresh_gossip_stats () =
     membership_bytes = 0;
     digest_deltas = 0;
     digests_elided = 0;
+    framing_bytes = 0;
   }
 
 (** Field-wise sum: the traffic of several replicas. *)
@@ -101,6 +105,7 @@ let add_gossip_stats a b =
     membership_bytes = a.membership_bytes + b.membership_bytes;
     digest_deltas = a.digest_deltas + b.digest_deltas;
     digests_elided = a.digests_elided + b.digests_elided;
+    framing_bytes = a.framing_bytes + b.framing_bytes;
   }
 
 (** What one object shows an operation: the updates to [obj] visible to

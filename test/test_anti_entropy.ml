@@ -271,6 +271,72 @@ let test_one_way_dead_link () =
   Alcotest.(check int) "p's asks to q went unanswered" 0
     (AE.counters st.(q)).Store.Store_intf.repairs
 
+(* One ask per gap rotates by tries, not by round trip. p times q's
+   round trip at 0 rounds and r's at 2, then asks q for a gap that r can
+   fill too, and q goes dead. Once q's wait runs out, p asks r, asked
+   fewer times than q, and the gap closes; asking the shortest round trip
+   first would ask the dead q forever. *)
+let test_fastest_peer_dies_mid_gap () =
+  let p = 0 and q = 1 and r = 2 in
+  let st = v2_replicas 3 in
+  let deliver ~src ~dst payload = st.(dst) <- AE.receive st.(dst) ~sender:src payload in
+  let send src =
+    let s, payload = AE.send st.(src) in
+    st.(src) <- s;
+    payload
+  in
+  let write_at src v =
+    let s, payload = write st.(src) v in
+    st.(src) <- s;
+    payload
+  in
+  let asked payload =
+    List.filter_map
+      (function Store.Envelope.Request { dst; origin; _ } -> Some (dst, origin) | _ -> None)
+      (Store.Envelope.decode payload).items
+  in
+  (* q's update misses p; p asks q and is answered in the same round *)
+  deliver ~src:q ~dst:r (write_at q 1);
+  st.(q) <- AE.tick st.(q);
+  deliver ~src:q ~dst:p (send q);
+  deliver ~src:p ~dst:q (send p);
+  deliver ~src:q ~dst:p (send q);
+  (* r's update misses p; p asks r and is answered two rounds later *)
+  deliver ~src:r ~dst:q (write_at r 2);
+  st.(r) <- AE.tick st.(r);
+  deliver ~src:r ~dst:p (send r);
+  deliver ~src:p ~dst:r (send p);
+  let answer = send r in
+  st.(p) <- AE.tick (AE.tick st.(p));
+  deliver ~src:r ~dst:p answer;
+  Alcotest.check vclock "both round trips timed" (Vclock.of_array [| 0; 1; 1 |]) (AE.have st.(p));
+  (* r's next update reaches only q, whose digest shows p the gap; p
+     asks q, and from here on q is dead *)
+  deliver ~src:r ~dst:q (write_at r 3);
+  st.(q) <- AE.tick st.(q);
+  deliver ~src:q ~dst:p (send q);
+  Alcotest.(check (list (pair int int))) "p asks q for r's stream" [ (q, r) ] (asked (send p));
+  let to_r = ref [] in
+  let rec go k =
+    if Vclock.get (AE.have st.(p)) r = 2 then k
+    else if k = 10 then Alcotest.fail "p did not get r's update within 10 rounds"
+    else begin
+      st.(p) <- AE.tick st.(p);
+      st.(r) <- AE.tick st.(r);
+      if AE.has_pending st.(r) then deliver ~src:r ~dst:p (send r);
+      if AE.has_pending st.(p) then begin
+        let payload = send p in
+        to_r := !to_r @ asked payload;
+        deliver ~src:p ~dst:r payload
+      end;
+      if AE.has_pending st.(r) then deliver ~src:r ~dst:p (send r);
+      go (k + 1)
+    end
+  in
+  let rounds = go 0 in
+  Alcotest.(check (list (pair int int))) "the next ask goes to r" [ (r, r) ] !to_r;
+  Alcotest.(check bool) (Printf.sprintf "closed in %d rounds" rounds) true (rounds <= 2)
+
 (* A request that arrives again after the floor passed its [from_seq]
    asks only for payloads every member holds: the answer starts at the
    floor and carries just what the requester still lacks. *)
@@ -740,7 +806,8 @@ let test_recover_counts_nothing () =
    Send event whose envelope carries an update item is one
    [gossip.updates], every one carrying a full or delta digest one
    [gossip.digests + gossip.digest_deltas] — crashes and their recovery
-   replays included. *)
+   replays included. The item kinds' bytes and the envelope headers'
+   [gossip.framing_bytes] add up to every payload byte sent. *)
 let counters_match_trace (module S : Store.Store_intf.S) ~churn seeds () =
   let module C = Sim.Chaos.Make (S) in
   let recoveries = ref 0 in
@@ -771,7 +838,19 @@ let counters_match_trace (module S : Store.Store_intf.S) ~churn seeds () =
       Alcotest.(check int)
         (Printf.sprintf "seed %d: digest envelopes" seed)
         (carrying [ "digest"; "digest-delta" ])
-        (counter "gossip.digests" + counter "gossip.digest_deltas"))
+        (counter "gossip.digests" + counter "gossip.digest_deltas");
+      let payload_bytes =
+        match Obs.Metrics.Registry.find o.Sim.Chaos.metrics "wire.payload_bytes" with
+        | Some (Obs.Metrics.Registry.Histogram h) -> int_of_float (Obs.Metrics.Histogram.sum h)
+        | _ -> Alcotest.fail "no wire.payload_bytes"
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d: item and framing bytes" seed)
+        payload_bytes
+        (List.fold_left
+           (fun a k -> a + counter ("gossip." ^ k ^ "_bytes"))
+           0
+           [ "update"; "digest"; "request"; "repair"; "membership"; "framing" ]))
     seeds;
   Alcotest.(check bool) "recoveries exercised" true (!recoveries > 0)
 
@@ -915,9 +994,13 @@ let gen_cfg =
     (fun repair_batch max_backoff -> { Store.Store_intf.default with repair_batch; max_backoff })
     (QCheck2.Gen.int_range 1 40) (QCheck2.Gen.int_range 1 40)
 
+(* an ask of [peer] alone, from its digest, with no round trip measured *)
 let ask plan cfg ~round ~peer ~origin =
-  match Plan.ask plan cfg ~rtt:None ~round ~peer ~origin ~have:0 ~next_held:None with
-  | Some (_, plan) -> plan
+  match
+    Plan.ask plan cfg ~round ~sender:peer ~candidates:[ { Plan.peer; rtt = None } ] ~origin
+      ~have:0 ~next_held:None
+  with
+  | Some (_, _, plan) -> plan
   | None -> plan
 
 (* an asker that holds [have] and some seqs past it asks for
@@ -928,9 +1011,12 @@ let prop_ask_covers_no_held_seq =
     (fun (cfg, have, offsets) ->
       let held = List.map (fun d -> have + d) offsets in
       let next_held = if held = [] then None else Some (List.fold_left min max_int held) in
-      match Plan.ask Plan.empty cfg ~rtt:None ~round:0 ~peer:1 ~origin:0 ~have ~next_held with
+      match
+        Plan.ask Plan.empty cfg ~round:0 ~sender:1 ~candidates:[ { Plan.peer = 1; rtt = None } ]
+          ~origin:0 ~have ~next_held
+      with
       | None -> false
-      | Some (upto, _) ->
+      | Some (_, upto, _) ->
         upto > have
         && upto - have <= cfg.repair_batch
         && not (List.exists (fun s -> s < upto) held))
@@ -983,6 +1069,75 @@ let prop_progress_retires_asks =
             && (Option.get (Plan.last_ask (ask after cfg ~round ~peer ~origin) ~origin ~peer)).tries = 1
           else Plan.last_ask after ~origin:o ~peer = Plan.last_ask plan ~origin:o ~peer)
         asks)
+
+(* peers 1..k with round trips: peer 1's is measured, the others' may be *)
+let gen_candidates =
+  let rtt srtt = { Plan.srtt; rttvar = srtt /. 2.0 } in
+  QCheck2.Gen.(
+    map2
+      (fun first others ->
+        { Plan.peer = 1; rtt = Some (rtt first) }
+        :: List.mapi (fun i srtt -> { Plan.peer = i + 2; rtt = Option.map rtt srtt }) others)
+      (float_bound_inclusive 10.0)
+      (list_size (int_bound 4) (option (float_bound_inclusive 10.0))))
+
+(* whether [peer]'s ask for origin 0 is still inside its wait *)
+let waiting plan ~round peer =
+  match Plan.last_ask plan ~origin:0 ~peer with Some a -> round < a.Plan.due | None -> false
+
+(* A gap's peers become candidates one by one, as their digests show it,
+   and stay candidates; some digests bring progress instead. With a
+   round trip measured from the start, the gap never has two asks inside
+   their wait, whoever sent the digest. *)
+let prop_one_ask_per_gap =
+  q "planner: with a round trip measured, one ask per gap is inside its wait"
+    QCheck2.Gen.(
+      triple gen_cfg gen_candidates
+        (list_size (int_bound 60) (quad (int_bound 3) (int_bound 4) (int_bound 4) (int_bound 9))))
+    (fun (cfg, peers, steps) ->
+      let k = List.length peers in
+      let round = ref 0 and plan = ref Plan.empty and known = ref 0 in
+      List.for_all
+        (fun (dt, more, from, progress) ->
+          round := !round + dt;
+          if progress = 0 then plan := Plan.progress !plan ~origin:0;
+          (* peer 1 and the first [known] others show the gap *)
+          known := max !known more;
+          let candidates = List.filteri (fun i _ -> i <= !known) peers in
+          let sender = (List.nth candidates (from mod List.length candidates)).Plan.peer in
+          (match
+             Plan.ask !plan cfg ~round:!round ~sender ~candidates ~origin:0 ~have:0 ~next_held:None
+           with
+          | Some (_, _, p) -> plan := p
+          | None -> ());
+          List.length (List.filter (waiting !plan ~round:!round) (List.init k (fun i -> i + 1)))
+          <= 1)
+        steps)
+
+(* Nobody ever answers: every ask goes to a candidate asked the fewest
+   times so far, so no peer is asked twice before every other candidate
+   was asked once. *)
+let prop_reask_fewest_tries =
+  q "planner: a re-ask goes to a candidate with the fewest tries"
+    QCheck2.Gen.(triple gen_cfg gen_candidates (list_size (int_range 1 120) (int_bound 4)))
+    (fun (cfg, candidates, senders) ->
+      let k = List.length candidates in
+      let tries = Array.make (k + 1) 0 in
+      let plan = ref Plan.empty in
+      List.for_all
+        (fun (round, from) ->
+          let sender = (List.nth candidates (from mod k)).Plan.peer in
+          match
+            Plan.ask !plan cfg ~round ~sender ~candidates ~origin:0 ~have:0 ~next_held:None
+          with
+          | None -> true
+          | Some (peer, _, p) ->
+            plan := p;
+            let fewest = List.for_all (fun c -> tries.(peer) <= tries.(c.Plan.peer)) candidates in
+            tries.(peer) <- tries.(peer) + 1;
+            fewest && (Option.get (Plan.last_ask p ~origin:0 ~peer)).tries = tries.(peer))
+        (List.mapi (fun round from -> (round, from)) senders)
+      && Array.fold_left ( + ) 0 tries > 0)
 
 let suite =
   ( "anti-entropy",
@@ -1044,4 +1199,7 @@ let suite =
       prop_answer_bounded;
       prop_only_first_ask_timed;
       prop_progress_retires_asks;
+      prop_one_ask_per_gap;
+      prop_reask_fewest_tries;
+      tc "one ask per gap: a gap closes when its fastest peer dies" test_fastest_peer_dies_mid_gap;
     ] )

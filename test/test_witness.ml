@@ -258,7 +258,12 @@ let sim_equivalence (module S : Store_intf.S) ~mix () =
    image: it keeps the control state it had at the last image (ask
    table, RTT estimates, round counter) instead of restarting it, so it
    gossips and asks at other times after a crash (seed 1 with churn is
-   unchanged). *)
+   unchanged). Two runs moved when a gap came to have one ask
+   outstanding, rotated over the peers that can fill it, instead of one
+   ask per peer whose digest shows it: fewer requests and repairs leave,
+   to other peers. Seed 1 without churn moved in all three; seed 2 with
+   churn kept its vis pairs, and its span stream and lag histogram
+   moved. Seed 1 with churn and seed 2 without are unchanged. *)
 let golden () =
   let module D = Drive (Store.Causal_mvr_store) in
   List.iter
@@ -270,14 +275,14 @@ let golden () =
       Alcotest.(check string) (name ^ ": spans") spans (md5 (D.R.spans sim));
       Alcotest.(check string) (name ^ ": lag") lag (md5 (D.R.visibility_lag sim)))
     [
-      ( false, 1, "bd1e75d7948719cbc773e910bac0380f", "29d8369edd64eb24c702d11059f04a0a",
-        "2f33af12316aca2da42689954fa05636" );
+      ( false, 1, "8c27369dafd6977d2ed182b302ad6918", "8f41931b82b54297f4f745a153a5e70c",
+        "2489a017d0c63e7f92aba4191cb72279" );
       ( true, 1, "2b21d597bbd6c92a4895b6f8d59a57df", "759615b3aabd88e3642c37a670042971",
         "88567169223f67c936737565227004ca" );
       ( false, 2, "b7fd94d6a9e919e581e9068aad41311a", "96d95e7771772b81a42d25b10f7e2858",
         "749ead80cd598a6f551e7b6fcf4b4d24" );
-      ( true, 2, "2726f36778ec8dde677919e12cb89b33", "eba86c59dedec67b511b96ee32241270",
-        "4d5405d5b9b2a6a1d315052123b5462e" );
+      ( true, 2, "2726f36778ec8dde677919e12cb89b33", "0df3b28551808cbbb7ae88b53a0c061d",
+        "12a5218d437b5f0169b523fd3bdc3a4c" );
     ]
 
 (* ---------- frontier witnesses ---------- *)
