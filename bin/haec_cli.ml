@@ -282,61 +282,94 @@ let simulate_cmd =
    item kind, how many payloads arrived twice and by which path, how many
    repairs filled a gap, and the mean repair latency (quiescence minus
    fault horizon, as E21 reports it); with churn also E22's bootstrap
-   bytes and join-to-serving latency. *)
-let chaos_summary ~churn (outcomes : Sim.Chaos.outcome list) =
-  let sum f = List.fold_left (fun a o -> a + f o) 0 outcomes in
-  let counter name (o : Sim.Chaos.outcome) =
-    match Metrics.Registry.find o.metrics name with
-    | Some (Metrics.Registry.Counter c) -> Metrics.Counter.value c
-    | _ -> 0
-  in
-  let hist name (o : Sim.Chaos.outcome) =
+   bytes and join-to-serving latency. The sums are folded one outcome at
+   a time, in seed order, so the sweep can drop each outcome once it is
+   reported; the float sums add in the same order as a fold over the
+   whole list would. *)
+type chaos_sums = {
+  mutable runs : int;
+  mutable converged : int;
+  mutable updates : int;
+  counters : int array;  (** one sum per name in [summed_counters] *)
+  mutable payload_bytes : float;
+  mutable lat : float;
+  mutable boot_lat : float;
+  mutable boots : int;
+}
+
+let summed_counters =
+  [|
+    "gossip.update_bytes"; "gossip.digest_bytes"; "gossip.request_bytes";
+    "gossip.repair_bytes"; "gossip.membership_bytes"; "gossip.framing_bytes";
+    "gossip.dup_updates"; "gossip.dup_repairs"; "gossip.dup_overheard";
+    "gossip.repair_applied"; "sim.bootstrap_bytes";
+  |]
+
+let chaos_sums () =
+  {
+    runs = 0;
+    converged = 0;
+    updates = 0;
+    counters = Array.make (Array.length summed_counters) 0;
+    payload_bytes = 0.0;
+    lat = 0.0;
+    boot_lat = 0.0;
+    boots = 0;
+  }
+
+let add_outcome sums (o : Sim.Chaos.outcome) =
+  let hist name =
     match Metrics.Registry.find o.metrics name with
     | Some (Metrics.Registry.Histogram h) -> (Metrics.Histogram.sum h, Metrics.Histogram.count h)
     | _ -> (0.0, 0)
   in
-  let updates =
-    sum (fun o ->
-        List.length
-          (List.filter
-             (fun (_, d) -> Op.is_update d.Model.Event.op)
-             (Model.Execution.do_events o.exec)))
+  sums.runs <- sums.runs + 1;
+  if Sim.Chaos.converged o then sums.converged <- sums.converged + 1;
+  sums.updates <-
+    sums.updates
+    + List.length
+        (List.filter
+           (fun (_, d) -> Op.is_update d.Model.Event.op)
+           (Model.Execution.do_events o.exec));
+  Array.iteri
+    (fun i name ->
+      match Metrics.Registry.find o.metrics name with
+      | Some (Metrics.Registry.Counter c) ->
+        sums.counters.(i) <- sums.counters.(i) + Metrics.Counter.value c
+      | _ -> ())
+    summed_counters;
+  sums.payload_bytes <- sums.payload_bytes +. fst (hist "wire.payload_bytes");
+  sums.lat <- sums.lat +. Float.max 0.0 (o.quiesced_at -. o.horizon);
+  let s, n = hist "bootstrap.latency" in
+  sums.boot_lat <- sums.boot_lat +. s;
+  sums.boots <- sums.boots + n
+
+let chaos_summary ~churn sums =
+  let counter name =
+    let rec go i = if summed_counters.(i) = name then sums.counters.(i) else go (i + 1) in
+    go 0
   in
-  let per_update b = float_of_int b /. float_of_int (max 1 updates) in
-  let bytes name = per_update (sum (counter name)) in
-  let total = List.fold_left (fun a o -> a +. fst (hist "wire.payload_bytes" o)) 0.0 outcomes in
-  let lat =
-    List.fold_left
-      (fun a (o : Sim.Chaos.outcome) -> a +. Float.max 0.0 (o.quiesced_at -. o.horizon))
-      0.0 outcomes
-  in
+  let per_update b = float_of_int b /. float_of_int (max 1 sums.updates) in
+  let bytes name = per_update (counter name) in
   let boot =
     if not churn then ""
     else
-      let s, n =
-        List.fold_left
-          (fun (s, n) o ->
-            let s', n' = hist "bootstrap.latency" o in
-            (s +. s', n + n'))
-          (0.0, 0) outcomes
-      in
-      Printf.sprintf " boot_B=%d boot_lat=%s" (sum (counter "sim.bootstrap_bytes"))
-        (if n = 0 then "-" else Printf.sprintf "%.2f" (s /. float_of_int n))
+      Printf.sprintf " boot_B=%d boot_lat=%s" (counter "sim.bootstrap_bytes")
+        (if sums.boots = 0 then "-"
+         else Printf.sprintf "%.2f" (sums.boot_lat /. float_of_int sums.boots))
   in
   Format.printf
     "summary: runs=%d converged=%d updates=%d B/update=%.2f (update %.2f, digest %.2f, \
      request %.2f, repair %.2f, membership %.2f, framing %.2f) dup_updates=%d dup_repairs=%d \
      dup_overheard=%d repaired=%d repair_lat=%.2f%s@."
-    (List.length outcomes)
-    (List.length (List.filter Sim.Chaos.converged outcomes))
-    updates
-    (total /. float_of_int (max 1 updates))
+    sums.runs sums.converged sums.updates
+    (sums.payload_bytes /. float_of_int (max 1 sums.updates))
     (bytes "gossip.update_bytes") (bytes "gossip.digest_bytes")
     (bytes "gossip.request_bytes") (bytes "gossip.repair_bytes")
     (bytes "gossip.membership_bytes") (bytes "gossip.framing_bytes")
-    (sum (counter "gossip.dup_updates")) (sum (counter "gossip.dup_repairs"))
-    (sum (counter "gossip.dup_overheard")) (sum (counter "gossip.repair_applied"))
-    (lat /. float_of_int (max 1 (List.length outcomes)))
+    (counter "gossip.dup_updates") (counter "gossip.dup_repairs")
+    (counter "gossip.dup_overheard") (counter "gossip.repair_applied")
+    (sums.lat /. float_of_int (max 1 sums.runs))
     boot
 
 let chaos_store (e : Stores.entry) ~net ~config ~require ~adversarial ~churn ~shrink ~seed
@@ -352,15 +385,8 @@ let chaos_store (e : Stores.entry) ~net ~config ~require ~adversarial ~churn ~sh
     "dropped" "corrupt" "checks failed";
   let failed = ref 0 in
   let snaps = ref [] in
-  (* all runs fan out over domains first; reporting stays sequential and
-     in seed order, so the output is bit-identical at any -j *)
-  let outcomes =
-    C.run_seeds ~n ~objects ~ops ~spec_of:(fun _ -> spec) ~mix ~policy ~require
-      ~adversarial ~churn ~config
-      ~seeds:(List.init runs (fun i -> seed + i))
-      ()
-  in
-  List.iter (fun o ->
+  let sums = chaos_sums () in
+  let report (o : Sim.Chaos.outcome) =
     let seed = o.Sim.Chaos.seed in
     let s = o.Sim.Chaos.stats in
     let fails = Sim.Chaos.failures o in
@@ -446,9 +472,27 @@ let chaos_store (e : Stores.entry) ~net ~config ~require ~adversarial ~churn ~sh
             Format.printf "minimized trace written to %s, repro to %s@." trace repro
           | None -> ())
       end
-    end)
-    outcomes;
-  chaos_summary ~churn outcomes;
+    end;
+    add_outcome sums o
+  in
+  (* each block of seeds fans out over domains; reporting stays
+     sequential and in seed order, so the output is bit-identical at any
+     -j, and a block's outcomes are dropped once reported, so memory
+     stays flat however many seeds run *)
+  let block = 8 * Util.Par.default_domains () in
+  let rec sweep first =
+    if first < seed + runs then begin
+      let last = min (seed + runs) (first + block) in
+      List.iter report
+        (C.run_seeds ~n ~objects ~ops ~spec_of:(fun _ -> spec) ~mix ~policy ~require
+           ~adversarial ~churn ~config
+           ~seeds:(List.init (last - first) (fun i -> first + i))
+           ());
+      sweep last
+    end
+  in
+  sweep seed;
+  chaos_summary ~churn sums;
   (match metrics with
   | Some path ->
     (try

@@ -24,7 +24,7 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
-let vals l = Vals (List.sort_uniq Value.compare l)
+let vals l = Vals (Value.sort_uniq l)
 
 let compare_response a b =
   match (a, b) with

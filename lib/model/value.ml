@@ -18,6 +18,13 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+let sort_uniq = function
+  | ([] | [ _ ]) as l -> l
+  | [ a; b ] as l ->
+    let c = compare a b in
+    if c < 0 then l else if c = 0 then [ a ] else [ b; a ]
+  | l -> List.sort_uniq compare l
+
 let encode enc = function
   | Int n ->
     Wire.Encoder.uint enc 0;

@@ -14,6 +14,11 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
+val sort_uniq : t list -> t list
+(** [List.sort_uniq compare]. Lists of up to two values, what nearly every
+    register read returns, are sorted without allocating the closures
+    [List.sort_uniq] builds on each call. *)
+
 val encode : Wire.Encoder.t -> t -> unit
 
 val decode : Wire.Decoder.t -> t

@@ -175,30 +175,43 @@ end = struct
 
   let is_digest = function Out_digest _ -> true | _ -> false
 
+  let is_repair = function Out_repair _ -> true | _ -> false
+
   (* {!Durable} images this record with [Marshal] and re-images when the
      log since outweighs the image, so its layout (fields, [out_item],
      [rtt] inside [peer]) decides the re-image points, and with them the
-     control state a recovered replica keeps *)
+     control state a recovered replica keeps.
+
+     States are values: a caller may keep an old state and use it after
+     deriving a new one. [receive] and [send] therefore make one private
+     copy on entry ({!own}) and set the mutable fields of that copy in
+     place, item by item, instead of copying all eighteen fields per
+     item; every other function copies with [{ t with ... }]. A
+     [Malformed] raised part-way drops the private copy, so the caller's
+     state is untouched. *)
   type state = {
     cfg : Store_intf.config;  (** the anti-entropy tunables *)
     n : int;
     me : int;
-    inner : S.state;
-    log : string Int_map.t Int_map.t;  (** origin -> seq -> payload, seq >= floor *)
-    logged : int;  (** total payloads in [log] *)
-    log_bytes : int;  (** total payload bytes in [log] *)
-    have : Vclock.t;  (** contiguous applied prefix per origin *)
-    floor : Vclock.t;  (** per origin, the trimmed prefix every member holds *)
-    peers : peer Int_map.t;
-    plan : Repair_plan.t;  (** the asks made, per origin and peer *)
+    mutable inner : S.state;
+    mutable log : string Int_map.t Int_map.t;  (** origin -> seq -> payload, seq >= floor *)
+    mutable logged : int;  (** total payloads in [log] *)
+    mutable log_bytes : int;  (** total payload bytes in [log] *)
+    mutable have : Vclock.t;  (** contiguous applied prefix per origin *)
+    mutable floor : Vclock.t;  (** per origin, the trimmed prefix every member holds *)
+    mutable peers : peer Int_map.t;
+    mutable plan : Repair_plan.t;  (** the asks made, per origin and peer *)
     rounds : int;
-    outq_rev : out_item list;
-    epoch : int;  (** highest membership epoch seen *)
-    away : Int_set.t;  (** peers that said goodbye *)
-    last_sent_digest : Vclock.t option;  (** [have] as of the last digest sent *)
-    last_full_round : int;  (** round of the last full digest sent *)
-    counters : Store_intf.gossip_stats;
+    mutable outq_rev : out_item list;
+    mutable epoch : int;  (** highest membership epoch seen *)
+    mutable away : Int_set.t;  (** peers that said goodbye *)
+    mutable last_sent_digest : Vclock.t option;  (** [have] as of the last digest sent *)
+    mutable last_full_round : int;  (** round of the last full digest sent *)
+    mutable counters : Store_intf.gossip_stats;
   }
+
+  (* the private copy [receive] and [send] mutate *)
+  let own t = { t with inner = t.inner }
 
   let name = "anti-entropy(" ^ S.name ^ ")"
 
@@ -293,31 +306,28 @@ end = struct
     | None -> None
     | Some m -> Int_map.find_opt seq m
 
+  (* the functions from here to [receive] set fields of the private
+     copy {!own} made *)
+
+  (* [Int_map.find_opt] would allocate its [Some] on every hit *)
+  let find_or k m ~default = match Int_map.find k m with v -> v | exception Not_found -> default
+
   let log_add t ~origin ~seq payload =
-    let m =
-      match Int_map.find_opt origin t.log with Some m -> m | None -> Int_map.empty
-    in
-    { t with log = Int_map.add origin (Int_map.add seq payload m) t.log;
-             logged = t.logged + 1;
-             log_bytes = t.log_bytes + String.length payload }
+    let m = find_or origin t.log ~default:Int_map.empty in
+    t.log <- Int_map.add origin (Int_map.add seq payload m) t.log;
+    t.logged <- t.logged + 1;
+    t.log_bytes <- t.log_bytes + String.length payload
 
   (* apply every payload of [origin] that is now contiguous with the
      applied prefix, in sequence order; progress retires the asks for
      [origin] *)
   let rec cascade t ~origin =
-    let next = Vclock.get t.have origin in
-    match log_find t ~origin ~seq:next with
-    | None -> t
-    | Some payload ->
-      let inner = S.receive t.inner ~sender:origin payload in
-      let t =
-        {
-          t with
-          inner;
-          have = Vclock.tick t.have origin;
-          plan = Repair_plan.progress t.plan ~origin;
-        }
-      in
+    match Int_map.find (Vclock.get t.have origin) (Int_map.find origin t.log) with
+    | exception Not_found -> ()
+    | payload ->
+      t.inner <- S.receive t.inner ~sender:origin payload;
+      t.have <- Vclock.tick t.have origin;
+      t.plan <- Repair_plan.progress t.plan ~origin;
       cascade t ~origin
 
   (* what one envelope's payloads did, folded into the counters once at
@@ -337,35 +347,35 @@ end = struct
       (match via with
       | `Update -> tally.dup_updates <- tally.dup_updates + 1
       | `Repair -> tally.dup_repairs <- tally.dup_repairs + 1
-      | `Overheard -> tally.dup_overheard <- tally.dup_overheard + 1);
-      t
+      | `Overheard -> tally.dup_overheard <- tally.dup_overheard + 1)
     end
     else begin
       if via <> `Update then tally.repaired <- tally.repaired + 1;
-      cascade (log_add t ~origin ~seq payload) ~origin
+      log_add t ~origin ~seq payload;
+      cascade t ~origin
     end
+
+  (* [v] credited with [from_seq, upto) of [origin]'s stream, which the
+     peer was seen to hold. [from_seq] must attach to the prefix [v]
+     already credits, else the evidence is non-contiguous and proves
+     nothing about the prefix. *)
+  let lift v ~origin ~from_seq ~upto =
+    let cur = Vclock.get v origin in
+    if from_seq <= cur && upto > cur then Vclock.raise_to v origin upto else v
+
+  let set_peer t ~peer (p : peer) ~view ~reported =
+    if view != p.view || reported != p.reported then
+      t.peers <- Int_map.add peer { p with view; reported } t.peers
 
   (* the sender of an update or repair item demonstrably holds the
      payloads it sent: lift our view of its contiguous prefix without
      waiting for its next digest, so a request can go to it one round
-     earlier. [from_seq] must attach to the prefix we already credit the
-     peer with, else the evidence is non-contiguous and proves nothing
-     about the prefix. *)
+     earlier *)
   let note_peer_has t ~peer ~origin ~from_seq ~upto =
     match Int_map.find_opt peer t.peers with
-    | None -> t
+    | None -> ()
     | Some p ->
-      let cur = Vclock.get p.view origin in
-      if from_seq > cur || upto <= cur then t
-      else
-        let view = Vclock.raise_to p.view origin upto in
-        { t with peers = Int_map.add peer { p with view } t.peers }
-
-  (* raise what the peer has itself proven to hold *)
-  let note_reported t ~peer f =
-    match Int_map.find_opt peer t.peers with
-    | None -> t
-    | Some p -> { t with peers = Int_map.add peer { p with reported = f p.reported } t.peers }
+      set_peer t ~peer p ~view:(lift p.view ~origin ~from_seq ~upto) ~reported:p.reported
 
   (* the consecutively logged payloads of [origin]'s stream that answer
      an ask for [from_seq, upto) ({!Repair_plan.answer}) *)
@@ -399,54 +409,51 @@ end = struct
     if Vclock.size view <> t.n then malformed "anti-entropy digest: wrong vector size";
     let p = peer_exn t ~sender "digest" in
     tally.digest <- true;
-    let t = { t with peers = Int_map.add sender { p with view = Vclock.merge p.view view } t.peers } in
-    note_reported t ~peer:sender (Vclock.merge reported)
+    set_peer t ~peer:sender p ~view:(Vclock.merge p.view view)
+      ~reported:(Vclock.merge p.reported reported)
 
   (* for every gap the digest from [sender] shows, hand {!Repair_plan.ask}
      the peers that can fill it: those that have not said goodbye and
      whose view is past [have]. It picks at most one to ask *)
   let ask t ~sender =
     match Int_map.find_opt sender t.peers with
-    | None -> t
+    | None -> ()
     | Some shown ->
-      let t = ref t in
-      for origin = 0 to t.contents.n - 1 do
-        let cur = !t in
-        let have = Vclock.get cur.have origin in
+      for origin = 0 to t.n - 1 do
+        let have = Vclock.get t.have origin in
         if Vclock.get shown.view origin > have then begin
           let candidates =
             Int_map.fold
               (fun peer (p : peer) acc ->
-                if Vclock.get p.view origin > have && not (Int_set.mem peer cur.away) then
+                if Vclock.get p.view origin > have && not (Int_set.mem peer t.away) then
                   { Repair_plan.peer; rtt = p.rtt } :: acc
                 else acc)
-              cur.peers []
+              t.peers []
           in
           let next_held =
-            Option.bind (Int_map.find_opt origin cur.log) (fun m ->
+            Option.bind (Int_map.find_opt origin t.log) (fun m ->
                 Option.map fst (Int_map.find_first_opt (fun s -> s > have) m))
           in
           match
-            Repair_plan.ask cur.plan cur.cfg ~round:cur.rounds ~sender ~candidates ~origin ~have
+            Repair_plan.ask t.plan t.cfg ~round:t.rounds ~sender ~candidates ~origin ~have
               ~next_held
           with
           | None -> ()
           | Some (dst, upto, plan) ->
-            let request = Out_request { dst; origin; from_seq = have; upto } in
-            t := { cur with plan; outq_rev = request :: cur.outq_rev }
+            t.plan <- plan;
+            t.outq_rev <- Out_request { dst; origin; from_seq = have; upto } :: t.outq_rev
         end
-      done;
-      !t
+      done
 
   (* a repair from [peer] answering our ask for [origin]'s gap may time
      its round trip ({!Repair_plan.answered}) *)
   let time_answer t ~peer ~origin =
     match Int_map.find_opt peer t.peers with
-    | None -> t
+    | None -> ()
     | Some p -> (
       match Repair_plan.answered t.plan ~rtt:p.rtt ~round:t.rounds ~peer ~origin with
-      | None -> t
-      | Some rtt -> { t with peers = Int_map.add peer { p with rtt = Some rtt } t.peers })
+      | None -> ()
+      | Some rtt -> t.peers <- Int_map.add peer { p with rtt = Some rtt } t.peers)
 
   (* [v2] says the enclosing envelope was a v2 frame: the broadcast-
      exploiting rules (view inference, opportunistic repair ingestion)
@@ -455,16 +462,14 @@ end = struct
   let receive_item tally t ~sender ~v2 (item : Envelope.item) =
     match item with
     | Update { seq; payload } ->
-      let t =
-        if v2 then
-          (* a sender's own stream is contiguous by construction *)
-          note_peer_has t ~peer:sender ~origin:sender ~from_seq:0 ~upto:(seq + 1)
-        else t
-      in
-      let t =
-        note_reported t ~peer:sender (fun r ->
-            if seq <= Vclock.get r sender then Vclock.raise_to r sender (seq + 1) else r)
-      in
+      (match Int_map.find sender t.peers with
+      | exception Not_found -> ()
+      | p ->
+        (* a sender's own stream is contiguous by construction; sending
+           seq proves it holds it *)
+        set_peer t ~peer:sender p
+          ~view:(if v2 then lift p.view ~origin:sender ~from_seq:0 ~upto:(seq + 1) else p.view)
+          ~reported:(lift p.reported ~origin:sender ~from_seq:seq ~upto:(seq + 1)));
       ingest tally t ~origin:sender ~seq ~payload ~via:`Update
     | Digest clock -> on_digest tally t ~sender ~view:clock ~reported:clock
     | Digest_delta entries ->
@@ -483,31 +488,27 @@ end = struct
     | Request { dst; origin; from_seq; count } ->
       check_replica t "repair-request" dst;
       check_replica t "repair-request" origin;
-      if dst <> t.me then t (* broadcast transport: not addressed to us *)
-      else begin
+      (* a broadcast transport delivers asks addressed to others too *)
+      if dst = t.me then begin
         (* an explicit ask is answered ungated: the requester paces itself;
            a v1 ask is unbounded *)
         let upto = match count with Some c -> from_seq + c | None -> max_int in
         match batch_from t ~origin ~from_seq ~upto with
-        | [] -> t
-        | items -> { t with outq_rev = Out_repair { dst = sender; items } :: t.outq_rev }
+        | [] -> ()
+        | items -> t.outq_rev <- Out_repair { dst = sender; items } :: t.outq_rev
       end
     | Repair { dst; items } ->
       check_replica t "repair" dst;
       List.iter (fun (origin, _, _) -> check_replica t "repair" origin) items;
-      let t =
-        if v2 then
-          List.fold_left
-            (fun t (origin, seq, _) ->
-              note_peer_has t ~peer:sender ~origin ~from_seq:seq ~upto:(seq + 1))
-            t items
-        else t
-      in
-      if dst <> t.me then t
-      else
-        List.fold_left
-          (fun t (origin, seq, payload) -> ingest tally t ~origin ~seq ~payload ~via:`Repair)
-          t items
+      if v2 then
+        List.iter
+          (fun (origin, seq, _) ->
+            note_peer_has t ~peer:sender ~origin ~from_seq:seq ~upto:(seq + 1))
+          items;
+      if dst = t.me then
+        List.iter
+          (fun (origin, seq, payload) -> ingest tally t ~origin ~seq ~payload ~via:`Repair)
+          items
     | Repair_runs { dst; runs } ->
       (* the bytes reached every replica, so even when [dst] is a third
          party we ingest what we ourselves lack (the log dedups), and we
@@ -515,105 +516,93 @@ end = struct
          credited with nothing: only its own digests say what it got *)
       check_replica t "repair-runs" dst;
       let via = if dst = t.me then `Repair else `Overheard in
-      List.fold_left
-        (fun t (origin, from_seq, payloads) ->
+      List.iter
+        (fun (origin, from_seq, payloads) ->
           check_replica t "repair-runs" origin;
-          let t =
-            note_peer_has t ~peer:sender ~origin ~from_seq
-              ~upto:(from_seq + List.length payloads)
-          in
-          let t = if dst = t.me then time_answer t ~peer:sender ~origin else t in
-          snd
-            (List.fold_left
-               (fun (seq, t) payload -> (seq + 1, ingest tally t ~origin ~seq ~payload ~via))
-               (from_seq, t) payloads))
-        t runs
+          note_peer_has t ~peer:sender ~origin ~from_seq
+            ~upto:(from_seq + List.length payloads);
+          if dst = t.me then time_answer t ~peer:sender ~origin;
+          List.iteri
+            (fun i payload -> ingest tally t ~origin ~seq:(from_seq + i) ~payload ~via)
+            payloads)
+        runs
     | Hello epoch ->
       (* a joiner enters empty, so its hello asks for everything: answer
          with the first batch of every origin's stream we log, and with a
          digest from which it requests the rest *)
-      let outq_rev =
-        if List.exists is_digest t.outq_rev then t.outq_rev
-        else Out_digest { force_full = true } :: t.outq_rev
-      in
-      let outq_rev =
-        let first origin = batch_from t ~origin ~from_seq:0 in
-        match List.concat_map first (List.init t.n Fun.id) with
-        | [] -> outq_rev
-        | items -> Out_repair { dst = sender; items } :: outq_rev
-      in
-      { t with outq_rev; epoch = max epoch t.epoch; away = Int_set.remove sender t.away }
-    | Goodbye epoch -> { t with epoch = max epoch t.epoch; away = Int_set.add sender t.away }
+      if not (List.exists is_digest t.outq_rev) then
+        t.outq_rev <- Out_digest { force_full = true } :: t.outq_rev;
+      (let first origin = batch_from t ~origin ~from_seq:0 in
+       match List.concat_map first (List.init t.n Fun.id) with
+       | [] -> ()
+       | items -> t.outq_rev <- Out_repair { dst = sender; items } :: t.outq_rev);
+      t.epoch <- max epoch t.epoch;
+      t.away <- Int_set.remove sender t.away
+    | Goodbye epoch ->
+      t.epoch <- max epoch t.epoch;
+      t.away <- Int_set.add sender t.away
 
   (* stable(o): the prefix of origin [o]'s stream that we and every peer
      that has not said goodbye have proven to hold. Nobody can ask for it
      again, so it leaves the log. Only received inputs move it — never
      [tick] — so a durable replay rebuilds the same trimmed log. *)
+  let stable t o =
+    let s = ref (Vclock.get t.have o) in
+    for q = 0 to t.n - 1 do
+      if not (Int_set.mem q t.away) then
+        match Int_map.find q t.peers with
+        | p -> if Vclock.get p.reported o < !s then s := Vclock.get p.reported o
+        | exception Not_found -> ()
+    done;
+    !s
+
   let trim t =
-    let stable = Vclock.to_array t.have in
-    Int_map.iter
-      (fun q p ->
-        if not (Int_set.mem q t.away) then
-          for o = 0 to t.n - 1 do
-            let r = Vclock.get p.reported o in
-            if r < stable.(o) then stable.(o) <- r
-          done)
-      t.peers;
-    let t = ref t in
-    for o = 0 to t.contents.n - 1 do
-      let s = stable.(o) in
-      let cur = !t in
-      if s > Vclock.get cur.floor o then begin
-        let m = Option.value (Int_map.find_opt o cur.log) ~default:Int_map.empty in
+    for o = 0 to t.n - 1 do
+      let s = stable t o in
+      if s > Vclock.get t.floor o then begin
+        let m = find_or o t.log ~default:Int_map.empty in
         let below, at, above = Int_map.split s m in
         let kept = match at with Some p -> Int_map.add s p above | None -> above in
-        let count, bytes =
-          Int_map.fold (fun _ p (c, b) -> (c + 1, b + String.length p)) below (0, 0)
-        in
-        t :=
-          {
-            cur with
-            log =
-              (if Int_map.is_empty kept then Int_map.remove o cur.log
-               else Int_map.add o kept cur.log);
-            logged = cur.logged - count;
-            log_bytes = cur.log_bytes - bytes;
-            floor = Vclock.raise_to cur.floor o s;
-          }
+        t.log <- (if Int_map.is_empty kept then Int_map.remove o t.log else Int_map.add o kept t.log);
+        t.logged <- t.logged - Int_map.cardinal below;
+        t.log_bytes <- Int_map.fold (fun _ p b -> b - String.length p) below t.log_bytes;
+        t.floor <- Vclock.raise_to t.floor o s
       end
-    done;
-    !t
+    done
 
   let receive t ~sender payload =
     check_replica t "sender" sender;
     let tally =
       { dup_updates = 0; dup_repairs = 0; dup_overheard = 0; repaired = 0; digest = false }
     in
-    let t = Envelope.fold payload ~init:t (fun ~v2 t item -> receive_item tally t ~sender ~v2 item) in
+    let t0 = t in
+    let t = own t in
+    Envelope.fold payload ~init:() (fun ~v2 () item -> receive_item tally t ~sender ~v2 item);
     (* ask only once the whole envelope is in: a repair that rode behind
        the digest has already closed part of the gap *)
-    let t = if tally.digest then ask t ~sender else t in
-    let c = t.counters in
+    if tally.digest then ask t ~sender;
     let dups = tally.dup_updates + tally.dup_repairs + tally.dup_overheard in
-    trim
-      (if dups = 0 && tally.repaired = 0 then t
-       else
-         {
-           t with
-           counters =
-             {
-               c with
-               dup_payloads = c.dup_payloads + dups;
-               dup_updates = c.dup_updates + tally.dup_updates;
-               dup_repairs = c.dup_repairs + tally.dup_repairs;
-               dup_overheard = c.dup_overheard + tally.dup_overheard;
-               repair_applied = c.repair_applied + tally.repaired;
-             };
-         })
+    if dups > 0 || tally.repaired > 0 then begin
+      let c = t.counters in
+      t.counters <-
+        {
+          c with
+          dup_payloads = c.dup_payloads + dups;
+          dup_updates = c.dup_updates + tally.dup_updates;
+          dup_repairs = c.dup_repairs + tally.dup_repairs;
+          dup_overheard = c.dup_overheard + tally.dup_overheard;
+          repair_applied = c.repair_applied + tally.repaired;
+        }
+    end;
+    (* the stable prefix moves only with [have], a peer's [reported] or
+       a goodbye *)
+    if t.have != t0.have || t.peers != t0.peers || t.away != t0.away then trim t;
+    t
 
+  (* a read that leaves the inner store as it was leaves [t] as it was *)
   let do_op t ~obj op =
     let inner, rval, witness = S.do_op t.inner ~obj op in
-    ({ t with inner }, rval, witness)
+    ((if inner == t.inner then t else { t with inner }), rval, witness)
 
   let has_pending t = t.outq_rev <> [] || S.has_pending t.inner
 
@@ -647,6 +636,47 @@ end = struct
       (fun (origin, from_seq, ps_rev, _) -> (origin, from_seq, List.rev ps_rev))
       (go [] None items)
 
+  (* Merge the round's repairs per destination and deduplicate: several
+     digests (or requests) in one round routinely ask for overlapping
+     prefixes, and one copy serves them all. Every receiver
+     opportunistically ingests any repair in the broadcast, whoever it is
+     addressed to, so a payload already present for one destination need
+     not repeat for another. *)
+  let merged_repairs outs =
+    if not (List.exists is_repair outs) then []
+    else
+      let merged_repair dst =
+        List.concat_map
+          (function Out_repair { dst = d; items } when d = dst -> items | _ -> [])
+          outs
+        |> List.sort_uniq (fun (o1, s1, _) (o2, s2, _) -> compare (o1, s1) (o2, s2))
+      in
+      let seen = Hashtbl.create 64 in
+      List.filter_map
+        (fun dst ->
+          let items =
+            List.filter
+              (fun (o, s, _) ->
+                if Hashtbl.mem seen (o, s) then false
+                else begin
+                  Hashtbl.add seen (o, s) ();
+                  true
+                end)
+              (merged_repair dst)
+          in
+          if items = [] then None else Some (Envelope.Repair_runs { dst; runs = to_runs items }))
+        (List.filter_map (function Out_repair { dst; _ } -> Some dst | _ -> None) outs
+        |> List.sort_uniq compare)
+
+  (* the queued requests and membership announcements, in order *)
+  let rec queued_items = function
+    | [] -> []
+    | Out_request { dst; origin; from_seq; upto } :: rest ->
+      Envelope.Request { dst; origin; from_seq; count = Some (upto - from_seq) } :: queued_items rest
+    | Out_hello epoch :: rest -> Envelope.Hello epoch :: queued_items rest
+    | Out_goodbye epoch :: rest -> Envelope.Goodbye epoch :: queued_items rest
+    | (Out_digest _ | Out_repair _) :: rest -> queued_items rest
+
   (* what one sent item adds to the counters *)
   let count_sent (c : Store_intf.gossip_stats) (item : Envelope.item) bytes =
     match item with
@@ -665,55 +695,24 @@ end = struct
     (* a fresh inner broadcast takes the next slot of my stream: my own
        stream is contiguous by construction, so the next sequence number
        is exactly have(me) *)
-    let t, update =
+    let t = own t in
+    let update =
       if S.has_pending t.inner then begin
         let inner, payload = S.send t.inner in
         let seq = Vclock.get t.have t.me in
-        let t = log_add { t with inner } ~origin:t.me ~seq payload in
-        ({ t with have = Vclock.tick t.have t.me }, [ Envelope.Update { seq; payload } ])
+        t.inner <- inner;
+        log_add t ~origin:t.me ~seq payload;
+        t.have <- Vclock.tick t.have t.me;
+        [ Envelope.Update { seq; payload } ]
       end
-      else (t, [])
+      else []
     in
     let outs = List.rev t.outq_rev in
     let digest_marker = List.exists is_digest outs in
     let force_full =
       List.exists (function Out_digest { force_full } -> force_full | _ -> false) outs
     in
-    (* merge the round's repairs per destination and deduplicate: several
-       digests (or requests) in one round routinely ask for overlapping
-       prefixes, and one copy serves them all *)
-    let repair_dsts =
-      List.filter_map (function Out_repair { dst; _ } -> Some dst | _ -> None) outs
-      |> List.sort_uniq compare
-    in
-    let merged_repair dst =
-      List.concat_map
-        (function Out_repair { dst = d; items } when d = dst -> items | _ -> [])
-        outs
-      |> List.sort_uniq (fun (o1, s1, _) (o2, s2, _) -> compare (o1, s1) (o2, s2))
-    in
-    (* every receiver opportunistically ingests any repair in the
-       broadcast, whoever it is addressed to — so a payload already
-       present for one destination need not repeat for another *)
-    let repairs =
-      if repair_dsts = [] then []
-      else
-        let seen = Hashtbl.create 64 in
-        List.filter_map
-          (fun dst ->
-            let items =
-              List.filter
-                (fun (o, s, _) ->
-                  if Hashtbl.mem seen (o, s) then false
-                  else begin
-                    Hashtbl.add seen (o, s) ();
-                    true
-                  end)
-                (merged_repair dst)
-            in
-            if items = [] then None else Some (Envelope.Repair_runs { dst; runs = to_runs items }))
-          repair_dsts
-    in
+    let repairs = merged_repairs outs in
     (* resolve the digest marker against [have] as it is now — after the
        update above ticked it *)
     let digest_mode =
@@ -740,16 +739,7 @@ end = struct
         in
         [ Envelope.Digest_delta (List.filter_map changed (List.init t.n Fun.id)) ]
     in
-    let queued =
-      List.filter_map
-        (function
-          | Out_request { dst; origin; from_seq; upto } ->
-            Some (Envelope.Request { dst; origin; from_seq; count = Some (upto - from_seq) })
-          | Out_hello epoch -> Some (Envelope.Hello epoch)
-          | Out_goodbye epoch -> Some (Envelope.Goodbye epoch)
-          | Out_digest _ | Out_repair _ -> None)
-        outs
-    in
+    let queued = queued_items outs in
     let c =
       ref
         (match digest_mode with
@@ -765,20 +755,14 @@ end = struct
         { v2 = true; items = update @ digest @ queued @ repairs }
     in
     (* what no item counted is the envelope's header *)
-    c := { !c with framing_bytes = !c.framing_bytes + String.length payload - !item_bytes };
-    let t =
-      {
-        t with
-        outq_rev = [];
-        last_sent_digest =
-          (match digest_mode with
-          | `Full | `Delta _ -> Some t.have
-          | `Absent | `Elide -> t.last_sent_digest);
-        last_full_round =
-          (match digest_mode with `Full -> t.rounds | _ -> t.last_full_round);
-        counters = !c;
-      }
-    in
+    t.counters <- { !c with framing_bytes = !c.framing_bytes + String.length payload - !item_bytes };
+    t.outq_rev <- [];
+    (match digest_mode with
+    | `Full ->
+      t.last_sent_digest <- Some t.have;
+      t.last_full_round <- t.rounds
+    | `Delta _ -> t.last_sent_digest <- Some t.have
+    | `Absent | `Elide -> ());
     (t, payload)
 
   (* reach(o): the longest contiguous prefix of origin [o]'s stream that

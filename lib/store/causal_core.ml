@@ -5,9 +5,10 @@
     carries its dependency vector (the origin's update-vector at creation
     time), in the style of Ahamad et al.'s causal memory — this is the
     baseline whose Theta(n lg k)-bit messages Section 6 of the paper
-    compares against. Received updates are buffered until their
-    dependencies are satisfied, so the store complies with a causally
-    consistent abstract execution under *any* network behaviour.
+    compares against. A received update whose dependencies are not yet
+    satisfied is buffered until they are, so the store complies with a
+    causally consistent abstract execution under *any* network
+    behaviour.
 
     The buffer is dependency-indexed rather than a scanned list: records
     are keyed by [(origin, useq)], and a record whose preconditions fail
@@ -47,6 +48,9 @@ module Immediate = struct
   let expose_after_reads = 0
 end
 
+(* the [prev] of a batch's first record, which decodes absolutely *)
+let no_prev = Vclock.zero ~n:1
+
 module Make (Obj : Object_layer.OBJECT) (P : POLICY) = struct
   type update_record = {
     origin : int;
@@ -64,43 +68,55 @@ module Make (Obj : Object_layer.OBJECT) (P : POLICY) = struct
      entry instead of up to five. The reference point is always inside
      the same message, so loss, duplication, and reordering of whole
      messages cannot desynchronize the codec. *)
-  let encode_batch enc records =
-    (* both legs of the dependency framing are compressed: the absolute
-       head clock via the packed/run-length chooser and each later delta
-       sparsely (only changed entries); decode also accepts the v1 forms
-       via the marker byte, so the batch stays self-describing *)
+  (* One record, its dependency vector framed against [prev], the
+     vector of the record before it; the first record of a batch has no
+     [prev] and carries its vector absolutely. Both legs are compressed:
+     the absolute head clock via the packed/run-length chooser and each
+     later delta sparsely (only changed entries); decode also accepts the
+     v1 forms via the marker byte, so the batch stays self-describing. *)
+  let encode_record enc ~prev r =
+    Wire.Encoder.uint enc r.origin;
+    Wire.Encoder.uint enc r.useq;
+    if prev == no_prev then Vclock.encode_c enc r.dep
+    else Vclock.encode_delta_c enc ~prev r.dep;
+    Wire.Encoder.uint enc r.obj;
+    Obj.encode_update enc r.u
+
+  (* encode a batch given newest first, oldest first: recurse to the
+     oldest record and encode on the way back; returns the last vector *)
+  let rec encode_from_oldest enc = function
+    | [] -> no_prev
+    | r :: older ->
+      let prev = encode_from_oldest enc older in
+      encode_record enc ~prev r;
+      r.dep
+
+  let encode_newest_first enc records =
     Wire.Encoder.uint enc (List.length records);
-    let prev = ref None in
-    List.iter
-      (fun r ->
-        Wire.Encoder.uint enc r.origin;
-        Wire.Encoder.uint enc r.useq;
-        (match !prev with
-        | None -> Vclock.encode_c enc r.dep
-        | Some p -> Vclock.encode_delta_c enc ~prev:p r.dep);
-        prev := Some r.dep;
-        Wire.Encoder.uint enc r.obj;
-        Obj.encode_update enc r.u)
-      records
+    ignore (encode_from_oldest enc records)
+
+  let encode_batch enc records = encode_newest_first enc (List.rev records)
+
+  (* Hand records [i, len) of a batch to [f] as each is decoded, in batch
+     order; [prev] is the dependency vector of record [i - 1], and is
+     never read for the first. *)
+  let rec iter_records dec f ~len i ~prev =
+    if i < len then begin
+      let origin = Wire.Decoder.uint dec in
+      let useq = Wire.Decoder.uint dec in
+      let dep = if i = 0 then Vclock.decode_any dec else Vclock.decode_delta_any dec ~prev in
+      let obj = Wire.Decoder.uint dec in
+      let u = Obj.decode_update dec in
+      f { origin; useq; dep; obj; u };
+      iter_records dec f ~len (i + 1) ~prev:dep
+    end
+
+  let iter_batch dec f = iter_records dec f ~len:(Wire.Decoder.uint dec) 0 ~prev:no_prev
 
   let decode_batch dec =
-    let len = Wire.Decoder.uint dec in
-    let rec go n prev acc =
-      if n = 0 then List.rev acc
-      else begin
-        let origin = Wire.Decoder.uint dec in
-        let useq = Wire.Decoder.uint dec in
-        let dep =
-          match prev with
-          | None -> Vclock.decode_any dec
-          | Some p -> Vclock.decode_delta_any dec ~prev:p
-        in
-        let obj = Wire.Decoder.uint dec in
-        let u = Obj.decode_update dec in
-        go (n - 1) (Some dep) ({ origin; useq; dep; obj; u } :: acc)
-      end
-    in
-    go len None []
+    let acc = ref [] in
+    iter_batch dec (fun r -> acc := r :: !acc);
+    List.rev !acc
 
   type state = {
     n : int;
@@ -150,8 +166,13 @@ module Make (Obj : Object_layer.OBJECT) (P : POLICY) = struct
 
   let counters t = t.counters
 
-  let obj_state t obj =
-    match Int_map.find_opt obj t.objects with Some o -> o | None -> Obj.empty ~n:t.n
+  (* [Int_map.find_opt] would allocate its [Some] on every hit *)
+  let find_or k m ~default = match Int_map.find k m with v -> v | exception Not_found -> default
+
+  let object_in objects ~n obj =
+    match Int_map.find obj objects with o -> o | exception Not_found -> Obj.empty ~n
+
+  let obj_state t obj = object_in t.objects ~n:t.n obj
 
   let apply_remote o u =
     try Obj.apply o u
@@ -168,9 +189,7 @@ module Make (Obj : Object_layer.OBJECT) (P : POLICY) = struct
   let mem_rec buffer o s = find_rec buffer o s <> None
 
   let add_rec buffer r =
-    let m =
-      match Int_map.find_opt r.origin buffer with Some m -> m | None -> Int_map.empty
-    in
+    let m = find_or r.origin buffer ~default:Int_map.empty in
     Int_map.add r.origin (Int_map.add r.useq r m) buffer
 
   let remove_rec buffer o s =
@@ -181,23 +200,9 @@ module Make (Obj : Object_layer.OBJECT) (P : POLICY) = struct
       if Int_map.is_empty m then Int_map.remove o buffer else Int_map.add o m buffer
 
   let add_wait w ~blocker:(bo, bs) key =
-    let seqs = match Int_map.find_opt bo w with Some s -> s | None -> Int_map.empty in
-    let keys = match Int_map.find_opt bs seqs with Some k -> k | None -> [] in
+    let seqs = find_or bo w ~default:Int_map.empty in
+    let keys = find_or bs seqs ~default:[] in
     Int_map.add bo (Int_map.add bs (key :: keys) seqs) w
-
-  (* remove and return the whole bucket parked on [(bo, bs)] *)
-  let pop_wait w ~blocker:(bo, bs) =
-    match Int_map.find_opt bo w with
-    | None -> ([], w)
-    | Some seqs -> (
-      match Int_map.find_opt bs seqs with
-      | None -> ([], w)
-      | Some keys ->
-        let seqs = Int_map.remove bs seqs in
-        let w =
-          if Int_map.is_empty seqs then Int_map.remove bo w else Int_map.add bo seqs w
-        in
-        (keys, w))
 
   (* The first precondition of [r] not satisfied by [uv], as the
      [(origin, seq)] the update-vector must reach, or [None] when [r] is
@@ -233,16 +238,22 @@ module Make (Obj : Object_layer.OBJECT) (P : POLICY) = struct
     in
     expose_ready { t with reads }
 
+  (* One witness closure over the pre-op state: [t] is a pure value, so
+     forcing it later sees exactly what the operation saw. A read that
+     leaves its object as it was returns [t] itself, with no copy. *)
   let do_op t ~obj op =
     let t = if Op.is_read op && P.expose_after_reads > 0 then tick_hidden t else t in
-    let visible_before = lazy (visible_now t) in
     let now = t.clock + 1 in
     let o, rval, update = Obj.do_op (obj_state t obj) ~me:t.me ~now op in
     match update with
     | None ->
-      let witness = lazy { Store_intf.visible = Lazy.force visible_before; self = None } in
-      ({ t with objects = Int_map.add obj o t.objects }, rval, witness)
+      let witness = lazy { Store_intf.visible = visible_now t; self = None } in
+      let objects = Int_map.add obj o t.objects in
+      ((if objects == t.objects then t else { t with objects }), rval, witness)
     | Some u ->
+      let witness =
+        lazy { Store_intf.visible = visible_now t; self = Some (Obj.dot_of u) }
+      in
       let r = { origin = t.me; useq = Vclock.get t.uv t.me + 1; dep = t.uv; obj; u } in
       let t =
         {
@@ -253,111 +264,152 @@ module Make (Obj : Object_layer.OBJECT) (P : POLICY) = struct
           pending = r :: t.pending;
         }
       in
-      let witness =
-        lazy { Store_intf.visible = Lazy.force visible_before; self = Some (Obj.dot_of u) }
-      in
       (t, rval, witness)
 
   let has_pending t = t.pending <> []
 
   let send t =
     if not (has_pending t) then invalid_arg (P.name ^ ".send: nothing pending");
-    let payload = Wire.encode (fun enc -> encode_batch enc (List.rev t.pending)) in
+    let payload = Wire.encode (fun enc -> encode_newest_first enc t.pending) in
     ({ t with pending = [] }, payload)
 
-  let receive t ~sender:_ payload =
-    let records = Wire.decode payload decode_batch in
-    (* structural validation beyond parsing: origins and vector sizes must
-       fit this deployment, or buffering/merging would fail later *)
-    List.iter
-      (fun r ->
-        if r.origin < 0 || r.origin >= t.n then
-          raise (Wire.Decoder.Malformed (Printf.sprintf "origin %d out of range" r.origin));
-        if Vclock.size r.dep <> t.n then
-          raise
-            (Wire.Decoder.Malformed
-               (Printf.sprintf "dependency vector has %d entries, expected %d"
-                  (Vclock.size r.dep) t.n));
-        if r.useq < 1 then raise (Wire.Decoder.Malformed "non-positive update sequence"))
-      records;
-    (* buffer every record neither applied nor buffered yet, checking
-       each against the buffer so far: a payload that repeats a key
-       buffers it once *)
-    let buffer, fresh_rev, count =
-      List.fold_left
-        (fun ((buffer, fresh_rev, count) as acc) r ->
-          if r.useq <= Vclock.get t.uv r.origin || mem_rec buffer r.origin r.useq then acc
-          else (add_rec buffer r, r :: fresh_rev, count + 1))
-        (t.buffer, [], 0) records
+  (* the working state of one [receive] *)
+  type cascade = {
+    uv : Vclock.t;
+    mutable buffer : update_record Int_map.t Int_map.t;
+    mutable buffered : int;
+    mutable waiting : (int * int) list Int_map.t Int_map.t;
+    mutable objects : Obj.t Int_map.t;
+    mutable hidden : (update_record * int) Fqueue.t;
+    mutable clock : int;
+    mutable fresh : int;
+    mutable scans : int;
+    mutable delivered : int;
+    mutable woken_rev : (int * int) list;
+        (** keys of parked records deliveries woke and nothing examined
+            yet, latest first *)
+  }
+
+  (* structural validation beyond parsing: origins and vector sizes must
+     fit this deployment, or buffering/merging would fail later *)
+  let validate (t : state) r =
+    if r.origin < 0 || r.origin >= t.n then
+      raise (Wire.Decoder.Malformed (Printf.sprintf "origin %d out of range" r.origin));
+    if Vclock.size r.dep <> t.n then
+      raise
+        (Wire.Decoder.Malformed
+           (Printf.sprintf "dependency vector has %d entries, expected %d" (Vclock.size r.dep)
+              t.n));
+    if r.useq < 1 then raise (Wire.Decoder.Malformed "non-positive update sequence")
+
+  (* queue the records parked until the update-vector entry for [o]
+     reaches [s], and take their bucket out of [waiting] *)
+  let wake c ~o ~s =
+    match Int_map.find_opt o c.waiting with
+    | None -> ()
+    | Some seqs -> (
+      match Int_map.find_opt s seqs with
+      | None -> ()
+      | Some keys ->
+        let seqs = Int_map.remove s seqs in
+        c.waiting <-
+          (if Int_map.is_empty seqs then Int_map.remove o c.waiting
+           else Int_map.add o seqs c.waiting);
+        c.woken_rev <- List.rev_append keys c.woken_rev)
+
+  (* One deliverability check of [r], a record of this payload or
+     ([parked]) one already in the buffer: deliver it if it is ready,
+     else park it under its first missing precondition. *)
+  let examine (t : state) c r ~parked =
+    c.scans <- c.scans + 1;
+    match blocker c.uv r with
+    | Some b ->
+      if not parked then begin
+        c.buffer <- add_rec c.buffer r;
+        c.buffered <- c.buffered + 1
+      end;
+      c.waiting <- add_wait c.waiting ~blocker:b (r.origin, r.useq)
+    | None ->
+      if parked then begin
+        c.buffer <- remove_rec c.buffer r.origin r.useq;
+        c.buffered <- c.buffered - 1
+      end;
+      c.delivered <- c.delivered + 1;
+      Vclock.tick_into c.uv r.origin;
+      c.clock <- max c.clock (Obj.time_of r.u);
+      if P.expose_after_reads = 0 then
+        c.objects <-
+          Int_map.add r.obj
+            (apply_remote (object_in c.objects ~n:t.n r.obj) r.u)
+            c.objects
+      else c.hidden <- Fqueue.push c.hidden (r, t.reads + P.expose_after_reads);
+      (* this delivery advanced exactly one update-vector entry: wake
+         exactly the records parked on its new value *)
+      wake c ~o:r.origin ~s:(Vclock.get c.uv r.origin)
+
+  (* Records are examined in batch order as they are decoded, then the
+     buffered records their deliveries woke, in wake order. A record
+     ready when examined goes straight to the object layer; only one
+     that must wait enters [buffer] and parks in [waiting]. A record
+     already applied, or already buffered (before this payload or
+     earlier in it), is skipped: a payload that repeats a key buffers it
+     once. [fresh] counts the records not skipped, so [max_buffer] is the
+     peak as if the whole payload had been buffered first, and [scans]
+     counts one deliverability check per examination, as the indexed
+     buffer always has. A [Malformed] record raises before the new state
+     exists, so [t] is untouched. *)
+  let receive (t : state) ~sender:_ payload =
+    (* The whole cascade works on one uniquely-owned copy of the
+       update-vector, ticked in place per delivery; the original [t.uv]
+       (aliased as [dep] by earlier local updates) is never mutated. *)
+    let c =
+      {
+        uv = Vclock.copy t.uv;
+        buffer = t.buffer;
+        buffered = t.buffered;
+        waiting = t.waiting;
+        objects = t.objects;
+        hidden = t.hidden;
+        clock = t.clock;
+        fresh = 0;
+        scans = 0;
+        delivered = 0;
+        woken_rev = [];
+      }
     in
-    match List.rev fresh_rev with
-    | [] -> t
-    | fresh_records ->
-      (* The whole receive cascade works on one uniquely-owned copy of the
-         update-vector, ticked in place per delivery; the original [t.uv]
-         (aliased as [dep] by earlier local updates) is never mutated. *)
-      let uv = Vclock.copy t.uv in
-      let buffer = ref buffer in
-      let buffered = ref (t.buffered + count) in
-      let waiting = ref t.waiting in
-      let objects = ref t.objects in
-      let hidden = ref t.hidden in
-      let clock = ref t.clock in
-      let max_buffer = max t.counters.max_buffer !buffered in
-      let scans = ref 0 and delivered = ref 0 in
-      let work = Queue.create () in
-      List.iter (fun r -> Queue.add (r.origin, r.useq) work) fresh_records;
-      while not (Queue.is_empty work) do
-        let o, s = Queue.pop work in
-        match find_rec !buffer o s with
-        | None -> () (* already delivered in this cascade *)
-        | Some r ->
-          if Vclock.get uv r.origin >= r.useq then begin
-            (* duplicate of an already-applied update *)
-            buffer := remove_rec !buffer o s;
-            decr buffered
-          end
-          else begin
-            incr scans;
-            match blocker uv r with
-            | Some b -> waiting := add_wait !waiting ~blocker:b (o, s)
-            | None ->
-              buffer := remove_rec !buffer o s;
-              decr buffered;
-              incr delivered;
-              Vclock.tick_into uv r.origin;
-              clock := max !clock (Obj.time_of r.u);
-              if P.expose_after_reads = 0 then
-                objects :=
-                  Int_map.add r.obj
-                    (apply_remote
-                       (match Int_map.find_opt r.obj !objects with
-                       | Some o -> o
-                       | None -> Obj.empty ~n:t.n)
-                       r.u)
-                    !objects
-              else hidden := Fqueue.push !hidden (r, t.reads + P.expose_after_reads);
-              (* this delivery advanced exactly one update-vector entry:
-                 wake exactly the records parked on its new value *)
-              let keys, w = pop_wait !waiting ~blocker:(r.origin, Vclock.get uv r.origin) in
-              waiting := w;
-              List.iter (fun k -> Queue.add k work) keys
-          end
-      done;
+    let dec = Wire.Decoder.of_string payload in
+    iter_batch dec (fun r ->
+        validate t r;
+        if r.useq > Vclock.get c.uv r.origin && not (mem_rec c.buffer r.origin r.useq) then begin
+          c.fresh <- c.fresh + 1;
+          examine t c r ~parked:false
+        end);
+    Wire.Decoder.expect_end dec;
+    (* in wake order: each round examines what the last one woke *)
+    while c.woken_rev <> [] do
+      let woken = List.rev c.woken_rev in
+      c.woken_rev <- [];
+      List.iter
+        (fun (o, s) ->
+          match find_rec c.buffer o s with None -> () | Some r -> examine t c r ~parked:true)
+        woken
+    done;
+    if c.fresh = 0 then t
+    else
       {
         t with
-        uv;
-        clock = !clock;
-        objects = !objects;
-        buffer = !buffer;
-        buffered = !buffered;
-        waiting = !waiting;
-        hidden = !hidden;
+        uv = c.uv;
+        clock = c.clock;
+        objects = c.objects;
+        buffer = c.buffer;
+        buffered = c.buffered;
+        waiting = c.waiting;
+        hidden = c.hidden;
         counters =
           {
-            scans = t.counters.scans + !scans;
-            delivered = t.counters.delivered + !delivered;
-            max_buffer;
+            scans = t.counters.scans + c.scans;
+            delivered = t.counters.delivered + c.delivered;
+            max_buffer = max t.counters.max_buffer (t.buffered + c.fresh);
           };
       }
 end

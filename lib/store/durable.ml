@@ -170,11 +170,13 @@ end = struct
 
   let do_op t ~obj op =
     let inner, rval, witness = S.do_op t.inner ~obj op in
-    let t = { t with inner } in
     let t =
       (* reads of invisible-read stores cannot change state: keep the log
-         update-only *)
-      if S.invisible_reads && Op.is_read op then t else log t (Apply { obj; op })
+         update-only, and a read that left the inner state as it was
+         leaves [t] as it was *)
+      if S.invisible_reads && Op.is_read op then
+        if inner == t.inner then t else { t with inner }
+      else log { t with inner } (Apply { obj; op })
     in
     (t, rval, witness)
 

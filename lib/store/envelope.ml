@@ -42,54 +42,60 @@ let kind : item -> Wire.Gossip.kind = function
   | Hello _ -> Hello
   | Goodbye _ -> Goodbye
 
+let encode_item enc item =
+  let uint = Wire.Encoder.uint and string = Wire.Encoder.string in
+  Wire.Gossip.encode_kind enc (kind item);
+  match item with
+  | Update { seq; payload } ->
+    uint enc seq;
+    string enc payload
+  | Digest clock -> Vclock.encode_c enc clock
+  | Digest_delta entries ->
+    uint enc (List.length entries);
+    let gap last (i, v) = uint enc (i - last - 1); uint enc v; i in
+    ignore (List.fold_left gap (-1) entries)
+  | Request { dst; origin; from_seq; count } ->
+    uint enc dst;
+    uint enc origin;
+    uint enc from_seq;
+    Option.iter (uint enc) count
+  | Repair { dst; items } ->
+    uint enc dst;
+    Wire.Encoder.list enc
+      (fun enc (origin, seq, payload) ->
+        uint enc origin;
+        uint enc seq;
+        string enc payload)
+      items
+  | Repair_runs { dst; runs } ->
+    uint enc dst;
+    uint enc (List.length runs);
+    List.iter
+      (fun (origin, from_seq, payloads) ->
+        uint enc origin;
+        uint enc from_seq;
+        uint enc (List.length payloads);
+        List.iter (string enc) payloads)
+      runs
+  | Hello epoch | Goodbye epoch -> uint enc epoch
+
 (* [sized item bytes] is told each item's encoded size, in order *)
 let encode ?(sized = fun _ _ -> ()) { v2; items } =
   Wire.encode (fun enc ->
-      let uint = Wire.Encoder.uint enc and string = Wire.Encoder.string enc in
       if v2 then begin
-        uint 0;
-        uint (Wire.Version.to_int Wire.Version.V2)
+        Wire.Encoder.uint enc 0;
+        Wire.Encoder.uint enc (Wire.Version.to_int Wire.Version.V2)
       end;
-      uint (List.length items);
-      List.iter
-        (fun item ->
+      Wire.Encoder.uint enc (List.length items);
+      let rec go = function
+        | [] -> ()
+        | item :: rest ->
           let start = Wire.Encoder.size_bytes enc in
-          Wire.Gossip.encode_kind enc (kind item);
-          (match item with
-          | Update { seq; payload } ->
-            uint seq;
-            string payload
-          | Digest clock -> Vclock.encode_c enc clock
-          | Digest_delta entries ->
-            uint (List.length entries);
-            let gap last (i, v) = uint (i - last - 1); uint v; i in
-            ignore (List.fold_left gap (-1) entries)
-          | Request { dst; origin; from_seq; count } ->
-            uint dst;
-            uint origin;
-            uint from_seq;
-            Option.iter uint count
-          | Repair { dst; items } ->
-            uint dst;
-            Wire.Encoder.list enc
-              (fun _ (origin, seq, payload) ->
-                uint origin;
-                uint seq;
-                string payload)
-              items
-          | Repair_runs { dst; runs } ->
-            uint dst;
-            uint (List.length runs);
-            List.iter
-              (fun (origin, from_seq, payloads) ->
-                uint origin;
-                uint from_seq;
-                uint (List.length payloads);
-                List.iter string payloads)
-              runs
-          | Hello epoch | Goodbye epoch -> uint epoch);
-          sized item (Wire.Encoder.size_bytes enc - start))
-        items)
+          encode_item enc item;
+          sized item (Wire.Encoder.size_bytes enc - start);
+          go rest
+      in
+      go items)
 
 let malformed what = raise (Wire.Decoder.Malformed ("anti-entropy " ^ what))
 
@@ -139,21 +145,22 @@ let decode_item ~v2 dec : item =
    or an item that does not decode, raises [Malformed] after [f] has seen
    the items before it. *)
 let fold payload ~init f =
-  Wire.decode payload (fun dec ->
-      let v2 = Wire.Decoder.peek dec = 0 in
-      if v2 then begin
-        ignore (uint dec);
-        if Wire.Version.of_int (uint dec) <> Some Wire.Version.V2 then
-          malformed "envelope: unknown version"
-      end;
-      let count = uint dec in
-      if count < 0 || count > Wire.Decoder.remaining dec then
-        malformed "envelope: item count exceeds input";
-      let acc = ref init in
-      for _ = 1 to count do
-        acc := f ~v2 !acc (decode_item ~v2 dec)
-      done;
-      !acc)
+  let dec = Wire.Decoder.of_string payload in
+  let v2 = Wire.Decoder.peek dec = 0 in
+  if v2 then begin
+    ignore (uint dec);
+    if Wire.Version.of_int (uint dec) <> Some Wire.Version.V2 then
+      malformed "envelope: unknown version"
+  end;
+  let count = uint dec in
+  if count < 0 || count > Wire.Decoder.remaining dec then
+    malformed "envelope: item count exceeds input";
+  let acc = ref init in
+  for _ = 1 to count do
+    acc := f ~v2 !acc (decode_item ~v2 dec)
+  done;
+  Wire.Decoder.expect_end dec;
+  !acc
 
 (* an envelope without items can only be v2: a v1 one counts at least 1 *)
 let decode payload =

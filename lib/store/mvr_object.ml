@@ -22,15 +22,20 @@ let local_write t ~me value =
   let u = { vv; dot; value } in
   ({ t with cc = vv; sibs = [ u ] }, u)
 
+(* the siblings [u] does not dominate, in order; a top-level loop, so a
+   remote write allocates no filter closure *)
+let rec survivors u = function
+  | [] -> []
+  | s :: rest ->
+    if Vclock.leq s.vv u.vv then survivors u rest else s :: survivors u rest
+
 let apply t u =
   (* Stale or duplicate: the dot is already covered by the causal context,
      so some applied write dominates it (see the module doc invariant). *)
   if u.dot.Dot.seq <= Vclock.get t.cc u.dot.Dot.replica then t
-  else
-    let survivors = List.filter (fun s -> not (Vclock.leq s.vv u.vv)) t.sibs in
-    { t with cc = Vclock.merge t.cc u.vv; sibs = u :: survivors }
+  else { t with cc = Vclock.merge t.cc u.vv; sibs = u :: survivors u t.sibs }
 
-let read t = List.sort_uniq Value.compare (List.map (fun s -> s.value) t.sibs)
+let read t = Value.sort_uniq (List.map (fun s -> s.value) t.sibs)
 
 let siblings t = t.sibs
 

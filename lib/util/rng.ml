@@ -7,8 +7,9 @@ let create seed = { state = Int64.of_int seed }
 let copy t = { state = t.state }
 
 (* SplitMix64 output function: advance the counter by the golden-ratio
-   gamma, then scramble with two xor-shift-multiply rounds. *)
-let bits64 t =
+   gamma, then scramble with two xor-shift-multiply rounds. Inlined, so
+   callers that narrow the result ([int], [float]) never box it. *)
+let[@inline] bits64 t =
   t.state <- Int64.add t.state golden_gamma;
   let z = t.state in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
@@ -20,16 +21,18 @@ let split t =
   { state = seed }
 
 (* Uniform int in [0, bound) by rejection on the top 62 bits, avoiding
-   modulo bias. *)
+   modulo bias. A top-level loop rather than a local [go]: a local one
+   would allocate its closure on every draw. *)
+let mask = 0x3FFF_FFFF_FFFF_FFFF
+
+let rec draw t bound =
+  let r = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) land mask in
+  let v = r mod bound in
+  if r - v > mask - bound + 1 then draw t bound else v
+
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  let mask = 0x3FFF_FFFF_FFFF_FFFF in
-  let rec go () =
-    let r = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) land mask in
-    let v = r mod bound in
-    if r - v > mask - bound + 1 then go () else v
-  in
-  go ()
+  draw t bound
 
 let int_in t lo hi =
   if lo > hi then invalid_arg "Rng.int_in: lo > hi";

@@ -199,6 +199,14 @@ module Decoder = struct
     if t.pos >= t.limit then raise (Malformed "truncated input");
     Char.code (String.unsafe_get t.input t.pos)
 
+  (* the shift-accumulate loop of a multi-byte varint; top-level, since a
+     local loop closing over [t] would allocate its closure per varint *)
+  let rec uint_from t shift acc =
+    if shift > Sys.int_size then raise (Malformed "varint overflow");
+    let b = byte t in
+    let acc = acc lor ((b land 0x7F) lsl shift) in
+    if b land 0x80 = 0 then acc else uint_from t (shift + 7) acc
+
   (* Single-byte varints are the overwhelmingly common case; decode them
      without entering the shift-accumulate loop. *)
   let uint t =
@@ -209,14 +217,7 @@ module Decoder = struct
         t.pos <- pos + 1;
         b
       end
-      else
-        let rec go shift acc =
-          if shift > Sys.int_size then raise (Malformed "varint overflow");
-          let b = byte t in
-          let acc = acc lor ((b land 0x7F) lsl shift) in
-          if b land 0x80 = 0 then acc else go (shift + 7) acc
-        in
-        go 0 0
+      else uint_from t 0 0
     end
     else raise (Malformed "truncated input")
 
@@ -407,21 +408,56 @@ let size_bits s = 8 * String.length s
 module Frame = struct
   (* Standard reflected CRC-32 (IEEE 802.3 polynomial). Catches every
      burst error up to 32 bits — in particular any single corrupted byte —
-     and longer random corruption with probability 1 - 2^-32. The table is
-     built eagerly at module initialisation: replica domains seal and
-     unseal concurrently, and a [lazy] forced by two domains at once can
-     raise [CamlinternalLazy.Undefined] in one of them. *)
-  let table =
-    Array.init 256 (fun n ->
-        let c = ref n in
-        for _ = 0 to 7 do
-          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-        done;
-        !c)
+     and longer random corruption with probability 1 - 2^-32.
+
+     Slicing-by-8: [tables] holds eight 256-entry tables back to back.
+     Table 0 is the bytewise table; entry [n] of table [k] is the CRC
+     contribution of byte [n] followed by [k] zero bytes, so eight bytes
+     fold into the register with eight lookups and no per-byte carry
+     chain. A tail under eight bytes goes bytewise through table 0. The
+     tables are built eagerly at module initialisation: replica domains
+     seal and unseal concurrently, and a [lazy] forced by two domains at
+     once can raise [CamlinternalLazy.Undefined] in one of them. *)
+  let tables =
+    let t = Array.make (8 * 256) 0 in
+    for n = 0 to 255 do
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      t.(n) <- !c
+    done;
+    for i = 256 to (8 * 256) - 1 do
+      let prev = t.(i - 256) in
+      t.(i) <- (prev lsr 8) lxor t.(prev land 0xFF)
+    done;
+    t
+
+  (* every index is masked into [0, 8 * 256) *)
+  let[@inline] lookup k byte = Array.unsafe_get tables ((k lsl 8) lor (byte land 0xFF))
+
+  let word32 s i = Int32.to_int (String.get_int32_le s i) land 0xFFFF_FFFF
 
   let crc32 s =
-    let c = ref 0xFFFFFFFF in
-    String.iter (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8)) s;
+    let len = String.length s in
+    let c = ref 0xFFFFFFFF and i = ref 0 in
+    while !i + 8 <= len do
+      let lo = !c lxor word32 s !i and hi = word32 s (!i + 4) in
+      c :=
+        lookup 7 lo
+        lxor lookup 6 (lo lsr 8)
+        lxor lookup 5 (lo lsr 16)
+        lxor lookup 4 (lo lsr 24)
+        lxor lookup 3 hi
+        lxor lookup 2 (hi lsr 8)
+        lxor lookup 1 (hi lsr 16)
+        lxor lookup 0 (hi lsr 24);
+      i := !i + 8
+    done;
+    while !i < len do
+      c := lookup 0 (!c lxor Char.code (String.unsafe_get s !i)) lxor (!c lsr 8);
+      incr i
+    done;
     !c lxor 0xFFFFFFFF
 
   (* Sealing goes through the pooled scratch encoder ([encode]) rather

@@ -405,34 +405,54 @@ let field_starts payload =
   (* past the marker and version bytes; an item's fields follow its tag *)
   2 :: snd (List.fold_left_map (fun off b -> (off + b, off + 1)) header (List.rev !sizes))
 
-(* a real envelope with 1-4 bytes set to random, 0x00 or 0xFF, cut
-   short, or with one varint field (a count, a length, a replica id or a
-   seq) set to 0, 2^k or max *)
-let gen_mutated_envelope =
+(* a real input from [sources], paired with a mutant of it: 1-4 bytes set
+   to random, 0x00 or 0xFF, cut short, or with one varint field (one that
+   [fields] lists, or up to two varints past it) set to 0, 2^k or max *)
+let gen_mutated ~sources ~fields =
   let open QCheck2.Gen in
   let big = int_bound 1_000_000 in
   let byte = oneof [ int_bound 255; return 0; return 0xFF ] in
   let value = oneof [ return 0; map (fun k -> 1 lsl k) (int_bound 61); return max_int ] in
   big >>= fun pick ->
-  let sources = List.concat_map fst (Lazy.force ae_exchanges) in
+  let sources = Lazy.force sources in
   let s = List.nth sources (pick mod List.length sources) in
   let len = String.length s in
-  oneof
-    [
-      map
-        (fun edits ->
-          let b = Bytes.of_string s in
-          List.iter (fun (i, v) -> Bytes.set b (i mod len) (Char.chr v)) edits;
-          Bytes.to_string b)
-        (list_size (int_range 1 4) (pair big byte));
-      map (fun cut -> String.sub s 0 (cut mod len)) big;
-      map3
-        (fun field skip v ->
-          let starts = field_starts s in
-          let off = skip_varints s (List.nth starts (field mod List.length starts)) skip in
-          if off >= len then s else set_varint s off v)
-        big (int_bound 2) value;
-    ]
+  map
+    (fun mutant -> (s, mutant))
+    (oneof
+       [
+         map
+           (fun edits ->
+             let b = Bytes.of_string s in
+             List.iter (fun (i, v) -> Bytes.set b (i mod len) (Char.chr v)) edits;
+             Bytes.to_string b)
+           (list_size (int_range 1 4) (pair big byte));
+         map (fun cut -> String.sub s 0 (cut mod len)) big;
+         map3
+           (fun field skip v ->
+             let starts = fields s in
+             let off = skip_varints s (List.nth starts (field mod List.length starts)) skip in
+             if off >= len then s else set_varint s off v)
+           big (int_bound 2) value;
+       ])
+
+let envelopes = lazy (List.concat_map fst (Lazy.force ae_exchanges))
+
+(* fields: the envelope's count, and each item's fields (a count, a
+   length, a replica id or a seq) *)
+let gen_mutated_envelope = QCheck2.Gen.map snd (gen_mutated ~sources:envelopes ~fields:field_starts)
+
+(* fields: the frame's length prefix *)
+let gen_mutated_frame =
+  gen_mutated ~sources:(lazy (List.map Wire.Frame.seal (Lazy.force envelopes))) ~fields:(fun _ ->
+      [ 0 ])
+
+let prop_sealed_frame_fuzz =
+  q ~count:2000 "unseal returns the sealed payload or raises Malformed" gen_mutated_frame
+    (fun (frame, mutant) ->
+      match Wire.Frame.unseal mutant with
+      | payload -> payload = Wire.Frame.unseal frame
+      | exception Wire.Decoder.Malformed _ -> true)
 
 let prop_payload_fuzz =
   q ~count:2000 "stores never crash on garbage payloads"
@@ -474,4 +494,5 @@ let suite =
       prop_theorem6_on_simulated_occ;
       prop_search_sound;
       prop_payload_fuzz;
+      prop_sealed_frame_fuzz;
     ] )

@@ -140,6 +140,36 @@ let test_frame_crc_vector () =
   Alcotest.(check int) "crc32(123456789)" 0xCBF43926 (Wire.Frame.crc32 "123456789");
   Alcotest.(check int) "crc32 of empty" 0 (Wire.Frame.crc32 "")
 
+(* The bytewise reflected CRC-32, one table lookup per byte: the frozen
+   reference the sliced [Wire.Frame.crc32] must agree with. *)
+let crc32_reference s =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref 0xFFFFFFFF in
+  String.iter (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8)) s;
+  !c lxor 0xFFFFFFFF
+
+let test_frame_crc_every_tail () =
+  (* every length up to 64 covers each tail length of the 8-byte loop
+     several times over, on bytes that exercise every table row *)
+  for len = 0 to 64 do
+    let s = String.init len (fun i -> Char.chr (((i * 97) + (len * 31)) land 0xFF)) in
+    Alcotest.(check int) (Printf.sprintf "length %d" len) (crc32_reference s) (Wire.Frame.crc32 s)
+  done;
+  let all_bytes = String.init 256 Char.chr in
+  Alcotest.(check int) "every byte value" (crc32_reference all_bytes) (Wire.Frame.crc32 all_bytes)
+
+let prop_frame_crc_reference =
+  q ~count:500 "crc32 agrees with the bytewise reference"
+    QCheck2.Gen.(string_size (int_bound 4096))
+    (fun s -> Wire.Frame.crc32 s = crc32_reference s)
+
 let test_frame_crc_two_domains () =
   (* replica domains checksum concurrently; released together, neither
      may fail or see a different table *)
@@ -210,6 +240,8 @@ let suite =
       tc "nested encode" test_nested_encode;
       tc "large payload growth" test_large_payload;
       tc "frame crc check value" test_frame_crc_vector;
+      tc "frame crc agrees with the bytewise reference at every tail" test_frame_crc_every_tail;
+      prop_frame_crc_reference;
       tc "frame roundtrip" test_frame_roundtrip;
       tc "frame rejects byte flips" test_frame_rejects_byte_flips;
       tc "frame rejects resizing" test_frame_rejects_resizing;
