@@ -79,6 +79,13 @@ let config_term =
   in
   Term.(const mk $ repair_batch $ max_backoff $ full_digest_every)
 
+(* the simulator commands' sizes: a run needs a replica and an object *)
+let replicas_term =
+  Arg.(value & opt at_least_1 3 & info [ "replicas"; "n" ] ~doc:"Number of replicas")
+
+let objects_term default =
+  Arg.(value & opt at_least_1 default & info [ "objects" ] ~doc:"Number of objects")
+
 (* ---------- experiment commands ---------- *)
 
 let list_cmd =
@@ -249,8 +256,8 @@ let simulate_store (e : Stores.entry) ~config ~seed ~n ~objects ~ops ~policy ~ne
 let simulate_cmd =
   let store = store_arg Stores.all ~default:"mvr" in
   let net = Arg.(value & opt net_conv Reorder & info [ "net" ] ~doc:"Network: fifo|reorder|lossy|partition") in
-  let n = Arg.(value & opt int 3 & info [ "replicas"; "n" ] ~doc:"Number of replicas") in
-  let objects = Arg.(value & opt int 3 & info [ "objects" ] ~doc:"Number of objects") in
+  let n = replicas_term in
+  let objects = objects_term 3 in
   let ops = Arg.(value & opt int 50 & info [ "ops" ] ~doc:"Number of client operations") in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed") in
   let verbose = Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Dump the full execution") in
@@ -509,8 +516,8 @@ let chaos_store (e : Stores.entry) ~net ~config ~require ~adversarial ~churn ~sh
 let chaos_cmd =
   let store = store_arg Stores.checked ~default:"causal" in
   let net = Arg.(value & opt net_conv Reorder & info [ "net" ] ~doc:"Base network: fifo|reorder|lossy|partition") in
-  let n = Arg.(value & opt int 3 & info [ "replicas"; "n" ] ~doc:"Number of replicas") in
-  let objects = Arg.(value & opt int 2 & info [ "objects" ] ~doc:"Number of objects") in
+  let n = replicas_term in
+  let objects = objects_term 2 in
   let ops = Arg.(value & opt int 40 & info [ "ops" ] ~doc:"Client operations per run") in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"First seed") in
   let runs = Arg.(value & opt int 50 & info [ "runs" ] ~doc:"Consecutive seeds to run") in
@@ -645,38 +652,42 @@ let replay_cmd =
              baselines, and Join/Leave epoch boundaries as a marker row")
   in
   let run file timeline =
-    let exec = Model.Trace_io.load file in
-    Format.printf "trace: %d events, %d replicas, %d do events@."
-      (Model.Execution.length exec)
-      (Model.Execution.n_replicas exec)
-      (List.length (Model.Execution.do_events exec));
-    (match Model.Execution.check_well_formed exec with
-    | Ok () -> Format.printf "well-formed: yes@."
-    | Error m -> Format.printf "well-formed: NO (%s)@." m);
-    Format.printf "messages: %d, total %d bytes, largest %d bytes@."
-      (List.length (Model.Execution.messages_sent exec))
-      (Model.Execution.total_message_bits exec / 8)
-      (Model.Execution.max_message_bits exec / 8);
-    (* small traces: decide compliance with a causally consistent abstract
-       execution by exhaustive search *)
-    let dos = List.length (Model.Execution.do_events exec) in
-    if dos > 0 && dos <= 8 then begin
-      let target = Consistency.Search.target_of_execution exec in
-      match Consistency.Search.search ~spec_of:(fun _ -> Spec.Spec.mvr) target with
-      | Consistency.Search.Found _ ->
-        Format.printf "causal compliance (exhaustive, MVR spec): yes@."
-      | Consistency.Search.No_solution ->
-        Format.printf "causal compliance (exhaustive, MVR spec): NO@."
-      | Consistency.Search.Gave_up ->
-        Format.printf "causal compliance: search budget exceeded@."
-    end;
-    if timeline then
-      Format.printf "@.%s@." (Viz.Render.timeline ~title:(Filename.basename file) exec)
-    else Format.printf "@.%a@." Model.Execution.pp exec
+    match Model.Trace_io.load file with
+    | exception Wire.Decoder.Malformed m -> `Error (false, "malformed trace: " ^ m)
+    | exception Sys_error m -> `Error (false, m)
+    | exec ->
+      Format.printf "trace: %d events, %d replicas, %d do events@."
+        (Model.Execution.length exec)
+        (Model.Execution.n_replicas exec)
+        (List.length (Model.Execution.do_events exec));
+      (match Model.Execution.check_well_formed exec with
+      | Ok () -> Format.printf "well-formed: yes@."
+      | Error m -> Format.printf "well-formed: NO (%s)@." m);
+      Format.printf "messages: %d, total %d bytes, largest %d bytes@."
+        (List.length (Model.Execution.messages_sent exec))
+        (Model.Execution.total_message_bits exec / 8)
+        (Model.Execution.max_message_bits exec / 8);
+      (* small traces: decide compliance with a causally consistent abstract
+         execution by exhaustive search *)
+      let dos = List.length (Model.Execution.do_events exec) in
+      if dos > 0 && dos <= 8 then begin
+        let target = Consistency.Search.target_of_execution exec in
+        match Consistency.Search.search ~spec_of:(fun _ -> Spec.Spec.mvr) target with
+        | Consistency.Search.Found _ ->
+          Format.printf "causal compliance (exhaustive, MVR spec): yes@."
+        | Consistency.Search.No_solution ->
+          Format.printf "causal compliance (exhaustive, MVR spec): NO@."
+        | Consistency.Search.Gave_up ->
+          Format.printf "causal compliance: search budget exceeded@."
+      end;
+      if timeline then
+        Format.printf "@.%s@." (Viz.Render.timeline ~title:(Filename.basename file) exec)
+      else Format.printf "@.%a@." Model.Execution.pp exec;
+      `Ok ()
   in
   Cmd.v
     (Cmd.info "replay" ~doc:"Load a saved trace, validate and pretty-print it")
-    Term.(const run $ file $ timeline)
+    Term.(ret (const run $ file $ timeline))
 
 (* ---------- metrics ---------- *)
 
@@ -803,7 +814,7 @@ let metrics_cmd =
 let render_cmd =
   let store = store_arg Stores.all ~default:"mvr" in
   let ops = Arg.(value & opt int 8 & info [ "ops" ] ~doc:"Number of client operations") in
-  let n = Arg.(value & opt int 3 & info [ "replicas"; "n" ] ~doc:"Number of replicas") in
+  let n = replicas_term in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed") in
   let what =
     Arg.(
@@ -1117,8 +1128,8 @@ let trace_store (e : Stores.entry) ~config ~adversarial ~churn ~seed ~n ~objects
 let trace_cmd =
   let store = store_arg Stores.checked ~default:"causal" in
   let net = Arg.(value & opt net_conv Reorder & info [ "net" ] ~doc:"Base network: fifo|reorder|lossy|partition") in
-  let n = Arg.(value & opt int 3 & info [ "replicas"; "n" ] ~doc:"Number of replicas") in
-  let objects = Arg.(value & opt int 2 & info [ "objects" ] ~doc:"Number of objects") in
+  let n = replicas_term in
+  let objects = objects_term 2 in
   let ops = Arg.(value & opt int 40 & info [ "ops" ] ~doc:"Client operations") in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Seed (one run)") in
   let adversarial_arg =

@@ -135,8 +135,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
     log_peak : int;
   }
 
-  let execute ~config ~record_spans ~objects ~policy ~max_events ~gossip_interval ~n ~plan
-      ~steps ~seed =
+  let execute ~config ~record_spans ~objects ~policy ~n ~plan ~steps ~seed =
     let horizon = plan.Fault_plan.horizon in
     (* with churn, [n] is the initial member count and the id space grows
        to the plan's capacity; the reserve ids boot empty mid-run *)
@@ -151,11 +150,8 @@ module Make (S : Haec_store.Store_intf.S) = struct
         (c.Fault_plan.capacity, c.Fault_plan.initial)
     in
     let sim =
-      R.create ~seed ~config ~n:capacity ~initial ~hooks:St.hooks ~record_spans
-        ~classify:Haec_store.Anti_entropy.classify ~policy ~faults:plan
-        ~gossip:(gossip_interval, St.tick, St.settled)
-        ~recover_state:(fun ~replica:_ -> St.recover)
-        ()
+      R.create ~seed ~config ~n:capacity ~initial ~record_spans ~policy ~faults:plan
+        ~stack:(module St) ()
     in
     let skipped = ref 0 in
     let executed = ref 0 in
@@ -210,7 +206,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
        departed ids have no one to ask, so neither takes part. Returns how
        many audit reads trail the quiescent prefix. *)
     let quiesce () =
-      R.run_until_quiescent ~max_events sim;
+      R.run_until_quiescent ~max_events:200_000 sim;
       let readers =
         List.filter
           (fun r -> R.is_serving sim ~replica:r)
@@ -241,14 +237,13 @@ module Make (S : Haec_store.Store_intf.S) = struct
      the only loss semantics. It stays so that callers written against the
      two-mode harness keep compiling unchanged. *)
   let run_plan ?(objects = 2) ?(spec_of = fun (_ : int) -> Spec.mvr) ?policy
-      ?(max_events = 200_000) ?(require = `Correct) ?recovery:(_ : [ `Anti_entropy ] option)
-      ?(gossip_interval = 2.0) ?(config = Store_intf.default) ~n ~plan ~steps ~seed () =
+      ?(require = `Correct) ?recovery:(_ : [ `Anti_entropy ] option)
+      ?(config = Store_intf.default) ~n ~plan ~steps ~seed () =
     let policy =
       match policy with Some p -> p | None -> Net_policy.random_delay ()
     in
     let execute ~record_spans =
-      execute ~config ~record_spans ~objects ~policy ~max_events ~gossip_interval ~n ~plan
-        ~steps ~seed
+      execute ~config ~record_spans ~objects ~policy ~n ~plan ~steps ~seed
     in
     let { sim; capacity; executed; skipped; refused; quiesced; log_peak } =
       execute ~record_spans:false
@@ -312,20 +307,18 @@ module Make (S : Haec_store.Store_intf.S) = struct
     }
 
   let run ?(n = 3) ?(objects = 2) ?(ops = 40) ?spec_of ?(mix = Workload.register_mix)
-      ?policy ?max_events ?require ?recovery ?adversarial ?churn ?gossip_interval ?config
-      ~seed () =
+      ?policy ?require ?recovery ?adversarial ?churn ?config ~seed () =
     let plan, steps = derive ~n ~objects ~ops ~mix ?adversarial ?churn ~seed () in
-    run_plan ~objects ?spec_of ?policy ?max_events ?require ?recovery ?gossip_interval
-      ?config ~n ~plan ~steps ~seed ()
+    run_plan ~objects ?spec_of ?policy ?require ?recovery ?config ~n ~plan ~steps ~seed ()
 
   (* Runs are deterministic in their seed and share no state, so a sweep
      fans out over domains; outcomes come back in seed order regardless of
      [?domains] (see the contract in [Haec_util.Par]). *)
-  let run_seeds ?n ?objects ?ops ?spec_of ?mix ?policy ?max_events ?require ?recovery
-      ?adversarial ?churn ?gossip_interval ?config ?domains ~seeds () =
+  let run_seeds ?n ?objects ?ops ?spec_of ?mix ?policy ?require ?recovery ?adversarial ?churn
+      ?config ?domains ~seeds () =
     Par.map_list ?domains
       (fun seed ->
-        run ?n ?objects ?ops ?spec_of ?mix ?policy ?max_events ?require ?recovery
-          ?adversarial ?churn ?gossip_interval ?config ~seed ())
+        run ?n ?objects ?ops ?spec_of ?mix ?policy ?require ?recovery ?adversarial ?churn
+          ?config ~seed ())
       seeds
 end

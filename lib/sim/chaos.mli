@@ -143,10 +143,8 @@ module Make (S : Haec_store.Store_intf.S) : sig
     ?objects:int ->
     ?spec_of:(int -> Spec.t) ->
     ?policy:Net_policy.t ->
-    ?max_events:int ->
     ?require:level ->
     ?recovery:[ `Anti_entropy ] ->
-    ?gossip_interval:float ->
     ?config:Haec_store.Store_intf.config ->
     n:int ->
     plan:Fault_plan.t ->
@@ -156,8 +154,9 @@ module Make (S : Haec_store.Store_intf.S) : sig
     outcome
   (** Replay explicit inputs — the entry point the shrinker minimizes
       through. [seed] seeds only the network schedule (delivery delays,
-      corruption choices), not the inputs. [gossip_interval] (default 2.0)
-      is the simulated time between digest rounds; [config] (default
+      corruption choices), not the inputs. The runner drives the stack's
+      digest rounds every {!Runner.gossip_interval} and gives up as
+      diverged after 200,000 events. [config] (default
       {!Haec_store.Store_intf.default}) builds every replica. A plan with churn keeps
       [n] as the {e initial} member count — the run's id space grows to
       the plan's capacity. [recovery] has one value and selects nothing:
@@ -171,12 +170,10 @@ module Make (S : Haec_store.Store_intf.S) : sig
     ?spec_of:(int -> Spec.t) ->
     ?mix:Workload.mix ->
     ?policy:Net_policy.t ->
-    ?max_events:int ->
     ?require:level ->
     ?recovery:[ `Anti_entropy ] ->
     ?adversarial:bool ->
     ?churn:bool ->
-    ?gossip_interval:float ->
     ?config:Haec_store.Store_intf.config ->
     seed:int ->
     unit ->
@@ -192,12 +189,10 @@ module Make (S : Haec_store.Store_intf.S) : sig
     ?spec_of:(int -> Spec.t) ->
     ?mix:Workload.mix ->
     ?policy:Net_policy.t ->
-    ?max_events:int ->
     ?require:level ->
     ?recovery:[ `Anti_entropy ] ->
     ?adversarial:bool ->
     ?churn:bool ->
-    ?gossip_interval:float ->
     ?config:Haec_store.Store_intf.config ->
     ?domains:int ->
     seeds:int list ->

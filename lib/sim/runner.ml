@@ -18,16 +18,7 @@ type stats = {
   leaves : int;
 }
 
-(* How the runner talks membership to the store protocol: [progress] is an
-   observation-only read of how far a state has caught up (the anti-entropy
-   [have] vector, read through the durable layer), [on_join]/[on_leave]
-   queue the wire-level announcements on the replica itself. Like the
-   gossip tick, these mutate only unlogged control state. *)
-type 'state membership_hooks = {
-  progress : 'state -> Haec_vclock.Vclock.t;
-  on_join : epoch:int -> 'state -> 'state;
-  on_leave : epoch:int -> graceful:bool -> 'state -> 'state;
-}
+let gossip_interval = 2.0
 
 (* Dense growable columns of the witness and span bookkeeping, indexed
    by small ints: a message's seq at its source, a do index, or
@@ -71,31 +62,22 @@ end
 module Make (S : Haec_store.Store_intf.S) = struct
   type delivery = { dst : int; msg : Message.t }
 
-  (* The gossip driver of a protocol-level recovery store: every
-     [interval] of simulated time the runner ticks each live replica
-     (queuing its digest broadcast) and flushes it; [settled] is the
-     quiescence oracle — observation-only omniscience over the replica
-     states, while repair itself stays on the wire. *)
-  type gossip = {
-    interval : float;
-    tick : S.state -> S.state;
-    settled : S.state array -> bool;
-  }
+  module type STACK = Stack.S with type state = S.state
 
   type t = {
     n : int;  (** the id-space capacity; members may be a subset *)
     rng : Rng.t;
     policy : Net_policy.t option;
     faults : Fault_plan.t option;
-    gossip : gossip option;
+    stack : (module STACK) option;
+        (** the protocol the runner drives: [settled] and [progress] are
+            observation-only reads, repair itself stays on the wire *)
     mutable membership : Membership.t;
-    hooks : S.state membership_hooks option;
     bootstrap : (int, Vclock.t * float) Hashtbl.t;
         (** bootstrapping replica -> (catch-up target, join time) *)
     mutable leaving : int list;
         (** graceful leavers waiting for a member to hold their own stream *)
     mutable next_gossip : float;
-    recover_state : replica:int -> S.state -> S.state;
     auto_send : bool;
     record_witness : bool;
     states : S.state array;
@@ -165,31 +147,21 @@ module Make (S : Haec_store.Store_intf.S) = struct
 
   let create ?(seed = 42) ?(config = Haec_store.Store_intf.default)
       ?(record_witness = true) ?(record_spans = false) ?(auto_send = true) ?policy ?faults
-      ?gossip ?initial ?hooks ?classify ?(recover_state = fun ~replica:_ st -> st) ~n () =
+      ?stack ?initial ~n () =
     if n <= 0 then invalid_arg "Runner.create: n must be positive";
     let initial = match initial with None -> n | Some i -> i in
     if initial <= 0 || initial > n then
       invalid_arg "Runner.create: initial members must be in [1, n]";
-    let gossip =
-      match gossip with
-      | None -> None
-      | Some ((interval, _, _) as g) ->
-        if interval <= 0.0 then invalid_arg "Runner.create: gossip interval must be positive";
-        let interval, tick, settled = g in
-        Some { interval; tick; settled }
-    in
     {
       n;
       rng = Rng.create seed;
       policy;
       faults;
-      gossip;
+      stack;
       membership = Membership.create ~capacity:n ~initial;
-      hooks;
       bootstrap = Hashtbl.create 8;
       leaving = [];
-      next_gossip = (match gossip with Some g -> g.interval | None -> infinity);
-      recover_state;
+      next_gossip = (if Option.is_none stack then infinity else gossip_interval);
       auto_send;
       record_witness;
       states = Array.init n (fun me -> S.create config ~n ~me);
@@ -220,7 +192,10 @@ module Make (S : Haec_store.Store_intf.S) = struct
       s_deliveries = 0;
       lag_hist = Obs.Histogram.create ();
       record_spans = record_spans && record_witness;
-      log = Haec_obs.Span.Log.create ?classify ();
+      log =
+        Haec_obs.Span.Log.create
+          ?classify:(Option.map (fun _ -> Haec_store.Anti_entropy.classify) stack)
+          ();
       unsent_ops = Array.make n [];
       op_sent = Times.create ();
       msg_ops = Array.init n (fun _ -> Ops.create ());
@@ -392,13 +367,13 @@ module Make (S : Haec_store.Store_intf.S) = struct
      bookkeeping happens before delivery scheduling, so a same-instant
      loss (dead link) already sees the transmit. An op's carrying message
      is pinned the first time the protocol's own self-progress component
-     ticks across a send (read through [hooks.progress]); without hooks
-     any flush is assumed to carry everything issued since the last. *)
+     ticks across a send (read through the stack's [progress]); without a
+     stack any flush is assumed to carry everything issued since the last. *)
   let send_one t ~replica =
     let before_self =
-      match t.hooks with
-      | Some h when t.record_spans ->
-        Some (Vclock.get (h.progress t.states.(replica)) replica)
+      match t.stack with
+      | Some (module St) when t.record_spans ->
+        Some (Vclock.get (St.progress t.states.(replica)) replica)
       | _ -> None
     in
     let state, payload = S.send t.states.(replica) in
@@ -411,9 +386,9 @@ module Make (S : Haec_store.Store_intf.S) = struct
     if t.record_spans then begin
       Times.set t.sent_time.(replica) seq t.now_;
       let carried =
-        match (before_self, t.hooks) with
-        | Some before, Some h ->
-          let after = Vclock.get (h.progress t.states.(replica)) replica in
+        match (before_self, t.stack) with
+        | Some before, Some (module St) ->
+          let after = Vclock.get (St.progress t.states.(replica)) replica in
           if after > before then Some (after - 1) else None
         | _ -> Some (-1)
       in
@@ -536,8 +511,8 @@ module Make (S : Haec_store.Store_intf.S) = struct
     t.s_leaves <- t.s_leaves + 1;
     Hashtbl.remove t.bootstrap replica;
     if graceful then begin
-      (match t.hooks with
-      | Some h -> t.states.(replica) <- h.on_leave ~epoch ~graceful t.states.(replica)
+      (match t.stack with
+      | Some (module St) -> t.states.(replica) <- St.announce_leave ~epoch t.states.(replica)
       | None -> ());
       (* the farewell flush: drain every pending payload in one go *)
       while S.has_pending t.states.(replica) do
@@ -560,16 +535,16 @@ module Make (S : Haec_store.Store_intf.S) = struct
      up holds its whole own stream. Observation-only, like [settled]: the
      hand-off itself rides ordinary digest/repair traffic. *)
   let handed_off t ~replica =
-    match t.hooks with
+    match t.stack with
     | None -> true
-    | Some h ->
-      let own = Vclock.get (h.progress t.states.(replica)) replica in
+    | Some (module St) ->
+      let own = Vclock.get (St.progress t.states.(replica)) replica in
       List.exists
         (fun r ->
           r <> replica
           && (not t.down.(r))
           && Membership.status t.membership r <> Membership.Leaving
-          && Vclock.get (h.progress t.states.(r)) replica >= own)
+          && Vclock.get (St.progress t.states.(r)) replica >= own)
         (Membership.members t.membership)
 
   (* run wherever a member's progress can advance: deliveries, recoveries *)
@@ -590,10 +565,10 @@ module Make (S : Haec_store.Store_intf.S) = struct
     match Hashtbl.find_opt t.bootstrap replica with
     | None -> ()
     | Some (target, since) -> (
-      match t.hooks with
+      match t.stack with
       | None -> ()
-      | Some h ->
-        if Vclock.leq target (h.progress t.states.(replica)) then begin
+      | Some (module St) ->
+        if Vclock.leq target (St.progress t.states.(replica)) then begin
           Hashtbl.remove t.bootstrap replica;
           t.membership <- Membership.promote t.membership replica;
           Obs.Histogram.observe t.bootstrap_hist (t.now_ -. since);
@@ -616,8 +591,8 @@ module Make (S : Haec_store.Store_intf.S) = struct
       invalid_arg (Printf.sprintf "Runner.deliver_msg: replica %d is crashed" dst);
     let bootstrapping = Hashtbl.mem t.bootstrap dst in
     let before_progress =
-      match t.hooks with
-      | Some h when t.record_spans -> Some (h.progress t.states.(dst))
+      match t.stack with
+      | Some (module St) when t.record_spans -> Some (St.progress t.states.(dst))
       | _ -> None
     in
     t.states.(dst) <- S.receive t.states.(dst) ~sender:msg.Message.sender msg.Message.payload;
@@ -637,9 +612,9 @@ module Make (S : Haec_store.Store_intf.S) = struct
       (* the protocol's progress vector names exactly which (origin, seq)
          streams advanced under this delivery — direct applies, repair
          applies and orphan-cascade applies all land here *)
-      match (before_progress, t.hooks) with
-      | Some before, Some h ->
-        let after = h.progress t.states.(dst) in
+      match (before_progress, t.stack) with
+      | Some before, Some (module St) ->
+        let after = St.progress t.states.(dst) in
         for o = 0 to t.n - 1 do
           let b = Vclock.get before o and a = Vclock.get after o in
           for s = b to a - 1 do
@@ -678,7 +653,9 @@ module Make (S : Haec_store.Store_intf.S) = struct
   let recover t ~replica =
     if not t.down.(replica) then
       invalid_arg (Printf.sprintf "Runner.recover: replica %d is not down" replica);
-    t.states.(replica) <- t.recover_state ~replica t.states.(replica);
+    (match t.stack with
+    | Some (module St) -> t.states.(replica) <- St.recover t.states.(replica)
+    | None -> ());
     t.down.(replica) <- false;
     t.s_recoveries <- t.s_recoveries + 1;
     record t (Event.Recover { replica });
@@ -692,12 +669,10 @@ module Make (S : Haec_store.Store_intf.S) = struct
      then [op] refuses it. Requires the anti-entropy stack: only a wire
      repair protocol can transfer state into an empty replica. *)
   let join t ~replica =
-    if t.gossip = None then
-      invalid_arg "Runner.join: dynamic membership requires a gossip driver";
-    let hooks =
-      match t.hooks with
-      | Some h -> h
-      | None -> invalid_arg "Runner.join: dynamic membership requires membership hooks"
+    let (module St : STACK) =
+      match t.stack with
+      | Some st -> st
+      | None -> invalid_arg "Runner.join: dynamic membership requires a replica stack"
     in
     t.membership <- Membership.join t.membership replica;
     let epoch = Membership.epoch t.membership in
@@ -705,11 +680,11 @@ module Make (S : Haec_store.Store_intf.S) = struct
     record t (Event.Join { replica; epoch });
     let target =
       List.fold_left
-        (fun acc r -> Vclock.merge acc (hooks.progress t.states.(r)))
+        (fun acc r -> Vclock.merge acc (St.progress t.states.(r)))
         (Vclock.zero ~n:t.n)
         (Membership.serving t.membership)
     in
-    t.states.(replica) <- hooks.on_join ~epoch t.states.(replica);
+    t.states.(replica) <- St.announce_join ~epoch t.states.(replica);
     Hashtbl.replace t.bootstrap replica (target, t.now_);
     if t.record_spans then begin
       t.boot_epoch.(replica) <- epoch;
@@ -751,19 +726,19 @@ module Make (S : Haec_store.Store_intf.S) = struct
     Array.of_list (List.map (fun r -> t.states.(r)) (Membership.members t.membership))
 
   let fire_gossip_round t =
-    match t.gossip with
+    match t.stack with
     | None -> ()
-    | Some g ->
+    | Some (module St) ->
       t.now_ <- max t.now_ t.next_gossip;
-      t.next_gossip <- t.next_gossip +. g.interval;
-      if not (g.settled (member_states t)) then begin
+      t.next_gossip <- t.next_gossip +. gossip_interval;
+      if not (St.settled (member_states t)) then begin
         t.s_gossip_rounds <- t.s_gossip_rounds + 1;
         if t.record_spans then
           Haec_obs.Span.Log.repair_round t.log
-            { round = t.s_gossip_rounds; r_at = t.now_; r_interval = g.interval };
+            { round = t.s_gossip_rounds; r_at = t.now_; r_interval = gossip_interval };
         for r = 0 to t.n - 1 do
           if Membership.is_member t.membership r && not t.down.(r) then begin
-            t.states.(r) <- g.tick t.states.(r);
+            t.states.(r) <- St.tick t.states.(r);
             ignore (flush t ~replica:r)
           end
         done
@@ -772,7 +747,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
   (* the next gossip round fires in event order, before any queued event
      scheduled after it *)
   let gossip_due t =
-    t.gossip <> None
+    Option.is_some t.stack
     &&
     match Pqueue.peek t.queue with
     | Some (at, _) -> t.next_gossip <= at
@@ -823,7 +798,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
       let next_ev =
         match Pqueue.peek t.queue with Some (at, _) -> at | None -> infinity
       in
-      if t.gossip <> None && t.next_gossip <= time && t.next_gossip <= next_ev then begin
+      if Option.is_some t.stack && t.next_gossip <= time && t.next_gossip <= next_ev then begin
         fire_gossip_round t;
         go ()
       end
@@ -870,17 +845,17 @@ module Make (S : Haec_store.Store_intf.S) = struct
           (Membership.members t.membership);
         if !flushed then go ()
         else
-          (* nothing in flight and nothing to flush; with a gossip driver
+          (* nothing in flight and nothing to flush; with a stack
              quiescence additionally means the protocol has converged —
              otherwise keep firing rounds until it has (the event budget
              backstops a protocol that cannot converge). Rounds pause while
              any replica is down: gossip cannot repair into a crashed
              replica, so the run parks until the caller recovers it. *)
-          match t.gossip with
+          match t.stack with
           | None -> ()
-          | Some g ->
+          | Some (module St) ->
             if List.exists (fun r -> t.down.(r)) (Membership.members t.membership) then ()
-            else if g.settled (member_states t) then ()
+            else if St.settled (member_states t) then ()
             else begin
               fire_gossip_round t;
               go ()

@@ -41,17 +41,20 @@
     crashed destination, a faulted or dead link, or a rejected corrupt
     frame is lost for good, and the paper's "sufficiently connected"
     network (every message eventually delivered) is something the store
-    protocol has to achieve itself: {!Haec_store.Anti_entropy.Make},
-    driven by the [gossip] hook — the runner ticks every live replica each
-    gossip interval and, once the network drains, keeps firing rounds
-    until the protocol's own [settled] predicate holds. A store run
-    without a gossip driver simply keeps whatever gaps its losses leave.
+    protocol has to achieve itself: {!Haec_store.Anti_entropy.Make}
+    inside a replica {!Stack.S}. Given a stack, the runner drives it the
+    way [Haec_live.Cluster] does: it ticks every live replica each
+    {!gossip_interval} and, once the network drains, keeps firing rounds
+    until the stack's own [settled] predicate holds; it reads [progress],
+    announces joins and leaves, and rebuilds a crashed replica with
+    [recover]. A store run without a stack simply keeps whatever gaps its
+    losses leave, and a crash loses nothing of its state.
 
     {b Dynamic membership.} The runner's [n] is an id-space capacity; the
     actual member set is an epoch-stamped {!Membership.t} view. Ids
     [0 .. initial-1] serve from time zero, the rest are a reserve pool.
     {!Make.join} brings a reserve id in: it boots empty, announces itself
-    through the [hooks], and bootstraps over the ordinary anti-entropy
+    through the stack, and bootstraps over the ordinary anti-entropy
     digest/repair protocol; until its progress vector reaches the
     catch-up target captured at join time it is {e bootstrapping} and
     {!Make.op} refuses it — a refused read is unavailability, never a
@@ -84,26 +87,19 @@ type stats = {
       (** deliveries lost for good: crash-swallowed, link-faulted, dead-link
           and corrupt-rejected ones. The runner retransmits none of them,
           so this counts the same deliveries as [dropped]. *)
-  gossip_rounds : int;  (** gossip rounds fired by the [gossip] driver *)
+  gossip_rounds : int;  (** gossip rounds fired at the replica stack *)
   joins : int;  (** replicas that joined mid-run *)
   leaves : int;  (** replicas that left mid-run (graceful or crash-leave) *)
 }
 
-type 'state membership_hooks = {
-  progress : 'state -> Haec_vclock.Vclock.t;
-      (** how far this state has caught up: the anti-entropy [have] vector
-          (contiguous applied prefix per origin), read through whatever
-          wrappers the store stack adds. Observation only. *)
-  on_join : epoch:int -> 'state -> 'state;
-      (** queue the joiner's hello + first digest announcement *)
-  on_leave : epoch:int -> graceful:bool -> 'state -> 'state;
-      (** queue a graceful leaver's goodbye (not applied on crash-leave) *)
-}
-(** How the runner talks membership to the store protocol. Like the gossip
-    tick, these touch only unlogged control state of the replica. *)
+val gossip_interval : float
+(** Simulated time between the gossip rounds fired at a replica stack
+    (2.0). *)
 
 module Make (S : Haec_store.Store_intf.S) : sig
   type t
+
+  module type STACK = Stack.S with type state = S.state
 
   val create :
     ?seed:int ->
@@ -113,11 +109,8 @@ module Make (S : Haec_store.Store_intf.S) : sig
     ?auto_send:bool ->
     ?policy:Net_policy.t ->
     ?faults:Fault_plan.t ->
-    ?gossip:float * (S.state -> S.state) * (S.state array -> bool) ->
+    ?stack:(module STACK) ->
     ?initial:int ->
-    ?hooks:S.state membership_hooks ->
-    ?classify:(string -> string) ->
-    ?recover_state:(replica:int -> S.state -> S.state) ->
     n:int ->
     unit ->
     t
@@ -130,32 +123,25 @@ module Make (S : Haec_store.Store_intf.S) : sig
       returned — delivery is up to the caller.
 
       [faults] enables link-drop, corruption, duplication, reordering, and
-      dead-link injection on scheduled deliveries. [recover_state] maps a
-      crashed replica's last state to its post-recovery state (default:
-      identity, i.e. perfect durability); pass the [recover] of a
-      {!Haec_store.Durable.Make} store to actually exercise image-and-log
-      recovery.
+      dead-link injection on scheduled deliveries.
 
-      [gossip] is the driver of the store's own repair protocol — see the
-      module comment — as a triple [(interval, tick, settled)]: every
-      [interval] of simulated time (in event order relative to the
-      delivery queue) the runner applies [tick] to each live replica's
-      state and flushes it, and when the network drains, quiescence is
-      declared only once [settled] holds over the replica states —
-      otherwise further rounds fire, bounded by [run_until_quiescent]'s
-      event budget.
+      [stack] (pass [(module S)] when [S] is a {!Stack.S}) switches on
+      the stack's own protocol, as the module comment describes: every
+      {!gossip_interval} of simulated time, in event order relative to
+      the delivery queue, the runner ticks and flushes each live replica,
+      and quiescence waits for [settled], bounded by
+      [run_until_quiescent]'s event budget. Without it no round fires,
+      {!recover} keeps the crashed state (perfect durability), and
+      {!join} is refused.
 
       [initial] (default [n]) makes ids [initial .. n-1] a reserve pool
-      for {!join} instead of members from time zero; [hooks] supplies the
-      membership announcements and the bootstrap progress read — both
-      required for {!join} / graceful {!leave} announcements.
+      for {!join} instead of members from time zero.
 
       [record_spans] (default [false], implies [record_witness]) collects
       the per-op lifecycle span stream (see {!spans}); it only observes,
-      so a run with spans is the run without them. [classify] labels
-      sent payloads with their protocol item kinds in {!Haec_obs.Span}
-      [Transmit] spans (pass {!Haec_store.Anti_entropy.classify} for
-      anti-entropy stacks). *)
+      so a run with spans is the run without them. With a stack,
+      [Transmit] spans label sent payloads with their protocol item kinds
+      ({!Haec_store.Anti_entropy.classify}). *)
 
   val n_replicas : t -> int
 
@@ -187,8 +173,9 @@ module Make (S : Haec_store.Store_intf.S) : sig
       [Invalid_argument] if already down. *)
 
   val recover : t -> replica:int -> unit
-  (** Bring a crashed replica back: rebuild its state via [recover_state],
-      record the recover event, and flush anything it has pending. What it
+  (** Bring a crashed replica back: rebuild its state with the stack's
+      [recover] (without a stack, keep it as it was), record the recover
+      event, and flush anything it has pending. What it
       missed while down comes back only through the store's repair
       protocol. Raises [Invalid_argument] if not down. *)
 
@@ -196,21 +183,22 @@ module Make (S : Haec_store.Store_intf.S) : sig
 
   val join : t -> replica:int -> unit
   (** Bring a reserve id into the replica set: bump the view epoch, record
-      the join event, apply the [on_join] hook (hello + digest
+      the join event, apply the stack's [announce_join] (hello + digest
       announcement), and capture the catch-up target — the pointwise max
       of every serving member's progress vector. The joiner stays
       {e bootstrapping} (op-refusing) until ordinary digest/repair traffic
       carries its progress to the target, at which point it is promoted to
       serving ([bootstrap.latency] records the delay). Requires a
-      [gossip] driver and [hooks]; raises [Invalid_argument] otherwise, or
-      if the id is not in reserve (ids are never reused). *)
+      [stack]; raises [Invalid_argument] without one, or if the id is not
+      in reserve (ids are never reused). *)
 
   val leave : t -> replica:int -> graceful:bool -> unit
   (** Remove a member for good: bump the view epoch and record the leave
-      event. Graceful: the leaver announces goodbye ([on_leave] hook) and
-      flushes every pending payload before departing. While no other
-      staying member that is up holds the leaver's whole own stream (its
-      [hooks.progress] entry for the leaver reaches the leaver's own),
+      event. Graceful: the leaver announces goodbye (the stack's
+      [announce_leave]) and flushes every pending payload before
+      departing. While no other staying member that is up holds the
+      leaver's whole own stream (its stack [progress] entry for the
+      leaver reaches the leaver's own),
       the leaver only stops serving: it stays a gossiping member, and
       departs, as above, after the delivery or recovery that completes
       the hand-off. Crash-leave
@@ -282,7 +270,7 @@ module Make (S : Haec_store.Store_intf.S) : sig
 
   val run_until_quiescent : ?max_events:int -> t -> unit
   (** Drive the network until no message is in flight, no live replica has
-      a message pending and, with a [gossip] driver, the protocol has
+      a message pending and, with a [stack], the protocol has
       [settled] (Definition 17). Requires a policy. Raises {!Divergence}
       if [max_events] (default 1_000_000) deliveries are exceeded. Gossip
       rounds pause while a member is down; the run parks until

@@ -9,7 +9,8 @@ module type S = sig
   val tick : state -> state
   val settled : state array -> bool
   val progress : state -> Vclock.t
-  val hooks : state Runner.membership_hooks
+  val announce_join : epoch:int -> state -> state
+  val announce_leave : epoch:int -> state -> state
   val queue_depth : state -> int
   val pending_bytes : state -> int
   val log_entries : state -> int
@@ -24,16 +25,6 @@ module Volatile (S : Store_intf.S) = struct
   include AE
 
   let progress = AE.have
-
-  (* membership announcements are unlogged control state, like the tick *)
-  let hooks =
-    {
-      Runner.progress;
-      on_join = AE.announce_join;
-      on_leave =
-        (fun ~epoch ~graceful st -> if graceful then AE.announce_leave ~epoch st else st);
-    }
-
   let recover st = st
   let durable = false
 end
@@ -51,14 +42,8 @@ module Durable (S : Store_intf.S) : S = struct
   let tick = lift V.tick
   let settled states = V.settled (Array.map DA.inner states)
   let progress st = V.progress (DA.inner st)
-
-  let hooks =
-    {
-      Runner.progress;
-      on_join = (fun ~epoch -> lift (V.hooks.on_join ~epoch));
-      on_leave = (fun ~epoch ~graceful -> lift (V.hooks.on_leave ~epoch ~graceful));
-    }
-
+  let announce_join ~epoch = lift (V.announce_join ~epoch)
+  let announce_leave ~epoch = lift (V.announce_leave ~epoch)
   let queue_depth st = V.queue_depth (DA.inner st)
   let pending_bytes st = V.pending_bytes (DA.inner st)
   let log_entries st = V.log_entries (DA.inner st)

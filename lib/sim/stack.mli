@@ -27,7 +27,10 @@ open Haec_vclock
 module Store_intf := Haec_store.Store_intf
 
 (** What a runtime needs from a replica stack: a store extended with the
-    anti-entropy pump, the membership hooks, and introspection. *)
+    anti-entropy pump, membership announcements, crash recovery, and
+    introspection. The simulator, given a stack, and
+    [Haec_live.Cluster.Make] drive a replica through these members and
+    nothing else. *)
 module type S = sig
   include Store_intf.S
 
@@ -42,9 +45,14 @@ module type S = sig
   (** Per-origin contiguous applied prefix; drives lag measurement,
       bootstrap promotion and convergence detection. *)
 
-  val hooks : state Runner.membership_hooks
-  (** Hello/goodbye announcements for the simulator's dynamic
-      membership; unlogged control state, like {!tick}. *)
+  val announce_join : epoch:int -> state -> state
+  (** Queue a joiner's hello and first digest
+      ({!Haec_store.Anti_entropy.Make.announce_join}); unlogged control
+      state, like {!tick}. *)
+
+  val announce_leave : epoch:int -> state -> state
+  (** Queue a graceful leaver's goodbye; unlogged control state. A
+      crash-leave announces nothing. *)
 
   val queue_depth : state -> int
   val pending_bytes : state -> int

@@ -63,8 +63,9 @@ let wire_of_execution exec =
    carry no timestamps, so event indices serve as logical time — span
    shapes and matchings are auditable, absolute durations are not.
    Updates are attributed to their issuing replica's next send, the same
-   heuristic the live runner uses for stores without progress hooks;
-   protocol-level apply times (hook-derived) exist only live. *)
+   heuristic the runner uses for a store run without a replica stack;
+   protocol-level apply times (read from the stack's [progress]) exist
+   only in the runner. *)
 let spans_of_execution exec =
   let n = Execution.n_replicas exec in
   let pending = Array.make n [] in

@@ -372,10 +372,7 @@ let adversarial_closed_witness ~n ~objects ~ops seed =
   let plan, steps = Sim.Chaos.derive ~n ~objects ~ops ~adversarial:true ~seed () in
   let sim =
     R_ae.create ~seed ~config:Store.Store_intf.default ~n
-      ~policy:(Sim.Net_policy.random_delay ()) ~faults:plan
-      ~gossip:(2.0, Durable_ae.tick, Durable_ae.settled)
-      ~recover_state:(fun ~replica:_ -> Durable_ae.recover)
-      ()
+      ~policy:(Sim.Net_policy.random_delay ()) ~faults:plan ~stack:(module Durable_ae) ()
   in
   let faults = ref (Sim.Fault_plan.events plan) in
   let rec fire_up_to time =

@@ -614,7 +614,7 @@ let test_shrink_none_on_converging_run () =
 
 (* ---------- trim safety, after every step ---------- *)
 
-(* The runner's stack with a watch on every transition: after each op,
+(* The chaos stack with a watch on every transition: after each op,
    send and receive, no replica's floor may exceed what any current
    member holds. A member that is down is measured on the state its
    durable image recovers to; departed ids and unjoined reserves are
@@ -649,22 +649,25 @@ module Trim_watch (S : Store.Store_intf.S) = struct
       (seen { t with d }, payload)
 
     let receive t ~sender payload = seen { t with d = DA.receive t.d ~sender payload }
+
+    (* the protocol members, unwatched: they touch only control state *)
+    let ae t = DA.inner t.d
+    let lift f t = { t with d = DA.map_inner f t.d }
+    let tick = lift AE.tick
+    let settled sts = AE.settled (Array.map ae sts)
+    let progress t = AE.have (ae t)
+    let announce_join ~epoch = lift (AE.announce_join ~epoch)
+    let announce_leave ~epoch = lift (AE.announce_leave ~epoch)
+    let queue_depth t = AE.queue_depth (ae t)
+    let pending_bytes t = AE.pending_bytes (ae t)
+    let log_entries t = AE.log_entries (ae t)
+    let log_bytes t = AE.log_bytes (ae t)
+    let counters t = AE.counters (ae t)
+    let recover t = { t with d = DA.recover t.d }
+    let durable = true
   end
 
   module R = Sim.Runner.Make (W)
-
-  let ae (st : W.state) = DA.inner st.W.d
-
-  let hooks =
-    {
-      Sim.Runner.progress = (fun st -> AE.have (ae st));
-      on_join =
-        (fun ~epoch st -> { st with W.d = DA.map_inner (AE.announce_join ~epoch) st.W.d });
-      on_leave =
-        (fun ~epoch ~graceful st ->
-          if graceful then { st with W.d = DA.map_inner (AE.announce_leave ~epoch) st.W.d }
-          else st);
-    }
 
   (* replays [Chaos.run_plan]'s schedule; returns how many checks saw a
      non-zero floor *)
@@ -674,15 +677,8 @@ module Trim_watch (S : Store.Store_intf.S) = struct
       match plan.Fault_plan.churn with None -> 3 | Some c -> c.Fault_plan.capacity
     in
     let sim =
-      R.create ~seed ~config:Store.Store_intf.default ~n:capacity ~initial:3 ~hooks
-        ~record_spans:false
-        ~policy:(Sim.Net_policy.random_delay ()) ~faults:plan
-        ~gossip:
-          ( 2.0,
-            (fun st -> { st with W.d = DA.map_inner AE.tick st.W.d }),
-            fun sts -> AE.settled (Array.map ae sts) )
-        ~recover_state:(fun ~replica:_ st -> { st with W.d = DA.recover st.W.d })
-        ()
+      R.create ~seed ~config:Store.Store_intf.default ~n:capacity ~initial:3 ~record_spans:false
+        ~policy:(Sim.Net_policy.random_delay ()) ~faults:plan ~stack:(module W) ()
     in
     (* a down member's recovered [have], computed once per crash *)
     let recovered = Array.make capacity None in
@@ -690,7 +686,7 @@ module Trim_watch (S : Store.Store_intf.S) = struct
       if m = me then AE.have (DA.inner d)
       else
         let st = R.replica_state sim m in
-        if not (R.is_down sim ~replica:m) then AE.have (ae st)
+        if not (R.is_down sim ~replica:m) then W.progress st
         else
           match recovered.(m) with
           | Some (st', h) when st' == st -> h
@@ -705,7 +701,7 @@ module Trim_watch (S : Store.Store_intf.S) = struct
          let members = List.filter (fun m -> R.is_member sim ~replica:m) (List.init capacity Fun.id) in
          let haves = List.map (fun m -> (m, have_of ~me d m)) members in
          for r = 0 to capacity - 1 do
-           let floor = AE.floor (if r = me then DA.inner d else ae (R.replica_state sim r)) in
+           let floor = AE.floor (if r = me then DA.inner d else W.ae (R.replica_state sim r)) in
            if Vclock.sum floor > 0 then incr trimmed;
            List.iter
              (fun (m, have) ->

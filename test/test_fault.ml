@@ -553,16 +553,14 @@ let test_durable_bounded_by_state () =
 module R = Sim.Runner.Make (Store.Mvr_store)
 
 (* The chaos stack, driven by hand: Durable(Anti_entropy(Mvr_store)) with
-   its gossip tick, so every loss is repaired over the wire or not at all. *)
+   its gossip tick, so every loss is repaired over the wire or not at all,
+   and its image-and-log recovery. *)
 module DA_mvr = Sim.Stack.Durable (Store.Mvr_store)
 
 module RA = Sim.Runner.Make (DA_mvr)
 
 let create_ae ?faults ?(seed = 42) ~policy ~n () =
-  RA.create ~seed ~config:Store.Store_intf.default ~n ~policy ?faults
-    ~gossip:(2.0, DA_mvr.tick, DA_mvr.settled)
-    ~recover_state:(fun ~replica:_ -> DA_mvr.recover)
-    ()
+  RA.create ~seed ~config:Store.Store_intf.default ~n ~policy ?faults ~stack:(module DA_mvr) ()
 
 let test_crash_drops_in_flight () =
   let sim = create_ae ~n:2 ~policy:(Sim.Net_policy.reliable_fifo ~delay:2.0 ()) () in
@@ -587,7 +585,7 @@ let test_crash_drops_in_flight () =
     s.Runner.lost_permanent;
   Alcotest.(check bool) "gossip did the repair" true (s.Runner.gossip_rounds > 0)
 
-(* Without a gossip driver nothing stands behind the store: the delivery a
+(* Without a replica stack nothing stands behind the store: the delivery a
    crash swallowed never arrives, and the run still quiesces cleanly. *)
 let test_crash_loss_permanent_without_gossip () =
   let sim = R.create ~n:2 ~policy:(Sim.Net_policy.reliable_fifo ~delay:2.0 ()) () in
@@ -628,19 +626,13 @@ let test_double_crash_rejected () =
 let test_durable_recovery_through_runner () =
   (* with Durable recovery, a crashed replica comes back remembering its
      replayed state, not just whatever the network re-sends *)
-  let module RD = Sim.Runner.Make (D) in
-  let sim =
-    RD.create
-      ~policy:(Sim.Net_policy.reliable_fifo ~delay:1.0 ())
-      ~recover_state:(fun ~replica:_ st -> D.recover st)
-      ~n:2 ()
-  in
-  ignore (RD.op sim ~replica:1 ~obj:0 (Op.Write (vi 5)));
-  RD.run_until_quiescent sim;
-  RD.crash sim ~replica:1;
-  RD.recover sim ~replica:1;
+  let sim = create_ae ~n:2 ~policy:(Sim.Net_policy.reliable_fifo ~delay:1.0 ()) () in
+  ignore (RA.op sim ~replica:1 ~obj:0 (Op.Write (vi 5)));
+  RA.run_until_quiescent sim;
+  RA.crash sim ~replica:1;
+  RA.recover sim ~replica:1;
   Alcotest.check check_response "own write survives own crash" (resp [ 5 ])
-    (RD.op sim ~replica:1 ~obj:0 Op.Read)
+    (RA.op sim ~replica:1 ~obj:0 Op.Read)
 
 (* ---------- well-formedness of faulty traces ---------- *)
 

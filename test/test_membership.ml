@@ -8,8 +8,8 @@ module Fault_plan = Sim.Fault_plan
 module Membership = Sim.Membership
 module Vclock = Clock.Vclock
 module Trace_io = Model.Trace_io
-module AE = Store.Anti_entropy.Make (Store.Mvr_store)
-module R = Sim.Runner.Make (AE)
+module St = Sim.Stack.Volatile (Store.Mvr_store)
+module R = Sim.Runner.Make (St)
 
 (* ---------- the view, by itself ---------- *)
 
@@ -50,19 +50,19 @@ let test_view_errors () =
 
 (* ---------- runner join: bootstrap, serving gate, promotion ---------- *)
 
-let hooks =
-  {
-    Sim.Runner.progress = AE.have;
-    on_join = (fun ~epoch st -> AE.announce_join ~epoch st);
-    on_leave =
-      (fun ~epoch ~graceful st -> if graceful then AE.announce_leave ~epoch st else st);
-  }
-
 let make_sim ?(seed = 1) ?auto_send ?(initial = 3) ~n () =
-  R.create ~seed ?auto_send
-    ~policy:(Sim.Net_policy.random_delay ())
-    ~gossip:(2.0, AE.tick, AE.settled)
-    ~initial ~hooks ~n ()
+  R.create ~seed ?auto_send ~policy:(Sim.Net_policy.random_delay ()) ~stack:(module St)
+    ~initial ~n ()
+
+(* only a wire repair protocol can fill an empty joiner: a runner without
+   a replica stack refuses the join before it touches the view *)
+let test_join_needs_a_stack () =
+  let sim = R.create ~policy:(Sim.Net_policy.random_delay ()) ~initial:2 ~n:3 () in
+  (match R.join sim ~replica:2 with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "a runner without a stack accepted a join");
+  Alcotest.(check bool) "the reserve stays out" false (R.is_member sim ~replica:2);
+  Alcotest.(check int) "the epoch did not move" 0 (Membership.epoch (R.membership sim))
 
 let test_join_bootstrap_gate () =
   let sim = make_sim ~initial:2 ~n:3 () in
@@ -347,4 +347,5 @@ let suite =
         test_churn_shrink_parallel_deterministic;
       tc "graceful leave waits for a survivor to hold its stream"
         test_graceful_leave_hands_off;
+      tc "join needs a replica stack" test_join_needs_a_stack;
     ] )

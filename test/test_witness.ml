@@ -145,13 +145,8 @@ module Drive (S : Store_intf.S) = struct
     in
     Hashtbl.reset logs;
     let sim =
-      R.create ~seed ~config:Store.Store_intf.default ~n:capacity ~initial ~hooks:St.hooks
-        ~record_spans:spans
-        ~classify:Store.Anti_entropy.classify ~policy:(Sim.Net_policy.random_delay ())
-        ~faults:plan
-        ~gossip:(2.0, St.tick, St.settled)
-        ~recover_state:(fun ~replica:_ -> St.recover)
-        ()
+      R.create ~seed ~config:Store.Store_intf.default ~n:capacity ~initial ~record_spans:spans
+        ~policy:(Sim.Net_policy.random_delay ()) ~faults:plan ~stack:(module St) ()
     in
     let serving r = R.is_serving sim ~replica:r && not (R.is_down sim ~replica:r) in
     let faults = ref (Fault_plan.events plan) in
