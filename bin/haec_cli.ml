@@ -34,23 +34,25 @@ let set_jobs = function Some j -> Util.Par.set_default_domains j | None -> ()
 
 (* ---------- replica configuration: anti-entropy tunables ---------- *)
 
-(* one shared flag block for every command that builds replicas: it sets
-   these fields of the command's base configuration, and cmdliner itself
-   rejects a value below 1 (a zero batch or backoff deadlocks repair) *)
-let at_least_1 =
+(* an integer flag that cmdliner itself rejects below [lo], as a usage
+   error rather than an exception inside the command *)
+let at_least lo =
   let parse s =
     match int_of_string_opt s with
-    | Some k when k >= 1 -> Ok k
-    | _ -> Error (Printf.sprintf "%S is not an integer >= 1" s)
+    | Some k when k >= lo -> Ok k
+    | _ -> Error (Printf.sprintf "%S is not an integer >= %d" s lo)
   in
   Arg.conv' (parse, Format.pp_print_int)
 
+(* one shared flag block for every command that builds replicas: it sets
+   these fields of the command's base configuration (a zero batch or
+   backoff deadlocks repair) *)
 let config_term =
   let d = Store.Store_intf.default in
   let repair_batch =
     Arg.(
       value
-      & opt at_least_1 d.repair_batch
+      & opt (at_least 1) d.repair_batch
       & info [ "repair-batch" ] ~docv:"N"
           ~doc:
             "Anti-entropy: max payloads of one origin sent in answer to one repair \
@@ -59,7 +61,7 @@ let config_term =
   let max_backoff =
     Arg.(
       value
-      & opt at_least_1 d.max_backoff
+      & opt (at_least 1) d.max_backoff
       & info [ "max-backoff" ] ~docv:"N"
           ~doc:
             "Anti-entropy: cap on the doubling backoff before the same peer is asked \
@@ -68,7 +70,7 @@ let config_term =
   let full_digest_every =
     Arg.(
       value
-      & opt at_least_1 d.full_digest_every
+      & opt (at_least 1) d.full_digest_every
       & info [ "full-digest-every" ] ~docv:"N"
           ~doc:
             "Anti-entropy: emit an absolute digest every N gossip rounds, delta or \
@@ -81,10 +83,10 @@ let config_term =
 
 (* the simulator commands' sizes: a run needs a replica and an object *)
 let replicas_term =
-  Arg.(value & opt at_least_1 3 & info [ "replicas"; "n" ] ~doc:"Number of replicas")
+  Arg.(value & opt (at_least 1) 3 & info [ "replicas"; "n" ] ~doc:"Number of replicas")
 
 let objects_term default =
-  Arg.(value & opt at_least_1 default & info [ "objects" ] ~doc:"Number of objects")
+  Arg.(value & opt (at_least 1) default & info [ "objects" ] ~doc:"Number of objects")
 
 (* ---------- experiment commands ---------- *)
 
@@ -601,9 +603,11 @@ let chaos_cmd =
 (* ---------- theorem demos ---------- *)
 
 let theorem12_cmd =
-  let n = Arg.(value & opt int 6 & info [ "replicas"; "n" ] ~doc:"Replicas (>= 3)") in
-  let s = Arg.(value & opt int 5 & info [ "objects"; "s" ] ~doc:"Objects (>= 2)") in
-  let k = Arg.(value & opt int 16 & info [ "writes"; "k" ] ~doc:"Writes per writer") in
+  let n = Arg.(value & opt (at_least 3) 6 & info [ "replicas"; "n" ] ~doc:"Replicas (>= 3)") in
+  let s = Arg.(value & opt (at_least 2) 5 & info [ "objects"; "s" ] ~doc:"Objects (>= 2)") in
+  let k =
+    Arg.(value & opt (at_least 1) 16 & info [ "writes"; "k" ] ~doc:"Writes per writer (>= 1)")
+  in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed for g") in
   let run n s k seed =
     let module T12 = Construction.Theorem12.Make (Store.Causal_mvr_store) in
@@ -622,7 +626,7 @@ let theorem12_cmd =
 
 let theorem6_cmd =
   let groups = Arg.(value & opt int 3 & info [ "groups" ] ~doc:"Figure 3c gadgets to plant") in
-  let n = Arg.(value & opt int 4 & info [ "replicas"; "n" ] ~doc:"Replicas (>= 3)") in
+  let n = Arg.(value & opt (at_least 3) 4 & info [ "replicas"; "n" ] ~doc:"Replicas (>= 3)") in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed") in
   let run groups n seed =
     let module T6 = Construction.Theorem6.Make (Store.Mvr_store) in

@@ -361,8 +361,9 @@ module Make (S : STACK) = struct
      until Recover, inbox discarded at restart. [S.recover] keeps the
      replica's protocol counters as they were at the crash. Returns
      [false] when the run ended while the replica was down (it then stays
-     down). *)
-  let crash_restart node ~phase ~recover_at =
+     down). [step] runs on every spin of the wait, so a crashed replica on
+     the calling domain still ends the phases on time. *)
+  let crash_restart node ~phase ~step ~recover_at =
     node.crashes <- node.crashes + 1;
     if node.cfg.capture then
       node.events_rev <-
@@ -378,8 +379,10 @@ module Make (S : STACK) = struct
       node.delayed.(dst) <- []
     done;
     let rec wait () =
+      let now = node.clock () in
+      step now;
       if Atomic.get phase >= 2 then false
-      else if node.clock () < recover_at then begin
+      else if now < recover_at then begin
         Domain.cpu_relax ();
         wait ()
       end
@@ -453,10 +456,12 @@ module Make (S : STACK) = struct
     if le > node.log_peak then node.log_peak <- le
 
   (* phase protocol: 0 = load, 1 = drain (no new client ops, keep
-     gossiping until the coordinator sees global settlement), 2 = stop *)
+     gossiping until the coordinator sees global settlement), 2 = stop.
+     [step now] ends each pass: the coordinator on the calling domain's
+     replica, [ignore] on the others. *)
   type snap = { s_state : S.state; s_phase : int }
 
-  let live_loop node ~phase ~cell =
+  let live_loop node ~phase ~cell ~step =
     let cfg = node.cfg in
     let pacing = cfg.rate > 0.0 in
     let interval =
@@ -475,7 +480,7 @@ module Make (S : STACK) = struct
          let at, recover_at = node.crash_sched.(node.crash_idx) in
          if node.clock () >= at then begin
            node.crash_idx <- node.crash_idx + 1;
-           if not (crash_restart node ~phase ~recover_at) then running := false
+           if not (crash_restart node ~phase ~step ~recover_at) then running := false
          end
        end);
       if !running then begin
@@ -503,7 +508,9 @@ module Make (S : STACK) = struct
            not issuing *)
         if got > 0 && S.has_pending node.state then flush node;
         pump_delayed node;
-        maybe_tick node ~now:(node.clock ());
+        let now = node.clock () in
+        maybe_tick node ~now;
+        step now;
         if ph > 0 || !iters land 1023 = 0 then begin
           sample_log node;
           Atomic.set cell (Some { s_state = node.state; s_phase = ph })
@@ -798,17 +805,23 @@ module Make (S : STACK) = struct
     let up = Array.init n (fun _ -> Atomic.make true) in
     let gate = Atomic.make false in
     let clock = Unix.gettimeofday in
+    let start me =
+      let node = make_node cfg ~me ~clock ~rings ~faults ~up in
+      node.on_full <-
+        (fun _ -> if drain node ~budget:drain_budget = 0 then Domain.cpu_relax ());
+      node
+    in
+    (* replicas 1..n-1 get a domain each; replica 0 runs on this one, so
+       no idle domain joins every stop-the-world minor collection *)
+    let node0 = start 0 in
     let domains =
-      Array.init n (fun me ->
+      Array.init (n - 1) (fun i ->
           Domain.spawn (fun () ->
-              let node = make_node cfg ~me ~clock ~rings ~faults ~up in
-              node.on_full <-
-                (fun _ ->
-                  if drain node ~budget:drain_budget = 0 then Domain.cpu_relax ());
+              let node = start (i + 1) in
               while not (Atomic.get gate) do
                 Domain.cpu_relax ()
               done;
-              live_loop node ~phase ~cell:cells.(me);
+              live_loop node ~phase ~cell:cells.(i + 1) ~step:ignore;
               node))
     in
     let t0 = clock () in
@@ -816,30 +829,12 @@ module Make (S : STACK) = struct
        publishes it to every domain *)
     Option.iter (fun fl -> Faults.start fl ~t0) faults;
     Atomic.set gate true;
-    let rec sleep_until t =
-      let now = clock () in
-      if now < t then begin
-        Unix.sleepf (Float.min 0.01 (t -. now));
-        sleep_until t
-      end
-    in
-    sleep_until (t0 +. cfg.duration);
-    let elapsed = clock () -. t0 in
-    Atomic.set phase 1;
-    let t1 = clock () in
-    (* the full-set settlement deadline starts when the last healing
-       fault has healed — a partition scheduled to heal mid-drain must
-       not eat the budget for post-heal repair *)
-    let heal_wall =
-      match faults with
-      | None -> t1
-      | Some fl -> Float.max t1 (Faults.last_heal fl)
-    in
     let heal_by =
       if cfg.heal_by > 0.0 then cfg.heal_by
       else Float.max 10.0 (5.0 *. cfg.duration)
     in
-    let deadline = heal_wall +. heal_by in
+    let elapsed = ref 0.0 and t1 = ref 0.0 in
+    let deadline = ref infinity and next_poll = ref infinity in
     (* Converged when, twice in a row: every up node has published a
        phase-1 snapshot and the full member set forms one reachable
        component whose snapshot states are settled. This is exactly data
@@ -856,14 +851,10 @@ module Make (S : STACK) = struct
        consulted: even a converged cluster sends a full digest every
        [full_digest_every] gossip ticks, so "rings empty" could time the
        poll out on a converged cluster. *)
-    let converged = ref false in
-    let degraded_settled = ref false in
-    let full_streak = ref 0 in
-    let degraded_streak = ref 0 in
+    let converged = ref false and degraded_settled = ref false in
+    let full_streak = ref 0 and degraded_streak = ref 0 in
     let settle_at = ref Float.nan in
-    while (not !converged) && clock () < deadline do
-      Unix.sleepf 0.002;
-      let now = clock () in
+    let poll now =
       let ups = Array.map Atomic.get up in
       let snaps = Array.map Atomic.get cells in
       let have_snap r =
@@ -874,50 +865,57 @@ module Make (S : STACK) = struct
       in
       let comps = components ~n ~ups ~faults ~now in
       let n_up = Array.fold_left (fun a u -> if u then a + 1 else a) 0 ups in
-      if n_up > 0 && List.for_all (List.for_all have_snap) comps then begin
-        let ok =
-          List.for_all
-            (fun c -> S.settled (Array.of_list (List.map state_of c)))
-            comps
-        in
-        let full =
-          n_up = n && match comps with [ c ] -> List.length c = n | _ -> false
-        in
-        if ok && full then begin
-          degraded_streak := 0;
-          incr full_streak;
-          if !full_streak >= 2 then begin
-            converged := true;
-            settle_at := clock ()
-          end
-        end
-        else if ok then begin
-          full_streak := 0;
-          incr degraded_streak;
-          if !degraded_streak >= 2 then degraded_settled := true
-        end
-        else begin
-          full_streak := 0;
-          degraded_streak := 0
-        end
+      let ok, full =
+        if n_up > 0 && List.for_all (List.for_all have_snap) comps then
+          ( List.for_all (fun c -> S.settled (Array.of_list (List.map state_of c))) comps,
+            n_up = n && match comps with [ c ] -> List.length c = n | _ -> false )
+        else (false, false)
+      in
+      full_streak := if ok && full then !full_streak + 1 else 0;
+      degraded_streak := if ok && not full then !degraded_streak + 1 else 0;
+      if !degraded_streak >= 2 then degraded_settled := true;
+      if !full_streak >= 2 then begin
+        converged := true;
+        settle_at := clock ()
       end
-      else begin
-        full_streak := 0;
-        degraded_streak := 0
-      end
-    done;
-    Atomic.set phase 2;
-    let nodes = Array.map Domain.join domains in
-    let drain_elapsed = clock () -. t1 in
+    in
+    (* The coordinator, one step at the end of each pass of replica 0's
+       loop: end the load phase at [t0 + duration], then poll settlement
+       every 2 ms until convergence or the deadline. The full-set
+       deadline starts when the last healing fault has healed — a
+       partition scheduled to heal mid-drain must not eat the budget for
+       post-heal repair. *)
+    let step now =
+      match Atomic.get phase with
+      | 0 when now >= t0 +. cfg.duration ->
+        elapsed := now -. t0;
+        Atomic.set phase 1;
+        t1 := now;
+        let heal_wall =
+          match faults with None -> now | Some fl -> Float.max now (Faults.last_heal fl)
+        in
+        deadline := heal_wall +. heal_by;
+        next_poll := now +. 0.002
+      | 1 when now >= !next_poll ->
+        poll now;
+        next_poll := now +. 0.002;
+        if !converged || clock () >= !deadline then Atomic.set phase 2
+      | _ -> ()
+    in
+    (* a raise on this domain must still stop and join the others *)
+    (match live_loop node0 ~phase ~cell:cells.(0) ~step with
+    | () -> ()
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Atomic.set phase 2;
+      Array.iter (fun d -> try ignore (Domain.join d) with _ -> ()) domains;
+      Printexc.raise_with_backtrace e bt);
+    let nodes = Array.append [| node0 |] (Array.map Domain.join domains) in
+    let elapsed = !elapsed and drain_elapsed = clock () -. !t1 in
     let outcome =
       if !converged then Healed { degraded_settled = !degraded_settled }
       else begin
-        let stuck = ref [] in
-        Array.iteri
-          (fun r cell ->
-            if not (Atomic.get cell) then stuck := r :: !stuck)
-          up;
-        let downs = List.rev !stuck in
+        let downs = List.filter (fun r -> not (Atomic.get up.(r))) (List.init n Fun.id) in
         Diverged
           (Printf.sprintf
              "full-set settlement missed the post-heal deadline (heal + %.1fs)%s"

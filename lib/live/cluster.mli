@@ -6,8 +6,9 @@
     wrapped in [Anti_entropy.Make]) outright — states (protocol counters
     included), RNGs, histograms and event logs are never shared; the
     only cross-domain traffic is sealed frame bytes through the rings and
-    small atomic snapshot cells the coordinator polls. Metrics follow the same discipline: every domain
-    accumulates into its own counters and histogram, and the harvest
+    small atomic snapshot cells that the coordinator, a step at the end
+    of each pass of replica 0's loop on the calling domain, polls.
+    Metrics follow the same discipline: every domain accumulates into its own counters and histogram, and the harvest
     merges them after [Domain.join] ({!Haec_obs.Metrics.Histogram.merge_into}),
     so the hot path carries no contended cache line.
 
@@ -172,9 +173,11 @@ type result = {
 
 module Make (S : STACK) : sig
   val run : config -> result
-  (** Spawn [replicas] domains, drive the load phase for [duration],
-      then stop issuing and drain until every replica settles (or a
-      deadline passes — see [converged]), join, and harvest.
+  (** Spawn [replicas - 1] domains and run replica 0 on the calling
+      one, drive the load phase for [duration], then stop issuing and
+      drain until every replica settles (or a deadline passes — see
+      [converged]), join, and harvest. An exception on the calling
+      domain stops and joins the others before it is re-raised.
       Raises [Invalid_argument] on a nonsensical config, including a
       [duration] that is not finite and > 0 and a [rate] that is not
       finite and >= 0. *)

@@ -772,6 +772,98 @@ let test_lossy_run_samples_queue_depth () =
   in
   if peak = 0 then Alcotest.fail "queue_depth_peak read 0 on a lossy run"
 
+(* ---------- the calling domain runs replica 0 ---------- *)
+
+(* A stack that records which domain created each replica, counts the
+   spawned domains that have exited, and, when [raise_after] > 0, makes
+   the caller's [do_op] raise after that many ops. *)
+let caller = Domain.self ()
+let creators = Atomic.make []
+let exited = Atomic.make 0
+let raise_after = ref 0
+let caller_ops = ref 0
+
+exception Boom
+
+module Recording = struct
+  include Stack
+
+  let create cfg ~n ~me =
+    let self = Domain.self () in
+    let rec add () =
+      let l = Atomic.get creators in
+      if not (Atomic.compare_and_set creators l (self :: l)) then add ()
+    in
+    add ();
+    if self <> caller then Domain.at_exit (fun () -> Atomic.incr exited);
+    Stack.create cfg ~n ~me
+
+  let do_op st ~obj op =
+    if !raise_after > 0 && Domain.self () = caller then begin
+      incr caller_ops;
+      if !caller_ops > !raise_after then raise Boom
+    end;
+    Stack.do_op st ~obj op
+end
+
+module RC = Cluster.Make (Recording)
+
+let reset_recording ~raise_at =
+  Atomic.set creators [];
+  Atomic.set exited 0;
+  raise_after := raise_at;
+  caller_ops := 0
+
+(* n replicas on n domains: n - 1 spawned, replica 0 on the caller *)
+let test_caller_runs_a_replica () =
+  reset_recording ~raise_at:0;
+  let r = RC.run { Cluster.default with replicas = 3; duration = 0.1 } in
+  Alcotest.(check bool) "converged" true r.Cluster.converged;
+  let doms = Atomic.get creators in
+  Alcotest.(check int) "three replicas created" 3 (List.length doms);
+  Alcotest.(check int) "on three distinct domains" 3
+    (List.length (List.sort_uniq compare doms));
+  Alcotest.(check bool) "one of them is the caller's" true (List.mem caller doms)
+
+(* The coordinator is a step of the caller's loop, so it must also run
+   while the caller's replica is down: a crash across the end of the load
+   phase may not stretch it, and a deadline the crash makes the cluster
+   miss must end the run with a typed outcome, not a hang. *)
+let test_caller_crashed_at_load_end () =
+  let duration = 0.5 in
+  let plan =
+    Fault_plan.scaled ~factor:duration
+      (Fault_plan.make
+         ~crashes:[ { Fault_plan.replica = 0; at = 0.8; recover_at = 1.3 } ]
+         ~horizon:1.3 ())
+  in
+  let cfg = { chaos_cfg with Cluster.duration; faults = Some plan; capture = false } in
+  let r = DC.run cfg in
+  if Float.abs (r.Cluster.elapsed -. duration) > 0.1 then
+    Alcotest.failf "load phase took %.3fs, expected %.3fs" r.Cluster.elapsed duration;
+  (match r.Cluster.outcome with
+  | Cluster.Healed _ -> ()
+  | Cluster.Diverged why -> Alcotest.failf "diverged: %s" why);
+  let t = Unix.gettimeofday () in
+  let r = DC.run { cfg with heal_by = 1e-9 } in
+  let wall = Unix.gettimeofday () -. t in
+  (match r.Cluster.outcome with
+  | Cluster.Diverged _ -> ()
+  | Cluster.Healed _ -> Alcotest.fail "healed within a nanosecond deadline");
+  if wall > (1.3 *. duration) +. 2.0 then
+    Alcotest.failf "diverged run took %.2fs, past heal + heal-by + 2s" wall
+
+(* A raise on the caller's replica stops the spawned domains, joins them
+   and surfaces; left at phase 0 they would spin forever. *)
+let test_caller_exception_surfaces () =
+  reset_recording ~raise_at:1_000;
+  let cfg = { Cluster.default with replicas = 3; duration = 5.0 } in
+  (match RC.run cfg with
+  | _ -> Alcotest.fail "run returned despite the caller's replica raising"
+  | exception Boom -> ());
+  raise_after := 0;
+  Alcotest.(check int) "every spawned domain joined" 2 (Atomic.get exited)
+
 let suite =
   ( "live",
     [
@@ -839,4 +931,10 @@ let suite =
           test_inline_samples_backpressure;
         Alcotest.test_case "live: a lossy run samples a nonzero queue depth" `Quick
           test_lossy_run_samples_queue_depth;
+        Alcotest.test_case "live: the calling domain runs a replica" `Quick
+          test_caller_runs_a_replica;
+        Alcotest.test_case "live: the caller's replica crashed across the load end" `Quick
+          test_caller_crashed_at_load_end;
+        Alcotest.test_case "live: an exception on the caller surfaces" `Quick
+          test_caller_exception_surfaces;
       ] )
