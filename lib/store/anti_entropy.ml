@@ -9,7 +9,10 @@
     origin's stream applied. A replica that sees a digest ahead of [have]
     asks one peer that can fill the gap once the whole envelope is in,
     and that peer answers ungated: repair is pulled, since only the
-    replica that lacks a payload knows it lacks it. Payloads are
+    replica that lacks a payload knows it lacks it. The ask stays open
+    until a repair addressed to the asker arrives for that origin or
+    [have] passes the window asked for, so payloads that fill part of
+    the window on the way do not prompt a second ask. Payloads are
     deduplicated against the log and applied in per-origin order, so the
     inner store sees an exactly-once, per-origin-FIFO stream. While ticks
     fire and the links alive both ways connect the replicas (Section 2),
@@ -21,9 +24,9 @@
       both go through.
     - {!Repair_plan} owns the policy: the ask table with its backoff and
       round-trip estimates, the ask rule (which one peer to ask for a
-      gap, and how much of it) and the answer rule (how much of the log
-      answers an ask). This module only lists the peers that could fill
-      a gap.
+      gap, and how much of it), when an ask closes, and the answer rule
+      (how much of the log answers an ask). This module only lists the
+      peers that could fill a gap, and reports progress and answers.
     - This module owns the state: the repair log and its trim, [have],
       each peer's [view] and [reported], the outbound queue, digest
       elision, membership and the counters.
@@ -319,15 +322,15 @@ end = struct
     t.log_bytes <- t.log_bytes + String.length payload
 
   (* apply every payload of [origin] that is now contiguous with the
-     applied prefix, in sequence order; progress retires the asks for
-     [origin] *)
+     applied prefix, in sequence order; then close the asks for [origin]
+     whose window is filled *)
   let rec cascade t ~origin =
     match Int_map.find (Vclock.get t.have origin) (Int_map.find origin t.log) with
-    | exception Not_found -> ()
+    | exception Not_found ->
+      t.plan <- Repair_plan.progress t.plan ~origin ~have:(Vclock.get t.have origin)
     | payload ->
       t.inner <- S.receive t.inner ~sender:origin payload;
       t.have <- Vclock.tick t.have origin;
-      t.plan <- Repair_plan.progress t.plan ~origin;
       cascade t ~origin
 
   (* what one envelope's payloads did, folded into the counters once at
@@ -507,7 +510,9 @@ end = struct
           items;
       if dst = t.me then
         List.iter
-          (fun (origin, seq, payload) -> ingest tally t ~origin ~seq ~payload ~via:`Repair)
+          (fun (origin, seq, payload) ->
+            ingest tally t ~origin ~seq ~payload ~via:`Repair;
+            t.plan <- Repair_plan.close t.plan ~origin)
           items
     | Repair_runs { dst; runs } ->
       (* the bytes reached every replica, so even when [dst] is a third
@@ -524,7 +529,9 @@ end = struct
           if dst = t.me then time_answer t ~peer:sender ~origin;
           List.iteri
             (fun i payload -> ingest tally t ~origin ~seq:(from_seq + i) ~payload ~via)
-            payloads)
+            payloads;
+          (* the answer is in: what it left missing is asked for anew *)
+          if dst = t.me then t.plan <- Repair_plan.close t.plan ~origin)
         runs
     | Hello epoch ->
       (* a joiner enters empty, so its hello asks for everything: answer

@@ -16,12 +16,20 @@
     measured there is nothing to prefer, and a peer behind a dead link
     cannot hold back the others.
 
+    An ask stays open until it is answered: a repair addressed to the
+    asker for that origin closes the origin's asks ({!close}), and
+    progress closes only the asks whose window it filled ({!progress}).
+    So an eager update that fills the first seq of an asked window does
+    not reopen the gap while the answer is in flight; the rest of a gap
+    is asked for at the next digest after the answer. An ask whose answer
+    is lost waits out its backoff.
+
     A wait backs off per (origin, peer), exponentially in gossip rounds
-    and capped at [max_backoff]; progress on an origin retires its asks
-    toward every peer. The first wait toward a peer is its measured round
-    trip: an answer to a first ask (Karn's rule) is timed in rounds and
-    smoothed as RFC 6298 does, and the wait is [srtt + 2 rttvar], between
-    1 and [max_backoff]. Later waits double. *)
+    and capped at [max_backoff], and keeps backing off while the ask stays
+    open. The first wait toward a peer is its measured round trip: an
+    answer to a first ask (Karn's rule) is timed in rounds and smoothed as
+    RFC 6298 does, and the wait is [srtt + 2 rttvar], between 1 and
+    [max_backoff]. Later waits double. *)
 
 module Int_map = Map.Make (Int)
 
@@ -33,7 +41,8 @@ type ask = {
   due : int;  (** earliest round to ask that peer again *)
   backoff : int;  (** rounds the next re-ask waits *)
   asked_at : int;  (** round of the last ask *)
-  tries : int;  (** asks since the last progress; only the first is timed *)
+  tries : int;  (** asks since the ask opened; only the first is timed *)
+  upto : int;  (** end of the window asked for *)
 }
 
 (* the ask table: origin -> peer -> the last ask *)
@@ -84,7 +93,13 @@ let ask (t : t) (cfg : Store_intf.config) ~round ~sender ~candidates ~origin ~ha
       let batch = have + cfg.repair_batch in
       let upto = match next_held with Some s -> min s batch | None -> batch in
       let a =
-        { due = round + backoff; backoff = min (2 * backoff) cfg.max_backoff; asked_at = round; tries }
+        {
+          due = round + backoff;
+          backoff = min (2 * backoff) cfg.max_backoff;
+          asked_at = round;
+          tries;
+          upto;
+        }
       in
       let asked = Option.value (Int_map.find_opt origin t) ~default:Int_map.empty in
       (c.peer, upto, Int_map.add origin (Int_map.add c.peer a asked) t))
@@ -108,9 +123,22 @@ let answered (t : t) ~rtt ~round ~peer ~origin =
         })
   | Some _ | None -> None
 
-(* progress on [origin] retires its asks, so the next gap is chased
-   eagerly again *)
-let progress (t : t) ~origin : t = Int_map.remove origin t
+(* [origin]'s stream is now held up to [have]: the asks whose window
+   ends at or below it are filled and close; an ask partly filled stays
+   open, its answer still in flight. Allocates nothing while [origin] has
+   no ask open, since every received update that applies calls it *)
+let progress (t : t) ~origin ~have : t =
+  match Int_map.find origin t with
+  | exception Not_found -> t
+  | asks ->
+    let still = Int_map.filter (fun _ a -> a.upto > have) asks in
+    if still == asks then t
+    else if Int_map.is_empty still then Int_map.remove origin t
+    else Int_map.add origin still t
+
+(* a repair addressed to the asker answered [origin]'s gap: its asks
+   toward every peer close, and what is still missing is asked for anew *)
+let close (t : t) ~origin : t = Int_map.remove origin t
 
 (* The answer rule: an ask for [from_seq, upto) is answered with the
    window [start, stop): from the floor at the earliest, since below it

@@ -66,7 +66,8 @@ let event_label = function
 (* ASCII timeline: one row per replica over event-index buckets, with
    membership drawn in — presence as a dotted baseline between a
    replica's join and leave, epoch boundaries as a marker row labelled
-   with the epoch each Join/Leave event bumped the view to. Glyph
+   with the epoch each Join/Leave event bumped the view to, on as many
+   label rows as keep the labels apart. Glyph
    priority (highest wins within a bucket): membership transitions and
    crashes over client ops over wire traffic. *)
 let timeline ?(width = 72) ?(title = "timeline") exec =
@@ -138,19 +139,30 @@ let timeline ?(width = 72) ?(title = "timeline") exec =
     Buffer.add_string buf "    +";
     Buffer.add_string buf (String.init cols (fun c -> boundary.(c)));
     Buffer.add_char buf '\n';
-    let label_row = Bytes.make cols ' ' in
+    let rows = ref [] in
     List.iter
       (fun (c, epoch) ->
         let s = Printf.sprintf "e%d" epoch in
         let start = min c (max 0 (cols - String.length s)) in
-        String.iteri
-          (fun k ch ->
-            if start + k < cols then Bytes.set label_row (start + k) ch)
-          s)
+        (* a label goes on the first row where a space still parts it
+           from the label before, so labels of adjacent columns stack *)
+        let row =
+          match List.find_opt (fun row -> Buffer.length row < start) !rows with
+          | Some row -> row
+          | None ->
+            let row = Buffer.create cols in
+            rows := !rows @ [ row ];
+            row
+        in
+        Buffer.add_string row (String.make (start - Buffer.length row) ' ');
+        Buffer.add_string row s)
       (List.rev !labels);
-    Buffer.add_string buf "     ";
-    Buffer.add_string buf (Bytes.to_string label_row);
-    Buffer.add_char buf '\n'
+    List.iter
+      (fun row ->
+        Buffer.add_string buf "     ";
+        Buffer.add_buffer buf row;
+        Buffer.add_char buf '\n')
+      !rows
   end;
   Buffer.contents buf
 

@@ -25,4 +25,4 @@ val timeline : ?width:int -> ?title:string -> Execution.t -> string
     [C] crash-leave; a dotted baseline marks membership. Join/Leave
     epoch boundaries (trace format v3) are drawn as a marker row under
     the lanes, labelled with the epoch each transition bumped the view
-    to. *)
+    to; labels too close to share a row go on further rows. *)

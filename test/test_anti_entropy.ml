@@ -161,6 +161,38 @@ let test_request_bounded_by_held () =
   Alcotest.(check int) "b applied the whole stream" 6 (Vclock.get (AE.have b) 0);
   Alcotest.(check int) "nothing arrived twice" 0 (AE.counters b).Store.Store_intf.dup_payloads
 
+(* An ask stays open until it is answered. c asks b for a's stream; while
+   the answer is in flight, a's late broadcasts fill the first half of
+   what b holds. b's digest still shows the rest of the gap, but c waits
+   for the answer, which brings seqs 2-3 once: a rule that reopened the
+   gap on any progress would ask b again and receive them twice. *)
+let test_eager_fill_keeps_ask_open () =
+  let r = v2_replicas 3 in
+  let a = ref r.(0) and b = ref r.(1) in
+  let eager =
+    Array.init 4 (fun v ->
+        let a', p = write !a v in
+        a := a';
+        b := AE.receive !b ~sender:0 p;
+        p)
+  in
+  let b, db = gossip !b in
+  let c, req = AE.send (AE.receive r.(2) ~sender:1 db) in
+  Alcotest.(check (list (list int))) "c asks b for a batch of a's stream" [ [ 1; 0; 0; 32 ] ]
+    (request_fields req);
+  let _, answer = AE.send (AE.receive b ~sender:2 req) in
+  let c = AE.receive (AE.receive c ~sender:0 eager.(0)) ~sender:0 eager.(1) in
+  Alcotest.(check int) "the late broadcasts filled seqs 0-1" 2 (Vclock.get (AE.have c) 0);
+  let c = AE.receive c ~sender:1 db in
+  Alcotest.(check bool) "nothing asked again while the answer is in flight" false
+    (AE.has_pending c);
+  let c = AE.receive c ~sender:1 answer in
+  let stats = AE.counters c in
+  Alcotest.(check int) "the answer completed the stream" 4 (Vclock.get (AE.have c) 0);
+  Alcotest.(check int) "one request" 1 stats.Store.Store_intf.requests;
+  Alcotest.(check int) "repaired seqs 2-3" 2 stats.Store.Store_intf.repair_applied;
+  Alcotest.(check int) "only the filled half arrived twice" 2 stats.Store.Store_intf.dup_repairs
+
 (* Re-asks wait for the measured round trip, but never longer than
    [max_backoff] rounds: here a's first answer reaches b only 100 rounds
    after b asked, as if a partition held it. b's next ask toward a is
@@ -990,7 +1022,8 @@ let gen_cfg =
     (fun repair_batch max_backoff -> { Store.Store_intf.default with repair_batch; max_backoff })
     (QCheck2.Gen.int_range 1 40) (QCheck2.Gen.int_range 1 40)
 
-(* an ask of [peer] alone, from its digest, with no round trip measured *)
+(* an ask of [peer] alone for [0, repair_batch), from its digest, with
+   no round trip measured *)
 let ask plan cfg ~round ~peer ~origin =
   match
     Plan.ask plan cfg ~round ~sender:peer ~candidates:[ { Plan.peer; rtt = None } ] ~origin
@@ -1047,25 +1080,6 @@ let prop_only_first_ask_timed =
       && Plan.answered again ~rtt:None ~round:(due + wait) ~peer:1 ~origin:0 = None
       && Plan.answered first ~rtt:None ~round ~peer:2 ~origin:0 = None)
 
-(* progress on an origin retires its asks toward every peer, so the
-   next gap is asked for at once, and other origins keep theirs *)
-let prop_progress_retires_asks =
-  q "planner: progress on an origin retires its asks"
-    QCheck2.Gen.(triple gen_cfg (int_bound 50) (list_size (int_range 1 5) (pair (int_bound 3) (int_range 1 4))))
-    (fun (cfg, round, asks) ->
-      let plan =
-        List.fold_left (fun plan (origin, peer) -> ask plan cfg ~round ~peer ~origin) Plan.empty asks
-      in
-      let origin = fst (List.hd asks) in
-      let after = Plan.progress plan ~origin in
-      List.for_all
-        (fun (o, peer) ->
-          if o = origin then
-            Plan.last_ask after ~origin ~peer = None
-            && (Option.get (Plan.last_ask (ask after cfg ~round ~peer ~origin) ~origin ~peer)).tries = 1
-          else Plan.last_ask after ~origin:o ~peer = Plan.last_ask plan ~origin:o ~peer)
-        asks)
-
 (* peers 1..k with round trips: peer 1's is measured, the others' may be *)
 let gen_candidates =
   let rtt srtt = { Plan.srtt; rttvar = srtt /. 2.0 } in
@@ -1082,7 +1096,7 @@ let waiting plan ~round peer =
   match Plan.last_ask plan ~origin:0 ~peer with Some a -> round < a.Plan.due | None -> false
 
 (* A gap's peers become candidates one by one, as their digests show it,
-   and stay candidates; some digests bring progress instead. With a
+   and stay candidates; some digests bring an answer instead. With a
    round trip measured from the start, the gap never has two asks inside
    their wait, whoever sent the digest. *)
 let prop_one_ask_per_gap =
@@ -1096,7 +1110,7 @@ let prop_one_ask_per_gap =
       List.for_all
         (fun (dt, more, from, progress) ->
           round := !round + dt;
-          if progress = 0 then plan := Plan.progress !plan ~origin:0;
+          if progress = 0 then plan := Plan.close !plan ~origin:0;
           (* peer 1 and the first [known] others show the gap *)
           known := max !known more;
           let candidates = List.filteri (fun i _ -> i <= !known) peers in
@@ -1109,6 +1123,56 @@ let prop_one_ask_per_gap =
           List.length (List.filter (waiting !plan ~round:!round) (List.init k (fun i -> i + 1)))
           <= 1)
         steps)
+
+(* Progress short of an ask's window leaves the ask as it was: its
+   answer is still in flight, so before [due] nobody is asked again,
+   whichever candidate's digest shows the rest of the gap. *)
+let prop_partial_progress_keeps_ask =
+  q "planner: progress short of an ask's window keeps it open"
+    QCheck2.Gen.(quad gen_cfg gen_candidates (int_bound 50) (pair (int_bound 1000) (int_bound 1000)))
+    (fun (cfg, candidates, round, (have, fill)) ->
+      match Plan.ask Plan.empty cfg ~round ~sender:1 ~candidates ~origin:0 ~have ~next_held:None with
+      | None -> false
+      | Some (peer, upto, plan) ->
+        let have' = have + (fill mod (upto - have)) in
+        let after = Plan.progress plan ~origin:0 ~have:have' in
+        let a = Option.get (Plan.last_ask plan ~origin:0 ~peer) in
+        let asks_again round =
+          List.exists
+            (fun c ->
+              Plan.ask after cfg ~round ~sender:c.Plan.peer ~candidates ~origin:0 ~have:have'
+                ~next_held:None
+              <> None)
+            candidates
+        in
+        Plan.last_ask after ~origin:0 ~peer = Some a
+        && not (List.exists asks_again (List.init (a.due - round) (fun i -> round + i))))
+
+(* An ask closes once progress fills its window or a repair addressed
+   to the asker arrives, and the next ask for that origin is a first
+   try again; the asks for other origins are kept as they were. *)
+let prop_fill_or_answer_closes =
+  q "planner: a filled window or an answer closes that origin's asks only"
+    QCheck2.Gen.(
+      quad gen_cfg (int_bound 50)
+        (list_size (int_range 1 5) (pair (int_bound 3) (int_range 1 4)))
+        (pair bool (int_bound 40)))
+    (fun (cfg, round, asks, (answer, past)) ->
+      let plan =
+        List.fold_left (fun plan (origin, peer) -> ask plan cfg ~round ~peer ~origin) Plan.empty asks
+      in
+      let origin = fst (List.hd asks) in
+      let after =
+        if answer then Plan.close plan ~origin
+        else Plan.progress plan ~origin ~have:(cfg.repair_batch + past)
+      in
+      List.for_all
+        (fun (o, peer) ->
+          if o = origin then
+            Plan.last_ask after ~origin ~peer = None
+            && (Option.get (Plan.last_ask (ask after cfg ~round ~peer ~origin) ~origin ~peer)).tries = 1
+          else Plan.last_ask after ~origin:o ~peer = Plan.last_ask plan ~origin:o ~peer)
+        asks)
 
 (* Nobody ever answers: every ask goes to a candidate asked the fewest
    times so far, so no peer is asked twice before every other candidate
@@ -1187,6 +1251,8 @@ let suite =
       tc "a request is bounded by the first payload held" test_request_bounded_by_held;
       tc "an inflated round trip never delays an ask past max_backoff"
         test_inflated_rtt_capped;
+      tc "an ask partly filled by late broadcasts stays open for its answer"
+        test_eager_fill_keeps_ask_open;
       tc "bootstrap: a long stream arrives in full repair batches"
         test_bootstrap_long_stream_in_batches;
       prop_codec_roundtrip;
@@ -1194,7 +1260,8 @@ let suite =
       prop_ask_covers_no_held_seq;
       prop_answer_bounded;
       prop_only_first_ask_timed;
-      prop_progress_retires_asks;
+      prop_partial_progress_keeps_ask;
+      prop_fill_or_answer_closes;
       prop_one_ask_per_gap;
       prop_reask_fewest_tries;
       tc "one ask per gap: a gap closes when its fastest peer dies" test_fastest_peer_dies_mid_gap;

@@ -407,34 +407,39 @@ let field_starts payload =
 
 (* a real input from [sources], paired with a mutant of it: 1-4 bytes set
    to random, 0x00 or 0xFF, cut short, or with one varint field (one that
-   [fields] lists, or up to two varints past it) set to 0, 2^k or max *)
+   [fields] lists, or up to two varints past it) set to 0, 2^k or max.
+   One draw in four is an arbitrary string instead, paired with itself:
+   garbage no encoder produced is one more source *)
 let gen_mutated ~sources ~fields =
   let open QCheck2.Gen in
   let big = int_bound 1_000_000 in
   let byte = oneof [ int_bound 255; return 0; return 0xFF ] in
   let value = oneof [ return 0; map (fun k -> 1 lsl k) (int_bound 61); return max_int ] in
-  big >>= fun pick ->
-  let sources = Lazy.force sources in
-  let s = List.nth sources (pick mod List.length sources) in
-  let len = String.length s in
-  map
-    (fun mutant -> (s, mutant))
-    (oneof
-       [
-         map
-           (fun edits ->
-             let b = Bytes.of_string s in
-             List.iter (fun (i, v) -> Bytes.set b (i mod len) (Char.chr v)) edits;
-             Bytes.to_string b)
-           (list_size (int_range 1 4) (pair big byte));
-         map (fun cut -> String.sub s 0 (cut mod len)) big;
-         map3
-           (fun field skip v ->
-             let starts = fields s in
-             let off = skip_varints s (List.nth starts (field mod List.length starts)) skip in
-             if off >= len then s else set_varint s off v)
-           big (int_bound 2) value;
-       ])
+  let mutated =
+    big >>= fun pick ->
+    let sources = Lazy.force sources in
+    let s = List.nth sources (pick mod List.length sources) in
+    let len = String.length s in
+    map
+      (fun mutant -> (s, mutant))
+      (oneof
+         [
+           map
+             (fun edits ->
+               let b = Bytes.of_string s in
+               List.iter (fun (i, v) -> Bytes.set b (i mod len) (Char.chr v)) edits;
+               Bytes.to_string b)
+             (list_size (int_range 1 4) (pair big byte));
+           map (fun cut -> String.sub s 0 (cut mod len)) big;
+           map3
+             (fun field skip v ->
+               let starts = fields s in
+               let off = skip_varints s (List.nth starts (field mod List.length starts)) skip in
+               if off >= len then s else set_varint s off v)
+             big (int_bound 2) value;
+         ])
+  in
+  frequency [ (1, map (fun g -> (g, g)) string); (3, mutated) ]
 
 let envelopes = lazy (List.concat_map fst (Lazy.force ae_exchanges))
 
@@ -455,9 +460,7 @@ let prop_sealed_frame_fuzz =
       | exception Wire.Decoder.Malformed _ -> true)
 
 let prop_payload_fuzz =
-  q ~count:2000 "stores never crash on garbage payloads"
-    QCheck2.Gen.(oneof [ string; gen_mutated_envelope ])
-    (fun payload ->
+  q ~count:2000 "stores never crash on garbage payloads" gen_mutated_envelope (fun payload ->
       let probe receive =
         match receive payload with
         | _ -> true
@@ -472,6 +475,53 @@ let prop_payload_fuzz =
       && List.for_all (fun (_, receive) -> probe receive) (Lazy.force ae_exchanges)
       && (ignore (Store.Anti_entropy.classify payload : string);
           true))
+
+(* Real traces and metrics lines of the chaos harness: two causal MVR
+   runs with adversarial faults, one with churn, so every event kind
+   and metric kind occurs *)
+let chaos_runs =
+  lazy
+    (let module C = Sim.Chaos.Make (Store.Causal_mvr_store) in
+     List.map
+       (fun churn ->
+         C.run ~spec_of:(fun _ -> Spec.Spec.mvr) ~require:`Causal ~adversarial:true ~churn
+           ~seed:3 ())
+       [ false; true ])
+
+let traces =
+  lazy
+    (List.map
+       (fun (o : Sim.Chaos.outcome) -> Model.Trace_io.to_string o.exec)
+       (Lazy.force chaos_runs))
+
+let metrics_lines =
+  lazy
+    (List.map
+       (fun (o : Sim.Chaos.outcome) ->
+         Obs.Metrics_io.to_jsonl
+           (Sim.Telemetry.snapshot ~meta:[ ("seed", Obs.Json.Num 3.0) ] o.exec o.metrics))
+       (Lazy.force chaos_runs))
+
+(* fields: offsets spread over the trace; skipping a varint from any of
+   them lands on a field boundary *)
+let prop_trace_fuzz =
+  q ~count:500 "a mutated trace decodes or raises Malformed"
+    (gen_mutated ~sources:traces ~fields:(fun s ->
+         List.init 16 (fun i -> i * String.length s / 16)))
+    (fun (_, mutant) ->
+      match Model.Trace_io.of_string mutant with
+      | _ -> true
+      | exception Wire.Decoder.Malformed _ -> true)
+
+(* fields: every digit, so a varint written over it breaks a number *)
+let prop_metrics_fuzz =
+  q ~count:1000 "a mutated metrics line parses or raises Malformed"
+    (gen_mutated ~sources:metrics_lines ~fields:(fun s ->
+         List.filter (fun i -> s.[i] >= '0' && s.[i] <= '9') (List.init (String.length s) Fun.id)))
+    (fun (_, mutant) ->
+      match Obs.Metrics_io.of_jsonl mutant with
+      | _ -> true
+      | exception Obs.Metrics_io.Malformed _ -> true)
 
 let suite =
   ( "properties",
@@ -495,4 +545,6 @@ let suite =
       prop_search_sound;
       prop_payload_fuzz;
       prop_sealed_frame_fuzz;
+      prop_trace_fuzz;
+      prop_metrics_fuzz;
     ] )

@@ -160,7 +160,7 @@ let test_state_survives_rejection () =
 
 (* the fuzz net, widened to the newer stores *)
 let prop_fuzz_all_stores =
-  q ~count:150 "all stores total on garbage" QCheck2.Gen.string (fun payload ->
+  q ~count:150 "all stores total on garbage" Test_properties.gen_mutated_envelope (fun payload ->
       let probe receive =
         match receive payload with
         | _ -> true

@@ -487,6 +487,25 @@ let test_timeline_draws_epochs () =
   Alcotest.(check bool) "epoch label" true (epoch_label 0);
   Alcotest.(check bool) "replica lanes" true (has "R0 ")
 
+(* Membership events in adjacent columns: each epoch label stays a
+   word of its own, the later ones stacked on further rows rather than
+   written over the earlier ones. *)
+let test_timeline_adjacent_epochs () =
+  let events =
+    List.init 72 (fun i ->
+        match i with
+        | 10 -> Model.Event.Join { replica = 2; epoch = 1 }
+        | 11 -> Model.Event.Join { replica = 3; epoch = 2 }
+        | 12 -> Model.Event.Leave { replica = 0; epoch = 3; graceful = true }
+        | _ when i mod 2 = 0 -> Model.Event.Crash { replica = 1 }
+        | _ -> Model.Event.Recover { replica = 1 })
+  in
+  let s = Viz.Render.timeline (Model.Execution.of_list ~n:4 ~initial:2 events) in
+  let words = List.concat_map (String.split_on_char ' ') (String.split_on_char '\n' s) in
+  List.iter
+    (fun label -> Alcotest.(check bool) label true (List.mem label words))
+    [ "e1"; "e2"; "e3" ]
+
 let test_timeline_plain_run () =
   let module R = Sim.Runner.Make (Store.Mvr_store) in
   let sim = R.create ~seed:7 ~n:3 ~policy:(Sim.Net_policy.reliable_fifo ()) () in
@@ -537,4 +556,6 @@ let suite =
       Alcotest.test_case "timeline draws membership epochs" `Quick
         test_timeline_draws_epochs;
       Alcotest.test_case "timeline of a churn-free run" `Quick test_timeline_plain_run;
+      Alcotest.test_case "timeline keeps epoch labels of adjacent columns" `Quick
+        test_timeline_adjacent_epochs;
     ] )
