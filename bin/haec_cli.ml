@@ -32,6 +32,18 @@ let jobs_arg =
 
 let set_jobs = function Some j -> Util.Par.set_default_domains j | None -> ()
 
+(* ---------- exit codes ---------- *)
+
+(* a run that fails its required checks exits 1, apart from cmdliner's
+   usage and config errors (124) and crashes (125) *)
+let checks_failed_exits =
+  Cmd.Exit.info 1 ~doc:"when a run fails one of its required checks." :: Cmd.Exit.defaults
+
+let checks_failed msg =
+  Format.printf "@?";
+  Format.eprintf "haec_cli: %s@." msg;
+  exit 1
+
 (* ---------- replica configuration: anti-entropy tunables ---------- *)
 
 (* an integer flag that cmdliner itself rejects below [lo], as a usage
@@ -44,9 +56,9 @@ let at_least lo =
   in
   Arg.conv' (parse, Format.pp_print_int)
 
-(* one shared flag block for every command that builds replicas: it sets
-   these fields of the command's base configuration (a zero batch or
-   backoff deadlocks repair) *)
+(* one shared flag block for every command that runs the anti-entropy
+   layer (chaos, trace, serve): it sets these fields of the command's base
+   configuration (a zero batch or backoff deadlocks repair) *)
 let config_term =
   let d = Store.Store_intf.default in
   let repair_batch =
@@ -172,12 +184,12 @@ let or_divergence f =
     Format.printf "The network never drained — try a larger --ops budget or a kinder --net.@.";
     exit 3
 
-let simulate_store (e : Stores.entry) ~config ~seed ~n ~objects ~ops ~policy ~net_name
+let simulate_store (e : Stores.entry) ~seed ~n ~objects ~ops ~policy ~net_name
     ~faulty_net ~verbose ~dump ~metrics =
   let (module S : Store.Store_intf.S) = e.store in
   let module R = Sim.Runner.Make (S) in
   let rng = Util.Rng.create seed in
-  let sim = R.create ~seed ~config ~n ~policy () in
+  let sim = R.create ~seed ~n ~policy () in
   let steps = Sim.Workload.generate ~rng ~n ~objects ~ops e.mix in
   Sim.Workload.run
     (fun ~replica ~obj op -> R.op sim ~replica ~obj op)
@@ -272,17 +284,15 @@ let simulate_cmd =
       & opt (some string) None
       & info [ "metrics" ] ~doc:"Write a metrics snapshot (JSONL) to FILE")
   in
-  let run jobs config store net n objects ops seed verbose dump metrics =
-    set_jobs jobs;
-    simulate_store store ~config ~seed ~n ~objects ~ops
+  let run store net n objects ops seed verbose dump metrics =
+    simulate_store store ~seed ~n ~objects ~ops
       ~policy:(policy_of net) ~net_name:(net_name_of net) ~faulty_net:(net_is_faulty net)
       ~verbose ~dump ~metrics
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Run a random workload on a store over a simulated network")
     Term.(
-      const run $ jobs_arg $ config_term $ store $ net $ n $ objects $ ops $ seed $ verbose
-      $ dump $ metrics)
+      const run $ store $ net $ n $ objects $ ops $ seed $ verbose $ dump $ metrics)
 
 (* ---------- chaos ---------- *)
 
@@ -513,7 +523,7 @@ let chaos_store (e : Stores.entry) ~net ~config ~require ~adversarial ~churn ~sh
     Format.printf "all %d seeded fault schedules converged.@." runs;
     `Ok ()
   end
-  else `Error (false, Printf.sprintf "%d of %d chaos runs failed" !failed runs)
+  else checks_failed (Printf.sprintf "%d of %d chaos runs failed" !failed runs)
 
 let chaos_cmd =
   let store = store_arg Stores.checked ~default:"causal" in
@@ -592,7 +602,7 @@ let chaos_cmd =
       ~objects ~ops ~dump_dir ~metrics
   in
   Cmd.v
-    (Cmd.info "chaos"
+    (Cmd.info "chaos" ~exits:checks_failed_exits
        ~doc:"Crash, drop and corrupt under seeded random fault schedules, then check convergence")
     Term.(
       ret
@@ -1158,7 +1168,7 @@ let trace_cmd =
       & info [ "export" ] ~docv:"FMT"
           ~doc:
             "Write the span stream: 'chrome' (trace-event JSON, loads in Perfetto) or \
-             'jsonl' (exact round-trip stream)")
+             'jsonl' (a header line, then one JSON object per span)")
   in
   let out =
     Arg.(
@@ -1176,9 +1186,8 @@ let trace_cmd =
   let slowest =
     Arg.(value & opt int 5 & info [ "slowest" ] ~doc:"Slowest observations to list")
   in
-  let run jobs config store net n objects ops seed adversarial churn why export out
+  let run config store net n objects ops seed adversarial churn why export out
       time_scale slowest =
-    set_jobs jobs;
     trace_store store ~config ~adversarial ~churn ~seed
       ~n ~objects ~ops ~policy:(policy_of net) ~why ~export ~out ~time_scale ~slowest
   in
@@ -1189,7 +1198,7 @@ let trace_cmd =
           every sim-time unit of visibility lag to encode/network/repair/dep/bootstrap")
     Term.(
       ret
-        (const run $ jobs_arg $ config_term $ store $ net $ n $ objects $ ops $ seed
+        (const run $ config_term $ store $ net $ n $ objects $ ops $ seed
         $ adversarial_arg $ churn_arg $ why $ export $ out $ time_scale $ slowest))
 
 (* ---------- serve: live cluster on OCaml 5 domains ---------- *)
@@ -1348,15 +1357,14 @@ let serve_store (e : Stores.entry) ~cfg ~capture_path ~check ~metrics_path =
             (fun (name, e) -> if List.mem name required_names then Some (name ^ ": " ^ e) else None)
             (Sim.Checks.failures report)
         in
-        if res.total_ops = 0 then `Error (false, "live check: no operations executed")
+        if res.total_ops = 0 then checks_failed "live check: no operations executed"
         else if not res.converged then
-          `Error
-            ( false,
-              match res.outcome with
-              | Diverged why -> "live check: " ^ why
-              | Healed _ -> assert false )
+          checks_failed
+            (match res.outcome with
+            | Diverged why -> "live check: " ^ why
+            | Healed _ -> assert false)
         else if failed <> [] then
-          `Error (false, "live check failed\n  " ^ String.concat "\n  " failed)
+          checks_failed ("live check failed\n  " ^ String.concat "\n  " failed)
         else begin
           (* the witness is its first-visibility table: one word per
              (event, replica) *)
@@ -1629,7 +1637,7 @@ let serve_cmd =
       serve_store store ~cfg ~capture_path ~check ~metrics_path
   in
   Cmd.v
-    (Cmd.info "serve"
+    (Cmd.info "serve" ~exits:checks_failed_exits
        ~doc:
          "Run a live cluster: one OCaml domain per replica, sealed wire frames over \
           lock-free rings, a closed-loop load generator, optional fault injection \

@@ -1,8 +1,7 @@
 (** Per-op lifecycle spans decomposing visibility lag.
 
-    A span stream is derived purely from simulated-time event data (or
-    from event indices when recomputed offline from a trace) — never
-    from a wall clock — so streams are deterministic per seed and
+    A span stream is derived purely from simulated-time event data —
+    never from a wall clock — so streams are deterministic per seed and
     bit-identical at any [-j] domain count. *)
 
 type flight_outcome = Delivered | Dropped | Duplicate
@@ -89,17 +88,14 @@ val outcome_name : flight_outcome -> string
 val kind_name : t -> string
 val pp : Format.formatter -> t -> unit
 
-(** The span recorder: dense columnar storage, records built on read.
+(** The span recorder: an append-only list of spans.
 
-    Per span kind it keeps a table of fixed-width rows — the kind's int
-    fields, then its float fields by bit pattern — in byte chunks the GC
-    never scans, plus the payload and carried-ops pointers of
-    [Transmit] spans and a one-byte tag per span that keeps the
-    emission order. The log holds no span record; {!iter} and
-    {!to_list} build the values when a caller reads them, classifying
-    each transmit's [kinds] from its payload at that point. A log
-    references only its own storage and the payload strings already on
-    the wire — never the producer that filled it. *)
+    Spans are recorded only by the replay that E23 and [haec_cli trace]
+    force, so the log keeps them as they come. A [Transmit] keeps its
+    payload, and {!iter} and {!to_list} classify its [kinds] from that
+    payload when a caller reads it. A log references only its own list
+    and the payload strings already on the wire — never the producer
+    that filled it. *)
 module Log : sig
   type span := t
 
@@ -107,7 +103,7 @@ module Log : sig
 
   val create : ?classify:(string -> string) -> unit -> t
   (** [classify] labels a [Transmit] payload with its protocol item
-      kinds when the span is built; without it [kinds] is [""]. *)
+      kinds when the span is read; without it [kinds] is [""]. *)
 
   val length : t -> int
   (** Spans recorded so far. *)
@@ -128,7 +124,7 @@ module Log : sig
   val repair_round : t -> repair_round -> unit
 
   val iter : t -> (span -> unit) -> unit
-  (** Every span in emission order, each built afresh. *)
+  (** Every span in emission order. *)
 
   val to_list : t -> span list
   (** [iter]'s spans as a list. *)

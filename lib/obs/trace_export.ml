@@ -1,7 +1,5 @@
-(* Span-stream export: a JSONL codec (round-trips exactly) and a Chrome
-   trace-event JSON rendering loadable in Perfetto / chrome://tracing. *)
-
-exception Malformed of string
+(* Span-stream export: a JSONL stream and a Chrome trace-event JSON
+   rendering loadable in Perfetto / chrome://tracing. *)
 
 let magic = "haec-spans"
 
@@ -86,139 +84,6 @@ let to_jsonl ?(meta = []) spans =
       Buffer.add_char buf '\n')
     spans;
   Buffer.contents buf
-
-let num_field obj key =
-  match Json.member key obj with
-  | Some (Json.Num f) -> f
-  | Some _ -> raise (Malformed (Printf.sprintf "field %S is not a number" key))
-  | None -> raise (Malformed (Printf.sprintf "missing field %S" key))
-
-let int_field obj key = int_of_float (num_field obj key)
-
-let str_field obj key =
-  match Json.member key obj with
-  | Some (Json.Str s) -> s
-  | Some _ -> raise (Malformed (Printf.sprintf "field %S is not a string" key))
-  | None -> raise (Malformed (Printf.sprintf "missing field %S" key))
-
-let bool_field obj key =
-  match Json.member key obj with
-  | Some (Json.Bool b) -> b
-  | Some _ -> raise (Malformed (Printf.sprintf "field %S is not a bool" key))
-  | None -> raise (Malformed (Printf.sprintf "missing field %S" key))
-
-let ints_field obj key =
-  match Json.member key obj with
-  | Some (Json.Arr xs) ->
-    List.map
-      (function
-        | Json.Num f -> int_of_float f
-        | _ -> raise (Malformed (Printf.sprintf "field %S has a non-int element" key)))
-      xs
-  | Some _ -> raise (Malformed (Printf.sprintf "field %S is not an array" key))
-  | None -> raise (Malformed (Printf.sprintf "missing field %S" key))
-
-let span_of_json obj : Span.t =
-  match str_field obj "span" with
-  | "op" ->
-    Span.Op
-      {
-        op = int_field obj "op";
-        origin = int_field obj "origin";
-        obj = int_field obj "obj";
-        issue = num_field obj "issue";
-        sent = num_field obj "sent";
-      }
-  | "transmit" ->
-    Span.Transmit
-      {
-        src = int_field obj "src";
-        seq = int_field obj "seq";
-        sent = num_field obj "sent";
-        bytes = int_field obj "bytes";
-        kinds = str_field obj "kinds";
-        ops = ints_field obj "ops";
-      }
-  | "flight" ->
-    Span.Flight
-      {
-        f_src = int_field obj "src";
-        f_seq = int_field obj "seq";
-        f_dst = int_field obj "dst";
-        f_sent = num_field obj "sent";
-        f_at = num_field obj "at";
-        f_outcome =
-          (match str_field obj "outcome" with
-          | "delivered" -> Span.Delivered
-          | "dropped" -> Span.Dropped
-          | "duplicate" -> Span.Duplicate
-          | o -> raise (Malformed (Printf.sprintf "unknown flight outcome %S" o)));
-      }
-  | "visible" ->
-    Span.Visible
-      {
-        v_op = int_field obj "op";
-        v_origin = int_field obj "origin";
-        v_obj = int_field obj "obj";
-        v_observer = int_field obj "observer";
-        issue_at = num_field obj "issue";
-        sent_at = num_field obj "sent";
-        arrived_at = num_field obj "arrived";
-        applied_at = num_field obj "applied";
-        visible_at = num_field obj "visible";
-        direct = bool_field obj "direct";
-        boot_overlap = num_field obj "boot_overlap";
-      }
-  | "bootstrap" ->
-    Span.Bootstrap
-      {
-        b_replica = int_field obj "replica";
-        b_epoch = int_field obj "epoch";
-        b_join = num_field obj "join";
-        b_promoted = num_field obj "promoted";
-      }
-  | "repair_round" ->
-    Span.Repair_round
-      {
-        round = int_field obj "round";
-        r_at = num_field obj "at";
-        r_interval = num_field obj "interval";
-      }
-  | k -> raise (Malformed (Printf.sprintf "unknown span kind %S" k))
-
-let of_jsonl s =
-  let lines =
-    String.split_on_char '\n' s
-    |> List.map String.trim
-    |> List.filter (fun l -> l <> "")
-  in
-  match lines with
-  | [] -> raise (Malformed "empty span stream")
-  | header :: rest ->
-    let hdr =
-      match Json.of_string header with
-      | v -> v
-      | exception Json.Parse_error m -> raise (Malformed m)
-    in
-    if str_field hdr "magic" <> magic then raise (Malformed "not a haec span stream");
-    let v = int_field hdr "version" in
-    if v < 1 || v > version then
-      raise (Malformed (Printf.sprintf "unsupported span-stream version %d" v));
-    let meta =
-      match hdr with
-      | Json.Obj fields ->
-        List.filter (fun (k, _) -> k <> "magic" && k <> "version") fields
-      | _ -> raise (Malformed "header is not an object")
-    in
-    let spans =
-      List.map
-        (fun line ->
-          match Json.of_string line with
-          | v -> span_of_json v
-          | exception Json.Parse_error m -> raise (Malformed m))
-        rest
-    in
-    (meta, spans)
 
 (* ---------- Chrome trace-event JSON ---------- *)
 
@@ -371,12 +236,3 @@ let save_chrome ?time_scale ~n path spans =
     (fun () ->
       output_string oc (Json.to_string (to_chrome ?time_scale ~n spans));
       output_char oc '\n')
-
-let load path =
-  let ic = open_in path in
-  let s =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  of_jsonl s

@@ -1,19 +1,16 @@
 (** Span-stream export.
 
     Two formats: a JSONL stream (header line with magic/version/meta,
-    one JSON object per span) that round-trips exactly through
-    {!to_jsonl}/{!of_jsonl}, and Chrome trace-event JSON loadable in
+    then one JSON object per span, its kind under ["span"]), and
+    Chrome trace-event JSON loadable in
     Perfetto or [chrome://tracing] — one track per replica plus a
     gossip track, async arrows for message flight, repair rounds and
     bootstrap windows as slices. *)
-
-exception Malformed of string
 
 val magic : string
 val version : int
 
 val to_jsonl : ?meta:(string * Json.t) list -> Span.t list -> string
-val of_jsonl : string -> (string * Json.t) list * Span.t list
 
 val to_chrome : ?time_scale:float -> n:int -> Span.t list -> Json.t
 (** [to_chrome ~n spans] renders a [{"traceEvents": [...]}] document for
@@ -23,4 +20,3 @@ val to_chrome : ?time_scale:float -> n:int -> Span.t list -> Json.t
 
 val save : ?meta:(string * Json.t) list -> string -> Span.t list -> unit
 val save_chrome : ?time_scale:float -> n:int -> string -> Span.t list -> unit
-val load : string -> (string * Json.t) list * Span.t list

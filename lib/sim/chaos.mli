@@ -47,9 +47,9 @@ type level = [ `Converge | `Correct | `Causal | `Occ ]
 type traced = {
   log : Haec_obs.Span.Log.t;
       (** the run's lifecycle span stream, read through
-          {!Haec_obs.Span.Log.iter} or [to_list], which build the records
-          on demand; transmit spans carry protocol item kinds via
-          {!Haec_store.Anti_entropy.classify} *)
+          {!Haec_obs.Span.Log.iter} or [to_list]; transmit spans carry
+          protocol item kinds via {!Haec_store.Anti_entropy.classify},
+          applied when read *)
   lag : Haec_obs.Metrics.Histogram.t;
       (** the replay's [visibility.lag]: one sample per [Visible] span,
           its breakdown total, in span order *)

@@ -255,15 +255,14 @@ module Make (S : Haec_store.Store_intf.S) : sig
       spans per fired gossip round. Derived from sim-time data only —
       bit-identical at any [-j]. Empty when [record_spans] is off.
 
-      The runner records into the columnar {!Haec_obs.Span.Log} and keeps
+      The runner records into {!Haec_obs.Span.Log} and keeps
       its own lifecycle bookkeeping in dense arrays (per-source message
       data by seq, per-(op, observer) times by [do_index * n + replica]),
       so it keeps no span record; the returned log is live —
       it grows as the run goes on — and holds no reference to the runner. *)
 
   val spans : t -> Haec_obs.Span.t list
-  (** [Span.Log.to_list (span_log t)]: the same stream, its records built
-      by this call. *)
+  (** [Span.Log.to_list (span_log t)]: the same stream as a list. *)
 
   val advance_to : t -> float -> unit
   (** Process all scheduled deliveries up to the given time. *)

@@ -58,70 +58,7 @@ let wire_of_execution exec =
   c "wire.duplicates" !duplicates;
   reg
 
-(* Offline span recompute: the wire-level slice of the lifecycle stream
-   (op/transmit/flight spans) rebuilt from a recorded trace alone. Traces
-   carry no timestamps, so event indices serve as logical time — span
-   shapes and matchings are auditable, absolute durations are not.
-   Updates are attributed to their issuing replica's next send, the same
-   heuristic the runner uses for a store run without a replica stack;
-   protocol-level apply times (read from the stack's [progress]) exist
-   only in the runner. *)
-let spans_of_execution exec =
-  let n = Execution.n_replicas exec in
-  let pending = Array.make n [] in
-  let sent_at : (Message.id, float) Hashtbl.t = Hashtbl.create 64 in
-  let seen_at : (Message.id * int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let do_count = ref 0 in
-  let spans_rev = ref [] in
-  let emit s = spans_rev := s :: !spans_rev in
-  List.iteri
-    (fun idx ev ->
-      let now = float_of_int idx in
-      match ev with
-      | Event.Do d ->
-        if Op.is_update d.Event.op then
-          pending.(d.Event.replica) <-
-            (!do_count, d.Event.obj, now) :: pending.(d.Event.replica);
-        incr do_count
-      | Event.Send { replica; msg } ->
-        let ops = List.rev pending.(replica) in
-        pending.(replica) <- [];
-        List.iter
-          (fun (i, obj, issue) ->
-            emit (Haec_obs.Span.Op { op = i; origin = replica; obj; issue; sent = now }))
-          ops;
-        Hashtbl.replace sent_at (Message.id msg) now;
-        emit
-          (Haec_obs.Span.Transmit
-             {
-               src = replica;
-               seq = msg.Message.seq;
-               sent = now;
-               bytes = Message.size_bytes msg;
-               kinds = "";
-               ops = List.map (fun (i, _, _) -> i) ops;
-             })
-      | Event.Receive { replica; msg } ->
-        let id = Message.id msg in
-        let sent = match Hashtbl.find_opt sent_at id with Some s -> s | None -> now in
-        let dup = Hashtbl.mem seen_at (id, replica) in
-        if not dup then Hashtbl.add seen_at (id, replica) ();
-        emit
-          (Haec_obs.Span.Flight
-             {
-               f_src = msg.Message.sender;
-               f_seq = msg.Message.seq;
-               f_dst = replica;
-               f_sent = sent;
-               f_at = now;
-               f_outcome =
-                 (if dup then Haec_obs.Span.Duplicate else Haec_obs.Span.Delivered);
-             })
-      | Event.Crash _ | Event.Recover _ | Event.Join _ | Event.Leave _ -> ())
-    (Execution.events exec);
-  List.rev !spans_rev
-
-(* Audit a (live) span stream against the recorded trace: transmit spans
+(* Audit the runner's span stream against the recorded trace: transmit spans
    and send events must match 1:1 on message id, and per (message, dst)
    the delivered+duplicate flight count must equal the receive count.
    Returns the mismatches; empty means the stream is consistent. *)

@@ -38,15 +38,6 @@ val wire_of_execution : Execution.t -> Metrics.Registry.t
     invisible here, so live and offline duplicate counts may differ on
     faulty runs; messages, payload bytes and deliveries always agree. *)
 
-val spans_of_execution : Execution.t -> Span.t list
-(** Recompute the wire-level slice of the lifecycle span stream ([Op],
-    [Transmit] and [Flight] spans) from the trace alone. Traces carry no
-    timestamps, so event {e indices} serve as logical time: span shapes
-    and matchings are auditable offline, absolute durations are not.
-    Updates are attributed to their replica's next send (the live
-    runner's hook-less heuristic); protocol-level apply times and
-    [Visible]/[Bootstrap]/[Repair_round] spans exist only live. *)
-
 val audit_spans : Execution.t -> Span.t list -> string list
 (** Audit a span stream against the recorded trace: transmit spans and
     send events must match 1:1 on message id, and per (message,
