@@ -780,8 +780,13 @@ module Make (S : Haec_store.Store_intf.S) = struct
          in
          if corrupt_p > 0.0 && Rng.chance t.rng corrupt_p then begin
            (* [Fault_plan.mutate] is never the identity, so an unseal that
-              succeeds can only be a checksum collision *)
-           let mangled = Fault_plan.mutate t.rng (Wire.Frame.seal msg.Message.payload) in
+              succeeds can only be a checksum collision. It draws from a
+              stream split off once per corrupted delivery: how many draws
+              it makes depends on the frame's bytes, and the schedule's
+              own stream must not *)
+           let mangled =
+             Fault_plan.mutate (Rng.split t.rng) (Wire.Frame.seal msg.Message.payload)
+           in
            (match Wire.Frame.unseal mangled with
            | exception Wire.Decoder.Malformed _ ->
              t.s_corrupt_rejected <- t.s_corrupt_rejected + 1

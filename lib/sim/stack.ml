@@ -29,32 +29,24 @@ module Volatile (S : Store_intf.S) = struct
   let durable = false
 end
 
-module Durable (S : Store_intf.S) : S = struct
-  module V = Volatile (S)
-  module DA = Haec_store.Durable.Make (V)
+module Durable_over (V : S) : S = struct
+  module DA = Haec_store.Durable.Make_controlled (V)
+
+  (* every input is logged, control inputs included, so [recover] gives
+     back the state the replica crashed with, counters and all *)
   include DA
 
-  (* control state the protocol regenerates on its own (the gossip tick,
-     membership announcements) changes under the durable image without a
-     WAL entry: a recovered replica keeps it as of the last state image
-     and re-announces through normal gossip *)
-  let lift = DA.map_inner
-  let tick = lift V.tick
   let settled states = V.settled (Array.map DA.inner states)
   let progress st = V.progress (DA.inner st)
-  let announce_join ~epoch = lift (V.announce_join ~epoch)
-  let announce_leave ~epoch = lift (V.announce_leave ~epoch)
   let queue_depth st = V.queue_depth (DA.inner st)
   let pending_bytes st = V.pending_bytes (DA.inner st)
   let log_entries st = V.log_entries (DA.inner st)
   let log_bytes st = V.log_bytes (DA.inner st)
   let counters st = V.counters (DA.inner st)
-
-  (* the replay re-runs every logged send, but none of them reaches the
-     wire again: the recovered replica keeps the counters it crashed with *)
-  let recover st = lift (V.set_counters (counters st)) (DA.recover st)
   let durable = true
 end
+
+module Durable (S : Store_intf.S) = Durable_over (Volatile (S))
 
 let publish reg (g : Store_intf.gossip_stats) ~log_entries ~log_bytes ~log_entries_peak =
   let c name v = Obs.Counter.add (Obs.Registry.counter reg name) v in

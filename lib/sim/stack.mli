@@ -6,14 +6,15 @@
 
     {!Volatile} is anti-entropy directly over the store: no crash
     durability, [recover] is the identity, and the live cluster rejects
-    crash windows for it. {!Durable} layers {!Haec_store.Durable.Make}
-    {e over} the anti-entropy wrapper, so its state image holds the
-    whole protocol stack, and the log after the image records client
-    ops, received payloads and sends; [recover] replays that log over
-    the image. The replica resumes with every logged input and with the
-    control state it had at the last image (ask table, RTT estimates,
-    round counter). Losses beyond that are permanent until anti-entropy
-    repair heals them.
+    crash windows for it. {!Durable} layers
+    {!Haec_store.Durable.Make_controlled} {e over} the anti-entropy
+    wrapper, so its state image holds the whole protocol stack, and the
+    log after the image records client ops, received payloads, sends and
+    the control inputs ([tick], [announce_join], [announce_leave]);
+    [recover] replays that log over the image. The recovered replica is
+    the one that crashed: its ask table, RTT estimates, round counter
+    and counters included, whenever the image was taken. What it lost is
+    what was in flight to it; anti-entropy repair heals that.
 
     Both are built by [create config]: the one {!Store_intf.config} value
     tunes the anti-entropy layer and stays in the state, so a recovered
@@ -35,8 +36,8 @@ module type S = sig
   include Store_intf.S
 
   val tick : state -> state
-  (** One gossip round ({!Haec_store.Anti_entropy.Make.tick}); unlogged
-      control state. *)
+  (** One gossip round ({!Haec_store.Anti_entropy.Make.tick}): a control
+      input, logged by a durable stack. *)
 
   val settled : state array -> bool
   (** The protocol's convergence predicate over member states. *)
@@ -47,12 +48,12 @@ module type S = sig
 
   val announce_join : epoch:int -> state -> state
   (** Queue a joiner's hello and first digest
-      ({!Haec_store.Anti_entropy.Make.announce_join}); unlogged control
-      state, like {!tick}. *)
+      ({!Haec_store.Anti_entropy.Make.announce_join}); a control input,
+      like {!tick}. *)
 
   val announce_leave : epoch:int -> state -> state
-  (** Queue a graceful leaver's goodbye; unlogged control state. A
-      crash-leave announces nothing. *)
+  (** Queue a graceful leaver's goodbye; a control input, like {!tick}.
+      A crash-leave announces nothing. *)
 
   val queue_depth : state -> int
   val pending_bytes : state -> int
@@ -78,6 +79,11 @@ module type S = sig
 end
 
 module Volatile (S : Store_intf.S) : S
+
+module Durable_over (V : S) : S
+(** A durable image over any volatile stack [V]: {!Durable} is
+    [Durable_over (Volatile (S))]. Only [V]'s store members and control
+    inputs change its state; its [recover] is not called. *)
 
 module Durable (S : Store_intf.S) : S
 

@@ -32,9 +32,10 @@
       elision, membership and the counters.
 
     {b Control state.} Digests, requests and repairs are regenerated from
-    state, so a crash that loses them costs nothing. The replica stacks
-    ([Haec_sim.Stack]) carry the counters across a durable recovery
-    ({!Make.set_counters}), whose replay recounts sends.
+    state, so a crash that loses them costs nothing. A durable replica
+    stack ([Haec_sim.Stack.Durable]) logs [tick] and the membership
+    announcements beside the data inputs, so its recovery rebuilds this
+    state exactly, counters included.
 
     {b Trimming.} A payload leaves the log once every member holds it.
     Per peer the replica keeps [reported], what the peer itself proved to
@@ -74,8 +75,8 @@ module Make (S : Store_intf.S) : sig
       store then [has_pending]) — unless the digest would
       repeat the last one sent and no full digest is due, in which case
       the round stays quiet and the elision is counted. Called by the
-      simulator's gossip driver; deliberately {e not} a logged input —
-      see the module comment. *)
+      runtime's gossip driver; a durable stack logs it — see the module
+      comment. *)
 
   val settled : state array -> bool
   (** Whether the given (live member) states have converged: nobody has
@@ -135,7 +136,7 @@ module Make (S : Store_intf.S) : sig
   val announce_join : epoch:int -> state -> state
   (** Queue a [Hello] (with a digest of the — empty — local state) for the
       next broadcast. Applied by the runner to a replica entering the set;
-      unlogged control state, like {!tick}. *)
+      a control input, like {!tick}. *)
 
   val announce_leave : epoch:int -> state -> state
   (** Queue a [Goodbye] for the next broadcast: a graceful leave. A
@@ -144,11 +145,6 @@ module Make (S : Store_intf.S) : sig
   val counters : state -> Store_intf.gossip_stats
   (** This replica's traffic counters: what its [send]s put on the wire
       and what its [receive]s deduplicated or repaired. *)
-
-  val set_counters : Store_intf.gossip_stats -> state -> state
-  (** Replace the counters and nothing else. Only for carrying a
-      replica's counters across a crash-recovery replay, which re-runs
-      sends that never reach the wire again. *)
 end = struct
   module Int_map = Map.Make (Int)
   module Int_set = Set.Make (Int)
@@ -181,9 +177,9 @@ end = struct
   let is_repair = function Out_repair _ -> true | _ -> false
 
   (* {!Durable} images this record with [Marshal] and re-images when the
-     log since outweighs the image, so its layout (fields, [out_item],
-     [rtt] inside [peer]) decides the re-image points, and with them the
-     control state a recovered replica keeps.
+     log since outweighs the image, so its layout decides the re-image
+     points; those move only the snapshot's memory, since a recovery
+     replays every input since the image.
 
      States are values: a caller may keep an old state and use it after
      deriving a new one. [receive] and [send] therefore make one private
@@ -270,8 +266,6 @@ end = struct
   let log_bytes t = t.log_bytes
 
   let counters t = t.counters
-
-  let set_counters counters t = { t with counters }
 
   (* the log holds exactly [floor, have) of every origin, plus orphans *)
   let orphans t = t.logged - (Vclock.sum t.have - Vclock.sum t.floor)
@@ -551,8 +545,8 @@ end = struct
 
   (* stable(o): the prefix of origin [o]'s stream that we and every peer
      that has not said goodbye have proven to hold. Nobody can ask for it
-     again, so it leaves the log. Only received inputs move it — never
-     [tick] — so a durable replay rebuilds the same trimmed log. *)
+     again, so it leaves the log. Only received inputs move it, never
+     [tick]. *)
   let stable t o =
     let s = ref (Vclock.get t.have o) in
     for q = 0 to t.n - 1 do

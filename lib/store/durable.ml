@@ -3,12 +3,14 @@
     [Make (S)] wraps any store with a durable snapshot: a sealed image of
     the inner state, plus the store's replay log since that image,
     encoded through the wire layer — client updates, received payloads
-    (already in [S]'s own wire encoding), and sends. A crash discards the
-    volatile inner state; {!Make.recover} unseals the image and replays
-    the log written since it. Because stores are pure
-    deterministic state machines, the rebuilt replica is observationally
-    identical to the one that crashed as far as its logged inputs go,
-    down to the bytes it emits.
+    (already in [S]'s own wire encoding), sends, and for a replica stack
+    ({!Make_controlled}) its control inputs: the gossip tick and the
+    membership announcements. A crash discards the volatile inner state;
+    {!Make.recover} unseals the image and replays the log written since
+    it. Every input that changes the inner state is logged, and stores
+    are pure deterministic state machines, so the rebuilt replica equals
+    the one that crashed, down to its ask table, its round counter and
+    the bytes it emits next, whenever the image was taken.
 
     Reads are logged only for stores whose reads change state
     (Definition 16 violators such as {!Delayed_store}); for everyone else
@@ -21,8 +23,10 @@
     or flipped image is [Malformed]) and the chunks are dropped. The
     snapshot therefore stays under about two images plus one chunk, and
     a recovery replays at most one image's worth of log, however long
-    the replica has run. The image is read back only by the process that
-    wrote it, never from the wire. *)
+    the replica has run. When the image is taken depends on byte sizes,
+    so it moves the snapshot's memory and a recovery's replay work, and
+    nothing a recovered replica does. The image is read back only by the
+    process that wrote it, never from the wire. *)
 
 open Haec_wire
 open Haec_model
@@ -31,7 +35,18 @@ open Haec_model
    bytes, small enough that the decoded tail stays a few payloads *)
 let chunk_entries = 32
 
-module Make (S : Store_intf.S) : sig
+(** A store with control inputs: what changes its state besides client
+    ops, receives and sends. The anti-entropy layer's are its gossip
+    tick and its membership announcements. *)
+module type CONTROLLED = sig
+  include Store_intf.S
+
+  val tick : state -> state
+  val announce_join : epoch:int -> state -> state
+  val announce_leave : epoch:int -> state -> state
+end
+
+module Make_controlled (S : CONTROLLED) : sig
   include Store_intf.DURABLE
 
   val inner : state -> S.state
@@ -39,19 +54,19 @@ module Make (S : Store_intf.S) : sig
       {!Anti_entropy.Make.settled} that inspect the protocol layer under
       the durable image. *)
 
-  val map_inner : (S.state -> S.state) -> state -> state
-  (** Apply a function to the wrapped state {e without logging anything}.
-      Only for inputs the inner protocol regenerates on its own (the
-      anti-entropy gossip tick): such a change survives a crash only up
-      to the last image, which holds the inner state as it is. A
-      state change that influences the inner replica's logged-replay
-      behavior must instead go through {!do_op}/{!receive}/{!send}, or
-      recovery would not reproduce it. *)
+  val tick : state -> state
+  val announce_join : epoch:int -> state -> state
+  val announce_leave : epoch:int -> state -> state
+  (** [S]'s control inputs, logged like every other input, so a recovery
+      replays them. *)
 end = struct
   type entry =
     | Apply of { obj : int; op : Op.t }
     | Deliver of { sender : int; payload : string }
     | Sent
+    | Tick
+    | Join of int
+    | Leave of int
 
   let encode_entry enc = function
     | Apply { obj; op } ->
@@ -63,6 +78,13 @@ end = struct
       Wire.Encoder.uint enc sender;
       Wire.Encoder.string enc payload
     | Sent -> Wire.Encoder.uint enc 2
+    | Tick -> Wire.Encoder.uint enc 3
+    | Join epoch ->
+      Wire.Encoder.uint enc 4;
+      Wire.Encoder.uint enc epoch
+    | Leave epoch ->
+      Wire.Encoder.uint enc 5;
+      Wire.Encoder.uint enc epoch
 
   let decode_entry dec =
     match Wire.Decoder.uint dec with
@@ -75,6 +97,9 @@ end = struct
       let payload = Wire.Decoder.string dec in
       Deliver { sender; payload }
     | 2 -> Sent
+    | 3 -> Tick
+    | 4 -> Join (Wire.Decoder.uint dec)
+    | 5 -> Leave (Wire.Decoder.uint dec)
     | tag -> raise (Wire.Decoder.Malformed (Printf.sprintf "bad log entry tag %d" tag))
 
   type state = {
@@ -113,8 +138,6 @@ end = struct
 
   let inner t = t.inner
 
-  let map_inner f t = { t with inner = f t.inner }
-
   let checkpoint t =
     if t.wal_len = 0 then t
     else
@@ -144,6 +167,9 @@ end = struct
       inner
     | Deliver { sender; payload } -> S.receive inner ~sender payload
     | Sent -> if S.has_pending inner then fst (S.send inner) else inner
+    | Tick -> S.tick inner
+    | Join epoch -> S.announce_join ~epoch inner
+    | Leave epoch -> S.announce_leave ~epoch inner
 
   (* only the entry being replayed is ever decoded; [recover] checks the
      entry count, so a lost or cut chunk is [Malformed] *)
@@ -191,4 +217,25 @@ end = struct
        garbage is rejected at the door and never becomes durable *)
     let inner = S.receive t.inner ~sender payload in
     log { t with inner } (Deliver { sender; payload })
+
+  let tick t = log { t with inner = S.tick t.inner } Tick
+
+  let announce_join ~epoch t = log { t with inner = S.announce_join ~epoch t.inner } (Join epoch)
+
+  let announce_leave ~epoch t =
+    log { t with inner = S.announce_leave ~epoch t.inner } (Leave epoch)
 end
+
+module Make (S : Store_intf.S) : sig
+  include Store_intf.DURABLE
+
+  val inner : state -> S.state
+  (** As {!Make_controlled.inner}. *)
+end = Make_controlled (struct
+  include S
+
+  (* a plain store has no control inputs *)
+  let tick t = t
+  let announce_join ~epoch:_ t = t
+  let announce_leave ~epoch:_ t = t
+end)

@@ -653,7 +653,7 @@ let test_shrink_none_on_converging_run () =
    not members. *)
 module Trim_watch (S : Store.Store_intf.S) = struct
   module AE = Store.Anti_entropy.Make (S)
-  module DA = Store.Durable.Make (AE)
+  module DA = Store.Durable.Make_controlled (AE)
 
   let watch : (int -> DA.state -> unit) ref = ref (fun _ _ -> ())
 
@@ -684,12 +684,11 @@ module Trim_watch (S : Store.Store_intf.S) = struct
 
     (* the protocol members, unwatched: they touch only control state *)
     let ae t = DA.inner t.d
-    let lift f t = { t with d = DA.map_inner f t.d }
-    let tick = lift AE.tick
+    let tick t = { t with d = DA.tick t.d }
     let settled sts = AE.settled (Array.map ae sts)
     let progress t = AE.have (ae t)
-    let announce_join ~epoch = lift (AE.announce_join ~epoch)
-    let announce_leave ~epoch = lift (AE.announce_leave ~epoch)
+    let announce_join ~epoch t = { t with d = DA.announce_join ~epoch t.d }
+    let announce_leave ~epoch t = { t with d = DA.announce_leave ~epoch t.d }
     let queue_depth t = AE.queue_depth (ae t)
     let pending_bytes t = AE.pending_bytes (ae t)
     let log_entries t = AE.log_entries (ae t)
@@ -800,11 +799,10 @@ let trim_safety (module S : Store.Store_intf.S) ~mix () =
 
 (* ---------- protocol counters ---------- *)
 
-(* A crash-recovery replay re-runs every logged send and receive through
-   a fresh replica, but none of that traffic reaches the wire again: the
-   recovered stack must report exactly the counters it crashed with —
-   neither the history counted twice nor the replay's own recount, which
-   misses the digests of unlogged gossip ticks. *)
+(* A crash-recovery replay re-runs every logged input since the last
+   image, but none of its traffic reaches the wire again: the recovered
+   stack must report exactly the counters it crashed with, never the
+   history counted twice. *)
 let test_recover_counts_nothing () =
   let module St = Sim.Stack.Durable (Store.Mvr_store) in
   let a = ref (St.init ~n:2 ~me:0) and b = ref (St.init ~n:2 ~me:1) in

@@ -503,7 +503,13 @@ end
 let test_durable_bounded_by_state () =
   let module AE = Store.Anti_entropy.Make (Store.Causal_mvr_store) in
   let module C = Counted (AE) in
-  let module DA = Store.Durable.Make (C) in
+  let module DA = Store.Durable.Make_controlled (struct
+    include C
+
+    let tick = AE.tick
+    let announce_join = AE.announce_join
+    let announce_leave = AE.announce_leave
+  end) in
   let a = ref (DA.init ~n:2 ~me:0) and b = ref (AE.init ~n:2 ~me:1) in
   let inputs = ref 0 and snapshot_peak = ref 0 and replay_peak = ref 0 in
   let input f =
@@ -526,7 +532,7 @@ let test_durable_bounded_by_state () =
       (* both write and gossip; each takes the other's payload *)
       input (fun a ->
           let a, _, _ = DA.do_op a ~obj:(!i mod 5) (Op.Write (vi !i)) in
-          DA.map_inner AE.tick a);
+          DA.tick a);
       let b', _, _ = AE.do_op !b ~obj:(!i mod 5) (Op.Write (vi (- !i))) in
       let b', to_a = AE.send (AE.tick b') in
       let to_b = ref "" in
