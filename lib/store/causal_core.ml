@@ -73,10 +73,11 @@ module Make (Obj : Object_layer.OBJECT) (P : POLICY) = struct
      [prev] and carries its vector absolutely. Both legs are compressed:
      the absolute head clock via the packed/run-length chooser and each
      later delta sparsely (only changed entries); decode also accepts the
-     v1 forms via the marker byte, so the batch stays self-describing. *)
+     v1 forms via the marker byte, so the batch stays self-describing.
+     [useq] is not sent: a record's origin made it right after the
+     update-vector [dep], so it is [dep.(origin) + 1]. *)
   let encode_record enc ~prev r =
     Wire.Encoder.uint enc r.origin;
-    Wire.Encoder.uint enc r.useq;
     if prev == no_prev then Vclock.encode_c enc r.dep
     else Vclock.encode_delta_c enc ~prev r.dep;
     Wire.Encoder.uint enc r.obj;
@@ -103,8 +104,10 @@ module Make (Obj : Object_layer.OBJECT) (P : POLICY) = struct
   let rec iter_records dec f ~len i ~prev =
     if i < len then begin
       let origin = Wire.Decoder.uint dec in
-      let useq = Wire.Decoder.uint dec in
       let dep = if i = 0 then Vclock.decode_any dec else Vclock.decode_delta_any dec ~prev in
+      if origin >= Vclock.size dep then
+        raise (Wire.Decoder.Malformed (Printf.sprintf "origin %d outside its dependency vector" origin));
+      let useq = Vclock.get dep origin + 1 in
       let obj = Wire.Decoder.uint dec in
       let u = Obj.decode_update dec in
       f { origin; useq; dep; obj; u };

@@ -1,15 +1,20 @@
 (** The anti-entropy envelope codec: the one module that reads or writes
     the bytes {!Anti_entropy} puts on the wire (DESIGN.md §4h).
 
-    A v2 envelope, the only one a replica emits, is [0x00, 2, count,
-    items]; a v1 envelope is [count >= 1, items], so the leading byte
-    tells the two apart. Each item is a {!Haec_wire.Wire.Gossip} kind tag
-    and its fields. A v2 request ends in a [count] bounding its gap; a v1
-    request has none. {!fold} is the one decoder ({!decode} collects what
-    it folds): it rejects every count that exceeds the input before
-    allocating for it, and every other framing error, as [Malformed].
-    Whether a decoded field fits the receiving deployment (a replica id
-    below [n], a clock of size [n]) is the receiver's check. *)
+    A v2 envelope, the only one a replica emits, is [0x00, items]: its
+    items run to the end of the payload, so it carries no version byte
+    and no item count. A v1 envelope is [count >= 1, items], so the
+    leading byte tells the two apart. Each item is a
+    {!Haec_wire.Wire.Gossip} kind tag and its fields. A v2 request ends
+    in a [count] bounding its gap; a v1 request has none. {!fold} is the
+    one decoder ({!decode} collects what it folds): it rejects every
+    count that exceeds the input before allocating for it, and every
+    other framing error, as [Malformed]. A cut or extended v2 envelope
+    can still decode, as fewer or more items: integrity is the frame
+    CRC's job ({!Haec_wire.Wire.Frame}), on every path that can damage
+    bytes. Whether a decoded field fits the receiving deployment (a
+    replica id below [n], a clock of size [n]) is the receiver's
+    check. *)
 
 open Haec_wire
 open Haec_vclock
@@ -82,11 +87,7 @@ let encode_item enc item =
 (* [sized item bytes] is told each item's encoded size, in order *)
 let encode ?(sized = fun _ _ -> ()) { v2; items } =
   Wire.encode (fun enc ->
-      if v2 then begin
-        Wire.Encoder.uint enc 0;
-        Wire.Encoder.uint enc (Wire.Version.to_int Wire.Version.V2)
-      end;
-      Wire.Encoder.uint enc (List.length items);
+      Wire.Encoder.uint enc (if v2 then 0 else List.length items);
       let rec go = function
         | [] -> ()
         | item :: rest ->
@@ -146,20 +147,20 @@ let decode_item ~v2 dec : item =
    the items before it. *)
 let fold payload ~init f =
   let dec = Wire.Decoder.of_string payload in
-  let v2 = Wire.Decoder.peek dec = 0 in
-  if v2 then begin
-    ignore (uint dec);
-    if Wire.Version.of_int (uint dec) <> Some Wire.Version.V2 then
-      malformed "envelope: unknown version"
-  end;
-  let count = uint dec in
-  if count < 0 || count > Wire.Decoder.remaining dec then
-    malformed "envelope: item count exceeds input";
   let acc = ref init in
-  for _ = 1 to count do
-    acc := f ~v2 !acc (decode_item ~v2 dec)
-  done;
-  Wire.Decoder.expect_end dec;
+  (match uint dec with
+  | 0 ->
+    (* v2: every item takes at least its kind byte, so this ends *)
+    while not (Wire.Decoder.at_end dec) do
+      acc := f ~v2:true !acc (decode_item ~v2:true dec)
+    done
+  | count ->
+    if count < 0 || count > Wire.Decoder.remaining dec then
+      malformed "envelope: item count exceeds input";
+    for _ = 1 to count do
+      acc := f ~v2:false !acc (decode_item ~v2:false dec)
+    done;
+    Wire.Decoder.expect_end dec);
   !acc
 
 (* an envelope without items can only be v2: a v1 one counts at least 1 *)

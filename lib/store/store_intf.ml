@@ -59,8 +59,8 @@ type gossip_stats = {
   digest_deltas : int;  (** wire-v2 delta digests sent in place of full digests *)
   digests_elided : int;  (** gossip rounds whose digest was suppressed as redundant (v2) *)
   framing_bytes : int;
-      (** envelope header bytes ([0x00], version, item count) outside every
-          item: with the item kinds' bytes, every payload byte sent *)
+      (** envelope header bytes (the [0x00] marker) outside every item:
+          with the item kinds' bytes, every payload byte sent *)
 }
 
 let fresh_gossip_stats () =

@@ -9,13 +9,6 @@ module Version = struct
      replica emits [V2]. *)
   type t = V1 | V2
 
-  let to_int = function V1 -> 1 | V2 -> 2
-
-  let of_int = function
-    | 1 -> Some V1
-    | 2 -> Some V2
-    | _ -> None
-
   (* Every replica emits [V2]; this is not process state. [set]
      survives only for callers written against the old process-global
      default: [set V2] is a no-op and [set V1] is refused. *)

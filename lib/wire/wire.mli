@@ -18,10 +18,6 @@
 module Version : sig
   type t = V1 | V2
 
-  val to_int : t -> int
-
-  val of_int : int -> t option
-
   val set : t -> unit
   (** Stateless: [set V2] does nothing and [set V1] raises
       [Invalid_argument], since every replica emits [V2]; this remains

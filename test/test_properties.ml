@@ -392,7 +392,7 @@ let set_varint s off v =
   ^ Wire.encode (fun enc -> Wire.Encoder.uint enc v)
   ^ String.sub s next (String.length s - next)
 
-(* where the envelope's count and each item's fields start, from the
+(* where the envelope's marker and each item's fields start, from the
    sizes the codec reports while re-encoding it *)
 let field_starts payload =
   let sizes = ref [] in
@@ -402,8 +402,9 @@ let field_starts payload =
       (Store.Envelope.decode payload)
   in
   let header = String.length p - List.fold_left ( + ) 0 !sizes in
-  (* past the marker and version bytes; an item's fields follow its tag *)
-  2 :: snd (List.fold_left_map (fun off b -> (off + b, off + 1)) header (List.rev !sizes))
+  (* the marker, which any other value turns into a v1 item count; an
+     item's fields follow its tag *)
+  0 :: snd (List.fold_left_map (fun off b -> (off + b, off + 1)) header (List.rev !sizes))
 
 (* a real input from [sources], paired with a mutant of it: 1-4 bytes set
    to random, 0x00 or 0xFF, cut short, or with one varint field (one that
@@ -443,7 +444,7 @@ let gen_mutated ~sources ~fields =
 
 let envelopes = lazy (List.concat_map fst (Lazy.force ae_exchanges))
 
-(* fields: the envelope's count, and each item's fields (a count, a
+(* fields: the envelope's marker, and each item's fields (a count, a
    length, a replica id or a seq) *)
 let gen_mutated_envelope = QCheck2.Gen.map snd (gen_mutated ~sources:envelopes ~fields:field_starts)
 

@@ -32,10 +32,22 @@ let test_causal_foreign_vv () =
 let test_causal_out_of_range_origin () =
   (* origin 4 does not exist in a 3-replica deployment *)
   let payload = foreign_payload (module Store.Causal_reg_store) ~n_foreign:8 in
-  expect_malformed "causal reg origin" (fun () ->
-      Store.Causal_reg_store.receive
-        (Store.Causal_reg_store.init ~n:3 ~me:0)
-        ~sender:1 payload)
+  let receive payload () =
+    Store.Causal_reg_store.receive (Store.Causal_reg_store.init ~n:3 ~me:0) ~sender:1 payload
+  in
+  expect_malformed "causal reg origin" (receive payload);
+  (* a record's seq is derived from its dependency vector at its origin,
+     so an origin past that vector is malformed while decoding: replica
+     2's one-record batch [1, origin 2, dep...] with origin set to 5 *)
+  let own =
+    let st, _, _ =
+      Store.Causal_reg_store.do_op (Store.Causal_reg_store.init ~n:3 ~me:2) ~obj:0 (Op.Write (vi 1))
+    in
+    snd (Store.Causal_reg_store.send st)
+  in
+  Alcotest.(check char) "the origin byte" '\002' own.[1];
+  let own = String.sub own 0 1 ^ "\005" ^ String.sub own 2 (String.length own - 2) in
+  expect_malformed "causal reg origin past its dependency vector" (receive own)
 
 let test_gossip_relay_foreign_vv () =
   (* an 8-replica deployment's first write: its clock has 8 entries and
@@ -134,11 +146,12 @@ let test_string_length_overflow () =
   expect_malformed "Decoder.string" (fun () -> Wire.decode input (after_one Wire.Decoder.string));
   expect_malformed "Decoder.sub" (fun () ->
       Wire.decode input (after_one (fun dec -> Wire.Decoder.sub dec max_int)));
-  (* the same length in an anti-entropy update item *)
+  (* the same length in an anti-entropy update item: a v2 envelope's
+     [0x00] header, the update kind, seq 0, then the length *)
   expect_malformed "anti-entropy update" (fun () ->
       let module AE = Store.Anti_entropy.Make (Store.Mvr_store) in
       AE.receive (AE.init ~n:2 ~me:1) ~sender:0
-        (Wire.encode (fun enc -> List.iter (Wire.Encoder.uint enc) [ 0; 2; 1; 0; 0; max_int ])))
+        (Wire.encode (fun enc -> List.iter (Wire.Encoder.uint enc) [ 0; 0; 0; max_int ])))
 
 let test_state_foreign_join () =
   let payload = foreign_payload (module Store.State_mvr_store) ~n_foreign:8 in

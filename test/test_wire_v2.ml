@@ -135,24 +135,41 @@ let expect_malformed ~what payload =
   | _ -> Alcotest.failf "%s: expected Malformed" what
   | exception Wire.Decoder.Malformed _ -> ()
 
+(* a v2 envelope runs to the end of its payload, so a cut at an item
+   boundary is itself a well-formed envelope of the items before it;
+   catching cuts is the frame CRC's job ([test_sealed_flip_fuzz]) *)
+let rec strict_prefix short long =
+  match (short, long) with
+  | [], _ :: _ -> true
+  | a :: short, b :: long -> a = b && strict_prefix short long
+  | _, [] -> false
+
 let test_truncation_fuzz () =
   (* the v2 request ends in the asker's bound (one batch past seq 1, as b
      holds nothing above its gap), so one of the cuts below drops exactly
      that field *)
-  Alcotest.(check string) "the fuzzed v2 request carries its bound"
-    "\000\002\001\002\000\000\001\032"
+  Alcotest.(check string) "the fuzzed v2 request carries its bound" "\000\002\000\000\001\032"
     (List.nth (session_payloads ()) 3);
+  let boundaries = ref 0 in
   List.iter
     (fun (version, payloads) ->
       List.iteri
         (fun pi payload ->
+          let items = (Store.Envelope.decode payload).items in
           for len = 0 to String.length payload - 1 do
-            expect_malformed
-              ~what:(Printf.sprintf "%s payload %d cut to %d bytes" version pi len)
-              (String.sub payload 0 len)
+            let what = Printf.sprintf "%s payload %d cut to %d bytes" version pi len in
+            let cut = String.sub payload 0 len in
+            match Store.Envelope.decode cut with
+            | exception Wire.Decoder.Malformed _ -> expect_malformed ~what cut
+            | { v2 = true; items = head } when version = "v2" && strict_prefix head items ->
+              incr boundaries
+            | _ -> Alcotest.failf "%s: decodes, and not as the items before the cut" what
           done)
         payloads)
-    (both_versions ())
+    (both_versions ());
+  (* each v2 payload cut right after its header *)
+  Alcotest.(check bool) "item boundaries exercised" true
+    (!boundaries >= List.length (session_payloads ()))
 
 let test_sealed_flip_fuzz () =
   (* a corrupted frame must die at the CRC, whatever the inner version *)
@@ -241,15 +258,15 @@ let test_mixed_version_convergence () =
     [ 0; 1 ]
 
 (* A crash restores the last state image, config included, and replays
-   the log since it, so the recovered replica's next message is byte for
-   byte the one it would have sent uncrashed — after every write and
-   every send, mid-chunk and on either side of folds and images. One
-   peer's digests, heard as if from each of the other 15, let replica 0
-   trim its repair log, so its state stays small and its image is
-   retaken along the loop. *)
+   the log since it, gossip ticks included, so the recovered replica's
+   next message is byte for byte the one it would have sent uncrashed —
+   after every write, tick and send, mid-chunk and on either side of
+   folds and images. One peer's digests, heard as if from each of the
+   other 15, let replica 0 trim its repair log, so its state stays small
+   and its image is retaken along the loop. *)
 let test_recovered_replica_sends_the_same_bytes () =
   let module V = Sim.Stack.Volatile (Store.Causal_mvr_store) in
-  let module St = Store.Durable.Make (V) in
+  let module St = Store.Durable.Make_controlled (V) in
   let cfg = { Store.Store_intf.default with repair_batch = 2 } in
   let next st =
     let st, _, _ = St.do_op st ~obj:0 (Model.Op.Write (vi 99)) in
@@ -274,6 +291,8 @@ let test_recovered_replica_sends_the_same_bytes () =
         let st, _, _ = St.do_op st ~obj:(v mod 2) (Model.Op.Write (vi v)) in
         (st, ()));
     Alcotest.(check string) "mid-send" (next !st) (next (St.recover !st));
+    step (fun st -> (St.tick st, ()));
+    Alcotest.(check string) "after a tick" (next !st) (next (St.recover !st));
     let update = step St.send in
     Alcotest.(check string) "the bytes it would have sent uncrashed" (next !st)
       (next (St.recover !st));
