@@ -470,8 +470,6 @@ let eventual t =
   | None -> Ok ()
   | Some (update, event, obj) -> Error (Eventual.not_visible ~update ~event ~obj)
 
-let length t = t.len
-
 (* The delta of [j] is [row(j) \ row(prev) \ {prev}]: the [i] whose
    first visible event at [j]'s replica is [j] itself, less [prev]. One
    bucket per event, filled by [fv] in descending [i], so ascending. *)

@@ -82,7 +82,7 @@ val create : ?quiescent_at:int -> n:int -> spec_of:(int -> Spec.t) -> unit -> t
     event is, and {!eventual} holds vacuously. *)
 
 val feed : t -> Event.do_event -> int list -> unit
-(** [feed t d delta] appends do event [d] at index [length t]. [delta]
+(** [feed t d delta] appends do event [d] at the next [H] index. [delta]
     holds the indices of earlier events newly visible to [d]; members
     its replica's previous event already saw are ignored. Raises
     [Invalid_argument] if [d]'s replica or an index is out of range. *)
@@ -101,9 +101,6 @@ val occ : t -> (Occ.violation list, string) result
 val eventual : t -> (unit, string) result
 (** Every update fed before [quiescent_at] is visible to every later
     event on its object. *)
-
-val length : t -> int
-(** Do events fed so far. *)
 
 val iter_deltas : Abstract.t -> (Event.do_event -> int list -> unit) -> unit
 (** The deltas of an abstract execution, in [H] order: for each event

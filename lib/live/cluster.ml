@@ -94,7 +94,6 @@ type result = {
   log_entries_peak : int;
   per_replica : replica_stats array;
   fault_totals : Faults.totals option;
-  fault_links : (int * int * Faults.totals) list;
   registry : Obs.Registry.t;
   gossip : Store_intf.gossip_stats;
   trace : Execution.t option;
@@ -669,9 +668,6 @@ module Make (S : STACK) = struct
     Obs.Registry.register reg "live.recovery_ms"
       (Obs.Registry.Histogram recovery_ms);
     let fault_totals = Option.map Faults.totals faults in
-    let fault_links =
-      match faults with None -> [] | Some fl -> Faults.per_link fl
-    in
     (match fault_totals with
     | Some (t : Faults.totals) ->
       c "faults.drops" t.drops;
@@ -717,7 +713,6 @@ module Make (S : STACK) = struct
       log_entries_peak;
       per_replica;
       fault_totals;
-      fault_links;
       registry = reg;
       gossip;
       trace;

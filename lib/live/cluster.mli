@@ -156,8 +156,6 @@ type result = {
   log_entries_peak : int;  (** the largest replica's [log_entries_peak] *)
   per_replica : replica_stats array;
   fault_totals : Faults.totals option;  (** aggregated injection counts *)
-  fault_links : (int * int * Faults.totals) list;
-      (** the non-zero links as [(src, dst, totals)] *)
   registry : Obs.Registry.t;
       (** the merged per-domain counters under [live.*] / [faults.*]
           names, including per-link [live.ring.stall.r<src>_r<dst>]

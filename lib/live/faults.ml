@@ -168,24 +168,3 @@ let totals t =
       })
     { drops = 0; delays = 0; dups = 0; corrupts = 0; crash_lost = 0 }
     t.links
-
-let per_link t =
-  let out = ref [] in
-  for src = t.n - 1 downto 0 do
-    for dst = t.n - 1 downto 0 do
-      let l = link t ~src ~dst in
-      if l.drops + l.delays + l.dups + l.corrupts + l.crash_lost > 0 then
-        out :=
-          ( src,
-            dst,
-            {
-              drops = l.drops;
-              delays = l.delays;
-              dups = l.dups;
-              corrupts = l.corrupts;
-              crash_lost = l.crash_lost;
-            } )
-          :: !out
-    done
-  done;
-  !out

@@ -89,6 +89,3 @@ val last_heal : t -> float
 
 val totals : t -> totals
 (** Aggregated over all links. Call after the domains have joined. *)
-
-val per_link : t -> (int * int * totals) list
-(** The non-zero links as [(src, dst, totals)]. Call after join. *)

@@ -53,30 +53,22 @@ let occ_verdict exec = function
       (if List.exists is_write (Execution.do_events exec) then m else "no writes")
 
 (* The one core: every check from one [Online] pass over the deltas,
-   with each replica's fed do events kept for compliance. Returns how
-   many events were fed. *)
-let run ~spec_of ?quiescent_at ~n ~deltas exec =
+   with each replica's fed do events kept for compliance. *)
+let validate_deltas ?(spec_of = fun _ -> Spec.mvr) ?quiescent_at ~n ~deltas exec =
   let online = Online.create ?quiescent_at ~n ~spec_of () in
   let fed = Array.make n [] in
   deltas (fun (d : Event.do_event) delta ->
       Online.feed online d delta;
       fed.(d.Event.replica) <- d :: fed.(d.Event.replica));
-  ( Online.length online,
-    {
-      well_formed = Execution.check_well_formed exec;
-      complies = Compliance.check_sequences exec (Array.map List.rev fed);
-      correct = Online.correct online;
-      causal = Online.causal online;
-      occ = occ_verdict exec (Online.occ online);
-      eventual = Online.eventual online;
-    } )
+  {
+    well_formed = Execution.check_well_formed exec;
+    complies = Compliance.check_sequences exec (Array.map List.rev fed);
+    correct = Online.correct online;
+    causal = Online.causal online;
+    occ = occ_verdict exec (Online.occ online);
+    eventual = Online.eventual online;
+  }
 
-let validate_deltas ?(spec_of = fun _ -> Spec.mvr) ?quiescent_at ~n ~deltas exec =
-  snd (run ~spec_of ?quiescent_at ~n ~deltas exec)
-
-let validate ?(spec_of = fun _ -> Spec.mvr) ?quiescent_at ?deltas exec witness =
-  let deltas = match deltas with Some d -> d | None -> Online.iter_deltas witness in
-  let fed, report = run ~spec_of ?quiescent_at ~n:(Abstract.n_replicas witness) ~deltas exec in
-  if fed <> Abstract.length witness then
-    invalid_arg "Checks.validate: deltas and witness differ in length";
-  report
+let validate ?spec_of ?quiescent_at exec witness =
+  validate_deltas ?spec_of ?quiescent_at ~n:(Abstract.n_replicas witness)
+    ~deltas:(Online.iter_deltas witness) exec

@@ -62,18 +62,14 @@ val pp_report : Format.formatter -> report -> unit
 val validate :
   ?spec_of:(int -> Spec.t) ->
   ?quiescent_at:int ->
-  ?deltas:((Event.do_event -> int list -> unit) -> unit) ->
   Execution.t ->
   Abstract.t ->
   report
 (** [validate exec witness] runs all checks. [spec_of] defaults to the MVR
     specification for every object. [quiescent_at] is the H index from
     which the execution is post-quiescence (defaults to [length], making
-    the eventual check vacuous). [deltas f] calls [f] on [witness]'s do
-    events in [H] order with their deltas ({!Runner.Make.witness_deltas});
-    it defaults to {!Haec_consistency.Online.iter_deltas} [witness].
-    Raises [Invalid_argument] if [deltas] yields a different number of
-    events than [witness] holds. *)
+    the eventual check vacuous). The deltas are read off [witness] by
+    {!Haec_consistency.Online.iter_deltas}. *)
 
 val validate_deltas :
   ?spec_of:(int -> Spec.t) ->

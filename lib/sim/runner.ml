@@ -68,7 +68,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
     n : int;  (** the id-space capacity; members may be a subset *)
     rng : Rng.t;
     policy : Net_policy.t option;
-    faults : Fault_plan.t option;
+    faults : Fault_plan.t;
     stack : (module STACK) option;
         (** the protocol the runner drives: [settled] and [progress] are
             observation-only reads, repair itself stays on the wire *)
@@ -146,8 +146,8 @@ module Make (S : Haec_store.Store_intf.S) = struct
   }
 
   let create ?(seed = 42) ?(config = Haec_store.Store_intf.default)
-      ?(record_witness = true) ?(record_spans = false) ?(auto_send = true) ?policy ?faults
-      ?stack ?initial ~n () =
+      ?(record_witness = true) ?(record_spans = false) ?(auto_send = true) ?policy
+      ?(faults = Fault_plan.none) ?stack ?initial ~n () =
     if n <= 0 then invalid_arg "Runner.create: n must be positive";
     let initial = match initial with None -> n | Some i -> i in
     if initial <= 0 || initial > n then
@@ -302,12 +302,8 @@ module Make (S : Haec_store.Store_intf.S) = struct
         (* reserve and departed ids are not on the network: a broadcast
            simply does not address them (no loss is counted) *)
         if dst <> src && Membership.is_member t.membership dst then begin
-          let dead =
-            match t.faults with
-            | Some f -> Fault_plan.link_dead f ~src ~dst ~at:t.now_
-            | None -> false
-          in
-          if dead then lose_permanently t { dst; msg }
+          if Fault_plan.link_dead t.faults ~src ~dst ~at:t.now_ then
+            lose_permanently t { dst; msg }
           else begin
             let d = p.Net_policy.delay t.rng ~now:t.now_ ~src ~dst in
             let at = t.now_ +. max 0.0 d in
@@ -315,11 +311,8 @@ module Make (S : Haec_store.Store_intf.S) = struct
               (* bounded reordering: an adversarial extra latency in
                  [0, jitter), drawn per delivery, lets messages overtake
                  each other within the window *)
-              match t.faults with
-              | Some f ->
-                let jitter = Fault_plan.reorder_jitter f ~now:t.now_ in
-                if jitter > 0.0 then at +. Rng.float t.rng jitter else at
-              | None -> at
+              let jitter = Fault_plan.reorder_jitter t.faults ~now:t.now_ in
+              if jitter > 0.0 then at +. Rng.float t.rng jitter else at
             in
             let at =
               if p.Net_policy.fifo then begin
@@ -330,12 +323,8 @@ module Make (S : Haec_store.Store_intf.S) = struct
               end
               else at
             in
-            let link_faulted =
-              match t.faults with
-              | Some f -> Fault_plan.link_dropped f ~src ~dst ~at <> None
-              | None -> false
-            in
-            if link_faulted then lose_permanently t { dst; msg }
+            if Fault_plan.link_dropped t.faults ~src ~dst ~at <> None then
+              lose_permanently t { dst; msg }
             else begin
               Pqueue.add t.queue ~priority:at { dst; msg };
               incr scheduled;
@@ -345,18 +334,15 @@ module Make (S : Haec_store.Store_intf.S) = struct
                 incr scheduled;
                 t.s_duplicates <- t.s_duplicates + 1
               | None -> ());
-              (match t.faults with
-              | Some f -> (
-                match Fault_plan.duplication f ~now:t.now_ with
-                | Some (p_dup, copies) when Rng.chance t.rng p_dup ->
-                  for _ = 1 to copies do
-                    let extra = max 0.01 (p.Net_policy.delay t.rng ~now:t.now_ ~src ~dst) in
-                    Pqueue.add t.queue ~priority:(at +. extra) { dst; msg };
-                    incr scheduled;
-                    t.s_duplicates <- t.s_duplicates + 1
-                  done
-                | Some _ | None -> ())
-              | None -> ())
+              match Fault_plan.duplication t.faults ~now:t.now_ with
+              | Some (p_dup, copies) when Rng.chance t.rng p_dup ->
+                for _ = 1 to copies do
+                  let extra = max 0.01 (p.Net_policy.delay t.rng ~now:t.now_ ~src ~dst) in
+                  Pqueue.add t.queue ~priority:(at +. extra) { dst; msg };
+                  incr scheduled;
+                  t.s_duplicates <- t.s_duplicates + 1
+                done
+              | Some _ | None -> ()
             end
           end
         end
@@ -773,11 +759,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
          ()
        else if t.down.(dst) then lose_permanently t d
        else
-         let corrupt_p =
-           match t.faults with
-           | Some f -> Fault_plan.corruption_p f ~now:t.now_
-           | None -> 0.0
-         in
+         let corrupt_p = Fault_plan.corruption_p t.faults ~now:t.now_ in
          if corrupt_p > 0.0 && Rng.chance t.rng corrupt_p then begin
            (* [Fault_plan.mutate] is never the identity, so an unseal that
               succeeds can only be a checksum collision. It draws from a

@@ -122,8 +122,10 @@ module Make (S : Haec_store.Store_intf.S) : sig
       stores). Without a [policy], sent messages are only recorded and
       returned — delivery is up to the caller.
 
-      [faults] enables link-drop, corruption, duplication, reordering, and
-      dead-link injection on scheduled deliveries.
+      [faults] (default {!Fault_plan.none}, which injects nothing and
+      draws nothing from the schedule's RNG) enables link-drop,
+      corruption, duplication, reordering, and dead-link injection on
+      scheduled deliveries.
 
       [stack] (pass [(module S)] when [S] is a {!Stack.S}) switches on
       the stack's own protocol, as the module comment describes: every

@@ -15,7 +15,9 @@ struct
   type state = {
     n : int;
     me : int;
-    clock : int;  (** witnesses the time of every applied update *)
+    clock : int;
+        (** Lamport's clock: at least the time of every applied update, and
+            moved past each received one (Lamport's receive rule) *)
     objects : Obj.t Int_map.t;
     pending : (int * Obj.update) list;  (** newest first *)
   }
@@ -82,7 +84,7 @@ struct
       (fun t (obj, u) ->
         {
           t with
-          clock = max t.clock (Obj.time_of u);
+          clock = 1 + max t.clock (Obj.time_of u);
           objects = Int_map.add obj (apply_remote (obj_state t obj) u) t.objects;
         })
       t entries

@@ -1,4 +1,5 @@
-(** Last-writer-wins register store.
+(** Last-writer-wins register store: the LWW register object
+    ({!Object_layer.Lww_register}) under eager delivery ({!Eager_core}).
 
     Writes are stamped with Lamport timestamps (ties broken by replica id),
     giving a deterministic total order on all writes; a read returns the

@@ -2,12 +2,6 @@ open Haec_wire
 
 type t = { time : int; replica : int }
 
-let zero ~replica = { time = 0; replica }
-
-let tick t = { t with time = t.time + 1 }
-
-let witness local remote = { local with time = 1 + max local.time remote.time }
-
 let compare a b =
   match Int.compare a.time b.time with 0 -> Int.compare a.replica b.replica | c -> c
 

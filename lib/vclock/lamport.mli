@@ -1,21 +1,15 @@
-(** Lamport scalar clocks with replica-id tie-breaking.
+(** Lamport timestamps with replica-id tie-breaking.
 
-    Used by the last-writer-wins register store: timestamps are totally
+    Used by the last-writer-wins register object: timestamps are totally
     ordered, so concurrent writes are (arbitrarily but deterministically)
-    ordered — the concurrency-hiding behaviour discussed in Section 3.4. *)
+    ordered — the concurrency-hiding behaviour discussed in Section 3.4.
+    The clock itself (tick on a write, advance past each received time) is
+    kept by the delivery layer as a plain integer; this module only orders,
+    encodes and prints the stamps. *)
 
 open Haec_wire
 
 type t = { time : int; replica : int }
-
-val zero : replica:int -> t
-
-val tick : t -> t
-(** Advance local time by one. *)
-
-val witness : t -> t -> t
-(** [witness local remote] is the local clock advanced past [remote]
-    (Lamport's receive rule). The replica id of [local] is kept. *)
 
 val compare : t -> t -> int
 (** Total order: by time, ties broken by replica id. *)

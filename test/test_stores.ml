@@ -237,6 +237,25 @@ let test_lww_timestamp_wins () =
   let b = Lww_store.receive b ~sender:0 ma in
   Alcotest.check check_response "higher ts wins" (resp [ 2 ]) (L.read b 0)
 
+let test_lww_receive_advances_clock () =
+  (* Lamport's receive rule: a receive moves the clock past the received
+     time, so a write after a receive outranks a concurrent write with the
+     same count of preceding events *)
+  let a = L.write (L.write (Lww_store.init ~n:4 ~me:0) 0 1) 0 2 in
+  let _, ma = L.drain a in
+  (* one payload, two entries: (1,0) and (2,0) *)
+  let b = Lww_store.receive (Lww_store.init ~n:4 ~me:1) ~sender:0 ma in
+  let _, mb = L.drain (L.write b 0 10) in
+  (* (4,1): each received entry advanced the clock to 1 + max *)
+  let c = Lww_store.init ~n:4 ~me:2 in
+  let _, mc = L.drain (L.write (L.write (L.write c 0 20) 0 21) 0 22) in
+  (* (3,2), concurrent with replica 1's write *)
+  let reader = Lww_store.init ~n:4 ~me:3 in
+  let r1 = Lww_store.receive (Lww_store.receive reader ~sender:1 mb) ~sender:2 mc in
+  let r2 = Lww_store.receive (Lww_store.receive reader ~sender:2 mc) ~sender:1 mb in
+  Alcotest.check check_response "(4,1) beats (3,2)" (resp [ 10 ]) (L.read r1 0);
+  Alcotest.check check_response "arrival order irrelevant" (resp [ 10 ]) (L.read r2 0)
+
 (* ---------- ORset store ---------- *)
 
 module O = Direct (Orset_store)
@@ -446,6 +465,8 @@ let suite =
         test_causal_duplicate_in_one_batch;
       tc "lww: converges to single value" test_lww_total_order;
       tc "lww: higher timestamp wins" test_lww_timestamp_wins;
+      tc "lww: a receive moves the clock past the received time"
+        test_lww_receive_advances_clock;
       tc "orset: local add/remove" test_orset_local;
       tc "orset: concurrent add wins" test_orset_add_wins;
       tc "orset: tombstones block late adds" test_orset_remove_then_late_add;
