@@ -105,7 +105,7 @@ let derive ?(n = 3) ?(objects = 2) ?(ops = 40) ?(mix = Workload.register_mix)
 module Make (S : Haec_store.Store_intf.S) = struct
   module St = Stack.Durable (S)
 
-  module R = Runner.Make (St)
+  module R = Runner.Over (St)
 
   (* First replica at or after [r] that can serve, if any — a client whose
      home replica is down or churned away fails over to another one
@@ -150,8 +150,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
         (c.Fault_plan.capacity, c.Fault_plan.initial)
     in
     let sim =
-      R.create ~seed ~config ~n:capacity ~initial ~record_spans ~policy ~faults:plan
-        ~stack:(module St) ()
+      R.create ~seed ~config ~n:capacity ~initial ~record_spans ~policy ~faults:plan ()
     in
     let skipped = ref 0 in
     let executed = ref 0 in

@@ -67,7 +67,7 @@ type outcome = {
   require : level;
   stats : Runner.stats;
   metrics : Haec_obs.Metrics.Registry.t;
-      (** the runner's wire/visibility telemetry (see {!Runner.Make.metrics})
+      (** the runner's wire/visibility telemetry (see {!Runner.Over.metrics})
           and, through {!Stack.publish}, the [gossip.*] traffic counters
           summed over every replica's state (items and encoded bytes,
           plus [gossip.dup_payloads], its split [gossip.dup_updates] /
@@ -82,7 +82,7 @@ type outcome = {
       (** the run's spans, recorded by replay: forcing re-executes the
           same inputs (plan, steps, seed, objects, policy, gossip interval
           and event budget) under {!config}, with
-          {!Runner.Make.create}[ ~record_spans:true]. The run itself
+          {!Runner.Over.create}[ ~record_spans:true]. The run itself
           records no spans, so its
           [visibility.lag] in [metrics] holds plain [visible - issue]
           samples; the replay's {!traced.lag} holds the span totals. The

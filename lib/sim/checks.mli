@@ -13,7 +13,7 @@
     per-replica state, and [complies] from the do events fed per
     replica. No check reads a visibility row. A caller that recorded
     the deltas calls {!validate_deltas} ([Chaos.run_plan], [simulate]
-    and the experiment harness, through {!Runner.Make.witness_deltas})
+    and the experiment harness, through {!Runner.Over.witness_deltas})
     and never builds the witness; every other caller ([audit], [replay],
     [serve --check]) calls {!validate}, which reads the deltas
     off the witness's first-visibility table by

@@ -17,7 +17,7 @@
 
     The view is immutable; the runner owns the authoritative copy and the
     store protocols learn of changes only through wire-level announcements
-    ({!Haec_wire.Wire.Gossip.Hello} / [Goodbye]) — eventually-accurate
+    ({!Haec_store.Envelope.item}'s [Hello] / [Goodbye]) — eventually-accurate
     membership knowledge is all eventual consistency needs (Dubois et al.,
     see PAPERS.md). *)
 

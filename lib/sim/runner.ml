@@ -59,19 +59,16 @@ module Ops = struct
     c.a.(i) <- x
 end
 
-module Make (S : Haec_store.Store_intf.S) = struct
+(* The protocol the runner drives is [St]: [settled] and [progress] are
+   observation-only reads, repair itself stays on the wire. *)
+module Over (St : Stack.S) = struct
   type delivery = { dst : int; msg : Message.t }
-
-  module type STACK = Stack.S with type state = S.state
 
   type t = {
     n : int;  (** the id-space capacity; members may be a subset *)
     rng : Rng.t;
     policy : Net_policy.t option;
     faults : Fault_plan.t;
-    stack : (module STACK) option;
-        (** the protocol the runner drives: [settled] and [progress] are
-            observation-only reads, repair itself stays on the wire *)
     mutable membership : Membership.t;
     bootstrap : (int, Vclock.t * float) Hashtbl.t;
         (** bootstrapping replica -> (catch-up target, join time) *)
@@ -80,7 +77,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
     mutable next_gossip : float;
     auto_send : bool;
     record_witness : bool;
-    states : S.state array;
+    states : St.state array;
     down : bool array;
     mutable events_rev : Event.t list;
     send_seq : int array;
@@ -147,7 +144,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
 
   let create ?(seed = 42) ?(config = Haec_store.Store_intf.default)
       ?(record_witness = true) ?(record_spans = false) ?(auto_send = true) ?policy
-      ?(faults = Fault_plan.none) ?stack ?initial ~n () =
+      ?(faults = Fault_plan.none) ?initial ~n () =
     if n <= 0 then invalid_arg "Runner.create: n must be positive";
     let initial = match initial with None -> n | Some i -> i in
     if initial <= 0 || initial > n then
@@ -157,14 +154,13 @@ module Make (S : Haec_store.Store_intf.S) = struct
       rng = Rng.create seed;
       policy;
       faults;
-      stack;
       membership = Membership.create ~capacity:n ~initial;
       bootstrap = Hashtbl.create 8;
       leaving = [];
-      next_gossip = (if Option.is_none stack then infinity else gossip_interval);
+      next_gossip = gossip_interval;
       auto_send;
       record_witness;
-      states = Array.init n (fun me -> S.create config ~n ~me);
+      states = Array.init n (fun me -> St.create config ~n ~me);
       down = Array.make n false;
       events_rev = [];
       send_seq = Array.make n 0;
@@ -192,10 +188,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
       s_deliveries = 0;
       lag_hist = Obs.Histogram.create ();
       record_spans = record_spans && record_witness;
-      log =
-        Haec_obs.Span.Log.create
-          ?classify:(Option.map (fun _ -> Haec_store.Anti_entropy.classify) stack)
-          ();
+      log = Haec_obs.Span.Log.create ~classify:Haec_store.Anti_entropy.classify ();
       unsent_ops = Array.make n [];
       op_sent = Times.create ();
       msg_ops = Array.init n (fun _ -> Ops.create ());
@@ -269,7 +262,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
     Obs.Gauge.set (Obs.Registry.gauge reg "sim.now") t.now_;
     reg
 
-  let has_pending t ~replica = S.has_pending t.states.(replica)
+  let has_pending t ~replica = St.has_pending t.states.(replica)
 
   let record t e = t.events_rev <- e :: t.events_rev
 
@@ -349,20 +342,16 @@ module Make (S : Haec_store.Store_intf.S) = struct
       done;
       Obs.Histogram.observe t.fanout_hist (float_of_int !scheduled)
 
+  let self_progress t ~replica = Vclock.get (St.progress t.states.(replica)) replica
+
   (* The common send path: pull one payload, wrap, record, schedule. Span
      bookkeeping happens before delivery scheduling, so a same-instant
      loss (dead link) already sees the transmit. An op's carrying message
      is pinned the first time the protocol's own self-progress component
-     ticks across a send (read through the stack's [progress]); without a
-     stack any flush is assumed to carry everything issued since the last. *)
+     ticks across a send (read through the stack's [progress]). *)
   let send_one t ~replica =
-    let before_self =
-      match t.stack with
-      | Some (module St) when t.record_spans ->
-        Some (Vclock.get (St.progress t.states.(replica)) replica)
-      | _ -> None
-    in
-    let state, payload = S.send t.states.(replica) in
+    let before_self = if t.record_spans then self_progress t ~replica else 0 in
+    let state, payload = St.send t.states.(replica) in
     t.states.(replica) <- state;
     let seq = t.send_seq.(replica) in
     let msg = { Message.sender = replica; seq; payload } in
@@ -371,21 +360,15 @@ module Make (S : Haec_store.Store_intf.S) = struct
     Obs.Histogram.observe t.payload_hist (float_of_int (String.length payload));
     if t.record_spans then begin
       Times.set t.sent_time.(replica) seq t.now_;
-      let carried =
-        match (before_self, t.stack) with
-        | Some before, Some (module St) ->
-          let after = Vclock.get (St.progress t.states.(replica)) replica in
-          if after > before then Some (after - 1) else None
-        | _ -> Some (-1)
-      in
+      let after_self = self_progress t ~replica in
       let ops =
-        match carried with
-        | None -> []
-        | Some proto_seq ->
+        if after_self <= before_self then []
+        else begin
           let pending = List.rev t.unsent_ops.(replica) in
           t.unsent_ops.(replica) <- [];
-          if proto_seq >= 0 then Ops.set t.payload_ops.(replica) proto_seq (List.map fst pending);
+          Ops.set t.payload_ops.(replica) (after_self - 1) (List.map fst pending);
           pending
+        end
       in
       List.iter
         (fun (i, obj) ->
@@ -401,7 +384,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
     msg
 
   let flush t ~replica =
-    if t.down.(replica) || not (S.has_pending t.states.(replica)) then None
+    if t.down.(replica) || not (St.has_pending t.states.(replica)) then None
     else Some (send_one t ~replica)
 
   let auto_flush t ~replica = if t.auto_send then ignore (flush t ~replica)
@@ -454,7 +437,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
       invalid_arg
         (Printf.sprintf "Runner.op: replica %d is %s, not serving" replica
            (Membership.status_name (Membership.status t.membership replica)));
-    let state, rval, witness = S.do_op t.states.(replica) ~obj o in
+    let state, rval, witness = St.do_op t.states.(replica) ~obj o in
     t.states.(replica) <- state;
     let d = { Event.replica; obj; op = o; rval } in
     record t (Event.Do d);
@@ -497,11 +480,9 @@ module Make (S : Haec_store.Store_intf.S) = struct
     t.s_leaves <- t.s_leaves + 1;
     Hashtbl.remove t.bootstrap replica;
     if graceful then begin
-      (match t.stack with
-      | Some (module St) -> t.states.(replica) <- St.announce_leave ~epoch t.states.(replica)
-      | None -> ());
+      t.states.(replica) <- St.announce_leave ~epoch t.states.(replica);
       (* the farewell flush: drain every pending payload in one go *)
-      while S.has_pending t.states.(replica) do
+      while St.has_pending t.states.(replica) do
         ignore (send_one t ~replica)
       done
     end;
@@ -521,17 +502,14 @@ module Make (S : Haec_store.Store_intf.S) = struct
      up holds its whole own stream. Observation-only, like [settled]: the
      hand-off itself rides ordinary digest/repair traffic. *)
   let handed_off t ~replica =
-    match t.stack with
-    | None -> true
-    | Some (module St) ->
-      let own = Vclock.get (St.progress t.states.(replica)) replica in
-      List.exists
-        (fun r ->
-          r <> replica
-          && (not t.down.(r))
-          && Membership.status t.membership r <> Membership.Leaving
-          && Vclock.get (St.progress t.states.(r)) replica >= own)
-        (Membership.members t.membership)
+    let own = Vclock.get (St.progress t.states.(replica)) replica in
+    List.exists
+      (fun r ->
+        r <> replica
+        && (not t.down.(r))
+        && Membership.status t.membership r <> Membership.Leaving
+        && Vclock.get (St.progress t.states.(r)) replica >= own)
+      (Membership.members t.membership)
 
   (* run wherever a member's progress can advance: deliveries, recoveries *)
   let depart_handed_off t =
@@ -550,25 +528,22 @@ module Make (S : Haec_store.Store_intf.S) = struct
   let maybe_promote t ~replica =
     match Hashtbl.find_opt t.bootstrap replica with
     | None -> ()
-    | Some (target, since) -> (
-      match t.stack with
-      | None -> ()
-      | Some (module St) ->
-        if Vclock.leq target (St.progress t.states.(replica)) then begin
-          Hashtbl.remove t.bootstrap replica;
-          t.membership <- Membership.promote t.membership replica;
-          Obs.Histogram.observe t.bootstrap_hist (t.now_ -. since);
-          if t.record_spans then begin
-            t.boot_join.(replica) <- since;
-            t.boot_promoted.(replica) <- t.now_;
-            let epoch =
-              if t.boot_epoch.(replica) >= 0 then t.boot_epoch.(replica)
-              else Membership.epoch t.membership
-            in
-            Haec_obs.Span.Log.bootstrap t.log
-              { b_replica = replica; b_epoch = epoch; b_join = since; b_promoted = t.now_ }
-          end
-        end)
+    | Some (target, since) ->
+      if Vclock.leq target (St.progress t.states.(replica)) then begin
+        Hashtbl.remove t.bootstrap replica;
+        t.membership <- Membership.promote t.membership replica;
+        Obs.Histogram.observe t.bootstrap_hist (t.now_ -. since);
+        if t.record_spans then begin
+          t.boot_join.(replica) <- since;
+          t.boot_promoted.(replica) <- t.now_;
+          let epoch =
+            if t.boot_epoch.(replica) >= 0 then t.boot_epoch.(replica)
+            else Membership.epoch t.membership
+          in
+          Haec_obs.Span.Log.bootstrap t.log
+            { b_replica = replica; b_epoch = epoch; b_join = since; b_promoted = t.now_ }
+        end
+      end
 
   let deliver_msg t ~dst msg =
     if dst = msg.Message.sender then
@@ -576,12 +551,8 @@ module Make (S : Haec_store.Store_intf.S) = struct
     if t.down.(dst) then
       invalid_arg (Printf.sprintf "Runner.deliver_msg: replica %d is crashed" dst);
     let bootstrapping = Hashtbl.mem t.bootstrap dst in
-    let before_progress =
-      match t.stack with
-      | Some (module St) when t.record_spans -> Some (St.progress t.states.(dst))
-      | _ -> None
-    in
-    t.states.(dst) <- S.receive t.states.(dst) ~sender:msg.Message.sender msg.Message.payload;
+    let before_progress = if t.record_spans then Some (St.progress t.states.(dst)) else None in
+    t.states.(dst) <- St.receive t.states.(dst) ~sender:msg.Message.sender msg.Message.payload;
     t.s_deliveries <- t.s_deliveries + 1;
     if t.record_spans then begin
       let src = msg.Message.sender and seq = msg.Message.seq in
@@ -598,8 +569,8 @@ module Make (S : Haec_store.Store_intf.S) = struct
       (* the protocol's progress vector names exactly which (origin, seq)
          streams advanced under this delivery — direct applies, repair
          applies and orphan-cascade applies all land here *)
-      match (before_progress, t.stack) with
-      | Some before, Some (module St) ->
+      match before_progress with
+      | Some before ->
         let after = St.progress t.states.(dst) in
         for o = 0 to t.n - 1 do
           let b = Vclock.get before o and a = Vclock.get after o in
@@ -609,7 +580,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
               (Ops.get t.payload_ops.(o) s)
           done
         done
-      | _ -> ()
+      | None -> ()
     end;
     if bootstrapping then begin
       t.s_bootstrap_bytes <- t.s_bootstrap_bytes + String.length msg.Message.payload;
@@ -639,9 +610,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
   let recover t ~replica =
     if not t.down.(replica) then
       invalid_arg (Printf.sprintf "Runner.recover: replica %d is not down" replica);
-    (match t.stack with
-    | Some (module St) -> t.states.(replica) <- St.recover t.states.(replica)
-    | None -> ());
+    t.states.(replica) <- St.recover t.states.(replica);
     t.down.(replica) <- false;
     t.s_recoveries <- t.s_recoveries + 1;
     record t (Event.Recover { replica });
@@ -652,16 +621,14 @@ module Make (S : Haec_store.Store_intf.S) = struct
      catch-up target is everything any serving member has witnessed at this
      instant (the pointwise max of their progress vectors), and it is
      promoted to serving only once repair has carried it there — until
-     then [op] refuses it. Requires the anti-entropy stack: only a wire
-     repair protocol can transfer state into an empty replica. *)
+     then [op] refuses it. Only a wire repair protocol can transfer state
+     into an empty replica: the view moves only once the stack has
+     announced the joiner, which a bare store refuses. *)
   let join t ~replica =
-    let (module St : STACK) =
-      match t.stack with
-      | Some st -> st
-      | None -> invalid_arg "Runner.join: dynamic membership requires a replica stack"
-    in
-    t.membership <- Membership.join t.membership replica;
-    let epoch = Membership.epoch t.membership in
+    let membership = Membership.join t.membership replica in
+    let epoch = Membership.epoch membership in
+    t.states.(replica) <- St.announce_join ~epoch t.states.(replica);
+    t.membership <- membership;
     t.s_joins <- t.s_joins + 1;
     record t (Event.Join { replica; epoch });
     let target =
@@ -670,7 +637,6 @@ module Make (S : Haec_store.Store_intf.S) = struct
         (Vclock.zero ~n:t.n)
         (Membership.serving t.membership)
     in
-    t.states.(replica) <- St.announce_join ~epoch t.states.(replica);
     Hashtbl.replace t.bootstrap replica (target, t.now_);
     if t.record_spans then begin
       t.boot_epoch.(replica) <- epoch;
@@ -696,45 +662,42 @@ module Make (S : Haec_store.Store_intf.S) = struct
       t.leaving <- t.leaving @ [ replica ]
     end
 
-  (* One gossip round: advance the clock to the round's scheduled time,
-     tick every live replica (queuing its digest) and flush it. Crashed
-     replicas skip the round and resume announcing after recovery. A round
-     that comes due while the whole system is already settled is skipped
-     (the timer still advances): every replica would only announce a
-     vector every other replica already has, and the resulting deliveries
-     would keep the queue busy past the next timer forever — quiescence
-     would then depend on every digest of a round landing inside one
-     interval, a coin-flip that can take thousands of rounds to win. *)
   (* the quiescence oracle only ever looks at current members: reserve
      states are untouched inits and departed states are frozen husks —
      neither has anything left to say *)
   let member_states t =
     Array.of_list (List.map (fun r -> t.states.(r)) (Membership.members t.membership))
 
+  (* One gossip round: advance the clock to the round's scheduled time,
+     tick every live replica (queuing its digest) and flush it. Crashed
+     replicas skip the round and resume announcing after recovery. A round
+     that comes due while the whole system is already settled is skipped,
+     and only the timer advances: every replica would only announce a
+     vector every other replica already has, and the resulting deliveries
+     would keep the queue busy past the next timer forever — quiescence
+     would then depend on every digest of a round landing inside one
+     interval, a coin-flip that can take thousands of rounds to win. A
+     bare store is always settled, so no round ever fires at it. *)
   let fire_gossip_round t =
-    match t.stack with
-    | None -> ()
-    | Some (module St) ->
-      t.now_ <- max t.now_ t.next_gossip;
-      t.next_gossip <- t.next_gossip +. gossip_interval;
-      if not (St.settled (member_states t)) then begin
-        t.s_gossip_rounds <- t.s_gossip_rounds + 1;
-        if t.record_spans then
-          Haec_obs.Span.Log.repair_round t.log
-            { round = t.s_gossip_rounds; r_at = t.now_; r_interval = gossip_interval };
-        for r = 0 to t.n - 1 do
-          if Membership.is_member t.membership r && not t.down.(r) then begin
-            t.states.(r) <- St.tick t.states.(r);
-            ignore (flush t ~replica:r)
-          end
-        done
-      end
+    let at = t.next_gossip in
+    t.next_gossip <- at +. gossip_interval;
+    if not (St.settled (member_states t)) then begin
+      t.now_ <- max t.now_ at;
+      t.s_gossip_rounds <- t.s_gossip_rounds + 1;
+      if t.record_spans then
+        Haec_obs.Span.Log.repair_round t.log
+          { round = t.s_gossip_rounds; r_at = t.now_; r_interval = gossip_interval };
+      for r = 0 to t.n - 1 do
+        if Membership.is_member t.membership r && not t.down.(r) then begin
+          t.states.(r) <- St.tick t.states.(r);
+          ignore (flush t ~replica:r)
+        end
+      done
+    end
 
   (* the next gossip round fires in event order, before any queued event
      scheduled after it *)
   let gossip_due t =
-    Option.is_some t.stack
-    &&
     match Pqueue.peek t.queue with
     | Some (at, _) -> t.next_gossip <= at
     | None -> false
@@ -785,7 +748,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
       let next_ev =
         match Pqueue.peek t.queue with Some (at, _) -> at | None -> infinity
       in
-      if Option.is_some t.stack && t.next_gossip <= time && t.next_gossip <= next_ev then begin
+      if t.next_gossip <= time && t.next_gossip <= next_ev then begin
         fire_gossip_round t;
         go ()
       end
@@ -802,7 +765,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
   let pending_count t =
     let c = ref 0 in
     List.iter
-      (fun r -> if (not t.down.(r)) && S.has_pending t.states.(r) then incr c)
+      (fun r -> if (not t.down.(r)) && St.has_pending t.states.(r) then incr c)
       (Membership.members t.membership);
     !c
 
@@ -825,28 +788,25 @@ module Make (S : Haec_store.Store_intf.S) = struct
         let flushed = ref false in
         List.iter
           (fun r ->
-            if (not t.down.(r)) && S.has_pending t.states.(r) then begin
+            if (not t.down.(r)) && St.has_pending t.states.(r) then begin
               ignore (flush t ~replica:r);
               flushed := true
             end)
           (Membership.members t.membership);
         if !flushed then go ()
         else
-          (* nothing in flight and nothing to flush; with a stack
-             quiescence additionally means the protocol has converged —
-             otherwise keep firing rounds until it has (the event budget
-             backstops a protocol that cannot converge). Rounds pause while
-             any replica is down: gossip cannot repair into a crashed
-             replica, so the run parks until the caller recovers it. *)
-          match t.stack with
-          | None -> ()
-          | Some (module St) ->
-            if List.exists (fun r -> t.down.(r)) (Membership.members t.membership) then ()
-            else if St.settled (member_states t) then ()
-            else begin
-              fire_gossip_round t;
-              go ()
-            end
+          (* nothing in flight and nothing to flush; quiescence
+             additionally means the protocol has converged — otherwise keep
+             firing rounds until it has (the event budget backstops a
+             protocol that cannot converge). Rounds pause while any replica
+             is down: gossip cannot repair into a crashed replica, so the
+             run parks until the caller recovers it. *)
+          if List.exists (fun r -> t.down.(r)) (Membership.members t.membership) then ()
+          else if St.settled (member_states t) then ()
+          else begin
+            fire_gossip_round t;
+            go ()
+          end
       end
     in
     go ()
@@ -880,4 +840,6 @@ module Make (S : Haec_store.Store_intf.S) = struct
   let witness_deltas t f =
     if not t.record_witness then failwith "Runner.witness_deltas: recording disabled";
     Witness.iter t.wit f
-  end
+end
+
+module Make (Store : Haec_store.Store_intf.S) = Over (Stack.Bare (Store))

@@ -42,23 +42,25 @@
     frame is lost for good, and the paper's "sufficiently connected"
     network (every message eventually delivered) is something the store
     protocol has to achieve itself: {!Haec_store.Anti_entropy.Make}
-    inside a replica {!Stack.S}. Given a stack, the runner drives it the
-    way [Haec_live.Cluster] does: it ticks every live replica each
-    {!gossip_interval} and, once the network drains, keeps firing rounds
-    until the stack's own [settled] predicate holds; it reads [progress],
-    announces joins and leaves, and rebuilds a crashed replica with
-    [recover]. A store run without a stack simply keeps whatever gaps its
-    losses leave, and a crash loses nothing of its state.
+    inside a replica {!Stack.S}. The runner ({!Over}) always drives such
+    a stack, the way [Haec_live.Cluster] does: it ticks every live
+    replica each {!gossip_interval} and, once the network drains, keeps
+    firing rounds until the stack's own [settled] predicate holds; it
+    reads [progress], announces joins and leaves, and rebuilds a crashed
+    replica with [recover]. {!Make} runs a bare store under
+    {!Stack.Bare}, which is always settled: no round fires, the store
+    keeps whatever gaps its losses leave, and a crash loses nothing of
+    its state.
 
     {b Dynamic membership.} The runner's [n] is an id-space capacity; the
     actual member set is an epoch-stamped {!Membership.t} view. Ids
     [0 .. initial-1] serve from time zero, the rest are a reserve pool.
-    {!Make.join} brings a reserve id in: it boots empty, announces itself
+    {!Over.join} brings a reserve id in: it boots empty, announces itself
     through the stack, and bootstraps over the ordinary anti-entropy
     digest/repair protocol; until its progress vector reaches the
     catch-up target captured at join time it is {e bootstrapping} and
-    {!Make.op} refuses it — a refused read is unavailability, never a
-    stale-causal answer. {!Make.leave} removes a member for good
+    {!Over.op} refuses it — a refused read is unavailability, never a
+    stale-causal answer. {!Over.leave} removes a member for good
     (graceful: hands off its own stream, then flushes everything;
     crash-leave: vanishes, in-flight deliveries to it are lost
     permanently). Ids are never reused. Both transitions are recorded in
@@ -69,7 +71,7 @@ open Haec_model
 open Haec_spec
 
 exception Divergence of { in_flight : int; pending : int; budget : int }
-(** Raised by {!Make.run_until_quiescent} when the event budget runs out
+(** Raised by {!Over.run_until_quiescent} when the event budget runs out
     before the network drains: [in_flight] deliveries still queued,
     [pending] live replicas with unsent messages, out of a budget of
     [budget] deliveries. *)
@@ -96,10 +98,9 @@ val gossip_interval : float
 (** Simulated time between the gossip rounds fired at a replica stack
     (2.0). *)
 
-module Make (S : Haec_store.Store_intf.S) : sig
+(** The runner over the replica stack [St]: one simulated cluster. *)
+module Over (St : Stack.S) : sig
   type t
-
-  module type STACK = Stack.S with type state = S.state
 
   val create :
     ?seed:int ->
@@ -109,7 +110,6 @@ module Make (S : Haec_store.Store_intf.S) : sig
     ?auto_send:bool ->
     ?policy:Net_policy.t ->
     ?faults:Fault_plan.t ->
-    ?stack:(module STACK) ->
     ?initial:int ->
     n:int ->
     unit ->
@@ -127,23 +127,22 @@ module Make (S : Haec_store.Store_intf.S) : sig
       corruption, duplication, reordering, and dead-link injection on
       scheduled deliveries.
 
-      [stack] (pass [(module S)] when [S] is a {!Stack.S}) switches on
-      the stack's own protocol, as the module comment describes: every
-      {!gossip_interval} of simulated time, in event order relative to
-      the delivery queue, the runner ticks and flushes each live replica,
-      and quiescence waits for [settled], bounded by
-      [run_until_quiescent]'s event budget. Without it no round fires,
-      {!recover} keeps the crashed state (perfect durability), and
-      {!join} is refused.
+      The stack runs its own protocol, as the module comment describes:
+      every {!gossip_interval} of simulated time, in event order relative
+      to the delivery queue, the runner ticks and flushes each live
+      replica unless the stack is [settled], and quiescence waits for
+      [settled], bounded by [run_until_quiescent]'s event budget.
 
       [initial] (default [n]) makes ids [initial .. n-1] a reserve pool
       for {!join} instead of members from time zero.
 
       [record_spans] (default [false], implies [record_witness]) collects
       the per-op lifecycle span stream (see {!spans}); it only observes,
-      so a run with spans is the run without them. With a stack,
-      [Transmit] spans label sent payloads with their protocol item kinds
-      ({!Haec_store.Anti_entropy.classify}). *)
+      so a run with spans is the run without them. [Transmit] spans label
+      sent payloads with their protocol item kinds
+      ({!Haec_store.Anti_entropy.classify}). Spans read the stack's
+      [progress], so over {!Stack.Bare} the first send raises
+      [Invalid_argument]. *)
 
   val n_replicas : t -> int
 
@@ -176,7 +175,7 @@ module Make (S : Haec_store.Store_intf.S) : sig
 
   val recover : t -> replica:int -> unit
   (** Bring a crashed replica back: rebuild its state with the stack's
-      [recover] (without a stack, keep it as it was), record the recover
+      [recover] ({!Stack.Bare} keeps it as it was), record the recover
       event, and flush anything it has pending. What it
       missed while down comes back only through the store's repair
       protocol. Raises [Invalid_argument] if not down. *)
@@ -190,9 +189,10 @@ module Make (S : Haec_store.Store_intf.S) : sig
       of every serving member's progress vector. The joiner stays
       {e bootstrapping} (op-refusing) until ordinary digest/repair traffic
       carries its progress to the target, at which point it is promoted to
-      serving ([bootstrap.latency] records the delay). Requires a
-      [stack]; raises [Invalid_argument] without one, or if the id is not
-      in reserve (ids are never reused). *)
+      serving ([bootstrap.latency] records the delay). Raises
+      [Invalid_argument], with the view and epoch untouched, if the id is
+      not in reserve (ids are never reused) or the stack refuses the
+      announcement, as {!Stack.Bare} does. *)
 
   val leave : t -> replica:int -> graceful:bool -> unit
   (** Remove a member for good: bump the view epoch and record the leave
@@ -207,7 +207,9 @@ module Make (S : Haec_store.Store_intf.S) : sig
       ([graceful:false]): it vanishes mid-protocol — in-flight deliveries
       addressed to it are lost permanently and anything only it had logged
       is gone (survivor convergence is up to the repair protocol). Raises
-      [Invalid_argument] if not a member or currently down. *)
+      [Invalid_argument] if not a member or currently down, and, before
+      the view moves, on a graceful leave over {!Stack.Bare}, which
+      reports no [progress]; a crash-leave departs there too. *)
 
   val membership : t -> Membership.t
   (** The current epoch-stamped membership view. *)
@@ -271,15 +273,14 @@ module Make (S : Haec_store.Store_intf.S) : sig
 
   val run_until_quiescent : ?max_events:int -> t -> unit
   (** Drive the network until no message is in flight, no live replica has
-      a message pending and, with a [stack], the protocol has
-      [settled] (Definition 17). Requires a policy. Raises {!Divergence}
-      if [max_events] (default 1_000_000) deliveries are exceeded. Gossip
-      rounds pause while a member is down; the run parks until
-      {!recover}. *)
+      a message pending and the stack has [settled] (Definition 17).
+      Requires a policy. Raises {!Divergence} if [max_events] (default
+      1_000_000) deliveries are exceeded. Gossip rounds pause while a
+      member is down; the run parks until {!recover}. *)
 
   val in_flight : t -> int
 
-  val replica_state : t -> int -> S.state
+  val replica_state : t -> int -> St.state
 
   val execution : t -> Execution.t
 
@@ -299,3 +300,8 @@ module Make (S : Haec_store.Store_intf.S) : sig
       input of {!Haec_consistency.Online.feed}. Raises [Failure] if
       witness recording was disabled. *)
 end
+
+module Make (Store : Haec_store.Store_intf.S) : module type of Over (Stack.Bare (Store))
+(** [Over (Stack.Bare (Store))]: the paper's store alone, with no
+    anti-entropy, as the theorem constructions and most experiments run
+    it. *)

@@ -20,6 +20,24 @@ module type S = sig
   val durable : bool
 end
 
+module Bare (S : Store_intf.S) = struct
+  include S
+
+  let refuse what = invalid_arg ("Stack.Bare: a bare store has no " ^ what)
+  let tick st = st
+  let settled _ = true
+  let progress _ = refuse "progress to report"
+  let announce_join ~epoch:_ _ = refuse "membership protocol to bootstrap a joiner"
+  let announce_leave ~epoch:_ st = st
+  let queue_depth _ = 0
+  let pending_bytes _ = 0
+  let log_entries _ = 0
+  let log_bytes _ = 0
+  let counters _ = Store_intf.fresh_gossip_stats ()
+  let recover st = st
+  let durable = false
+end
+
 module Volatile (S : Store_intf.S) = struct
   module AE = Anti_entropy.Make (S)
   include AE
@@ -30,7 +48,7 @@ module Volatile (S : Store_intf.S) = struct
 end
 
 module Durable_over (V : S) : S = struct
-  module DA = Haec_store.Durable.Make_controlled (V)
+  module DA = Haec_store.Durable.Make (V)
 
   (* every input is logged, control inputs included, so [recover] gives
      back the state the replica crashed with, counters and all *)

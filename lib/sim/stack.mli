@@ -1,13 +1,14 @@
 (** The replica stacks: a store under {!Haec_store.Anti_entropy.Make},
     with or without a durable image, and everything a runtime needs to
-    drive and observe it. The simulator ({!Chaos}) and the live cluster
-    ([Haec_live.Cluster], whose [STACK] is {!S}) build their replicas
-    from these functors and nothing else.
+    drive and observe it. The simulator ({!Runner.Over}) and the live
+    cluster ([Haec_live.Cluster], whose [STACK] is {!S}) drive their
+    replicas through {!S} and nothing else; the paper's bare store runs
+    in the simulator as {!Bare}.
 
     {!Volatile} is anti-entropy directly over the store: no crash
     durability, [recover] is the identity, and the live cluster rejects
     crash windows for it. {!Durable} layers
-    {!Haec_store.Durable.Make_controlled} {e over} the anti-entropy
+    {!Haec_store.Durable.Make} {e over} the anti-entropy
     wrapper, so its state image holds the whole protocol stack, and the
     log after the image records client ops, received payloads, sends and
     the control inputs ([tick], [announce_join], [announce_leave]);
@@ -29,7 +30,7 @@ module Store_intf := Haec_store.Store_intf
 
 (** What a runtime needs from a replica stack: a store extended with the
     anti-entropy pump, membership announcements, crash recovery, and
-    introspection. The simulator, given a stack, and
+    introspection. The simulator ({!Runner.Over}) and
     [Haec_live.Cluster.Make] drive a replica through these members and
     nothing else. *)
 module type S = sig
@@ -77,6 +78,17 @@ module type S = sig
   val durable : bool
   (** Whether {!recover} actually survives a crash. *)
 end
+
+module Bare (S : Store_intf.S) : S with type state = S.state
+(** The store alone, as the paper states it (Section 2): no anti-entropy,
+    so a loss leaves a gap that nothing repairs. It is always [settled],
+    so no gossip round fires at it; [tick], [announce_leave] and
+    [recover] are the identity (a crash loses nothing of its state), the
+    queue and log observations read 0, [counters] is all zeros and
+    [durable] is [false]. [progress] and [announce_join] raise
+    [Invalid_argument]: a bare store has no membership protocol and
+    reports no progress, so a runner over it refuses a join, a graceful
+    leave and span recording. *)
 
 module Volatile (S : Store_intf.S) : S
 

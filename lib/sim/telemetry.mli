@@ -1,6 +1,6 @@
 (** Assembling metrics snapshots from runs and from saved traces.
 
-    Two producers feed the same snapshot format: a live {!Runner.Make}
+    Two producers feed the same snapshot format: a live {!Runner.Over}
     run exports its registry directly, and {!wire_of_execution} recomputes
     the wire-level metrics offline from a saved trace, so `haec_cli
     metrics` can audit a run without re-executing the store.

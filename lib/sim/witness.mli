@@ -1,5 +1,5 @@
 (** Witness recording as per-replica visibility deltas — the one
-    recorder behind {!Runner.Make.witness_abstract} and the live
+    recorder behind {!Runner.Over.witness_abstract} and the live
     cluster's capture.
 
     A store's {!Haec_store.Store_intf.witness} names every update visible

@@ -1,13 +1,14 @@
 (** Crash durability as a store transformer.
 
-    [Make (S)] wraps any store with a durable snapshot: a sealed image of
-    the inner state, plus the store's replay log since that image,
-    encoded through the wire layer — client updates, received payloads
-    (already in [S]'s own wire encoding), sends, and for a replica stack
-    ({!Make_controlled}) its control inputs: the gossip tick and the
-    membership announcements. A crash discards the volatile inner state;
-    {!Make.recover} unseals the image and replays the log written since
-    it. Every input that changes the inner state is logged, and stores
+    [Make (S)] wraps any store with control inputs ({!CONTROLLED}) with a
+    durable snapshot: a sealed image of the inner state, plus the store's
+    replay log since that image, encoded through the wire layer — client
+    updates, received payloads (already in [S]'s own wire encoding),
+    sends, and its control inputs: the anti-entropy layer's gossip tick
+    and membership announcements; a plain store runs under it as
+    [Haec_sim.Stack.Bare (S)]. A crash discards the volatile inner
+    state; {!Make.recover} unseals the image and replays the log written
+    since it. Every input that changes the inner state is logged, and stores
     are pure deterministic state machines, so the rebuilt replica equals
     the one that crashed, down to its ask table, its round counter and
     the bytes it emits next, whenever the image was taken.
@@ -46,7 +47,7 @@ module type CONTROLLED = sig
   val announce_leave : epoch:int -> state -> state
 end
 
-module Make_controlled (S : CONTROLLED) : sig
+module Make (S : CONTROLLED) : sig
   include Store_intf.DURABLE
 
   val inner : state -> S.state
@@ -225,17 +226,3 @@ end = struct
   let announce_leave ~epoch t =
     log { t with inner = S.announce_leave ~epoch t.inner } (Leave epoch)
 end
-
-module Make (S : Store_intf.S) : sig
-  include Store_intf.DURABLE
-
-  val inner : state -> S.state
-  (** As {!Make_controlled.inner}. *)
-end = Make_controlled (struct
-  include S
-
-  (* a plain store has no control inputs *)
-  let tick t = t
-  let announce_join ~epoch:_ t = t
-  let announce_leave ~epoch:_ t = t
-end)

@@ -4,8 +4,10 @@
     A v2 envelope, the only one a replica emits, is [0x00, items]: its
     items run to the end of the payload, so it carries no version byte
     and no item count. A v1 envelope is [count >= 1, items], so the
-    leading byte tells the two apart. Each item is a
-    {!Haec_wire.Wire.Gossip} kind tag and its fields. A v2 request ends
+    leading byte tells the two apart. Each item is its kind tag, 0 to 7
+    as {!encode_item} writes them (tags 6 and 7, [Digest_delta] and
+    [Repair_runs], are v2's; a v1 emitter never writes them), and its
+    fields. A v2 request ends
     in a [count] bounding its gap; a v1 request has none. {!fold} is the
     one decoder ({!decode} collects what it folds): it rejects every
     count that exceeds the input before allocating for it, and every
@@ -37,34 +39,29 @@ type item =
 
 type t = { v2 : bool; items : item list }
 
-let kind : item -> Wire.Gossip.kind = function
-  | Update _ -> Update
-  | Digest _ -> Digest
-  | Digest_delta _ -> Digest_delta
-  | Request _ -> Repair_request
-  | Repair _ -> Repair
-  | Repair_runs _ -> Repair_runs
-  | Hello _ -> Hello
-  | Goodbye _ -> Goodbye
-
 let encode_item enc item =
   let uint = Wire.Encoder.uint and string = Wire.Encoder.string in
-  Wire.Gossip.encode_kind enc (kind item);
   match item with
   | Update { seq; payload } ->
+    uint enc 0;
     uint enc seq;
     string enc payload
-  | Digest clock -> Vclock.encode_c enc clock
+  | Digest clock ->
+    uint enc 1;
+    Vclock.encode_c enc clock
   | Digest_delta entries ->
+    uint enc 6;
     uint enc (List.length entries);
     let gap last (i, v) = uint enc (i - last - 1); uint enc v; i in
     ignore (List.fold_left gap (-1) entries)
   | Request { dst; origin; from_seq; count } ->
+    uint enc 2;
     uint enc dst;
     uint enc origin;
     uint enc from_seq;
     Option.iter (uint enc) count
   | Repair { dst; items } ->
+    uint enc 3;
     uint enc dst;
     Wire.Encoder.list enc
       (fun enc (origin, seq, payload) ->
@@ -73,6 +70,7 @@ let encode_item enc item =
         string enc payload)
       items
   | Repair_runs { dst; runs } ->
+    uint enc 7;
     uint enc dst;
     uint enc (List.length runs);
     List.iter
@@ -82,7 +80,12 @@ let encode_item enc item =
         uint enc (List.length payloads);
         List.iter (string enc) payloads)
       runs
-  | Hello epoch | Goodbye epoch -> uint enc epoch
+  | Hello epoch ->
+    uint enc 4;
+    uint enc epoch
+  | Goodbye epoch ->
+    uint enc 5;
+    uint enc epoch
 
 (* [sized item bytes] is told each item's encoded size, in order *)
 let encode ?(sized = fun _ _ -> ()) { v2; items } =
@@ -103,12 +106,12 @@ let malformed what = raise (Wire.Decoder.Malformed ("anti-entropy " ^ what))
 let uint = Wire.Decoder.uint
 
 let decode_item ~v2 dec : item =
-  match Wire.Gossip.decode_kind dec with
-  | Update ->
+  match uint dec with
+  | 0 ->
     let seq = uint dec in
     Update { seq; payload = Wire.Decoder.string dec }
-  | Digest -> Digest (Vclock.decode_any dec)
-  | Digest_delta ->
+  | 1 -> Digest (Vclock.decode_any dec)
+  | 6 ->
     let last = ref (-1) in
     Digest_delta
       (Wire.Decoder.list dec (fun dec ->
@@ -117,12 +120,12 @@ let decode_item ~v2 dec : item =
            if gap < 0 || gap > max_int - 1 - !last then malformed "digest-delta: bad index";
            last := !last + 1 + gap;
            (!last, v)))
-  | Repair_request ->
+  | 2 ->
     let dst = uint dec in
     let origin = uint dec in
     let from_seq = uint dec in
     Request { dst; origin; from_seq; count = (if v2 then Some (uint dec) else None) }
-  | Repair ->
+  | 3 ->
     let dst = uint dec in
     let item dec =
       let origin = uint dec in
@@ -130,7 +133,7 @@ let decode_item ~v2 dec : item =
       (origin, seq, Wire.Decoder.string dec)
     in
     Repair { dst; items = Wire.Decoder.list dec item }
-  | Repair_runs ->
+  | 7 ->
     let dst = uint dec in
     let run dec =
       let origin = uint dec in
@@ -138,8 +141,9 @@ let decode_item ~v2 dec : item =
       (origin, from_seq, Wire.Decoder.list dec Wire.Decoder.string)
     in
     Repair_runs { dst; runs = Wire.Decoder.list dec run }
-  | Hello -> Hello (uint dec)
-  | Goodbye -> Goodbye (uint dec)
+  | 4 -> Hello (uint dec)
+  | 5 -> Goodbye (uint dec)
+  | tag -> malformed (Printf.sprintf "item: bad kind tag %d" tag)
 
 (* The one decoder: fold [f ~v2] over the envelope's items in order, as
    each is decoded, without building the list. Input past the last item,

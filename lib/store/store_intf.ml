@@ -226,7 +226,8 @@ end
     wire-encoded log of everything applied since it, folded into encoded
     chunks as it grows — from which {!recover} rebuilds the replica
     after a crash wipes its volatile memory. See
-    {!Durable.Make}, which derives this for any store. *)
+    {!Durable.Make}, which derives this for any store with control
+    inputs. *)
 module type DURABLE = sig
   include S
 

@@ -468,59 +468,3 @@ module Frame = struct
     if crc <> crc32 payload then raise (Decoder.Malformed "frame checksum mismatch");
     payload
 end
-
-module Gossip = struct
-  (* The anti-entropy envelope kinds (Haec_store.Anti_entropy) live here so
-     the tag space is fixed at the wire layer: telemetry, tests, and any
-     future store transformer agree on what a digest or a repair item is
-     without depending on the store library. Tags 6 and 7 are the wire-v2
-     additions: a [Digest_delta] carries only the [have] entries that
-     changed since the sender's last digest, and [Repair_runs] carries one
-     merged per-peer repair as per-origin runs of consecutive sequence
-     numbers. V1 emitters never produce them; every decoder accepts
-     them. A v2 envelope's [Repair_request] also ends in a [count]
-     bounding the gap it asks for. *)
-  type kind =
-    | Update
-    | Digest
-    | Repair_request
-    | Repair
-    | Hello
-    | Goodbye
-    | Digest_delta
-    | Repair_runs
-
-  let tag = function
-    | Update -> 0
-    | Digest -> 1
-    | Repair_request -> 2
-    | Repair -> 3
-    | Hello -> 4
-    | Goodbye -> 5
-    | Digest_delta -> 6
-    | Repair_runs -> 7
-
-  let name = function
-    | Update -> "update"
-    | Digest -> "digest"
-    | Repair_request -> "repair-request"
-    | Repair -> "repair"
-    | Hello -> "hello"
-    | Goodbye -> "goodbye"
-    | Digest_delta -> "digest-delta"
-    | Repair_runs -> "repair-runs"
-
-  let encode_kind enc k = Encoder.uint enc (tag k)
-
-  let decode_kind dec =
-    match Decoder.uint dec with
-    | 0 -> Update
-    | 1 -> Digest
-    | 2 -> Repair_request
-    | 3 -> Repair
-    | 4 -> Hello
-    | 5 -> Goodbye
-    | 6 -> Digest_delta
-    | 7 -> Repair_runs
-    | t -> raise (Decoder.Malformed (Printf.sprintf "bad gossip kind tag %d" t))
-end

@@ -144,45 +144,6 @@ module Frame : sig
       trailing garbage, or checksum mismatch. *)
 end
 
-module Gossip : sig
-  (** Message kinds of the anti-entropy protocol
-      ({!Haec_store.Anti_entropy}). The tag space is fixed here, at the
-      wire layer, so stores, telemetry and tests agree on the envelope
-      without depending on each other: an anti-entropy payload is a
-      length-prefixed sequence of tagged items — seq-numbered {!Update}
-      payloads, version-vector {!Digest}s, targeted {!Repair_request}s and
-      batched {!Repair} payloads answering them. Dynamic membership adds
-      two control kinds: {!Hello} announces a replica entering the set at
-      a given epoch (a joiner's first digest rides with it, triggering the
-      bootstrap state transfer), {!Goodbye} announces a graceful leave.
-      Wire v2 adds two more: {!Digest_delta} carries only the [have]
-      entries that changed since the sender's last digest, and
-      {!Repair_runs} carries one merged per-peer repair as per-origin runs
-      of consecutive sequence numbers. *)
-
-  type kind =
-    | Update
-    | Digest
-    | Repair_request
-        (** [dst, origin, from_seq] asks [dst] for [origin]'s stream from
-            [from_seq]; inside a v2 envelope a fourth field [count] bounds
-            the ask to [[from_seq, from_seq + count)] *)
-    | Repair
-    | Hello
-    | Goodbye
-    | Digest_delta
-    | Repair_runs
-
-  val tag : kind -> int
-
-  val name : kind -> string
-
-  val encode_kind : Encoder.t -> kind -> unit
-
-  val decode_kind : Decoder.t -> kind
-  (** Raises {!Decoder.Malformed} on an unknown tag. *)
-end
-
 val encode : (Encoder.t -> unit) -> string
 (** [encode f] runs [f] on a fresh encoder and returns the bytes. *)
 

@@ -366,13 +366,13 @@ let prop_occ_matches_reference =
    links), driven like a chaos run; returns the closed witness. *)
 module Durable_ae = Sim.Stack.Durable (Store.Causal_mvr_store)
 
-module R_ae = Sim.Runner.Make (Durable_ae)
+module R_ae = Sim.Runner.Over (Durable_ae)
 
 let adversarial_closed_witness ~n ~objects ~ops seed =
   let plan, steps = Sim.Chaos.derive ~n ~objects ~ops ~adversarial:true ~seed () in
   let sim =
     R_ae.create ~seed ~config:Store.Store_intf.default ~n
-      ~policy:(Sim.Net_policy.random_delay ()) ~faults:plan ~stack:(module Durable_ae) ()
+      ~policy:(Sim.Net_policy.random_delay ()) ~faults:plan ()
   in
   let faults = ref (Sim.Fault_plan.events plan) in
   let rec fire_up_to time =

@@ -653,7 +653,7 @@ let test_shrink_none_on_converging_run () =
    not members. *)
 module Trim_watch (S : Store.Store_intf.S) = struct
   module AE = Store.Anti_entropy.Make (S)
-  module DA = Store.Durable.Make_controlled (AE)
+  module DA = Store.Durable.Make (AE)
 
   let watch : (int -> DA.state -> unit) ref = ref (fun _ _ -> ())
 
@@ -698,7 +698,7 @@ module Trim_watch (S : Store.Store_intf.S) = struct
     let durable = true
   end
 
-  module R = Sim.Runner.Make (W)
+  module R = Sim.Runner.Over (W)
 
   (* replays [Chaos.run_plan]'s schedule; returns how many checks saw a
      non-zero floor *)
@@ -709,7 +709,7 @@ module Trim_watch (S : Store.Store_intf.S) = struct
     in
     let sim =
       R.create ~seed ~config:Store.Store_intf.default ~n:capacity ~initial:3 ~record_spans:false
-        ~policy:(Sim.Net_policy.random_delay ()) ~faults:plan ~stack:(module W) ()
+        ~policy:(Sim.Net_policy.random_delay ()) ~faults:plan ()
     in
     (* a down member's recovered [have], computed once per crash *)
     let recovered = Array.make capacity None in
@@ -994,9 +994,17 @@ let gen_envelope =
     (fun items -> { Envelope.v2; items })
     (list_size (if v2 then int_bound 6 else int_range 1 6) (item v2))
 
+(* the round trip, and an item past the last kind tag (7): appended to
+   a v2 envelope it is read as one more item, and rejected *)
 let prop_codec_roundtrip =
   q "envelope: decode (encode e) = e, v1 included" gen_envelope (fun e ->
-      Envelope.decode (Envelope.encode e) = e)
+      let p = Envelope.encode e in
+      Envelope.decode p = e
+      && ((not e.v2)
+         ||
+         match Envelope.decode (p ^ "\x08\x00") with
+         | exception Wire.Decoder.Malformed _ -> true
+         | _ -> false))
 
 (* trace labels name the decoded items, in order of first appearance *)
 let prop_classify_names_decoded =

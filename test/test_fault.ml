@@ -210,7 +210,7 @@ let test_plan_link_window () =
 
 (* ---------- Durable store transformer ---------- *)
 
-module D = Store.Durable.Make (Store.Mvr_store)
+module D = Store.Durable.Make (Sim.Stack.Bare (Store.Mvr_store))
 
 let read st ~obj =
   let _, rval, _ = D.do_op st ~obj Op.Read in
@@ -503,7 +503,7 @@ end
 let test_durable_bounded_by_state () =
   let module AE = Store.Anti_entropy.Make (Store.Causal_mvr_store) in
   let module C = Counted (AE) in
-  let module DA = Store.Durable.Make_controlled (struct
+  let module DA = Store.Durable.Make (struct
     include C
 
     let tick = AE.tick
@@ -563,10 +563,10 @@ module R = Sim.Runner.Make (Store.Mvr_store)
    and its image-and-log recovery. *)
 module DA_mvr = Sim.Stack.Durable (Store.Mvr_store)
 
-module RA = Sim.Runner.Make (DA_mvr)
+module RA = Sim.Runner.Over (DA_mvr)
 
 let create_ae ?faults ?(seed = 42) ~policy ~n () =
-  RA.create ~seed ~config:Store.Store_intf.default ~n ~policy ?faults ~stack:(module DA_mvr) ()
+  RA.create ~seed ~config:Store.Store_intf.default ~n ~policy ?faults ()
 
 let test_crash_drops_in_flight () =
   let sim = create_ae ~n:2 ~policy:(Sim.Net_policy.reliable_fifo ~delay:2.0 ()) () in

@@ -9,7 +9,7 @@ module Membership = Sim.Membership
 module Vclock = Clock.Vclock
 module Trace_io = Model.Trace_io
 module St = Sim.Stack.Volatile (Store.Mvr_store)
-module R = Sim.Runner.Make (St)
+module R = Sim.Runner.Over (St)
 
 (* ---------- the view, by itself ---------- *)
 
@@ -51,18 +51,35 @@ let test_view_errors () =
 (* ---------- runner join: bootstrap, serving gate, promotion ---------- *)
 
 let make_sim ?(seed = 1) ?auto_send ?(initial = 3) ~n () =
-  R.create ~seed ?auto_send ~policy:(Sim.Net_policy.random_delay ()) ~stack:(module St)
+  R.create ~seed ?auto_send ~policy:(Sim.Net_policy.random_delay ())
     ~initial ~n ()
 
-(* only a wire repair protocol can fill an empty joiner: a runner without
-   a replica stack refuses the join before it touches the view *)
+(* Only a wire repair protocol can fill an empty joiner, and only a
+   stack's progress tells when a graceful leaver has handed off its
+   stream: a runner over a bare store refuses both before it touches the
+   view. A crash-leave hands nothing off, so it still departs. *)
+module Bare = Sim.Runner.Make (Store.Mvr_store)
+
 let test_join_needs_a_stack () =
-  let sim = R.create ~policy:(Sim.Net_policy.random_delay ()) ~initial:2 ~n:3 () in
-  (match R.join sim ~replica:2 with
+  let sim = Bare.create ~policy:(Sim.Net_policy.random_delay ()) ~initial:2 ~n:3 () in
+  let members () = Membership.members (Bare.membership sim) in
+  let epoch () = Membership.epoch (Bare.membership sim) in
+  (match Bare.join sim ~replica:2 with
   | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "a runner without a stack accepted a join");
-  Alcotest.(check bool) "the reserve stays out" false (R.is_member sim ~replica:2);
-  Alcotest.(check int) "the epoch did not move" 0 (Membership.epoch (R.membership sim))
+  | () -> Alcotest.fail "a bare runner accepted a join");
+  Alcotest.(check bool) "the reserve stays out" false (Bare.is_member sim ~replica:2);
+  Alcotest.(check int) "the epoch did not move" 0 (epoch ());
+  ignore (Bare.op sim ~replica:0 ~obj:0 (Op.Write (vi 1)));
+  (match Bare.leave sim ~replica:0 ~graceful:true with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "a bare runner accepted a graceful leave");
+  Alcotest.(check (list int)) "the graceful leaver stays" [ 0; 1 ] (members ());
+  Alcotest.(check bool) "and keeps serving" true (Bare.is_serving sim ~replica:0);
+  Alcotest.(check int) "the epoch still did not move" 0 (epoch ());
+  Bare.leave sim ~replica:0 ~graceful:false;
+  Alcotest.(check (list int)) "a crash-leave departs" [ 1 ] (members ());
+  Alcotest.(check int) "and bumps the epoch" 1 (epoch ());
+  Alcotest.(check int) "one leave counted" 1 (Bare.stats sim).Sim.Runner.leaves
 
 let test_join_bootstrap_gate () =
   let sim = make_sim ~initial:2 ~n:3 () in

@@ -266,7 +266,7 @@ let test_mixed_version_convergence () =
    and its image is retaken along the loop. *)
 let test_recovered_replica_sends_the_same_bytes () =
   let module V = Sim.Stack.Volatile (Store.Causal_mvr_store) in
-  let module St = Store.Durable.Make_controlled (V) in
+  let module St = Store.Durable.Make (V) in
   let cfg = { Store.Store_intf.default with repair_batch = 2 } in
   let next st =
     let st, _, _ = St.do_op st ~obj:0 (Model.Op.Write (vi 99)) in

@@ -127,7 +127,7 @@ let check_histogram name expected got =
 let md5 x = Digest.to_hex (Digest.string (Marshal.to_string x [ Marshal.No_sharing ]))
 
 module Drive_stack (St : Sim.Stack.S) = struct
-  module R = Runner.Make (St)
+  module R = Runner.Over (St)
 
   (* [Chaos.run_plan]'s schedule on the stack [St], keeping the runner
      for its witness, and the H index of the first audit read.
@@ -147,7 +147,7 @@ module Drive_stack (St : Sim.Stack.S) = struct
     Hashtbl.reset logs;
     let sim =
       R.create ~seed ~config:Store.Store_intf.default ~n:capacity ~initial ~record_spans:spans
-        ~policy:(Sim.Net_policy.random_delay ()) ~faults:plan ~stack:(module St) ()
+        ~policy:(Sim.Net_policy.random_delay ()) ~faults:plan ()
     in
     let serving r = R.is_serving sim ~replica:r && not (R.is_down sim ~replica:r) in
     let faults = ref (Fault_plan.events plan) in
